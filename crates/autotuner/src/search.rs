@@ -70,7 +70,8 @@ impl GemmProblem {
 /// `occurrences - 1` rungs of the loop's prime-factor ladder. Returns
 /// `None` when the ladder is too short (spec infeasible for this problem).
 pub fn blocks_for_spec(problem: &GemmProblem, spec: &str) -> Option<[Vec<usize>; 3]> {
-    let trips = [problem.k / problem.bk, problem.m / problem.bm, problem.n / problem.bn];
+    // N may be ragged (activation operands block by the register tile).
+    let trips = [problem.k / problem.bk, problem.m / problem.bm, problem.n.div_ceil(problem.bn)];
     let mut out: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for (l, t) in trips.iter().enumerate() {
         let occ = spec.chars().filter(|c| c.to_ascii_lowercase() as u8 == b'a' + l as u8).count();

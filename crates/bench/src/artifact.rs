@@ -48,7 +48,7 @@ pub fn workspace_path(file: &str) -> PathBuf {
 /// One measured throughput row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRow {
-    /// Execution mode (`serial`, `fused`, `router-serial`, …).
+    /// What the row measured (`serve`, `serve-i8`, `router`, …).
     pub mode: String,
     /// The `max_batch` setting of the run.
     pub batch: usize,
@@ -87,59 +87,6 @@ impl BenchRow {
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// A fused row measuring *slower* than its serial twin — the condition
-/// the perf trajectory must flag, since fused batching exists to win.
-/// Carries the pair so tooling can rank by severity; `Display` renders
-/// the human warning line the bench harnesses print.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// The losing fused mode (`fused`, `fused-i8`, `router-fused`, …).
-    pub fused_mode: String,
-    /// The winning serial twin it was paired with.
-    pub serial_mode: String,
-    /// Shared `max_batch` of the pair.
-    pub batch: usize,
-    /// Shared shard count of the pair.
-    pub shards: usize,
-    /// Shared host fingerprint of the pair (empty on legacy rows).
-    pub fingerprint: String,
-    /// Fused throughput.
-    pub fused_steps_per_s: f64,
-    /// Serial throughput.
-    pub serial_steps_per_s: f64,
-}
-
-impl Regression {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"fused_mode\":\"{}\",\"serial_mode\":\"{}\",\"batch\":{},\"shards\":{},\"fingerprint\":\"{}\",\"fused_steps_per_s\":{:.3},\"serial_steps_per_s\":{:.3}}}",
-            escape(&self.fused_mode),
-            escape(&self.serial_mode),
-            self.batch,
-            self.shards,
-            escape(&self.fingerprint),
-            self.fused_steps_per_s,
-            self.serial_steps_per_s
-        )
-    }
-}
-
-impl fmt::Display for Regression {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "warning: {} ({:.1} steps/s) < {} ({:.1} steps/s) at {{batch={}, shards={}}} — \
-             fused batching is not paying for its gather at this size",
-            self.fused_mode,
-            self.fused_steps_per_s,
-            self.serial_mode,
-            self.serial_steps_per_s,
-            self.batch,
-            self.shards
-        )
-    }
 }
 
 /// One row's throughput movement between two artifacts, matched by the
@@ -237,18 +184,11 @@ impl BenchArtifact {
         }
     }
 
-    /// Renders the canonical JSON document. The `regressions` block is
-    /// *derived* from the rows at render time (never stored), so it can
-    /// never drift stale against the numbers; it is emitted before
-    /// `rows` because the reader locates the row array by scanning from
-    /// the `"rows"` tag to the document's last `]`.
+    /// Renders the canonical JSON document.
     pub fn to_json(&self) -> String {
-        let regressions: Vec<String> =
-            fused_regressions(&self.rows).iter().map(Regression::to_json).collect();
         let rows: Vec<String> = self.rows.iter().map(BenchRow::to_json).collect();
         format!(
-            "{{\n  \"bench\": \"serve_throughput\",\n  \"regressions\": [\n    {}\n  ],\n  \"rows\": [\n    {}\n  ]\n}}\n",
-            regressions.join(",\n    "),
+            "{{\n  \"bench\": \"serve_throughput\",\n  \"rows\": [\n    {}\n  ]\n}}\n",
             rows.join(",\n    ")
         )
     }
@@ -257,8 +197,7 @@ impl BenchArtifact {
     /// `None` when the text lacks the document shape; a **row** that
     /// fails to parse is skipped rather than poisoning the document — a
     /// truncated tail (e.g. a previous writer died mid-save) must not
-    /// wipe the rows that survived. The `regressions` block is derived
-    /// data and is deliberately not read back.
+    /// wipe the rows that survived.
     pub fn from_json(text: &str) -> Option<Self> {
         let rows_start = text.find("\"rows\"")?;
         let open = text[rows_start..].find('[')? + rows_start;
@@ -307,43 +246,6 @@ impl BenchArtifact {
     }
 }
 
-/// Scans `rows` for serial/fused mode pairs at the same
-/// `{batch, shards, fingerprint}` and returns one [`Regression`] per
-/// pair where the fused row is *slower* than its serial twin. Pairing is
-/// by mode-name substitution (`serial` → `fused`), so `serial`/`fused`,
-/// `serial-i8`/`fused-i8` and `router-serial`/`router-fused` all
-/// participate; rows from different hosts never pair. Fused execution
-/// exists to raise decode arithmetic intensity; a fused row losing to
-/// serial at the same batch means the gather/pack overhead outweighs the
-/// GEMM win at that size, which the trajectory should flag rather than
-/// silently record.
-pub fn fused_regressions(rows: &[BenchRow]) -> Vec<Regression> {
-    let mut out = Vec::new();
-    for serial in rows.iter().filter(|r| r.mode.contains("serial")) {
-        let fused_mode = serial.mode.replace("serial", "fused");
-        let Some(fused) = rows.iter().find(|r| {
-            r.mode == fused_mode
-                && r.batch == serial.batch
-                && r.shards == serial.shards
-                && r.fingerprint == serial.fingerprint
-        }) else {
-            continue;
-        };
-        if fused.steps_per_s < serial.steps_per_s {
-            out.push(Regression {
-                fused_mode: fused.mode.clone(),
-                serial_mode: serial.mode.clone(),
-                batch: serial.batch,
-                shards: serial.shards,
-                fingerprint: serial.fingerprint.clone(),
-                fused_steps_per_s: fused.steps_per_s,
-                serial_steps_per_s: serial.steps_per_s,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,9 +264,9 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_rows() {
         let mut a = BenchArtifact::new();
-        a.upsert(row("serial", 8, 1, 9442.125));
-        a.upsert(row("fused", 8, 1, 12486.5));
-        a.upsert(row("router-serial", 8, 2, 17000.0));
+        a.upsert(row("serve", 8, 1, 9442.125));
+        a.upsert(row("serve-i8", 8, 1, 12486.5));
+        a.upsert(row("router", 8, 2, 17000.0));
         a.upsert(BenchRow {
             mode: "mixed-chunked".into(),
             batch: 8,
@@ -375,7 +277,7 @@ mod tests {
         });
         let parsed = BenchArtifact::from_json(&a.to_json()).expect("own output parses");
         assert_eq!(parsed.rows().len(), 4);
-        assert_eq!(parsed.rows()[0].mode, "serial");
+        assert_eq!(parsed.rows()[0].mode, "serve");
         assert_eq!(parsed.rows()[2].shards, 2);
         assert!((parsed.rows()[0].steps_per_s - 9442.125).abs() < 1e-9);
         assert!((parsed.rows()[3].p99_us - 512.5).abs() < 1e-9, "latency column round-trips");
@@ -386,7 +288,7 @@ mod tests {
     fn rows_without_latency_or_fingerprint_parse_with_defaults() {
         // Pre-latency-column, pre-fingerprint artifacts must still load.
         let legacy = "{\n  \"bench\": \"serve_throughput\",\n  \"rows\": [\n    \
-                      {\"mode\":\"serial\",\"batch\":8,\"shards\":1,\"steps_per_s\":100.000}\n  ]\n}\n";
+                      {\"mode\":\"serve\",\"batch\":8,\"shards\":1,\"steps_per_s\":100.000}\n  ]\n}\n";
         let parsed = BenchArtifact::from_json(legacy).expect("legacy shape parses");
         assert_eq!(parsed.rows().len(), 1);
         assert_eq!(parsed.rows()[0].p99_us, 0.0);
@@ -396,14 +298,14 @@ mod tests {
     #[test]
     fn upsert_replaces_by_key() {
         let mut a = BenchArtifact::new();
-        a.upsert(row("serial", 8, 1, 100.0));
-        a.upsert(row("serial", 8, 2, 180.0));
-        a.upsert(row("serial", 8, 1, 120.0)); // rerun updates in place
+        a.upsert(row("serve", 8, 1, 100.0));
+        a.upsert(row("serve", 8, 2, 180.0));
+        a.upsert(row("serve", 8, 1, 120.0)); // rerun updates in place
         assert_eq!(a.rows().len(), 2);
         assert!((a.rows()[0].steps_per_s - 120.0).abs() < 1e-9);
         assert_eq!(a.rows_at_shards(2).len(), 1);
         // A different host fingerprint is a different key: coexists.
-        let mut other = row("serial", 8, 1, 90.0);
+        let mut other = row("serve", 8, 1, 90.0);
         other.fingerprint = "linux/x86_64/spr/16t".into();
         a.upsert(other);
         assert_eq!(a.rows().len(), 3, "same shape from another host keeps its own row");
@@ -412,8 +314,8 @@ mod tests {
     #[test]
     fn truncated_tail_loses_only_the_broken_row() {
         let mut a = BenchArtifact::new();
-        a.upsert(row("serial", 1, 1, 10.0));
-        a.upsert(row("serial", 2, 1, 20.0));
+        a.upsert(row("serve", 1, 1, 10.0));
+        a.upsert(row("serve", 2, 1, 20.0));
         let full = a.to_json();
         // Simulate a writer killed mid-save: cut the document inside the
         // last row. The intact rows must survive the reload.
@@ -435,7 +337,7 @@ mod tests {
         assert!(BenchArtifact::load(&garbage).rows().is_empty());
         // Save → load roundtrip through a real file.
         let mut a = BenchArtifact::new();
-        a.upsert(row("serial", 4, 1, 55.5));
+        a.upsert(row("serve", 4, 1, 55.5));
         let path = dir.join("ok.json");
         a.save(&path).unwrap();
         let back = BenchArtifact::load(&path);
@@ -444,76 +346,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_regressions_flags_only_slower_fused_twins() {
-        let rows = vec![
-            row("serial", 8, 1, 8102.0),
-            row("fused", 8, 1, 6440.0), // slower: must warn
-            row("serial", 1, 1, 3000.0),
-            row("fused", 1, 1, 3500.0), // faster: silent
-            row("serial-i8", 8, 1, 9000.0),
-            row("fused-i8", 8, 1, 8000.0), // slower: must warn
-            row("router-serial", 16, 2, 100.0),
-            // no router-fused twin at shards=2: unpaired rows are skipped
-            row("mixed-chunked", 8, 1, 1.0), // non-serial modes never pair
-        ];
-        let regs = fused_regressions(&rows);
-        assert_eq!(regs.len(), 2, "exactly the two slower fused rows warn: {regs:?}");
-        assert_eq!(regs[0].fused_mode, "fused");
-        assert_eq!(regs[0].serial_mode, "serial");
-        assert_eq!((regs[0].batch, regs[0].shards), (8, 1));
-        assert!((regs[0].fused_steps_per_s - 6440.0).abs() < 1e-9);
-        assert_eq!(regs[1].fused_mode, "fused-i8");
-        let line = regs[0].to_string();
-        assert!(line.contains("warning:") && line.contains("batch=8"), "line: {line}");
-    }
-
-    #[test]
-    fn fused_regressions_pair_within_batch_shards_and_fingerprint() {
-        // A fused row at a different batch must not pair with this serial row.
-        let rows = vec![row("serial", 8, 1, 100.0), row("fused", 4, 1, 50.0)];
-        assert!(fused_regressions(&rows).is_empty());
-        // Neither may a fused row measured on a different host.
-        let mut foreign = row("fused", 8, 1, 50.0);
-        foreign.fingerprint = "linux/x86_64/spr/16t".into();
-        let rows = vec![row("serial", 8, 1, 100.0), foreign];
-        assert!(fused_regressions(&rows).is_empty(), "cross-host pairs are meaningless");
-    }
-
-    #[test]
-    fn regressions_block_is_emitted_and_does_not_poison_rows() {
-        let mut a = BenchArtifact::new();
-        a.upsert(row("serial", 8, 1, 100.0));
-        a.upsert(row("fused", 8, 1, 50.0)); // regression: block is non-empty
-        let text = a.to_json();
-        let reg_at = text.find("\"regressions\"").expect("block present");
-        let rows_at = text.find("\"rows\"").expect("rows present");
-        assert!(reg_at < rows_at, "derived block must precede rows for the reader");
-        assert!(text.contains("\"fused_mode\":\"fused\""));
-        assert!(text.contains("\"serial_steps_per_s\":100.000"));
-        let parsed = BenchArtifact::from_json(&text).expect("parses with block present");
-        assert_eq!(parsed.rows().len(), 2, "regression objects are not mistaken for rows");
-        assert_eq!(fused_regressions(parsed.rows()).len(), 1, "block re-derives after reload");
-    }
-
-    #[test]
     fn compare_reports_deltas_for_shared_keys_only() {
         let mut base = BenchArtifact::new();
-        base.upsert(row("serial", 8, 1, 100.0));
-        base.upsert(row("fused", 8, 1, 200.0));
+        base.upsert(row("serve", 8, 1, 100.0));
+        base.upsert(row("serve-i8", 8, 1, 200.0));
         base.upsert(row("retired-mode", 8, 1, 1.0)); // gone in new
         let mut new = BenchArtifact::new();
-        new.upsert(row("serial", 8, 1, 110.0));
-        new.upsert(row("fused", 8, 1, 150.0));
+        new.upsert(row("serve", 8, 1, 110.0));
+        new.upsert(row("serve-i8", 8, 1, 150.0));
         new.upsert(row("brand-new", 8, 1, 5.0)); // absent in base
         let deltas = compare(&base, &new);
         assert_eq!(deltas.len(), 2, "unmatched rows on either side are skipped");
         assert!((deltas[0].delta_pct - 10.0).abs() < 1e-9);
         assert!((deltas[1].delta_pct - -25.0).abs() < 1e-9);
         let line = deltas[0].to_string();
-        assert!(line.contains("+10.0%") && line.contains("serial"), "line: {line}");
+        assert!(line.contains("+10.0%") && line.contains("serve"), "line: {line}");
         // Same key, different fingerprint: no match.
         let mut other_host = BenchArtifact::new();
-        let mut r = row("serial", 8, 1, 110.0);
+        let mut r = row("serve", 8, 1, 110.0);
         r.fingerprint = "linux/x86_64/spr/16t".into();
         other_host.upsert(r);
         assert!(compare(&base, &other_host).is_empty());

@@ -25,13 +25,7 @@ pub const ROUTING_OVERHEAD: f64 = 0.02;
 pub const SERVE_ARTIFACT: &str = "BENCH_serve.json";
 
 /// Canonical artifact row label for a router measurement.
-pub fn router_mode_name(fused: bool) -> &'static str {
-    if fused {
-        "router-fused"
-    } else {
-        "router-serial"
-    }
-}
+pub const ROUTER_MODE: &str = "router";
 
 /// One closed-loop router load shape.
 #[derive(Debug, Clone, Copy)]
@@ -44,8 +38,6 @@ pub struct RouterLoad {
     pub tenants: usize,
     /// Per-session KV capacity.
     pub kv_capacity: usize,
-    /// Fused or serial batch execution.
-    pub fused: bool,
     /// Base seed for the per-session input vectors.
     pub seed: u64,
 }
@@ -89,7 +81,6 @@ pub fn measure_router_steps_per_s(
                 max_batch: load.sessions.div_ceil(shards).min(load.sessions),
                 kv_capacity: load.kv_capacity,
                 coalesce_wait: Duration::from_micros(500),
-                fused: load.fused,
                 ..Default::default()
             },
         },

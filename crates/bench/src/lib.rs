@@ -22,11 +22,9 @@ pub mod driver;
 pub mod json;
 pub mod trace_artifact;
 
-pub use artifact::{
-    compare, fused_regressions, workspace_path, BenchArtifact, BenchRow, Regression, RowDelta,
-};
+pub use artifact::{compare, workspace_path, BenchArtifact, BenchRow, RowDelta};
 pub use driver::{
-    measure_router_steps_per_s, router_mode_name, RouterLoad, RouterMeasurement, ROUTING_OVERHEAD,
+    measure_router_steps_per_s, RouterLoad, RouterMeasurement, ROUTER_MODE, ROUTING_OVERHEAD,
     SERVE_ARTIFACT,
 };
 pub use trace_artifact::{trace_shapes_json, TRACE_SHAPES_ARTIFACT};

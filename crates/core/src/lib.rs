@@ -44,7 +44,7 @@ pub use cache::{stats as plan_cache_stats, PlanCacheStats};
 pub use plan::LoopPlan;
 pub use spec::{LoopSpecs, Schedule, SpecError};
 
-use pl_runtime::{global_pool, ThreadPool};
+use pl_runtime::{global_pool, ThreadPool, WorkerCtx};
 use plan::WorkQueues;
 use std::sync::Arc;
 
@@ -56,6 +56,23 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct ThreadedLoop {
     plan: Arc<LoopPlan>,
+}
+
+/// One in-flight execution of a [`ThreadedLoop`] by a team (see
+/// [`ThreadedLoop::begin`]): the plan plus the dynamic-schedule queues the
+/// members share.
+pub struct LoopRun {
+    plan: Arc<LoopPlan>,
+    queues: WorkQueues,
+}
+
+impl LoopRun {
+    /// This member's share of the nest. Every member of the team the run
+    /// was begun for must call it exactly once (spec `|` barriers are
+    /// team-wide).
+    pub fn member(&self, ctx: &WorkerCtx, body: &(dyn Fn(&[usize]) + Sync)) {
+        self.plan.execute_member(ctx, &self.queues, body);
+    }
 }
 
 impl ThreadedLoop {
@@ -107,18 +124,28 @@ impl ThreadedLoop {
         body: &(dyn Fn(&[usize]) + Send + Sync),
         term: Option<&(dyn Fn() + Sync)>,
     ) -> Result<(), SpecError> {
-        self.plan.check_team(pool.nthreads())?;
-        let queues = WorkQueues::new(&self.plan);
+        let run = self.begin(pool.nthreads())?;
         pool.parallel(|ctx| {
             if let Some(f) = init {
                 f();
             }
-            self.plan.execute_member(ctx, &queues, body);
+            run.member(ctx, body);
             if let Some(f) = term {
                 f();
             }
         });
         Ok(())
+    }
+
+    /// Starts one execution of the nest by a team of `team` threads that
+    /// is **already inside** a parallel region: build the [`LoopRun`] once
+    /// (outside the region, or before the phase that uses it), then have
+    /// every member call [`LoopRun::member`]. This is how a chain of nests
+    /// shares one region — the paper's fused Fig. 3 MLP — with
+    /// [`WorkerCtx::barrier`] between dependent nests. A run is single-use.
+    pub fn begin(&self, team: usize) -> Result<LoopRun, SpecError> {
+        self.plan.check_team(team)?;
+        Ok(LoopRun { plan: Arc::clone(&self.plan), queues: WorkQueues::new(&self.plan) })
     }
 
     /// Simulates the schedule for a virtual team of `nthreads`: per-thread
@@ -267,6 +294,30 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 16 * 4); // replicated x4
+    }
+
+    #[test]
+    fn dependent_nests_share_one_region() {
+        // Nest 2 reads what nest 1 wrote: legal inside a single region
+        // with a team barrier between the two in-team runs.
+        let pool = ThreadPool::new(4);
+        let tl = ThreadedLoop::new(&[LoopSpecs::new(0, 64, 1)], "A").unwrap();
+        let dynamic = ThreadedLoop::new(&[LoopSpecs::new(0, 64, 1)], "A @ schedule(dynamic,3)");
+        let dynamic = dynamic.unwrap();
+        let squares: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let sum = AtomicUsize::new(0);
+        let (first, second) = (tl.begin(4).unwrap(), dynamic.begin(4).unwrap());
+        pool.parallel(|ctx| {
+            first.member(ctx, &|ind| squares[ind[0]].store(ind[0] * ind[0], Ordering::Relaxed));
+            ctx.barrier();
+            second.member(ctx, &|ind| {
+                sum.fetch_add(squares[63 - ind[0]].load(Ordering::Relaxed), Ordering::Relaxed);
+            });
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), (0..64).map(|i| i * i).sum::<usize>());
+        // Grid specs still validate the team size up front.
+        let grid = ThreadedLoop::new(&[LoopSpecs::new(0, 8, 2)], "A{R:3}").unwrap();
+        assert!(matches!(grid.begin(4), Err(SpecError::GridSizeMismatch { grid: 3, team: 4 })));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! per-iteration gradient/activation operands that no plan could own.
 
 use crate::matmul::{matmul, transpose_cm, Trans};
-use crate::prepared::{ActivationBuf, MatmulPlan};
+use crate::prepared::MatmulPlan;
 use pl_runtime::ThreadPool;
 use pl_tensor::Xorshift;
 use pl_tpp::{norm, softmax, unary};
@@ -225,13 +225,11 @@ impl BertLayer {
 
         // Self-attention projections (fused bias adds): the three plans
         // consume a single packed copy of `x` (pack-once per layer
-        // boundary), with one reused blocked-output scratch.
+        // boundary).
         let (q, k, v) = {
-            let mut xbuf = ActivationBuf::new();
-            let mut cbuf = ActivationBuf::new();
-            let xp = self.plans[0].pack_activations(x, tokens, &mut xbuf);
-            let mut proj = |j: usize, bias: &[f32]| {
-                let mut y = self.plans[j].execute_packed(xp, &mut cbuf, pool);
+            let xp = self.plans[0].pack(x, tokens);
+            let proj = |j: usize, bias: &[f32]| {
+                let mut y = self.plans[j].execute_packed(&xp, pool);
                 pl_tpp::binary::bias_add(h, tokens, bias, &mut y, h);
                 y
             };

@@ -23,7 +23,8 @@
 //! hidden`), and attention reads tokens through [`KvSeq::k_tok`] /
 //! [`KvSeq::v_tok`] without changing per-element arithmetic order — so
 //! paged decode is bit-identical to the contiguous baseline at every page
-//! size (asserted in `llm.rs` tests across serial, fused and int8 paths).
+//! size (asserted in `llm.rs` tests, single-stream and batched, f32 and
+//! int8).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
@@ -488,8 +489,9 @@ struct PrefixInner {
 }
 
 /// Hash-consing of prompt prefixes onto shared KV pages: after a prefill
-/// completes, its prompt is hashed at every page boundary (and at its
-/// exact length); a hit replaces the session's freshly written pages
+/// completes, its prompt is hashed at every full-page boundary (the
+/// partial tail page stays private); a hit replaces the session's
+/// freshly written pages
 /// with the cached *shared* pages — the duplicates recycle back to the
 /// pool — and a miss registers the session's pages for the next tenant
 /// with the same system prompt. Lookup verifies the full prompt bytes,
@@ -557,16 +559,14 @@ impl PrefixCache {
     }
 
     /// The candidate spans (token counts) a `tokens`-token prompt can be
-    /// deduped at: every full-page boundary, plus the exact length (whose
-    /// final page may be partial — shareable because the adopter's next
-    /// append COW-splits it). Descending, so longest-match wins.
+    /// deduped at: every **full-page** boundary, descending so the
+    /// longest match wins. The partial tail page is never registered:
+    /// the cache's handle would pin the registrant's own tail, forcing a
+    /// COW copy per layer on its first decode step, and an adopter would
+    /// have to split the page on its first append anyway — a shared
+    /// partial page never saves a resident page.
     fn spans(tokens: usize, page_tokens: usize) -> Vec<usize> {
-        let mut spans: Vec<usize> = (1..=tokens / page_tokens).map(|i| i * page_tokens).collect();
-        if !tokens.is_multiple_of(page_tokens) {
-            spans.push(tokens);
-        }
-        spans.sort_unstable_by(|a, b| b.cmp(a));
-        spans
+        (1..=tokens / page_tokens).rev().map(|i| i * page_tokens).collect()
     }
 
     /// Dedups the freshly prefilled `seqs` (one per layer, every length
@@ -592,7 +592,7 @@ impl PrefixCache {
             if entry.tokens != span || entry.input != prompt[..span * h] {
                 continue; // hash collision: miss, never alias
             }
-            let npages = span.div_ceil(pt);
+            let npages = span / pt;
             for (seq, shared) in seqs.iter_mut().zip(&entry.pages) {
                 debug_assert_eq!(shared.len(), npages);
                 seq.adopt_prefix(shared);
@@ -608,7 +608,7 @@ impl PrefixCache {
             if inner.entries.contains_key(&key) {
                 continue;
             }
-            let npages = span.div_ceil(pt);
+            let npages = span / pt;
             let pages = seqs.iter().map(|s| s.pages[..npages].to_vec()).collect();
             inner.entries.insert(
                 key,

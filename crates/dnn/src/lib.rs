@@ -57,6 +57,6 @@ pub use kvpool::{
     KvPage, KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, DEFAULT_PAGE_TOKENS,
 };
 pub use llm::{prefill_chunk_widths, Decoder, DecoderConfig, DecoderModel, DecoderState};
-pub use prepared::{ActivationBuf, MatmulPlan, Precision, SpmmPlan};
+pub use prepared::{ActMatrix, MatmulPlan, PlanRun, Precision, SpmmPlan};
 pub use resnet::{resnet50_conv_flops, resnet50_conv_shapes, BatchNorm, ConvLayerSpec, FcHead};
 pub use sparse_bert::{prune_to_block_sparse, SparseBertLayer};

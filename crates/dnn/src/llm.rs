@@ -14,25 +14,42 @@
 //! Weights ([`DecoderModel`]) are immutable and shareable (`Arc`) across
 //! any number of concurrent sessions; each session owns only its KV cache
 //! ([`DecoderState`]). This is what a serving runtime needs: one copy of
-//! the weights, N independent decode streams, and a batch-capable step
-//! ([`DecoderModel::step_batch`]) that coalesces many sessions' next-token
-//! computations into a single parallel region. [`Decoder`] remains the
+//! the weights, N independent decode streams. [`Decoder`] remains the
 //! convenience single-stream wrapper over the pair.
 //!
-//! ## Serial vs fused batched decode
+//! ## One ragged forward, one parallel region
 //!
-//! [`DecoderModel::step_batch`] runs each session's step *serially* inside
-//! the region — bit-identical to unbatched decode, but every layer
-//! executes B rank-deficient `hidden x 1` GEMVs (the memory-bound shape
-//! the paper's Fig. 11 next-token row measures).
-//! [`DecoderModel::step_batch_fused`] instead gathers the B token vectors
-//! into one `hidden x B` activation matrix and runs each layer's
-//! QKV/output/FFN projections as single `hidden x B` GEMMs — every weight
-//! element loaded once serves B tokens, turning decode arithmetic
-//! intensity from O(1) to O(B). Attention stays per-session against each
-//! session's own KV cache (ragged context lengths are fine), batched over
-//! sessions inside one parallel region. Fused outputs agree with serial
-//! ones to floating-point reassociation tolerance, not bitwise.
+//! There is one forward: [`DecoderModel::forward_batch`] over
+//! `(state, x, width)` items. A decode lane is an item of width 1, a
+//! prefill chunk an item of width `w`, and [`DecoderModel::forward`] a
+//! batch of one. The items' `Σ width` token columns form one
+//! `hidden x Σwidth` activation matrix; every layer's LayerNorms, QKV /
+//! output / FFN projections, GELU and residuals run **once over all
+//! columns** (each weight element loaded once serves every token of every
+//! item), and only attention runs per item, against that item's own paged
+//! KV cache. The whole batch — all layers — executes inside **one**
+//! [`ThreadPool::parallel`] region, the paper's Fig. 3 pattern: team
+//! barriers separate the phases instead of one fork/join per projection.
+//! Per layer:
+//!
+//! | phase | work | split over the team by |
+//! |---|---|---|
+//! | 1 | LN1 → pack (and quantize) the projection input | columns |
+//! | 2 | Q, K, V GEMMs | M blocks x 4-column blocks (the plan's loop spec) |
+//! | 3 | KV append + causal attention → pack the context | items (dynamic) |
+//! | 4 | output-projection GEMM | blocks |
+//! | 5 | residual, LN2 → pack | columns |
+//! | 6 | FFN-up GEMM | blocks |
+//! | 7 | GELU → pack | columns |
+//! | 8 | FFN-down GEMM | blocks |
+//! | 9 | residual (no barrier: the next LN1 owns the same columns) | columns |
+//!
+//! Every output column is a function of its own input column and its own
+//! item's KV only — LayerNorm, GELU, residuals and activation quantization
+//! are per column, and a GEMM column is one k-ordered reduction whatever
+//! the width (see [`crate::prepared`]) — so each item's output is
+//! **bit-identical** to running that item alone, at f32 and int8, for any
+//! batch composition, chunking and team size.
 //!
 //! ## Prepared execution
 //!
@@ -40,19 +57,19 @@
 //! once at [`DecoderModel::new`], with per-width kernels cached on first
 //! use (or pre-built by [`DecoderModel::warm_plans`], fed by the shapes
 //! [`DecoderModel::plan_problems`] reports). Decode steps therefore pack
-//! **zero weight bytes** — only activations are gathered and blocked, with
-//! scratch reused across a forward's layers and a layer's QKV projections
-//! consuming a single packed copy of their shared input. The plan path
-//! runs the exact kernels the old pack-per-call bridge constructed, so
-//! serial decode stays bit-identical to the previous behavior.
+//! **zero weight bytes** — only activations are blocked, into buffers
+//! reused across a forward's layers, and a layer's QKV projections consume
+//! a single packed copy of their shared input.
 
 use crate::kvpool::{KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache};
 use crate::matmul::Trans;
-use crate::prepared::{ActivationBuf, MatmulPlan, Precision};
+use crate::prepared::{ActMatrix, MatmulPlan, Precision};
 use pl_autotuner::GemmProblem;
-use pl_runtime::ThreadPool;
+use pl_kernels::SharedSlice;
+use pl_runtime::{block_partition, ThreadPool};
 use pl_tensor::Xorshift;
 use pl_tpp::{norm, softmax, unary};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Decoder architecture description.
@@ -150,22 +167,6 @@ impl Block {
     }
 }
 
-/// Blocked-operand scratch reused across a forward's layers: one slot per
-/// distinct activation layout (`k = hidden` and `k = ffn` inputs) and one
-/// per output layout, so every projection after the first reuses an
-/// existing allocation and the shared-input projections (QKV) pack once.
-#[derive(Default)]
-struct ForwardScratch {
-    /// `B` operand with `k = hidden` rows (QKV / output / FFN-up inputs).
-    b_hidden: ActivationBuf,
-    /// `B` operand with `k = ffn` rows (FFN-down input).
-    b_ffn: ActivationBuf,
-    /// `C` output with `m = hidden` rows.
-    c_hidden: ActivationBuf,
-    /// `C` output with `m = ffn` rows.
-    c_ffn: ActivationBuf,
-}
-
 // The per-layer KV storage lives in `crate::kvpool`: fixed-size
 // [`KvPage`](crate::kvpool::KvPage)s behind a shared [`KvPagePool`],
 // one [`KvSeq`] (page list + cursor) per layer.
@@ -177,9 +178,21 @@ pub struct DecoderModel {
     blocks: Vec<Block>,
 }
 
-/// A claimed-once hand-off cell for one batched forward item (see
-/// [`DecoderModel::forward_batch`]): `(state, x, tokens)`.
-type BatchSlot<'s, 'x> = Mutex<Option<(&'s mut DecoderState, &'x [f32], usize)>>;
+/// Pre-LN of one token column: `out = gamma * norm(x) + beta`.
+fn layernorm_col(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) {
+    let (h, mut mean, mut rstd) = (x.len(), [0.0f32], [0.0f32]);
+    norm::layernorm(h, 1, x, h, gamma, beta, 1e-5, out, h, &mut mean, &mut rstd);
+}
+
+/// One item of a batched forward inside the region: its state behind a
+/// claimed-once-per-phase hand-off cell, and the columns it owns.
+struct Lane<'s> {
+    /// Uncontended (each attention phase hands a lane to exactly one
+    /// member); it only launders the `&mut` across the team.
+    state: Mutex<&'s mut DecoderState>,
+    col0: usize,
+    width: usize,
+}
 
 /// Splits a `tokens`-token prefill into bounded chunk widths under the
 /// `chunk` cap, **power-of-two-ladder-aligned**: the cap is normalized to
@@ -187,9 +200,9 @@ type BatchSlot<'s, 'x> = Mutex<Option<(&'s mut DecoderState, &'x [f32], usize)>>
 /// exact hit on the warmed prefill ladder — see
 /// `pl_autotuner::batch_ladder`), and only the final chunk carries the
 /// remainder (whose tuning lookup rounds up to the nearest warmed rung).
-/// A prompt that fits in one chunk is returned whole — the single-chunk
-/// path must stay bit-identical to an unchunked forward, so it is never
-/// subdivided.
+/// A prompt that fits in one chunk is returned whole. Chunking never
+/// changes values: a chunked prefill is bit-identical to the whole-prompt
+/// forward.
 pub fn prefill_chunk_widths(tokens: usize, chunk: usize) -> Vec<usize> {
     let cap = chunk.max(1).next_power_of_two();
     let mut widths = Vec::with_capacity(tokens.div_ceil(cap));
@@ -357,15 +370,6 @@ impl DecoderState {
             KvStore::Spilled(_) => unreachable!("restored above"),
         }
     }
-
-    /// The resident page tables; panics while spilled (read-only paths
-    /// never auto-restore — forwards do, via [`DecoderState::seqs`]).
-    fn paged(&self) -> &[KvSeq] {
-        match &self.store {
-            KvStore::Paged(seqs) => seqs,
-            KvStore::Spilled(_) => unreachable!("forward restores before reading"),
-        }
-    }
 }
 
 impl DecoderModel {
@@ -493,7 +497,8 @@ impl DecoderModel {
     /// Forward over `tokens` new positions (`hidden x tokens` hidden
     /// states, column-major); appends to `state`'s caches and returns the
     /// transformed states. Causal masking applies. `tokens == 1` is one
-    /// autoregressive step; a whole prompt is a prefill.
+    /// autoregressive step; a whole prompt is a prefill. This is
+    /// [`DecoderModel::forward_batch`] over a batch of one.
     pub fn forward(
         &self,
         state: &mut DecoderState,
@@ -501,327 +506,195 @@ impl DecoderModel {
         tokens: usize,
         pool: &ThreadPool,
     ) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        let mut scratch = ForwardScratch::default();
-        for l in 0..self.blocks.len() {
-            cur = self.block_forward(l, state, &cur, tokens, &mut scratch, pool);
-        }
-        cur
+        self.forward_batch(vec![(state, x, tokens)], pool).pop().expect("one item in, one out")
     }
 
-    /// One decode step for each of `batch` independent sessions, executed
-    /// inside a **single** parallel region (the serving fast path): the
-    /// team drains the session list via a dynamic schedule, and each
-    /// session's step runs with the exact same per-element operation order
-    /// as an unbatched [`DecoderModel::forward`] — outputs are therefore
-    /// bit-identical to running the sessions one at a time.
+    /// The forward: a ragged batch of independent sessions, entries
+    /// `(state, x, width)` where `x` holds `hidden x width` column-major
+    /// hidden states appended to that session's KV cache — decode lanes
+    /// (`width == 1`) and prefill chunks side by side. All items share
+    /// every layer's projections over the `Σ width` gathered columns,
+    /// attention runs per item, and the whole batch is **one** parallel
+    /// region (phases and barriers: module docs). Returns the per-item
+    /// outputs in input order; each is **bit-identical** to running that
+    /// item alone.
     ///
-    /// Entries are `(state, x)` with `x` one token's `hidden` values;
-    /// returns the per-session outputs in input order. This is
-    /// [`DecoderModel::forward_batch`] with every item one token wide.
-    pub fn step_batch(
-        &self,
-        batch: Vec<(&mut DecoderState, &[f32])>,
-        pool: &ThreadPool,
-    ) -> Vec<Vec<f32>> {
-        self.forward_batch(batch.into_iter().map(|(s, x)| (s, x, 1)).collect(), pool)
-    }
-
-    /// A batched forward over independent sessions with **per-item token
-    /// widths** — the mixed decode + prefill-chunk region a continuously
-    /// batching server executes: entries are `(state, x, tokens)` where
-    /// `x` holds `hidden x tokens` column-major hidden states appended to
-    /// that session's KV cache. One parallel region covers the whole
-    /// batch; each item's forward runs serially on its claiming thread
-    /// (nested pool calls serialize), so every output is **bit-identical**
-    /// to running that item's [`DecoderModel::forward`] alone — batch
-    /// composition never changes per-item arithmetic. A singleton batch
-    /// skips the region and runs the forward directly, keeping the full
-    /// team on its GEMMs (per-element operation order is independent of
-    /// team size, so this is bit-identical too).
+    /// # Panics
+    /// Panics on a malformed input, a KV capacity overflow (both checked
+    /// before any state is touched), or when the KV page pool runs dry
+    /// mid-forward (the region unwinds as a whole; the states of the
+    /// batch are then unspecified and must be dropped).
     pub fn forward_batch(
         &self,
         batch: Vec<(&mut DecoderState, &[f32], usize)>,
         pool: &ThreadPool,
     ) -> Vec<Vec<f32>> {
-        let n = batch.len();
-        if n == 1 {
-            let (state, x, tokens) = batch.into_iter().next().expect("len checked");
-            return vec![self.forward(state, x, tokens, pool)];
+        let (h, f) = (self.cfg.hidden, self.cfg.ffn);
+        let n: usize = batch.iter().map(|item| item.2).sum();
+        if n == 0 {
+            return batch.iter().map(|_| Vec::new()).collect();
         }
-        // Hand each slot to exactly one claiming thread. The per-item
-        // mutexes are uncontended (the dynamic schedule assigns every index
-        // once); they only launder the &mut across the team.
-        let slots: Vec<BatchSlot<'_, '_>> =
-            batch.into_iter().map(|item| Mutex::new(Some(item))).collect();
-        let outs: Vec<Mutex<Vec<f32>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        pool.parallel_tasks(n, |i| {
-            let (state, x, tokens) = slots[i].lock().unwrap().take().expect("slot claimed once");
-            // One span per batch lane: on a trace timeline these tile the
-            // region and show how the items load-balanced over the team.
-            let _item_span = pl_trace::span("batch.item", [i as u64, tokens as u64, 0]);
-            // Nested pool calls inside the region serialize, so the
-            // per-session compute is deterministic and identical to the
-            // unbatched path (see `Gemm` per-block determinism).
-            let y = self.forward(state, x, tokens, pool);
-            *outs[i].lock().unwrap() = y;
+        // Gather: lane i owns columns col0 .. col0 + width of everything.
+        let mut x = vec![0.0f32; h * n];
+        let mut lanes = Vec::with_capacity(batch.len());
+        let mut col0 = 0;
+        for (i, (state, xs, width)) in batch.into_iter().enumerate() {
+            assert_eq!(xs.len(), h * width, "item {i}: input must be `hidden x width` values");
+            state.restore().expect("KV page pool exhausted restoring a spilled session");
+            assert!(
+                state.cached_tokens() + width <= state.capacity,
+                "KV cache overflow (item {i})"
+            );
+            x[col0 * h..(col0 + width) * h].copy_from_slice(xs);
+            lanes.push(Lane { state: Mutex::new(state), col0, width });
+            col0 += width;
+        }
+
+        // Everything the region shares, built once and reused by every
+        // layer: the blocked projection inputs (`k = hidden`, `k = ffn`)
+        // and outputs, one kernel run per (layer, plan), and one attention
+        // work counter per layer.
+        let team = pool.nthreads();
+        let first = &self.blocks[0];
+        let (xb, ab) = (first.wq.input(n), first.w2.input(n));
+        let (q, k, v, up) =
+            (first.wq.output(n), first.wq.output(n), first.wq.output(n), first.w1.output(n));
+        let runs: Vec<_> =
+            self.blocks.iter().map(|blk| blk.plans().map(|p| p.begin(n, team))).collect();
+        let next_lane: Vec<AtomicUsize> = self.blocks.iter().map(|_| AtomicUsize::new(0)).collect();
+        let xs = SharedSlice::new(&mut x);
+
+        pool.parallel(|ctx| {
+            let cols = block_partition(n, ctx.nthreads(), ctx.tid());
+            let (mut a, mut b) = (vec![0.0f32; h.max(f)], vec![0.0f32; h.max(f)]);
+            // Phase spans from member 0 (barrier waits included): [layer,
+            // columns, items].
+            let span = |name, l: usize| {
+                (ctx.tid() == 0)
+                    .then(|| pl_trace::span(name, [l as u64, n as u64, lanes.len() as u64]))
+            };
+            // SAFETY (every `unsafe` in this region): in the column phases
+            // a member touches only its own `cols` of `x` and of the
+            // operand it packs; in the attention phase only the columns
+            // of the lanes it claimed; a GEMM's output is touched by
+            // nothing else until the next barrier. Team barriers separate
+            // every writer of a buffer from its readers.
+            // The residual `x[:, j] += m[:, j]`; returns the updated column.
+            let residual = |j: usize, m: &ActMatrix, tmp: &mut [f32]| {
+                let xj = unsafe { xs.slice_mut(j * h, h) };
+                unsafe { m.read_col(j, tmp) };
+                for (r, o) in xj.iter_mut().zip(&*tmp) {
+                    *r += *o;
+                }
+                xj
+            };
+            for (l, blk) in self.blocks.iter().enumerate() {
+                let [wq, wk, wv, wo, w1, w2] = &runs[l];
+                let ln_span = span("decode.ln", l);
+                for j in cols.clone() {
+                    let xj = unsafe { xs.slice(j * h, h) };
+                    layernorm_col(xj, &blk.ln1_g, &blk.ln1_b, &mut a[..h]);
+                    unsafe { xb.write_col(j, &a[..h]) };
+                }
+                ctx.barrier();
+                drop(ln_span);
+
+                let qkv_span = span("decode.qkv", l);
+                unsafe {
+                    wq.member(ctx, &xb, &q);
+                    wk.member(ctx, &xb, &k);
+                    wv.member(ctx, &xb, &v);
+                }
+                ctx.barrier();
+                drop(qkv_span);
+
+                let attn_span = span("decode.attn", l);
+                while let Some(lane) = lanes.get(next_lane[l].fetch_add(1, Ordering::Relaxed)) {
+                    unsafe { self.attend(l, lane, &q, &k, &v, &xb) };
+                }
+                ctx.barrier();
+                unsafe { wo.member(ctx, &xb, &q) };
+                ctx.barrier();
+                drop(attn_span);
+
+                let _ffn_span = span("decode.ffn", l);
+                for j in cols.clone() {
+                    let xj = residual(j, &q, &mut b[..h]);
+                    layernorm_col(xj, &blk.ln2_g, &blk.ln2_b, &mut a[..h]);
+                    unsafe { xb.write_col(j, &a[..h]) };
+                }
+                ctx.barrier();
+                unsafe { w1.member(ctx, &xb, &up) };
+                ctx.barrier();
+                for j in cols.clone() {
+                    unsafe { up.read_col(j, &mut a[..f]) };
+                    unary::gelu(f, 1, &a[..f], f, &mut b[..f], f);
+                    unsafe { ab.write_col(j, &b[..f]) };
+                }
+                ctx.barrier();
+                unsafe { w2.member(ctx, &ab, &q) };
+                ctx.barrier();
+                // No barrier after this residual: the next layer's LN1
+                // reads the same member's columns, and its trailing
+                // barrier precedes the next write to `q`.
+                for j in cols.clone() {
+                    residual(j, &q, &mut a[..h]);
+                }
+            }
         });
-        outs.into_iter().map(|m| m.into_inner().unwrap()).collect()
+        lanes.iter().map(|lane| x[lane.col0 * h..(lane.col0 + lane.width) * h].to_vec()).collect()
     }
 
-    /// Forward over `tokens` new positions in bounded chunks
-    /// ([`prefill_chunk_widths`] under the `chunk` cap): each chunk is one
-    /// [`DecoderModel::forward`] call appending to `state`'s KV cache —
-    /// the resumable form a serving runtime admits through its batcher one
-    /// chunk at a time. Returns the concatenated per-chunk outputs
-    /// (`hidden x tokens`, the same shape a whole-prompt forward
-    /// produces). A single-chunk prompt is bit-identical to the unchunked
-    /// forward; a multi-chunk one agrees to floating-point tolerance (the
-    /// projection GEMMs run at chunk width instead of prompt width, which
-    /// reassociates their reductions).
-    pub fn forward_chunked(
-        &self,
-        state: &mut DecoderState,
-        x: &[f32],
-        tokens: usize,
-        chunk: usize,
-        pool: &ThreadPool,
-    ) -> Vec<f32> {
-        let h = self.cfg.hidden;
-        let mut out = Vec::with_capacity(h * tokens);
-        let mut done = 0usize;
-        for w in prefill_chunk_widths(tokens, chunk) {
-            out.extend(self.forward(state, &x[done * h..(done + w) * h], w, pool));
-            done += w;
-        }
-        out
-    }
-
-    /// One decode step for each of `batch` independent sessions with the
-    /// per-layer projections **fused across sessions**: the B token
-    /// vectors are gathered into one `hidden x B` activation matrix and
-    /// every layer's QKV, output and FFN projections run as single
-    /// `hidden x B` GEMMs (weight reuse of B instead of 1 — the
-    /// arithmetic-intensity lever batched serving exists for). Attention
-    /// runs per-session against each session's own KV cache — ragged
-    /// context lengths across the batch are fine — batched over sessions
-    /// inside one parallel region.
+    /// One lane's attention in layer `l`: appends the lane's new K/V
+    /// columns to its page table (growing pages on demand, COW-splitting a
+    /// shared tail page before the first write), attends causally over the
+    /// whole cached context, and packs the context columns into `out`.
     ///
-    /// Entries are `(state, x)` exactly as in [`DecoderModel::step_batch`];
-    /// returns the per-session outputs in input order. Outputs agree with
-    /// the serial path to floating-point reassociation tolerance (the
-    /// per-element reduction shapes change), **not** bitwise — callers
-    /// that need bit-identity with unbatched decode must use
-    /// [`DecoderModel::step_batch`].
-    pub fn step_batch_fused(
-        &self,
-        batch: Vec<(&mut DecoderState, &[f32])>,
-        pool: &ThreadPool,
-    ) -> Vec<Vec<f32>> {
-        let b = batch.len();
-        if b == 0 {
-            return Vec::new();
-        }
-        let h = self.cfg.hidden;
-        // Gather: column s of the activation matrix is session s's token.
-        let mut x = vec![0.0f32; h * b];
-        let mut states: Vec<Mutex<&mut DecoderState>> = Vec::with_capacity(b);
-        for (s, (state, xs)) in batch.into_iter().enumerate() {
-            assert_eq!(xs.len(), h, "session {s}: input must be `hidden` values");
-            x[s * h..(s + 1) * h].copy_from_slice(xs);
-            states.push(Mutex::new(state));
-        }
-        let mut scratch = ForwardScratch::default();
-        for l in 0..self.blocks.len() {
-            x = self.block_forward_fused(l, &states, &x, &mut scratch, pool);
-        }
-        // Scatter the final activation columns back out per session.
-        (0..b).map(|s| x[s * h..(s + 1) * h].to_vec()).collect()
-    }
-
-    /// One transformer block of the fused batched step: shared-weight
-    /// projections over all B columns at once, per-session KV append +
-    /// attention inside a single parallel region. The layer's QKV
-    /// projections share **one** pre-blocked copy of their input (packed
-    /// once into `scratch`, consumed by three plans), and every other
-    /// projection reuses the same scratch allocations — no weight bytes
-    /// are packed anywhere on this path.
-    fn block_forward_fused(
+    /// # Safety
+    /// The caller owns `lane` for this phase: nobody else touches its
+    /// columns of `q`/`k`/`v`/`out`, and no GEMM over them is running.
+    unsafe fn attend(
         &self,
         l: usize,
-        states: &[Mutex<&mut DecoderState>],
-        x: &[f32],
-        scratch: &mut ForwardScratch,
-        pool: &ThreadPool,
-    ) -> Vec<f32> {
-        let b = states.len();
+        lane: &Lane<'_>,
+        q: &ActMatrix,
+        k: &ActMatrix,
+        v: &ActMatrix,
+        out: &ActMatrix,
+    ) {
         let h = self.cfg.hidden;
         let nh = self.cfg.heads;
         let dh = h / nh;
-        let blk = &self.blocks[l];
-
-        // Pre-LN over the whole `hidden x B` matrix (per-column, so
-        // per-session, exactly as the serial path normalizes).
-        let ln_span = pl_trace::span("decode.ln", [l as u64, b as u64, 1]);
-        let mut xn = vec![0.0f32; h * b];
-        let (mut mean, mut rstd) = (vec![0.0; b], vec![0.0; b]);
-        norm::layernorm(h, b, x, h, &blk.ln1_g, &blk.ln1_b, 1e-5, &mut xn, h, &mut mean, &mut rstd);
-        drop(ln_span);
-
-        // The fused projections: one `hidden x B` GEMM each where the
-        // serial path runs B `hidden x 1` GEMVs. The blocked input is
-        // packed once and feeds all three plans.
-        let qkv_span = pl_trace::span("decode.qkv", [l as u64, b as u64, 1]);
-        let (q, knew, vnew) = {
-            let xb = blk.wq.pack_activations(&xn, b, &mut scratch.b_hidden);
-            (
-                blk.wq.execute_packed(xb, &mut scratch.c_hidden, pool),
-                blk.wk.execute_packed(xb, &mut scratch.c_hidden, pool),
-                blk.wv.execute_packed(xb, &mut scratch.c_hidden, pool),
-            )
-        };
-        drop(qkv_span);
-
-        // Per-session attention against each session's own cache, all
-        // sessions load-balanced inside one region. The per-session
-        // mutexes are uncontended (the dynamic schedule hands each index
-        // to exactly one thread); they only launder the &mut across the
-        // team.
-        let attn_span = pl_trace::span("decode.attn", [l as u64, b as u64, 1]);
-        let ctx_cols: Vec<Mutex<Vec<f32>>> = (0..b).map(|_| Mutex::new(Vec::new())).collect();
-        let scale = 1.0 / (dh as f32).sqrt();
-        pool.parallel_tasks(b, |s| {
-            let mut guard = states[s].lock().unwrap();
-            let state: &mut DecoderState = &mut guard;
-            let capacity = state.capacity;
-            let kvpool = Arc::clone(&state.pool);
-            let seqs = state.seqs();
-            let past = seqs[l].len();
-            assert!(past < capacity, "KV cache overflow (session {s})");
-            seqs[l]
-                .append(&kvpool, &knew[s * h..(s + 1) * h], &vnew[s * h..(s + 1) * h])
-                .expect("KV page pool exhausted");
-            let total = past + 1;
-            // Token slices resolved once through the page indirection;
-            // the attention arithmetic below is element-for-element the
-            // contiguous path's (same order, same values → bit-identical).
-            let seq = &seqs[l];
-            let ktoks: Vec<&[f32]> = (0..total).map(|t| seq.k_tok(t)).collect();
-            let vtoks: Vec<&[f32]> = (0..total).map(|t| seq.v_tok(t)).collect();
-            let qs = &q[s * h..(s + 1) * h];
-            let mut col = vec![0.0f32; h];
-            for hd in 0..nh {
-                let mut sc = vec![0.0f32; total];
-                for (tk, score) in sc.iter_mut().enumerate() {
-                    let mut dot = 0.0f32;
-                    for d in 0..dh {
-                        dot += qs[hd * dh + d] * ktoks[tk][hd * dh + d];
-                    }
-                    *score = dot * scale;
-                }
-                let mut p = vec![0.0f32; total];
-                softmax::softmax_cols(total, 1, &sc, total, &mut p, total);
-                for d in 0..dh {
-                    let mut acc = 0.0f32;
-                    for (tk, pv) in p.iter().enumerate() {
-                        acc += pv * vtoks[tk][hd * dh + d];
-                    }
-                    col[hd * dh + d] = acc;
-                }
+        let tokens = lane.width;
+        // One span per lane: on a trace timeline these tile the attention
+        // phase and show how the lanes load-balanced over the team.
+        let _lane_span = pl_trace::span("batch.item", [lane.col0 as u64, tokens as u64, l as u64]);
+        let gather = |m: &ActMatrix| {
+            let mut flat = vec![0.0f32; h * tokens];
+            for (t, col) in flat.chunks_exact_mut(h).enumerate() {
+                // SAFETY: the lane's columns, after the projections' barrier.
+                unsafe { m.read_col(lane.col0 + t, col) };
             }
-            *ctx_cols[s].lock().unwrap() = col;
-        });
-        let mut ctx = vec![0.0f32; h * b];
-        for (s, col) in ctx_cols.iter().enumerate() {
-            ctx[s * h..(s + 1) * h].copy_from_slice(&col.lock().unwrap());
-        }
-
-        let attn = {
-            let cb = blk.wo.pack_activations(&ctx, b, &mut scratch.b_hidden);
-            blk.wo.execute_packed(cb, &mut scratch.c_hidden, pool)
+            flat
         };
-        drop(attn_span);
-        let mut resid: Vec<f32> = x.iter().zip(&attn).map(|(a, b)| a + b).collect();
+        let (q, knew, vnew) = (gather(q), gather(k), gather(v));
 
-        // FFN with pre-LN, again over all B columns at once; the blocked
-        // scratch (same `k = hidden` layout as QKV) is reused.
-        let _ffn_span = pl_trace::span("decode.ffn", [l as u64, b as u64, 1]);
-        let mut rn = vec![0.0f32; h * b];
-        norm::layernorm(
-            h, b, &resid, h, &blk.ln2_g, &blk.ln2_b, 1e-5, &mut rn, h, &mut mean, &mut rstd,
-        );
-        let pre = {
-            let rb = blk.w1.pack_activations(&rn, b, &mut scratch.b_hidden);
-            blk.w1.execute_packed(rb, &mut scratch.c_ffn, pool)
-        };
-        let mut act = vec![0.0f32; self.cfg.ffn * b];
-        unary::gelu(self.cfg.ffn, b, &pre, self.cfg.ffn, &mut act, self.cfg.ffn);
-        let ffn = {
-            let ab = blk.w2.pack_activations(&act, b, &mut scratch.b_ffn);
-            blk.w2.execute_packed(ab, &mut scratch.c_hidden, pool)
-        };
-        for (r, f) in resid.iter_mut().zip(&ffn) {
-            *r += *f;
-        }
-        resid
-    }
-
-    fn block_forward(
-        &self,
-        l: usize,
-        state: &mut DecoderState,
-        x: &[f32],
-        tokens: usize,
-        scratch: &mut ForwardScratch,
-        pool: &ThreadPool,
-    ) -> Vec<f32> {
-        let h = self.cfg.hidden;
-        let nh = self.cfg.heads;
-        let dh = h / nh;
-        let blk = &self.blocks[l];
+        let mut guard = lane.state.lock().expect("lane claimed by a panicked member");
+        let state: &mut DecoderState = &mut guard;
         let kvpool = Arc::clone(&state.pool);
-        let past = state.seqs()[l].len();
-        assert!(past + tokens <= state.capacity, "KV cache overflow");
-
-        // Pre-LN. Phase spans carry [layer, width, serial=0] so a trace
-        // lines the serial path up against the fused one (args[2] = 1).
-        let ln_span = pl_trace::span("decode.ln", [l as u64, tokens as u64, 0]);
-        let mut xn = vec![0.0f32; h * tokens];
-        let (mut mean, mut rstd) = (vec![0.0; tokens], vec![0.0; tokens]);
-        norm::layernorm(
-            h, tokens, x, h, &blk.ln1_g, &blk.ln1_b, 1e-5, &mut xn, h, &mut mean, &mut rstd,
-        );
-        drop(ln_span);
-
-        // QKV through the prepared plans, sharing one packed input.
-        let qkv_span = pl_trace::span("decode.qkv", [l as u64, tokens as u64, 0]);
-        let (q, knew, vnew) = {
-            let xb = blk.wq.pack_activations(&xn, tokens, &mut scratch.b_hidden);
-            (
-                blk.wq.execute_packed(xb, &mut scratch.c_hidden, pool),
-                blk.wk.execute_packed(xb, &mut scratch.c_hidden, pool),
-                blk.wv.execute_packed(xb, &mut scratch.c_hidden, pool),
-            )
-        };
-        drop(qkv_span);
-        // Append to the layer's page table (growing pages on demand,
-        // COW-splitting a shared tail page before the first write).
-        {
-            let seq = &mut state.seqs()[l];
-            for t in 0..tokens {
-                seq.append(&kvpool, &knew[t * h..(t + 1) * h], &vnew[t * h..(t + 1) * h])
-                    .expect("KV page pool exhausted");
-            }
+        let seq = &mut state.seqs()[l];
+        let past = seq.len();
+        for t in 0..tokens {
+            seq.append(&kvpool, &knew[t * h..(t + 1) * h], &vnew[t * h..(t + 1) * h])
+                .expect("KV page pool exhausted");
         }
         let total = past + tokens;
-        let seq = &state.paged()[l];
         // Token slices resolved once through the page indirection; the
-        // loops below run the contiguous path's arithmetic in the same
+        // loops below run the contiguous layout's arithmetic in the same
         // per-element order, so paging never changes the outputs.
         let ktoks: Vec<&[f32]> = (0..total).map(|t| seq.k_tok(t)).collect();
         let vtoks: Vec<&[f32]> = (0..total).map(|t| seq.v_tok(t)).collect();
 
-        let attn_span = pl_trace::span("decode.attn", [l as u64, tokens as u64, 0]);
         let scale = 1.0 / (dh as f32).sqrt();
         let mut ctx = vec![0.0f32; h * tokens];
         for hd in 0..nh {
@@ -851,33 +724,35 @@ impl DecoderModel {
                 }
             }
         }
-        let attn = {
-            let cb = blk.wo.pack_activations(&ctx, tokens, &mut scratch.b_hidden);
-            blk.wo.execute_packed(cb, &mut scratch.c_hidden, pool)
-        };
-        drop(attn_span);
-        let mut resid: Vec<f32> = x.iter().zip(&attn).map(|(a, b)| a + b).collect();
-
-        // FFN with pre-LN.
-        let _ffn_span = pl_trace::span("decode.ffn", [l as u64, tokens as u64, 0]);
-        let mut rn = vec![0.0f32; h * tokens];
-        norm::layernorm(
-            h, tokens, &resid, h, &blk.ln2_g, &blk.ln2_b, 1e-5, &mut rn, h, &mut mean, &mut rstd,
-        );
-        let pre = {
-            let rb = blk.w1.pack_activations(&rn, tokens, &mut scratch.b_hidden);
-            blk.w1.execute_packed(rb, &mut scratch.c_ffn, pool)
-        };
-        let mut act = vec![0.0f32; self.cfg.ffn * tokens];
-        unary::gelu(self.cfg.ffn, tokens, &pre, self.cfg.ffn, &mut act, self.cfg.ffn);
-        let ffn = {
-            let ab = blk.w2.pack_activations(&act, tokens, &mut scratch.b_ffn);
-            blk.w2.execute_packed(ab, &mut scratch.c_hidden, pool)
-        };
-        for (r, f) in resid.iter_mut().zip(&ffn) {
-            *r += *f;
+        for (t, col) in ctx.chunks_exact(h).enumerate() {
+            // SAFETY: the lane's columns of the (idle) projection input.
+            unsafe { out.write_col(lane.col0 + t, col) };
         }
-        resid
+    }
+
+    /// Forward over `tokens` new positions in bounded chunks
+    /// ([`prefill_chunk_widths`] under the `chunk` cap): each chunk is one
+    /// [`DecoderModel::forward`] call appending to `state`'s KV cache —
+    /// the resumable form a serving runtime admits through its batcher one
+    /// chunk at a time. Returns the concatenated per-chunk outputs,
+    /// **bit-identical** to the whole-prompt forward (a column's
+    /// arithmetic does not depend on which columns share its GEMMs).
+    pub fn forward_chunked(
+        &self,
+        state: &mut DecoderState,
+        x: &[f32],
+        tokens: usize,
+        chunk: usize,
+        pool: &ThreadPool,
+    ) -> Vec<f32> {
+        let h = self.cfg.hidden;
+        let mut out = Vec::with_capacity(h * tokens);
+        let mut done = 0usize;
+        for w in prefill_chunk_widths(tokens, chunk) {
+            out.extend(self.forward(state, &x[done * h..(done + w) * h], w, pool));
+            done += w;
+        }
+        out
     }
 }
 
@@ -1015,11 +890,10 @@ mod tests {
 
     #[test]
     fn step_is_deterministic_across_team_sizes() {
-        // The serving batcher relies on this: per-session compute does not
-        // depend on how many threads participate (each C block of every
-        // GEMM is produced by exactly one thread with a fixed reduction
-        // order), so batched (nested-serial) and unbatched (parallel)
-        // execution are bit-identical.
+        // Per-session compute does not depend on how many threads
+        // participate: each C block of every GEMM is produced by exactly
+        // one thread with a fixed reduction order, and the column / lane
+        // phases are per-column arithmetic however they are split.
         let cfg = DecoderConfig::scaled_for_tests();
         let mut x = vec![0.0f32; cfg.hidden];
         fill_uniform(&mut x, &mut Xorshift::new(3), -0.5, 0.5);
@@ -1033,37 +907,88 @@ mod tests {
         assert_eq!(outs[0], outs[2]);
     }
 
+    /// `n` sessions over `kvpool` with ragged contexts (session `s`
+    /// prefilled with `s + 1` tokens), ready to decode: `(states, next
+    /// inputs)`.
+    fn ragged_sessions_in(
+        model: &DecoderModel,
+        kvpool: &Arc<KvPagePool>,
+        n: usize,
+        seed: u64,
+        pool: &ThreadPool,
+    ) -> (Vec<DecoderState>, Vec<Vec<f32>>) {
+        let h = model.config().hidden;
+        let mut states: Vec<DecoderState> =
+            (0..n).map(|_| model.new_state_in(kvpool, 16)).collect();
+        let inputs = states
+            .iter_mut()
+            .enumerate()
+            .map(|(s, st)| {
+                let prompt = s + 1;
+                let mut px = vec![0.0f32; h * prompt];
+                fill_uniform(&mut px, &mut Xorshift::new(seed + s as u64), -0.5, 0.5);
+                model.forward(st, &px, prompt, pool)[(prompt - 1) * h..].to_vec()
+            })
+            .collect();
+        (states, inputs)
+    }
+
+    fn ragged_sessions(
+        model: &DecoderModel,
+        n: usize,
+        seed: u64,
+        pool: &ThreadPool,
+    ) -> (Vec<DecoderState>, Vec<Vec<f32>>) {
+        let kvpool = KvPagePool::new(model.config().hidden, crate::kvpool::DEFAULT_PAGE_TOKENS);
+        ragged_sessions_in(model, &kvpool, n, seed, pool)
+    }
+
+    /// One decode lane per session: the batch `forward_batch` takes.
+    fn lanes<'a>(
+        states: &'a mut [DecoderState],
+        inputs: &'a [Vec<f32>],
+    ) -> Vec<(&'a mut DecoderState, &'a [f32], usize)> {
+        states.iter_mut().zip(inputs).map(|(s, x)| (s, x.as_slice(), 1)).collect()
+    }
+
     #[test]
-    fn step_batch_matches_unbatched_bitwise() {
+    fn batched_decode_matches_unbatched_bitwise_at_both_precisions() {
+        // Ragged batch (B = 5, not a power of two) with ragged context
+        // lengths, several closed-loop steps: every lane's output must be
+        // exactly what that session produces stepping alone, and leave
+        // identical KV bookkeeping behind — at f32 and at int8.
         let pool = ThreadPool::new(4);
         let cfg = DecoderConfig::scaled_for_tests();
-        let model = Arc::new(DecoderModel::new(cfg, 1234));
-        let n = 5;
-        // Distinct per-session inputs and a shared prompt history.
-        let mut inputs = Vec::new();
-        for s in 0..n {
-            let mut x = vec![0.0f32; cfg.hidden];
-            fill_uniform(&mut x, &mut Xorshift::new(100 + s as u64), -0.5, 0.5);
-            inputs.push(x);
+        let (n, steps) = (5, 3);
+        for precision in [Precision::F32, Precision::Int8] {
+            let model = DecoderModel::new_with_precision(cfg, 2024, precision);
+            let (mut batched, mut inputs) = ragged_sessions(&model, n, 300, &pool);
+            let (mut alone, _) = ragged_sessions(&model, n, 300, &pool);
+            for step in 0..steps {
+                let got = model.forward_batch(lanes(&mut batched, &inputs), &pool);
+                for s in 0..n {
+                    let want = model.forward(&mut alone[s], &inputs[s], 1, &pool);
+                    assert_eq!(got[s], want, "{precision:?} session {s} step {step}");
+                }
+                // Closed loop: feed the outputs back so KV raggedness
+                // compounds across steps.
+                inputs = got;
+            }
+            for s in 0..n {
+                assert_eq!(batched[s].cached_tokens(), s + 1 + steps);
+                assert_eq!(alone[s].cached_tokens(), s + 1 + steps);
+            }
         }
+    }
 
-        // Unbatched baseline: one session at a time.
-        let mut want = Vec::new();
-        for x in &inputs {
-            let mut st = model.new_state(8);
-            want.push(model.forward(&mut st, x, 1, &pool));
-        }
-
-        // Batched: all sessions in one region.
-        let mut states: Vec<DecoderState> = (0..n).map(|_| model.new_state(8)).collect();
-        let batch: Vec<(&mut DecoderState, &[f32])> =
-            states.iter_mut().zip(inputs.iter().map(|x| x.as_slice())).collect();
-        let got = model.step_batch(batch, &pool);
-
-        for (s, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(w, g, "session {s} diverged");
-        }
-        assert!(states.iter().all(|s| s.cached_tokens() == 1));
+    #[test]
+    fn empty_and_zero_width_batches_are_no_ops() {
+        let pool = ThreadPool::new(2);
+        let model = DecoderModel::new(DecoderConfig::scaled_for_tests(), 9);
+        assert!(model.forward_batch(Vec::new(), &pool).is_empty());
+        let mut st = model.new_state(8);
+        assert_eq!(model.forward_batch(vec![(&mut st, &[], 0)], &pool), vec![Vec::<f32>::new()]);
+        assert_eq!(st.cached_tokens(), 0);
     }
 
     #[test]
@@ -1087,36 +1012,37 @@ mod tests {
     }
 
     #[test]
-    fn forward_chunked_matches_whole_prompt_within_tolerance() {
+    fn forward_chunked_matches_whole_prompt_bitwise() {
         let pool = ThreadPool::new(2);
         let cfg = DecoderConfig::scaled_for_tests();
-        let model = DecoderModel::new(cfg, 77);
         let tokens = 11;
         let mut x = vec![0.0f32; cfg.hidden * tokens];
         fill_uniform(&mut x, &mut Xorshift::new(21), -0.5, 0.5);
-        let mut whole_state = model.new_state(16);
-        let whole = model.forward(&mut whole_state, &x, tokens, &pool);
-        // Single chunk: the exact same call — bit-identical.
-        let mut one_state = model.new_state(16);
-        assert_eq!(model.forward_chunked(&mut one_state, &x, tokens, 16, &pool), whole);
-        // Multi-chunk: GEMM widths change, so tolerance, not bit-identity.
-        let mut chunked_state = model.new_state(16);
-        let chunked = model.forward_chunked(&mut chunked_state, &x, tokens, 4, &pool);
-        assert_eq!(chunked.len(), whole.len());
-        let err = max_rel_err(&chunked, &whole);
-        assert!(err <= 1e-5, "rel err {err}");
-        assert_eq!(chunked_state.cached_tokens(), tokens);
+        for precision in [Precision::F32, Precision::Int8] {
+            let model = DecoderModel::new_with_precision(cfg, 77, precision);
+            let mut whole_state = model.new_state(16);
+            let whole = model.forward(&mut whole_state, &x, tokens, &pool);
+            // One chunk, chunks of 4 (4 + 4 + 3) and token-at-a-time all
+            // run the projections at other widths — same bits.
+            for chunk in [16, 4, 1] {
+                let mut state = model.new_state(16);
+                let chunked = model.forward_chunked(&mut state, &x, tokens, chunk, &pool);
+                assert_eq!(chunked, whole, "{precision:?} chunk {chunk}");
+                assert_eq!(state.cached_tokens(), tokens);
+            }
+        }
     }
 
     #[test]
     fn forward_batch_mixed_widths_is_bitwise_per_item() {
-        // A mixed region — two decode steps next to a 5-token prefill
-        // chunk — must produce, per item, exactly what a standalone
-        // forward produces: batch composition never changes arithmetic.
+        // A mixed region — decode steps next to a 16-token prefill chunk,
+        // 19 columns in all (prime: four full column blocks and a ragged
+        // one) — must produce, per item, exactly what a standalone forward
+        // produces: batch composition never changes arithmetic.
         let pool = ThreadPool::new(4);
         let cfg = DecoderConfig::scaled_for_tests();
         let model = Arc::new(DecoderModel::new(cfg, 404));
-        let widths = [1usize, 5, 1];
+        let widths = [1usize, 16, 1, 1];
         let inputs: Vec<Vec<f32>> = widths
             .iter()
             .enumerate()
@@ -1129,9 +1055,9 @@ mod tests {
         let want: Vec<Vec<f32>> = inputs
             .iter()
             .zip(widths)
-            .map(|(x, w)| model.forward(&mut model.new_state(8), x, w, &pool))
+            .map(|(x, w)| model.forward(&mut model.new_state(16), x, w, &pool))
             .collect();
-        let mut states: Vec<DecoderState> = (0..3).map(|_| model.new_state(8)).collect();
+        let mut states: Vec<DecoderState> = widths.iter().map(|_| model.new_state(16)).collect();
         let batch: Vec<(&mut DecoderState, &[f32], usize)> = states
             .iter_mut()
             .zip(inputs.iter().map(|x| x.as_slice()))
@@ -1143,77 +1069,6 @@ mod tests {
         for (s, &w) in states.iter().zip(&widths) {
             assert_eq!(s.cached_tokens(), w);
         }
-    }
-
-    use pl_tensor::max_rel_err;
-
-    #[test]
-    fn step_batch_fused_matches_serial_within_tolerance() {
-        // Ragged batch (B = 5, not a power of two) with ragged context
-        // lengths (each session prefills a different prompt length), then
-        // several fused steps — every output must agree with the serial
-        // step_batch path to 1e-5 relative error and leave identical KV
-        // bookkeeping behind.
-        let pool = ThreadPool::new(4);
-        let cfg = DecoderConfig::scaled_for_tests();
-        let model = Arc::new(DecoderModel::new(cfg, 2024));
-        let n = 5;
-        let steps = 3;
-
-        let mut fused_states: Vec<DecoderState> = (0..n).map(|_| model.new_state(16)).collect();
-        let mut serial_states: Vec<DecoderState> = (0..n).map(|_| model.new_state(16)).collect();
-        let mut inputs = Vec::new();
-        for s in 0..n {
-            // Prompt lengths 1..=5: every session enters decode at a
-            // different KV length.
-            let prompt = s + 1;
-            let mut px = vec![0.0f32; cfg.hidden * prompt];
-            fill_uniform(&mut px, &mut Xorshift::new(300 + s as u64), -0.5, 0.5);
-            let yf = model.forward(&mut fused_states[s], &px, prompt, &pool);
-            let ys = model.forward(&mut serial_states[s], &px, prompt, &pool);
-            assert_eq!(yf, ys);
-            inputs.push(yf[(prompt - 1) * cfg.hidden..prompt * cfg.hidden].to_vec());
-        }
-
-        for step in 0..steps {
-            let fused_batch: Vec<(&mut DecoderState, &[f32])> =
-                fused_states.iter_mut().zip(inputs.iter().map(|x| x.as_slice())).collect();
-            let fused = model.step_batch_fused(fused_batch, &pool);
-            let serial_batch: Vec<(&mut DecoderState, &[f32])> =
-                serial_states.iter_mut().zip(inputs.iter().map(|x| x.as_slice())).collect();
-            let serial = model.step_batch(serial_batch, &pool);
-            for s in 0..n {
-                let err = max_rel_err(&fused[s], &serial[s]);
-                assert!(err <= 1e-5, "session {s} step {step}: rel err {err}");
-            }
-            // Closed loop: feed the fused outputs back so KV raggedness
-            // compounds across steps.
-            inputs = fused.clone();
-        }
-        for s in 0..n {
-            assert_eq!(fused_states[s].cached_tokens(), s + 1 + steps);
-            assert_eq!(serial_states[s].cached_tokens(), s + 1 + steps);
-        }
-    }
-
-    #[test]
-    fn step_batch_fused_handles_empty_and_singleton_batches() {
-        let pool = ThreadPool::new(2);
-        let cfg = DecoderConfig::scaled_for_tests();
-        let model = Arc::new(DecoderModel::new(cfg, 9));
-        assert!(model.step_batch_fused(Vec::new(), &pool).is_empty());
-
-        // B = 1: the fused path degenerates to a plain forward.
-        let mut x = vec![0.0f32; cfg.hidden];
-        fill_uniform(&mut x, &mut Xorshift::new(17), -0.5, 0.5);
-        let mut st_fused = model.new_state(8);
-        let got = model.step_batch_fused(vec![(&mut st_fused, x.as_slice())], &pool);
-        let mut st_plain = model.new_state(8);
-        let want = model.forward(&mut st_plain, &x, 1, &pool);
-        assert_eq!(got.len(), 1);
-        let err = max_rel_err(&got[0], &want);
-        assert!(err <= 1e-5, "rel err {err}");
-        assert_eq!(st_fused.cached_tokens(), 1);
     }
 
     #[test]
@@ -1236,14 +1091,14 @@ mod tests {
     #[test]
     fn int8_model_tracks_f32_model_over_decode() {
         // Same seed => the int8 model is the quantization of the f32 one.
-        // Prefill + several decode steps, serial and fused: outputs must
-        // stay within the quantization error budget (see the serve README
-        // "Precision" section for the bound's derivation) and stream ~4x
-        // fewer weight bytes per step.
+        // Prefill + several batched decode steps: outputs must stay within
+        // the quantization error budget (see the serve README "Precision"
+        // section for the bound's derivation) and stream ~4x fewer weight
+        // bytes per step.
         let pool = ThreadPool::new(2);
         let cfg = DecoderConfig::scaled_for_tests();
-        let f32_model = Arc::new(DecoderModel::new(cfg, 314));
-        let i8_model = Arc::new(DecoderModel::new_with_precision(cfg, 314, Precision::Int8));
+        let f32_model = DecoderModel::new(cfg, 314);
+        let i8_model = DecoderModel::new_with_precision(cfg, 314, Precision::Int8);
         assert_eq!(f32_model.precision(), Precision::F32);
         assert_eq!(i8_model.precision(), Precision::Int8);
         let fb = f32_model.weight_stream_bytes_per_step();
@@ -1251,41 +1106,19 @@ mod tests {
         let ratio = fb as f64 / ib as f64;
         assert!(ratio > 3.5 && ratio <= 4.0, "weight-traffic ratio {ratio} (f32 {fb} / i8 {ib})");
 
-        let n = 3;
-        let steps = 4;
-        let mut f_states: Vec<DecoderState> = (0..n).map(|_| f32_model.new_state(16)).collect();
-        let mut q_states: Vec<DecoderState> = (0..n).map(|_| i8_model.new_state(16)).collect();
-        let mut qf_states: Vec<DecoderState> = (0..n).map(|_| i8_model.new_state(16)).collect();
-        let mut f_in = Vec::new();
-        let mut q_in = Vec::new();
-        for s in 0..n {
-            let prompt = s + 1; // ragged contexts
-            let mut px = vec![0.0f32; cfg.hidden * prompt];
-            fill_uniform(&mut px, &mut Xorshift::new(700 + s as u64), -0.5, 0.5);
-            let yf = f32_model.forward(&mut f_states[s], &px, prompt, &pool);
-            let yq = i8_model.forward(&mut q_states[s], &px, prompt, &pool);
-            let _ = i8_model.forward(&mut qf_states[s], &px, prompt, &pool);
-            f_in.push(yf[(prompt - 1) * cfg.hidden..prompt * cfg.hidden].to_vec());
-            q_in.push(yq[(prompt - 1) * cfg.hidden..prompt * cfg.hidden].to_vec());
-        }
-        let mut qf_in = q_in.clone();
+        let (n, steps) = (3, 4);
+        let (mut f_states, mut f_in) = ragged_sessions(&f32_model, n, 700, &pool);
+        let (mut q_states, mut q_in) = ragged_sessions(&i8_model, n, 700, &pool);
         for step in 0..steps {
-            let fb: Vec<(&mut DecoderState, &[f32])> =
-                f_states.iter_mut().zip(f_in.iter().map(|x| x.as_slice())).collect();
-            let f_out = f32_model.step_batch(fb, &pool);
-            let qb: Vec<(&mut DecoderState, &[f32])> =
-                q_states.iter_mut().zip(q_in.iter().map(|x| x.as_slice())).collect();
-            let q_out = i8_model.step_batch(qb, &pool);
-            let qfb: Vec<(&mut DecoderState, &[f32])> =
-                qf_states.iter_mut().zip(qf_in.iter().map(|x| x.as_slice())).collect();
-            let qf_out = i8_model.step_batch_fused(qfb, &pool);
+            let f_out = f32_model.forward_batch(lanes(&mut f_states, &f_in), &pool);
+            let q_out = i8_model.forward_batch(lanes(&mut q_states, &q_in), &pool);
             for s in 0..n {
-                // Int8 (serial) vs f32. Bound derivation: symmetric int8
-                // rounding bounds each operand element's error by half a
-                // quantization step (max|.|/254); for roughly Gaussian
-                // operands (peaks near 3 sigma) one GEMM's output error is
-                // ~1% RMS of the output magnitude, independent of k (error
-                // and signal both grow as sqrt(k) — random signs cancel).
+                // Bound derivation: symmetric int8 rounding bounds each
+                // operand element's error by half a quantization step
+                // (max|.|/254); for roughly Gaussian operands (peaks near
+                // 3 sigma) one GEMM's output error is ~1% RMS of the
+                // output magnitude, independent of k (error and signal
+                // both grow as sqrt(k) — random signs cancel).
                 // Per-element outliers run a few x RMS and errors compound
                 // over 6 GEMMs/layer x 2 layers x closed-loop steps
                 // (observed max ~0.1 at this scale), so 0.25 against a
@@ -1294,14 +1127,9 @@ mod tests {
                     let rel = (a - b).abs() / b.abs().max(1.0);
                     assert!(rel < 0.25, "step {step} session {s} idx {i}: i8 {a} vs f32 {b}");
                 }
-                // Int8 fused vs int8 serial: same quantized weights, only
-                // GEMM shapes change — plain reassociation-level agreement.
-                let err = max_rel_err(&qf_out[s], &q_out[s]);
-                assert!(err <= 1e-4, "step {step} session {s}: fused-vs-serial rel err {err}");
             }
             f_in = f_out;
             q_in = q_out;
-            qf_in = qf_out;
         }
     }
 
@@ -1369,31 +1197,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_decode_bitwise_invariant_across_page_sizes() {
-        // The fused path reads KV through the same indirection inside its
-        // per-session attention tasks; fixing the batch composition, page
+    fn batched_decode_bitwise_invariant_across_page_sizes() {
+        // A batch reads every lane's KV through the page indirection
+        // inside its attention phase; fixing the batch composition, page
         // size must be invisible bit-for-bit.
         let pool = ThreadPool::new(4);
         let cfg = DecoderConfig::scaled_for_tests();
         let model = Arc::new(DecoderModel::new(cfg, 808));
-        let n = 3;
         let run = |page_tokens: usize| -> Vec<Vec<Vec<f32>>> {
-            let kvpool = crate::kvpool::KvPagePool::new(cfg.hidden, page_tokens);
-            let mut states: Vec<DecoderState> =
-                (0..n).map(|_| model.new_state_in(&kvpool, 16)).collect();
-            let mut inputs = Vec::new();
-            for (s, st) in states.iter_mut().enumerate() {
-                let prompt = s + 1;
-                let mut px = vec![0.0f32; cfg.hidden * prompt];
-                fill_uniform(&mut px, &mut Xorshift::new(500 + s as u64), -0.5, 0.5);
-                let y = model.forward(st, &px, prompt, &pool);
-                inputs.push(y[(prompt - 1) * cfg.hidden..].to_vec());
-            }
+            let kvpool = KvPagePool::new(cfg.hidden, page_tokens);
+            let (mut states, mut inputs) = ragged_sessions_in(&model, &kvpool, 3, 500, &pool);
             let mut steps = Vec::new();
             for _ in 0..3 {
-                let batch: Vec<(&mut DecoderState, &[f32])> =
-                    states.iter_mut().zip(inputs.iter().map(|x| x.as_slice())).collect();
-                let out = model.step_batch_fused(batch, &pool);
+                let out = model.forward_batch(lanes(&mut states, &inputs), &pool);
                 inputs = out.clone();
                 steps.push(out);
             }
@@ -1401,7 +1217,7 @@ mod tests {
         };
         let contiguous = run(16);
         for page_tokens in [2, 5] {
-            assert_eq!(run(page_tokens), contiguous, "fused page size {page_tokens} diverged");
+            assert_eq!(run(page_tokens), contiguous, "page size {page_tokens} diverged");
         }
     }
 
@@ -1450,7 +1266,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sharing_dedups_pages_and_cow_isolates_divergence() {
+    fn prefix_sharing_dedups_full_pages_and_keeps_the_tail_private() {
         let pool = ThreadPool::new(2);
         let cfg = DecoderConfig::scaled_for_tests();
         let model = DecoderModel::new(cfg, 1111);
@@ -1465,34 +1281,73 @@ mod tests {
         assert_eq!(a.share_prefix(&cache, &prompt, prompt_tokens), 0, "first tenant registers");
         let pages_after_a = kvpool.allocated_pages();
 
-        // Second tenant, identical prompt: all its pages dedup onto a's.
+        // Second tenant, identical prompt: its full pages dedup onto a's;
+        // only the partial tail page stays its own.
         let mut b = model.new_state_in(&kvpool, 16);
         let yb = model.forward(&mut b, &prompt, prompt_tokens, &pool);
         assert_eq!(ya, yb, "same weights + same prompt => same prefill");
         let adopted = b.share_prefix(&cache, &prompt, prompt_tokens);
-        assert_eq!(adopted, b.kv_pages(), "every page handle now shared");
+        assert_eq!(adopted, 2 * cfg.layers, "both full pages of every layer adopted");
+        assert_eq!(b.shared_kv_pages(), adopted);
         assert_eq!(
             kvpool.allocated_pages(),
-            pages_after_a,
-            "the second session's duplicate pages recycled — zero marginal pages"
+            pages_after_a + cfg.layers,
+            "the second session's duplicates recycled — one private tail page per layer"
         );
-        assert_eq!(b.shared_kv_pages(), b.kv_pages());
-        assert!(a.shared_kv_pages() > 0, "the first session's pages are the shared ones");
+        assert_eq!(
+            a.shared_kv_pages(),
+            adopted,
+            "the first session's full pages are the shared ones"
+        );
 
-        // Divergence: different next tokens. The partial tail page is
-        // shared, so the first append COW-splits it — and both streams
-        // must match independent (never-shared) baselines bitwise.
+        // Divergence: different next tokens land in the private tail
+        // pages — no copy — and both streams match independent
+        // (never-shared) baselines bitwise.
         let xa = ya[(prompt_tokens - 1) * cfg.hidden..].to_vec();
         let xb: Vec<f32> = xa.iter().map(|v| v + 0.25).collect();
         let cow_before = kvpool.cow_splits();
         let ya2 = model.forward(&mut a, &xa, 1, &pool);
         let yb2 = model.forward(&mut b, &xb, 1, &pool);
-        assert!(kvpool.cow_splits() > cow_before, "divergence forced a COW split");
+        assert_eq!(kvpool.cow_splits(), cow_before, "private tails append in place");
         let mut ind_a = model.new_state(16);
         model.forward(&mut ind_a, &prompt, prompt_tokens, &pool);
         assert_eq!(model.forward(&mut ind_a, &xa, 1, &pool), ya2, "writer A corrupted");
         let mut ind_b = model.new_state(16);
         model.forward(&mut ind_b, &prompt, prompt_tokens, &pool);
         assert_eq!(model.forward(&mut ind_b, &xb, 1, &pool), yb2, "writer B corrupted");
+    }
+
+    #[test]
+    fn unaligned_prompts_decode_without_cow_and_still_adopt_full_pages() {
+        let pool = ThreadPool::new(2);
+        let cfg = DecoderConfig::scaled_for_tests();
+        let model = DecoderModel::new(cfg, 1212);
+        let kvpool = crate::kvpool::KvPagePool::new(cfg.hidden, 16);
+        let cache = crate::kvpool::PrefixCache::new(16);
+        let prefill = |tokens: usize, seed: u64| -> (DecoderState, Vec<f32>, Vec<f32>) {
+            let mut x = vec![0.0f32; cfg.hidden * tokens];
+            fill_uniform(&mut x, &mut Xorshift::new(seed), -0.5, 0.5);
+            let mut st = model.new_state_in(&kvpool, 128);
+            let y = model.forward(&mut st, &x, tokens, &pool);
+            (st, x, y[(tokens - 1) * cfg.hidden..].to_vec())
+        };
+        // An unshared 8-token prompt (half a page): registering it must
+        // not pin its own tail page, so its first decode step copies
+        // nothing.
+        let (mut short, short_prompt, next) = prefill(8, 41);
+        assert_eq!(short.share_prefix(&cache, &short_prompt, 8), 0);
+        model.forward(&mut short, &next, 1, &pool);
+        assert_eq!(kvpool.cow_splits(), 0, "an unshared prompt pays no COW copy");
+        // A cached 64-token prefix (4 full pages) is still adopted whole
+        // by a 72-token prompt that extends it.
+        let (mut base, base_prompt, _) = prefill(64, 42);
+        assert_eq!(base.share_prefix(&cache, &base_prompt, 64), 0, "registers 4 pages per layer");
+        let mut long_prompt = base_prompt.clone();
+        long_prompt.extend(vec![0.125f32; cfg.hidden * 8]);
+        let mut long = model.new_state_in(&kvpool, 128);
+        let y = model.forward(&mut long, &long_prompt, 72, &pool);
+        assert_eq!(long.share_prefix(&cache, &long_prompt, 72), 4 * cfg.layers);
+        model.forward(&mut long, &y[71 * cfg.hidden..], 1, &pool);
+        assert_eq!(kvpool.cow_splits(), 0, "the 8-token tail page was never shared");
     }
 }

@@ -18,10 +18,22 @@
 //!   names the exact `(m, n, k)` shapes so a serving runtime's tuning
 //!   warmer covers precisely what will run;
 //! * **execute** — [`MatmulPlan::execute`] packs only the activations per
-//!   call; the split surface ([`MatmulPlan::pack_activations`] +
+//!   call; the split surface ([`MatmulPlan::pack`] +
 //!   [`MatmulPlan::execute_packed`]) lets one packed activation matrix
-//!   feed several plans (a layer's QKV projections) and reuses blocked
-//!   scratch ([`ActivationBuf`]) across calls and layers.
+//!   ([`ActMatrix`]) feed several plans (a layer's QKV projections). Both
+//!   are one parallel region around the **in-team** form
+//!   ([`MatmulPlan::begin`] + [`PlanRun::member`]), which a caller that is
+//!   already inside a region uses directly: a decoder forward chains all
+//!   of its projections in one region, members writing and reading
+//!   [`ActMatrix`] columns between team barriers.
+//!
+//! Activations block along N by [`GemmShape::activation_block`] (the
+//! microkernel's register-tile width, ragged last block) whatever the
+//! width, and every output column is one k-ordered reduction that depends
+//! on neither the width nor the spec — so **column `j` of `execute(n)`
+//! equals `execute(1)` on that column bit for bit**, at f32 and int8
+//! (`tests/prepared_plans.rs` states the property). Batched = unbatched
+//! decode rests on it.
 //!
 //! Kernel selection resolves through [`crate::tuning`]: cached kernels are
 //! tagged with the registry [`crate::tuning::epoch`] and re-resolve when a
@@ -40,12 +52,12 @@
 //! decode paths over prepared models must leave it unchanged.
 
 use crate::matmul::{transpose_cm, Trans};
+use parlooper::LoopRun;
 use pl_autotuner::GemmProblem;
-use pl_kernels::{BlockSpmm, Gemm, GemmInt8, GemmShape, GemmTuning, SpmmTuning};
-use pl_runtime::ThreadPool;
+use pl_kernels::{BlockSpmm, Gemm, GemmInt8, GemmShape, GemmTuning, SharedSlice, SpmmTuning};
+use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{
-    quantize_cols_blocked, quantize_weight_a_vnni, reuse_blocked, BcscMatrix, BlockedMatrix, DType,
-    GridOrder, InnerLayout, VnniMatrix,
+    quantize_weight_a_vnni, symmetric_scale, BcscMatrix, BlockedMatrix, DType, Element, VnniMatrix,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -61,10 +73,9 @@ static PACK_EVENTS: AtomicU64 = AtomicU64::new(0);
 /// Reads the weight-pack event counter (see [`PACK_EVENTS`]).
 ///
 /// This is the observability hook for the prepared-op packing discipline:
-/// after a model is constructed (its plans built), running `step` /
-/// `step_batch` / `step_batch_fused` / `forward` must leave this counter
-/// unchanged — no weight bytes are packed or transposed on the decode
-/// path. `tests/pack_discipline.rs` asserts exactly that.
+/// after a model is constructed (its plans built), running `forward` /
+/// `forward_batch` must leave this counter unchanged — no weight bytes are
+/// packed or transposed on the decode path. `tests/pack_discipline.rs` asserts exactly that.
 pub fn pack_events() -> u64 {
     PACK_EVENTS.load(Ordering::Relaxed)
 }
@@ -76,16 +87,16 @@ fn record_pack_event() {
 /// Numeric precision of a prepared plan (and, through
 /// `pl_serve::ServerConfig`, of a whole serving stack).
 ///
-/// `F32` is the default and keeps every existing guarantee: serial decode
-/// stays bit-identical to the unbatched baseline. `Int8` trades a bounded
-/// relative error for ~4x less weight traffic per decode step: weights are
+/// Batched decode is bit-identical to unbatched decode at **both**
+/// precisions. `Int8` trades a bounded relative error *against the f32
+/// model* for ~4x less weight traffic per decode step: weights are
 /// quantized **once** at plan build (symmetric int8, one f32 scale per
 /// output channel, VNNI-blocked), activations are quantized on the fly per
 /// step (one scale per column/token), the inner product accumulates in i32
 /// and dequantizes on store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// f32 weights and arithmetic (bit-identity guarantees hold).
+    /// f32 weights and arithmetic.
     #[default]
     F32,
     /// Pack-once symmetric int8 weights, i32 accumulation, f32 outputs.
@@ -131,22 +142,116 @@ impl std::str::FromStr for Precision {
 /// kernel per call instead of growing the cache without bound.
 const KERNEL_CACHE_CAP: usize = 64;
 
-/// A reusable blocked-operand scratch slot for the prepared execution
-/// paths: holds the last `B`- or `C`-layout matrix and hands it back when
-/// the next call wants the same layout (see [`pl_tensor::reuse_blocked`]).
-#[derive(Debug, Default)]
-pub struct ActivationBuf {
-    slot: Option<BlockedMatrix<f32>>,
-    /// Quantized-activation scratch of the int8 path (unused at f32): the
-    /// i8 twin of the packed activation plus its per-column scales.
-    qslot: Option<BlockedMatrix<i8>>,
-    qscales: Vec<f32>,
+/// An owned buffer plus the raw view a thread team shares it through.
+struct TeamBuf<T> {
+    /// Keeps the allocation alive; only ever accessed through `view`.
+    _own: Vec<T>,
+    view: SharedSlice<T>,
 }
 
-impl ActivationBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
+impl<T: Clone + Default> TeamBuf<T> {
+    fn zeroed(len: usize) -> Self {
+        let mut own = vec![T::default(); len];
+        let view = SharedSlice::new(&mut own);
+        TeamBuf { _own: own, view }
+    }
+}
+
+/// A `rows x n` activation (or projection output) in the blocked layout
+/// the plan kernels consume — `[Nb][Rb][bn][br]`, `bn =`
+/// [`GemmShape::activation_block`]`(n)`, storage zero-padded to whole
+/// column blocks — whose **columns are the unit of ownership**: a team
+/// inside one parallel region writes and reads disjoint columns between
+/// barriers ([`ActMatrix::write_col`] / [`ActMatrix::read_col`]) while
+/// [`PlanRun::member`] consumes and produces whole matrices. A matrix
+/// built for an int8 plan also carries the quantized twin of every column
+/// and its scale, filled by the same `write_col`.
+pub struct ActMatrix {
+    rows: usize,
+    br: usize,
+    n: usize,
+    bn: usize,
+    data: TeamBuf<f32>,
+    quant: Option<(TeamBuf<i8>, TeamBuf<f32>)>,
+}
+
+impl ActMatrix {
+    fn new(rows: usize, br: usize, n: usize, quantized: bool) -> Self {
+        assert!(n > 0, "activation width must be non-zero");
+        let bn = GemmShape::activation_block(n);
+        let len = rows * n.div_ceil(bn) * bn;
+        ActMatrix {
+            rows,
+            br,
+            n,
+            bn,
+            data: TeamBuf::zeroed(len),
+            quant: quantized.then(|| (TeamBuf::zeroed(len), TeamBuf::zeroed(n))),
+        }
+    }
+
+    /// Logical columns.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Offset of the `rb`-th `br`-element run of column `j`.
+    #[inline]
+    fn run_offset(&self, j: usize, rb: usize) -> usize {
+        ((j / self.bn) * (self.rows / self.br) + rb) * self.br * self.bn + (j % self.bn) * self.br
+    }
+
+    /// Stores `src` (`rows` values) as column `j`, quantizing it too when
+    /// the matrix feeds int8 plans (one symmetric scale per column — the
+    /// arithmetic of [`pl_tensor::quantize_cols_blocked`]).
+    ///
+    /// # Safety
+    /// No other thread may read or write column `j` (nor run a
+    /// [`PlanRun::member`] over this matrix) concurrently.
+    pub unsafe fn write_col(&self, j: usize, src: &[f32]) {
+        assert!(j < self.n && src.len() == self.rows, "column {j} of {}x{}", self.rows, self.n);
+        let scale = self.quant.as_ref().map(|(_, scales)| {
+            let s = symmetric_scale(src.iter().fold(0.0f32, |m, v| m.max(v.abs())));
+            // SAFETY: slot `j` belongs to column `j` (caller contract).
+            unsafe { scales.view.slice_mut(j, 1)[0] = s };
+            s
+        });
+        for (rb, run) in src.chunks_exact(self.br).enumerate() {
+            let off = self.run_offset(j, rb);
+            // SAFETY: the run lies inside column `j` (caller contract).
+            unsafe { self.data.view.slice_mut(off, self.br) }.copy_from_slice(run);
+            if let (Some((q, _)), Some(s)) = (&self.quant, scale) {
+                // SAFETY: as above, on the quantized twin.
+                let dst = unsafe { q.view.slice_mut(off, self.br) };
+                for (d, v) in dst.iter_mut().zip(run) {
+                    *d = i8::from_f32(v / s);
+                }
+            }
+        }
+    }
+
+    /// Copies column `j` into `dst` (`rows` values).
+    ///
+    /// # Safety
+    /// No thread may write column `j` (nor run a [`PlanRun::member`]
+    /// producing this matrix) concurrently.
+    pub unsafe fn read_col(&self, j: usize, dst: &mut [f32]) {
+        assert!(j < self.n && dst.len() == self.rows, "column {j} of {}x{}", self.rows, self.n);
+        for (rb, run) in dst.chunks_exact_mut(self.br).enumerate() {
+            // SAFETY: no concurrent writer of column `j` (caller contract).
+            run.copy_from_slice(unsafe { self.data.view.slice(self.run_offset(j, rb), self.br) });
+        }
+    }
+
+    /// The flat column-major `rows x n` contents (exclusive access: no
+    /// region can be using the matrix).
+    pub fn into_colmajor(self) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.rows * self.n];
+        for (j, col) in out.chunks_exact_mut(self.rows).enumerate() {
+            // SAFETY: `self` is owned, so no other thread holds the matrix.
+            unsafe { self.read_col(j, col) };
+        }
+        out
     }
 }
 
@@ -275,7 +380,7 @@ impl MatmulPlan {
             n,
             k: self.k,
             bm: self.bm,
-            bn: GemmShape::default_block(n),
+            bn: GemmShape::activation_block(n),
             bk: self.bk,
             dtype: self.precision.dtype(),
         }
@@ -310,7 +415,7 @@ impl MatmulPlan {
             n,
             k: self.k,
             bm: self.bm,
-            bn: GemmShape::default_block(n),
+            bn: GemmShape::activation_block(n),
             bk: self.bk,
         };
         let tuning = crate::tuning::gemm_tuning_for(&shape, self.precision.dtype());
@@ -333,111 +438,130 @@ impl MatmulPlan {
         kernel
     }
 
-    /// Packs a flat column-major `k x n` activation matrix into `buf`
-    /// (reusing its allocation when the layout matches) and returns the
-    /// blocked view. The layout depends only on `(k, n)`, so one packed
-    /// matrix can feed every plan with the same reduction extent — a
-    /// layer's QKV projections pack their shared input **once**.
-    pub fn pack_activations<'a>(
-        &self,
-        act: &[f32],
-        n: usize,
-        buf: &'a mut ActivationBuf,
-    ) -> &'a BlockedMatrix<f32> {
-        assert_eq!(act.len(), self.k * n, "activation size mismatch");
-        let bn = GemmShape::default_block(n);
-        let b = reuse_blocked(
-            &mut buf.slot,
-            self.k,
-            n,
-            self.bk,
-            bn,
-            GridOrder::ColBlockMajor,
-            InnerLayout::ColMajor,
-        )
-        .expect("activation layout");
-        b.pack_from_colmajor(act);
-        b
+    /// An empty `k x n` input operand for this plan (and any sibling
+    /// with the same `k`, `bk` and precision), for a team to fill by
+    /// columns.
+    pub fn input(&self, n: usize) -> ActMatrix {
+        ActMatrix::new(self.k, self.bk, n, self.precision == Precision::Int8)
     }
 
-    /// Runs the plan over an already-blocked activation operand (from
-    /// [`MatmulPlan::pack_activations`] — possibly packed by a sibling
-    /// plan with the same `k`), reusing `c_buf` for the blocked output.
-    /// Returns the flat column-major `m x n` result.
-    pub fn execute_packed(
-        &self,
-        act: &BlockedMatrix<f32>,
-        c_buf: &mut ActivationBuf,
-        pool: &ThreadPool,
-    ) -> Vec<f32> {
-        let n = act.cols();
-        // Per-shape wall-clock span: aggregated by (m, n, k) this is the
-        // measured-timing table the autotuning roadmap item consumes. The
-        // span name carries the plan dtype so f32 and i8 timings of the
-        // same shape stay distinguishable in `TRACE_shapes.json`.
-        let span_name = match self.precision {
-            Precision::F32 => "gemm.execute",
-            Precision::Int8 => "gemm.i8.execute",
-        };
-        let _span = pl_trace::span(span_name, [self.m as u64, n as u64, self.k as u64]);
-        let kernel = self.kernel_for(n);
-        match (&self.weight, &kernel.gemm) {
-            (PlanWeight::F32(wt), PlanGemm::F32(g)) => {
-                let c = reuse_blocked(
-                    &mut c_buf.slot,
-                    self.m,
-                    n,
-                    self.bm,
-                    kernel.shape.bn,
-                    GridOrder::ColBlockMajor,
-                    InnerLayout::ColMajor,
-                )
-                .expect("output layout");
-                g.execute(wt, act, c, pool).expect("plan execute");
-            }
-            (PlanWeight::Int8 { q, scales, .. }, PlanGemm::Int8(g)) => {
-                // Quantize the f32 activations on the fly (per step, per
-                // column) into the i8 scratch; weight bytes stay untouched.
-                let qact = reuse_blocked(
-                    &mut c_buf.qslot,
-                    self.k,
-                    n,
-                    self.bk,
-                    kernel.shape.bn,
-                    GridOrder::ColBlockMajor,
-                    InnerLayout::ColMajor,
-                )
-                .expect("quantized activation layout");
-                c_buf.qscales.resize(n, 0.0);
-                quantize_cols_blocked(act, qact, &mut c_buf.qscales);
-                let c = reuse_blocked(
-                    &mut c_buf.slot,
-                    self.m,
-                    n,
-                    self.bm,
-                    kernel.shape.bn,
-                    GridOrder::ColBlockMajor,
-                    InnerLayout::ColMajor,
-                )
-                .expect("output layout");
-                g.execute(q, scales, qact, &c_buf.qscales, c, pool).expect("plan execute");
-            }
-            _ => unreachable!("plan weight/kernel precision mismatch"),
+    /// An empty `m x n` output operand for this plan.
+    pub fn output(&self, n: usize) -> ActMatrix {
+        ActMatrix::new(self.m, self.bm, n, false)
+    }
+
+    /// Packs a flat column-major `k x n` activation matrix. The layout
+    /// depends only on `(k, n)`, so one packed matrix can feed every plan
+    /// with the same reduction extent and precision — a layer's QKV
+    /// projections pack (and, at int8, quantize) their shared input
+    /// **once**.
+    pub fn pack(&self, act: &[f32], n: usize) -> ActMatrix {
+        assert_eq!(act.len(), self.k * n, "activation size mismatch");
+        let packed = self.input(n);
+        for (j, col) in act.chunks_exact(self.k).enumerate() {
+            // SAFETY: `packed` is not shared with any thread yet.
+            unsafe { packed.write_col(j, col) };
         }
-        let c = c_buf.slot.as_ref().expect("c slot");
-        let mut out = vec![0.0f32; self.m * n];
-        c.unpack_into_colmajor(&mut out);
-        out
+        packed
+    }
+
+    /// Starts one execution at width `n` by a team of `team` threads that
+    /// is (or will be) inside a parallel region: resolves the cached
+    /// kernel for `n` here, outside the hot phases; every team member
+    /// then calls [`PlanRun::member`]. A run is single-use.
+    pub fn begin(&self, n: usize, team: usize) -> PlanRun<'_> {
+        let kernel = self.kernel_for(n);
+        let run = match &kernel.gemm {
+            PlanGemm::F32(g) => g.begin(team),
+            PlanGemm::Int8(g) => g.begin(team),
+        }
+        .expect("plan kernel spec incompatible with the team size");
+        PlanRun { plan: self, kernel, run }
+    }
+
+    /// Runs the plan over an already-packed activation operand (from
+    /// [`MatmulPlan::pack`] — possibly packed by a sibling plan with the
+    /// same `k`). Returns the flat column-major `m x n` result.
+    pub fn execute_packed(&self, act: &ActMatrix, pool: &ThreadPool) -> Vec<f32> {
+        let out = self.output(act.n());
+        let run = self.begin(act.n(), pool.nthreads());
+        // SAFETY: `out` is local and `act` is only read; the region runs
+        // nothing but this plan.
+        pool.parallel(|ctx| unsafe { run.member(ctx, act, &out) });
+        out.into_colmajor()
     }
 
     /// `out (m x n) = W x act` over a flat column-major `k x n` activation
     /// matrix. Packs the activations (never the weight) and executes the
     /// cached kernel for width `n`.
     pub fn execute(&self, act: &[f32], n: usize, pool: &ThreadPool) -> Vec<f32> {
-        let mut b = ActivationBuf::new();
-        let mut c = ActivationBuf::new();
-        let packed = self.pack_activations(act, n, &mut b);
-        self.execute_packed(packed, &mut c, pool)
+        self.execute_packed(&self.pack(act, n), pool)
+    }
+}
+
+/// One in-flight execution of a [`MatmulPlan`] by a thread team (see
+/// [`MatmulPlan::begin`]).
+pub struct PlanRun<'a> {
+    plan: &'a MatmulPlan,
+    kernel: Arc<PlanKernel>,
+    run: LoopRun,
+}
+
+impl PlanRun<'_> {
+    /// This member's share of `out = W x act`; every member of the team
+    /// calls it once.
+    ///
+    /// # Safety
+    /// Between the team barriers (or region boundaries) bracketing the
+    /// team's calls, no thread may write `act` and none may otherwise
+    /// read or write `out`.
+    ///
+    /// # Panics
+    /// Panics if `act`/`out` were not built for this plan's geometry,
+    /// width and precision.
+    pub unsafe fn member(&self, ctx: &WorkerCtx, act: &ActMatrix, out: &ActMatrix) {
+        let (plan, n) = (self.plan, self.kernel.shape.n);
+        assert!(
+            (act.rows, act.br, act.n) == (plan.k, plan.bk, n)
+                && (out.rows, out.br, out.n) == (plan.m, plan.bm, n),
+            "operands do not match the {}x{n}x{} plan",
+            plan.m,
+            plan.k
+        );
+        // Per-shape wall-clock span (member 0's share — the phase, give
+        // or take the static split): aggregated by (m, n, k) this is the
+        // measured-timing table `TRACE_shapes.json` is built from. The
+        // name carries the plan dtype so f32 and i8 timings of the same
+        // shape stay distinguishable.
+        let _span = (ctx.tid() == 0).then(|| {
+            let name = match plan.precision {
+                Precision::F32 => "gemm.execute",
+                Precision::Int8 => "gemm.i8.execute",
+            };
+            pl_trace::span(name, [plan.m as u64, n as u64, plan.k as u64])
+        });
+        match (&plan.weight, &self.kernel.gemm) {
+            (PlanWeight::F32(wt), PlanGemm::F32(g)) => {
+                // SAFETY: nobody writes `act` during the call and `out`
+                // belongs to this GEMM (caller contract).
+                unsafe {
+                    let b = act.data.view.slice(0, act.data.view.len());
+                    g.execute_in(ctx, &self.run, wt.data(), b, &out.data.view);
+                }
+            }
+            (PlanWeight::Int8 { q, scales, .. }, PlanGemm::Int8(g)) => {
+                let (qact, col_scales) =
+                    act.quant.as_ref().expect("int8 plans need an input built by an int8 plan");
+                // SAFETY: as above; the quantized twin and its scales were
+                // written with the columns.
+                unsafe {
+                    let b = qact.view.slice(0, qact.view.len());
+                    let cs = col_scales.view.slice(0, n);
+                    g.execute_in(ctx, &self.run, q.data(), scales, b, cs, &out.data.view);
+                }
+            }
+            _ => unreachable!("plan weight/kernel precision mismatch"),
+        }
     }
 }
 
@@ -670,11 +794,9 @@ mod tests {
         fill_uniform(&mut x, &mut rng, -0.5, 0.5);
         let p1 = MatmulPlan::new(&w1, Trans::No, m, k);
         let p2 = MatmulPlan::new(&w2, Trans::No, m, k);
-        let mut bbuf = ActivationBuf::new();
-        let mut cbuf = ActivationBuf::new();
-        let xp = p1.pack_activations(&x, n, &mut bbuf);
-        let y1 = p1.execute_packed(xp, &mut cbuf, &pool);
-        let y2 = p2.execute_packed(xp, &mut cbuf, &pool);
+        let xp = p1.pack(&x, n);
+        let y1 = p1.execute_packed(&xp, &pool);
+        let y2 = p2.execute_packed(&xp, &pool);
         assert_eq!(y1, p1.execute(&x, n, &pool), "shared-pack path matches the direct path");
         assert_eq!(y2, p2.execute(&x, n, &pool));
     }

@@ -36,6 +36,22 @@ impl<T> SharedSlice<T> {
         self.len == 0
     }
 
+    /// Reborrows the sub-range `off..off + len` immutably.
+    ///
+    /// # Safety
+    /// Callers must guarantee that no thread writes the range while the
+    /// borrow is live (writers and readers of a range are separated by a
+    /// team barrier or the end of the region).
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the wrapped slice.
+    pub unsafe fn slice(&self, off: usize, len: usize) -> &[T] {
+        assert!(off + len <= self.len, "SharedSlice range out of bounds");
+        // SAFETY: bounds checked above; no concurrent writer is the
+        // caller contract.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(off), len) }
+    }
+
     /// Reborrows the sub-range `off..off + len` mutably.
     ///
     /// # Safety

@@ -146,7 +146,7 @@ impl GemmModelSpec {
         let specs = vec![
             parlooper::LoopSpecs::blocked(0, self.k / self.bk, self.k_step, self.blocks[0].clone()),
             parlooper::LoopSpecs::blocked(0, self.m / self.bm, 1, self.blocks[1].clone()),
-            parlooper::LoopSpecs::blocked(0, self.n / self.bn, 1, self.blocks[2].clone()),
+            parlooper::LoopSpecs::blocked(0, self.n.div_ceil(self.bn), 1, self.blocks[2].clone()),
         ];
         ThreadedLoop::new(&specs, &self.spec)
     }

@@ -21,10 +21,9 @@
 //!    ([`save_measured_db`] / [`warm_or_load`]), so the next process
 //!    start on the same host skips straight to measured state.
 //!
-//! The same measured loop also learns *serve-level* knobs: the
-//! fused-vs-serial crossover per batch width ([`measure_mode_crossover`]
-//! → [`pl_serve::BatchModeTable`]) and the live prefill chunk size
-//! (`Server::set_prefill_chunk`).
+//! The same measured loop also learns one *serve-level* knob: the live
+//! prefill chunk size ([`tune_prefill_chunk`] →
+//! `Server::set_prefill_chunk`).
 
 pub mod artifact;
 pub mod measure;
@@ -37,7 +36,4 @@ pub use persist::{
     host_fingerprint, load_measured_db, save_measured_db, warm_or_load, PersistError, WarmSource,
     PERSIST_VERSION,
 };
-pub use retuner::{
-    force_mode, measure_mode_crossover, tune_prefill_chunk, RetuneConfig, RetuneReport, Retuner,
-    ShapeOutcome,
-};
+pub use retuner::{tune_prefill_chunk, RetuneConfig, RetuneReport, Retuner, ShapeOutcome};

@@ -9,8 +9,7 @@ use pl_autotuner::GemmProblem;
 use pl_kernels::{Gemm, GemmInt8, GemmShape, GemmTuning};
 use pl_runtime::ThreadPool;
 use pl_tensor::{
-    fill_uniform, quantize_cols_blocked, quantize_weight_a_vnni, reuse_blocked, BlockedMatrix,
-    DType, GridOrder, InnerLayout, Xorshift,
+    fill_uniform, quantize_cols_blocked, quantize_weight_a_vnni, BlockedMatrix, DType, Xorshift,
 };
 use std::time::Instant;
 
@@ -44,64 +43,50 @@ enum Operands {
 pub struct GemmMeasurer {
     problem: GemmProblem,
     operands: Operands,
-    out: Option<BlockedMatrix<f32>>,
+    out: BlockedMatrix<f32>,
 }
 
 impl GemmMeasurer {
     /// Packs (and for [`DType::I8`] quantizes) seeded pseudo-random
-    /// operands at the problem's exact blockings. Returns `None` for
-    /// dtypes the serving path has no kernel for, or when the blockings
-    /// do not divide the problem (nothing to measure either way).
+    /// operands at the problem's exact blockings (N may be ragged, as
+    /// plan activations are: storage is padded to whole column blocks).
+    /// Returns `None` for dtypes the serving path has no kernel for, or
+    /// when the M/K blockings do not divide the problem (nothing to
+    /// measure either way).
     pub fn new(problem: &GemmProblem) -> Option<Self> {
         let (m, n, k) = (problem.m, problem.n, problem.k);
         let (bm, bn, bk) = (problem.bm, problem.bn, problem.bk);
-        if bm == 0 || bn == 0 || bk == 0 || m % bm != 0 || n % bn != 0 || k % bk != 0 {
+        if bm == 0 || bn == 0 || bk == 0 || n == 0 || m % bm != 0 || k % bk != 0 {
             return None;
         }
+        // Blocked B/C storage spans whole column blocks; the kernel never
+        // reads the pad columns of a ragged last block.
+        let n = n.div_ceil(bn) * bn;
         let mut rng = Xorshift::new(0x5eed ^ (m * 31 + n * 7 + k) as u64);
         let mut wflat = vec![0.0f32; m * k];
         fill_uniform(&mut wflat, &mut rng, -1.0, 1.0);
         let mut aflat = vec![0.0f32; k * n];
         fill_uniform(&mut aflat, &mut rng, -1.0, 1.0);
-        let mut act_slot = None;
-        let act = reuse_blocked::<f32>(
-            &mut act_slot,
-            k,
-            n,
-            bk,
-            bn,
-            GridOrder::ColBlockMajor,
-            InnerLayout::ColMajor,
-        )
-        .ok()?;
+        let mut act = BlockedMatrix::<f32>::b_layout(k, n, bk, bn).ok()?;
         act.pack_from_colmajor(&aflat);
         let operands = match problem.dtype {
             DType::F32 => {
                 let mut weight = BlockedMatrix::<f32>::a_layout(m, k, bm, bk).ok()?;
                 weight.pack_from_colmajor(&wflat);
-                Operands::F32 { weight, act: act_slot? }
+                Operands::F32 { weight, act }
             }
             DType::I8 => {
                 let v = vnni_fit(DType::I8.vnni_factor(), bk);
                 let (qweight, wscales) = quantize_weight_a_vnni(&wflat, m, k, bm, bk, v).ok()?;
-                let mut qact_slot = None;
-                let qact = reuse_blocked::<i8>(
-                    &mut qact_slot,
-                    k,
-                    n,
-                    bk,
-                    bn,
-                    GridOrder::ColBlockMajor,
-                    InnerLayout::ColMajor,
-                )
-                .ok()?;
+                let mut qact = BlockedMatrix::<i8>::b_layout(k, n, bk, bn).ok()?;
                 let mut ascales = vec![0.0f32; n];
-                quantize_cols_blocked(act, qact, &mut ascales);
-                Operands::Int8 { qweight, wscales, qact: qact_slot?, ascales, v }
+                quantize_cols_blocked(&act, &mut qact, &mut ascales);
+                Operands::Int8 { qweight, wscales, qact, ascales, v }
             }
             _ => return None,
         };
-        Some(GemmMeasurer { problem: *problem, operands, out: None })
+        let out = BlockedMatrix::<f32>::c_layout(m, n, bm, bn).ok()?;
+        Some(GemmMeasurer { problem: *problem, operands, out })
     }
 
     /// Measures one candidate: builds the kernel for `(spec, blocks)`,
@@ -125,16 +110,7 @@ impl GemmMeasurer {
             b_blocks: blocks[1].clone(),
             c_blocks: blocks[2].clone(),
         };
-        let c = reuse_blocked::<f32>(
-            &mut self.out,
-            p.m,
-            p.n,
-            p.bm,
-            p.bn,
-            GridOrder::ColBlockMajor,
-            InnerLayout::ColMajor,
-        )
-        .ok()?;
+        let c = &mut self.out;
         let mut best = f64::INFINITY;
         match &self.operands {
             Operands::F32 { weight, act } => {
@@ -191,6 +167,17 @@ mod tests {
         let mut m = GemmMeasurer::new(&p).expect("quantizable problem");
         let g = m.measure("abC", &[Vec::new(), Vec::new(), Vec::new()], 1, &pool());
         assert!(g.expect("i8 spec measures") > 0.0);
+    }
+
+    #[test]
+    fn ragged_widths_measure_at_both_precisions() {
+        // 7 columns blocked by 4: a full block and a 3-column tail.
+        for dtype in [DType::F32, DType::I8] {
+            let p = GemmProblem { m: 32, n: 7, k: 32, bm: 32, bn: 4, bk: 32, dtype };
+            let mut m = GemmMeasurer::new(&p).expect("ragged N is packable");
+            let g = m.measure("aBC", &[Vec::new(), Vec::new(), Vec::new()], 1, &pool());
+            assert!(g.expect("ragged spec measures") > 0.0, "{dtype:?}");
+        }
     }
 
     #[test]

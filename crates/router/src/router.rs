@@ -158,16 +158,6 @@ impl Router {
         adopted
     }
 
-    /// Installs a measured fused-vs-serial decision table on **every**
-    /// shard ([`pl_serve::Server::install_mode_policy`]): the table was
-    /// measured on one shard but the fleet runs the same model on the
-    /// same host, so the decision transfers.
-    pub fn install_mode_policy(&self, table: &pl_serve::BatchModeTable) {
-        for shard in &self.shards {
-            shard.server().install_mode_policy(table.clone());
-        }
-    }
-
     /// Current placement loads (the inputs to [`placement_order`]),
     /// health included: each shard's server evaluates its own SLO burn
     /// and stall watchdog ([`pl_serve::Server::health`]); a draining
@@ -308,37 +298,30 @@ impl Router {
         }
     }
 
-    /// Gracefully ends a session: the owning shard is first pumped/waited
-    /// dry (so a step still sitting in its rings completes instead of
-    /// erroring `UnknownSession` — see [`Router::quiesce_shard`], one
-    /// bounded pass), then the session is closed and its KV cache freed.
-    /// If the quiesce was cut short by sustained traffic from *other*
-    /// sessions and this session is momentarily checked out by an
-    /// executing batch (`UnknownSession` from the shard while the router
-    /// mapping is live), the close retries over short waits — batches
-    /// re-insert their sessions before delivering replies, so that window
-    /// is microseconds wide and the retry loop does **not** re-pay the
-    /// full quiesce bound. Returns tokens decoded.
+    /// Gracefully ends a session: its **own** accepted work is allowed to
+    /// finish first (a step still sitting in the shard's rings completes
+    /// instead of erroring `UnknownSession`), then the session is closed
+    /// and its KV cache freed. Only this session's program-order tickets
+    /// are waited on ([`pl_serve::Server::session_idle`]) — peers' queued
+    /// work on the same shard is neither awaited nor, for an idle session,
+    /// pumped — and a session checked out by an executing batch is
+    /// handled by the shard itself (the close parks on the checked-out
+    /// slot). In manual-drive mode the wait pumps the shard on the
+    /// calling thread. Returns tokens decoded.
     pub fn close_session(&self, id: RouterSessionId) -> Result<u64, RouterError> {
         let p = self.lookup(id)?;
-        self.quiesce_shard(p.shard);
         let server = self.shards[p.shard].server();
         let started = self.started.load(Ordering::Acquire);
-        let mut attempts = 0usize;
-        let generated = loop {
-            match server.close_session(p.local) {
-                Ok(n) => break n,
-                Err(ServeError::UnknownSession(_)) if attempts < 256 => {
-                    attempts += 1;
-                    if started {
-                        std::thread::sleep(std::time::Duration::from_micros(50));
-                    } else {
-                        server.pump();
-                    }
-                }
-                Err(e) => return Err(RouterError::Serve(e)),
+        // `in_flight() == 0` ends the wait when the session's queued work
+        // was bounced (shutdown) rather than executed.
+        while !server.session_idle(p.local)? && server.in_flight() > 0 {
+            if started {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+            } else if server.pump() == 0 {
+                break;
             }
-        };
+        }
+        let generated = server.close_session(p.local)?;
         self.sessions.lock().remove(&id);
         Ok(generated)
     }
@@ -422,6 +405,11 @@ mod tests {
     use pl_dnn::DecoderConfig;
     use pl_runtime::ThreadPool;
     use pl_tensor::{fill_uniform, Xorshift};
+
+    /// The trace recorder's on/off switch is process-wide: tests that
+    /// toggle it hold this for their enable..disable window, so one
+    /// test's `disable` cannot cut another's recording short.
+    static TRACE_SWITCH: Mutex<()> = Mutex::new(());
 
     fn tiny_router(shards: usize, server: ServerConfig) -> Router {
         let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 4242));
@@ -546,6 +534,7 @@ mod tests {
         let r = tiny_router(2, no_wait());
         let hidden = r.shard(0).server().model().config().hidden;
         let ids: Vec<_> = (0..4).map(|_| r.create_session(0).unwrap()).collect();
+        let _switch = TRACE_SWITCH.lock();
         let since = pl_trace::now_ns();
         pl_trace::enable();
         let rxs: Vec<_> = (0..4)
@@ -583,6 +572,29 @@ mod tests {
         assert!(rx.recv().unwrap().is_ok(), "queued step completed before close");
         assert!(r.placement_of(id).is_none());
         assert!(matches!(r.close_session(id), Err(RouterError::UnknownSession(_))));
+    }
+
+    #[test]
+    fn close_session_waits_on_its_own_work_only() {
+        // Manual-pump mode, one shard: a peer has a 4-chunk prefill
+        // queued. Closing an idle session must not execute any of the
+        // peer's chunks nor touch its in-flight accounting.
+        let r = tiny_router(1, ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..no_wait() });
+        let server = r.shard(0).server();
+        let hidden = server.model().config().hidden;
+        let idle = r.create_session(0).unwrap();
+        let peer = r.create_session(0).unwrap();
+        let peer_rx = r.submit_prefill(peer, &token(6, hidden * 16), 16).unwrap();
+        let in_flight = server.in_flight();
+        assert_eq!(in_flight, 1, "one chunk of the peer's prefill is queued at a time");
+        assert_eq!(r.close_session(idle).unwrap(), 0);
+        assert_eq!(server.in_flight(), in_flight, "the peer's work is untouched");
+        assert_eq!(server.stats().snapshot().prefill_chunks, 0, "none of its chunks ran");
+        assert!(peer_rx.try_recv().is_err());
+        // Closing the peer itself waits for all four of *its* chunks.
+        assert_eq!(r.close_session(peer).unwrap(), 0);
+        assert_eq!(server.stats().snapshot().prefill_chunks, 4);
+        assert!(peer_rx.recv().unwrap().is_ok(), "queued prefill completed before close");
     }
 
     #[test]
@@ -637,6 +649,7 @@ mod tests {
         }
         let hidden = cfg.hidden;
         let ids: Vec<_> = (0..4).map(|_| r.create_session(0).unwrap()).collect();
+        let _switch = TRACE_SWITCH.lock();
         let since = pl_trace::now_ns();
         pl_trace::enable();
         let rxs: Vec<_> = (0..4)
@@ -645,9 +658,17 @@ mod tests {
         while r.pump_all() > 0 {}
         pl_trace::disable();
         let outs: Vec<Vec<f32>> = rxs.into_iter().map(|rx| rx.recv().unwrap().unwrap()).collect();
-        let summary = r.trace_summary(since);
-        assert!(summary.count_for("gemm.i8.execute") > 0, "i8 plans record i8 spans");
-        assert_eq!(summary.count_for("gemm.execute"), 0, "no f32 spans on the int8 path");
+        // Only this test serves an int8 model, so the lanes carrying i8
+        // spans are this router's (sibling tests trace f32 models on their
+        // own lanes): those lanes must carry no f32 GEMM span.
+        let events = pl_trace::snapshot_since(since);
+        let i8_lanes: std::collections::BTreeSet<u32> =
+            events.iter().filter(|e| e.name == "gemm.i8.execute").map(|e| e.lane).collect();
+        assert!(!i8_lanes.is_empty(), "i8 plans record i8 spans");
+        assert!(
+            !events.iter().any(|e| e.name == "gemm.execute" && i8_lanes.contains(&e.lane)),
+            "no f32 spans on the int8 path"
+        );
         // Same seed => the f32 model these weights quantized from; routed
         // int8 outputs stay within the quantization budget of it (bound:
         // crates/serve/README.md, "Precision").

@@ -16,8 +16,12 @@
 //!
 //! Nested `parallel` calls execute serially on the calling thread with a
 //! single-thread context (OpenMP's default behaviour with nesting disabled).
-//! Worker panics are captured and re-raised on the calling thread.
+//! Worker panics are captured and re-raised on the calling thread; a panic
+//! between two team barriers poisons the barrier so the rest of the team
+//! unwinds instead of waiting forever. The barrier itself spins, then
+//! yields, then parks, with constant budgets (see [`pool`]).
 
+mod barrier;
 pub mod grid;
 pub mod pool;
 pub mod sched;

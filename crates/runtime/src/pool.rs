@@ -6,14 +6,24 @@
 //! 0, so an `n`-thread pool spawns `n - 1` OS threads). Completion is a
 //! simple atomic countdown with thread parking; panics inside workers are
 //! captured with `catch_unwind` and resumed on the caller.
+//!
+//! [`WorkerCtx::barrier`] (and therefore every loop-string `|`) is a
+//! spin-then-yield-then-park barrier with constant budgets: a crossing
+//! between balanced phases costs a few cache-line transfers instead of a
+//! parked hand-off, which is what lets a whole multi-phase computation
+//! (a decoder forward: LN | QKV | attention | FFN per layer) run inside
+//! **one** region. A member that panics between two barriers *poisons*
+//! the region's barrier: its team-mates unwind out of their waits instead
+//! of hanging, and `parallel` re-raises the first panic on the caller.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
+use crate::barrier::TeamBarrier;
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
@@ -23,7 +33,7 @@ type Job = dyn Fn(&WorkerCtx) + Send + Sync;
 /// the first captured panic.
 struct Region {
     job: Arc<Job>,
-    barrier: Arc<Barrier>,
+    barrier: Arc<TeamBarrier>,
     remaining: Arc<AtomicUsize>,
     caller: std::thread::Thread,
     panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
@@ -39,7 +49,7 @@ enum Message {
 pub struct WorkerCtx {
     tid: usize,
     nthreads: usize,
-    barrier: Arc<Barrier>,
+    barrier: Arc<TeamBarrier>,
 }
 
 impl WorkerCtx {
@@ -55,7 +65,12 @@ impl WorkerCtx {
         self.nthreads
     }
 
-    /// Team-wide barrier (all `nthreads` threads must call it).
+    /// Team-wide barrier (all `nthreads` threads must call it). Waiters
+    /// spin briefly, then yield, then park (see the module docs).
+    ///
+    /// # Panics
+    /// Panics if another member of the region panicked: the barrier is
+    /// poisoned so no waiter is left behind.
     pub fn barrier(&self) {
         self.barrier.wait();
     }
@@ -123,7 +138,7 @@ impl ThreadPool {
         F: Fn(&WorkerCtx) + Send + Sync,
     {
         if IN_PARALLEL.with(|c| c.get()) {
-            let ctx = WorkerCtx { tid: 0, nthreads: 1, barrier: Arc::new(Barrier::new(1)) };
+            let ctx = WorkerCtx { tid: 0, nthreads: 1, barrier: Arc::new(TeamBarrier::new(1)) };
             f(&ctx);
             return;
         }
@@ -134,7 +149,7 @@ impl ThreadPool {
         let _region_span = pl_trace::span("pool.region", [self.nthreads as u64, 0, 0]);
         let _guard = self.dispatch.lock();
 
-        let barrier = Arc::new(Barrier::new(self.nthreads));
+        let barrier = Arc::new(TeamBarrier::new(self.nthreads));
         let remaining = Arc::new(AtomicUsize::new(self.nthreads));
         let panic_slot: Arc<Mutex<Option<Box<dyn Any + Send>>>> = Arc::new(Mutex::new(None));
 
@@ -196,60 +211,11 @@ impl ThreadPool {
             }
         });
     }
-
-    /// Drains `queue` inside a *single* parallel region: every team thread
-    /// repeatedly claims a chunk and calls `f(i)` for each index in it.
-    ///
-    /// This is the region-reuse hook for coarse work items (e.g. a batch of
-    /// decode steps): instead of paying one region broadcast per item, the
-    /// whole batch amortizes a single broadcast and the items load-balance
-    /// over the team via the dynamic schedule — the same `schedule(dynamic)`
-    /// PAR-MODE the paper uses for heterogeneous work (§V-A4). The queue is
-    /// *not* reset here; pass a fresh or explicitly [`DynamicQueue::reset`]
-    /// queue.
-    pub fn parallel_drain<F>(&self, queue: &crate::sched::DynamicQueue, f: F)
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        self.parallel(|_ctx| {
-            while let Some(r) = queue.next() {
-                for i in r {
-                    f(i);
-                }
-            }
-        });
-    }
-
-    /// Dynamically distributes the task indices `0..tasks` over the team
-    /// inside a *single* parallel region: [`ThreadPool::parallel_drain`]
-    /// over a queue with chunk 1, without the caller having to build the
-    /// [`DynamicQueue`] itself. This is the right shape for a small number
-    /// of coarse, heterogeneous work items (a batch of decode sessions, the
-    /// per-session attention stage of a fused step): one region broadcast
-    /// for the whole batch, tasks load-balancing over the team.
-    pub fn parallel_tasks<F>(&self, tasks: usize, f: F)
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        if tasks == 0 {
-            return;
-        }
-        let queue = crate::sched::DynamicQueue::new(tasks, 1);
-        self.parallel_drain(&queue, f);
-    }
-
-    /// Whether the calling thread is currently inside a parallel region of
-    /// *any* pool (nested regions serialize; see [`ThreadPool::parallel`]).
-    /// Schedulers layered above the pool (e.g. a serving batcher) use this
-    /// to decide between dispatching a region and running work inline.
-    pub fn in_parallel_region() -> bool {
-        IN_PARALLEL.with(|c| c.get())
-    }
 }
 
 fn run_region_member(region: Region, tid: usize) {
     let Region { job, barrier, remaining, caller, panic, nthreads } = region;
-    let ctx = WorkerCtx { tid, nthreads, barrier };
+    let ctx = WorkerCtx { tid, nthreads, barrier: Arc::clone(&barrier) };
     // One span per team member per region: the occupancy view — on a
     // trace timeline, gaps between a lane's `pool.worker` spans are
     // time that thread sat idle while the region's stragglers finished.
@@ -262,10 +228,15 @@ fn run_region_member(region: Region, tid: usize) {
     // decrement (see the safety argument in `parallel`).
     drop(job);
     if let Err(p) = result {
-        let mut slot = panic.lock();
-        if slot.is_none() {
-            *slot = Some(p);
+        {
+            let mut slot = panic.lock();
+            if slot.is_none() {
+                *slot = Some(p);
+            }
         }
+        // Recorded first, so the panics this provokes in team-mates
+        // blocked on the barrier never displace the original.
+        barrier.poison();
     }
     // Release ordering publishes the job's effects to the caller.
     if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -381,6 +352,76 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 4);
     }
 
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// finished within 10 s (a hung barrier must fail, not stall CI).
+    fn with_timeout(f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10)).expect("region hung");
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn panic_between_barriers_poisons_the_team_instead_of_hanging() {
+        for threads in [2, 4] {
+            with_timeout(move || {
+                let pool = ThreadPool::new(threads);
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    pool.parallel(|ctx| {
+                        ctx.barrier();
+                        if ctx.tid() == 1 {
+                            panic!("injected failure between barriers");
+                        }
+                        // Without poisoning the survivors wait here forever.
+                        ctx.barrier();
+                        ctx.barrier();
+                    });
+                }));
+                let payload = result.expect_err("the member's panic must reach the caller");
+                let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert_eq!(msg, "injected failure between barriers", "original panic wins");
+                // The pool (fresh barrier per region) is reusable afterwards.
+                let count = AtomicUsize::new(0);
+                pool.parallel(|ctx| {
+                    ctx.barrier();
+                    count.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(count.load(Ordering::Relaxed), threads);
+            });
+        }
+    }
+
+    #[test]
+    fn barrier_survives_many_crossings_and_parked_waiters() {
+        // Phase counters must be complete at every crossing, including
+        // crossings where the straggler outlasts the spin and yield
+        // budgets so its team-mates park.
+        with_timeout(|| {
+            let pool = ThreadPool::new(4);
+            let rounds = 300;
+            let phase = AtomicUsize::new(0);
+            let violations = AtomicUsize::new(0);
+            pool.parallel(|ctx| {
+                for r in 0..rounds {
+                    if r % 100 == 0 && ctx.tid() == 3 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    phase.fetch_add(1, Ordering::SeqCst);
+                    ctx.barrier();
+                    if phase.load(Ordering::SeqCst) < 4 * (r + 1) {
+                        violations.fetch_add(1, Ordering::Relaxed);
+                    }
+                    ctx.barrier();
+                }
+            });
+            assert_eq!(violations.load(Ordering::Relaxed), 0);
+            assert_eq!(phase.load(Ordering::SeqCst), 4 * rounds);
+        });
+    }
+
     #[test]
     fn parallel_for_covers_all_indices_once() {
         let pool = ThreadPool::new(3);
@@ -406,44 +447,6 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn parallel_drain_covers_queue_exactly_once() {
-        let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        let q = crate::sched::DynamicQueue::new(500, 3);
-        pool.parallel_drain(&q, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert!(q.next().is_none());
-    }
-
-    #[test]
-    fn parallel_tasks_covers_indices_once() {
-        let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_tasks(37, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        // Zero tasks is a no-op, not a broadcast.
-        pool.parallel_tasks(0, |_| panic!("no tasks to run"));
-    }
-
-    #[test]
-    fn in_parallel_region_flag_tracks_nesting() {
-        let pool = ThreadPool::new(2);
-        assert!(!ThreadPool::in_parallel_region());
-        let seen = AtomicUsize::new(0);
-        pool.parallel(|_| {
-            if ThreadPool::in_parallel_region() {
-                seen.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(seen.load(Ordering::Relaxed), 2);
-        assert!(!ThreadPool::in_parallel_region());
     }
 
     #[test]

@@ -14,31 +14,22 @@
 //!   ([`BoundedQueue`], Vyukov-style atomic tickets in the spirit of
 //!   `pl_runtime::DynamicQueue`) plus round-robin batch formation.
 //! * [`Server`] — admission control (session caps, bounded rings =
-//!   backpressure), the batch execution path (one
-//!   `ThreadPool::parallel_drain` region per batch, PAR-MODE dynamic
-//!   scheduling over sessions), and the blocking client API.
+//!   backpressure), the batch execution path (one parallel region per
+//!   batch), and the blocking client API.
 //! * [`ServerStats`] — lock-free counters and histograms: throughput,
 //!   p50/p99 step latency, batch-size distribution.
 //!
-//! Decode batches execute in one of two modes:
-//!
-//! * **serial** (default): each session's step runs serially inside the
-//!   region with the same per-element operation order as it would alone
-//!   (every GEMM output block is produced by exactly one thread with a
-//!   fixed reduction order) — **bit-identical** to unbatched decode,
-//!   which the integration tests and `examples/serve_llm.rs` assert
-//!   exactly.
-//! * **fused** (`ServerConfig::fused`): the B sessions' token vectors are
-//!   gathered into one `hidden x B` activation matrix and every layer's
-//!   projections run as single `hidden x B` GEMMs
-//!   ([`pl_dnn::DecoderModel::step_batch_fused`]) — the
-//!   arithmetic-intensity lever batched serving exists for. Outputs agree
-//!   with serial decode to floating-point reassociation tolerance
-//!   (≤ 1e-5 relative), and [`ServerStats`] records the fused GEMM shapes
-//!   actually executed.
+//! Every batch — decode lanes plus at most one prefill chunk — executes
+//! as **one** ragged forward ([`pl_dnn::DecoderModel::forward_batch`]):
+//! the items' token columns are gathered into one `hidden x Σwidth`
+//! activation matrix, every layer's projections run once over all of it
+//! (each weight element loaded once serves every lane), attention runs per
+//! item against its own paged KV, and the whole thing is a single
+//! parallel region with team barriers between phases. Each item's output
+//! is **bit-identical** to running it alone — at f32 and int8 — which the
+//! integration tests and `examples/serve_llm.rs` assert exactly.
 
 pub mod batcher;
-pub mod policy;
 pub mod prefill;
 pub mod queue;
 pub mod server;
@@ -46,7 +37,6 @@ pub mod session;
 pub mod stats;
 
 pub use batcher::{ChunkItem, DynamicBatcher, StepRequest, WorkItem};
-pub use policy::BatchModeTable;
 pub use prefill::PrefillJob;
 pub use queue::BoundedQueue;
 pub use server::{Server, ServerConfig, SessionExport};
@@ -103,6 +93,14 @@ pub enum ServeError {
         /// The session whose ticket was stale.
         session: SessionId,
     },
+    /// The batch this request rode in failed while executing: a region
+    /// member panicked (e.g. the shard's bounded KV page pool ran dry
+    /// mid-forward). The batch's sessions are closed — their KV may be
+    /// partially appended — and the server keeps serving.
+    BatchFailed {
+        /// The panic message.
+        reason: String,
+    },
     /// The session is momentarily checked out by an executing batch —
     /// retry shortly (export/migration path; batches re-insert their
     /// sessions before delivering replies, so the window is microseconds
@@ -134,6 +132,7 @@ impl std::fmt::Display for ServeError {
             ServeError::StaleTicket { session } => {
                 write!(f, "stale program-order ticket for session {session} (duplicate submit?)")
             }
+            ServeError::BatchFailed { reason } => write!(f, "batch failed: {reason}"),
             ServeError::SessionBusy { session } => {
                 write!(f, "session {session} is checked out by an executing batch — retry")
             }

@@ -34,12 +34,11 @@
 //! re-inserted the session as an untracked zombie.
 
 use crate::batcher::{ChunkItem, DynamicBatcher, StepRequest, WorkItem};
-use crate::policy::BatchModeTable;
 use crate::prefill::PrefillJob;
 use crate::session::{Session, SessionId, TenantId};
 use crate::stats::ServerStats;
 use crate::{ServeError, StepResult};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use pl_autotuner::{batch_ladder, warm_gemm_db, warm_spmm_db, Constraints, GemmProblem, TuningDb};
 use pl_dnn::{
     DecoderModel, DecoderState, KvPagePool, KvSnapshot, Precision, PrefixCache, DEFAULT_PAGE_TOKENS,
@@ -79,20 +78,12 @@ pub struct ServerConfig {
     pub coalesce_wait: Duration,
     /// Batcher sleep when no work is pending.
     pub idle_poll: Duration,
-    /// Execute decode batches through the **fused** cross-session path
-    /// ([`DecoderModel::step_batch_fused`]): one `hidden x B` GEMM per
-    /// layer projection instead of B `hidden x 1` GEMVs. Off by default —
-    /// the serial path is bit-identical to unbatched decode, the fused
-    /// path trades that for arithmetic intensity (outputs agree to
-    /// floating-point reassociation tolerance; see `crates/serve/README.md`
-    /// for the accuracy contract).
-    pub fused: bool,
     /// Numeric precision the served model's weight plans were built at.
-    /// Defaults to [`Precision::F32`], which keeps every existing
-    /// guarantee (serial decode bit-identical to unbatched decode).
-    /// [`Precision::Int8`] serves a quantized model: ~4x less weight
-    /// traffic per decode step, outputs within a bounded relative error of
-    /// the f32 model (see `crates/serve/README.md`, "Precision"). The
+    /// Batched decode is bit-identical to unbatched decode at either
+    /// precision. [`Precision::Int8`] serves a quantized model: ~4x less
+    /// weight traffic per decode step, outputs within a bounded relative
+    /// error of the f32 model (see `crates/serve/README.md`,
+    /// "Precision"). The
     /// model handed to [`Server::new`] must have been built at this
     /// precision ([`DecoderModel::new_with_precision`]) — the constructor
     /// asserts it, so a config/model mismatch fails at startup, not with
@@ -144,7 +135,6 @@ impl Default for ServerConfig {
             prefill_chunk: 16,
             coalesce_wait: Duration::from_micros(200),
             idle_poll: Duration::from_millis(1),
-            fused: false,
             precision: Precision::F32,
             slo_p99_us: 50_000,
             slo_window_s: 60,
@@ -240,12 +230,6 @@ struct ServerInner {
     /// the blocking wrappers pump on the calling thread when it is not.
     running: AtomicBool,
     tuning: Mutex<TuningDb>,
-    /// The measured per-batch-width fused-vs-serial decision table
-    /// ([`crate::policy::BatchModeTable`]), installed by a retune cycle.
-    /// `None` (the default) falls back to the static
-    /// [`ServerConfig::fused`] flag — existing behavior and guarantees
-    /// are untouched until a measurement says otherwise.
-    mode_policy: RwLock<Option<BatchModeTable>>,
     /// Live prefill-chunk bound in tokens — initialized from
     /// [`ServerConfig::prefill_chunk`], adjustable at runtime
     /// ([`Server::set_prefill_chunk`]) so a retune cycle can shrink
@@ -388,7 +372,6 @@ impl Server {
             prefix: PrefixCache::new(PREFIX_CACHE_ENTRIES),
             migrations,
             stats: ServerStats::new(cfg.max_batch),
-            mode_policy: RwLock::new(None),
             prefill_chunk: AtomicUsize::new(cfg.prefill_chunk.max(1)),
             slo: SloWindow::new(cfg.slo_p99_us, cfg.slo_window_s),
             health: HealthTracker::default(),
@@ -512,18 +495,14 @@ impl Server {
         self.inner.in_flight.load(Ordering::Acquire) as usize
     }
 
-    /// The per-layer weight GEMMs at token/batch width `n`, reported **by
-    /// the model's prepared plans themselves**
-    /// ([`DecoderModel::plan_problems`]): each plan names the exact
-    /// `(m, n, k)` + blocking its kernel will execute, so the warmed keys
-    /// are the shapes that actually run — no hand-maintained shape list to
-    /// drift out of sync with the execution layer.
-    fn layer_gemm_problems(&self, n: usize, out: &mut Vec<GemmProblem>) {
-        self.inner.model.plan_problems(n, out);
-    }
-
-    /// Every activation width the batcher can produce: decode widths
-    /// `1..=max_batch` plus the prefill prompt-width ladder.
+    /// Every activation width worth warming: each batch width
+    /// `1..=max_batch` (a batch's projections run at whatever ragged
+    /// width was pending) plus the power-of-two prompt-width ladder up to
+    /// `kv_capacity`. Prefill is cut to that ladder
+    /// ([`pl_dnn::prefill_chunk_widths`]), so a lone non-final chunk is
+    /// an **exact** hit; any other width (a chunk sharing its batch with
+    /// decode lanes, a ragged final chunk) rounds its tuning lookup up to
+    /// the next rung and builds its kernel on first use.
     fn plan_widths(&self) -> Vec<usize> {
         let mut widths: Vec<usize> = (1..=self.inner.cfg.max_batch.max(1)).collect();
         for t in batch_ladder(self.inner.cfg.kv_capacity) {
@@ -534,44 +513,23 @@ impl Server {
         widths
     }
 
-    /// GEMM problems the batcher's decode steps can run: for every
-    /// transformer block matmul, one instance per batch width the fused
-    /// path can see — **every** `B ∈ 1..=max_batch`, since the batcher
-    /// hands the fused path whatever ragged width was pending and the
-    /// tuning-DB lookup is exact-match. Serial batched decode only ever
-    /// runs the `B = 1` entries; the fused path hits the wider ones.
-    pub fn decode_gemm_problems(&self) -> Vec<GemmProblem> {
+    /// The GEMM problems warm-up covers: every per-layer weight GEMM at
+    /// every width of `plan_widths`, reported **by the model's prepared
+    /// plans themselves** ([`DecoderModel::plan_problems`]) — each plan
+    /// names the exact `(m, n, k)` + blocking its kernel will execute, so
+    /// there is no hand-maintained shape list to drift out of sync with
+    /// the execution layer.
+    pub fn gemm_problems(&self) -> Vec<GemmProblem> {
         let mut out = Vec::new();
-        for b in 1..=self.inner.cfg.max_batch.max(1) {
-            self.layer_gemm_problems(b, &mut out);
+        for n in self.plan_widths() {
+            self.inner.model.plan_problems(n, &mut out);
         }
         out
     }
 
-    /// GEMM problems prefill forwards run: the same per-layer matmuls at
-    /// prompt widths `tokens ∈ {2, 4, 8, …} ∪ {kv_capacity}` (`tokens = 1`
-    /// already rides the decode set). Prompts land on arbitrary lengths;
-    /// the power-of-two ladder covers the widths the roofline actually
-    /// distinguishes, and `pl_dnn::tuning` rounds a missed lookup up to
-    /// the next power of two so in-between prompt lengths still reuse the
-    /// nearest warmed spec. Chunked prefill is cut to this same ladder
-    /// ([`pl_dnn::prefill_chunk_widths`]), so every non-final chunk is an
-    /// **exact** hit on a warmed key.
-    pub fn prefill_gemm_problems(&self) -> Vec<GemmProblem> {
-        let mut out = Vec::new();
-        for t in batch_ladder(self.inner.cfg.kv_capacity) {
-            if t > 1 {
-                self.layer_gemm_problems(t, &mut out);
-            }
-        }
-        out
-    }
-
-    /// Warms the tuning database for every GEMM shape the server can
-    /// execute — decode at **every** batch width `1..=max_batch`
-    /// ([`Server::decode_gemm_problems`]) *and* prefill at the prompt-width
-    /// ladder ([`Server::prefill_gemm_problems`]) — on `platform`: the
-    /// paper's offline search (Fig. 1 boxes B2/B3) runs at server startup
+    /// Warms the tuning database for the GEMM shapes the server executes
+    /// ([`Server::gemm_problems`]) on `platform`: the paper's offline
+    /// search (Fig. 1 boxes B2/B3) runs at server startup
     /// so results are ready before traffic arrives. The same geometry is
     /// also warmed under the `spmm/...` keys ([`warm_spmm_db`], the
     /// minimal model-based SpMM warm-up), so a block-sparse variant served
@@ -585,8 +543,7 @@ impl Server {
     /// here, against the freshly tuned specs, before traffic arrives.
     /// Returns the number of database entries added (GEMM + SpMM keys).
     pub fn warm_tuning(&self, platform: &Platform, threads: usize) -> usize {
-        let mut problems = self.decode_gemm_problems();
-        problems.extend(self.prefill_gemm_problems());
+        let problems = self.gemm_problems();
         let constraints = Constraints::gemm(0, 1, 1, 200);
         let added = {
             let mut db = self.inner.tuning.lock();
@@ -634,21 +591,6 @@ impl Server {
         db.len()
     }
 
-    /// Installs a measured per-batch-width fused-vs-serial decision table
-    /// (see [`BatchModeTable`]). Takes effect on the **next** batch —
-    /// batches already executing finish under the old decision, so there
-    /// is no downtime and no torn batch. Pass an empty table to revert to
-    /// the static [`ServerConfig::fused`] flag.
-    pub fn install_mode_policy(&self, table: BatchModeTable) {
-        let mut slot = self.inner.mode_policy.write();
-        *slot = if table.is_empty() { None } else { Some(table) };
-    }
-
-    /// The installed measured mode policy, if any.
-    pub fn mode_policy(&self) -> Option<BatchModeTable> {
-        self.inner.mode_policy.read().clone()
-    }
-
     /// Adjusts the live prefill-chunk bound (tokens, clamped to ≥ 1).
     /// Prefills submitted after this call chunk at the new bound;
     /// in-flight jobs keep the chunking they were admitted with.
@@ -663,32 +605,20 @@ impl Server {
 
     /// The GEMM problems that dominated traffic so far, hottest first —
     /// the retune loop's harvest hook. Weights come from
-    /// [`ServerStats::fused_gemm_shapes`] (the per-shape execution counts
-    /// the fused path records, covering every ragged width that actually
-    /// ran); a server that only ever ran the serial path has no shape
-    /// histogram, so its decode traffic is attributed to the width-1
-    /// problems weighted by completed steps (what serial decode executes
-    /// per lane). Shapes are matched back against the model's own
-    /// prepared-plan problems ([`DecoderModel::plan_problems`]), so every
-    /// returned problem carries the **exact blocking** its kernel runs
-    /// at, precision included — measurable as-is.
+    /// [`ServerStats::gemm_shapes`] (per-shape execution counts at the
+    /// ragged width every batch actually ran at), and each shape is
+    /// rebuilt through the model's own prepared plans
+    /// ([`DecoderModel::plan_problems`]), so every returned problem
+    /// carries the **exact blocking** its kernel runs at, precision
+    /// included — measurable as-is.
     pub fn hot_gemm_problems(&self) -> Vec<(GemmProblem, u64)> {
-        let mut catalog = self.decode_gemm_problems();
-        catalog.extend(self.prefill_gemm_problems());
         let mut out: Vec<(GemmProblem, u64)> = Vec::new();
-        let shapes = self.inner.stats.fused_gemm_shapes();
-        if shapes.is_empty() {
-            let steps = self.inner.stats.completed.load(Ordering::Relaxed);
-            if steps > 0 {
-                for p in catalog.iter().filter(|p| p.n == 1) {
-                    out.push((*p, steps));
-                }
-            }
-        } else {
-            for ((m, n, k), count) in shapes {
-                if let Some(p) = catalog.iter().find(|p| p.m == m && p.n == n && p.k == k) {
-                    out.push((*p, count));
-                }
+        let mut at_width = Vec::new();
+        for ((m, n, k), count) in self.inner.stats.gemm_shapes() {
+            at_width.clear();
+            self.inner.model.plan_problems(n, &mut at_width);
+            if let Some(p) = at_width.iter().find(|p| (p.m, p.k) == (m, k)) {
+                out.push((*p, count));
             }
         }
         out.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
@@ -830,6 +760,18 @@ impl Server {
         self.inner.sessions.lock().insert(id, Slot::Live(sess));
         self.inner.migrations.inc();
         Ok(id)
+    }
+
+    /// Whether session `id` has no accepted work outstanding: it is
+    /// resident (not checked out by an executing batch) and every
+    /// program-order ticket it drew has executed. What a graceful close
+    /// waits on — this session's own work, not the shard's.
+    pub fn session_idle(&self, id: SessionId) -> Result<bool, ServeError> {
+        match self.inner.sessions.lock().get(&id) {
+            None => Err(ServeError::UnknownSession(id)),
+            Some(Slot::Live(sess)) => Ok(sess.submit_seq.load(Ordering::Acquire) == sess.exec_seq),
+            Some(Slot::CheckedOut { .. }) => Ok(false),
+        }
     }
 
     /// Ends a session, freeing its KV cache. Returns how many tokens it
@@ -1212,69 +1154,18 @@ impl Server {
         let size = ready.len();
         let decode_lanes = size - usize::from(has_chunk);
 
-        // Phase 2 — execute, no lock held. The fused-vs-serial decision
-        // comes from the installed measured policy when one exists (the
-        // retune loop's per-batch-width table), else the static config
-        // flag — so a server that never retunes behaves exactly as
-        // before.
-        let fused = inner
-            .mode_policy
-            .read()
-            .as_ref()
-            .and_then(|t| t.fused_for(decode_lanes.max(1)))
-            .unwrap_or(inner.cfg.fused);
+        // Phase 2 — execute, no lock held: decode lanes and the chunk are
+        // one ragged batch, one parallel region, sharing every projection.
+        let width: usize = ready
+            .iter()
+            .map(|r| match r {
+                ReadyItem::Decode(..) => 1,
+                ReadyItem::Chunk(c, _) => c.job.chunk_tokens(c.chunk),
+            })
+            .sum();
         let execute_span =
-            pl_trace::span("batch.execute", [size as u64, decode_lanes as u64, u64::from(fused)]);
-        let outputs: Vec<Vec<f32>> = if fused {
-            // Fused decode lanes share one `hidden x B` GEMM per layer
-            // projection; the prefill chunk (if any) runs as its own
-            // forward in the same pump iteration.
-            let mut decode_idx = Vec::with_capacity(decode_lanes);
-            let mut decode_items: Vec<(&mut DecoderState, &[f32])> =
-                Vec::with_capacity(decode_lanes);
-            let mut chunk_idx = None;
-            for (i, r) in ready.iter_mut().enumerate() {
-                match r {
-                    ReadyItem::Decode(req, sess) => {
-                        decode_idx.push(i);
-                        decode_items.push((&mut sess.state, req.x.as_slice()));
-                    }
-                    ReadyItem::Chunk(..) => chunk_idx = Some(i),
-                }
-            }
-            let mut outputs = vec![Vec::new(); size];
-            if !decode_items.is_empty() {
-                let decode_out = inner.model.step_batch_fused(decode_items, &inner.pool);
-                let cfg = inner.model.config();
-                let (h, f, l) = (cfg.hidden, cfg.ffn, cfg.layers as u64);
-                // Per layer: 4 h x h GEMMs (QKV + output) and one of each
-                // FFN shape — the actual GEMM executions this batch fused.
-                inner.stats.record_fused_batch(&[
-                    ((h, decode_lanes, h), 4 * l),
-                    ((f, decode_lanes, h), l),
-                    ((h, decode_lanes, f), l),
-                ]);
-                for (i, y) in decode_idx.into_iter().zip(decode_out) {
-                    outputs[i] = y;
-                }
-            }
-            if let Some(i) = chunk_idx {
-                let ReadyItem::Chunk(c, sess) = &mut ready[i] else { unreachable!() };
-                let _chunk_span = pl_trace::span(
-                    "prefill.chunk",
-                    [c.chunk as u64, c.job.chunk_tokens(c.chunk) as u64, 1],
-                );
-                outputs[i] = inner.model.forward(
-                    &mut sess.state,
-                    c.job.chunk_input(c.chunk),
-                    c.job.chunk_tokens(c.chunk),
-                    &inner.pool,
-                );
-            }
-            outputs
-        } else {
-            // Serial: one mixed region over decode lanes + the chunk; each
-            // item's forward is bit-identical to running it alone.
+            pl_trace::span("batch.execute", [size as u64, decode_lanes as u64, width as u64]);
+        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let items: Vec<(&mut DecoderState, &[f32], usize)> = ready
                 .iter_mut()
                 .map(|r| match r {
@@ -1285,8 +1176,24 @@ impl Server {
                 })
                 .collect();
             inner.model.forward_batch(items, &inner.pool)
-        };
+        }));
         drop(execute_span);
+        let outputs = match executed {
+            Ok(outputs) => outputs,
+            Err(panic) => {
+                self.fail_batch(ready, panic.as_ref());
+                return 0;
+            }
+        };
+        let cfg = inner.model.config();
+        let (h, f, l) = (cfg.hidden, cfg.ffn, cfg.layers as u64);
+        // Per layer: 4 h x h GEMMs (QKV + output) and one of each FFN
+        // shape, all at the batch's ragged width.
+        inner.stats.record_gemm_shapes(&[
+            ((h, width, h), 4 * l),
+            ((f, width, h), l),
+            ((h, width, f), l),
+        ]);
 
         // Phase 3 — check-in and delivery.
         let _deliver_span = pl_trace::span("batch.deliver", [size as u64, 0, 0]);
@@ -1401,6 +1308,34 @@ impl Server {
             }
         }
         size
+    }
+
+    /// A region member panicked mid-forward (e.g. the bounded KV page
+    /// pool ran dry inside attention): the batch's sessions hold partially
+    /// appended KV and cannot continue, so they are closed — parked closers
+    /// are answered — and every request of the batch is failed with
+    /// [`ServeError::BatchFailed`]. The pump itself carries on.
+    fn fail_batch(&self, ready: Vec<ReadyItem>, panic: &(dyn std::any::Any + Send)) {
+        let inner = &self.inner;
+        let reason = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("region member panicked")
+            .to_string();
+        let mut sessions = inner.sessions.lock();
+        for r in ready {
+            let sid = r.session_id();
+            let (reply, sess) = match &r {
+                ReadyItem::Decode(req, sess) => (&req.reply, sess),
+                ReadyItem::Chunk(c, sess) => (c.job.reply(), sess),
+            };
+            if let Some(Slot::CheckedOut { closer: Some(done), .. }) = sessions.remove(&sid) {
+                let _ = done.send(sess.generated);
+            }
+            inner.session_count.fetch_sub(1, Ordering::AcqRel);
+            inner.deliver(reply, Err(ServeError::BatchFailed { reason: reason.clone() }));
+        }
     }
 
     /// Spawns the background batcher thread. Idempotent.
@@ -1525,8 +1460,8 @@ mod tests {
         // Serve a prefill + decode steps at both precisions; the int8
         // outputs must track the f32 ones within the quantization budget
         // (bound derivation in crates/serve/README.md, "Precision"), and
-        // the serial int8 path must stay bit-identical to an unbatched
-        // forward over the same int8 model.
+        // int8 serving must stay bit-identical to an unbatched forward
+        // over the same int8 model.
         let f32_server =
             tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
         let i8_model = Arc::new(DecoderModel::new_with_precision(
@@ -1564,12 +1499,12 @@ mod tests {
             let rel = (a - b).abs() / b.abs().max(1.0);
             assert!(rel < 0.25, "step idx {i}: i8 {a} vs f32 {b}");
         }
-        // Serial int8 serving is bit-identical to unbatched int8 decode.
+        // Int8 serving is bit-identical to unbatched int8 decode.
         let mut st = i8_model.new_state(8);
         let pool = ThreadPool::new(2);
         let _ = i8_model.forward(&mut st, &prompt, 3, &pool);
         let want = i8_model.forward(&mut st, &x, 1, &pool);
-        assert_eq!(sq, want, "serial int8 serving must be bit-identical to unbatched");
+        assert_eq!(sq, want, "int8 serving must be bit-identical to unbatched");
     }
 
     #[test]
@@ -1623,7 +1558,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_chunk_prefill_matches_whole_prompt_within_tolerance() {
+    fn multi_chunk_prefill_matches_whole_prompt_bitwise() {
         let server =
             tiny_server(ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..Default::default() });
         let hidden = server.model().config().hidden;
@@ -1633,16 +1568,11 @@ mod tests {
         let y = server.prefill(id, &prompt, tokens).unwrap();
         assert_eq!(y.len(), hidden * tokens);
         assert_eq!(server.stats().prefill_chunks.load(Ordering::Relaxed), 3);
-        // Chunk-by-chunk baseline is bitwise (same forwards, same widths)…
+        // Chunking changes the projections' widths, never a column's bits.
         let pool = ThreadPool::new(2);
         let mut st = server.model().new_state(32);
-        let chunked = server.model().forward_chunked(&mut st, &prompt, tokens, 4, &pool);
-        assert_eq!(y, chunked, "served chunks must equal a chunked forward bitwise");
-        // …and the whole-prompt forward agrees within tolerance.
-        let mut st = server.model().new_state(32);
         let whole = server.model().forward(&mut st, &prompt, tokens, &pool);
-        let err = pl_tensor::max_rel_err(&y, &whole);
-        assert!(err <= 1e-5, "rel err {err}");
+        assert_eq!(y, whole, "served chunks must equal the whole-prompt forward bitwise");
     }
 
     #[test]
@@ -2106,9 +2036,10 @@ mod tests {
                 let server = Arc::clone(&server);
                 scope.spawn(move || server.pump())
             };
-            // Wait until the chunk has been collected (ring empty) and is
-            // executing (still in flight) — the checked-out window.
-            while !(server.pending() == 0 && server.in_flight() > 0) {
+            // Wait for the checked-out window itself (not merely for the
+            // collect: a close landing between collect and checkout would
+            // take the plain Live path and test nothing).
+            while !matches!(server.inner.sessions.lock().get(&id), Some(Slot::CheckedOut { .. })) {
                 std::hint::spin_loop();
             }
             // Close mid-window: must succeed (waiting for the window),
@@ -2229,32 +2160,28 @@ mod tests {
     }
 
     #[test]
-    fn warm_tuning_covers_decode_and_prefill_shapes() {
+    fn warm_tuning_covers_every_batch_width_and_the_prompt_ladder() {
         let server = tiny_server(ServerConfig { kv_capacity: 16, ..Default::default() });
-        let decode = server.decode_gemm_problems();
-        // Every width 1..=max_batch (8) x the three per-layer GEMMs: the
-        // batcher can hand the fused path any ragged B and the DB lookup
-        // is exact-match, so all of them must be warmed.
-        assert_eq!(decode.len(), 24);
-        for b in 1..=8 {
-            assert!(decode.iter().any(|p| p.n == b), "decode width {b} warmed");
+        let problems = server.gemm_problems();
+        // Every width 1..=max_batch (8) plus the kv-capacity rung (16) x
+        // the three per-layer GEMMs: a batch runs its projections at
+        // whatever ragged width was pending, so all of them are warmed.
+        assert_eq!(problems.len(), 27);
+        for n in (1..=8).chain([16]) {
+            assert!(problems.iter().any(|p| p.n == n), "width {n} warmed");
         }
-        let prefill = server.prefill_gemm_problems();
-        assert!(!prefill.is_empty());
-        assert!(prefill.iter().all(|p| p.n > 1), "tokens = 1 rides the decode set");
-        assert!(prefill.iter().any(|p| p.n == 16), "kv-capacity prompt width present");
-        // Warm count = distinct (m, n, k) across both sets, once under the
-        // gemm keys and once under the spmm keys (the SpMM warm-up rides
-        // the same geometry).
+        // Warm count = distinct (m, n, k), once under the gemm keys and
+        // once under the spmm keys (the SpMM warm-up rides the same
+        // geometry).
         let distinct: std::collections::BTreeSet<(usize, usize, usize)> =
-            decode.iter().chain(&prefill).map(|p| (p.m, p.n, p.k)).collect();
+            problems.iter().map(|p| (p.m, p.n, p.k)).collect();
         let tuned = server.warm_tuning(&Platform::zen4(), 4);
         assert_eq!(tuned, 2 * distinct.len());
         assert_eq!(server.tuning_db().len(), 2 * distinct.len());
         // The warmed snapshot is live in the kernel-selection registry —
         // and the spmm keys now *hit* instead of falling through.
         assert!(pl_dnn::tuning::is_installed());
-        let p = &decode[0];
+        let p = &problems[0];
         let shape = pl_kernels::GemmShape::with_default_blocks(p.m, p.n, p.k);
         assert!(
             pl_dnn::tuning::lookup_spmm(&shape).is_some(),
@@ -2265,117 +2192,146 @@ mod tests {
     }
 
     #[test]
-    fn fused_pump_matches_serial_within_tolerance_and_records_shapes() {
-        let mk = |fused| {
-            tiny_server(ServerConfig { fused, coalesce_wait: Duration::ZERO, ..Default::default() })
-        };
-        let fused_server = mk(true);
-        let serial_server = mk(false);
-        let hidden = fused_server.model().config().hidden;
-        let (h, f) = (hidden, fused_server.model().config().ffn);
-        let n = 4;
-        let xs: Vec<Vec<f32>> = (0..n).map(|s| token(700 + s as u64, hidden)).collect();
-
-        let run = |server: &Server| -> Vec<Vec<f32>> {
+    fn batched_pump_matches_unbatched_bitwise_and_records_shapes() {
+        for precision in [Precision::F32, Precision::Int8] {
+            let model = Arc::new(DecoderModel::new_with_precision(
+                DecoderConfig::scaled_for_tests(),
+                77,
+                precision,
+            ));
+            let server = Server::new(
+                Arc::clone(&model),
+                Arc::new(ThreadPool::new(4)),
+                ServerConfig { coalesce_wait: Duration::ZERO, precision, ..Default::default() },
+            );
+            let cfg = *model.config();
+            let (h, f) = (cfg.hidden, cfg.ffn);
+            let n = 4;
+            let xs: Vec<Vec<f32>> = (0..n).map(|s| token(700 + s as u64, h)).collect();
             let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
             let rxs: Vec<_> =
                 ids.iter().zip(&xs).map(|(&id, x)| server.submit_step(id, x).unwrap()).collect();
             assert_eq!(server.pump(), n);
-            rxs.into_iter().map(|rx| rx.recv().unwrap().unwrap()).collect()
-        };
-        let got_fused = run(&fused_server);
-        let got_serial = run(&serial_server);
-        for (s, (a, b)) in got_fused.iter().zip(&got_serial).enumerate() {
-            let err = pl_tensor::max_rel_err(a, b);
-            assert!(err <= 1e-5, "session {s}: rel err {err}");
+            let pool = ThreadPool::new(2);
+            for (s, (rx, x)) in rxs.into_iter().zip(&xs).enumerate() {
+                let want = model.forward(&mut model.new_state(8), x, 1, &pool);
+                assert_eq!(rx.recv().unwrap().unwrap(), want, "{precision:?} session {s}");
+            }
+            let layers = cfg.layers as u64;
+            assert_eq!(
+                server.stats().snapshot().gemm_shapes,
+                vec![((h, n, h), 4 * layers), ((h, n, f), layers), ((f, n, h), layers)],
+                "the hidden x B GEMM executions are observable"
+            );
         }
-        let snap = fused_server.stats().snapshot();
-        assert_eq!(snap.fused_batches, 1);
-        let layers = fused_server.model().config().layers as u64;
-        assert_eq!(
-            snap.fused_gemm_shapes,
-            vec![((h, n, h), 4 * layers), ((h, n, f), layers), ((f, n, h), layers)],
-            "the hidden x B GEMM executions are observable"
-        );
-        assert_eq!(serial_server.stats().snapshot().fused_batches, 0);
+    }
+
+    /// `pool.region` spans begun on the calling thread since `since_ns`
+    /// (other tests of this binary trace concurrently, on other lanes).
+    fn regions_on_this_thread(since_ns: u64, marker: u64) -> usize {
+        pl_trace::instant("test.lane_marker", [marker, 0, 0]);
+        let events = pl_trace::snapshot_since(since_ns);
+        let lane = events
+            .iter()
+            .find(|e| e.name == "test.lane_marker" && e.args[0] == marker)
+            .expect("marker recorded")
+            .lane;
+        events
+            .iter()
+            .filter(|e| {
+                e.lane == lane && e.name == "pool.region" && e.kind == pl_trace::EventKind::Begin
+            })
+            .count()
     }
 
     #[test]
-    fn fused_mixed_batch_runs_decode_lanes_fused_and_chunk_serially() {
-        // A fused-mode batch holding decode lanes *and* a prefill chunk:
-        // the lanes fuse (recorded at the lane count, not the batch
-        // size), the chunk executes as its own forward, and both land.
+    fn mixed_batch_is_one_region_shares_its_gemms_and_is_bitwise() {
+        // Decode lanes *and* a prefill chunk in one batch: one parallel
+        // region whatever the layer count, projections at the summed
+        // width (3 lanes + 4 chunk tokens = 7), every item bit-identical
+        // to running alone.
+        pl_trace::enable();
+        for (layers, marker) in [(2usize, 0x51u64), (5, 0x52)] {
+            let cfg = DecoderConfig { layers, ..DecoderConfig::scaled_for_tests() };
+            let model = Arc::new(DecoderModel::new(cfg, 77));
+            let server = Server::new(
+                Arc::clone(&model),
+                Arc::new(ThreadPool::new(4)),
+                ServerConfig {
+                    prefill_chunk: 4,
+                    kv_capacity: 32,
+                    coalesce_wait: Duration::ZERO,
+                    ..Default::default()
+                },
+            );
+            let hidden = cfg.hidden;
+            let decode_ids: Vec<SessionId> =
+                (0..3).map(|_| server.create_session(0).unwrap()).collect();
+            let prefill_id = server.create_session(0).unwrap();
+            let xs: Vec<Vec<f32>> = (0..3).map(|s| token(30 + s as u64, hidden)).collect();
+            let rxs: Vec<_> = decode_ids
+                .iter()
+                .zip(&xs)
+                .map(|(&id, x)| server.submit_step(id, x).unwrap())
+                .collect();
+            let prompt = token(40, hidden * 8);
+            let prx = server.submit_prefill(prefill_id, &prompt, 8).unwrap();
+            let t0 = pl_trace::now_ns();
+            assert_eq!(server.pump(), 4, "3 decode lanes + 1 chunk in one batch");
+            assert_eq!(regions_on_this_thread(t0, marker), 1, "{layers} layers, one region");
+            assert_eq!(server.pump(), 1, "continuation chunk");
+            let pool = ThreadPool::new(2);
+            for (rx, x) in rxs.into_iter().zip(&xs) {
+                let want = model.forward(&mut model.new_state(32), x, 1, &pool);
+                assert_eq!(rx.recv().unwrap().unwrap(), want);
+            }
+            let whole = model.forward(&mut model.new_state(32), &prompt, 8, &pool);
+            assert_eq!(prx.recv().unwrap().unwrap(), whole);
+            let snap = server.stats().snapshot();
+            assert_eq!(snap.mixed_batches, 1);
+            assert_eq!(snap.prefill_chunks, 2);
+            let widths: Vec<usize> = snap.gemm_shapes.iter().map(|&((_, n, _), _)| n).collect();
+            assert!(
+                widths.iter().all(|&n| n == 7 || n == 4) && widths.contains(&7),
+                "lanes and chunk share GEMMs at the summed width: {:?}",
+                snap.gemm_shapes
+            );
+        }
+    }
+
+    #[test]
+    fn panic_inside_the_region_fails_the_batch_not_the_pump() {
+        // A bounded pool that holds exactly one 4-token context: the 5th
+        // token's page allocation panics inside the attention phase,
+        // between two team barriers. The pump must come back, fail that
+        // batch's request, close its session (KV half-appended) and keep
+        // serving.
         let server = tiny_server(ServerConfig {
-            fused: true,
-            prefill_chunk: 4,
-            kv_capacity: 32,
+            kv_page_tokens: 2,
+            kv_pool_pages: 2 * DecoderConfig::scaled_for_tests().layers,
+            kv_capacity: 16,
+            share_prefix: false,
             coalesce_wait: Duration::ZERO,
             ..Default::default()
         });
         let hidden = server.model().config().hidden;
-        let decode_ids: Vec<SessionId> =
-            (0..3).map(|_| server.create_session(0).unwrap()).collect();
-        let prefill_id = server.create_session(0).unwrap();
-        let rxs: Vec<_> = decode_ids
-            .iter()
-            .enumerate()
-            .map(|(s, &id)| server.submit_step(id, &token(30 + s as u64, hidden)).unwrap())
-            .collect();
-        let prompt = token(40, hidden * 8);
-        let prx = server.submit_prefill(prefill_id, &prompt, 8).unwrap();
-        assert_eq!(server.pump(), 4, "3 decode lanes + 1 chunk in one batch");
-        assert_eq!(server.pump(), 1, "continuation chunk");
-        for rx in rxs {
-            rx.recv().unwrap().unwrap();
+        let id = server.create_session(0).unwrap();
+        let y = server.prefill(id, &token(4, hidden * 4), 4).unwrap();
+        let rx = server.submit_step(id, &y[3 * hidden..]).unwrap();
+        assert_eq!(server.pump(), 0, "the failed batch executed nothing");
+        match rx.recv().unwrap() {
+            Err(ServeError::BatchFailed { reason }) => {
+                assert!(reason.contains("KV page pool exhausted"), "{reason}")
+            }
+            other => panic!("expected BatchFailed, got {other:?}"),
         }
-        let y = prx.recv().unwrap().unwrap();
-        let snap = server.stats().snapshot();
-        assert_eq!(snap.mixed_batches, 1);
-        assert_eq!(snap.prefill_chunks, 2);
-        assert_eq!(snap.fused_batches, 1, "only the decode-bearing batch fuses");
-        assert!(
-            snap.fused_gemm_shapes.iter().all(|&((_, n, _), _)| n == 3),
-            "fused width is the decode-lane count, not the batch size: {:?}",
-            snap.fused_gemm_shapes
-        );
-        // The chunk path is the serial forward even in fused mode.
-        let pool = ThreadPool::new(2);
-        let mut st = server.model().new_state(32);
-        assert_eq!(y, server.model().forward_chunked(&mut st, &prompt, 8, 4, &pool));
-    }
-
-    #[test]
-    fn mode_policy_overrides_configured_mode_per_width() {
-        // Config says serial, but a measured table that prefers fused at
-        // width >= 1 must flip the batch to the fused path — and removing
-        // the policy (empty table) must fall back to the config again.
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
-        assert!(server.mode_policy().is_none());
-        let hidden = server.model().config().hidden;
-        let run_batch_of = |n: usize| {
-            let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
-            let rxs: Vec<_> = ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| server.submit_step(id, &token(900 + s as u64, hidden)).unwrap())
-                .collect();
-            assert_eq!(server.pump(), n);
-            for rx in rxs {
-                rx.recv().unwrap().unwrap();
-            }
-            for id in ids {
-                server.close_session(id).unwrap();
-            }
-        };
-        server.install_mode_policy(BatchModeTable::from_measurements(&[(1, 0.0, 1.0)]));
-        assert!(server.mode_policy().is_some());
-        run_batch_of(4);
-        assert_eq!(server.stats().snapshot().fused_batches, 1, "policy must force fused");
-        server.install_mode_policy(BatchModeTable::from_measurements(&[]));
-        assert!(server.mode_policy().is_none(), "empty table reverts to config");
-        run_batch_of(4);
-        assert_eq!(server.stats().snapshot().fused_batches, 1, "config mode is serial again");
+        assert_eq!(server.in_flight(), 0);
+        assert_eq!(server.session_count(), 0, "the session is gone with its pages");
+        assert!(matches!(server.close_session(id), Err(ServeError::UnknownSession(_))));
+        // The freed pages serve the next tenant.
+        let id2 = server.create_session(0).unwrap();
+        server.prefill(id2, &token(5, hidden * 3), 3).unwrap();
+        assert_eq!(server.close_session(id2).unwrap(), 0);
     }
 
     #[test]
@@ -2401,34 +2357,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_gemm_problems_weights_serial_decode_by_completed_steps() {
+    fn hot_gemm_problems_harvests_the_ragged_width_histogram() {
         let server =
             tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
         assert!(server.hot_gemm_problems().is_empty(), "no traffic, no hot shapes");
         let hidden = server.model().config().hidden;
-        let id = server.create_session(0).unwrap();
-        for s in 0..3 {
-            let rx = server.submit_step(id, &token(40 + s, hidden)).unwrap();
-            server.pump();
-            rx.recv().unwrap().unwrap();
-        }
-        let hot = server.hot_gemm_problems();
-        assert!(!hot.is_empty());
-        for (p, w) in &hot {
-            assert_eq!(p.n, 1, "serial decode traffic is width-1: {p:?}");
-            assert_eq!(*w, 3, "weight is the completed-step count");
-        }
-    }
-
-    #[test]
-    fn hot_gemm_problems_harvests_fused_shape_histogram() {
-        let server = tiny_server(ServerConfig {
-            fused: true,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
-        let hidden = server.model().config().hidden;
-        let n = 4;
+        let n = 3;
         let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
         let rxs: Vec<_> = ids
             .iter()
@@ -2441,7 +2375,8 @@ mod tests {
         }
         let hot = server.hot_gemm_problems();
         assert!(!hot.is_empty());
-        assert!(hot.iter().all(|(p, _)| p.n == n), "fused harvest carries the batch width");
+        assert!(hot.iter().all(|(p, _)| p.n == n), "the harvest carries the batch width");
+        assert!(hot.iter().all(|(p, _)| p.bn == 3), "with the blocking the plans run at");
         assert!(hot.windows(2).all(|w| w[0].1 >= w[1].1), "sorted hottest-first");
         // The 4-per-layer hidden x hidden shape outweighs the FFN shapes.
         let layers = server.model().config().layers as u64;
@@ -2569,9 +2504,10 @@ mod tests {
     fn prefix_sharing_across_sessions_dedups_pages_and_stays_bitwise() {
         // Two sessions prefill the same 6-token prompt over 4-token pages
         // (one full + one partial page per layer). The second session must
-        // adopt the first's cached pages — zero marginal resident pages —
-        // and each stream's first divergent decode step COW-splits the
-        // shared partial page without perturbing either output.
+        // adopt the first's cached full page — its only marginal resident
+        // page per layer is its private partial tail — and each stream's
+        // divergent decode step appends into that tail in place (nothing
+        // to COW-split) without perturbing either output.
         let server = tiny_server(ServerConfig {
             kv_page_tokens: 4,
             kv_capacity: 32,
@@ -2588,10 +2524,11 @@ mod tests {
         let b = server.create_session(0).unwrap();
         let yb = server.prefill(b, &prompt, tokens).unwrap();
         assert_eq!(ya, yb, "identical prompts must produce identical outputs");
+        let layers = server.model().config().layers;
         assert_eq!(
             server.kv_pool().allocated_pages(),
-            resident,
-            "second session must adopt the cached pages, not keep its own copy"
+            resident + layers,
+            "second session must adopt the cached full page and keep only its tail"
         );
         assert!(server.prefix_cache().shared_pages() > 0);
         let xa = token(92, hidden);
@@ -2604,9 +2541,9 @@ mod tests {
             let mut st = server.model().new_state(32);
             let _ = server.model().forward(&mut st, &prompt, tokens, &pool);
             let want = server.model().forward(&mut st, x, 1, &pool);
-            assert_eq!(got, want, "post-split decode must stay bit-identical");
+            assert_eq!(got, want, "decode after sharing must stay bit-identical");
         }
-        assert!(server.kv_pool().cow_splits() > 0, "divergent appends must have COW-split");
+        assert_eq!(server.kv_pool().cow_splits(), 0, "private tail pages never need a split");
         let snap = server.metrics_snapshot();
         assert!(snap.gauge_value("pl_kv_pages_shared", &[]).unwrap() > 0.0);
     }

@@ -165,8 +165,6 @@ pub struct ServerStats {
     /// continuous-batching signal: nonzero means long prompts shared
     /// regions with live decode traffic instead of blocking it.
     pub mixed_batches: AtomicU64,
-    /// Batches executed through the fused cross-session path.
-    pub fused_batches: AtomicU64,
     /// Queue-to-reply latency of decode steps (the combined histogram,
     /// kept for artifact compatibility: `queue_wait_latency` +
     /// `execute_latency` split the same interval).
@@ -182,13 +180,13 @@ pub struct ServerStats {
     pub prefill_chunk_latency: LatencyHistogram,
     /// Distribution of executed batch sizes.
     pub batch_sizes: CountHistogram,
-    /// `(m, n, k) -> GEMMs executed` over all fused batches (n is the
-    /// batch size B; the `hidden x hidden` shape runs 4x per layer for
-    /// QKV + output, the FFN shapes once per layer). One locked update per
-    /// batch — not per GEMM — so the hot path stays effectively lock-free;
-    /// the map is how operators *see* decode turning from `hidden x 1`
-    /// GEMVs into `hidden x B` GEMMs.
-    fused_gemm_shapes: Mutex<BTreeMap<(usize, usize, usize), u64>>,
+    /// `(m, n, k) -> GEMMs executed` over all batches: `n` is the batch's
+    /// real ragged width (decode lanes + the chunk's tokens); the
+    /// `hidden x hidden` shape runs 4x per layer for QKV + output, the FFN
+    /// shapes once per layer. One locked update per batch — not per GEMM —
+    /// so the hot path stays effectively lock-free; this is what the
+    /// retune loop harvests ([`crate::Server::hot_gemm_problems`]).
+    gemm_shapes: Mutex<BTreeMap<(usize, usize, usize), u64>>,
 }
 
 impl ServerStats {
@@ -205,30 +203,28 @@ impl ServerStats {
             prefills: AtomicU64::new(0),
             prefill_chunks: AtomicU64::new(0),
             mixed_batches: AtomicU64::new(0),
-            fused_batches: AtomicU64::new(0),
             step_latency: LatencyHistogram::new(),
             queue_wait_latency: LatencyHistogram::new(),
             execute_latency: LatencyHistogram::new(),
             prefill_chunk_latency: LatencyHistogram::new(),
             batch_sizes: CountHistogram::new(max_batch),
-            fused_gemm_shapes: Mutex::new(BTreeMap::new()),
+            gemm_shapes: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Records one fused batch: each `(shape, count)` entry says the batch
-    /// executed `count` GEMMs of that `(m, n, k)` shape.
-    pub fn record_fused_batch(&self, gemm_shapes: &[((usize, usize, usize), u64)]) {
-        self.fused_batches.fetch_add(1, Ordering::Relaxed);
-        let mut shapes = self.fused_gemm_shapes.lock();
+    /// Records one batch's GEMMs: each `(shape, count)` entry says the
+    /// batch executed `count` GEMMs of that `(m, n, k)` shape.
+    pub fn record_gemm_shapes(&self, gemm_shapes: &[((usize, usize, usize), u64)]) {
+        let mut shapes = self.gemm_shapes.lock();
         for &(s, count) in gemm_shapes {
             *shapes.entry(s).or_insert(0) += count;
         }
     }
 
-    /// The fused GEMM shapes observed so far, as sorted
+    /// The GEMM shapes executed so far, as sorted
     /// `((m, n, k), GEMMs executed)` pairs.
-    pub fn fused_gemm_shapes(&self) -> Vec<((usize, usize, usize), u64)> {
-        self.fused_gemm_shapes.lock().iter().map(|(&s, &c)| (s, c)).collect()
+    pub fn gemm_shapes(&self) -> Vec<((usize, usize, usize), u64)> {
+        self.gemm_shapes.lock().iter().map(|(&s, &c)| (s, c)).collect()
     }
 
     /// Folds the counters into a point-in-time summary.
@@ -247,8 +243,7 @@ impl ServerStats {
             prefills: self.prefills.load(Ordering::Relaxed),
             prefill_chunks: self.prefill_chunks.load(Ordering::Relaxed),
             mixed_batches: self.mixed_batches.load(Ordering::Relaxed),
-            fused_batches: self.fused_batches.load(Ordering::Relaxed),
-            fused_gemm_shapes: self.fused_gemm_shapes(),
+            gemm_shapes: self.gemm_shapes(),
             tokens_per_s: completed as f64 / elapsed,
             mean_batch: if batches == 0 { 0.0 } else { completed as f64 / batches as f64 },
             max_batch_observed: self.batch_sizes.max_observed(),
@@ -293,10 +288,8 @@ pub struct StatsSnapshot {
     pub prefill_chunks: u64,
     /// Batches that interleaved a prefill chunk with decode lanes.
     pub mixed_batches: u64,
-    /// Batches executed through the fused cross-session path.
-    pub fused_batches: u64,
-    /// `((m, n, k), GEMMs executed)` of the shapes fused batches ran.
-    pub fused_gemm_shapes: Vec<((usize, usize, usize), u64)>,
+    /// `((m, n, k), GEMMs executed)`, `n` the batches' ragged widths.
+    pub gemm_shapes: Vec<((usize, usize, usize), u64)>,
     /// Decode throughput (completed steps per second since start).
     pub tokens_per_s: f64,
     /// Mean executed batch size.
@@ -352,8 +345,7 @@ impl StatsSnapshot {
             prefills: 0,
             prefill_chunks: 0,
             mixed_batches: 0,
-            fused_batches: 0,
-            fused_gemm_shapes: Vec::new(),
+            gemm_shapes: Vec::new(),
             tokens_per_s: 0.0,
             mean_batch: 0.0,
             max_batch_observed: 0,
@@ -398,15 +390,14 @@ impl StatsSnapshot {
         self.prefills += other.prefills;
         self.prefill_chunks += other.prefill_chunks;
         self.mixed_batches += other.mixed_batches;
-        self.fused_batches += other.fused_batches;
         self.max_batch_observed = self.max_batch_observed.max(other.max_batch_observed);
 
         let mut shapes: BTreeMap<(usize, usize, usize), u64> =
-            self.fused_gemm_shapes.iter().copied().collect();
-        for &(s, c) in &other.fused_gemm_shapes {
+            self.gemm_shapes.iter().copied().collect();
+        for &(s, c) in &other.gemm_shapes {
             *shapes.entry(s).or_insert(0) += c;
         }
-        self.fused_gemm_shapes = shapes.into_iter().collect();
+        self.gemm_shapes = shapes.into_iter().collect();
 
         let mut dist: BTreeMap<usize, u64> = self.batch_distribution.iter().copied().collect();
         for &(b, c) in &other.batch_distribution {
@@ -442,7 +433,7 @@ impl StatsSnapshot {
     /// Hand-rolled JSON rendering (no serialization crates in this
     /// environment) — every field, machine-readable, for scrapers and the
     /// bench artifact. Array-valued histograms serialize as arrays of
-    /// `[key, count]` pairs; the fused shapes as `[[m, n, k], count]`.
+    /// `[key, count]` pairs; the GEMM shapes as `[[m, n, k], count]`.
     pub fn to_json(&self) -> String {
         let dist: Vec<String> =
             self.batch_distribution.iter().map(|(b, c)| format!("[{b},{c}]")).collect();
@@ -452,20 +443,17 @@ impl StatsSnapshot {
         let exec_buckets: Vec<String> = self.execute_buckets.iter().map(u64::to_string).collect();
         let chunk_buckets: Vec<String> =
             self.chunk_latency_buckets.iter().map(u64::to_string).collect();
-        let shapes: Vec<String> = self
-            .fused_gemm_shapes
-            .iter()
-            .map(|((m, n, k), c)| format!("[[{m},{n},{k}],{c}]"))
-            .collect();
+        let shapes: Vec<String> =
+            self.gemm_shapes.iter().map(|((m, n, k), c)| format!("[[{m},{n},{k}],{c}]")).collect();
         format!(
             concat!(
                 "{{\"elapsed_s\":{:.6},\"submitted\":{},\"completed\":{},",
                 "\"rejected_backpressure\":{},\"rejected_sessions\":{},",
                 "\"batches\":{},\"decode_batches\":{},\"prefills\":{},",
-                "\"prefill_chunks\":{},\"mixed_batches\":{},\"fused_batches\":{},",
+                "\"prefill_chunks\":{},\"mixed_batches\":{},",
                 "\"tokens_per_s\":{:.3},\"mean_batch\":{:.4},",
                 "\"max_batch_observed\":{},\"batch_distribution\":[{}],",
-                "\"latency_buckets\":[{}],\"fused_gemm_shapes\":[{}],",
+                "\"latency_buckets\":[{}],\"gemm_shapes\":[{}],",
                 "\"p50_us\":{},\"p99_us\":{},\"mean_us\":{:.3},",
                 "\"queue_wait_buckets\":[{}],\"queue_wait_p50_us\":{},",
                 "\"queue_wait_p99_us\":{},\"execute_buckets\":[{}],",
@@ -482,7 +470,6 @@ impl StatsSnapshot {
             self.prefills,
             self.prefill_chunks,
             self.mixed_batches,
-            self.fused_batches,
             self.tokens_per_s,
             self.mean_batch,
             self.max_batch_observed,
@@ -544,20 +531,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_shapes_accumulate_gemm_counts_per_batch() {
+    fn gemm_shapes_accumulate_counts_per_batch() {
         // Two layers: 8 QKV+WO GEMMs of h x h, 2 of each FFN shape.
         let s = ServerStats::new(8);
-        s.record_fused_batch(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
-        s.record_fused_batch(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
-        s.record_fused_batch(&[((32, 8, 32), 8), ((64, 8, 32), 2), ((32, 8, 64), 2)]);
-        assert_eq!(s.fused_batches.load(Ordering::Relaxed), 3);
-        let shapes = s.fused_gemm_shapes();
+        s.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
+        s.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
+        s.record_gemm_shapes(&[((32, 8, 32), 8), ((64, 8, 32), 2), ((32, 8, 64), 2)]);
+        let shapes = s.gemm_shapes();
         assert_eq!(shapes.len(), 6);
         assert!(shapes.contains(&((32, 4, 32), 16)), "counts GEMMs executed, not batches");
         assert!(shapes.contains(&((64, 8, 32), 2)));
         let snap = s.snapshot();
-        assert_eq!(snap.fused_batches, 3);
-        assert_eq!(snap.fused_gemm_shapes, shapes);
+        assert_eq!(snap.gemm_shapes, shapes);
     }
 
     #[test]
@@ -581,8 +566,8 @@ mod tests {
         b.batch_sizes.record(2);
         b.batch_sizes.record(8);
         b.prefills.fetch_add(3, Ordering::Relaxed);
-        a.record_fused_batch(&[((32, 4, 32), 8)]);
-        b.record_fused_batch(&[((32, 4, 32), 8), ((64, 4, 32), 2)]);
+        a.record_gemm_shapes(&[((32, 4, 32), 8)]);
+        b.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2)]);
         // Chunked-prefill surfaces merge too: counters add, chunk
         // latency quantiles recompute from summed buckets.
         a.prefill_chunks.fetch_add(4, Ordering::Relaxed);
@@ -625,9 +610,8 @@ mod tests {
         // Batch histogram merged by size: three batches of 2, one of 8.
         assert_eq!(merged.batch_distribution, vec![(2, 3), (8, 1)]);
         assert_eq!(merged.max_batch_observed, 8);
-        // Fused shape map merged by (m, n, k).
-        assert_eq!(merged.fused_gemm_shapes, vec![((32, 4, 32), 16), ((64, 4, 32), 2)]);
-        assert_eq!(merged.fused_batches, 2);
+        // Shape map merged by (m, n, k).
+        assert_eq!(merged.gemm_shapes, vec![((32, 4, 32), 16), ((64, 4, 32), 2)]);
         // Mean is count-weighted: (99*16 + 1024) / 100.
         assert!((merged.mean_us - 26.08).abs() < 1e-9, "mean {}", merged.mean_us);
         // Rates recomputed from merged counters.
@@ -672,7 +656,7 @@ mod tests {
         s.batch_sizes.record(2);
         s.batch_sizes.record(3);
         s.step_latency.record_us(10);
-        s.record_fused_batch(&[((32, 2, 32), 8)]);
+        s.record_gemm_shapes(&[((32, 2, 32), 8)]);
         s.prefill_chunks.fetch_add(3, Ordering::Relaxed);
         s.mixed_batches.fetch_add(1, Ordering::Relaxed);
         s.prefill_chunk_latency.record_us(100);
@@ -684,7 +668,7 @@ mod tests {
             "\"completed\":5",
             "\"batches\":2",
             "\"batch_distribution\":[[2,1],[3,1]]",
-            "\"fused_gemm_shapes\":[[[32,2,32],8]]",
+            "\"gemm_shapes\":[[[32,2,32],8]]",
             "\"latency_buckets\":[",
             "\"p99_us\":16",
             "\"prefill_chunks\":3",

@@ -232,41 +232,12 @@ impl<T: Element> BlockedMatrix<T> {
     /// Unpacks into a flat column-major `rows x cols` f32 array.
     pub fn unpack_to_colmajor(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.rows * self.cols];
-        self.unpack_into_colmajor(&mut out);
-        out
-    }
-
-    /// Unpacks into a caller-provided flat column-major buffer — the
-    /// allocation-reuse twin of [`Self::unpack_to_colmajor`] for callers
-    /// that drain the same blocked operand every call (prepared-op
-    /// execution paths).
-    pub fn unpack_into_colmajor(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.rows * self.cols, "destination size mismatch");
         for c in 0..self.cols {
             for r in 0..self.rows {
                 out[c * self.rows + r] = self.get(r, c).to_f32();
             }
         }
-    }
-
-    /// Whether this matrix has exactly the given layout (logical extents,
-    /// blocking, grid order and inner layout) — the reuse predicate of
-    /// [`reuse_blocked`].
-    pub fn layout_matches(
-        &self,
-        rows: usize,
-        cols: usize,
-        br: usize,
-        bc: usize,
-        grid: GridOrder,
-        inner: InnerLayout,
-    ) -> bool {
-        self.rows == rows
-            && self.cols == cols
-            && self.br == br
-            && self.bc == bc
-            && self.grid == grid
-            && self.inner == inner
+        out
     }
 
     /// Builds from a closure over logical indices.
@@ -289,75 +260,10 @@ impl<T: Element> BlockedMatrix<T> {
     }
 }
 
-/// Returns a blocked matrix of exactly the requested layout, reusing the
-/// one already in `slot` when its layout matches (its contents are stale —
-/// callers overwrite via [`BlockedMatrix::pack_from_colmajor`] or
-/// kernel-side zeroing) and allocating a fresh one otherwise.
-///
-/// This is the layout-reuse primitive of prepared-op execution: a decode
-/// step re-blocks activations with the same `(rows, cols, br, bc)` every
-/// layer, so one slot amortizes the allocation across the whole forward.
-pub fn reuse_blocked<T: Element>(
-    slot: &mut Option<BlockedMatrix<T>>,
-    rows: usize,
-    cols: usize,
-    br: usize,
-    bc: usize,
-    grid: GridOrder,
-    inner: InnerLayout,
-) -> Result<&mut BlockedMatrix<T>, TensorError> {
-    let reusable = slot.as_ref().is_some_and(|m| m.layout_matches(rows, cols, br, bc, grid, inner));
-    if !reusable {
-        *slot = Some(BlockedMatrix::new(rows, cols, br, bc, grid, inner)?);
-    }
-    Ok(slot.as_mut().expect("slot just filled"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dtype::Bf16;
-
-    #[test]
-    fn reuse_blocked_reuses_matching_layouts() {
-        let mut slot: Option<BlockedMatrix<f32>> = None;
-        let first =
-            reuse_blocked(&mut slot, 8, 4, 4, 2, GridOrder::ColBlockMajor, InnerLayout::ColMajor)
-                .unwrap() as *const BlockedMatrix<f32>;
-        // Same layout: same allocation comes back.
-        let again =
-            reuse_blocked(&mut slot, 8, 4, 4, 2, GridOrder::ColBlockMajor, InnerLayout::ColMajor)
-                .unwrap() as *const BlockedMatrix<f32>;
-        assert_eq!(first, again);
-        // Different layout: replaced.
-        let other =
-            reuse_blocked(&mut slot, 8, 6, 4, 2, GridOrder::ColBlockMajor, InnerLayout::ColMajor)
-                .unwrap();
-        assert_eq!(other.cols(), 6);
-        // Bad layout: error, slot refreshed on next good request.
-        assert!(reuse_blocked(
-            &mut slot,
-            7,
-            6,
-            4,
-            2,
-            GridOrder::ColBlockMajor,
-            InnerLayout::ColMajor
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn unpack_into_matches_unpack_to() {
-        let (m, k) = (12, 8);
-        let src: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.25 - 3.0).collect();
-        let mut a = BlockedMatrix::<f32>::a_layout(m, k, 4, 2).unwrap();
-        a.pack_from_colmajor(&src);
-        let mut out = vec![0.0f32; m * k];
-        a.unpack_into_colmajor(&mut out);
-        assert_eq!(out, a.unpack_to_colmajor());
-        assert_eq!(out, src);
-    }
 
     #[test]
     fn a_layout_matches_paper_indexing() {

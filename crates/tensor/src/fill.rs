@@ -66,37 +66,10 @@ pub fn fill_normal<T: Element>(data: &mut [T], rng: &mut Xorshift, mean: f32, st
     }
 }
 
-/// Largest elementwise relative error between two equal-length slices,
-/// with a `1e-6` magnitude floor in the denominator so near-zero values
-/// compare absolutely. This is the single definition of the accuracy
-/// metric the tolerance-based equivalence checks (fused vs serial decode)
-/// assert against.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn max_rel_err(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "max_rel_err over mismatched lengths");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs() / x.abs().max(y.abs()).max(1e-6))
-        .fold(0.0f32, f32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dtype::Bf16;
-
-    #[test]
-    fn max_rel_err_floors_tiny_denominators() {
-        assert_eq!(max_rel_err(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        // 2.0 vs 2.2 -> 0.2 / 2.2.
-        let e = max_rel_err(&[1.0, 2.0], &[1.0, 2.2]);
-        assert!((e - 0.2 / 2.2).abs() < 1e-6, "{e}");
-        // Near zero the comparison is absolute (floored at 1e-6).
-        let e = max_rel_err(&[0.0], &[1e-9]);
-        assert!((e - 1e-3).abs() < 1e-6, "{e}");
-    }
 
     #[test]
     fn deterministic_for_same_seed() {

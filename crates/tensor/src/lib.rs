@@ -31,11 +31,11 @@ pub mod quant;
 pub mod vnni;
 
 pub use bcsc::BcscMatrix;
-pub use blocked::{reuse_blocked, BlockedMatrix, GridOrder, InnerLayout};
+pub use blocked::{BlockedMatrix, GridOrder, InnerLayout};
 pub use buffer::AlignedVec;
 pub use conv::{ActTensor, ConvShape, ConvWeights};
 pub use dtype::{Bf16, DType, Element};
-pub use fill::{fill_normal, fill_uniform, max_rel_err, Xorshift};
+pub use fill::{fill_normal, fill_uniform, Xorshift};
 pub use quant::{quantize_cols_blocked, quantize_weight_a_vnni, symmetric_scale};
 pub use vnni::VnniMatrix;
 

@@ -271,7 +271,12 @@ mod tests {
             })
         };
         let mut seen = 0usize;
-        for _ in 0..200 {
+        // At least 200 snapshots, and never stop before the writer thread
+        // has actually started writing (on a slow host 200 snapshots of
+        // an empty ring finish before the spawn does).
+        let mut rounds = 0usize;
+        while rounds < 200 || seen == 0 {
+            rounds += 1;
             let ev = r.snapshot();
             seen += ev.len();
             let mut last = None;

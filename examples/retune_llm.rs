@@ -7,35 +7,35 @@
 //!    [`pl_retune::warm_or_load`] — a fingerprinted measured DB on disk
 //!    when one exists, the modeled warm-up search otherwise.
 //! 2. **Serve**: eight concurrent closed-loop sessions decode through
-//!    the batcher (serial by default, `--fused` for the fused batch
-//!    path), populating the per-shape statistics the harvest reads.
+//!    the batcher, populating the per-shape statistics (at the ragged
+//!    widths the batches really ran at) the harvest reads.
 //! 3. **Poison**: a deliberately bad loop spec is installed for the
 //!    hottest harvested shape — standing in for a stale or corrupted
 //!    tuning DB. Serving keeps working (plans degrade to the default
 //!    schedule; spec choice never changes values).
-//! 4. **Retune mid-stream**: with a decode session in flight, one
-//!    [`Retuner::run_cycle`] measures model-ranked candidates on real
-//!    packed buffers and installs the measured winner through the
-//!    registry epoch. The in-flight serial decode stream must be
-//!    **bit-identical** across the install — zero downtime, zero
-//!    divergence.
+//! 4. **Retune mid-stream**: with as many decode sessions in flight
+//!    as the poisoned shape is wide, one [`Retuner::run_cycle`] measures
+//!    model-ranked candidates on real packed buffers and installs the
+//!    measured winner through the registry epoch. Every in-flight
+//!    batched decode stream must be **bit-identical** to an unbatched
+//!    replay across the install — zero downtime, zero divergence.
 //! 5. **Persist**: the measured DB is saved, reloaded, verified entry
 //!    for entry, and adopted by a second server via `warm_or_load`
 //!    (the fast path a process restart takes). A garbage file then
 //!    demonstrates the degrade path: logged warning, modeled warm-up,
 //!    no panic.
 //!
-//! Run: `cargo run --release --example retune_llm [-- --fused]`
+//! Run: `cargo run --release --example retune_llm`
 
 use pl_autotuner::{DbEntry, TuningDb};
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
 use pl_perfmodel::Platform;
 use pl_retune::{
-    force_mode, host_fingerprint, load_measured_db, save_measured_db, warm_or_load, RetuneConfig,
-    Retuner, WarmSource,
+    host_fingerprint, load_measured_db, save_measured_db, warm_or_load, RetuneConfig, Retuner,
+    WarmSource,
 };
 use pl_runtime::{default_threads, ThreadPool};
-use pl_serve::{BatchModeTable, Server, ServerConfig};
+use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,7 +59,7 @@ fn token(seed: u64, hidden: usize) -> Vec<f32> {
     x
 }
 
-fn server_for(model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>, fused: bool) -> Server {
+fn server_for(model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>) -> Server {
     Server::new(
         Arc::clone(model),
         Arc::clone(pool),
@@ -68,16 +68,12 @@ fn server_for(model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>, fused: bool) ->
             max_batch: SESSIONS,
             kv_capacity: KV,
             coalesce_wait: Duration::from_millis(1),
-            fused,
             ..Default::default()
         },
     )
 }
 
 fn main() {
-    let fused = std::env::args().any(|a| a == "--fused")
-        || std::env::var("PL_RETUNE_FUSED").is_ok_and(|v| v == "1");
-    let mode = if fused { "fused" } else { "serial" };
     let threads = default_threads().min(8);
     let platform = Platform::generic_host(threads);
     let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), SEED));
@@ -86,16 +82,16 @@ fn main() {
     // Measurements run on their own pool, never the serving threads.
     let tune_pool = ThreadPool::new(threads);
     let retuner = Retuner::new(platform.clone(), threads, RetuneConfig::default());
-    let db_path = pl_bench::workspace_path(&format!("target/retune_llm_{mode}.db"));
+    let db_path = pl_bench::workspace_path("target/retune_llm.db");
     println!(
-        "pl-retune demo [{mode} mode]: {SESSIONS} sessions x {STEPS} steps, {threads} threads, \
-         persisted DB at {}",
+        "pl-retune demo: {SESSIONS} sessions x {STEPS} steps, {threads} threads, persisted DB \
+         at {}",
         db_path.display()
     );
 
     // --- 1. Warm or load. ------------------------------------------------
     let _ = std::fs::remove_file(&db_path); // each run starts cold
-    let mut server = server_for(&model, &pool, fused);
+    let mut server = server_for(&model, &pool);
     match warm_or_load(&server, &platform, threads, &db_path) {
         WarmSource::Warmed(n, why) => {
             assert!(why.is_empty(), "cold start must be a clean miss, got: {why}");
@@ -137,14 +133,15 @@ fn main() {
     println!("poisoned {poisoned_key} with spec {POISON_SPEC:?} (stale-DB stand-in)");
 
     // --- 4. Retune mid-stream, bit-identity across the install. ----------
-    // The stream pins the serial path regardless of the demo mode: the
-    // determinism contract (spec choice never changes values) is a
-    // serial-execution guarantee.
-    force_mode(&server, false);
-    let id = server.create_session(0).expect("check session");
-    let x0 = token(4242, hidden);
-    let mut x = x0.clone();
-    let mut served = Vec::with_capacity(CHECK_STEPS);
+    // As many lock-step streams as the poisoned shape is wide, so the
+    // batches in flight run the poisoned kernel before the install and
+    // the measured winner after it.
+    let width = p.n.min(SESSIONS);
+    let ids: Vec<_> =
+        (0..width).map(|_| server.create_session(0).expect("check session")).collect();
+    let x0: Vec<Vec<f32>> = (0..width).map(|s| token(4242 + s as u64, hidden)).collect();
+    let mut xs = x0.clone();
+    let mut served: Vec<Vec<Vec<f32>>> = vec![Vec::with_capacity(CHECK_STEPS); width];
     let mut report = None;
     for t in 0..CHECK_STEPS {
         if t == CHECK_STEPS / 2 {
@@ -156,12 +153,16 @@ fn main() {
             );
             report = Some(r);
         }
-        let y = server.step(id, &x).unwrap();
-        served.push(y.clone());
-        x = y;
+        let rxs: Vec<_> =
+            ids.iter().zip(&xs).map(|(&id, x)| server.submit_step(id, x).unwrap()).collect();
+        for (s, rx) in rxs.into_iter().enumerate() {
+            xs[s] = rx.recv().unwrap().unwrap();
+            served[s].push(xs[s].clone());
+        }
     }
-    server.close_session(id).unwrap();
-    server.install_mode_policy(BatchModeTable::from_measurements(&[])); // drop the pin
+    for id in ids {
+        server.close_session(id).unwrap();
+    }
     let report = report.expect("cycle ran");
     let outcome = report
         .outcomes
@@ -181,16 +182,23 @@ fn main() {
         report.epoch_before,
         report.epoch_after
     );
-    // Replay the whole stream — spanning the poison and the install —
-    // against a sequential unbatched decoder. Bitwise.
-    let mut d = Decoder::from_model(Arc::clone(&model), KV);
-    let mut x = x0;
-    for (t, served_y) in served.iter().enumerate() {
-        let y = d.step(&x, &pool);
-        assert_eq!(&y, served_y, "step {t}: in-flight decode must be bit-identical across install");
-        x = y;
+    // Replay every stream — spanning the poison and the install — on a
+    // sequential unbatched decoder. Bitwise.
+    for (s, stream) in served.iter().enumerate() {
+        let mut d = Decoder::from_model(Arc::clone(&model), KV);
+        let mut x = x0[s].clone();
+        for (t, served_y) in stream.iter().enumerate() {
+            x = d.step(&x, &pool);
+            assert_eq!(
+                &x, served_y,
+                "stream {s} step {t}: in-flight decode must be bit-identical across install"
+            );
+        }
     }
-    println!("in-flight decode stream bit-identical across poison + retune install ({CHECK_STEPS} steps)");
+    println!(
+        "{width} in-flight batched decode streams bit-identical to unbatched replays across \
+         poison + retune install ({CHECK_STEPS} steps)"
+    );
 
     // --- 5. Persist, reload, adopt; then the degrade path. ----------------
     let fingerprint = host_fingerprint(platform.name, threads);
@@ -206,15 +214,15 @@ fn main() {
         db_path.display()
     );
 
-    let restarted = server_for(&model, &pool, fused);
+    let restarted = server_for(&model, &pool);
     match warm_or_load(&restarted, &platform, threads, &db_path) {
         WarmSource::Loaded(n) => println!("restart path: adopted {n} measured entries from disk"),
         WarmSource::Warmed(n, why) => unreachable!("restart fell back to warm-up ({n}): {why}"),
     }
 
-    let corrupt_path = pl_bench::workspace_path(&format!("target/retune_llm_{mode}_corrupt.db"));
+    let corrupt_path = pl_bench::workspace_path("target/retune_llm_corrupt.db");
     std::fs::write(&corrupt_path, b"\x00\x01 this is not a tuning db").expect("write corrupt file");
-    let degraded = server_for(&model, &pool, fused);
+    let degraded = server_for(&model, &pool);
     match warm_or_load(&degraded, &platform, threads, &corrupt_path) {
         WarmSource::Warmed(n, why) => {
             assert!(!why.is_empty(), "a corrupt file must carry a reason");
@@ -227,7 +235,7 @@ fn main() {
 
     server.shutdown();
     println!(
-        "\nOK: [{mode}] measured winner installed for {poisoned_key} with zero downtime, \
+        "\nOK: measured winner installed for {poisoned_key} with zero downtime, \
          persisted DB round-tripped, corrupt DB degraded to warm-up"
     );
 }

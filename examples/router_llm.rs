@@ -3,13 +3,12 @@
 //!
 //! Phase 1 (correctness): N concurrent client sessions run prefill + a
 //! closed decode loop through a 2-shard [`pl_router::Router`] (sessions
-//! placed least-loaded, affine to their shard). In the default serial
-//! mode the *same* per-session traffic is then replayed through a single
-//! `pl_serve::Server`, and every session's whole output stream must be
-//! **bit-identical** — routing must be invisible to the numerics. In
-//! `--fused` mode each routed stream is checked against a sequential
-//! unbatched replay to ≤ 1e-5 relative error (the fused path's
-//! reassociation tolerance).
+//! placed least-loaded, affine to their shard). The *same* per-session
+//! traffic is then replayed through a single `pl_serve::Server` and
+//! through a sequential unbatched `Decoder`, and every session's whole
+//! output stream must be **bit-identical** to both — neither routing nor
+//! whatever batch composition each shard happened to see is visible to
+//! the numerics.
 //!
 //! Phase 2 (scaling): the same closed-loop load is driven at 1 shard and
 //! at N shards over the *same* total thread budget (split disjointly),
@@ -18,18 +17,18 @@
 //! methodology, recalibrated to serving shards). Both rows land in the
 //! machine-readable `BENCH_serve.json` trajectory artifact.
 //!
-//! Run: `cargo run --release --example router_llm [-- --fused] [--shards N]`
+//! Run: `cargo run --release --example router_llm [-- --shards N]`
 
 use pl_bench::{
-    measure_router_steps_per_s, router_mode_name, BenchArtifact, BenchRow, RouterLoad,
-    ROUTING_OVERHEAD, SERVE_ARTIFACT,
+    measure_router_steps_per_s, BenchArtifact, BenchRow, RouterLoad, ROUTER_MODE, ROUTING_OVERHEAD,
+    SERVE_ARTIFACT,
 };
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
 use pl_perfmodel::Platform;
 use pl_router::{Router, RouterConfig};
 use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::{Server, ServerConfig};
-use pl_tensor::{fill_uniform, max_rel_err, Xorshift};
+use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +37,6 @@ const TENANTS: usize = 2;
 const PROMPT: usize = 4;
 const STEPS: usize = 24;
 const KV: usize = 64;
-const FUSED_TOL: f32 = 1e-5;
 
 fn prompt_for(session: usize, hidden: usize) -> Vec<f32> {
     let mut x = vec![0.0f32; hidden * PROMPT];
@@ -50,13 +48,12 @@ fn last_token(y: &[f32], hidden: usize) -> Vec<f32> {
     y[y.len() - hidden..].to_vec()
 }
 
-fn server_cfg(fused: bool) -> ServerConfig {
+fn server_cfg() -> ServerConfig {
     ServerConfig {
         tenants: TENANTS,
         max_batch: SESSIONS,
         kv_capacity: KV,
         coalesce_wait: Duration::from_millis(2),
-        fused,
         ..Default::default()
     }
 }
@@ -98,8 +95,6 @@ fn drive_clients(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fused = args.iter().any(|a| a == "--fused")
-        || std::env::var("PL_SERVE_FUSED").is_ok_and(|v| v == "1");
     let shards = args
         .iter()
         .position(|a| a == "--shards")
@@ -112,9 +107,8 @@ fn main() {
     let model = Arc::new(DecoderModel::new(cfg, 7777));
     let total_threads = default_threads().min(8).max(shards);
     println!(
-        "pl-router demo [{} mode]: {shards} shards x {:?} threads, {SESSIONS} sessions / \
+        "pl-router demo: {shards} shards x {:?} threads, {SESSIONS} sessions / \
          {TENANTS} tenants, {PROMPT}-token prompts + {STEPS} decode steps each",
-        if fused { "fused" } else { "serial" },
         pl_router::partition_threads(total_threads, shards),
     );
 
@@ -125,7 +119,7 @@ fn main() {
             shards,
             total_threads,
             routing_overhead: ROUTING_OVERHEAD,
-            server: server_cfg(fused),
+            server: server_cfg(),
         },
     )
     .expect("router config");
@@ -159,50 +153,32 @@ fn main() {
     println!("aggregated snapshot (JSON): {}", agg.to_json());
 
     let mut mismatches = 0usize;
-    let mut worst_rel = 0.0f32;
-    if fused {
-        // Fused reassociates across whatever batch composition each shard
-        // saw; check every routed stream against a sequential unbatched
-        // replay of that stream.
-        let pool = ThreadPool::new(2);
-        for (s, stream) in routed.iter().enumerate() {
-            let mut d = Decoder::from_model(Arc::clone(&model), KV);
-            let y = d.prefill(&prompt_for(s, hidden), PROMPT, &pool);
-            let mut x = last_token(&y, hidden);
-            for (t, served_y) in stream.iter().enumerate() {
-                let y = d.step(&x, &pool);
-                let err = max_rel_err(&y, served_y);
-                worst_rel = worst_rel.max(err);
-                if err > FUSED_TOL {
-                    eprintln!("TOLERANCE EXCEEDED: session {s} step {t}: rel err {err}");
-                    mismatches += 1;
-                }
-                x = served_y.clone();
-            }
-        }
-    } else {
-        // Serial mode: the identical per-session traffic through a single
-        // Server must produce bit-identical streams — sharding is
-        // numerically invisible.
-        let single_pool = Arc::new(ThreadPool::new(total_threads));
-        let mut single = Server::new(Arc::clone(&model), single_pool, server_cfg(false));
-        single.start();
-        let baseline = drive_clients(
-            hidden,
-            |s| single.create_session(s % TENANTS).expect("admitted"),
-            |id, x, t| single.prefill(id, x, t).unwrap(),
-            |id, x| single.step(id, x).unwrap(),
-            |id| {
-                single.close_session(id).unwrap();
-            },
-        );
-        single.shutdown();
-        for (s, (routed_s, single_s)) in routed.iter().zip(&baseline).enumerate() {
-            for (t, (a, b)) in routed_s.iter().zip(single_s).enumerate() {
-                if a != b {
-                    eprintln!("MISMATCH vs single server: session {s} step {t}");
-                    mismatches += 1;
-                }
+    // The identical per-session traffic through a single Server must
+    // produce bit-identical streams — sharding is numerically invisible…
+    let single_pool = Arc::new(ThreadPool::new(total_threads));
+    let mut single = Server::new(Arc::clone(&model), single_pool, server_cfg());
+    single.start();
+    let baseline = drive_clients(
+        hidden,
+        |s| single.create_session(s % TENANTS).expect("admitted"),
+        |id, x, t| single.prefill(id, x, t).unwrap(),
+        |id, x| single.step(id, x).unwrap(),
+        |id| {
+            single.close_session(id).unwrap();
+        },
+    );
+    single.shutdown();
+    // …and so is batching: a sequential unbatched replay of each stream.
+    let pool = ThreadPool::new(2);
+    for (s, (routed_s, single_s)) in routed.iter().zip(&baseline).enumerate() {
+        let mut d = Decoder::from_model(Arc::clone(&model), KV);
+        let y = d.prefill(&prompt_for(s, hidden), PROMPT, &pool);
+        let mut x = last_token(&y, hidden);
+        for (t, (a, b)) in routed_s.iter().zip(single_s).enumerate() {
+            x = d.step(&x, &pool);
+            if a != b || a != &x {
+                eprintln!("MISMATCH: session {s} step {t}");
+                mismatches += 1;
             }
         }
     }
@@ -213,7 +189,6 @@ fn main() {
         "{:>7} {:>16} {:>12} {:>13} {:>8}",
         "shards", "steps/s", "measured x", "projected x", "p99 us"
     );
-    let mode = router_mode_name(fused);
     // Same host fingerprint the retune evidence DB keys on: rows from
     // different machines coexist in the artifact instead of clobbering.
     let fp = pl_retune::host_fingerprint(Platform::generic_host(total_threads).name, total_threads);
@@ -224,7 +199,6 @@ fn main() {
         steps: 2 * STEPS,
         tenants: TENANTS,
         kv_capacity: KV,
-        fused,
         seed: 40,
     };
     let mut single_sps = 0.0f64;
@@ -245,7 +219,7 @@ fn main() {
             m.p99_us
         );
         artifact.upsert(BenchRow {
-            mode: mode.to_string(),
+            mode: ROUTER_MODE.to_string(),
             batch: SESSIONS,
             shards: n,
             steps_per_s: m.steps_per_s,
@@ -265,16 +239,7 @@ fn main() {
     for (i, s) in per_shard.iter().enumerate() {
         assert!(s.completed > 0, "shard {i} served no steps — placement is broken");
     }
-    assert_eq!(
-        mismatches,
-        0,
-        "routed outputs must match ({})",
-        if fused {
-            "<= 1e-5 relative vs unbatched replay"
-        } else {
-            "bit-identical vs single server"
-        }
-    );
+    assert_eq!(mismatches, 0, "routed outputs must be bit-identical to both replays");
     let reloaded = BenchArtifact::load(&pl_bench::workspace_path(SERVE_ARTIFACT));
     assert!(!reloaded.rows_at_shards(1).is_empty(), "artifact has 1-shard rows");
     if shards > 1 {
@@ -282,14 +247,9 @@ fn main() {
         assert!(multi_speedup > 0.0);
     }
     println!(
-        "\nOK [{} mode]: {SESSIONS} sessions across {shards} shards, {}; measured \
-         {shards}-shard speedup {multi_speedup:.2}x vs projected {:.2}x",
-        if fused { "fused" } else { "serial" },
-        if fused {
-            format!("worst rel err {worst_rel:.2e} (tol {FUSED_TOL:.0e})")
-        } else {
-            "all streams bit-identical to the single-server run".to_string()
-        },
+        "\nOK: {SESSIONS} sessions across {shards} shards, all streams bit-identical to the \
+         single-server and unbatched runs; measured {shards}-shard speedup \
+         {multi_speedup:.2}x vs projected {:.2}x",
         projection.projected_speedup(shards)
     );
 }

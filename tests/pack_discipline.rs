@@ -27,6 +27,23 @@ fn token(hidden: usize, seed: u64) -> Vec<f32> {
     x
 }
 
+/// One ragged batched forward: three decode lanes next to a 4-token
+/// prefill chunk (7 columns: a full column block and a ragged one).
+fn ragged_batch(model: &DecoderModel, pool: &ThreadPool) {
+    let h = model.config().hidden;
+    let widths = [1usize, 1, 4, 1];
+    let mut states: Vec<_> = widths.iter().map(|_| model.new_state(16)).collect();
+    let inputs: Vec<Vec<f32>> =
+        widths.iter().enumerate().map(|(s, w)| token(h * w, 20 + s as u64)).collect();
+    let batch: Vec<(&mut pl_dnn::DecoderState, &[f32], usize)> = states
+        .iter_mut()
+        .zip(&inputs)
+        .zip(widths)
+        .map(|((st, x), w)| (st, x.as_slice(), w))
+        .collect();
+    let _ = model.forward_batch(batch, pool);
+}
+
 #[test]
 fn decoder_step_paths_pack_no_weight_bytes() {
     let _guard = SERIAL.lock().unwrap();
@@ -39,7 +56,7 @@ fn decoder_step_paths_pack_no_weight_bytes() {
     // weight plan (6 per layer, no transposes).
     let after_build = pack_events();
 
-    // Prefill + serial decode through the single-stream wrapper.
+    // Prefill + decode through the single-stream wrapper.
     let mut d = Decoder::from_model(Arc::clone(&model), 32);
     let mut prompt = vec![0.0f32; h * 4];
     fill_uniform(&mut prompt, &mut Xorshift::new(10), -0.5, 0.5);
@@ -49,17 +66,8 @@ fn decoder_step_paths_pack_no_weight_bytes() {
         x = d.step(&x, &pool);
     }
 
-    // Serial batched decode.
-    let mut states: Vec<_> = (0..3).map(|_| model.new_state(16)).collect();
-    let tokens: Vec<Vec<f32>> = (0..3).map(|s| token(h, 20 + s)).collect();
-    let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
-        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
-    let _ = model.step_batch(batch, &pool);
-
-    // Fused batched decode.
-    let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
-        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
-    let _ = model.step_batch_fused(batch, &pool);
+    // Batched decode: three lanes next to a 4-token prefill chunk.
+    ragged_batch(&model, &pool);
 
     // Warming is kernel construction, never packing.
     model.warm_plans(&[1, 3, 8]);
@@ -86,7 +94,7 @@ fn int8_decoder_quantizes_and_packs_weights_only_at_construction() {
     // re-quantization.
     let after_build = pack_events();
 
-    // Prefill + serial decode.
+    // Prefill + decode.
     let mut d = Decoder::from_model(Arc::clone(&model), 32);
     let mut prompt = vec![0.0f32; h * 4];
     fill_uniform(&mut prompt, &mut Xorshift::new(10), -0.5, 0.5);
@@ -96,15 +104,7 @@ fn int8_decoder_quantizes_and_packs_weights_only_at_construction() {
         x = d.step(&x, &pool);
     }
 
-    // Serial then fused batched decode over the same sessions.
-    let mut states: Vec<_> = (0..3).map(|_| model.new_state(16)).collect();
-    let tokens: Vec<Vec<f32>> = (0..3).map(|s| token(h, 20 + s)).collect();
-    let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
-        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
-    let _ = model.step_batch(batch, &pool);
-    let batch: Vec<(&mut pl_dnn::DecoderState, &[f32])> =
-        states.iter_mut().zip(&tokens).map(|(st, x)| (st, x.as_slice())).collect();
-    let _ = model.step_batch_fused(batch, &pool);
+    ragged_batch(&model, &pool);
 
     model.warm_plans(&[1, 3, 8]);
 

@@ -1,12 +1,18 @@
 //! Integration tests of the prepared-op API (`pl_dnn::prepared`):
 //! plan-vs-free-function bitwise equivalence across all operand
-//! orientations, and tuning-snapshot install semantics (a plan built
-//! before `pl_dnn::tuning::install` re-resolves its kernels and keeps
-//! producing identical values).
+//! orientations, tuning-snapshot install semantics (a plan built before
+//! `pl_dnn::tuning::install` re-resolves its kernels and keeps producing
+//! identical values), and the column-invariance property batched =
+//! unbatched decode rests on.
 
-use pl_autotuner::{DbEntry, TuningDb};
+use pl_autotuner::{blocks_for_spec, Constraints, DbEntry, TuningDb};
 use pl_dnn::matmul::{matmul, transpose_cm, Trans};
-use pl_dnn::{tuning, MatmulPlan, SpmmPlan};
+use pl_dnn::{tuning, MatmulPlan, Precision, SpmmPlan};
+use std::sync::Mutex;
+
+/// The tuning registry is process-wide: the tests that install into it
+/// take turns.
+static REGISTRY: Mutex<()> = Mutex::new(());
 use pl_kernels::gemm::reference_gemm;
 use pl_kernels::GemmShape;
 use pl_runtime::ThreadPool;
@@ -51,11 +57,75 @@ fn plan_is_bitwise_equal_to_free_matmul_for_all_orientations() {
     }
 }
 
+#[test]
+fn every_output_column_is_independent_of_width_and_spec() {
+    // THE invariant of the single decode path: column `j` of
+    // `execute(n)` equals `execute(1)` on that column, bit for bit — for
+    // f32 and int8 plans, at widths that block evenly (4, 8), raggedly
+    // (2, 3, 5, 17, 19: a prime width is four full column blocks and a
+    // tail) and not at all (1), under **every** loop spec the autotuner
+    // can generate for the shape (K-blocked, reordered, M- or N-parallel,
+    // sequential), not just `default_parallel`. Width 1 runs the default
+    // spec (`k_step = kb`), the wide side the installed candidate
+    // (`k_step = 1`), so the reduction's chunking differs too. A future
+    // K-parallel spec or a SIMD k-split that reassociates the reduction
+    // trips this test, which is where batched != unbatched would start.
+    let _registry = REGISTRY.lock().unwrap();
+    const WIDTHS: [usize; 8] = [1, 2, 3, 4, 5, 8, 17, 19];
+    const DIMS: [usize; 8] = [8, 12, 16, 24, 32, 40, 48, 96];
+    let platform = "ColumnInvariance";
+    let specs = pl_autotuner::generate(3, &Constraints::gemm(1, 1, 1, 80));
+    let (pool1, pool3) = (ThreadPool::new(1), ThreadPool::new(3));
+    let mut rng = Xorshift::new(0xC01);
+    let mut checked = 0usize;
+    for draw in 0..3u64 {
+        let mut pick = || DIMS[(rng.next_f32() * DIMS.len() as f32) as usize % DIMS.len()];
+        let (m, k) = (pick(), pick());
+        let w = random(m * k, 100 + draw);
+        let x = random(k * 19, 200 + draw);
+        for precision in [Precision::F32, Precision::Int8] {
+            let plan = MatmulPlan::with_precision(&w, Trans::No, m, k, precision);
+            tuning::clear();
+            let alone: Vec<Vec<f32>> =
+                x.chunks_exact(k).map(|col| plan.execute(col, 1, &pool3)).collect();
+            for n in WIDTHS {
+                let problem = plan.problem(n);
+                for spec in &specs {
+                    if blocks_for_spec(&problem, spec).is_none() {
+                        continue; // infeasible at this shape: never installable
+                    }
+                    let mut db = TuningDb::new();
+                    let dtype = problem.dtype.to_string();
+                    db.put(
+                        &TuningDb::gemm_key(platform, m, n, k, &dtype),
+                        DbEntry { spec: spec.clone(), score: 1.0 },
+                    );
+                    tuning::install(platform, db);
+                    // A spec without a parallel letter replicates the nest
+                    // on every team thread: run it on a team of one.
+                    let parallel = spec.chars().any(|c| c.is_ascii_uppercase());
+                    let got = plan.execute(&x[..k * n], n, if parallel { &pool3 } else { &pool1 });
+                    for (j, col) in got.chunks_exact(m).enumerate() {
+                        assert_eq!(
+                            col, alone[j],
+                            "{precision:?} {m}x{n}x{k} spec {spec}: column {j} depends on the batch"
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    tuning::clear();
+    assert!(checked > 500, "only {checked} (shape, width, spec) cases ran");
+}
+
 // One test exercises the whole install -> execute -> clear lifecycle (for
 // both the GEMM and SpMM plans) so registry mutation never races a
 // concurrently running sibling test.
 #[test]
 fn plan_built_before_snapshot_install_still_executes_correctly() {
+    let _registry = REGISTRY.lock().unwrap();
     // Registry re-resolution semantics: a plan caches kernels tagged with
     // the tuning epoch; installing a snapshot afterwards makes the next
     // execution re-resolve against it. Values must be bitwise unchanged —

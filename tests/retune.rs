@@ -82,7 +82,7 @@ fn corrupt_and_foreign_files_error_instead_of_panicking() {
 /// The tentpole, end to end and deterministic: traffic → harvest → a
 /// deliberately poisoned incumbent → one retune cycle installs a
 /// measured winner through exactly one registry-epoch bump → the
-/// in-flight serial decode stream is bit-identical across every install
+/// in-flight decode stream is bit-identical across every install
 /// → the measured DB round-trips through disk → a foreign-fingerprint
 /// file falls back to the fresh modeled search.
 #[test]
@@ -122,7 +122,7 @@ fn retune_cycle_end_to_end_with_persistence_and_fallback() {
     }
     let hot = server.hot_gemm_problems();
     assert!(!hot.is_empty(), "completed steps must harvest hot shapes");
-    assert!(hot.iter().all(|(p, _)| p.n == 1), "serial traffic harvests width-1 shapes");
+    assert!(hot.iter().all(|(p, _)| p.n == 1), "one lane per batch harvests width-1 shapes");
 
     // Phase 2: poison the hottest shape — an invalid spec with a huge
     // score, the stale-DB failure mode. Plans degrade (never panic) and

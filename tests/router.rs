@@ -1,10 +1,10 @@
 //! Integration test of the pl-router scale-out tier: concurrent sessions
 //! routed across core-partitioned shards must behave exactly like a
-//! single server — bit-identical streams in serial mode, no cross-shard
+//! single server — bit-identical streams, no cross-shard
 //! state leakage, stats that aggregate coherently, drains that never
 //! drop queued work.
 
-use pl_dnn::{DecoderConfig, DecoderModel};
+use pl_dnn::{Decoder, DecoderConfig, DecoderModel, Precision};
 use pl_router::{Router, RouterConfig, RouterError};
 use pl_runtime::ThreadPool;
 use pl_serve::{Server, ServerConfig};
@@ -39,10 +39,17 @@ fn server_cfg() -> ServerConfig {
 }
 
 #[test]
-fn two_shard_routing_is_bit_identical_to_a_single_server() {
+fn two_shard_routing_is_bit_identical_to_a_single_server_and_to_unbatched_decode() {
+    for precision in [Precision::F32, Precision::Int8] {
+        routing_is_bit_identical(precision);
+    }
+}
+
+fn routing_is_bit_identical(precision: Precision) {
     let cfg = DecoderConfig::scaled_for_tests();
     let hidden = cfg.hidden;
-    let model = Arc::new(DecoderModel::new(cfg, 20261));
+    let model = Arc::new(DecoderModel::new_with_precision(cfg, 20261, precision));
+    let server_cfg = || ServerConfig { precision, ..server_cfg() };
 
     // The same per-session closed-loop traffic through both topologies.
     let drive = |step: &(dyn Fn(usize) -> Vec<Vec<f32>> + Sync)| -> Vec<Vec<Vec<f32>>> {
@@ -113,8 +120,17 @@ fn two_shard_routing_is_bit_identical_to_a_single_server() {
     };
     single.shutdown();
 
+    // Neither sharding nor batching is visible in the numbers: each
+    // stream equals the single-server run and a sequential unbatched one.
+    let pool = ThreadPool::new(2);
     for (s, (routed_s, single_s)) in routed.iter().zip(&baseline).enumerate() {
         assert_eq!(routed_s, single_s, "session {s}: routed stream diverged from single server");
+        let mut d = Decoder::from_model(Arc::clone(&model), KV);
+        let mut x = last_token(&d.prefill(&prompt_for(s, hidden), PROMPT, &pool), hidden);
+        for (t, y) in routed_s.iter().enumerate() {
+            x = d.step(&x, &pool);
+            assert_eq!(&x, y, "{precision:?} session {s} step {t}: diverged from unbatched decode");
+        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! Integration test of the pl-serve runtime: N concurrent sessions drive
 //! prefill + decode steps through the batched server, and every session's
 //! outputs must be bit-identical to a sequential, unbatched `Decoder`
-//! baseline over the same shared weights.
+//! baseline over the same shared weights — at f32 and at int8.
 
-use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
+use pl_dnn::{Decoder, DecoderConfig, DecoderModel, Precision};
 use pl_runtime::ThreadPool;
 use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
@@ -29,9 +29,15 @@ fn last_token(y: &[f32], hidden: usize) -> Vec<f32> {
 
 #[test]
 fn concurrent_batched_sessions_match_unbatched_decoder() {
+    for precision in [Precision::F32, Precision::Int8] {
+        concurrent_sessions_match_unbatched(precision);
+    }
+}
+
+fn concurrent_sessions_match_unbatched(precision: Precision) {
     let cfg = DecoderConfig::scaled_for_tests();
     let hidden = cfg.hidden;
-    let model = Arc::new(DecoderModel::new(cfg, 31337));
+    let model = Arc::new(DecoderModel::new_with_precision(cfg, 31337, precision));
     let pool = Arc::new(ThreadPool::new(4));
     let mut server = Server::new(
         Arc::clone(&model),
@@ -41,6 +47,7 @@ fn concurrent_batched_sessions_match_unbatched_decoder() {
             max_batch: SESSIONS,
             kv_capacity: KV,
             coalesce_wait: Duration::from_millis(2),
+            precision,
             ..Default::default()
         },
     );
@@ -75,6 +82,19 @@ fn concurrent_batched_sessions_match_unbatched_decoder() {
     server.shutdown();
     assert_eq!(snap.completed, (SESSIONS * STEPS) as u64);
     assert_eq!(snap.prefills, SESSIONS as u64);
+    // The batches really shared their projections: shapes are recorded at
+    // the ragged widths that ran (lanes + chunk tokens), and some batch
+    // was wider than one lane.
+    assert!(snap.max_batch_observed > 1, "the batcher never coalesced");
+    for &((m, n, k), _) in &snap.gemm_shapes {
+        assert!((1..=SESSIONS + PROMPT).contains(&n), "n is a batch width, got {n}");
+        assert!(
+            [(cfg.hidden, cfg.hidden), (cfg.ffn, cfg.hidden), (cfg.hidden, cfg.ffn)]
+                .contains(&(m, k)),
+            "unexpected shape {m}x{n}x{k}"
+        );
+    }
+    assert!(snap.gemm_shapes.iter().any(|&((_, n, _), _)| n > 1));
 
     // Sequential unbatched baseline over the same weights.
     for (s, served_session) in served.iter().enumerate() {
@@ -83,95 +103,8 @@ fn concurrent_batched_sessions_match_unbatched_decoder() {
         let mut x = last_token(&y, hidden);
         for (t, served_y) in served_session.iter().enumerate() {
             let y = d.step(&x, &pool);
-            assert_eq!(&y, served_y, "session {s} step {t} diverged from baseline");
+            assert_eq!(&y, served_y, "{precision:?} session {s} step {t} diverged from baseline");
             x = y;
-        }
-    }
-}
-
-use pl_tensor::max_rel_err;
-
-#[test]
-fn fused_batched_sessions_match_serial_within_tolerance() {
-    // The same multi-tenant multi-step workload as the bit-identity test,
-    // but through the fused cross-session path (`ServerConfig::fused`):
-    // every session's whole output stream must agree with the sequential
-    // unbatched baseline within 1e-5 relative error, and the fused GEMM
-    // shapes must be observable in the stats.
-    let cfg = DecoderConfig::scaled_for_tests();
-    let hidden = cfg.hidden;
-    let model = Arc::new(DecoderModel::new(cfg, 90210));
-    let pool = Arc::new(ThreadPool::new(4));
-    let mut server = Server::new(
-        Arc::clone(&model),
-        Arc::clone(&pool),
-        ServerConfig {
-            tenants: 3,
-            max_batch: SESSIONS,
-            kv_capacity: KV,
-            coalesce_wait: Duration::from_millis(2),
-            fused: true,
-            ..Default::default()
-        },
-    );
-    server.start();
-
-    let mut served: Vec<Vec<Vec<f32>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for s in 0..SESSIONS {
-            let server = &server;
-            handles.push(scope.spawn(move || {
-                let id = server.create_session(s % 3).expect("admitted");
-                let y = server.prefill(id, &prompt_for(s, hidden), PROMPT).unwrap();
-                let mut x = last_token(&y, hidden);
-                let mut outs = Vec::with_capacity(STEPS);
-                for _ in 0..STEPS {
-                    let y = server.step(id, &x).unwrap();
-                    x = y.clone();
-                    outs.push(y);
-                }
-                assert_eq!(server.close_session(id).unwrap(), STEPS as u64);
-                outs
-            }));
-        }
-        for h in handles {
-            served.push(h.join().unwrap());
-        }
-    });
-
-    let snap = server.stats().snapshot();
-    server.shutdown();
-    assert_eq!(snap.completed, (SESSIONS * STEPS) as u64);
-    // Prefills now ride the batcher too, so a batch can be a lone prefill
-    // chunk: the fused invariant is that every *decode-bearing* batch ran
-    // fused.
-    assert_eq!(snap.fused_batches, snap.decode_batches, "every decode batch ran fused");
-    assert!(!snap.fused_gemm_shapes.is_empty(), "fused GEMM shapes recorded");
-    let cfg = *model.config();
-    for &((m, n, k), _) in &snap.fused_gemm_shapes {
-        assert!((1..=SESSIONS).contains(&n), "n is a batch size, got {n}");
-        assert!(
-            (m, k) == (cfg.hidden, cfg.hidden)
-                || (m, k) == (cfg.ffn, cfg.hidden)
-                || (m, k) == (cfg.hidden, cfg.ffn),
-            "unexpected fused shape {m}x{n}x{k}"
-        );
-    }
-
-    // Sequential unbatched baseline; tolerance, not bit-identity — the
-    // fused path reassociates the projections over the batch dimension.
-    for (s, served_session) in served.iter().enumerate() {
-        let mut d = Decoder::from_model(Arc::clone(&model), KV);
-        let y = d.prefill(&prompt_for(s, hidden), PROMPT, &pool);
-        let mut x = last_token(&y, hidden);
-        for (t, served_y) in served_session.iter().enumerate() {
-            let y = d.step(&x, &pool);
-            let err = max_rel_err(&y, served_y);
-            assert!(err <= 1e-5, "session {s} step {t}: rel err {err}");
-            // Continue the baseline from the *served* stream so a single
-            // within-tolerance divergence cannot compound across steps.
-            x = served_y.clone();
         }
     }
 }
@@ -337,17 +270,13 @@ fn chunked_prefill_interleaves_with_live_decode_traffic() {
         "decode must keep completing while the prefill is in flight"
     );
 
-    // Correctness of the interleaved prefill: bitwise equal to a chunked
-    // forward (same widths, same kernels), within tolerance of the
-    // whole-prompt forward.
+    // Correctness of the interleaved prefill: every chunk shared its
+    // GEMMs with the decode lanes of its batch, and the result is still
+    // the whole-prompt forward, bit for bit.
     let bpool = ThreadPool::new(2);
     let mut st = model.new_state(64);
-    let chunked = model.forward_chunked(&mut st, &prompt, PROMPT_TOKENS, CHUNK, &bpool);
-    assert_eq!(prefill_out, chunked, "served chunked prefill must match forward_chunked bitwise");
-    let mut st_whole = model.new_state(64);
-    let whole = model.forward(&mut st_whole, &prompt, PROMPT_TOKENS, &bpool);
-    let err = max_rel_err(&prefill_out, &whole);
-    assert!(err <= 1e-5, "chunked vs whole-prompt prefill rel err {err}");
+    let whole = model.forward(&mut st, &prompt, PROMPT_TOKENS, &bpool);
+    assert_eq!(prefill_out, whole, "served chunked prefill must match the whole-prompt forward");
 
     // The prefill session's KV context really holds all 32 tokens: its
     // next decode step must continue bit-identically from the chunked

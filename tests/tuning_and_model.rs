@@ -28,10 +28,9 @@ fn modeled_winner_beats_pathological_schedule_when_measured() {
     let mut b = BlockedMatrix::<f32>::b_layout(k, n, 32, 32).unwrap();
     b.pack_from_colmajor(&b_cm);
 
-    let time_spec = |tuning: GemmTuning, pool: &ThreadPool| -> f64 {
-        let kernel = Gemm::<f32, f32, f32>::new(shape, tuning).unwrap();
+    // One timed sample (3 executions) of a prebuilt kernel.
+    let sample = |kernel: &Gemm<f32, f32, f32>, pool: &ThreadPool| -> f64 {
         let mut c = BlockedMatrix::<f32>::c_layout(m, n, 32, 32).unwrap();
-        kernel.execute(&a, &b, &mut c, pool).unwrap();
         let t0 = std::time::Instant::now();
         for _ in 0..3 {
             kernel.execute(&a, &b, &mut c, pool).unwrap();
@@ -40,7 +39,8 @@ fn modeled_winner_beats_pathological_schedule_when_measured() {
     };
 
     let blocks = blocks_for_spec(&problem, &tuned.best.spec).unwrap();
-    let best_time = time_spec(
+    let best = Gemm::<f32, f32, f32>::new(
+        shape,
         GemmTuning {
             spec: tuned.best.spec.clone(),
             k_step: 1,
@@ -48,11 +48,22 @@ fn modeled_winner_beats_pathological_schedule_when_measured() {
             b_blocks: blocks[1].clone(),
             c_blocks: blocks[2].clone(),
         },
-        &pool,
-    );
+    )
+    .unwrap();
     // Pathological: fully sequential on a 2-thread pool (replicated work).
+    let seq = Gemm::<f32, f32, f32>::new(shape, GemmTuning::simple("abc")).unwrap();
     let seq_pool = ThreadPool::new(2);
-    let seq_time = time_spec(GemmTuning::simple("abc"), &seq_pool);
+    // A single wall-clock sample per schedule loses to a scheduling
+    // hiccup on a shared host about one run in four: interleave several
+    // samples of each (after one untimed warm-up) and compare the minima —
+    // interference only ever adds time.
+    sample(&best, &pool);
+    sample(&seq, &seq_pool);
+    let (mut best_time, mut seq_time) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        best_time = best_time.min(sample(&best, &pool));
+        seq_time = seq_time.min(sample(&seq, &seq_pool));
+    }
     assert!(best_time < seq_time, "tuned {best_time}s not faster than sequential {seq_time}s");
 }
 
