@@ -143,8 +143,7 @@ fn mixed_workload(
             let server = &server;
             scope.spawn(move || {
                 // Arrive mid-run: wait for the decode loop to be warm.
-                use std::sync::atomic::Ordering;
-                while server.stats().completed.load(Ordering::Relaxed) < (SESSIONS * 8) as u64 {
+                while server.stats().snapshot().completed < (SESSIONS * 8) as u64 {
                     std::thread::yield_now();
                 }
                 let id = server.create_session(1).unwrap();

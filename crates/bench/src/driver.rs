@@ -49,7 +49,7 @@ pub struct RouterMeasurement {
     /// Decode steps/s over the client phase wall time.
     pub steps_per_s: f64,
     /// Fleet-wide p99 step latency (µs), recomputed from the shards'
-    /// **merged** latency buckets (`StatsSnapshot::merge`), never from
+    /// **merged** latency buckets (`MetricsSnapshot::merge`), never from
     /// averaged per-shard quantiles.
     pub p99_us: u64,
 }

@@ -5,9 +5,7 @@
 //! with these scanners. They are **not** a general JSON parser: they find
 //! a named field in one object's text and slice its value out, tolerating
 //! unknown fields (forward compatibility) and absent ones (legacy
-//! artifacts). Public so integration tests can round-trip other crates'
-//! hand-rolled writers (e.g. `pl_serve::StatsSnapshot::to_json`) through
-//! the same reader the bench artifact trusts.
+//! artifacts).
 
 /// Splits `body` into the interiors of its top-level `{...}` objects,
 /// string-aware: braces inside quoted values (e.g. a mode named
@@ -182,112 +180,5 @@ mod tests {
         assert_eq!(objs.len(), 3);
         assert!(objs[1].contains("router{2}"));
         assert!(objs[2].contains("\"x\":2"), "nested object stays inside its parent");
-    }
-
-    /// `pl_serve::StatsSnapshot::to_json` is a hand-rolled writer and
-    /// these scanners are the hand-rolled reader its consumers (the
-    /// bench artifact, scrapers) rely on. Round-trip a snapshot with
-    /// every field set to a distinctive value and assert nothing is
-    /// lost or misattributed — in particular that prefix-sharing names
-    /// (`batches`/`decode_batches`, `prefills`/`prefill_chunks`,
-    /// `p50_us`/`queue_wait_p50_us`) never alias.
-    #[test]
-    fn stats_snapshot_json_roundtrips_through_these_scanners() {
-        let mut s = pl_serve::StatsSnapshot::empty();
-        s.elapsed_s = 1.5;
-        s.submitted = 101;
-        s.completed = 102;
-        s.rejected_backpressure = 103;
-        s.rejected_sessions = 104;
-        s.batches = 105;
-        s.decode_batches = 106;
-        s.prefills = 107;
-        s.prefill_chunks = 108;
-        s.mixed_batches = 109;
-        s.gemm_shapes = vec![((2, 64, 64), 7), ((4, 64, 64), 9)];
-        s.tokens_per_s = 123.456;
-        s.mean_batch = 3.25;
-        s.max_batch_observed = 111;
-        s.batch_distribution = vec![(2, 40), (4, 60)];
-        s.latency_buckets[3] = 5;
-        s.p50_us = 112;
-        s.p99_us = 113;
-        s.mean_us = 42.5;
-        s.queue_wait_buckets[4] = 6;
-        s.queue_wait_p50_us = 114;
-        s.queue_wait_p99_us = 115;
-        s.execute_buckets[5] = 7;
-        s.execute_p50_us = 116;
-        s.execute_p99_us = 117;
-        s.chunk_latency_buckets[6] = 8;
-        s.chunk_p50_us = 118;
-        s.chunk_p99_us = 119;
-
-        let text = s.to_json();
-        let objs = split_objects(&text);
-        assert_eq!(objs.len(), 1, "one flat top-level object");
-        let obj = objs[0];
-
-        assert_eq!(field_num(obj, "elapsed_s"), Some(1.5));
-        // Every plain counter/scalar: (name, expected) table so a field
-        // added to the writer without reader coverage fails loudly here
-        // when this list is extended.
-        let scalars: &[(&str, f64)] = &[
-            ("submitted", 101.0),
-            ("completed", 102.0),
-            ("rejected_backpressure", 103.0),
-            ("rejected_sessions", 104.0),
-            ("batches", 105.0),
-            ("decode_batches", 106.0),
-            ("prefills", 107.0),
-            ("prefill_chunks", 108.0),
-            ("mixed_batches", 109.0),
-            ("tokens_per_s", 123.456),
-            ("mean_batch", 3.25),
-            ("max_batch_observed", 111.0),
-            ("p50_us", 112.0),
-            ("p99_us", 113.0),
-            ("mean_us", 42.5),
-            ("queue_wait_p50_us", 114.0),
-            ("queue_wait_p99_us", 115.0),
-            ("execute_p50_us", 116.0),
-            ("execute_p99_us", 117.0),
-            ("chunk_p50_us", 118.0),
-            ("chunk_p99_us", 119.0),
-        ];
-        for &(name, want) in scalars {
-            assert_eq!(field_num(obj, name), Some(want), "field {name}");
-        }
-
-        // Histogram arrays: full bucket vectors survive, with counts in
-        // the right slots (an off-by-one in bucket order would corrupt
-        // merged quantiles downstream).
-        let lat = numbers(field_array(obj, "latency_buckets").unwrap());
-        assert_eq!(lat.len(), s.latency_buckets.len());
-        assert_eq!(lat[3], 5.0);
-        assert_eq!(lat.iter().sum::<f64>(), 5.0);
-        let qw = numbers(field_array(obj, "queue_wait_buckets").unwrap());
-        assert_eq!((qw.len(), qw[4]), (s.queue_wait_buckets.len(), 6.0));
-        let ex = numbers(field_array(obj, "execute_buckets").unwrap());
-        assert_eq!((ex.len(), ex[5]), (s.execute_buckets.len(), 7.0));
-        let ch = numbers(field_array(obj, "chunk_latency_buckets").unwrap());
-        assert_eq!((ch.len(), ch[6]), (s.chunk_latency_buckets.len(), 8.0));
-
-        // Paired histograms: `[[key, count], ...]` and `[[m,n,k], count]`.
-        let dist = numbers(field_array(obj, "batch_distribution").unwrap());
-        assert_eq!(dist, vec![2.0, 40.0, 4.0, 60.0]);
-        let shapes = numbers(field_array(obj, "gemm_shapes").unwrap());
-        assert_eq!(shapes, vec![2.0, 64.0, 64.0, 7.0, 4.0, 64.0, 64.0, 9.0]);
-
-        // Merged-then-rendered stays readable too (merge is the router's
-        // aggregation path; its output feeds the same scrapers).
-        let mut merged = pl_serve::StatsSnapshot::empty();
-        merged.merge(&s);
-        merged.merge(&s);
-        let mtext = merged.to_json();
-        let mobjs = split_objects(&mtext);
-        assert_eq!(field_num(mobjs[0], "completed"), Some(204.0));
-        let mlat = numbers(field_array(mobjs[0], "latency_buckets").unwrap());
-        assert_eq!(mlat[3], 10.0, "merged buckets double");
     }
 }

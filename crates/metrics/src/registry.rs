@@ -250,6 +250,13 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Folds `other` in: buckets, count and sum add.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        merge_buckets(&mut self.buckets, &other.buckets);
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+
     /// Upper-edge quantile estimate over the snapshot's buckets.
     pub fn quantile(&self, q: f64) -> u64 {
         quantile_from_buckets(&self.buckets, q)
@@ -286,10 +293,7 @@ impl MetricsSnapshot {
             *self.gauges.entry(k.clone()).or_insert(0.0) += v;
         }
         for (k, h) in &other.histograms {
-            let mine = self.histograms.entry(k.clone()).or_default();
-            merge_buckets(&mut mine.buckets, &h.buckets);
-            mine.count += h.count;
-            mine.sum += h.sum;
+            self.histograms.entry(k.clone()).or_default().merge(h);
         }
         for (k, v) in &other.help {
             self.help.entry(k.clone()).or_insert_with(|| v.clone());

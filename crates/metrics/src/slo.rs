@@ -22,6 +22,10 @@ use std::time::Instant;
 /// objective).
 pub const ERROR_BUDGET: f64 = 0.01;
 
+/// Rolling window length (seconds) the serving layer tracks its SLOs
+/// over.
+pub const SLO_WINDOW_S: u64 = 60;
+
 const SLOT_BUCKETS: usize = 40;
 
 #[derive(Debug, Clone)]

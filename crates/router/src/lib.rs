@@ -23,9 +23,10 @@
 //!   (evacuating degraded shards, evening the spread) and
 //!   [`Router::recover_shard`] (re-homing a drained shard's survivors)
 //!   are built on;
-//! * **aggregated observability** ([`stats_agg`]): per-shard
-//!   `StatsSnapshot`s merge into one fleet view — counters add, latency
-//!   quantiles recompute from summed histogram buckets;
+//! * **aggregated observability** ([`Router::metrics_snapshot`]): the
+//!   shards' registries merge into one `shard`-labelled fleet snapshot —
+//!   counters add, latency quantiles recompute from summed histogram
+//!   buckets — and [`Router::stats`] is the typed view of that merge;
 //! * **a scaling projection** ([`projection`]): the paper's Table I
 //!   strong-scaling model (`pl_perfmodel::ScalingModel`), recalibrated
 //!   from training nodes to serving shards, projects the multi-shard
@@ -43,7 +44,6 @@ pub mod placement;
 pub mod projection;
 pub mod router;
 pub mod shard;
-pub mod stats_agg;
 
 pub use drain::DrainReport;
 pub use migrate::MigrationRecord;
@@ -51,7 +51,6 @@ pub use placement::{least_loaded, placement_order, ShardLoad};
 pub use projection::serving_scaling_model;
 pub use router::{Router, RouterConfig, RouterSessionId};
 pub use shard::{partition_threads, Shard};
-pub use stats_agg::aggregate;
 
 use pl_serve::ServeError;
 

@@ -3,7 +3,7 @@
 use crate::placement::{placement_order, ShardLoad};
 use crate::projection::serving_scaling_model;
 use crate::shard::{partition_threads, Shard};
-use crate::{stats_agg, RouterError};
+use crate::RouterError;
 use parking_lot::Mutex;
 use pl_autotuner::TuningDb;
 use pl_dnn::DecoderModel;
@@ -355,10 +355,10 @@ impl Router {
         self.shards.iter().map(|s| s.server().stats().snapshot()).collect()
     }
 
-    /// The fleet-wide aggregated snapshot ([`stats_agg::aggregate`]).
+    /// The fleet-wide snapshot: the typed view of
+    /// [`Router::metrics_snapshot`], summed over shards.
     pub fn stats(&self) -> StatsSnapshot {
-        let snaps = self.shard_stats();
-        stats_agg::aggregate(snaps.iter())
+        StatsSnapshot::from_metrics(&self.metrics_snapshot())
     }
 
     /// The fleet-wide trace summary since trace time `since_ns`
@@ -366,7 +366,7 @@ impl Router {
     /// into the process recorder on their own lanes, and this folds one
     /// per-lane [`TraceSummary`] at a time through
     /// [`TraceSummary::merge`] — the same summed-buckets aggregation
-    /// discipline as [`stats_agg::aggregate`], so fleet quantiles come
+    /// discipline as [`MetricsSnapshot::merge`], so fleet quantiles come
     /// from merged histograms, never from averaged per-lane quantiles.
     /// Returns an empty summary when tracing was off.
     pub fn trace_summary(&self, since_ns: u64) -> TraceSummary {
@@ -466,7 +466,14 @@ mod tests {
         let per_shard = r.shard_stats();
         assert_eq!(per_shard[0].completed, 2);
         assert_eq!(per_shard[1].completed, 2);
-        assert_eq!(r.stats().completed, 4);
+        // The fleet view is the fold of the one merged metrics snapshot
+        // (only the uptime clock moves between two reads).
+        let fleet = r.stats();
+        assert_eq!(fleet.completed, 4);
+        assert_eq!(fleet.batches, per_shard[0].batches + per_shard[1].batches);
+        let again = StatsSnapshot::from_metrics(&r.metrics_snapshot());
+        let uptime = (fleet.elapsed_s, fleet.tokens_per_s);
+        assert_eq!(StatsSnapshot { elapsed_s: uptime.0, tokens_per_s: uptime.1, ..again }, fleet);
     }
 
     #[test]

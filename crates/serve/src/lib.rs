@@ -16,8 +16,10 @@
 //! * [`Server`] — admission control (session caps, bounded rings =
 //!   backpressure), the batch execution path (one parallel region per
 //!   batch), and the blocking client API.
-//! * [`ServerStats`] — lock-free counters and histograms: throughput,
-//!   p50/p99 step latency, batch-size distribution.
+//! * [`ServerStats`] — the one telemetry plane: every serving fact is
+//!   recorded once into a `pl_metrics` registry; [`StatsSnapshot`] is the
+//!   typed view (throughput, p50/p99 step latency, batch-size
+//!   distribution) of the same series Prometheus scrapes.
 //!
 //! Every batch — decode lanes plus at most one prefill chunk — executes
 //! as **one** ragged forward ([`pl_dnn::DecoderModel::forward_batch`]):
@@ -41,9 +43,7 @@ pub use prefill::PrefillJob;
 pub use queue::BoundedQueue;
 pub use server::{Server, ServerConfig, SessionExport};
 pub use session::{Session, SessionId, TenantId};
-pub use stats::{
-    quantile_from_buckets, CountHistogram, LatencyHistogram, ServerStats, StatsSnapshot,
-};
+pub use stats::{ServerStats, StatsSnapshot};
 // The health/SLO vocabulary servers speak — re-exported so consumers
 // (router, examples) need not depend on pl_metrics directly.
 pub use pl_metrics::{Health, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};

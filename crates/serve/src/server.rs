@@ -43,16 +43,13 @@ use pl_autotuner::{batch_ladder, warm_gemm_db, warm_spmm_db, Constraints, GemmPr
 use pl_dnn::{
     DecoderModel, DecoderState, KvPagePool, KvSnapshot, Precision, PrefixCache, DEFAULT_PAGE_TOKENS,
 };
-use pl_metrics::{
-    Counter, Health, HealthTracker, Histogram, MetricsRegistry, MetricsSnapshot, SloWindow,
-    Watchdog,
-};
+use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};
 use pl_perfmodel::Platform;
 use pl_runtime::ThreadPool;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Serving runtime knobs.
@@ -76,8 +73,6 @@ pub struct ServerConfig {
     pub prefill_chunk: usize,
     /// How long a non-full batch lingers for stragglers before executing.
     pub coalesce_wait: Duration,
-    /// Batcher sleep when no work is pending.
-    pub idle_poll: Duration,
     /// Numeric precision the served model's weight plans were built at.
     /// Batched decode is bit-identical to unbatched decode at either
     /// precision. [`Precision::Int8`] serves a quantized model: ~4x less
@@ -94,8 +89,6 @@ pub struct ServerConfig {
     /// per-tenant and shard-wide [`SloWindow`]s track violations
     /// against. Feeds the burn-rate gauges and [`Server::health`].
     pub slo_p99_us: u64,
-    /// Rolling SLO window length in seconds.
-    pub slo_window_s: u64,
     /// Stall-watchdog deadline: with work pending and no batch collected
     /// for this long, [`Server::health`] reports [`Health::Stalled`].
     pub watchdog_deadline: Duration,
@@ -134,10 +127,8 @@ impl Default for ServerConfig {
             kv_capacity: 128,
             prefill_chunk: 16,
             coalesce_wait: Duration::from_micros(200),
-            idle_poll: Duration::from_millis(1),
             precision: Precision::F32,
             slo_p99_us: 50_000,
-            slo_window_s: 60,
             watchdog_deadline: Duration::from_secs(1),
             kv_page_tokens: DEFAULT_PAGE_TOKENS,
             kv_pool_pages: 0,
@@ -146,6 +137,11 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Longest the idle background batcher stays parked without a wake-up.
+/// `publish` and `shutdown` unpark it, so this only bounds how late it
+/// notices work a concurrent manual `pump` deferred.
+const IDLE_PARK: Duration = Duration::from_millis(10);
 
 /// Capacity of the shard prefix cache (distinct prompt prefixes
 /// hash-consed at a time; FIFO eviction beyond this).
@@ -165,19 +161,6 @@ pub struct SessionExport {
     pub generated: u64,
     /// The dense KV snapshot.
     pub kv: KvSnapshot,
-}
-
-/// Pre-created per-tenant metric handles: the hot path records through
-/// these (atomics only — the registry lock is never taken after
-/// construction).
-struct TenantMetrics {
-    steps: Counter,
-    prefill_chunks: Counter,
-    rejected: Counter,
-    queue_wait: Histogram,
-    execute: Histogram,
-    burn: pl_metrics::Gauge,
-    slo: SloWindow,
 }
 
 /// A session-table slot: either the live session, or the marker left
@@ -224,6 +207,8 @@ struct ServerInner {
     session_count: AtomicU64,
     next_session: AtomicU64,
     batcher: DynamicBatcher,
+    /// The one telemetry plane: the metrics registry and every
+    /// pre-created recording handle into it.
     stats: ServerStats,
     shutdown: AtomicBool,
     /// Whether a background batcher thread is driving [`Server::pump`] —
@@ -245,12 +230,6 @@ struct ServerInner {
     /// table and across chunk boundaries of one prefill. This is the
     /// quiescence signal drains rely on.
     in_flight: AtomicU64,
-    /// The labeled metrics registry (Prometheus/JSON exposition).
-    metrics: MetricsRegistry,
-    /// Per-tenant handle sets, indexed by tenant id.
-    tenant_metrics: Vec<TenantMetrics>,
-    /// Batches-executed counter mirrored into the registry.
-    batches_total: Counter,
     /// Shard-wide SLO window over decode step latency — what
     /// [`Server::health`] derives its burn rate from.
     slo: SloWindow,
@@ -264,8 +243,9 @@ struct ServerInner {
     kv_pool: Arc<KvPagePool>,
     /// Hash-consed completed prompts → shared KV page runs.
     prefix: PrefixCache,
-    /// Sessions imported from another shard ([`Server::import_session`]).
-    migrations: Counter,
+    /// The background batcher's thread, set by that thread before its
+    /// first pump, so `publish` and `shutdown` can unpark it.
+    batcher_waker: OnceLock<Thread>,
 }
 
 impl ServerInner {
@@ -274,6 +254,24 @@ impl ServerInner {
     fn deliver(&self, reply: &mpsc::Sender<StepResult>, result: StepResult) {
         let _ = reply.send(result);
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Answers an accepted item with `err`; a decode step so answered is
+    /// a failed step (`pl_steps_failed_total`).
+    fn reject(&self, item: &WorkItem, err: ServeError) {
+        if let WorkItem::Decode(req) = item {
+            self.stats.tenants[req.tenant].failed.inc();
+        }
+        self.deliver(item.reply(), Err(err));
+    }
+
+    /// Unparks the background batcher, if one runs. Called after work is
+    /// published: `park`'s token makes a wake-up that lands before the
+    /// batcher parks cut that park short, so none is lost.
+    fn wake_batcher(&self) {
+        if let Some(batcher) = self.batcher_waker.get() {
+            batcher.unpark();
+        }
     }
 
     /// Checks `sess` back into the table after its batch window. If a
@@ -323,39 +321,6 @@ impl Server {
             cfg.precision,
             "model precision must match ServerConfig::precision"
         );
-        let metrics = MetricsRegistry::new();
-        metrics.help("pl_steps_total", "Decode steps delivered, per tenant");
-        metrics.help("pl_prefill_chunks_total", "Prefill chunks executed, per tenant");
-        metrics.help("pl_rejected_backpressure_total", "Submissions bounced on a full ring");
-        metrics.help("pl_queue_wait_us", "Submit-to-collect latency (log2 buckets, µs)");
-        metrics.help("pl_execute_us", "Collect-to-reply latency (log2 buckets, µs)");
-        metrics.help("pl_batches_total", "Batches executed");
-        metrics.help("pl_slo_burn_rate", "Windowed SLO violation fraction over the error budget");
-        metrics.help("pl_sessions_live", "Live sessions");
-        metrics.help("pl_pending", "Work items queued but not executing");
-        metrics.help("pl_in_flight", "Accepted work not yet delivered");
-        metrics.help("pl_shard_health", "0 healthy, 1 degraded, 2 draining, 3 stalled");
-        metrics.help("pl_kv_pages_free", "Recycled KV pages available in the shard pool");
-        metrics.help("pl_kv_pages_shared", "KV pages shared by more than one owner (prefix cache)");
-        metrics.help("pl_kv_sessions_spilled", "Live sessions whose KV is spilled to a snapshot");
-        metrics.help("pl_migrations_total", "Sessions imported from another shard");
-        let tenant_metrics = (0..cfg.tenants)
-            .map(|t| {
-                let tenant = t.to_string();
-                let labels: [(&str, &str); 1] = [("tenant", tenant.as_str())];
-                TenantMetrics {
-                    steps: metrics.counter("pl_steps_total", &labels),
-                    prefill_chunks: metrics.counter("pl_prefill_chunks_total", &labels),
-                    rejected: metrics.counter("pl_rejected_backpressure_total", &labels),
-                    queue_wait: metrics.histogram("pl_queue_wait_us", &labels),
-                    execute: metrics.histogram("pl_execute_us", &labels),
-                    burn: metrics.gauge("pl_slo_burn_rate", &labels),
-                    slo: SloWindow::new(cfg.slo_p99_us, cfg.slo_window_s),
-                }
-            })
-            .collect();
-        let batches_total = metrics.counter("pl_batches_total", &[]);
-        let migrations = metrics.counter("pl_migrations_total", &[]);
         let page_tokens = cfg.kv_page_tokens.max(1);
         let kv_pool = if cfg.kv_pool_pages > 0 {
             KvPagePool::bounded(model.config().hidden, page_tokens, cfg.kv_pool_pages)
@@ -370,15 +335,12 @@ impl Server {
             ),
             kv_pool,
             prefix: PrefixCache::new(PREFIX_CACHE_ENTRIES),
-            migrations,
-            stats: ServerStats::new(cfg.max_batch),
+            batcher_waker: OnceLock::new(),
+            stats: ServerStats::new(cfg.tenants, cfg.max_batch, cfg.slo_p99_us),
             prefill_chunk: AtomicUsize::new(cfg.prefill_chunk.max(1)),
-            slo: SloWindow::new(cfg.slo_p99_us, cfg.slo_window_s),
+            slo: SloWindow::new(cfg.slo_p99_us, pl_metrics::slo::SLO_WINDOW_S),
             health: HealthTracker::default(),
             watchdog: Watchdog::new(cfg.watchdog_deadline),
-            metrics,
-            tenant_metrics,
-            batches_total,
             model,
             pool,
             cfg,
@@ -393,17 +355,17 @@ impl Server {
         Server { inner, batcher_thread: None }
     }
 
-    /// The metrics surface.
+    /// The metrics surface: [`ServerStats::snapshot`] is the typed view
+    /// of what [`Server::metrics_snapshot`] exports.
     pub fn stats(&self) -> &ServerStats {
         &self.inner.stats
     }
 
-    /// The labeled metrics registry — per-tenant counters and latency
-    /// histograms accumulate here; scrape through
-    /// [`Server::metrics_snapshot`] +
+    /// The labeled metrics registry every serving fact is recorded in;
+    /// scrape through [`Server::metrics_snapshot`] +
     /// [`pl_metrics::render_prometheus`].
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.inner.metrics
+        &self.inner.stats.registry
     }
 
     /// The shard-wide SLO window over decode step latency. Public so
@@ -416,7 +378,7 @@ impl Server {
 
     /// Per-tenant SLO window (`None` for an out-of-range tenant).
     pub fn tenant_slo(&self, tenant: TenantId) -> Option<&SloWindow> {
-        self.inner.tenant_metrics.get(tenant).map(|tm| &tm.slo)
+        self.inner.stats.tenants.get(tenant).map(|tm| &tm.slo)
     }
 
     /// Current health of this server: feeds one `(pending, batches)`
@@ -428,10 +390,8 @@ impl Server {
     /// so a shard hovering at the threshold does not flap in and out of
     /// placement.
     pub fn health(&self) -> Health {
-        let stalled = self
-            .inner
-            .watchdog
-            .check(self.pending() as u64, self.inner.stats.batches.load(Ordering::Relaxed));
+        let stalled =
+            self.inner.watchdog.check(self.pending() as u64, self.inner.stats.batches.get());
         self.inner.health.evaluate(self.inner.slo.burn_rate(), stalled)
     }
 
@@ -443,18 +403,18 @@ impl Server {
     /// [`MetricsSnapshot::merge`] after
     /// [`MetricsSnapshot::with_label`]-stamping them.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let m = &self.inner.metrics;
+        let m = self.metrics();
         m.gauge("pl_sessions_live", &[]).set(self.session_count() as f64);
         m.gauge("pl_pending", &[]).set(self.pending() as f64);
         m.gauge("pl_in_flight", &[]).set(self.in_flight() as f64);
-        for tm in &self.inner.tenant_metrics {
+        for tm in &self.inner.stats.tenants {
             tm.burn.set(tm.slo.burn_rate());
         }
         m.gauge("pl_shard_health", &[]).set(self.health().as_f64());
         m.gauge("pl_kv_pages_free", &[]).set(self.inner.kv_pool.free_pages() as f64);
         m.gauge("pl_kv_pages_shared", &[]).set(self.inner.prefix.shared_pages() as f64);
         m.gauge("pl_kv_sessions_spilled", &[]).set(self.spilled_sessions() as f64);
-        m.snapshot()
+        self.inner.stats.registry_snapshot()
     }
 
     /// The shared model.
@@ -604,8 +564,8 @@ impl Server {
     }
 
     /// The GEMM problems that dominated traffic so far, hottest first —
-    /// the retune loop's harvest hook. Weights come from
-    /// [`ServerStats::gemm_shapes`] (per-shape execution counts at the
+    /// the retune loop's harvest hook. Weights come from the
+    /// `pl_gemm_total{m,n,k}` series (per-shape execution counts at the
     /// ragged width every batch actually ran at), and each shape is
     /// rebuilt through the model's own prepared plans
     /// ([`DecoderModel::plan_problems`]), so every returned problem
@@ -614,7 +574,7 @@ impl Server {
     pub fn hot_gemm_problems(&self) -> Vec<(GemmProblem, u64)> {
         let mut out: Vec<(GemmProblem, u64)> = Vec::new();
         let mut at_width = Vec::new();
-        for ((m, n, k), count) in self.inner.stats.gemm_shapes() {
+        for ((m, n, k), count) in self.inner.stats.snapshot().gemm_shapes {
             at_width.clear();
             self.inner.model.plan_problems(n, &mut at_width);
             if let Some(p) = at_width.iter().find(|p| (p.m, p.k) == (m, k)) {
@@ -638,7 +598,7 @@ impl Server {
         let live = self.inner.session_count.fetch_add(1, Ordering::AcqRel) + 1;
         if live as usize > self.inner.cfg.max_sessions {
             self.inner.session_count.fetch_sub(1, Ordering::AcqRel);
-            self.inner.stats.rejected_sessions.fetch_add(1, Ordering::Relaxed);
+            self.inner.stats.tenants[tenant].rejected_sessions.inc();
             return Err(ServeError::TooManySessions { limit: self.inner.cfg.max_sessions });
         }
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
@@ -741,7 +701,7 @@ impl Server {
         let live = self.inner.session_count.fetch_add(1, Ordering::AcqRel) + 1;
         if live as usize > self.inner.cfg.max_sessions {
             self.inner.session_count.fetch_sub(1, Ordering::AcqRel);
-            self.inner.stats.rejected_sessions.fetch_add(1, Ordering::Relaxed);
+            self.inner.stats.tenants[export.tenant].rejected_sessions.inc();
             return Err(ServeError::TooManySessions { limit: self.inner.cfg.max_sessions });
         }
         let state = match self.inner.model.state_from_snapshot(&self.inner.kv_pool, &export.kv) {
@@ -758,7 +718,7 @@ impl Server {
         let mut sess = Session::new(id, export.tenant, state);
         sess.generated = export.generated;
         self.inner.sessions.lock().insert(id, Slot::Live(sess));
-        self.inner.migrations.inc();
+        self.inner.stats.migrations.inc();
         Ok(id)
     }
 
@@ -902,15 +862,13 @@ impl Server {
                 if self.inner.shutdown.load(Ordering::Acquire) {
                     self.bounce_pending();
                 }
+                self.inner.wake_batcher();
                 Ok(())
             }
             Err(item) => {
                 tickets.fetch_sub(1, Ordering::AcqRel);
                 self.inner.in_flight.fetch_sub(1, Ordering::AcqRel);
-                self.inner.stats.rejected_backpressure.fetch_add(1, Ordering::Relaxed);
-                if let Some(tm) = self.inner.tenant_metrics.get(item.tenant()) {
-                    tm.rejected.inc();
-                }
+                self.inner.stats.tenants[item.tenant()].rejected_backpressure.inc();
                 Err(ServeError::Backpressure { tenant: item.tenant() })
             }
         }
@@ -976,7 +934,7 @@ impl Server {
             reply: tx,
         };
         self.publish(&tickets, WorkItem::Decode(req))?;
-        self.inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.tenants[tenant].submitted.inc();
         Ok(rx)
     }
 
@@ -990,7 +948,7 @@ impl Server {
                 break;
             }
             for item in left {
-                self.inner.deliver(item.reply(), Err(ServeError::ShuttingDown));
+                self.inner.reject(&item, ServeError::ShuttingDown);
             }
         }
     }
@@ -1062,7 +1020,7 @@ impl Server {
                     continue;
                 }
                 match sessions.get_mut(&sid) {
-                    None => inner.deliver(item.reply(), Err(ServeError::UnknownSession(sid))),
+                    None => inner.reject(&item, ServeError::UnknownSession(sid)),
                     Some(Slot::CheckedOut { .. }) => {
                         // A concurrent pump's batch holds this session;
                         // replay the item next batch, in program order.
@@ -1098,10 +1056,7 @@ impl Server {
                             // forever — a silent livelock where the caller
                             // hangs and `in_flight` never drains; reject
                             // it loudly instead.
-                            inner.deliver(
-                                item.reply(),
-                                Err(ServeError::StaleTicket { session: sid }),
-                            );
+                            inner.reject(&item, ServeError::StaleTicket { session: sid });
                             continue;
                         }
                         // Capacity: a decode step needs one token; a
@@ -1125,7 +1080,7 @@ impl Server {
                             // later pipelined items are not deferred
                             // forever.
                             sess.exec_seq += 1;
-                            inner.deliver(item.reply(), Err(err));
+                            inner.reject(&item, err);
                             continue;
                         }
                         let marker = Slot::CheckedOut {
@@ -1189,22 +1144,18 @@ impl Server {
         let (h, f, l) = (cfg.hidden, cfg.ffn, cfg.layers as u64);
         // Per layer: 4 h x h GEMMs (QKV + output) and one of each FFN
         // shape, all at the batch's ragged width.
-        inner.stats.record_gemm_shapes(&[
-            ((h, width, h), 4 * l),
-            ((f, width, h), l),
-            ((h, width, f), l),
-        ]);
+        let stats = &inner.stats;
+        stats.record_gemm_shapes(&[((h, width, h), 4 * l), ((f, width, h), l), ((h, width, f), l)]);
 
         // Phase 3 — check-in and delivery.
         let _deliver_span = pl_trace::span("batch.deliver", [size as u64, 0, 0]);
-        inner.stats.batches.fetch_add(1, Ordering::Relaxed);
-        inner.batches_total.inc();
-        inner.stats.batch_sizes.record(size);
+        stats.batches.inc();
+        stats.record_batch_size(size);
         if decode_lanes > 0 {
-            inner.stats.decode_batches.fetch_add(1, Ordering::Relaxed);
+            stats.decode_batches.inc();
         }
         if has_chunk && decode_lanes > 0 {
-            inner.stats.mixed_batches.fetch_add(1, Ordering::Relaxed);
+            stats.mixed_batches.inc();
         }
         let mut sessions = inner.sessions.lock();
         for (r, y) in ready.into_iter().zip(outputs) {
@@ -1221,19 +1172,14 @@ impl Server {
                     // boundary: ring wait vs batch compute.
                     let us = req.enqueued.elapsed().as_micros() as u64;
                     let queue_wait = collected.saturating_duration_since(req.enqueued);
-                    let execute_us = collected.elapsed().as_micros() as u64;
-                    inner.stats.step_latency.record_us(us);
-                    inner.stats.queue_wait_latency.record_us(queue_wait.as_micros() as u64);
-                    inner.stats.execute_latency.record_us(execute_us);
-                    // Per-tenant accounting + SLO tracking (pre-created
-                    // handles: atomics and one short mutex, no registry
-                    // lock).
-                    if let Some(tm) = inner.tenant_metrics.get(req.tenant) {
-                        tm.steps.inc();
-                        tm.queue_wait.observe(queue_wait.as_micros() as u64);
-                        tm.execute.observe(execute_us);
-                        tm.slo.record(us);
-                    }
+                    // Pre-created handles: atomics and one short mutex
+                    // per SLO window, no registry lock.
+                    let tm = &stats.tenants[req.tenant];
+                    tm.steps.inc();
+                    tm.step_latency.observe(us);
+                    tm.queue_wait.observe(queue_wait.as_micros() as u64);
+                    tm.execute.observe(collected.elapsed().as_micros() as u64);
+                    tm.slo.record(us);
                     inner.slo.record(us);
                     if pl_trace::enabled() {
                         // The per-item submit→collect span, placed on the
@@ -1244,18 +1190,12 @@ impl Server {
                         let start = pl_trace::now_ns().saturating_sub(since_collect + q_ns);
                         pl_trace::complete("step.queue_wait", start, q_ns, [req.session, 0, 0]);
                     }
-                    inner.stats.completed.fetch_add(1, Ordering::Relaxed);
                     inner.deliver(&req.reply, Ok(y));
                 }
                 ReadyItem::Chunk(c, mut sess) => {
-                    inner.stats.prefill_chunks.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .stats
-                        .prefill_chunk_latency
-                        .record_us(c.enqueued.elapsed().as_micros() as u64);
-                    if let Some(tm) = inner.tenant_metrics.get(c.job.tenant()) {
-                        tm.prefill_chunks.inc();
-                    }
+                    let tm = &stats.tenants[c.job.tenant()];
+                    tm.prefill_chunks.inc();
+                    tm.chunk_latency.observe(c.enqueued.elapsed().as_micros() as u64);
                     if pl_trace::enabled() {
                         let q_ns =
                             collected.saturating_duration_since(c.enqueued).as_nanos() as u64;
@@ -1301,7 +1241,7 @@ impl Server {
                             enqueued: Instant::now(),
                         }));
                     } else {
-                        inner.stats.prefills.fetch_add(1, Ordering::Relaxed);
+                        tm.prefills.inc();
                         inner.deliver(c.job.reply(), Ok(c.job.take_output()));
                     }
                 }
@@ -1327,7 +1267,10 @@ impl Server {
         for r in ready {
             let sid = r.session_id();
             let (reply, sess) = match &r {
-                ReadyItem::Decode(req, sess) => (&req.reply, sess),
+                ReadyItem::Decode(req, sess) => {
+                    inner.stats.tenants[req.tenant].failed.inc();
+                    (&req.reply, sess)
+                }
                 ReadyItem::Chunk(c, sess) => (c.job.reply(), sess),
             };
             if let Some(Slot::CheckedOut { closer: Some(done), .. }) = sessions.remove(&sid) {
@@ -1349,25 +1292,28 @@ impl Server {
         self.batcher_thread = Some(
             std::thread::Builder::new()
                 .name("pl-serve-batcher".into())
-                .spawn(move || loop {
-                    let ran = server.pump();
-                    if ran == 0 {
-                        if server.inner.shutdown.load(Ordering::Acquire)
-                            && server.inner.batcher.pending() == 0
-                        {
-                            break;
-                        }
-                        // `pump` returns the *executed* count: a batch
-                        // whose items were all deferred (out-of-order
-                        // ticket at the side-queue head, session checked
-                        // out by a concurrent pump) executes nothing yet
-                        // work is still pending and becomes runnable as
-                        // soon as the blocking item checks in — yield and
-                        // re-collect instead of sleeping a full idle_poll.
-                        if server.inner.batcher.pending() > 0 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(server.inner.cfg.idle_poll);
+                .spawn(move || {
+                    let _ = server.inner.batcher_waker.set(std::thread::current());
+                    loop {
+                        let ran = server.pump();
+                        if ran == 0 {
+                            if server.inner.shutdown.load(Ordering::Acquire)
+                                && server.inner.batcher.pending() == 0
+                            {
+                                break;
+                            }
+                            // `pump` returns the *executed* count: a batch
+                            // whose items were all deferred (out-of-order
+                            // ticket at the side-queue head, session checked
+                            // out by a concurrent pump) executes nothing yet
+                            // work is still pending and becomes runnable as
+                            // soon as the blocking item checks in — yield and
+                            // re-collect instead of parking.
+                            if server.inner.batcher.pending() > 0 {
+                                std::thread::yield_now();
+                            } else {
+                                std::thread::park_timeout(IDLE_PARK);
+                            }
                         }
                     }
                 })
@@ -1378,6 +1324,7 @@ impl Server {
     /// Stops admitting work, drains the queues, and joins the batcher.
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.wake_batcher();
         if let Some(h) = self.batcher_thread.take() {
             let _ = h.join();
         }
@@ -1398,6 +1345,7 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StatsSnapshot;
     use pl_dnn::DecoderConfig;
     use pl_tensor::{fill_uniform, Xorshift};
 
@@ -1420,7 +1368,7 @@ mod tests {
         let b = server.create_session(0).unwrap();
         assert_ne!(a, b);
         assert!(matches!(server.create_session(0), Err(ServeError::TooManySessions { limit: 2 })));
-        assert_eq!(server.stats().rejected_sessions.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().snapshot().rejected_sessions, 1);
         assert_eq!(server.close_session(a).unwrap(), 0);
         // Freed capacity is reusable.
         let c = server.create_session(0).unwrap();
@@ -1567,7 +1515,7 @@ mod tests {
         let prompt = token(78, hidden * tokens);
         let y = server.prefill(id, &prompt, tokens).unwrap();
         assert_eq!(y.len(), hidden * tokens);
-        assert_eq!(server.stats().prefill_chunks.load(Ordering::Relaxed), 3);
+        assert_eq!(server.stats().snapshot().prefill_chunks, 3);
         // Chunking changes the projections' widths, never a column's bits.
         let pool = ThreadPool::new(2);
         let mut st = server.model().new_state(32);
@@ -1686,7 +1634,7 @@ mod tests {
         }
         assert!(done_a && done_b, "prefills must complete after the decode interleave");
         assert_eq!(server.in_flight(), 0);
-        assert_eq!(server.stats().prefill_chunks.load(Ordering::Relaxed), 8);
+        assert_eq!(server.stats().snapshot().prefill_chunks, 8);
     }
 
     #[test]
@@ -2090,7 +2038,7 @@ mod tests {
         let _r1 = server.submit_step(id, &x).unwrap();
         let _r2 = server.submit_step(id, &x).unwrap();
         assert!(matches!(server.submit_step(id, &x), Err(ServeError::Backpressure { tenant: 0 })));
-        assert_eq!(server.stats().rejected_backpressure.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().snapshot().rejected_backpressure, 1);
         // Prefills ride the same bounded rings: a full ring bounces them
         // too (and releases their in-flight count).
         let before = server.in_flight();
@@ -2157,6 +2105,64 @@ mod tests {
             server.submit_step(ids[0], &token(1, hidden)),
             Err(ServeError::ShuttingDown)
         ));
+    }
+
+    fn median(mut v: Vec<Duration>) -> Duration {
+        v.sort();
+        v[v.len() / 2]
+    }
+
+    #[test]
+    fn idle_batcher_wakes_on_submit_not_on_a_timer() {
+        // One closed-loop session: every submit finds the batcher idle.
+        // A batcher that polls on a timer adds its period (1 ms before
+        // the park/unpark wake) to every step; an unparked one adds a
+        // thread wake-up. Compared against the same steps hand-pumped on
+        // the calling thread, so a slow build moves both sides.
+        let cfg =
+            ServerConfig { coalesce_wait: Duration::ZERO, kv_capacity: 1024, ..Default::default() };
+        let time_steps = |server: &Server, started: bool| {
+            let hidden = server.model().config().hidden;
+            let id = server.create_session(0).unwrap();
+            let mut x = token(31, hidden);
+            let mut took = Vec::with_capacity(500);
+            for _ in 0..500 {
+                let t0 = Instant::now();
+                let rx = server.submit_step(id, &x).unwrap();
+                if !started {
+                    assert_eq!(server.pump(), 1);
+                }
+                x = rx.recv().unwrap().unwrap();
+                took.push(t0.elapsed());
+            }
+            median(took)
+        };
+        let manual = time_steps(&tiny_server(cfg.clone()), false);
+        let mut server = tiny_server(cfg);
+        server.start();
+        let served = time_steps(&server, true);
+        server.shutdown();
+        assert!(
+            served < manual + Duration::from_micros(500),
+            "median step {served:?} through an idle batcher vs {manual:?} hand-pumped"
+        );
+    }
+
+    #[test]
+    fn shutdown_of_an_idle_started_server_does_not_wait_out_the_park() {
+        let took: Vec<Duration> = (0..5)
+            .map(|_| {
+                let mut server = tiny_server(ServerConfig::default());
+                server.start();
+                // Let the batcher find the rings empty and park.
+                std::thread::sleep(Duration::from_millis(2));
+                let t0 = Instant::now();
+                server.shutdown();
+                t0.elapsed()
+            })
+            .collect();
+        let m = median(took);
+        assert!(m < IDLE_PARK / 2, "shutdown took {m:?} of a {IDLE_PARK:?} park");
     }
 
     #[test]
@@ -2326,6 +2332,11 @@ mod tests {
             other => panic!("expected BatchFailed, got {other:?}"),
         }
         assert_eq!(server.in_flight(), 0);
+        // The failed step is accounted for: every accepted step is
+        // completed, failed or still in flight.
+        let snap = server.stats().snapshot();
+        assert_eq!((snap.submitted, snap.completed, snap.failed), (1, 0, 1));
+        assert_eq!(snap.submitted, snap.completed + snap.failed + server.in_flight() as u64);
         assert_eq!(server.session_count(), 0, "the session is gone with its pages");
         assert!(matches!(server.close_session(id), Err(ServeError::UnknownSession(_))));
         // The freed pages serve the next tenant.
@@ -2412,9 +2423,10 @@ mod tests {
     }
 
     #[test]
-    fn per_tenant_metrics_account_steps_chunks_and_rejections() {
+    fn stats_view_equals_its_recomputation_from_the_registry() {
         let server = tiny_server(ServerConfig {
             tenants: 2,
+            max_sessions: 2,
             queue_capacity: 2,
             prefill_chunk: 4,
             coalesce_wait: Duration::ZERO,
@@ -2423,6 +2435,7 @@ mod tests {
         let hidden = server.model().config().hidden;
         let a = server.create_session(0).unwrap();
         let b = server.create_session(1).unwrap();
+        assert!(matches!(server.create_session(1), Err(ServeError::TooManySessions { .. })));
         // Tenant 0: two steps fill the ring, the third bounces.
         let rx0 = server.submit_step(a, &token(1, hidden)).unwrap();
         let rx1 = server.submit_step(a, &token(2, hidden)).unwrap();
@@ -2433,27 +2446,107 @@ mod tests {
         while server.pump() > 0 {}
         rx0.recv().unwrap().unwrap();
         rx1.recv().unwrap().unwrap();
-        // Tenant 1: an 8-token prompt through 4-token chunks = 2 chunks.
+        // Tenant 1: an 8-token prompt through 4-token chunks = 2 chunks,
+        // the first sharing its batch with a tenant-0 decode lane.
         let rxp = server.submit_prefill(b, &token(4, hidden * 8), 8).unwrap();
+        let rx2 = server.submit_step(a, &token(5, hidden)).unwrap();
         while server.pump() > 0 {}
         rxp.recv().unwrap().unwrap();
-        let snap = server.metrics_snapshot();
-        assert_eq!(snap.counter_value("pl_steps_total", &[("tenant", "0")]), 2);
-        assert_eq!(snap.counter_value("pl_steps_total", &[("tenant", "1")]), 0);
-        assert_eq!(snap.counter_value("pl_prefill_chunks_total", &[("tenant", "1")]), 2);
-        assert_eq!(snap.counter_value("pl_prefill_chunks_total", &[("tenant", "0")]), 0);
-        assert_eq!(snap.counter_value("pl_rejected_backpressure_total", &[("tenant", "0")]), 1);
-        assert!(snap.counter_value("pl_batches_total", &[]) >= 2);
-        let qw = snap.histogram_series("pl_queue_wait_us", &[("tenant", "0")]).unwrap();
-        assert_eq!(qw.count, 2, "one queue-wait observation per delivered step");
-        let ex = snap.histogram_series("pl_execute_us", &[("tenant", "0")]).unwrap();
-        assert_eq!(ex.count, 2);
-        assert_eq!(snap.gauge_value("pl_sessions_live", &[]), Some(2.0));
-        assert_eq!(snap.gauge_value("pl_pending", &[]), Some(0.0));
+        rx2.recv().unwrap().unwrap();
+
+        let m = server.metrics_snapshot();
+        let per_tenant =
+            |name: &str| [0, 1].map(|t| m.counter_value(name, &[("tenant", &t.to_string())]));
+        assert_eq!(per_tenant("pl_steps_submitted_total"), [3, 0]);
+        assert_eq!(per_tenant("pl_steps_total"), [3, 0]);
+        assert_eq!(per_tenant("pl_steps_failed_total"), [0, 0]);
+        assert_eq!(per_tenant("pl_prefill_chunks_total"), [0, 2]);
+        assert_eq!(per_tenant("pl_prefills_total"), [0, 1]);
+        assert_eq!(per_tenant("pl_rejected_backpressure_total"), [1, 0]);
+        assert_eq!(per_tenant("pl_rejected_sessions_total"), [0, 1]);
+        assert_eq!(m.gauge_value("pl_sessions_live", &[]), Some(2.0));
+        assert_eq!(m.gauge_value("pl_pending", &[]), Some(0.0));
         // SLO windows are per-tenant too: tenant 0 saw the traffic.
-        assert_eq!(server.tenant_slo(0).unwrap().observations(), 2);
+        assert_eq!(server.tenant_slo(0).unwrap().observations(), 3);
         assert_eq!(server.tenant_slo(1).unwrap().observations(), 0);
         assert!(server.tenant_slo(2).is_none());
+
+        // Every field of the typed view, recomputed by hand from the
+        // exported series.
+        let view = StatsSnapshot::from_metrics(&m);
+        let total = |name: &str| per_tenant(name).iter().sum::<u64>();
+        let hist = |name: &str| {
+            let mut h = pl_metrics::HistogramSnapshot::default();
+            for t in ["0", "1"] {
+                h.merge(m.histogram_series(name, &[("tenant", t)]).unwrap());
+            }
+            h
+        };
+        let sizes: Vec<(usize, u64)> = (1..=server.config().max_batch)
+            .map(|n| (n, m.counter_value("pl_batch_size_total", &[("size", &n.to_string())])))
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        let cfg = server.model().config();
+        let (h, f) = (cfg.hidden.to_string(), cfg.ffn.to_string());
+        let gemms = |mm: &str, n: usize, k: &str| {
+            m.counter_value("pl_gemm_total", &[("m", mm), ("n", &n.to_string()), ("k", k)])
+        };
+        let batches = m.counter_value("pl_batches_total", &[]);
+        let lanes: u64 = sizes.iter().map(|&(n, count)| n as u64 * count).sum();
+        let (step, qw, ex, ch) = (
+            hist("pl_step_latency_us"),
+            hist("pl_queue_wait_us"),
+            hist("pl_execute_us"),
+            hist("pl_prefill_chunk_latency_us"),
+        );
+        assert_eq!((step.count, qw.count, ex.count, ch.count), (3, 3, 3, 2));
+        let elapsed_s = m.gauge_value("pl_uptime_seconds", &[]).unwrap();
+        let want = StatsSnapshot {
+            elapsed_s,
+            submitted: total("pl_steps_submitted_total"),
+            completed: total("pl_steps_total"),
+            failed: 0,
+            rejected_backpressure: 1,
+            rejected_sessions: 1,
+            batches,
+            decode_batches: m.counter_value("pl_decode_batches_total", &[]),
+            prefills: 1,
+            prefill_chunks: 2,
+            mixed_batches: m.counter_value("pl_mixed_batches_total", &[]),
+            gemm_shapes: view
+                .gemm_shapes
+                .iter()
+                .map(|&((mm, n, k), _)| ((mm, n, k), gemms(&mm.to_string(), n, &k.to_string())))
+                .collect(),
+            tokens_per_s: 3.0 / elapsed_s,
+            mean_batch: lanes as f64 / batches as f64,
+            max_batch_observed: sizes.last().unwrap().0,
+            batch_distribution: sizes,
+            p50_us: step.quantile(0.50),
+            p99_us: step.quantile(0.99),
+            mean_us: step.sum as f64 / 3.0,
+            queue_wait_p50_us: qw.quantile(0.50),
+            queue_wait_p99_us: qw.quantile(0.99),
+            execute_p50_us: ex.quantile(0.50),
+            execute_p99_us: ex.quantile(0.99),
+            chunk_p50_us: ch.quantile(0.50),
+            chunk_p99_us: ch.quantile(0.99),
+        };
+        assert_eq!(view, want);
+        // Batches: [a, a] deferred into two singles, then chunk+lane,
+        // then the lone second chunk.
+        assert_eq!((view.batches, view.decode_batches, view.mixed_batches), (4, 3, 1));
+        assert_eq!(view.batch_distribution, vec![(1, 3), (2, 1)]);
+        // Widths 1 (twice), 5 (chunk + lane) and 4 (lone chunk): per
+        // layer, 4 h x h GEMMs and one of each FFN shape at each.
+        let l = cfg.layers as u64;
+        assert_eq!(gemms(&h, 1, &h), 2 * 4 * l);
+        assert_eq!((gemms(&f, 5, &h), gemms(&h, 4, &f)), (l, l));
+        assert_eq!(view.gemm_shapes.len(), 9);
+        // The handle-side read is the same fold, without the liveness
+        // gauges `metrics_snapshot` samples.
+        let own = server.stats().snapshot();
+        assert_eq!(StatsSnapshot { elapsed_s, tokens_per_s: want.tokens_per_s, ..own }, view);
     }
 
     #[test]
@@ -2650,7 +2743,7 @@ mod tests {
             server.submit_step(b, &token(2, hidden)),
             Err(ServeError::Backpressure { tenant: 0 })
         ));
-        assert_eq!(server.stats().rejected_backpressure.load(Ordering::Relaxed), 1);
+        assert_eq!(server.stats().snapshot().rejected_backpressure, 1);
         while server.pump() > 0 {}
         rx.recv().unwrap().unwrap();
         // Executed work released its budget; admission resumes.

@@ -1,279 +1,184 @@
-//! `ServerStats` — the serving runtime's metrics surface.
+//! `ServerStats` — the server's handles into its one telemetry plane.
 //!
-//! Everything is atomics, so the hot path (batcher + client threads)
-//! records without locks; a [`ServerStats::snapshot`] folds the counters
-//! into human-facing rates and quantiles.
+//! Every serving fact is recorded exactly once, through a pre-created
+//! [`pl_metrics`] handle (atomics only — the registry lock is taken at
+//! construction, on the first batch of a new GEMM width, and at snapshot
+//! time). [`StatsSnapshot`] is a typed, read-only fold of a
+//! [`MetricsSnapshot`]: what `plbench` reads and what Prometheus scrapes
+//! are the same series.
 
 use parking_lot::Mutex;
+use pl_metrics::{
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SloWindow,
+};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Number of power-of-two latency buckets (bucket i covers
-/// `[2^(i-1), 2^i)` microseconds; bucket 0 is `< 1 µs`).
-const LATENCY_BUCKETS: usize = 40;
+/// `(family, # HELP text)` of every series the serving layer records;
+/// the README's family table lists which [`StatsSnapshot`] field reads
+/// each.
+const FAMILIES: &[(&str, &str)] = &[
+    ("pl_steps_submitted_total", "Decode steps accepted into a queue, per tenant"),
+    ("pl_steps_total", "Decode steps delivered, per tenant"),
+    ("pl_steps_failed_total", "Accepted decode steps answered with an error, per tenant"),
+    ("pl_prefills_total", "Prefills completed, per tenant"),
+    ("pl_prefill_chunks_total", "Prefill chunks executed, per tenant"),
+    ("pl_rejected_backpressure_total", "Submissions bounced on a full ring"),
+    ("pl_rejected_sessions_total", "Sessions refused at the session cap"),
+    ("pl_step_latency_us", "Submit-to-reply decode latency (log2 buckets, µs)"),
+    ("pl_queue_wait_us", "Submit-to-collect latency (log2 buckets, µs)"),
+    ("pl_execute_us", "Collect-to-reply latency (log2 buckets, µs)"),
+    ("pl_prefill_chunk_latency_us", "Prefill chunk enqueue-to-execution latency (µs)"),
+    ("pl_batches_total", "Batches executed"),
+    ("pl_decode_batches_total", "Batches with at least one decode lane"),
+    ("pl_mixed_batches_total", "Batches packing a prefill chunk next to decode lanes"),
+    ("pl_batch_size_total", "Batches executed, by exact size (lanes, a chunk counts as one)"),
+    ("pl_gemm_total", "GEMMs executed, by (m, n, k); n is the batch's ragged width"),
+    ("pl_migrations_total", "Sessions imported from another shard"),
+    ("pl_uptime_seconds", "Seconds since the server was constructed"),
+    ("pl_slo_burn_rate", "Windowed SLO violation fraction over the error budget"),
+    ("pl_sessions_live", "Live sessions"),
+    ("pl_pending", "Work items queued but not executing"),
+    ("pl_in_flight", "Accepted work not yet delivered"),
+    ("pl_shard_health", "0 healthy, 1 degraded, 2 draining, 3 stalled"),
+    ("pl_kv_pages_free", "Recycled KV pages available in the shard pool"),
+    ("pl_kv_pages_shared", "KV pages shared by more than one owner (prefix cache)"),
+    ("pl_kv_sessions_spilled", "Live sessions whose KV is spilled to a snapshot"),
+];
 
-/// A log2-bucketed latency histogram over microseconds.
-///
-/// Quantile answers are the upper edge of the containing bucket, i.e.
-/// within 2x of the true value — the fidelity latency SLOs actually need,
-/// at the cost of 40 counters and zero locks.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
-    total_us: AtomicU64,
+/// One tenant's handle set.
+pub(crate) struct TenantMetrics {
+    pub submitted: Counter,
+    pub steps: Counter,
+    pub failed: Counter,
+    pub prefills: Counter,
+    pub prefill_chunks: Counter,
+    pub rejected_backpressure: Counter,
+    pub rejected_sessions: Counter,
+    pub step_latency: Histogram,
+    pub queue_wait: Histogram,
+    pub execute: Histogram,
+    pub chunk_latency: Histogram,
+    pub burn: Gauge,
+    pub slo: SloWindow,
 }
 
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Element-wise sum of `other` into `mine`, growing `mine` as needed —
-/// the bucket-histogram half of [`StatsSnapshot::merge`], delegating to
-/// the workspace-wide implementation in [`pl_metrics::merge_buckets`].
-fn merge_buckets(mine: &mut Vec<u64>, other: &[u64]) {
-    pl_metrics::merge_buckets(mine, other);
-}
-
-/// Quantile estimate from raw log2 bucket counts: the upper edge of the
-/// bucket containing rank `ceil(q * n)`. This is the pure fold behind
-/// [`LatencyHistogram::quantile_us`], shared with [`StatsSnapshot::merge`]
-/// so cross-shard aggregation recomputes quantiles from summed buckets
-/// instead of (incorrectly) averaging per-shard quantiles. The single
-/// implementation (also behind `pl_trace`'s nanosecond histograms) lives
-/// in [`pl_metrics::quantile_from_buckets`]; this re-export keeps the
-/// serving-layer API stable.
-pub fn quantile_from_buckets(buckets: &[u64], q: f64) -> u64 {
-    pl_metrics::quantile_from_buckets(buckets, q)
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            total_us: AtomicU64::new(0),
-        }
-    }
-
-    fn bucket_of(us: u64) -> usize {
-        pl_metrics::bucket_of(us, LATENCY_BUCKETS)
-    }
-
-    /// Point-in-time copy of the raw bucket counts (index i = bucket i).
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Records one observation in microseconds.
-    pub fn record_us(&self, us: u64) {
-        self.buckets[Self::bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Observation count.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.total_us.load(Ordering::Relaxed) as f64 / n as f64
-    }
-
-    /// Upper-edge estimate of quantile `q` (`0.0..=1.0`) in microseconds.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.bucket_counts(), q)
-    }
-}
-
-/// A dense counting histogram over small integer values (batch sizes).
-#[derive(Debug)]
-pub struct CountHistogram {
-    buckets: Vec<AtomicU64>,
-}
-
-impl CountHistogram {
-    /// Histogram over values `0..=max_value` (larger values clamp).
-    pub fn new(max_value: usize) -> Self {
-        CountHistogram { buckets: (0..=max_value).map(|_| AtomicU64::new(0)).collect() }
-    }
-
-    /// Records one observation.
-    pub fn record(&self, value: usize) {
-        let i = value.min(self.buckets.len() - 1);
-        self.buckets[i].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count at `value`.
-    pub fn count_at(&self, value: usize) -> u64 {
-        self.buckets.get(value).map_or(0, |b| b.load(Ordering::Relaxed))
-    }
-
-    /// Largest value with a nonzero count.
-    pub fn max_observed(&self) -> usize {
-        (0..self.buckets.len())
-            .rev()
-            .find(|&i| self.buckets[i].load(Ordering::Relaxed) > 0)
-            .unwrap_or(0)
-    }
-
-    /// `(value, count)` pairs with nonzero counts.
-    pub fn nonzero(&self) -> Vec<(usize, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = b.load(Ordering::Relaxed);
-                (c > 0).then_some((i, c))
-            })
-            .collect()
-    }
-}
-
-/// Live counters of a serving runtime.
-#[derive(Debug)]
+/// The serving runtime's recording handles over its [`MetricsRegistry`].
+/// Read it with [`ServerStats::snapshot`] (typed) or scrape the registry
+/// through [`crate::Server::metrics_snapshot`].
 pub struct ServerStats {
     started: Instant,
-    /// Step requests accepted into a queue.
-    pub submitted: AtomicU64,
-    /// Step requests completed (reply delivered).
-    pub completed: AtomicU64,
-    /// Rejections because the tenant's queue ring was full.
-    pub rejected_backpressure: AtomicU64,
-    /// Rejections because the session cap was reached.
-    pub rejected_sessions: AtomicU64,
-    /// Batches executed.
-    pub batches: AtomicU64,
-    /// Batches that contained at least one decode lane (a batch can also
-    /// be a lone prefill chunk).
-    pub decode_batches: AtomicU64,
-    /// Prefills completed (all chunks executed, reply delivered).
-    pub prefills: AtomicU64,
-    /// Prefill chunks executed through the batcher.
-    pub prefill_chunks: AtomicU64,
-    /// Batches that interleaved a prefill chunk with decode lanes — the
-    /// continuous-batching signal: nonzero means long prompts shared
-    /// regions with live decode traffic instead of blocking it.
-    pub mixed_batches: AtomicU64,
-    /// Queue-to-reply latency of decode steps (the combined histogram,
-    /// kept for artifact compatibility: `queue_wait_latency` +
-    /// `execute_latency` split the same interval).
-    pub step_latency: LatencyHistogram,
-    /// Submit→collect slice of step latency: time a step sat in the
-    /// submission ring (plus coalesce linger and deferred replays)
-    /// before a batch picked it up. High here = queueing problem.
-    pub queue_wait_latency: LatencyHistogram,
-    /// Collect→deliver slice of step latency: checkout + the parallel
-    /// region + check-in/reply. High here = compute problem.
-    pub execute_latency: LatencyHistogram,
-    /// Enqueue-to-execution latency of prefill chunks.
-    pub prefill_chunk_latency: LatencyHistogram,
-    /// Distribution of executed batch sizes.
-    pub batch_sizes: CountHistogram,
-    /// `(m, n, k) -> GEMMs executed` over all batches: `n` is the batch's
-    /// real ragged width (decode lanes + the chunk's tokens); the
-    /// `hidden x hidden` shape runs 4x per layer for QKV + output, the FFN
-    /// shapes once per layer. One locked update per batch — not per GEMM —
-    /// so the hot path stays effectively lock-free; this is what the
-    /// retune loop harvests ([`crate::Server::hot_gemm_problems`]).
-    gemm_shapes: Mutex<BTreeMap<(usize, usize, usize), u64>>,
+    /// The registry every handle below records into.
+    pub(crate) registry: MetricsRegistry,
+    uptime: Gauge,
+    /// Per-tenant handle sets, indexed by tenant id.
+    pub(crate) tenants: Vec<TenantMetrics>,
+    pub(crate) batches: Counter,
+    pub(crate) decode_batches: Counter,
+    pub(crate) mixed_batches: Counter,
+    pub(crate) migrations: Counter,
+    /// `pl_batch_size_total{size}` for sizes `1..=max_batch`.
+    batch_sizes: Vec<Counter>,
+    /// `pl_gemm_total{m,n,k}` handles by shape. One locked update per
+    /// batch — not per GEMM — so the hot path stays effectively
+    /// lock-free; the registry is touched only the first time a width
+    /// executes.
+    gemm: Mutex<BTreeMap<(usize, usize, usize), Counter>>,
 }
 
 impl ServerStats {
-    /// Fresh stats; `max_batch` bounds the batch-size histogram.
-    pub fn new(max_batch: usize) -> Self {
+    pub(crate) fn new(tenants: usize, max_batch: usize, slo_p99_us: u64) -> Self {
+        let registry = MetricsRegistry::new();
+        for (family, help) in FAMILIES {
+            registry.help(family, help);
+        }
+        let tenants = (0..tenants)
+            .map(|t| {
+                let tenant = t.to_string();
+                let l: [(&str, &str); 1] = [("tenant", tenant.as_str())];
+                TenantMetrics {
+                    submitted: registry.counter("pl_steps_submitted_total", &l),
+                    steps: registry.counter("pl_steps_total", &l),
+                    failed: registry.counter("pl_steps_failed_total", &l),
+                    prefills: registry.counter("pl_prefills_total", &l),
+                    prefill_chunks: registry.counter("pl_prefill_chunks_total", &l),
+                    rejected_backpressure: registry.counter("pl_rejected_backpressure_total", &l),
+                    rejected_sessions: registry.counter("pl_rejected_sessions_total", &l),
+                    step_latency: registry.histogram("pl_step_latency_us", &l),
+                    queue_wait: registry.histogram("pl_queue_wait_us", &l),
+                    execute: registry.histogram("pl_execute_us", &l),
+                    chunk_latency: registry.histogram("pl_prefill_chunk_latency_us", &l),
+                    burn: registry.gauge("pl_slo_burn_rate", &l),
+                    slo: SloWindow::new(slo_p99_us, pl_metrics::slo::SLO_WINDOW_S),
+                }
+            })
+            .collect();
+        let batch_sizes = (1..=max_batch.max(1))
+            .map(|size| registry.counter("pl_batch_size_total", &[("size", &size.to_string())]))
+            .collect();
         ServerStats {
             started: Instant::now(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected_backpressure: AtomicU64::new(0),
-            rejected_sessions: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            decode_batches: AtomicU64::new(0),
-            prefills: AtomicU64::new(0),
-            prefill_chunks: AtomicU64::new(0),
-            mixed_batches: AtomicU64::new(0),
-            step_latency: LatencyHistogram::new(),
-            queue_wait_latency: LatencyHistogram::new(),
-            execute_latency: LatencyHistogram::new(),
-            prefill_chunk_latency: LatencyHistogram::new(),
-            batch_sizes: CountHistogram::new(max_batch),
-            gemm_shapes: Mutex::new(BTreeMap::new()),
+            uptime: registry.gauge("pl_uptime_seconds", &[]),
+            tenants,
+            batches: registry.counter("pl_batches_total", &[]),
+            decode_batches: registry.counter("pl_decode_batches_total", &[]),
+            mixed_batches: registry.counter("pl_mixed_batches_total", &[]),
+            migrations: registry.counter("pl_migrations_total", &[]),
+            batch_sizes,
+            gemm: Mutex::new(BTreeMap::new()),
+            registry,
         }
+    }
+
+    /// Counts one executed batch of `size` lanes.
+    pub(crate) fn record_batch_size(&self, size: usize) {
+        self.batch_sizes[size.clamp(1, self.batch_sizes.len()) - 1].inc();
     }
 
     /// Records one batch's GEMMs: each `(shape, count)` entry says the
     /// batch executed `count` GEMMs of that `(m, n, k)` shape.
-    pub fn record_gemm_shapes(&self, gemm_shapes: &[((usize, usize, usize), u64)]) {
-        let mut shapes = self.gemm_shapes.lock();
-        for &(s, count) in gemm_shapes {
-            *shapes.entry(s).or_insert(0) += count;
+    pub(crate) fn record_gemm_shapes(&self, shapes: &[((usize, usize, usize), u64)]) {
+        let mut handles = self.gemm.lock();
+        for &((m, n, k), count) in shapes {
+            handles
+                .entry((m, n, k))
+                .or_insert_with(|| {
+                    let (m, n, k) = (m.to_string(), n.to_string(), k.to_string());
+                    self.registry.counter("pl_gemm_total", &[("m", &m), ("n", &n), ("k", &k)])
+                })
+                .add(count);
         }
     }
 
-    /// The GEMM shapes executed so far, as sorted
-    /// `((m, n, k), GEMMs executed)` pairs.
-    pub fn gemm_shapes(&self) -> Vec<((usize, usize, usize), u64)> {
-        self.gemm_shapes.lock().iter().map(|(&s, &c)| (s, c)).collect()
+    /// Point-in-time copy of every recorded series (plus the uptime
+    /// gauge). No liveness gauge is sampled and no health state moves —
+    /// that is [`crate::Server::metrics_snapshot`].
+    pub(crate) fn registry_snapshot(&self) -> MetricsSnapshot {
+        self.uptime.set(self.started.elapsed().as_secs_f64());
+        self.registry.snapshot()
     }
 
-    /// Folds the counters into a point-in-time summary.
+    /// Folds the registry into a point-in-time summary.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let elapsed = self.started.elapsed().as_secs_f64().max(1e-9);
-        let completed = self.completed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
-        StatsSnapshot {
-            elapsed_s: elapsed,
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed,
-            rejected_backpressure: self.rejected_backpressure.load(Ordering::Relaxed),
-            rejected_sessions: self.rejected_sessions.load(Ordering::Relaxed),
-            batches,
-            decode_batches: self.decode_batches.load(Ordering::Relaxed),
-            prefills: self.prefills.load(Ordering::Relaxed),
-            prefill_chunks: self.prefill_chunks.load(Ordering::Relaxed),
-            mixed_batches: self.mixed_batches.load(Ordering::Relaxed),
-            gemm_shapes: self.gemm_shapes(),
-            tokens_per_s: completed as f64 / elapsed,
-            mean_batch: if batches == 0 { 0.0 } else { completed as f64 / batches as f64 },
-            max_batch_observed: self.batch_sizes.max_observed(),
-            batch_distribution: self.batch_sizes.nonzero(),
-            latency_buckets: self.step_latency.bucket_counts(),
-            p50_us: self.step_latency.quantile_us(0.50),
-            p99_us: self.step_latency.quantile_us(0.99),
-            mean_us: self.step_latency.mean_us(),
-            queue_wait_buckets: self.queue_wait_latency.bucket_counts(),
-            queue_wait_p50_us: self.queue_wait_latency.quantile_us(0.50),
-            queue_wait_p99_us: self.queue_wait_latency.quantile_us(0.99),
-            execute_buckets: self.execute_latency.bucket_counts(),
-            execute_p50_us: self.execute_latency.quantile_us(0.50),
-            execute_p99_us: self.execute_latency.quantile_us(0.99),
-            chunk_latency_buckets: self.prefill_chunk_latency.bucket_counts(),
-            chunk_p50_us: self.prefill_chunk_latency.quantile_us(0.50),
-            chunk_p99_us: self.prefill_chunk_latency.quantile_us(0.99),
-        }
+        StatsSnapshot::from_metrics(&self.registry_snapshot())
     }
 }
 
-/// Point-in-time summary of [`ServerStats`].
-#[derive(Debug, Clone)]
+/// Typed summary of the serving families of a [`MetricsSnapshot`],
+/// summed over `tenant` (and, for a router's merged snapshot, `shard`)
+/// labels. Quantiles are bucket upper edges recomputed from the summed
+/// log2 buckets.
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// Seconds since server start.
+    /// Seconds since server start (the longest-lived shard's).
     pub elapsed_s: f64,
     /// Steps accepted.
     pub submitted: u64,
-    /// Steps completed.
+    /// Steps completed (reply delivered).
     pub completed: u64,
+    /// Accepted steps answered with an error (batch failure, closed
+    /// session, KV exhaustion, shutdown bounce).
+    pub failed: u64,
     /// Backpressure rejections.
     pub rejected_backpressure: u64,
     /// Session-cap rejections.
@@ -286,209 +191,116 @@ pub struct StatsSnapshot {
     pub prefills: u64,
     /// Prefill chunks executed through the batcher.
     pub prefill_chunks: u64,
-    /// Batches that interleaved a prefill chunk with decode lanes.
+    /// Batches that interleaved a prefill chunk with decode lanes — the
+    /// continuous-batching signal.
     pub mixed_batches: u64,
     /// `((m, n, k), GEMMs executed)`, `n` the batches' ragged widths.
     pub gemm_shapes: Vec<((usize, usize, usize), u64)>,
     /// Decode throughput (completed steps per second since start).
     pub tokens_per_s: f64,
-    /// Mean executed batch size.
+    /// Mean executed batch size: Σ size·count / batches (a prefill chunk
+    /// counts as one lane, as in `batch_distribution`).
     pub mean_batch: f64,
     /// Largest executed batch.
     pub max_batch_observed: usize,
-    /// `(batch size, count)` pairs.
+    /// `(batch size, count)` pairs with nonzero counts.
     pub batch_distribution: Vec<(usize, u64)>,
-    /// Raw log2 latency bucket counts (bucket i covers `[2^(i-1), 2^i)`
-    /// µs) — carried so snapshots from several servers can be **merged**
-    /// with correct quantiles (averaging per-shard p99s would be wrong).
-    pub latency_buckets: Vec<u64>,
-    /// Median queue-to-reply step latency (µs, bucket upper edge).
+    /// Median submit-to-reply step latency (µs).
     pub p50_us: u64,
-    /// 99th percentile step latency (µs, bucket upper edge).
+    /// 99th percentile step latency (µs).
     pub p99_us: u64,
     /// Mean step latency (µs).
     pub mean_us: f64,
-    /// Raw log2 buckets of the submit→collect (queue wait) slice of
-    /// step latency (mergeable, like `latency_buckets`).
-    pub queue_wait_buckets: Vec<u64>,
-    /// Median queue wait (µs, bucket upper edge).
+    /// Median submit→collect wait (µs). High here = queueing problem.
     pub queue_wait_p50_us: u64,
     /// 99th percentile queue wait (µs).
     pub queue_wait_p99_us: u64,
-    /// Raw log2 buckets of the collect→deliver (execute) slice of step
-    /// latency (mergeable).
-    pub execute_buckets: Vec<u64>,
-    /// Median execute latency (µs, bucket upper edge).
+    /// Median collect→deliver latency (µs). High here = compute problem.
     pub execute_p50_us: u64,
     /// 99th percentile execute latency (µs).
     pub execute_p99_us: u64,
-    /// Raw log2 prefill-chunk latency buckets (mergeable, like
-    /// `latency_buckets`).
-    pub chunk_latency_buckets: Vec<u64>,
     /// Median prefill-chunk enqueue-to-execution latency (µs).
     pub chunk_p50_us: u64,
     /// 99th percentile prefill-chunk latency (µs).
     pub chunk_p99_us: u64,
 }
 
+/// The numeric value of label `name` on a series.
+fn label(labels: &[(String, String)], name: &str) -> usize {
+    let value = labels.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
+    value.and_then(|v| v.parse().ok()).unwrap_or(0)
+}
+
 impl StatsSnapshot {
-    /// The all-zero snapshot — the identity element of [`StatsSnapshot::merge`].
+    /// The all-zero snapshot.
     pub fn empty() -> Self {
-        StatsSnapshot {
-            elapsed_s: 0.0,
-            submitted: 0,
-            completed: 0,
-            rejected_backpressure: 0,
-            rejected_sessions: 0,
-            batches: 0,
-            decode_batches: 0,
-            prefills: 0,
-            prefill_chunks: 0,
-            mixed_batches: 0,
-            gemm_shapes: Vec::new(),
-            tokens_per_s: 0.0,
-            mean_batch: 0.0,
-            max_batch_observed: 0,
-            batch_distribution: Vec::new(),
-            latency_buckets: vec![0; LATENCY_BUCKETS],
-            p50_us: 0,
-            p99_us: 0,
-            mean_us: 0.0,
-            queue_wait_buckets: vec![0; LATENCY_BUCKETS],
-            queue_wait_p50_us: 0,
-            queue_wait_p99_us: 0,
-            execute_buckets: vec![0; LATENCY_BUCKETS],
-            execute_p50_us: 0,
-            execute_p99_us: 0,
-            chunk_latency_buckets: vec![0; LATENCY_BUCKETS],
-            chunk_p50_us: 0,
-            chunk_p99_us: 0,
-        }
+        Self::from_metrics(&MetricsSnapshot::default())
     }
 
-    /// Latency observations carried by this snapshot (sum of the raw
-    /// buckets).
-    pub fn latency_count(&self) -> u64 {
-        self.latency_buckets.iter().sum()
-    }
-
-    /// Folds `other` into `self` — the cross-shard aggregation a serving
-    /// router needs. Counters add; `elapsed_s` takes the max (shards run
-    /// concurrently, not back-to-back); throughput and means are
-    /// recomputed from the merged counters; quantiles are recomputed from
-    /// the **summed latency buckets** (never from the per-shard p50/p99
-    /// values, which do not compose); batch/shape histograms merge by key.
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        let (c_self, c_other) = (self.latency_count() as f64, other.latency_count() as f64);
-        self.elapsed_s = self.elapsed_s.max(other.elapsed_s);
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.rejected_backpressure += other.rejected_backpressure;
-        self.rejected_sessions += other.rejected_sessions;
-        self.batches += other.batches;
-        self.decode_batches += other.decode_batches;
-        self.prefills += other.prefills;
-        self.prefill_chunks += other.prefill_chunks;
-        self.mixed_batches += other.mixed_batches;
-        self.max_batch_observed = self.max_batch_observed.max(other.max_batch_observed);
-
-        let mut shapes: BTreeMap<(usize, usize, usize), u64> =
-            self.gemm_shapes.iter().copied().collect();
-        for &(s, c) in &other.gemm_shapes {
-            *shapes.entry(s).or_insert(0) += c;
-        }
-        self.gemm_shapes = shapes.into_iter().collect();
-
-        let mut dist: BTreeMap<usize, u64> = self.batch_distribution.iter().copied().collect();
-        for &(b, c) in &other.batch_distribution {
-            *dist.entry(b).or_insert(0) += c;
-        }
-        self.batch_distribution = dist.into_iter().collect();
-
-        merge_buckets(&mut self.latency_buckets, &other.latency_buckets);
-
-        self.tokens_per_s = self.completed as f64 / self.elapsed_s.max(1e-9);
-        self.mean_batch =
-            if self.batches == 0 { 0.0 } else { self.completed as f64 / self.batches as f64 };
-        self.mean_us = if c_self + c_other > 0.0 {
-            (self.mean_us * c_self + other.mean_us * c_other) / (c_self + c_other)
-        } else {
-            0.0
+    /// Reads the serving families out of `m`, summing each over whatever
+    /// labels its series carry.
+    pub fn from_metrics(m: &MetricsSnapshot) -> Self {
+        let series =
+            |family: &'static str| m.counters.iter().filter(move |((name, _), _)| name == family);
+        let count = |family| series(family).map(|(_, &v)| v).sum::<u64>();
+        let hist = |family: &str| {
+            let mut sum = HistogramSnapshot::default();
+            for (_, h) in m.histograms.iter().filter(|((name, _), _)| name == family) {
+                sum.merge(h);
+            }
+            sum
         };
-        self.p50_us = quantile_from_buckets(&self.latency_buckets, 0.50);
-        self.p99_us = quantile_from_buckets(&self.latency_buckets, 0.99);
 
-        merge_buckets(&mut self.queue_wait_buckets, &other.queue_wait_buckets);
-        self.queue_wait_p50_us = quantile_from_buckets(&self.queue_wait_buckets, 0.50);
-        self.queue_wait_p99_us = quantile_from_buckets(&self.queue_wait_buckets, 0.99);
-        merge_buckets(&mut self.execute_buckets, &other.execute_buckets);
-        self.execute_p50_us = quantile_from_buckets(&self.execute_buckets, 0.50);
-        self.execute_p99_us = quantile_from_buckets(&self.execute_buckets, 0.99);
+        let mut sizes: BTreeMap<usize, u64> = BTreeMap::new();
+        for ((_, labels), &n) in series("pl_batch_size_total").filter(|(_, &n)| n > 0) {
+            *sizes.entry(label(labels, "size")).or_insert(0) += n;
+        }
+        let mut shapes: BTreeMap<(usize, usize, usize), u64> = BTreeMap::new();
+        for ((_, labels), &n) in series("pl_gemm_total") {
+            let shape = (label(labels, "m"), label(labels, "n"), label(labels, "k"));
+            *shapes.entry(shape).or_insert(0) += n;
+        }
 
-        merge_buckets(&mut self.chunk_latency_buckets, &other.chunk_latency_buckets);
-        self.chunk_p50_us = quantile_from_buckets(&self.chunk_latency_buckets, 0.50);
-        self.chunk_p99_us = quantile_from_buckets(&self.chunk_latency_buckets, 0.99);
-    }
-
-    /// Hand-rolled JSON rendering (no serialization crates in this
-    /// environment) — every field, machine-readable, for scrapers and the
-    /// bench artifact. Array-valued histograms serialize as arrays of
-    /// `[key, count]` pairs; the GEMM shapes as `[[m, n, k], count]`.
-    pub fn to_json(&self) -> String {
-        let dist: Vec<String> =
-            self.batch_distribution.iter().map(|(b, c)| format!("[{b},{c}]")).collect();
-        let buckets: Vec<String> = self.latency_buckets.iter().map(u64::to_string).collect();
-        let queue_buckets: Vec<String> =
-            self.queue_wait_buckets.iter().map(u64::to_string).collect();
-        let exec_buckets: Vec<String> = self.execute_buckets.iter().map(u64::to_string).collect();
-        let chunk_buckets: Vec<String> =
-            self.chunk_latency_buckets.iter().map(u64::to_string).collect();
-        let shapes: Vec<String> =
-            self.gemm_shapes.iter().map(|((m, n, k), c)| format!("[[{m},{n},{k}],{c}]")).collect();
-        format!(
-            concat!(
-                "{{\"elapsed_s\":{:.6},\"submitted\":{},\"completed\":{},",
-                "\"rejected_backpressure\":{},\"rejected_sessions\":{},",
-                "\"batches\":{},\"decode_batches\":{},\"prefills\":{},",
-                "\"prefill_chunks\":{},\"mixed_batches\":{},",
-                "\"tokens_per_s\":{:.3},\"mean_batch\":{:.4},",
-                "\"max_batch_observed\":{},\"batch_distribution\":[{}],",
-                "\"latency_buckets\":[{}],\"gemm_shapes\":[{}],",
-                "\"p50_us\":{},\"p99_us\":{},\"mean_us\":{:.3},",
-                "\"queue_wait_buckets\":[{}],\"queue_wait_p50_us\":{},",
-                "\"queue_wait_p99_us\":{},\"execute_buckets\":[{}],",
-                "\"execute_p50_us\":{},\"execute_p99_us\":{},",
-                "\"chunk_latency_buckets\":[{}],\"chunk_p50_us\":{},\"chunk_p99_us\":{}}}"
-            ),
-            self.elapsed_s,
-            self.submitted,
-            self.completed,
-            self.rejected_backpressure,
-            self.rejected_sessions,
-            self.batches,
-            self.decode_batches,
-            self.prefills,
-            self.prefill_chunks,
-            self.mixed_batches,
-            self.tokens_per_s,
-            self.mean_batch,
-            self.max_batch_observed,
-            dist.join(","),
-            buckets.join(","),
-            shapes.join(","),
-            self.p50_us,
-            self.p99_us,
-            self.mean_us,
-            queue_buckets.join(","),
-            self.queue_wait_p50_us,
-            self.queue_wait_p99_us,
-            exec_buckets.join(","),
-            self.execute_p50_us,
-            self.execute_p99_us,
-            chunk_buckets.join(","),
-            self.chunk_p50_us,
-            self.chunk_p99_us,
-        )
+        let elapsed_s = m
+            .gauges
+            .iter()
+            .filter(|((name, _), _)| name == "pl_uptime_seconds")
+            .fold(0.0f64, |max, (_, &v)| max.max(v));
+        let completed = count("pl_steps_total");
+        let batches = count("pl_batches_total");
+        let lanes: u64 = sizes.iter().map(|(&size, &n)| size as u64 * n).sum();
+        let step = hist("pl_step_latency_us");
+        let queue_wait = hist("pl_queue_wait_us");
+        let execute = hist("pl_execute_us");
+        let chunk = hist("pl_prefill_chunk_latency_us");
+        let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
+        StatsSnapshot {
+            elapsed_s,
+            submitted: count("pl_steps_submitted_total"),
+            completed,
+            failed: count("pl_steps_failed_total"),
+            rejected_backpressure: count("pl_rejected_backpressure_total"),
+            rejected_sessions: count("pl_rejected_sessions_total"),
+            batches,
+            decode_batches: count("pl_decode_batches_total"),
+            prefills: count("pl_prefills_total"),
+            prefill_chunks: count("pl_prefill_chunks_total"),
+            mixed_batches: count("pl_mixed_batches_total"),
+            gemm_shapes: shapes.into_iter().collect(),
+            tokens_per_s: ratio(completed as f64, elapsed_s),
+            mean_batch: ratio(lanes as f64, batches as f64),
+            max_batch_observed: sizes.keys().next_back().copied().unwrap_or(0),
+            batch_distribution: sizes.into_iter().collect(),
+            p50_us: step.quantile(0.50),
+            p99_us: step.quantile(0.99),
+            mean_us: ratio(step.sum as f64, step.count as f64),
+            queue_wait_p50_us: queue_wait.quantile(0.50),
+            queue_wait_p99_us: queue_wait.quantile(0.99),
+            execute_p50_us: execute.quantile(0.50),
+            execute_p99_us: execute.quantile(0.99),
+            chunk_p50_us: chunk.quantile(0.50),
+            chunk_p99_us: chunk.quantile(0.99),
+        }
     }
 }
 
@@ -497,208 +309,73 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_quantiles_bracket_observations() {
-        let h = LatencyHistogram::new();
-        for us in [10u64, 20, 30, 40, 1000] {
-            h.record_us(us);
-        }
-        assert_eq!(h.count(), 5);
-        let p50 = h.quantile_us(0.5);
-        // 3rd of 5 sorted observations is 30 µs -> bucket upper edge 32.
-        assert!((30..=64).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile_us(0.99);
-        assert!((1000..=2048).contains(&p99), "p99 {p99}");
-        assert!((h.mean_us() - 220.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn empty_histogram_is_zero() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.quantile_us(0.5), 0);
-        assert_eq!(h.mean_us(), 0.0);
-    }
-
-    #[test]
-    fn count_histogram_tracks_max_and_distribution() {
-        let h = CountHistogram::new(8);
-        h.record(1);
-        h.record(4);
-        h.record(4);
-        h.record(100); // clamps to 8
-        assert_eq!(h.max_observed(), 8);
-        assert_eq!(h.count_at(4), 2);
-        assert_eq!(h.nonzero(), vec![(1, 1), (4, 2), (8, 1)]);
-    }
-
-    #[test]
     fn gemm_shapes_accumulate_counts_per_batch() {
         // Two layers: 8 QKV+WO GEMMs of h x h, 2 of each FFN shape.
-        let s = ServerStats::new(8);
+        let s = ServerStats::new(1, 8, 50_000);
         s.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
         s.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
         s.record_gemm_shapes(&[((32, 8, 32), 8), ((64, 8, 32), 2), ((32, 8, 64), 2)]);
-        let shapes = s.gemm_shapes();
+        let shapes = s.snapshot().gemm_shapes;
         assert_eq!(shapes.len(), 6);
         assert!(shapes.contains(&((32, 4, 32), 16)), "counts GEMMs executed, not batches");
         assert!(shapes.contains(&((64, 8, 32), 2)));
-        let snap = s.snapshot();
-        assert_eq!(snap.gemm_shapes, shapes);
     }
 
     #[test]
-    fn merge_sums_latency_and_batch_histograms() {
-        // Two shards with disjoint latency populations: shard A all-fast
-        // (16 µs), shard B all-slow (1024 µs). The merged p99 must come
-        // from the *summed buckets* (slow tail visible), not from any
-        // average of the per-shard quantiles.
-        let a = ServerStats::new(8);
-        let b = ServerStats::new(8);
-        for _ in 0..99 {
-            a.step_latency.record_us(16);
-            a.completed.fetch_add(1, Ordering::Relaxed);
+    fn snapshot_derives_rates_from_the_size_series() {
+        let s = ServerStats::new(2, 4, 50_000);
+        for size in [2, 4, 9] {
+            s.batches.inc();
+            s.record_batch_size(size); // 9 clamps to max_batch
         }
-        b.step_latency.record_us(1024);
-        b.completed.fetch_add(1, Ordering::Relaxed);
-        a.batches.fetch_add(50, Ordering::Relaxed);
-        b.batches.fetch_add(1, Ordering::Relaxed);
-        a.batch_sizes.record(2);
-        a.batch_sizes.record(2);
-        b.batch_sizes.record(2);
-        b.batch_sizes.record(8);
-        b.prefills.fetch_add(3, Ordering::Relaxed);
-        a.record_gemm_shapes(&[((32, 4, 32), 8)]);
-        b.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2)]);
-        // Chunked-prefill surfaces merge too: counters add, chunk
-        // latency quantiles recompute from summed buckets.
-        a.prefill_chunks.fetch_add(4, Ordering::Relaxed);
-        b.prefill_chunks.fetch_add(2, Ordering::Relaxed);
-        a.mixed_batches.fetch_add(1, Ordering::Relaxed);
-        a.decode_batches.fetch_add(50, Ordering::Relaxed);
-        b.decode_batches.fetch_add(1, Ordering::Relaxed);
-        a.prefill_chunk_latency.record_us(8);
-        b.prefill_chunk_latency.record_us(512);
-        // The queue-wait/execute split merges like the combined
-        // histogram: summed buckets, recomputed quantiles.
-        a.queue_wait_latency.record_us(4);
-        b.queue_wait_latency.record_us(256);
-        a.execute_latency.record_us(12);
-        b.execute_latency.record_us(768);
-
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.completed, 100);
-        assert_eq!(merged.batches, 51);
-        assert_eq!(merged.prefills, 3);
-        assert_eq!(merged.prefill_chunks, 6);
-        assert_eq!(merged.mixed_batches, 1);
-        assert_eq!(merged.decode_batches, 51);
-        assert_eq!(merged.chunk_p50_us, 16, "fast chunk's bucket edge");
-        assert_eq!(quantile_from_buckets(&merged.chunk_latency_buckets, 1.0), 1024);
-        assert_eq!(merged.queue_wait_buckets.iter().sum::<u64>(), 2);
-        assert_eq!(merged.queue_wait_p50_us, 8, "fast queue wait's bucket edge");
-        assert_eq!(quantile_from_buckets(&merged.queue_wait_buckets, 1.0), 512);
-        assert_eq!(merged.execute_buckets.iter().sum::<u64>(), 2);
-        assert_eq!(merged.execute_p50_us, 16);
-        assert_eq!(quantile_from_buckets(&merged.execute_buckets, 1.0), 1024);
-        assert_eq!(merged.latency_count(), 100);
-        // p50 over {99x16, 1x1024} is the 16 µs observation's bucket
-        // (upper edge 32); p99 lands on the rank-99 observation (still
-        // the fast bucket), p100 on the slow one (bucket edge 2048).
-        assert_eq!(merged.p50_us, 32);
-        assert_eq!(merged.p99_us, 32);
-        assert_eq!(quantile_from_buckets(&merged.latency_buckets, 1.0), 2048);
-        // Batch histogram merged by size: three batches of 2, one of 8.
-        assert_eq!(merged.batch_distribution, vec![(2, 3), (8, 1)]);
-        assert_eq!(merged.max_batch_observed, 8);
-        // Shape map merged by (m, n, k).
-        assert_eq!(merged.gemm_shapes, vec![((32, 4, 32), 16), ((64, 4, 32), 2)]);
-        // Mean is count-weighted: (99*16 + 1024) / 100.
-        assert!((merged.mean_us - 26.08).abs() < 1e-9, "mean {}", merged.mean_us);
-        // Rates recomputed from merged counters.
-        assert!((merged.mean_batch - 100.0 / 51.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_identity_and_elapsed_is_max_not_sum() {
-        let s = ServerStats::new(4);
-        s.completed.fetch_add(7, Ordering::Relaxed);
-        s.step_latency.record_us(100);
-        let base = s.snapshot();
-        // empty ⊕ snap == snap ⊕ empty (on every content field; elapsed of
-        // the live snapshot dominates the empty one's 0).
-        let mut left = StatsSnapshot::empty();
-        left.merge(&base);
-        let mut right = base.clone();
-        right.merge(&StatsSnapshot::empty());
-        assert_eq!(left.completed, right.completed);
-        assert_eq!(left.latency_buckets, right.latency_buckets);
-        assert_eq!(left.p99_us, right.p99_us);
-        assert_eq!(left.elapsed_s, right.elapsed_s);
-        // Concurrent shards: elapsed is max, so merged throughput is the
-        // *sum* of shard throughputs, not their mean.
-        let mut x = StatsSnapshot::empty();
-        x.elapsed_s = 2.0;
-        x.completed = 10;
-        let mut y = StatsSnapshot::empty();
-        y.elapsed_s = 2.0;
-        y.completed = 30;
-        x.merge(&y);
-        assert_eq!(x.elapsed_s, 2.0);
-        assert!((x.tokens_per_s - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn snapshot_renders_json() {
-        let s = ServerStats::new(4);
-        s.submitted.fetch_add(5, Ordering::Relaxed);
-        s.completed.fetch_add(5, Ordering::Relaxed);
-        s.batches.fetch_add(2, Ordering::Relaxed);
-        s.batch_sizes.record(2);
-        s.batch_sizes.record(3);
-        s.step_latency.record_us(10);
-        s.record_gemm_shapes(&[((32, 2, 32), 8)]);
-        s.prefill_chunks.fetch_add(3, Ordering::Relaxed);
-        s.mixed_batches.fetch_add(1, Ordering::Relaxed);
-        s.prefill_chunk_latency.record_us(100);
-        s.queue_wait_latency.record_us(3);
-        s.execute_latency.record_us(7);
-        let json = s.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for needle in [
-            "\"completed\":5",
-            "\"batches\":2",
-            "\"batch_distribution\":[[2,1],[3,1]]",
-            "\"gemm_shapes\":[[[32,2,32],8]]",
-            "\"latency_buckets\":[",
-            "\"p99_us\":16",
-            "\"prefill_chunks\":3",
-            "\"mixed_batches\":1",
-            "\"chunk_latency_buckets\":[",
-            "\"chunk_p99_us\":128",
-            "\"queue_wait_buckets\":[",
-            "\"queue_wait_p99_us\":4",
-            "\"execute_buckets\":[",
-            "\"execute_p99_us\":8",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
+        s.tenants[0].steps.add(7);
+        s.tenants[1].steps.add(3);
+        for us in [10u64, 20, 30, 40, 1000] {
+            s.tenants[1].step_latency.observe(us);
         }
-        // Braces/brackets balance — the hand-rolled writer stays well-formed.
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn snapshot_derives_rates() {
-        let s = ServerStats::new(4);
-        s.submitted.fetch_add(10, Ordering::Relaxed);
-        s.completed.fetch_add(10, Ordering::Relaxed);
-        s.batches.fetch_add(4, Ordering::Relaxed);
-        s.batch_sizes.record(2);
-        s.batch_sizes.record(4);
         let snap = s.snapshot();
-        assert_eq!(snap.completed, 10);
+        assert_eq!(snap.completed, 10, "summed over tenants");
+        assert_eq!(snap.batch_distribution, vec![(2, 1), (4, 2)]);
         assert_eq!(snap.max_batch_observed, 4);
-        assert!((snap.mean_batch - 2.5).abs() < 1e-12);
-        assert!(snap.tokens_per_s > 0.0);
+        // Lanes over batches — not completions over batches.
+        assert!((snap.mean_batch - 10.0 / 3.0).abs() < 1e-12);
+        assert!((snap.mean_us - 220.0).abs() < 1e-9);
+        assert_eq!(snap.p50_us, 32);
+        assert!(snap.elapsed_s > 0.0 && snap.tokens_per_s > 0.0);
+    }
+
+    #[test]
+    fn shard_snapshots_merge_by_summed_buckets_so_the_slow_tail_survives() {
+        // A fast shard (90 steps at ≤ 16 µs) and a slow one (10 at
+        // ≤ 1024 µs), merged the way the router merges them.
+        let (fast, slow) = (ServerStats::new(1, 8, 50_000), ServerStats::new(1, 8, 50_000));
+        for (stats, steps, us, batches) in [(&fast, 90, 16, 45), (&slow, 10, 1000, 10)] {
+            stats.tenants[0].steps.add(steps);
+            (0..steps).for_each(|_| stats.tenants[0].step_latency.observe(us));
+            stats.batches.add(batches);
+            (0..batches).for_each(|_| stats.record_batch_size(2));
+            stats.record_gemm_shapes(&[((32, 2, 32), batches)]);
+        }
+        let mut fleet = fast.registry_snapshot().with_label("shard", "0");
+        fleet.merge(&slow.registry_snapshot().with_label("shard", "1"));
+        let agg = StatsSnapshot::from_metrics(&fleet);
+        assert_eq!((agg.completed, agg.batches), (100, 55));
+        assert_eq!(agg.batch_distribution, vec![(2, 55)]);
+        assert_eq!(agg.gemm_shapes, vec![((32, 2, 32), 55)]);
+        assert_eq!((agg.p50_us, agg.p99_us), (32, 1024));
+        // Count-weighted mean; concurrent shards, so elapsed is the max
+        // and fleet throughput the sum.
+        assert!((agg.mean_us - (90.0 * 16.0 + 10.0 * 1000.0) / 100.0).abs() < 1e-9);
+        let uptime = |s: &ServerStats| s.uptime.get();
+        assert_eq!(agg.elapsed_s, uptime(&fast).max(uptime(&slow)));
+        assert_eq!(agg.tokens_per_s, 100.0 / agg.elapsed_s);
+    }
+
+    #[test]
+    fn empty_snapshot_is_all_zero() {
+        let e = StatsSnapshot::empty();
+        assert_eq!((e.completed, e.batches, e.p99_us, e.max_batch_observed), (0, 0, 0, 0));
+        assert_eq!((e.tokens_per_s, e.mean_batch, e.mean_us, e.elapsed_s), (0.0, 0.0, 0.0, 0.0));
+        assert!(e.batch_distribution.is_empty() && e.gemm_shapes.is_empty());
     }
 }

@@ -40,8 +40,7 @@
 //! the process recorder (lane ids are assigned in registration order);
 //! rings outlive their threads, so late snapshots still see their
 //! events. Ring capacity is [`DEFAULT_RING_EVENTS`] events per thread,
-//! overridable *before* a thread's first event via
-//! [`set_thread_capacity`] or `PL_TRACE_EVENTS`.
+//! overridable *before* a thread's first event via `PL_TRACE_EVENTS`.
 //!
 //! ## Exporting
 //!
@@ -55,7 +54,7 @@
 //! * [`TraceSummary`] — per-`(name, args)` duration histograms (log2
 //!   nanosecond buckets): the per-shape GEMM timing table. Summaries
 //!   merge across snapshots and shards with correct quantiles, like
-//!   `pl_serve`'s `StatsSnapshot`.
+//!   `pl_metrics::MetricsSnapshot`.
 //!
 //! ```
 //! pl_trace::enable();
@@ -75,9 +74,9 @@ pub mod summary;
 
 pub use chrome::chrome_trace_json;
 pub use ring::{Event, EventKind, Ring};
-pub use summary::{quantile_from_buckets_ns, DurationStat, TraceSummary, DURATION_BUCKETS};
+pub use summary::{DurationStat, TraceSummary, DURATION_BUCKETS};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -87,10 +86,6 @@ use std::time::Instant;
 pub const DEFAULT_RING_EVENTS: usize = 1 << 16;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Requested per-thread ring capacity; 0 means "unset, consult
-/// `PL_TRACE_EVENTS` then [`DEFAULT_RING_EVENTS`]".
-static THREAD_CAPACITY: AtomicUsize = AtomicUsize::new(0);
 
 /// Registry of every thread's ring, in lane order. Locked only at
 /// thread registration and snapshot — never on the record path.
@@ -134,18 +129,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Sets the ring capacity (events, rounded up to a power of two) for
-/// threads that register *after* this call. Threads that already
-/// recorded keep their ring.
-pub fn set_thread_capacity(events: usize) {
-    THREAD_CAPACITY.store(events.max(2), Ordering::Relaxed);
-}
-
 fn ring_capacity() -> usize {
-    let cap = THREAD_CAPACITY.load(Ordering::Relaxed);
-    if cap != 0 {
-        return cap;
-    }
     std::env::var("PL_TRACE_EVENTS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())

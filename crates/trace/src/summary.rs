@@ -5,7 +5,7 @@
 //! `args = [m, n, k]` aggregates **per shape** — this is the measured
 //! per-shape timing table the autotuning roadmap item consumes.
 //! Summaries are mergeable (identity + commutativity, like
-//! `StatsSnapshot::merge` in `pl_serve`): durations live in log2
+//! `pl_metrics::MetricsSnapshot::merge`): durations live in log2
 //! nanosecond buckets, so merged quantiles recompute from summed
 //! buckets instead of averaging per-summary quantiles.
 
@@ -18,13 +18,6 @@ type OpenFrame<'a> = (&'a str, [u64; 3], u64);
 /// Number of power-of-two duration buckets (bucket i covers
 /// `[2^(i-1), 2^i)` nanoseconds; bucket 0 is `< 1 ns`; 2^47 ns ≈ 39 h).
 pub const DURATION_BUCKETS: usize = 48;
-
-/// Quantile estimate from raw log2 bucket counts: the upper edge of the
-/// bucket containing rank `ceil(q * n)` — the shared fold in
-/// [`pl_metrics::quantile_from_buckets`], over nanoseconds here.
-pub fn quantile_from_buckets_ns(buckets: &[u64], q: f64) -> u64 {
-    pl_metrics::quantile_from_buckets(buckets, q)
-}
 
 fn bucket_of_ns(ns: u64) -> usize {
     pl_metrics::bucket_of(ns, DURATION_BUCKETS)
@@ -84,7 +77,7 @@ impl DurationStat {
 
     /// Upper-edge estimate of quantile `q` in nanoseconds.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        quantile_from_buckets_ns(&self.buckets, q)
+        pl_metrics::quantile_from_buckets(&self.buckets, q)
     }
 }
 
@@ -169,7 +162,7 @@ impl TraceSummary {
     }
 
     /// Hand-rolled JSON rendering (no serialization crates in this
-    /// environment), shaped like `StatsSnapshot::to_json`: one object per
+    /// environment): one object per
     /// key with count/total/min/max/p50/p99 and the raw buckets so merged
     /// summaries stay reconstructible.
     pub fn to_json(&self) -> String {
@@ -272,8 +265,7 @@ mod tests {
 
     #[test]
     fn merge_identity_and_commutativity() {
-        // Mirrors the StatsSnapshot::merge tests: empty is the identity,
-        // and a ⊕ b == b ⊕ a on every field.
+        // Empty is the identity, and a ⊕ b == b ⊕ a on every field.
         let a = TraceSummary::from_events(&[
             ev("x", EventKind::Complete, 0, 0, 100, [1, 0, 0]),
             ev("x", EventKind::Complete, 0, 0, 300, [1, 0, 0]),

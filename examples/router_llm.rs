@@ -150,7 +150,6 @@ fn main() {
         "fleet:   completed {:>5}  batches {:>4}  mean batch {:>5.2}  p99 {:>6} us",
         agg.completed, agg.batches, agg.mean_batch, agg.p99_us
     );
-    println!("aggregated snapshot (JSON): {}", agg.to_json());
 
     let mut mismatches = 0usize;
     // The identical per-session traffic through a single Server must

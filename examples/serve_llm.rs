@@ -12,7 +12,7 @@
 //! every session's entire output stream is checked **bit for bit**
 //! against a sequential, unbatched `Decoder` baseline over the same
 //! weights, the chunked prefill against the whole-prompt forward, and the
-//! `ServerStats` surface is printed.
+//! `StatsSnapshot` view of the metrics plane is printed.
 //!
 //! Two precisions (`--precision f32|int8`, or `PL_SERVE_PRECISION`):
 //! with `int8` the model holds VNNI-packed int8 weights and serves
@@ -34,8 +34,8 @@
 //! With `--metrics` (or `PL_SERVE_METRICS=1`) the server's pl-metrics
 //! plane is exercised: the labeled snapshot is rendered to Prometheus
 //! text exposition, validated in process by the in-repo conformance
-//! parser (`pl_metrics::parse_prometheus`), cross-checked against the
-//! `ServerStats` counters, and dumped to `metrics_serve_llm.prom`.
+//! parser (`pl_metrics::parse_prometheus`), and dumped to
+//! `metrics_serve_llm.prom`.
 //!
 //! Run: `cargo run --release --example serve_llm [-- --trace] [-- --metrics]
 //! [-- --precision int8]`
@@ -178,9 +178,7 @@ fn main() {
             let long_prompt = &long_prompt;
             scope.spawn(move || {
                 // Arrive mid-run, while decode traffic is live.
-                while server.stats().completed.load(std::sync::atomic::Ordering::Relaxed)
-                    < (SESSIONS * STEPS / 4) as u64
-                {
+                while server.stats().snapshot().completed < (SESSIONS * STEPS / 4) as u64 {
                     std::thread::yield_now();
                 }
                 let id = server.create_session(1).expect("late session admitted");
@@ -267,7 +265,7 @@ fn main() {
     let base_s = t1.elapsed().as_secs_f64();
 
     // --- Report. ---------------------------------------------------------
-    println!("\n=== ServerStats ===");
+    println!("\n=== StatsSnapshot ===");
     println!("steps completed      {:>10}", snap.completed);
     println!("prefills             {:>10}", snap.prefills);
     println!("prefill chunks       {:>10}", snap.prefill_chunks);
@@ -362,6 +360,9 @@ fn main() {
             ("pl_steps_total", "counter"),
             ("pl_prefill_chunks_total", "counter"),
             ("pl_batches_total", "counter"),
+            ("pl_batch_size_total", "counter"),
+            ("pl_gemm_total", "counter"),
+            ("pl_step_latency_us", "histogram"),
             ("pl_queue_wait_us", "histogram"),
             ("pl_execute_us", "histogram"),
             ("pl_slo_burn_rate", "gauge"),
@@ -374,16 +375,6 @@ fn main() {
                 "family {family} missing or mistyped in the exposition"
             );
         }
-        // The metrics plane and the ServerStats plane count the same
-        // traffic through independent code paths — they must agree.
-        let steps_by_tenant: u64 = (0..TENANTS as u32)
-            .map(|t| msnap.counter_value("pl_steps_total", &[("tenant", &t.to_string())]))
-            .sum();
-        assert_eq!(steps_by_tenant, snap.completed, "metrics steps disagree with ServerStats");
-        let chunks_by_tenant: u64 = (0..TENANTS as u32)
-            .map(|t| msnap.counter_value("pl_prefill_chunks_total", &[("tenant", &t.to_string())]))
-            .sum();
-        assert_eq!(chunks_by_tenant, snap.prefill_chunks, "metrics chunks disagree");
         assert!(text.contains("pl_queue_wait_us_bucket{"), "histogram buckets missing");
         assert!(text.contains("le=\"+Inf\""), "+Inf bucket missing");
         println!("families declared    {:>10}", report.families.len());
@@ -395,7 +386,7 @@ fn main() {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("failed to write {}: {e}", path.display()),
         }
-        println!("OK: exposition conformant, counters agree with ServerStats");
+        println!("OK: exposition conformant");
     }
 
     assert_eq!(

@@ -97,8 +97,9 @@ fn routing_is_bit_identical(precision: Precision) {
         assert!(s.completed > 0, "shard {i} idle");
     }
     assert_eq!(per_shard.iter().map(|s| s.completed).sum::<u64>(), agg.completed);
-    let json = agg.to_json();
-    assert!(json.contains(&format!("\"completed\":{}", agg.completed)));
+    assert_eq!(per_shard.iter().map(|s| s.batches).sum::<u64>(), agg.batches);
+    let lanes: u64 = agg.batch_distribution.iter().map(|&(size, n)| size as u64 * n).sum();
+    assert_eq!(agg.mean_batch, lanes as f64 / agg.batches as f64);
 
     let mut single = Server::new(Arc::clone(&model), Arc::new(ThreadPool::new(4)), server_cfg());
     single.start();

@@ -223,7 +223,7 @@ fn chunked_prefill_interleaves_with_live_decode_traffic() {
     let mut prefill_out = None;
     while prefill_out.is_none() {
         assert!(server.pump() > 0, "work is always pending until the prefill completes");
-        let chunks_done = server.stats().prefill_chunks.load(std::sync::atomic::Ordering::Relaxed);
+        let chunks_done = server.stats().snapshot().prefill_chunks;
         for (s, rx) in rxs.iter_mut().enumerate() {
             if let Ok(res) = rx.try_recv() {
                 let y = res.unwrap();
