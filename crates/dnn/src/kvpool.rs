@@ -9,11 +9,15 @@
 //! * **bounded residency** — a pool can cap resident pages
 //!   ([`KvPagePool::bounded`]), and freed pages recycle through a free
 //!   list instead of returning to the OS;
-//! * **prefix sharing** — pages are `Arc`-ref-counted, so identical prompt
-//!   prefixes hash-cons to the *same* physical pages
-//!   ([`PrefixCache`]); a writer hitting a shared page gets a private
-//!   copy first ([`KvPagePool::page_mut`], copy-on-write), so divergence
-//!   after the shared prefix is isolated;
+//! * **prefix reuse** — pages are `Arc`-ref-counted, so a prompt that
+//!   opens with pages an earlier prompt already computed *adopts* them
+//!   from the [`PrefixCache`] — KV pages by reference plus the cached
+//!   outputs — **before** its forward and computes only what follows
+//!   ([`PrefixCache::lookup`] → [`KvSeq::adopt`]); a hit saves the
+//!   compute as well as the residency. A writer hitting a shared page
+//!   gets a private copy first ([`KvPagePool::page_mut`],
+//!   copy-on-write), though whole-page adoption means appends after a
+//!   hit always land on a page of the adopter's own;
 //! * **mobility** — a sequence serializes to a dense [`KvSnapshot`]
 //!   (spill to bytes, restore later, or re-admit on another shard's
 //!   pool), because a page list + cursor is data, not an address.
@@ -26,7 +30,7 @@
 //! size (asserted in `llm.rs` tests, single-stream and batched, f32 and
 //! int8).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, Weak};
 
 /// Default page granularity (tokens per page) when callers don't choose
@@ -325,14 +329,21 @@ impl KvSeq {
         self.len = 0;
     }
 
-    /// Replaces the leading pages with `shared` handles (same contents,
-    /// shared physical pages) — the prefix-dedup step. The caller
-    /// guarantees the replaced pages hold identical data.
-    pub(crate) fn adopt_prefix(&mut self, shared: &[Arc<KvPage>]) {
-        debug_assert!(shared.len() <= self.pages.len());
-        for (slot, page) in self.pages.iter_mut().zip(shared) {
-            *slot = Arc::clone(page);
-        }
+    /// Points this **empty** sequence at `hit`'s cached pages for
+    /// `layer`, by reference: afterwards it holds `hit.tokens()` tokens
+    /// whose pages it shares with the cache, and appends continue on a
+    /// page of its own (a hit is whole pages, so nothing is ever
+    /// copy-on-write split).
+    ///
+    /// # Panics
+    /// Panics if the sequence already holds tokens, or if `hit` came from
+    /// a cache of another page geometry or layer count.
+    pub fn adopt(&mut self, hit: &PrefixHit, layer: usize) {
+        assert!(self.pages.is_empty(), "adoption needs an empty sequence");
+        assert_eq!(hit.page_tokens, self.page_tokens, "page size mismatch");
+        self.pages = hit.pages.iter().map(|p| Arc::clone(&p.kv[layer])).collect();
+        assert!(self.pages.iter().all(|p| p.k.len() == self.hidden * self.page_tokens));
+        self.len = hit.tokens();
     }
 }
 
@@ -471,157 +482,280 @@ impl KvSnapshot {
     }
 }
 
-struct PrefixEntry {
-    /// Tokens this entry covers.
-    tokens: usize,
-    /// The exact prompt inputs the entry was keyed on (`hidden x tokens`)
-    /// — compared on lookup, so hash collisions can never alias two
-    /// different prompts onto one KV prefix.
+/// One cached prompt page: everything a later prompt with the same
+/// leading pages needs in order to skip computing this one.
+struct PrefixPage {
+    /// Key of the page before it in its prompt (`None` for a prompt's
+    /// first page). A lookup follows these links from the root, so a page
+    /// is only ever reached at the position it was computed at.
+    parent: Option<u64>,
+    /// The page's `hidden x page_tokens` prompt inputs — compared bit for
+    /// bit on lookup, so a hash collision degrades to a miss, never to
+    /// aliasing two different prompts onto one KV prefix.
     input: Vec<f32>,
-    /// Per-layer shared page handles covering those tokens.
-    pages: Vec<Vec<Arc<KvPage>>>,
+    /// Per-layer KV page handles holding these tokens' keys and values.
+    kv: Vec<Arc<KvPage>>,
+    /// The final-layer outputs at these positions (`hidden x page_tokens`).
+    output: Vec<f32>,
 }
 
+struct CacheSlot {
+    page: Arc<PrefixPage>,
+    /// Cached pages whose `parent` is this one; only a page with none may
+    /// be evicted, so a chain never loses a link in the middle.
+    children: usize,
+    /// The cache tick of the last lookup or registration that walked
+    /// through this page.
+    last_hit: u64,
+}
+
+#[derive(Default)]
 struct PrefixInner {
-    entries: HashMap<u64, PrefixEntry>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u64>,
+    /// Keyed by the chained page hash (`PrefixCache::page_keys`). A
+    /// `BTreeMap` so eviction order never depends on a per-process hasher.
+    pages: BTreeMap<u64, CacheSlot>,
+    tick: u64,
 }
 
-/// Hash-consing of prompt prefixes onto shared KV pages: after a prefill
-/// completes, its prompt is hashed at every full-page boundary (the
-/// partial tail page stays private); a hit replaces the session's
-/// freshly written pages
-/// with the cached *shared* pages — the duplicates recycle back to the
-/// pool — and a miss registers the session's pages for the next tenant
-/// with the same system prompt. Lookup verifies the full prompt bytes,
-/// so a hash collision degrades to a miss, never to aliasing.
+/// What a [`PrefixCache`] knows about one prompt: the chained keys of its
+/// full pages (hashed once, for lookup now and registration later) and
+/// the leading pages found cached, inputs verified. It owns handles to
+/// what it found, so those pages stay valid (and adoptable) even if the
+/// cache evicts them before they are used. The default value knows
+/// nothing: no keys, no pages — what a caller holds when sharing is off.
+#[derive(Default)]
+pub struct PrefixHit {
+    keys: Vec<u64>,
+    pages: Vec<Arc<PrefixPage>>,
+    page_tokens: usize,
+}
+
+impl PrefixHit {
+    /// Prompt tokens found cached (a whole number of pages).
+    pub fn tokens(&self) -> usize {
+        self.pages.len() * self.page_tokens
+    }
+
+    /// Whether nothing was found.
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+    }
+
+    /// Layers each covered page holds KV for (0 for an empty hit).
+    pub fn layers(&self) -> usize {
+        self.pages.first().map_or(0, |page| page.kv.len())
+    }
+
+    /// Appends the cached final-layer outputs of the covered positions
+    /// (`hidden x tokens()`, column-major) to `out`.
+    pub fn write_outputs(&self, out: &mut Vec<f32>) {
+        for page in &self.pages {
+            out.extend_from_slice(&page.output);
+        }
+    }
+}
+
+/// A cache of computed prompt pages, so a prompt that opens with pages
+/// some earlier prompt already ran **skips their forward**: one entry per
+/// full page of prompt, holding the page's inputs, its per-layer KV pages
+/// and its final-layer outputs, keyed by a hash chained from the page
+/// before it. Position `t`'s keys, values and output depend on tokens
+/// `0..=t` only, so a later prompt whose first `s` pages match adopts
+/// those entries by reference ([`KvSeq::adopt`]), takes their outputs
+/// ([`PrefixHit::write_outputs`]) and forwards only what follows — bit for
+/// bit what the full forward would have produced.
+///
+/// Lookup and registration are each one walk down the chain, and share
+/// one hash of the prompt, computed outside the lock (the keys ride in
+/// the [`PrefixHit`] from lookup to registration). The partial tail page
+/// is never cached: a handle on it would force a copy-on-write split on
+/// the registrant's next append and could never save an adopter a
+/// resident page.
+///
+/// Eviction is least-recently-hit over **leaf** pages only, bounded by
+/// pages held: a system prompt that keeps being hit outlives any number
+/// of one-off prompts, and no page is ever left without its parent.
+/// Sessions (and [`PrefixHit`]s) that already hold an evicted page keep
+/// it; only future lookups lose it.
 pub struct PrefixCache {
-    max_entries: usize,
+    max_pages: usize,
+    hidden: usize,
+    page_tokens: usize,
     inner: Mutex<PrefixInner>,
 }
 
-fn hash_prefix(input: &[f32]) -> u64 {
-    // FNV-1a over the raw f32 bits plus the length.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for x in input {
-        for b in x.to_bits().to_le_bytes() {
-            eat(b);
-        }
-    }
-    for b in (input.len() as u64).to_le_bytes() {
-        eat(b);
-    }
-    h
+/// Whether `a` and `b` hold the same bit patterns (`==` on `f32` would
+/// equate `0.0` with `-0.0` and reject equal NaNs).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl PrefixCache {
-    /// A cache retaining up to `max_entries` prefix spans (FIFO-evicted;
-    /// sessions already sharing an evicted span keep their pages — only
-    /// *future* dedup against it is lost).
-    pub fn new(max_entries: usize) -> Self {
+    /// A cache over `pool`'s page geometry holding at most `max_pages`
+    /// prompt pages (each pins one KV page per layer).
+    pub fn new(pool: &KvPagePool, max_pages: usize) -> Self {
         PrefixCache {
-            max_entries: max_entries.max(1),
-            inner: Mutex::new(PrefixInner { entries: HashMap::new(), order: VecDeque::new() }),
+            max_pages: max_pages.max(1),
+            hidden: pool.hidden(),
+            page_tokens: pool.page_tokens(),
+            inner: Mutex::new(PrefixInner::default()),
         }
     }
 
-    /// Registered prefix spans.
-    pub fn entries(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+    /// Input (and output) values per page.
+    fn page_elems(&self) -> usize {
+        self.hidden * self.page_tokens
     }
 
-    /// Distinct physical pages the cache holds that at least one session
-    /// currently shares (strong count above the cache's own references).
+    /// Cached prompt pages.
+    pub fn entries(&self) -> usize {
+        self.inner.lock().unwrap().pages.len()
+    }
+
+    /// Physical KV pages the cache holds that at least one session
+    /// currently shares.
     pub fn shared_pages(&self) -> usize {
         let inner = self.inner.lock().unwrap();
-        let mut refs: HashMap<*const KvPage, (usize, usize)> = HashMap::new();
-        for e in inner.entries.values() {
-            for page in e.pages.iter().flatten() {
-                let slot = refs.entry(Arc::as_ptr(page)).or_insert((0, Arc::strong_count(page)));
-                slot.0 += 1;
-                slot.1 = Arc::strong_count(page);
-            }
-        }
-        refs.values().filter(|(cache_refs, strong)| strong > cache_refs).count()
+        let kv = inner.pages.values().flat_map(|slot| &slot.page.kv);
+        kv.filter(|page| Arc::strong_count(page) > 1).count()
     }
 
-    /// Drops every entry (shared pages survive wherever sessions still
-    /// hold them; unshared ones recycle to the pool).
+    /// Drops every entry (pages survive wherever sessions still hold
+    /// them; the rest recycle to the pool).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.entries.clear();
-        inner.order.clear();
+        self.inner.lock().unwrap().pages.clear();
     }
 
-    /// The candidate spans (token counts) a `tokens`-token prompt can be
-    /// deduped at: every **full-page** boundary, descending so the
-    /// longest match wins. The partial tail page is never registered:
-    /// the cache's handle would pin the registrant's own tail, forcing a
-    /// COW copy per layer on its first decode step, and an adopter would
-    /// have to split the page on its first append anyway — a shared
-    /// partial page never saves a resident page.
-    fn spans(tokens: usize, page_tokens: usize) -> Vec<usize> {
-        (1..=tokens / page_tokens).rev().map(|i| i * page_tokens).collect()
+    /// The chained keys of `prompt`'s full pages, in one pass over its
+    /// bytes: page `i`'s key is FNV-1a over its `f32` bit patterns
+    /// continued from page `i - 1`'s key, so it names the whole prompt up
+    /// to and including page `i`. A prompt shorter than a page yields no
+    /// keys and costs no hashing.
+    fn page_keys(&self, prompt: &[f32]) -> Vec<u64> {
+        let mut key = 0xcbf2_9ce4_8422_2325u64;
+        let pages = prompt.chunks_exact(self.page_elems());
+        pages
+            .map(|page| {
+                for x in page {
+                    key = (key ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                key
+            })
+            .collect()
     }
 
-    /// Dedups the freshly prefilled `seqs` (one per layer, every length
-    /// exactly `tokens`) against the cache, adopting the longest cached
-    /// span whose prompt bytes match and registering every unseen span.
-    /// Returns the number of page handles newly pointed at shared
-    /// physical pages (0 = no match).
-    pub(crate) fn share_seqs(&self, seqs: &mut [KvSeq], prompt: &[f32], tokens: usize) -> usize {
-        if seqs.is_empty() || tokens == 0 {
-            return 0;
-        }
-        let h = seqs[0].hidden;
-        let pt = seqs[0].page_tokens;
-        if prompt.len() != h * tokens || seqs.iter().any(|s| s.len() != tokens) {
-            return 0;
-        }
-        let spans = Self::spans(tokens, pt);
-        let mut inner = self.inner.lock().unwrap();
-        let mut adopted = 0usize;
-        for &span in &spans {
-            let key = hash_prefix(&prompt[..span * h]);
-            let Some(entry) = inner.entries.get(&key) else { continue };
-            if entry.tokens != span || entry.input != prompt[..span * h] {
-                continue; // hash collision: miss, never alias
-            }
-            let npages = span / pt;
-            for (seq, shared) in seqs.iter_mut().zip(&entry.pages) {
-                debug_assert_eq!(shared.len(), npages);
-                seq.adopt_prefix(shared);
-            }
-            adopted = npages * seqs.len();
-            break;
-        }
-        // Register unseen spans so the *next* identical prompt shares
-        // (the just-adopted prefix chains: its pages are now the shared
-        // ones, so longer spans registered here extend the shared run).
-        for &span in &spans {
-            let key = hash_prefix(&prompt[..span * h]);
-            if inner.entries.contains_key(&key) {
-                continue;
-            }
-            let npages = span / pt;
-            let pages = seqs.iter().map(|s| s.pages[..npages].to_vec()).collect();
-            inner.entries.insert(
-                key,
-                PrefixEntry { tokens: span, input: prompt[..span * h].to_vec(), pages },
-            );
-            inner.order.push_back(key);
-            while inner.order.len() > self.max_entries {
-                if let Some(old) = inner.order.pop_front() {
-                    inner.entries.remove(&old);
+    /// Hashes `prompt` (`hidden x tokens`, column-major) and finds the
+    /// longest cached run of its leading pages, refreshing them as most
+    /// recently hit. The lock covers the map walk only — hashing happens
+    /// before it, and inputs are compared after it is released, on the
+    /// handles the hit now owns. A prompt shorter than a page takes no
+    /// lock at all.
+    pub fn lookup(&self, prompt: &[f32]) -> PrefixHit {
+        let keys = self.page_keys(prompt);
+        let mut pages = Vec::new();
+        if !keys.is_empty() {
+            let mut inner = self.inner.lock().unwrap();
+            inner.tick += 1;
+            let tick = inner.tick;
+            let mut parent = None;
+            for &key in &keys {
+                match inner.pages.get_mut(&key) {
+                    Some(slot) if slot.page.parent == parent => {
+                        slot.last_hit = tick;
+                        pages.push(Arc::clone(&slot.page));
+                        parent = Some(key);
+                    }
+                    _ => break,
                 }
             }
         }
-        adopted
+        let inputs = prompt.chunks_exact(self.page_elems());
+        let verified = pages.iter().zip(inputs).take_while(|(p, x)| same_bits(&p.input, x)).count();
+        pages.truncate(verified);
+        PrefixHit { keys, pages, page_tokens: self.page_tokens }
+    }
+
+    /// Registers a completed prompt: every full page of `prompt` that is
+    /// not cached yet becomes an entry holding that page's inputs,
+    /// `seqs`' page handles (one sequence per layer, each holding exactly
+    /// the prompt) and its slice of `output` (`hidden x tokens`). `hit`
+    /// is what [`PrefixCache::lookup`] returned for this prompt: it
+    /// supplies the keys, and the pages of it that `seqs` adopted are
+    /// known entries, only refreshed. Returns how many pages were added;
+    /// then evicts down to the page bound.
+    pub fn register(
+        &self,
+        prompt: &[f32],
+        hit: &PrefixHit,
+        seqs: &[KvSeq],
+        output: &[f32],
+    ) -> usize {
+        let keys = &hit.keys;
+        let tokens = prompt.len() / self.hidden;
+        let geometry = |s: &KvSeq| (s.hidden, s.page_tokens) == (self.hidden, self.page_tokens);
+        if keys.is_empty()
+            || keys.len() != tokens / self.page_tokens
+            || output.len() != prompt.len()
+            || seqs.iter().any(|s| s.len() != tokens || !geometry(s))
+        {
+            return 0;
+        }
+        let held = |(i, page): &(usize, &Arc<PrefixPage>)| {
+            page.kv.len() == seqs.len()
+                && seqs.iter().zip(&page.kv).all(|(s, kv)| Arc::ptr_eq(&s.pages[*i], kv))
+        };
+        let adopted = hit.pages.iter().enumerate().take_while(held).count();
+        // Everything that copies happens before the lock is taken.
+        let pe = self.page_elems();
+        let fresh = (adopted..keys.len()).map(|i| {
+            Arc::new(PrefixPage {
+                parent: i.checked_sub(1).map(|p| keys[p]),
+                input: prompt[i * pe..(i + 1) * pe].to_vec(),
+                kv: seqs.iter().map(|s| Arc::clone(&s.pages[i])).collect(),
+                output: output[i * pe..(i + 1) * pe].to_vec(),
+            })
+        });
+        let chain: Vec<Arc<PrefixPage>> =
+            hit.pages[..adopted].iter().cloned().chain(fresh).collect();
+
+        let mut inner = self.inner.lock().unwrap();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let mut added = 0;
+        for (i, (&key, page)) in keys.iter().zip(chain).enumerate() {
+            match inner.pages.get_mut(&key) {
+                Some(slot) => {
+                    // Someone else's entry for this key: go on down the
+                    // chain only if it is this very page of this prompt.
+                    let same = Arc::ptr_eq(&slot.page, &page)
+                        || (slot.page.parent == page.parent
+                            && same_bits(&slot.page.input, &page.input));
+                    if !same {
+                        break;
+                    }
+                    slot.last_hit = tick;
+                }
+                None => {
+                    inner.pages.insert(key, CacheSlot { page, children: 0, last_hit: tick });
+                    if i > 0 {
+                        let parent = inner.pages.get_mut(&keys[i - 1]);
+                        parent.expect("the walk just passed the parent page").children += 1;
+                    }
+                    added += 1;
+                }
+            }
+        }
+        // Least recently hit leaf first. One walk touches one chain, which
+        // has one leaf, so leaves never tie on `last_hit`.
+        while inner.pages.len() > self.max_pages {
+            let leaves = inner.pages.iter().filter(|(_, slot)| slot.children == 0);
+            let (&key, _) = leaves.min_by_key(|(_, slot)| slot.last_hit).expect("a leaf exists");
+            let gone = inner.pages.remove(&key).expect("key just found");
+            if let Some(parent) = gone.page.parent.and_then(|p| inner.pages.get_mut(&p)) {
+                parent.children -= 1;
+            }
+        }
+        added
     }
 }
 
@@ -733,56 +867,142 @@ mod tests {
         assert!(KvSnapshot::from_bytes(b"nope").is_none());
     }
 
-    #[test]
-    fn prefix_cache_dedups_and_verifies_bytes() {
-        let pool = KvPagePool::new(2, 2);
-        let cache = PrefixCache::new(8);
-        let tokens = 4;
-        let prompt: Vec<f32> = (0..2 * tokens).map(|i| i as f32).collect();
-        let mut first: Vec<KvSeq> = (0..2).map(|_| KvSeq::new(&pool)).collect();
-        for seq in &mut first {
-            fill(seq, &pool, tokens, 5.0);
-        }
-        assert_eq!(cache.share_seqs(&mut first, &prompt, tokens), 0, "first sight: no match");
-        assert!(cache.entries() > 0);
-        let before = pool.allocated_pages();
-        // Second identical prompt: adopts the cached pages; its own
-        // duplicates recycle.
-        let mut second: Vec<KvSeq> = (0..2).map(|_| KvSeq::new(&pool)).collect();
-        for seq in &mut second {
-            fill(seq, &pool, tokens, 5.0);
-        }
-        let adopted = cache.share_seqs(&mut second, &prompt, tokens);
-        assert_eq!(adopted, 2 * 2, "all pages of both layers shared");
-        assert_eq!(pool.allocated_pages(), before, "duplicate pages recycled");
-        assert!(cache.shared_pages() > 0);
-        for (a, b) in first.iter().zip(&second) {
-            for t in 0..tokens {
-                assert!(std::ptr::eq(a.k_tok(t).as_ptr(), b.k_tok(t).as_ptr()));
-            }
-        }
-        // A different prompt with the same length never aliases.
-        let mut other_prompt = prompt.clone();
-        other_prompt[0] += 1.0;
-        let mut third: Vec<KvSeq> = (0..2).map(|_| KvSeq::new(&pool)).collect();
-        for seq in &mut third {
-            fill(seq, &pool, tokens, 6.0);
-        }
-        assert_eq!(cache.share_seqs(&mut third, &other_prompt, tokens), 0);
+    /// `layers` sequences holding `tokens` tokens of `seed`-derived KV,
+    /// as a prefill of `prompt` from empty (or from `hit`) leaves them.
+    fn prefilled(pool: &Arc<KvPagePool>, hit: &PrefixHit, tokens: usize, seed: f32) -> Vec<KvSeq> {
+        (0..2)
+            .map(|layer| {
+                let mut seq = KvSeq::new(pool);
+                if !hit.is_empty() {
+                    seq.adopt(hit, layer);
+                }
+                let past = seq.len();
+                fill(&mut seq, pool, tokens - past, seed + (past * pool.hidden()) as f32);
+                seq
+            })
+            .collect()
     }
 
     #[test]
-    fn prefix_cache_evicts_fifo() {
-        let pool = KvPagePool::new(1, 1);
-        let cache = PrefixCache::new(2);
-        for i in 0..4 {
-            let prompt = vec![i as f32];
-            let mut seqs = vec![KvSeq::new(&pool)];
-            fill(&mut seqs[0], &pool, 1, i as f32);
-            cache.share_seqs(&mut seqs, &prompt, 1);
+    fn prefix_cache_hits_page_by_page_and_verifies_bytes() {
+        let pool = KvPagePool::new(2, 2);
+        let cache = PrefixCache::new(&pool, 8);
+        let tokens = 5; // two full pages and a partial tail
+        let prompt: Vec<f32> = (0..2 * tokens).map(|i| i as f32).collect();
+        let output: Vec<f32> = prompt.iter().map(|x| x + 0.5).collect();
+        let miss = cache.lookup(&prompt);
+        assert!(miss.is_empty(), "first sight: a miss");
+        assert_eq!(miss.keys.len(), 2, "one key per full page");
+        let first = prefilled(&pool, &miss, tokens, 5.0);
+        assert_eq!(cache.register(&prompt, &miss, &first, &output), 2);
+        assert_eq!(cache.entries(), 2, "the partial tail page is never cached");
+        assert_eq!(cache.shared_pages(), 4, "the registrant shares its own full pages");
+        let before = pool.allocated_pages();
+
+        // The same prompt again: both pages found, adopted by reference,
+        // outputs served from the cache; only the tail is computed.
+        let hit = cache.lookup(&prompt);
+        assert_eq!((hit.tokens(), hit.layers()), (4, 2));
+        let mut served = Vec::new();
+        hit.write_outputs(&mut served);
+        assert_eq!(served, output[..2 * 4]);
+        let second = prefilled(&pool, &hit, tokens, 5.0);
+        assert_eq!(pool.allocated_pages(), before + 2, "one private tail page per layer");
+        for (a, b) in first.iter().zip(&second) {
+            for t in 0..4 {
+                assert!(std::ptr::eq(a.k_tok(t).as_ptr(), b.k_tok(t).as_ptr()));
+            }
+            assert_eq!(a.k_tok(4), b.k_tok(4));
         }
-        assert_eq!(cache.entries(), 2, "FIFO bound holds");
+        assert_eq!(cache.register(&prompt, &hit, &second, &output), 0, "nothing new");
+        assert_eq!(pool.cow_splits(), 0);
+
+        // A prompt that shares only the first page hits only that page;
+        // one that differs in the first page misses even where its second
+        // page matches (a page is only reachable through its parent).
+        let mut fork = prompt.clone();
+        fork[2 * 2] += 1.0;
+        assert_eq!(cache.lookup(&fork).tokens(), 2);
+        let mut other = prompt.clone();
+        other[0] = -0.0; // `==` to the cached 0.0, but other bits
+        assert!(cache.lookup(&other).is_empty());
+        // Shorter than a page: no keys, no hashing, no lookup.
+        assert!(cache.lookup(&prompt[..2]).keys.is_empty());
+
+        // A colliding hash never aliases. Forge one: `other` registered
+        // under `prompt`'s keys is refused where `prompt` is cached, and
+        // where it is not, `prompt` looks its keys up, finds `other`'s
+        // bytes behind them, and misses.
+        let forged = PrefixHit { keys: hit.keys.clone(), ..Default::default() };
+        let others = prefilled(&pool, &forged, tokens, 9.0);
+        assert_eq!(cache.register(&other, &forged, &others, &output), 0);
         cache.clear();
         assert_eq!(cache.entries(), 0);
+        assert_eq!(cache.register(&other, &forged, &others, &output), 2);
+        assert!(cache.lookup(&prompt).is_empty());
+    }
+
+    /// One layer's sequence of `tokens` tokens of `seed`-derived KV.
+    fn one_layer(pool: &Arc<KvPagePool>, tokens: usize, seed: f32) -> Vec<KvSeq> {
+        let mut seq = KvSeq::new(pool);
+        fill(&mut seq, pool, tokens, seed);
+        vec![seq]
+    }
+
+    /// Registers `prompt` (one token per page, one layer) as a miss would.
+    fn register_new(cache: &PrefixCache, pool: &Arc<KvPagePool>, prompt: &[f32]) -> usize {
+        let seqs = one_layer(pool, prompt.len(), prompt[0]);
+        cache.register(prompt, &cache.lookup(prompt), &seqs, prompt)
+    }
+
+    #[test]
+    fn eviction_is_least_recently_hit_and_leaf_first() {
+        let pool = KvPagePool::new(1, 1);
+        let cache = PrefixCache::new(&pool, 4);
+        // A two-page system prompt, then a stream of one-off prompts with
+        // the system prompt hit in between: FIFO would drop it after four
+        // insertions; least-recently-hit keeps it for as long as it is hit.
+        let system = [100.0f32, 101.0];
+        assert_eq!(register_new(&cache, &pool, &system), 2);
+        for i in 0..16 {
+            register_new(&cache, &pool, &[i as f32]);
+            assert_eq!(cache.lookup(&system).tokens(), 2, "evicted after {i} prompts");
+            assert!(cache.entries() <= 4, "the page bound holds");
+        }
+        assert_eq!(pool.allocated_pages(), 4, "evicted pages went back to the pool");
+
+        // Unhit, it goes too — leaf first: its second page before its
+        // first, so no page is ever left without its parent.
+        for one_off in [50.0, 51.0, 52.0] {
+            register_new(&cache, &pool, &[one_off]);
+        }
+        assert_eq!(cache.lookup(&system).tokens(), 1, "the leaf went first");
+        // A chain longer than the whole cache trims its own tail.
+        let long: Vec<f32> = (0..6).map(|i| 200.0 + i as f32).collect();
+        assert_eq!(register_new(&cache, &pool, &long), 6);
+        assert_eq!(cache.entries(), 4);
+        assert_eq!(cache.lookup(&long).tokens(), 4, "the first four pages survive");
+    }
+
+    #[test]
+    fn a_hit_outlives_the_eviction_of_its_pages() {
+        let pool = KvPagePool::new(1, 1);
+        let cache = PrefixCache::new(&pool, 2);
+        let prompt = [7.0f32, 8.0];
+        register_new(&cache, &pool, &prompt);
+        let hit = cache.lookup(&prompt);
+        // The lookup raced an eviction: both pages leave the cache…
+        register_new(&cache, &pool, &[1.0]);
+        register_new(&cache, &pool, &[2.0]);
+        assert!(cache.lookup(&prompt).is_empty());
+        // …but the hit owns its handles, so adoption still reads valid KV,
+        assert_eq!(pool.allocated_pages(), 4);
+        let mut seq = KvSeq::new(&pool);
+        seq.adopt(&hit, 0);
+        assert_eq!((seq.len(), seq.k_tok(1)), (2, &[8.0f32][..]));
+        // and registering the adopter puts the very same entries back.
+        assert_eq!(cache.register(&prompt, &hit, &[seq], &prompt), 2);
+        assert_eq!(pool.allocated_pages(), 2, "the one-off pages were evicted in turn");
+        assert_eq!(cache.lookup(&prompt).tokens(), 2);
     }
 }

@@ -11,8 +11,8 @@
 //!   cache: prefill (first token) and autoregressive steps (next tokens)
 //!   (Fig. 11), plus exact flop/byte accounting of the full-size models.
 //! * [`kvpool`] — paged KV storage behind the decoder: fixed-size pages
-//!   from a shared block allocator ([`KvPagePool`]), ref-counted
-//!   copy-on-write prefix sharing ([`PrefixCache`]) and dense
+//!   from a shared block allocator ([`KvPagePool`]), a cache of computed
+//!   prompt pages so shared prefixes are not recomputed ([`PrefixCache`]) and dense
 //!   spill/migration snapshots ([`KvSnapshot`]).
 //! * [`resnet`] — the Fig. 7 convolution shape table, batchnorm (fwd/bwd)
 //!   and pooling for ResNet-50 training (Table II).
@@ -54,7 +54,8 @@ pub mod tuning;
 
 pub use bert::{BertConfig, BertEncoder, BertLayer};
 pub use kvpool::{
-    KvPage, KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, DEFAULT_PAGE_TOKENS,
+    KvPage, KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, PrefixHit,
+    DEFAULT_PAGE_TOKENS,
 };
 pub use llm::{prefill_chunk_widths, Decoder, DecoderConfig, DecoderModel, DecoderState};
 pub use prepared::{ActMatrix, MatmulPlan, PlanRun, Precision, SpmmPlan};

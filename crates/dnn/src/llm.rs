@@ -61,7 +61,7 @@
 //! reused across a forward's layers, and a layer's QKV projections consume
 //! a single packed copy of their shared input.
 
-use crate::kvpool::{KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache};
+use crate::kvpool::{KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, PrefixHit};
 use crate::matmul::Trans;
 use crate::prepared::{ActMatrix, MatmulPlan, Precision};
 use pl_autotuner::GemmProblem;
@@ -347,17 +347,44 @@ impl DecoderState {
         })
     }
 
-    /// Dedups this state's freshly prefilled prompt prefix against
-    /// `cache` (see [`PrefixCache`]): on a hit the state's leading pages
-    /// are replaced by the cached shared pages (the duplicates recycle to
-    /// the pool); on a miss the prefix is registered for future tenants.
-    /// `prompt` is the full `hidden x tokens` prefill input and `tokens`
-    /// must equal the state's cached length (i.e. call right after the
-    /// prefill that started from an empty state). Returns the number of
-    /// page handles now pointing at shared pages.
-    pub fn share_prefix(&mut self, cache: &PrefixCache, prompt: &[f32], tokens: usize) -> usize {
-        match &mut self.store {
-            KvStore::Paged(seqs) => cache.share_seqs(seqs, prompt, tokens),
+    /// Adopts the cached leading pages `hit` found for a prompt this state
+    /// is about to prefill ([`PrefixCache::lookup`]) into every layer by
+    /// reference, so the prefill only has to forward the tokens after
+    /// `hit.tokens()`. K and V at a position depend on the tokens up to it
+    /// only, so the continuation is bit-identical to prefilling the whole
+    /// prompt. Refuses (returning `false`, state untouched) unless the
+    /// state is resident and **empty** and the hit is non-empty and within
+    /// capacity: cached pages describe a prompt from position 0.
+    pub fn adopt_prefix(&mut self, hit: &PrefixHit) -> bool {
+        let KvStore::Paged(seqs) = &mut self.store else { return false };
+        let adoptable = !hit.is_empty()
+            && hit.tokens() <= self.capacity
+            && hit.layers() == seqs.len()
+            && seqs.iter().all(|seq| seq.is_empty());
+        if adoptable {
+            for (layer, seq) in seqs.iter_mut().enumerate() {
+                seq.adopt(hit, layer);
+            }
+        }
+        adoptable
+    }
+
+    /// Registers this state's just-completed prompt with `cache`: `prompt`
+    /// is the whole `hidden x tokens` prefill input the state was filled
+    /// from **empty** with, `hit` what [`PrefixCache::lookup`] returned
+    /// for it (whether or not the state adopted it) and `output` the
+    /// prefill's `hidden x tokens` result. Returns the pages added — 0
+    /// when the state holds anything but exactly that prompt, or is
+    /// spilled.
+    pub fn register_prefix(
+        &self,
+        cache: &PrefixCache,
+        prompt: &[f32],
+        hit: &PrefixHit,
+        output: &[f32],
+    ) -> usize {
+        match &self.store {
+            KvStore::Paged(seqs) => cache.register(prompt, hit, seqs, output),
             KvStore::Spilled(_) => 0,
         }
     }
@@ -1265,89 +1292,110 @@ mod tests {
         assert_eq!(y_moved, y_orig, "migrated continuation diverged");
     }
 
-    #[test]
-    fn prefix_sharing_dedups_full_pages_and_keeps_the_tail_private() {
-        let pool = ThreadPool::new(2);
-        let cfg = DecoderConfig::scaled_for_tests();
-        let model = DecoderModel::new(cfg, 1111);
-        let kvpool = crate::kvpool::KvPagePool::new(cfg.hidden, 4);
-        let cache = crate::kvpool::PrefixCache::new(16);
-        let prompt_tokens = 9; // 2 full pages + 1 partial per layer
-        let mut prompt = vec![0.0f32; cfg.hidden * prompt_tokens];
-        fill_uniform(&mut prompt, &mut Xorshift::new(31), -0.5, 0.5);
-
-        let mut a = model.new_state_in(&kvpool, 16);
-        let ya = model.forward(&mut a, &prompt, prompt_tokens, &pool);
-        assert_eq!(a.share_prefix(&cache, &prompt, prompt_tokens), 0, "first tenant registers");
-        let pages_after_a = kvpool.allocated_pages();
-
-        // Second tenant, identical prompt: its full pages dedup onto a's;
-        // only the partial tail page stays its own.
-        let mut b = model.new_state_in(&kvpool, 16);
-        let yb = model.forward(&mut b, &prompt, prompt_tokens, &pool);
-        assert_eq!(ya, yb, "same weights + same prompt => same prefill");
-        let adopted = b.share_prefix(&cache, &prompt, prompt_tokens);
-        assert_eq!(adopted, 2 * cfg.layers, "both full pages of every layer adopted");
-        assert_eq!(b.shared_kv_pages(), adopted);
-        assert_eq!(
-            kvpool.allocated_pages(),
-            pages_after_a + cfg.layers,
-            "the second session's duplicates recycled — one private tail page per layer"
-        );
-        assert_eq!(
-            a.shared_kv_pages(),
-            adopted,
-            "the first session's full pages are the shared ones"
-        );
-
-        // Divergence: different next tokens land in the private tail
-        // pages — no copy — and both streams match independent
-        // (never-shared) baselines bitwise.
-        let xa = ya[(prompt_tokens - 1) * cfg.hidden..].to_vec();
-        let xb: Vec<f32> = xa.iter().map(|v| v + 0.25).collect();
-        let cow_before = kvpool.cow_splits();
-        let ya2 = model.forward(&mut a, &xa, 1, &pool);
-        let yb2 = model.forward(&mut b, &xb, 1, &pool);
-        assert_eq!(kvpool.cow_splits(), cow_before, "private tails append in place");
-        let mut ind_a = model.new_state(16);
-        model.forward(&mut ind_a, &prompt, prompt_tokens, &pool);
-        assert_eq!(model.forward(&mut ind_a, &xa, 1, &pool), ya2, "writer A corrupted");
-        let mut ind_b = model.new_state(16);
-        model.forward(&mut ind_b, &prompt, prompt_tokens, &pool);
-        assert_eq!(model.forward(&mut ind_b, &xb, 1, &pool), yb2, "writer B corrupted");
+    /// Prefills `prompt` into a fresh state over `kvpool` the way a
+    /// serving tier does: look the prompt up, adopt what is cached,
+    /// forward the rest, register. Returns the state, the full output and
+    /// how many tokens the cache supplied.
+    fn cached_prefill(
+        model: &DecoderModel,
+        kvpool: &Arc<KvPagePool>,
+        cache: &PrefixCache,
+        prompt: &[f32],
+        pool: &ThreadPool,
+    ) -> (DecoderState, Vec<f32>, usize) {
+        let h = model.config().hidden;
+        let tokens = prompt.len() / h;
+        let mut st = model.new_state_in(kvpool, 128);
+        let hit = cache.lookup(prompt);
+        let span = if st.adopt_prefix(&hit) { hit.tokens() } else { 0 };
+        let mut y = Vec::with_capacity(prompt.len());
+        hit.write_outputs(&mut y);
+        y.extend(model.forward(&mut st, &prompt[span * h..], tokens - span, pool));
+        st.register_prefix(cache, prompt, &hit, &y);
+        (st, y, span)
     }
 
     #[test]
-    fn unaligned_prompts_decode_without_cow_and_still_adopt_full_pages() {
+    fn a_prefix_hit_forwards_only_the_suffix_and_stays_bitwise() {
+        // Prompt B shares its first `s` pages with prompt A. Prefilled
+        // after A through the cache, B must produce the bits of B
+        // prefilled alone — at every position, cached or computed — and
+        // decode on identically, whatever the page size and precision.
         let pool = ThreadPool::new(2);
         let cfg = DecoderConfig::scaled_for_tests();
+        let h = cfg.hidden;
+        for precision in [Precision::F32, Precision::Int8] {
+            let model = DecoderModel::new_with_precision(cfg, 1111, precision);
+            for pt in [4usize, 16] {
+                let tokens = 3 * pt + 1; // three full pages + a partial tail
+                let mut a = vec![0.0f32; h * tokens];
+                fill_uniform(&mut a, &mut Xorshift::new(31), -0.5, 0.5);
+                for shared in 0..=3 {
+                    let kvpool = KvPagePool::new(h, pt);
+                    let cache = PrefixCache::new(&kvpool, 64);
+                    let (_a_state, _, a_span) = cached_prefill(&model, &kvpool, &cache, &a, &pool);
+                    assert_eq!(a_span, 0, "the first prompt finds nothing");
+                    let mut b = a.clone();
+                    fill_uniform(&mut b[shared * pt * h..], &mut Xorshift::new(32), -0.5, 0.5);
+                    let resident = kvpool.allocated_pages();
+                    let (mut got_state, got, span) =
+                        cached_prefill(&model, &kvpool, &cache, &b, &pool);
+                    assert_eq!(span, shared * pt, "{precision:?} pt {pt}");
+                    assert_eq!(got_state.shared_kv_pages(), 3 * cfg.layers, "every full page");
+                    assert_eq!(
+                        kvpool.allocated_pages() - resident,
+                        (4 - shared) * cfg.layers,
+                        "only the pages after the hit are new"
+                    );
+                    let mut alone = model.new_state(128);
+                    let want = model.forward(&mut alone, &b, tokens, &pool);
+                    assert_eq!(got, want, "{precision:?} pt {pt} shared {shared}");
+                    let mut x = want[(tokens - 1) * h..].to_vec();
+                    for step in 0..8 {
+                        let y = model.forward(&mut got_state, &x, 1, &pool);
+                        x = model.forward(&mut alone, &x, 1, &pool);
+                        assert_eq!(y, x, "{precision:?} pt {pt} shared {shared} step {step}");
+                    }
+                    assert_eq!(kvpool.cow_splits(), 0, "whole-page adoption never splits a page");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fully_cached_prompt_needs_no_forward_and_adoption_needs_an_empty_state() {
+        let pool = ThreadPool::new(2);
+        let cfg = DecoderConfig::scaled_for_tests();
+        let h = cfg.hidden;
         let model = DecoderModel::new(cfg, 1212);
-        let kvpool = crate::kvpool::KvPagePool::new(cfg.hidden, 16);
-        let cache = crate::kvpool::PrefixCache::new(16);
-        let prefill = |tokens: usize, seed: u64| -> (DecoderState, Vec<f32>, Vec<f32>) {
-            let mut x = vec![0.0f32; cfg.hidden * tokens];
-            fill_uniform(&mut x, &mut Xorshift::new(seed), -0.5, 0.5);
-            let mut st = model.new_state_in(&kvpool, 128);
-            let y = model.forward(&mut st, &x, tokens, &pool);
-            (st, x, y[(tokens - 1) * cfg.hidden..].to_vec())
-        };
-        // An unshared 8-token prompt (half a page): registering it must
-        // not pin its own tail page, so its first decode step copies
-        // nothing.
-        let (mut short, short_prompt, next) = prefill(8, 41);
-        assert_eq!(short.share_prefix(&cache, &short_prompt, 8), 0);
-        model.forward(&mut short, &next, 1, &pool);
-        assert_eq!(kvpool.cow_splits(), 0, "an unshared prompt pays no COW copy");
-        // A cached 64-token prefix (4 full pages) is still adopted whole
-        // by a 72-token prompt that extends it.
-        let (mut base, base_prompt, _) = prefill(64, 42);
-        assert_eq!(base.share_prefix(&cache, &base_prompt, 64), 0, "registers 4 pages per layer");
-        let mut long_prompt = base_prompt.clone();
-        long_prompt.extend(vec![0.125f32; cfg.hidden * 8]);
-        let mut long = model.new_state_in(&kvpool, 128);
-        let y = model.forward(&mut long, &long_prompt, 72, &pool);
-        assert_eq!(long.share_prefix(&cache, &long_prompt, 72), 4 * cfg.layers);
-        model.forward(&mut long, &y[71 * cfg.hidden..], 1, &pool);
-        assert_eq!(kvpool.cow_splits(), 0, "the 8-token tail page was never shared");
+        let kvpool = KvPagePool::new(h, 4);
+        let cache = PrefixCache::new(&kvpool, 64);
+        let mut prompt = vec![0.0f32; h * 8]; // exactly two pages
+        fill_uniform(&mut prompt, &mut Xorshift::new(41), -0.5, 0.5);
+        let (mut first, want, _) = cached_prefill(&model, &kvpool, &cache, &prompt, &pool);
+        let resident = kvpool.allocated_pages();
+        let (mut again, got, span) = cached_prefill(&model, &kvpool, &cache, &prompt, &pool);
+        assert_eq!((span, &got), (8, &want), "every position came from the cache");
+        assert_eq!(kvpool.allocated_pages(), resident, "and no page was allocated");
+        // Both decode on from the shared pages, each onto a page of its own.
+        let x = want[7 * h..].to_vec();
+        assert_eq!(
+            model.forward(&mut again, &x, 1, &pool),
+            model.forward(&mut first, &x, 1, &pool)
+        );
+        assert_eq!(kvpool.cow_splits(), 0);
+
+        // No adoption into a state that holds context, is spilled, or is
+        // too small; a refused hit leaves the state as it was.
+        let hit = cache.lookup(&prompt);
+        assert!(!again.adopt_prefix(&hit), "holds context");
+        assert_eq!(again.cached_tokens(), 9);
+        let mut spilled = model.new_state_in(&kvpool, 128);
+        assert!(spilled.spill());
+        assert!(!spilled.adopt_prefix(&hit), "spilled");
+        assert!(!model.new_state_in(&kvpool, 7).adopt_prefix(&hit), "over capacity");
+        assert!(!model.new_state_in(&kvpool, 128).adopt_prefix(&PrefixHit::default()));
+        // Nor registration of a state that holds more than the prompt.
+        assert_eq!(again.register_prefix(&cache, &prompt, &hit, &want), 0);
     }
 }

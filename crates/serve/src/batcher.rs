@@ -433,7 +433,7 @@ mod tests {
     }
 
     fn chunk(tenant: TenantId, session: SessionId) -> WorkItem {
-        let (job, rx) = PrefillJob::new(session, tenant, 0, 1, vec![0.0; 8], 8, 4);
+        let (job, rx) = PrefillJob::new(session, tenant, 0, vec![0.0; 8], 8, 4, Default::default());
         std::mem::forget(rx);
         WorkItem::PrefillChunk(ChunkItem { job, chunk: 0, enqueued: Instant::now() })
     }

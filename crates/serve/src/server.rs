@@ -41,7 +41,8 @@ use crate::{ServeError, StepResult};
 use parking_lot::Mutex;
 use pl_autotuner::{batch_ladder, warm_gemm_db, warm_spmm_db, Constraints, GemmProblem, TuningDb};
 use pl_dnn::{
-    DecoderModel, DecoderState, KvPagePool, KvSnapshot, Precision, PrefixCache, DEFAULT_PAGE_TOKENS,
+    DecoderModel, DecoderState, KvPagePool, KvSnapshot, Precision, PrefixCache, PrefixHit,
+    DEFAULT_PAGE_TOKENS,
 };
 use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};
 use pl_perfmodel::Platform;
@@ -103,11 +104,13 @@ pub struct ServerConfig {
     /// worst case with no sharing; prefix sharing and idle spill reduce
     /// the real demand, which is what the density benchmark measures).
     pub kv_pool_pages: usize,
-    /// Hash-cons completed prompts into the shard's [`PrefixCache`] so
-    /// sessions opening with a common prompt prefix **share** its KV
-    /// pages copy-on-write. On by default — sharing never changes
-    /// outputs: adopted pages hold bit-identical rows and the first
-    /// divergent append splits the page for the writer.
+    /// Keep completed prompts' pages in the shard's [`PrefixCache`] and
+    /// look every new prompt up in it **before** its prefill is planned:
+    /// a session opening with pages some earlier prompt already computed
+    /// adopts their KV by reference, takes their cached outputs, and
+    /// forwards only the tokens after them. On by default — a hit never
+    /// changes outputs (position `t` depends on tokens `0..=t` only).
+    /// `false` disables lookup and registration together.
     pub share_prefix: bool,
     /// Upper bound on the **sum of token widths** queued across all
     /// tenant rings (a decode step counts 1, a prefill chunk its width);
@@ -143,8 +146,8 @@ impl Default for ServerConfig {
 /// notices work a concurrent manual `pump` deferred.
 const IDLE_PARK: Duration = Duration::from_millis(10);
 
-/// Capacity of the shard prefix cache (distinct prompt prefixes
-/// hash-consed at a time; FIFO eviction beyond this).
+/// Capacity of the shard prefix cache, in prompt pages (each pins one KV
+/// page per layer); least-recently-hit leaf pages are evicted beyond this.
 const PREFIX_CACHE_ENTRIES: usize = 64;
 
 /// A serialized session: everything another shard needs to re-admit it
@@ -241,7 +244,7 @@ struct ServerInner {
     /// table over this ([`DecoderModel::new_state_in`]), so free pages,
     /// prefix-shared pages and spilled sessions are shard-level facts.
     kv_pool: Arc<KvPagePool>,
-    /// Hash-consed completed prompts → shared KV page runs.
+    /// Completed prompts' pages, for later prompts to adopt.
     prefix: PrefixCache,
     /// The background batcher's thread, set by that thread before its
     /// first pump, so `publish` and `shutdown` can unpark it.
@@ -333,8 +336,8 @@ impl Server {
                 cfg.queue_capacity,
                 cfg.max_queued_tokens,
             ),
+            prefix: PrefixCache::new(&kv_pool, PREFIX_CACHE_ENTRIES),
             kv_pool,
-            prefix: PrefixCache::new(PREFIX_CACHE_ENTRIES),
             batcher_waker: OnceLock::new(),
             stats: ServerStats::new(cfg.tenants, cfg.max_batch, cfg.slo_p99_us),
             prefill_chunk: AtomicUsize::new(cfg.prefill_chunk.max(1)),
@@ -777,6 +780,13 @@ impl Server {
     /// the final chunk executes (or the error that aborted the prefill —
     /// e.g. the session was closed mid-prefill). Every chunk counts
     /// toward [`Server::in_flight`] from submission to completion.
+    ///
+    /// With [`ServerConfig::share_prefix`] the prompt is first looked up
+    /// in the shard's [`PrefixCache`]: if its leading pages are cached and
+    /// the session is still empty when chunk 0 checks out, the session
+    /// adopts them and only the remaining tokens are chunked and
+    /// forwarded — none at all for a fully cached prompt. The output is
+    /// bit-identical either way.
     pub fn submit_prefill(
         &self,
         id: SessionId,
@@ -791,6 +801,16 @@ impl Server {
             return Err(ServeError::BadInput { expected: hidden * tokens.max(1), got: x.len() });
         }
         let (tenant, tickets) = self.admit(id, tokens)?;
+        // Hash the prompt's pages once, here on the caller's thread with
+        // no server lock held, and find its cached leading pages; the job
+        // carries the result to chunk-0 checkout (adoption) and to
+        // completion (registration). A prompt shorter than a page costs
+        // neither a hash nor a lookup.
+        let hit = if self.inner.cfg.share_prefix {
+            self.inner.prefix.lookup(x)
+        } else {
+            PrefixHit::default()
+        };
         // The whole job draws ONE program-order ticket: its chunks check
         // out under it and the cursor advances only when the job finishes,
         // so a decode step pipelined behind the prefill waits for every
@@ -800,10 +820,10 @@ impl Server {
             id,
             tenant,
             seq,
-            hidden,
             x.to_vec(),
             tokens,
             self.inner.prefill_chunk.load(Ordering::Acquire),
+            hit,
         );
         let item = WorkItem::PrefillChunk(ChunkItem { job, chunk: 0, enqueued: Instant::now() });
         self.publish(&tickets, item)?;
@@ -963,8 +983,10 @@ impl Server {
         }
     }
 
-    /// Collects and executes one batch on the calling thread. Returns the
-    /// executed batch size (0 when nothing was pending). This is the same
+    /// Collects and executes one batch on the calling thread. Returns how
+    /// many work items it finished with — the executed batch size, plus
+    /// prefills answered entirely from the prefix cache (0 when nothing
+    /// was pending or everything collected had to wait). This is the same
     /// code path the background batcher runs; it is safe to call from
     /// several threads concurrently (work for a session another pump holds
     /// checked out is deferred, not lost or double-executed).
@@ -1009,6 +1031,7 @@ impl Server {
         // markers behind (see the module docs).
         let checkout_span = pl_trace::span("batch.checkout", [batch.len() as u64, 0, 0]);
         let mut ready: Vec<ReadyItem> = Vec::with_capacity(batch.len());
+        let mut cached: Vec<Arc<PrefillJob>> = Vec::new();
         let mut has_chunk = false;
         {
             let mut sessions = inner.sessions.lock();
@@ -1083,6 +1106,25 @@ impl Server {
                             inner.reject(&item, err);
                             continue;
                         }
+                        if let WorkItem::PrefillChunk(ChunkItem { job, chunk: 0, .. }) = &item {
+                            // The session is in hand and its ticket is up:
+                            // the one moment the cached prefix the job
+                            // found at submission can be adopted (only
+                            // into an empty, resident session — anything
+                            // else runs the whole-prompt plan).
+                            let adopted = job.adopt(&mut sess.state);
+                            inner.stats.tenants[sess.tenant].prefix_hit_tokens.add(adopted as u64);
+                            if job.chunks() == 0 {
+                                // Every token came from the cache: nothing
+                                // to forward, so the session never leaves
+                                // the table. The reply goes out once the
+                                // lock is released.
+                                sess.exec_seq += 1;
+                                sess.last_active = collected;
+                                cached.push(Arc::clone(job));
+                                continue;
+                            }
+                        }
                         let marker = Slot::CheckedOut {
                             tenant: sess.tenant,
                             submit_seq: Arc::clone(&sess.submit_seq),
@@ -1103,8 +1145,13 @@ impl Server {
             }
         }
         drop(checkout_span);
+        let from_cache = cached.len();
+        for job in cached {
+            inner.stats.tenants[job.tenant()].prefills.inc();
+            inner.deliver(job.reply(), Ok(job.take_output()));
+        }
         if ready.is_empty() {
-            return 0;
+            return from_cache;
         }
         let size = ready.len();
         let decode_lanes = size - usize::from(has_chunk);
@@ -1157,6 +1204,18 @@ impl Server {
         if has_chunk && decode_lanes > 0 {
             stats.mixed_batches.inc();
         }
+        // A chunk's output joins its job, and a completed prompt's pages
+        // and outputs go to the prefix cache, while the session is still
+        // checked out — before the table lock is taken.
+        let mut outputs = outputs;
+        for (r, y) in ready.iter().zip(&mut outputs) {
+            if let ReadyItem::Chunk(c, sess) = r {
+                c.job.push_output(std::mem::take(y));
+                if c.chunk + 1 == c.job.chunks() {
+                    c.job.register(&sess.state, &inner.prefix);
+                }
+            }
+        }
         let mut sessions = inner.sessions.lock();
         for (r, y) in ready.into_iter().zip(outputs) {
             match r {
@@ -1195,6 +1254,7 @@ impl Server {
                 ReadyItem::Chunk(c, mut sess) => {
                     let tm = &stats.tenants[c.job.tenant()];
                     tm.prefill_chunks.inc();
+                    tm.prefill_tokens.add(c.job.chunk_tokens(c.chunk) as u64);
                     tm.chunk_latency.observe(c.enqueued.elapsed().as_micros() as u64);
                     if pl_trace::enabled() {
                         let q_ns =
@@ -1208,7 +1268,6 @@ impl Server {
                             [c.job.session(), c.chunk as u64, 0],
                         );
                     }
-                    c.job.push_output(y);
                     sess.last_active = collected;
                     if c.chunk + 1 == c.job.chunks() {
                         // The job's single ticket is spent only when its
@@ -1216,16 +1275,6 @@ impl Server {
                         // prefill become executable now, never between
                         // chunks.
                         sess.exec_seq += 1;
-                        // Completed prompt: hash-cons it into the shard's
-                        // prefix cache. A later session prefilling the
-                        // same prompt (or one sharing a page-aligned
-                        // prefix of it) adopts these pages instead of
-                        // holding its own copy; divergence after the
-                        // shared run is isolated by COW splits, so
-                        // outputs never change.
-                        if inner.cfg.share_prefix {
-                            sess.state.share_prefix(&inner.prefix, c.job.prompt(), c.job.tokens());
-                        }
                     }
                     inner.check_in(&mut sessions, c.job.session(), sess);
                     let next = c.chunk + 1;
@@ -1247,7 +1296,7 @@ impl Server {
                 }
             }
         }
-        size
+        size + from_cache
     }
 
     /// A region member panicked mid-forward (e.g. the bounded KV page
@@ -2512,6 +2561,8 @@ mod tests {
             decode_batches: m.counter_value("pl_decode_batches_total", &[]),
             prefills: 1,
             prefill_chunks: 2,
+            prefill_tokens: 8,
+            prefix_hit_tokens: 0,
             mixed_batches: m.counter_value("pl_mixed_batches_total", &[]),
             gemm_shapes: view
                 .gemm_shapes

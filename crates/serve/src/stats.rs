@@ -21,8 +21,10 @@ const FAMILIES: &[(&str, &str)] = &[
     ("pl_steps_submitted_total", "Decode steps accepted into a queue, per tenant"),
     ("pl_steps_total", "Decode steps delivered, per tenant"),
     ("pl_steps_failed_total", "Accepted decode steps answered with an error, per tenant"),
-    ("pl_prefills_total", "Prefills completed, per tenant"),
+    ("pl_prefills_total", "Prefills completed (fully cached ones included), per tenant"),
     ("pl_prefill_chunks_total", "Prefill chunks executed, per tenant"),
+    ("pl_prefill_tokens_total", "Prompt tokens forwarded by prefill chunks, per tenant"),
+    ("pl_prefix_hit_tokens_total", "Prompt tokens taken from the prefix cache, per tenant"),
     ("pl_rejected_backpressure_total", "Submissions bounced on a full ring"),
     ("pl_rejected_sessions_total", "Sessions refused at the session cap"),
     ("pl_step_latency_us", "Submit-to-reply decode latency (log2 buckets, µs)"),
@@ -53,6 +55,8 @@ pub(crate) struct TenantMetrics {
     pub failed: Counter,
     pub prefills: Counter,
     pub prefill_chunks: Counter,
+    pub prefill_tokens: Counter,
+    pub prefix_hit_tokens: Counter,
     pub rejected_backpressure: Counter,
     pub rejected_sessions: Counter,
     pub step_latency: Histogram,
@@ -102,6 +106,8 @@ impl ServerStats {
                     failed: registry.counter("pl_steps_failed_total", &l),
                     prefills: registry.counter("pl_prefills_total", &l),
                     prefill_chunks: registry.counter("pl_prefill_chunks_total", &l),
+                    prefill_tokens: registry.counter("pl_prefill_tokens_total", &l),
+                    prefix_hit_tokens: registry.counter("pl_prefix_hit_tokens_total", &l),
                     rejected_backpressure: registry.counter("pl_rejected_backpressure_total", &l),
                     rejected_sessions: registry.counter("pl_rejected_sessions_total", &l),
                     step_latency: registry.histogram("pl_step_latency_us", &l),
@@ -189,8 +195,14 @@ pub struct StatsSnapshot {
     pub decode_batches: u64,
     /// Prefills completed.
     pub prefills: u64,
-    /// Prefill chunks executed through the batcher.
+    /// Prefill chunks executed through the batcher (a fully cached prompt
+    /// completes a prefill with none).
     pub prefill_chunks: u64,
+    /// Prompt tokens those chunks forwarded.
+    pub prefill_tokens: u64,
+    /// Prompt tokens taken from the prefix cache instead of forwarded;
+    /// `prefill_tokens + prefix_hit_tokens` is every prompt token served.
+    pub prefix_hit_tokens: u64,
     /// Batches that interleaved a prefill chunk with decode lanes — the
     /// continuous-batching signal.
     pub mixed_batches: u64,
@@ -285,6 +297,8 @@ impl StatsSnapshot {
             decode_batches: count("pl_decode_batches_total"),
             prefills: count("pl_prefills_total"),
             prefill_chunks: count("pl_prefill_chunks_total"),
+            prefill_tokens: count("pl_prefill_tokens_total"),
+            prefix_hit_tokens: count("pl_prefix_hit_tokens_total"),
             mixed_batches: count("pl_mixed_batches_total"),
             gemm_shapes: shapes.into_iter().collect(),
             tokens_per_s: ratio(completed as f64, elapsed_s),

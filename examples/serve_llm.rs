@@ -14,6 +14,13 @@
 //! weights, the chunked prefill against the whole-prompt forward, and the
 //! `StatsSnapshot` view of the metrics plane is printed.
 //!
+//! A **shared-system-prompt phase** follows: two tenants send prompts that
+//! open with the same two KV pages of system prompt, a third prompt shares
+//! nothing. The second tenant's prefill finds those pages in the prefix
+//! cache, adopts them and forwards only its own suffix — asserted through
+//! the hit-token counter, bit-identity with the unbatched `Decoder`, and a
+//! shorter prefill wall time than either miss.
+//!
 //! Two precisions (`--precision f32|int8`, or `PL_SERVE_PRECISION`):
 //! with `int8` the model holds VNNI-packed int8 weights and serves
 //! through the quantized i32-accumulation path. The baseline replay uses
@@ -62,6 +69,10 @@ const INT8_VS_F32_TOL: f32 = 0.25;
 const PREFILL_CHUNK: usize = 4;
 /// The mid-run long prompt: 8 chunks of `PREFILL_CHUNK`.
 const LONG_PROMPT: usize = 32;
+/// The shared system prompt: two default KV pages.
+const SYSTEM_PROMPT: usize = 2 * pl_dnn::DEFAULT_PAGE_TOKENS;
+/// What each tenant appends to it.
+const USER_SUFFIX: usize = 8;
 
 fn prompt_for(session: usize, hidden: usize) -> Vec<f32> {
     let mut x = vec![0.0f32; hidden * PROMPT];
@@ -194,6 +205,34 @@ fn main() {
     });
     let serve_s = t0.elapsed().as_secs_f64();
     let snap = server.stats().snapshot();
+    // --- Shared system prompt: the second tenant's prefill is a prefix
+    // hit and forwards its suffix only. -----------------------------------
+    let shared_prompts: Vec<Vec<f32>> = {
+        let draw = |seed: u64, tokens: usize| {
+            let mut x = vec![0.0f32; hidden * tokens];
+            fill_uniform(&mut x, &mut Xorshift::new(seed), -0.5, 0.5);
+            x
+        };
+        let system = draw(555, SYSTEM_PROMPT);
+        vec![
+            [system.clone(), draw(556, USER_SUFFIX)].concat(),
+            [system, draw(557, USER_SUFFIX)].concat(),
+            draw(558, SYSTEM_PROMPT + USER_SUFFIX),
+        ]
+    };
+    let shared_served: Vec<(Vec<f32>, Duration)> = shared_prompts
+        .iter()
+        .enumerate()
+        .map(|(tenant, prompt)| {
+            let id = server.create_session(tenant % TENANTS).expect("session admitted");
+            let t = Instant::now();
+            let y = server.prefill(id, prompt, SYSTEM_PROMPT + USER_SUFFIX).unwrap();
+            let took = t.elapsed();
+            server.close_session(id).unwrap();
+            (y, took)
+        })
+        .collect();
+    let shared_snap = server.stats().snapshot();
     // Snapshot the metrics plane while the server is live — the gauges
     // (`pl_sessions_live`, `pl_pending`, `pl_shard_health`) are sampled
     // at snapshot time, and the health view needs a running watchdog.
@@ -262,6 +301,13 @@ fn main() {
         eprintln!("MISMATCH: interleaved long prefill vs whole-prompt forward");
         mismatches += 1;
     }
+    for (i, (prompt, (served_y, _))) in shared_prompts.iter().zip(&shared_served).enumerate() {
+        let mut d = Decoder::from_model(Arc::clone(&model), KV);
+        if &d.prefill(prompt, SYSTEM_PROMPT + USER_SUFFIX, &pool) != served_y {
+            eprintln!("MISMATCH: shared-system-prompt prefill {i}");
+            mismatches += 1;
+        }
+    }
     let base_s = t1.elapsed().as_secs_f64();
 
     // --- Report. ---------------------------------------------------------
@@ -287,6 +333,14 @@ fn main() {
     for ((m, n, k), count) in &snap.gemm_shapes {
         println!("  {m:>4} x {n:<2} x {k:>4}   {count:>6}");
     }
+    let prompt_tokens = shared_snap.prefill_tokens + shared_snap.prefix_hit_tokens;
+    println!(
+        "prefix cache         {} of {prompt_tokens} prompt tokens from cache ({:.1}% hit ratio)",
+        shared_snap.prefix_hit_tokens,
+        100.0 * shared_snap.prefix_hit_tokens as f64 / prompt_tokens as f64
+    );
+    let [miss, hit, unrelated] = [0, 1, 2].map(|i| shared_served[i].1);
+    println!("shared-prompt prefill miss {miss:?} / hit {hit:?} / unrelated miss {unrelated:?}");
     println!("\nserve wall time      {serve_s:>10.3} s");
     println!("baseline wall time   {base_s:>10.3} s (sequential unbatched)");
 
@@ -359,6 +413,8 @@ fn main() {
         for (family, kind) in [
             ("pl_steps_total", "counter"),
             ("pl_prefill_chunks_total", "counter"),
+            ("pl_prefill_tokens_total", "counter"),
+            ("pl_prefix_hit_tokens_total", "counter"),
             ("pl_batches_total", "counter"),
             ("pl_batch_size_total", "counter"),
             ("pl_gemm_total", "counter"),
@@ -414,6 +470,19 @@ fn main() {
         LONG_PROMPT / PREFILL_CHUNK
     );
     assert!(snap.gemm_shapes.iter().any(|&((_, n, _), _)| n > 1), "no batch shared a GEMM");
+    assert_eq!(
+        shared_snap.prefix_hit_tokens, SYSTEM_PROMPT as u64,
+        "the second tenant must take the system prompt from the prefix cache"
+    );
+    assert_eq!(
+        shared_snap.prefill_tokens - snap.prefill_tokens,
+        (2 * (SYSTEM_PROMPT + USER_SUFFIX) + USER_SUFFIX) as u64,
+        "two whole prompts and one suffix forwarded"
+    );
+    assert!(
+        hit < miss.min(unrelated),
+        "a prefix hit must prefill faster than a miss: hit {hit:?}, misses {miss:?} {unrelated:?}"
+    );
     println!(
         "\nOK: {SESSIONS} concurrent sessions + 1 interleaved long prefill \
          ({} chunks, {} mixed batches), max batch {}, all outputs \

@@ -169,24 +169,33 @@ fn bf16_element_trait_consistency() {
 }
 
 /// Random alloc / append / pin / drop / snapshot sequences over a bounded
-/// KV page pool hold the allocator's invariants: the pool's `allocated`
-/// count always equals the number of distinct live pages (no leak, no
-/// double-free), every sequence reads back exactly what was appended,
-/// pinned page handles are never mutated through another writer (COW
-/// isolation), and exhaustion only fires at the residency bound.
+/// KV page pool — with a small prefix cache registering sequences,
+/// handing their pages to new ones (adopt-then-append), evicting entries
+/// adopters still hold and outliving adopters that close — hold the
+/// allocator's invariants: the pool's `allocated` count always equals the
+/// number of distinct live pages (no leak, no double-free), every
+/// sequence reads back exactly what was appended or adopted, pinned page
+/// handles are never mutated through another writer (COW isolation), and
+/// exhaustion only fires at the residency bound.
 #[test]
 fn kv_page_pool_refcount_discipline() {
-    use pl_dnn::{KvPage, KvPagePool, KvSeq, KvSnapshot};
+    use pl_dnn::{KvPage, KvPagePool, KvSeq, KvSnapshot, PrefixCache};
     use std::collections::HashSet;
     use std::sync::Arc;
 
     let mut rng = Xorshift::new(0xbadc0ffee);
-    let mut cow_seen = 0u64;
+    let (mut cow_seen, mut adoptions) = (0u64, 0u64);
     for case in 0..16 {
         let hidden = [3usize, 4, 7][draw(&mut rng, 0, 3)];
         let page_tokens = [1usize, 2, 3, 4][draw(&mut rng, 0, 4)];
         let max_pages = draw(&mut rng, 6, 40);
         let pool = KvPagePool::bounded(hidden, page_tokens, max_pages);
+        // Small enough that registrations evict entries still adopted.
+        let cache = PrefixCache::new(&pool, 3);
+        // The K rows of a sequence stand in for its prompt, the V rows
+        // for its outputs: `(rows, prompt, outputs)` per registration.
+        type Registered = (Vec<(Vec<f32>, Vec<f32>)>, Vec<f32>, Vec<f32>);
+        let mut registered: Vec<Registered> = Vec::new();
 
         // Model: per-sequence mirrors of every appended K/V row, plus
         // pinned page handles with the contents frozen at pin time.
@@ -196,8 +205,49 @@ fn kv_page_pool_refcount_discipline() {
 
         for op in 0..240 {
             match draw(&mut rng, 0, 100) {
+                // Register a sequence's full pages with the cache (its
+                // pages become shared with it, older entries are evicted).
+                0..=5 => {
+                    if let Some(i) = (!seqs.is_empty()).then(|| draw(&mut rng, 0, seqs.len())) {
+                        let prompt: Vec<f32> =
+                            mirror[i].iter().flat_map(|(k, _)| k.clone()).collect();
+                        let output: Vec<f32> =
+                            mirror[i].iter().flat_map(|(_, v)| v.clone()).collect();
+                        let hit = cache.lookup(&prompt);
+                        let added =
+                            cache.register(&prompt, &hit, std::slice::from_ref(&seqs[i]), &output);
+                        assert!(added <= mirror[i].len() / page_tokens, "case {case} op {op}");
+                        registered.push((mirror[i].clone(), prompt, output));
+                    }
+                }
+                // Adopt a registered prompt's cached pages into a new
+                // sequence; later appends extend it on pages of its own.
+                6..=11 => {
+                    if let Some(r) =
+                        (!registered.is_empty()).then(|| draw(&mut rng, 0, registered.len()))
+                    {
+                        let (rows, prompt, output) = &registered[r];
+                        let hit = cache.lookup(prompt);
+                        if !hit.is_empty() {
+                            let mut served = Vec::new();
+                            hit.write_outputs(&mut served);
+                            assert_eq!(served, output[..served.len()], "case {case} op {op}");
+                            let mut seq = KvSeq::new(&pool);
+                            seq.adopt(&hit, 0);
+                            assert_eq!(seq.len(), hit.tokens());
+                            assert_eq!(
+                                seq.shared_pages(),
+                                seq.page_count(),
+                                "adopted by reference"
+                            );
+                            mirror.push(rows[..hit.tokens()].to_vec());
+                            adoptions += 1;
+                            seqs.push(seq);
+                        }
+                    }
+                }
                 // Append a token to a random (possibly new) sequence.
-                0..=54 => {
+                12..=54 => {
                     let i = draw(&mut rng, 0, seqs.len() + 1);
                     if i == seqs.len() {
                         seqs.push(KvSeq::new(&pool));
@@ -291,9 +341,13 @@ fn kv_page_pool_refcount_discipline() {
             for (p, _, _) in &pinned {
                 live.insert(Arc::as_ptr(p));
             }
+            // The cache holds one page per entry (one layer here); those
+            // nobody else holds are live through it alone.
+            let cache_only = cache.entries() - cache.shared_pages();
+            assert!(cache.entries() <= 3, "case {case} op {op}: cache over its page bound");
             assert_eq!(
                 pool.allocated_pages(),
-                live.len(),
+                live.len() + cache_only,
                 "case {case} op {op}: pool accounting diverged from live set"
             );
             assert!(
@@ -322,6 +376,9 @@ fn kv_page_pool_refcount_discipline() {
         cow_seen += pool.cow_splits();
         drop(seqs);
         drop(pinned);
+        assert_eq!(cache.shared_pages(), 0, "case {case}: a dropped adopter still counted");
+        assert_eq!(pool.allocated_pages(), cache.entries(), "case {case}: cached pages survive");
+        cache.clear();
         assert_eq!(pool.allocated_pages(), 0, "case {case}: pages leaked at teardown");
         assert_eq!(
             pool.resident_pages(),
@@ -330,4 +387,5 @@ fn kv_page_pool_refcount_discipline() {
         );
     }
     assert!(cow_seen > 0, "the op mix never exercised a COW split");
+    assert!(adoptions > 50, "the op mix barely exercised adoption: {adoptions}");
 }
