@@ -225,7 +225,7 @@ pub fn batch_ladder(max: usize) -> Vec<usize> {
     out
 }
 
-/// Warms a [`TuningDb`] with the model-based winners for a set of GEMM
+/// Warms a [`crate::TuningDb`] with the model-based winners for a set of GEMM
 /// problems on one platform — the serving runtime calls this at startup for
 /// every shape its batcher can produce, so steady-state traffic never pays
 /// search latency. Problems already present in the DB (same key) are

@@ -10,7 +10,7 @@
 
 use pl_bench::{
     f1, f2, header, measure_router_steps_per_s, row, time_it, trace_shapes_json, BenchArtifact,
-    BenchRow, RouterLoad, ROUTER_MODE, ROUTING_OVERHEAD, SERVE_ARTIFACT, TRACE_SHAPES_ARTIFACT,
+    BenchRow, RouterLoad, ROUTER_MODE, SERVE_ARTIFACT, TRACE_SHAPES_ARTIFACT,
 };
 use pl_dnn::matmul::{matmul, Trans};
 use pl_dnn::{DecoderConfig, DecoderModel, MatmulPlan, Precision};
@@ -24,7 +24,6 @@ use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
 use pl_trace::TraceSummary;
 use std::sync::Arc;
-use std::time::Duration;
 
 const SESSIONS: usize = 8;
 const STEPS: usize = 32;
@@ -46,14 +45,7 @@ fn drive(max_batch: usize, model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>) ->
     let mut server = Server::new(
         Arc::clone(model),
         Arc::clone(pool),
-        ServerConfig {
-            tenants: 2,
-            max_batch,
-            kv_capacity: KV,
-            coalesce_wait: Duration::from_millis(1),
-            precision: model.precision(),
-            ..Default::default()
-        },
+        ServerConfig { tenants: 2, max_batch, kv_capacity: KV, ..Default::default() },
     );
     server.start();
     std::thread::scope(|scope| {
@@ -122,7 +114,6 @@ fn mixed_workload(
                 max_batch: SESSIONS,
                 kv_capacity: MIXED_KV,
                 prefill_chunk: chunk,
-                coalesce_wait: Duration::from_millis(1),
                 ..Default::default()
             },
         );
@@ -209,7 +200,6 @@ fn kv_density(
                 kv_capacity: MIXED_KV,
                 kv_page_tokens: page_tokens,
                 share_prefix: share,
-                coalesce_wait: Duration::ZERO,
                 ..Default::default()
             },
         );
@@ -283,7 +273,6 @@ fn kv_density(
                 tenants: 2,
                 max_batch: DENSITY_SESSIONS,
                 kv_capacity: MIXED_KV,
-                coalesce_wait: Duration::ZERO,
                 ..Default::default()
             },
         )
@@ -413,9 +402,7 @@ const ROUTER_SESSIONS: usize = 16;
 /// Router scale-out: the same closed-loop traffic through a router at
 /// 1/2/4 shards, the machine's threads split disjointly across the
 /// shards (so every row uses the *same* total compute), driven by the
-/// shared [`measure_router_steps_per_s`] harness. Measured steps/s is
-/// printed next to the `ScalingModel` projection — the paper's Table I
-/// methodology applied to serving shards instead of training nodes.
+/// shared [`measure_router_steps_per_s`] harness.
 fn router_scaling(
     model: &Arc<DecoderModel>,
     total_threads: usize,
@@ -434,7 +421,7 @@ fn router_scaling(
             "pl-router scale-out ({ROUTER_SESSIONS} sessions x {STEPS} steps, \
              {total_threads} threads split across shards) [measured]"
         ),
-        &["shards", "steps/s", "measured x", "projected x", "p99 us"],
+        &["shards", "steps/s", "measured x", "p99 us"],
     );
     let mut single = 0.0f64;
     for shards in [1usize, 2, 4] {
@@ -442,13 +429,10 @@ fn router_scaling(
         if shards == 1 {
             single = m.steps_per_s;
         }
-        let projection =
-            pl_router::serving_scaling_model(ROUTING_OVERHEAD).projected_speedup(shards);
         row(&[
             shards.to_string(),
             f1(m.steps_per_s),
             format!("{:.2}x", m.steps_per_s / single.max(1e-9)),
-            format!("{projection:.2}x"),
             m.p99_us.to_string(),
         ]);
         artifact.upsert(BenchRow {
@@ -507,8 +491,7 @@ fn trace_overhead(
 /// The span names the `--trace` breakdown reports, batcher-level down to
 /// kernel-level. `step.queue_wait` is the submit→collect share of the
 /// step latency; everything else is execute-side.
-const BREAKDOWN_SPANS: [&str; 9] = [
-    "batch.collect",
+const BREAKDOWN_SPANS: [&str; 8] = [
     "batch.checkout",
     "batch.execute",
     "batch.deliver",
@@ -585,8 +568,8 @@ fn trace_diagnose(model: &Arc<DecoderModel>, i8_model: &Arc<DecoderModel>, pool:
 /// Closed-loop decode throughput of `width` lock-step sessions on a
 /// manually pumped server: `steps` rounds of submit-all / pump / receive.
 /// The before/after instrument of [`retune_closed_loop`] (the threaded
-/// client driver's coalesce waits and scheduling put a spec-level gap
-/// inside its run-to-run noise on a loaded host).
+/// client driver's scheduling puts a spec-level gap inside its
+/// run-to-run noise on a loaded host).
 fn pumped_steps_per_s(server: &Server, width: usize, steps: usize) -> f64 {
     let hidden = server.model().config().hidden;
     let sessions: Vec<_> = (0..width).map(|_| server.create_session(0).unwrap()).collect();
@@ -629,13 +612,7 @@ fn retune_closed_loop(
     let mut server = Server::new(
         Arc::clone(model),
         Arc::clone(pool),
-        ServerConfig {
-            tenants: 2,
-            max_batch: SESSIONS,
-            kv_capacity: KV,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        },
+        ServerConfig { tenants: 2, max_batch: SESSIONS, kv_capacity: KV, ..Default::default() },
     );
     server.warm_tuning(retuner.platform(), threads);
     let pre = pumped_steps_per_s(&server, SESSIONS, 32);

@@ -174,7 +174,7 @@ pub mod stack_eff {
     pub const HF: f64 = 0.22;
     /// IPEX + oneDNN (fused ops, padded tensors).
     pub const IPEX: f64 = 0.45;
-    /// TPP with fixed loop orders (prior work [12], unpadded + fused).
+    /// TPP with fixed loop orders (prior work \[12\], unpadded + fused).
     pub const TPP_FIXED: f64 = 0.62;
     /// PARLOOPER-tuned TPP (this work): +22% over fixed loops on SPR.
     pub const PARLOOPER: f64 = 0.76;

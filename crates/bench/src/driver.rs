@@ -1,24 +1,15 @@
 //! The shared router measurement driver.
 //!
 //! Both `benches/serve_throughput.rs` and `examples/router_llm.rs` print
-//! measured multi-shard steps/s next to the `ScalingModel` projection and
-//! write rows into the same trajectory artifact — so the closed-loop
-//! driver, the routing-overhead figure the projection is evaluated at,
-//! and the artifact row labels live **here, once**. Two hand-synchronized
-//! copies would let the router under test and the printed projection
-//! silently drift apart.
+//! measured multi-shard steps/s and write rows into the same trajectory
+//! artifact — so the closed-loop driver and the artifact row labels live
+//! **here, once**.
 
 use pl_dnn::DecoderModel;
 use pl_router::{Router, RouterConfig};
 use pl_serve::ServerConfig;
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// The routing/aggregation overhead (fraction of one shard-interval per
-/// log2 hop) used for **both** the measured router's configuration and
-/// the projection printed next to it.
-pub const ROUTING_OVERHEAD: f64 = 0.02;
 
 /// File name of the serving trajectory artifact (resolve with
 /// [`crate::workspace_path`]).
@@ -60,10 +51,7 @@ pub struct RouterMeasurement {
 /// snapshot's own `tokens_per_s` clock starts at server construction, so
 /// it would charge higher shard counts for building more pools — a
 /// systematic anti-scaling bias on short runs), along with the merged
-/// p99 step latency. Each shard's `max_batch` is sized to its share of
-/// the sessions — a shard holding `sessions / shards` streams can never
-/// fill a fleet-wide batch and would otherwise pay the full coalesce
-/// linger on every batch, skewing the scaling comparison.
+/// p99 step latency.
 pub fn measure_router_steps_per_s(
     model: &Arc<DecoderModel>,
     shards: usize,
@@ -75,12 +63,9 @@ pub fn measure_router_steps_per_s(
         RouterConfig {
             shards,
             total_threads,
-            routing_overhead: ROUTING_OVERHEAD,
             server: ServerConfig {
                 tenants: load.tenants,
-                max_batch: load.sessions.div_ceil(shards).min(load.sessions),
                 kv_capacity: load.kv_capacity,
-                coalesce_wait: Duration::from_micros(500),
                 ..Default::default()
             },
         },

@@ -24,8 +24,7 @@ pub mod trace_artifact;
 
 pub use artifact::{compare, workspace_path, BenchArtifact, BenchRow, RowDelta};
 pub use driver::{
-    measure_router_steps_per_s, RouterLoad, RouterMeasurement, ROUTER_MODE, ROUTING_OVERHEAD,
-    SERVE_ARTIFACT,
+    measure_router_steps_per_s, RouterLoad, RouterMeasurement, ROUTER_MODE, SERVE_ARTIFACT,
 };
 pub use trace_artifact::{trace_shapes_json, TRACE_SHAPES_ARTIFACT};
 

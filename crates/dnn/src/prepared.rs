@@ -70,7 +70,7 @@ use std::sync::{Arc, RwLock};
 /// call (the pack-per-call compatibility bridge builds a throwaway plan).
 static PACK_EVENTS: AtomicU64 = AtomicU64::new(0);
 
-/// Reads the weight-pack event counter (see [`PACK_EVENTS`]).
+/// Reads the weight-pack event counter (see `PACK_EVENTS`).
 ///
 /// This is the observability hook for the prepared-op packing discipline:
 /// after a model is constructed (its plans built), running `forward` /

@@ -40,7 +40,7 @@ static REGISTRY: RwLock<Option<Registry>> = RwLock::new(None);
 /// it (numeric results are unchanged either way; see the module docs).
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 
-/// Current registry generation (see [`EPOCH`]'s invariants above).
+/// Current registry generation (see `EPOCH`'s invariants above).
 pub fn epoch() -> u64 {
     EPOCH.load(Ordering::Acquire)
 }

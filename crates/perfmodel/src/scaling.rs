@@ -31,16 +31,6 @@ impl ScalingModel {
         let tb = self.time_to_train(b);
         (ta / tb) / (b as f64 / a as f64)
     }
-
-    /// Projected **throughput speedup** of `n` units over a single one:
-    /// `t(1) / t(n)`. The same compute + log2-hop-communication shape that
-    /// projects Table I's time-to-train also projects a sharded serving
-    /// tier — "units" are then `Server` shards and the hop term is routing
-    /// /aggregation overhead — so a router can print the model's projected
-    /// multi-shard steps/s next to the measured value.
-    pub fn projected_speedup(&self, n: usize) -> f64 {
-        self.time_to_train(1) / self.time_to_train(n)
-    }
 }
 
 #[cfg(test)]
@@ -59,23 +49,6 @@ mod tests {
         assert!(t16 < t8);
         let eff = m.scaling_efficiency(8, 16);
         assert!(eff > 0.5 && eff < 1.0, "efficiency {eff}");
-    }
-
-    #[test]
-    fn projected_speedup_is_sublinear_and_monotonic() {
-        let m = ScalingModel {
-            work_socket_minutes: 1.0,
-            sockets_per_node: 1,
-            comm_minutes_per_hop: 0.02,
-        };
-        assert!((m.projected_speedup(1) - 1.0).abs() < 1e-12);
-        let s2 = m.projected_speedup(2);
-        let s4 = m.projected_speedup(4);
-        assert!(s2 > 1.0 && s2 < 2.0, "s2 {s2}");
-        assert!(s4 > s2 && s4 < 4.0, "s4 {s4}");
-        // Zero communication cost degenerates to perfectly linear scaling.
-        let ideal = ScalingModel { comm_minutes_per_hop: 0.0, ..m };
-        assert!((ideal.projected_speedup(4) - 4.0).abs() < 1e-12);
     }
 
     #[test]

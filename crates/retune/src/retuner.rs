@@ -400,12 +400,7 @@ mod tests {
         let server = Server::new(
             model,
             pool,
-            ServerConfig {
-                max_batch: 4,
-                kv_capacity: 32,
-                coalesce_wait: Duration::ZERO,
-                ..Default::default()
-            },
+            ServerConfig { max_batch: 4, kv_capacity: 32, ..Default::default() },
         );
         let (rows, best) = tune_prefill_chunk(&server, &[4, 8], 8, 2, 4);
         assert_eq!(rows.len(), 2);

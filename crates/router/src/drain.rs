@@ -2,13 +2,13 @@
 //!
 //! Two granularities:
 //!
-//! * **session** — [`Router::close_session`] quiesces the owning shard
-//!   first ([`Router::quiesce_shard`]) so a step still sitting in the
-//!   submission rings executes before the session's KV cache is freed;
+//! * **session** — [`Router::close_session`] waits for the session's own
+//!   accepted work first, so a step still sitting in the submission
+//!   rings executes before the session's KV cache is freed;
 //! * **shard** — [`Router::begin_drain`] removes a shard from placement
 //!   (existing sessions keep their affinity and keep being served),
-//!   [`Router::drain_shard`] additionally pumps its queues dry, and
-//!   [`Router::drain_complete`] reports when the shard holds no work at
+//!   [`Router::drain_shard`] additionally pumps its queues dry, and its
+//!   [`DrainReport::is_empty`] reports when the shard holds no work at
 //!   all — the point where it could be torn down or rebalanced.
 
 use crate::router::Router;
@@ -120,18 +120,12 @@ mod tests {
     use pl_serve::ServerConfig;
     use pl_tensor::{fill_uniform, Xorshift};
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn router(shards: usize) -> Router {
         let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 99));
         Router::new(
             model,
-            RouterConfig {
-                shards,
-                total_threads: 4,
-                routing_overhead: 0.02,
-                server: ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() },
-            },
+            RouterConfig { shards, total_threads: 4, server: ServerConfig::default() },
         )
         .unwrap()
     }
@@ -178,13 +172,7 @@ mod tests {
             crate::router::RouterConfig {
                 shards: 2,
                 total_threads: 4,
-                routing_overhead: 0.02,
-                server: ServerConfig {
-                    prefill_chunk: 2,
-                    kv_capacity: 32,
-                    coalesce_wait: Duration::ZERO,
-                    ..Default::default()
-                },
+                server: ServerConfig { prefill_chunk: 2, kv_capacity: 32, ..Default::default() },
             },
         )
         .unwrap();

@@ -26,12 +26,7 @@
 //! * **aggregated observability** ([`Router::metrics_snapshot`]): the
 //!   shards' registries merge into one `shard`-labelled fleet snapshot —
 //!   counters add, latency quantiles recompute from summed histogram
-//!   buckets — and [`Router::stats`] is the typed view of that merge;
-//! * **a scaling projection** ([`projection`]): the paper's Table I
-//!   strong-scaling model (`pl_perfmodel::ScalingModel`), recalibrated
-//!   from training nodes to serving shards, projects the multi-shard
-//!   steps/s win so the measured speedup can be validated against the
-//!   model instead of eyeballed.
+//!   buckets — and [`Router::stats`] is the typed view of that merge.
 //!
 //! The TPP thesis — a small set of composable primitives scaling from
 //! single-core kernels to cluster workloads — is the design argument
@@ -41,14 +36,12 @@
 pub mod drain;
 pub mod migrate;
 pub mod placement;
-pub mod projection;
 pub mod router;
 pub mod shard;
 
 pub use drain::DrainReport;
 pub use migrate::MigrationRecord;
 pub use placement::{least_loaded, placement_order, ShardLoad};
-pub use projection::serving_scaling_model;
 pub use router::{Router, RouterConfig, RouterSessionId};
 pub use shard::{partition_threads, Shard};
 

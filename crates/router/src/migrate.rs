@@ -201,19 +201,10 @@ mod tests {
     use pl_serve::ServerConfig;
     use pl_tensor::{fill_uniform, Xorshift};
     use std::sync::Arc;
-    use std::time::Duration;
 
     fn tiny_router(shards: usize, server: ServerConfig) -> Router {
         let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 4242));
-        Router::new(
-            model,
-            RouterConfig { shards, total_threads: 4, routing_overhead: 0.02, server },
-        )
-        .unwrap()
-    }
-
-    fn no_wait() -> ServerConfig {
-        ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() }
+        Router::new(model, RouterConfig { shards, total_threads: 4, server }).unwrap()
     }
 
     fn token(seed: u64, hidden: usize) -> Vec<f32> {
@@ -238,7 +229,7 @@ mod tests {
 
     #[test]
     fn migrate_session_continues_bit_identically() {
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         let model = Arc::clone(r.shard(0).server().model());
         let hidden = model.config().hidden;
         let id = r.create_session(0).unwrap();
@@ -281,7 +272,7 @@ mod tests {
 
     #[test]
     fn rebalance_moves_sessions_off_a_degraded_shard() {
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         let s0 = r.create_session(0).unwrap();
         let s1 = r.create_session(0).unwrap();
         assert_eq!(r.placement_of(s0), Some(0));
@@ -318,7 +309,7 @@ mod tests {
 
     #[test]
     fn rebalance_evens_a_lopsided_spread() {
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         // 4 sessions land 0,1,0,1; closing shard 1's pair leaves 2 vs 0.
         let ids: Vec<_> = (0..4).map(|_| r.create_session(0).unwrap()).collect();
         r.close_session(ids[1]).unwrap();
@@ -334,7 +325,7 @@ mod tests {
 
     #[test]
     fn recover_shard_rehomes_every_session_from_the_drain_report() {
-        let r = tiny_router(2, ServerConfig { max_sessions: 8, ..no_wait() });
+        let r = tiny_router(2, ServerConfig { max_sessions: 8, ..Default::default() });
         let model = Arc::clone(r.shard(0).server().model());
         let hidden = model.config().hidden;
         // Two sessions on shard 0 (and one bystander on shard 1).

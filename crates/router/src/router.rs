@@ -1,7 +1,6 @@
 //! The front door: session-affine routing over N core-partitioned shards.
 
 use crate::placement::{placement_order, ShardLoad};
-use crate::projection::serving_scaling_model;
 use crate::shard::{partition_threads, Shard};
 use crate::RouterError;
 use parking_lot::Mutex;
@@ -41,10 +40,6 @@ pub struct RouterConfig {
     /// ([`partition_threads`]; e.g. 8 threads over 2 shards → 2×4), so
     /// co-resident shards never oversubscribe the machine.
     pub total_threads: usize,
-    /// Routing/aggregation overhead per log2 hop, as a fraction of one
-    /// shard-interval of work — the communication term of the scaling
-    /// projection ([`serving_scaling_model`]).
-    pub routing_overhead: f64,
     /// Per-shard server configuration (every shard gets a copy).
     pub server: ServerConfig,
 }
@@ -54,7 +49,6 @@ impl Default for RouterConfig {
         RouterConfig {
             shards: 2,
             total_threads: pl_runtime::default_threads(),
-            routing_overhead: 0.02,
             server: ServerConfig::default(),
         }
     }
@@ -381,14 +375,6 @@ impl Router {
         }
         agg
     }
-
-    /// The [`ScalingModel`](pl_perfmodel::ScalingModel) projection of the
-    /// throughput speedup at `shards` shards over one, under this
-    /// router's configured `routing_overhead` — printed (and asserted)
-    /// next to measured steps/s by the demo and bench.
-    pub fn projected_speedup(&self, shards: usize) -> f64 {
-        serving_scaling_model(self.cfg.routing_overhead).projected_speedup(shards)
-    }
 }
 
 impl Drop for Router {
@@ -413,15 +399,7 @@ mod tests {
 
     fn tiny_router(shards: usize, server: ServerConfig) -> Router {
         let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 4242));
-        Router::new(
-            model,
-            RouterConfig { shards, total_threads: 4, routing_overhead: 0.02, server },
-        )
-        .unwrap()
-    }
-
-    fn no_wait() -> ServerConfig {
-        ServerConfig { coalesce_wait: std::time::Duration::ZERO, ..Default::default() }
+        Router::new(model, RouterConfig { shards, total_threads: 4, server }).unwrap()
     }
 
     fn token(seed: u64, hidden: usize) -> Vec<f32> {
@@ -439,7 +417,7 @@ mod tests {
             ),
             Err(RouterError::BadConfig(_))
         ));
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         assert_eq!(r.shard_count(), 2);
         assert_eq!(r.shard(0).threads(), 2);
         assert_eq!(r.shard(1).threads(), 2);
@@ -448,7 +426,7 @@ mod tests {
 
     #[test]
     fn least_loaded_placement_balances_and_is_affine() {
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         let ids: Vec<_> = (0..4).map(|_| r.create_session(0).unwrap()).collect();
         let placements: Vec<_> = ids.iter().map(|&id| r.placement_of(id).unwrap()).collect();
         // 4 sessions over 2 empty shards: 2 per shard, alternating.
@@ -478,7 +456,7 @@ mod tests {
 
     #[test]
     fn full_shard_spills_then_fleet_exhausts() {
-        let r = tiny_router(2, ServerConfig { max_sessions: 1, ..no_wait() });
+        let r = tiny_router(2, ServerConfig { max_sessions: 1, ..Default::default() });
         let a = r.create_session(0).unwrap();
         let b = r.create_session(0).unwrap();
         assert_ne!(r.placement_of(a), r.placement_of(b), "second session spills");
@@ -497,7 +475,7 @@ mod tests {
         // The affinity + no-KV-leakage correctness story in miniature:
         // every session's routed stream must equal an unbatched forward
         // over the same shared weights, regardless of which shard ran it.
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         let model = Arc::clone(r.shard(0).server().model());
         let hidden = model.config().hidden;
         let n = 4;
@@ -538,7 +516,7 @@ mod tests {
     fn trace_summary_aggregates_spans_across_shards() {
         // Both shards' batch execution records into the process recorder;
         // the router folds the per-lane summaries into one fleet view.
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         let hidden = r.shard(0).server().model().config().hidden;
         let ids: Vec<_> = (0..4).map(|_| r.create_session(0).unwrap()).collect();
         let _switch = TRACE_SWITCH.lock();
@@ -568,7 +546,7 @@ mod tests {
 
     #[test]
     fn close_session_drains_queued_steps_first() {
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         let hidden = r.shard(0).server().model().config().hidden;
         let id = r.create_session(0).unwrap();
         let rx = r.submit_step(id, &token(5, hidden)).unwrap();
@@ -586,7 +564,10 @@ mod tests {
         // Manual-pump mode, one shard: a peer has a 4-chunk prefill
         // queued. Closing an idle session must not execute any of the
         // peer's chunks nor touch its in-flight accounting.
-        let r = tiny_router(1, ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..no_wait() });
+        let r = tiny_router(
+            1,
+            ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..Default::default() },
+        );
         let server = r.shard(0).server();
         let hidden = server.model().config().hidden;
         let idle = r.create_session(0).unwrap();
@@ -606,7 +587,7 @@ mod tests {
 
     #[test]
     fn warm_once_adopt_everywhere() {
-        let r = tiny_router(2, ServerConfig { kv_capacity: 8, ..no_wait() });
+        let r = tiny_router(2, ServerConfig { kv_capacity: 8, ..Default::default() });
         let added = r.warm_tuning(&Platform::zen4());
         assert!(added > 0, "first warm runs the search");
         let len0 = r.shard(0).server().tuning_db().len();
@@ -634,12 +615,7 @@ mod tests {
             RouterConfig {
                 shards: 2,
                 total_threads: 4,
-                routing_overhead: 0.02,
-                server: ServerConfig {
-                    kv_capacity: 8,
-                    precision: pl_dnn::Precision::Int8,
-                    ..no_wait()
-                },
+                server: ServerConfig { kv_capacity: 8, ..Default::default() },
             },
         )
         .unwrap();
@@ -721,7 +697,7 @@ mod tests {
 
     #[test]
     fn degraded_shard_excluded_until_burn_recovers() {
-        let r = tiny_router(2, no_wait());
+        let r = tiny_router(2, ServerConfig::default());
         let model = Arc::clone(r.shard(0).server().model());
         let hidden = model.config().hidden;
         let s0 = r.create_session(0).unwrap();
@@ -781,13 +757,5 @@ mod tests {
         }
         assert_eq!(r.shard_health(), vec![Health::Healthy, Health::Healthy]);
         assert_eq!(r.placement_of(r.create_session(0).unwrap()), Some(0));
-    }
-
-    #[test]
-    fn projection_is_exposed_and_sane() {
-        let r = tiny_router(2, no_wait());
-        assert!((r.projected_speedup(1) - 1.0).abs() < 1e-12);
-        let s2 = r.projected_speedup(2);
-        assert!(s2 > 1.5 && s2 < 2.0, "2-shard projection {s2}");
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! Executing a batch *checks sessions out* of the table so the parallel
 //! region holds no lock while computing. A checked-out session leaves a
-//! [`Slot::CheckedOut`] marker behind rather than vanishing: concurrent
+//! `Slot::CheckedOut` marker behind rather than vanishing: concurrent
 //! submitters still resolve the tenant, a concurrent batch defers (rather
 //! than bounces) work for it, and — the part that closes a real race — a
 //! concurrent [`Server::close_session`] does not get `UnknownSession` for
@@ -41,8 +41,7 @@ use crate::{ServeError, StepResult};
 use parking_lot::Mutex;
 use pl_autotuner::{batch_ladder, warm_gemm_db, warm_spmm_db, Constraints, GemmProblem, TuningDb};
 use pl_dnn::{
-    DecoderModel, DecoderState, KvPagePool, KvSnapshot, Precision, PrefixCache, PrefixHit,
-    DEFAULT_PAGE_TOKENS,
+    DecoderModel, DecoderState, KvPagePool, KvSnapshot, PrefixCache, PrefixHit, DEFAULT_PAGE_TOKENS,
 };
 use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};
 use pl_perfmodel::Platform;
@@ -58,7 +57,7 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Number of tenants (rings) admitted.
     pub tenants: usize,
-    /// Upper bound on a coalesced decode batch.
+    /// Upper bound on a batch (clamped to at least 1).
     pub max_batch: usize,
     /// Per-tenant submission-ring capacity (the backpressure bound).
     pub queue_capacity: usize,
@@ -72,20 +71,6 @@ pub struct ServerConfig {
     /// split and interleave with decode traffic; prompts that fit execute
     /// as a single chunk, bit-identical to an unchunked forward.
     pub prefill_chunk: usize,
-    /// How long a non-full batch lingers for stragglers before executing.
-    pub coalesce_wait: Duration,
-    /// Numeric precision the served model's weight plans were built at.
-    /// Batched decode is bit-identical to unbatched decode at either
-    /// precision. [`Precision::Int8`] serves a quantized model: ~4x less
-    /// weight traffic per decode step, outputs within a bounded relative
-    /// error of the f32 model (see `crates/serve/README.md`,
-    /// "Precision"). The
-    /// model handed to [`Server::new`] must have been built at this
-    /// precision ([`DecoderModel::new_with_precision`]) — the constructor
-    /// asserts it, so a config/model mismatch fails at startup, not with
-    /// silently wrong tuning keys. Tuning-DB keys, kernel caches and trace
-    /// spans are all precision-scoped through the plans themselves.
-    pub precision: Precision,
     /// SLO target for decode step latency (µs): the p99 objective the
     /// per-tenant and shard-wide [`SloWindow`]s track violations
     /// against. Feeds the burn-rate gauges and [`Server::health`].
@@ -129,8 +114,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             kv_capacity: 128,
             prefill_chunk: 16,
-            coalesce_wait: Duration::from_micros(200),
-            precision: Precision::F32,
             slo_p99_us: 50_000,
             watchdog_deadline: Duration::from_secs(1),
             kv_page_tokens: DEFAULT_PAGE_TOKENS,
@@ -313,17 +296,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server over `model`, executing on `pool`. Panics when `model`'s
-    /// precision does not match [`ServerConfig::precision`]: the config is
-    /// what warm-up, routers and benchmarks key on, so a mismatch would
-    /// warm the wrong tuning keys and misreport every precision-scoped
-    /// artifact.
-    pub fn new(model: Arc<DecoderModel>, pool: Arc<ThreadPool>, cfg: ServerConfig) -> Self {
-        assert_eq!(
-            model.precision(),
-            cfg.precision,
-            "model precision must match ServerConfig::precision"
-        );
+    /// A server over `model`, executing on `pool`. The model owns the
+    /// serving precision ([`DecoderModel::precision`]): tuning-DB keys,
+    /// kernel caches and trace spans are precision-scoped through its
+    /// plans.
+    pub fn new(model: Arc<DecoderModel>, pool: Arc<ThreadPool>, mut cfg: ServerConfig) -> Self {
+        cfg.max_batch = cfg.max_batch.max(1);
         let page_tokens = cfg.kv_page_tokens.max(1);
         let kv_pool = if cfg.kv_pool_pages > 0 {
             KvPagePool::bounded(model.config().hidden, page_tokens, cfg.kv_pool_pages)
@@ -467,7 +445,7 @@ impl Server {
     /// decode lanes, a ragged final chunk) rounds its tuning lookup up to
     /// the next rung and builds its kernel on first use.
     fn plan_widths(&self) -> Vec<usize> {
-        let mut widths: Vec<usize> = (1..=self.inner.cfg.max_batch.max(1)).collect();
+        let mut widths: Vec<usize> = (1..=self.inner.cfg.max_batch).collect();
         for t in batch_ladder(self.inner.cfg.kv_capacity) {
             if !widths.contains(&t) {
                 widths.push(t);
@@ -983,7 +961,9 @@ impl Server {
         }
     }
 
-    /// Collects and executes one batch on the calling thread. Returns how
+    /// Collects and executes one batch on the calling thread: whatever is
+    /// queued right now, up to [`ServerConfig::max_batch`] — work arriving
+    /// while it executes forms the next batch. Returns how
     /// many work items it finished with — the executed batch size, plus
     /// prefills answered entirely from the prefix cache (0 when nothing
     /// was pending or everything collected had to wait). This is the same
@@ -991,28 +971,10 @@ impl Server {
     /// several threads concurrently (work for a session another pump holds
     /// checked out is deferred, not lost or double-executed).
     pub fn pump(&self) -> usize {
-        let inner = &self.inner;
-        let mut batch = inner.batcher.collect(inner.cfg.max_batch);
+        let batch = self.inner.batcher.collect(self.inner.cfg.max_batch);
         if batch.is_empty() {
             return 0;
         }
-        // Linger briefly for stragglers so bursts coalesce into one
-        // region even when submitters race the batcher. The span starts
-        // only after a nonempty first collect, so idle polling records
-        // nothing.
-        let collect_span = pl_trace::span("batch.collect", [batch.len() as u64, 0, 0]);
-        if batch.len() < inner.cfg.max_batch && !inner.cfg.coalesce_wait.is_zero() {
-            let deadline = Instant::now() + inner.cfg.coalesce_wait;
-            while batch.len() < inner.cfg.max_batch && Instant::now() < deadline {
-                let more = inner.batcher.collect(inner.cfg.max_batch - batch.len());
-                if more.is_empty() {
-                    std::thread::yield_now();
-                } else {
-                    batch.extend(more);
-                }
-            }
-        }
-        drop(collect_span);
         self.run_batch(batch)
     }
 
@@ -1395,7 +1357,7 @@ impl Drop for Server {
 mod tests {
     use super::*;
     use crate::StatsSnapshot;
-    use pl_dnn::DecoderConfig;
+    use pl_dnn::{DecoderConfig, Precision};
     use pl_tensor::{fill_uniform, Xorshift};
 
     fn tiny_server(cfg: ServerConfig) -> Server {
@@ -1428,27 +1390,49 @@ mod tests {
 
     #[test]
     fn pump_executes_submitted_steps_and_matches_unbatched() {
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
-        let hidden = server.model().config().hidden;
-        let n = 4;
-        let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
-        let xs: Vec<Vec<f32>> = (0..n).map(|s| token(500 + s as u64, hidden)).collect();
-        let rxs: Vec<_> =
-            ids.iter().zip(&xs).map(|(&id, x)| server.submit_step(id, x).unwrap()).collect();
-        assert_eq!(server.pump(), n);
+        // A batch is what is queued when `pump` collects: `k` queued steps
+        // make one batch of `k` for every `k` up to `max_batch`, and a
+        // surplus beyond `max_batch` makes the next batch.
+        let server = tiny_server(ServerConfig::default());
+        let model = Arc::clone(server.model());
+        let hidden = model.config().hidden;
+        let max_batch = server.config().max_batch;
+        let ids: Vec<SessionId> =
+            (0..max_batch + 3).map(|_| server.create_session(0).unwrap()).collect();
         // Baseline: independent unbatched decoders over the same weights.
-        for ((rx, x), _id) in rxs.into_iter().zip(&xs).zip(&ids) {
-            let got = rx.recv().unwrap().unwrap();
-            let mut st = server.model().new_state(8);
-            let want = server.model().forward(&mut st, x, 1, &ThreadPool::new(2));
-            assert_eq!(got, want, "batched step must be bit-identical");
+        let pool = ThreadPool::new(2);
+        let mut states: Vec<DecoderState> =
+            ids.iter().map(|_| model.new_state(server.config().kv_capacity)).collect();
+        let mut round = |k: usize, pumps: &[usize]| {
+            let xs: Vec<Vec<f32>> =
+                (0..k).map(|s| token((500 + 31 * k + s) as u64, hidden)).collect();
+            let rxs: Vec<_> =
+                ids.iter().zip(&xs).map(|(&id, x)| server.submit_step(id, x).unwrap()).collect();
+            for &want in pumps {
+                assert_eq!(server.pump(), want, "{k} queued");
+            }
+            assert_eq!(server.pump(), 0);
+            for ((rx, x), st) in rxs.into_iter().zip(&xs).zip(&mut states) {
+                let want = model.forward(st, x, 1, &pool);
+                assert_eq!(rx.recv().unwrap().unwrap(), want, "batched step must be bit-identical");
+            }
+        };
+        let batches_of = |size: usize| {
+            server
+                .metrics_snapshot()
+                .counter_value("pl_batch_size_total", &[("size", &size.to_string())])
+        };
+        for k in 1..=max_batch {
+            round(k, &[k]);
+            assert_eq!(batches_of(k), 1);
         }
+        round(max_batch + 3, &[max_batch, 3]);
+        assert_eq!((batches_of(max_batch), batches_of(3)), (2, 2));
         let snap = server.stats().snapshot();
-        assert_eq!(snap.completed, n as u64);
-        assert_eq!(snap.max_batch_observed, n);
-        assert_eq!(snap.batches, 1);
-        assert_eq!(snap.decode_batches, 1);
+        assert_eq!(snap.completed as usize, (1..=max_batch).sum::<usize>() + max_batch + 3);
+        assert_eq!(snap.max_batch_observed, max_batch);
+        assert_eq!(snap.batches as usize, max_batch + 2);
+        assert_eq!(snap.decode_batches, snap.batches);
     }
 
     #[test]
@@ -1459,8 +1443,7 @@ mod tests {
         // (bound derivation in crates/serve/README.md, "Precision"), and
         // int8 serving must stay bit-identical to an unbatched forward
         // over the same int8 model.
-        let f32_server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
+        let f32_server = tiny_server(ServerConfig::default());
         let i8_model = Arc::new(DecoderModel::new_with_precision(
             DecoderConfig::scaled_for_tests(),
             77,
@@ -1469,11 +1452,7 @@ mod tests {
         let i8_server = Server::new(
             Arc::clone(&i8_model),
             Arc::new(ThreadPool::new(4)),
-            ServerConfig {
-                coalesce_wait: Duration::ZERO,
-                precision: Precision::Int8,
-                ..Default::default()
-            },
+            ServerConfig::default(),
         );
         let hidden = i8_model.config().hidden;
         let fid = f32_server.create_session(0).unwrap();
@@ -1502,19 +1481,6 @@ mod tests {
         let _ = i8_model.forward(&mut st, &prompt, 3, &pool);
         let want = i8_model.forward(&mut st, &x, 1, &pool);
         assert_eq!(sq, want, "int8 serving must be bit-identical to unbatched");
-    }
-
-    #[test]
-    fn precision_mismatch_fails_at_construction() {
-        let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 77));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Server::new(
-                model,
-                Arc::new(ThreadPool::new(1)),
-                ServerConfig { precision: Precision::Int8, ..Default::default() },
-            )
-        }));
-        assert!(result.is_err(), "f32 model + int8 config must panic at startup");
     }
 
     #[test]
@@ -1581,8 +1547,7 @@ mod tests {
         // to re-defer such an item on every batch — a silent livelock
         // (the caller hangs on recv, in_flight never drains, drains and
         // shutdown never quiesce). It must fail loudly instead.
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
+        let server = tiny_server(ServerConfig::default());
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let rx1 = server.submit_step(id, &token(91, hidden)).unwrap();
@@ -1630,7 +1595,6 @@ mod tests {
             max_batch: 2,
             prefill_chunk: 4,
             kv_capacity: 32,
-            coalesce_wait: Duration::ZERO,
             ..Default::default()
         });
         let hidden = server.model().config().hidden;
@@ -1690,8 +1654,7 @@ mod tests {
     fn pipelined_steps_on_one_session_defer_not_error() {
         // Two queued steps for the same session must both complete (the
         // second rides the next batch), not error with UnknownSession.
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
+        let server = tiny_server(ServerConfig::default());
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let x1 = token(21, hidden);
@@ -1718,11 +1681,7 @@ mod tests {
         // step 2 to the *back* of the ring — behind step 3 — so step 3
         // executed first and corrupted the KV stream. The FIFO side-queue
         // replays step 2 ahead of the ring.
-        let server = tiny_server(ServerConfig {
-            max_batch: 2,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server = tiny_server(ServerConfig { max_batch: 2, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let xs: Vec<Vec<f32>> = (0..3).map(|t| token(50 + t as u64, hidden)).collect();
@@ -1756,7 +1715,6 @@ mod tests {
         let server = Arc::new(tiny_server(ServerConfig {
             // One item per batch maximizes pump interleavings.
             max_batch: 1,
-            coalesce_wait: Duration::ZERO,
             queue_capacity: 256,
             kv_capacity: 256,
             ..Default::default()
@@ -1800,8 +1758,7 @@ mod tests {
         // running B's batch before A's: the program-order guard must
         // defer step N+1 (not execute it against a KV cache missing step
         // N), then execute it after step N in a later pump.
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
+        let server = tiny_server(ServerConfig::default());
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let xs: Vec<Vec<f32>> = (0..2).map(|t| token(70 + t as u64, hidden)).collect();
@@ -1837,12 +1794,8 @@ mod tests {
         // executed between two chunks, splicing a decode token into the
         // middle of the prompt's KV — silently. The job-wide ticket
         // defers it until the final chunk has landed.
-        let server = tiny_server(ServerConfig {
-            prefill_chunk: 2,
-            kv_capacity: 32,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server =
+            tiny_server(ServerConfig { prefill_chunk: 2, kv_capacity: 32, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let tokens = 8; // 4 chunks of 2
@@ -1893,12 +1846,8 @@ mod tests {
         // as here — grow between admission and execution) must fail at
         // its FIRST chunk, before any tokens append, never leaving a
         // partial prompt in the KV cache.
-        let server = tiny_server(ServerConfig {
-            kv_capacity: 8,
-            prefill_chunk: 2,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server =
+            tiny_server(ServerConfig { kv_capacity: 8, prefill_chunk: 2, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         // A decode step queued ahead of the prefill grows the context to 1
@@ -1930,8 +1879,7 @@ mod tests {
 
     #[test]
     fn in_flight_tracks_accepted_steps_until_reply() {
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
+        let server = tiny_server(ServerConfig::default());
         let hidden = server.model().config().hidden;
         assert_eq!(server.in_flight(), 0);
         let id = server.create_session(0).unwrap();
@@ -1949,11 +1897,7 @@ mod tests {
         rx1.recv().unwrap().unwrap();
         rx2.recv().unwrap().unwrap();
         // Error replies retire the count too (KV-exhausted session).
-        let tiny = tiny_server(ServerConfig {
-            kv_capacity: 0,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let tiny = tiny_server(ServerConfig { kv_capacity: 0, ..Default::default() });
         let id = tiny.create_session(0).unwrap();
         let rx = tiny.submit_step(id, &token(43, tiny.model().config().hidden)).unwrap();
         assert_eq!(tiny.in_flight(), 1);
@@ -1968,12 +1912,8 @@ mod tests {
         // in_flight (and unchecked against shutdown), so drains could
         // report a shard quiesced mid-prefill. Now every chunk counts,
         // including across chunk hand-offs.
-        let server = tiny_server(ServerConfig {
-            prefill_chunk: 2,
-            kv_capacity: 16,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server =
+            tiny_server(ServerConfig { prefill_chunk: 2, kv_capacity: 16, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let tokens = 7; // chunks of 2, 2, 2, 1
@@ -1992,11 +1932,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_prefills_and_bounces_queued_chunks() {
-        let mut server = tiny_server(ServerConfig {
-            prefill_chunk: 2,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let mut server = tiny_server(ServerConfig { prefill_chunk: 2, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let rx = server.submit_prefill(id, &token(91, hidden * 6), 6).unwrap();
@@ -2021,7 +1957,6 @@ mod tests {
         let server = Arc::new(tiny_server(ServerConfig {
             prefill_chunk: 64,
             kv_capacity: 64,
-            coalesce_wait: Duration::ZERO,
             ..Default::default()
         }));
         let hidden = server.model().config().hidden;
@@ -2060,12 +1995,8 @@ mod tests {
         // session's KV cache is freed, and the orphaned continuation chunk
         // errors through the prefill's completion channel instead of
         // resurrecting the session.
-        let server = tiny_server(ServerConfig {
-            prefill_chunk: 2,
-            kv_capacity: 16,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server =
+            tiny_server(ServerConfig { prefill_chunk: 2, kv_capacity: 16, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let rx = server.submit_prefill(id, &token(95, hidden * 6), 6).unwrap();
@@ -2127,11 +2058,7 @@ mod tests {
 
     #[test]
     fn background_batcher_serves_blocking_steps() {
-        let mut server = tiny_server(ServerConfig {
-            tenants: 2,
-            coalesce_wait: Duration::from_micros(100),
-            ..Default::default()
-        });
+        let mut server = tiny_server(ServerConfig { tenants: 2, ..Default::default() });
         server.start();
         let hidden = server.model().config().hidden;
         let ids: Vec<SessionId> = (0..4).map(|s| server.create_session(s % 2).unwrap()).collect();
@@ -2156,6 +2083,21 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn max_batch_zero_is_clamped_to_one() {
+        // Unclamped, `collect(0)` returns nothing: accepted steps never
+        // run and `shutdown` never sees the queue drain.
+        let mut server = tiny_server(ServerConfig { max_batch: 0, ..Default::default() });
+        assert_eq!(server.config().max_batch, 1);
+        server.start();
+        let id = server.create_session(0).unwrap();
+        let x = token(7, server.model().config().hidden);
+        let rx = server.submit_step(id, &x).unwrap();
+        let y = rx.recv_timeout(Duration::from_secs(30)).expect("the step never ran");
+        assert_eq!(y.unwrap().len(), x.len());
+        server.shutdown();
+    }
+
     fn median(mut v: Vec<Duration>) -> Duration {
         v.sort();
         v[v.len() / 2]
@@ -2168,8 +2110,7 @@ mod tests {
         // the park/unpark wake) to every step; an unparked one adds a
         // thread wake-up. Compared against the same steps hand-pumped on
         // the calling thread, so a slow build moves both sides.
-        let cfg =
-            ServerConfig { coalesce_wait: Duration::ZERO, kv_capacity: 1024, ..Default::default() };
+        let cfg = ServerConfig { kv_capacity: 1024, ..Default::default() };
         let time_steps = |server: &Server, started: bool| {
             let hidden = server.model().config().hidden;
             let id = server.create_session(0).unwrap();
@@ -2257,7 +2198,7 @@ mod tests {
             let server = Server::new(
                 Arc::clone(&model),
                 Arc::new(ThreadPool::new(4)),
-                ServerConfig { coalesce_wait: Duration::ZERO, precision, ..Default::default() },
+                ServerConfig::default(),
             );
             let cfg = *model.config();
             let (h, f) = (cfg.hidden, cfg.ffn);
@@ -2312,12 +2253,7 @@ mod tests {
             let server = Server::new(
                 Arc::clone(&model),
                 Arc::new(ThreadPool::new(4)),
-                ServerConfig {
-                    prefill_chunk: 4,
-                    kv_capacity: 32,
-                    coalesce_wait: Duration::ZERO,
-                    ..Default::default()
-                },
+                ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..Default::default() },
             );
             let hidden = cfg.hidden;
             let decode_ids: Vec<SessionId> =
@@ -2366,7 +2302,6 @@ mod tests {
             kv_pool_pages: 2 * DecoderConfig::scaled_for_tests().layers,
             kv_capacity: 16,
             share_prefix: false,
-            coalesce_wait: Duration::ZERO,
             ..Default::default()
         });
         let hidden = server.model().config().hidden;
@@ -2396,12 +2331,8 @@ mod tests {
 
     #[test]
     fn prefill_chunk_is_a_live_knob() {
-        let server = tiny_server(ServerConfig {
-            prefill_chunk: 4,
-            kv_capacity: 32,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server =
+            tiny_server(ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..Default::default() });
         assert_eq!(server.prefill_chunk(), 4);
         server.set_prefill_chunk(8);
         assert_eq!(server.prefill_chunk(), 8);
@@ -2418,8 +2349,7 @@ mod tests {
 
     #[test]
     fn hot_gemm_problems_harvests_the_ragged_width_histogram() {
-        let server =
-            tiny_server(ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() });
+        let server = tiny_server(ServerConfig::default());
         assert!(server.hot_gemm_problems().is_empty(), "no traffic, no hot shapes");
         let hidden = server.model().config().hidden;
         let n = 3;
@@ -2449,7 +2379,6 @@ mod tests {
         // below would otherwise also blow the burn rate and the test
         // could not tell Stalled from Degraded recovery.
         let server = tiny_server(ServerConfig {
-            coalesce_wait: Duration::ZERO,
             slo_p99_us: 60_000_000,
             watchdog_deadline: Duration::from_millis(50),
             ..Default::default()
@@ -2478,7 +2407,6 @@ mod tests {
             max_sessions: 2,
             queue_capacity: 2,
             prefill_chunk: 4,
-            coalesce_wait: Duration::ZERO,
             ..Default::default()
         });
         let hidden = server.model().config().hidden;
@@ -2602,11 +2530,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_conformant() {
-        let server = tiny_server(ServerConfig {
-            tenants: 2,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server = tiny_server(ServerConfig { tenants: 2, ..Default::default() });
         let hidden = server.model().config().hidden;
         for t in 0..2 {
             let id = server.create_session(t).unwrap();
@@ -2652,12 +2576,8 @@ mod tests {
         // page per layer is its private partial tail — and each stream's
         // divergent decode step appends into that tail in place (nothing
         // to COW-split) without perturbing either output.
-        let server = tiny_server(ServerConfig {
-            kv_page_tokens: 4,
-            kv_capacity: 32,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server =
+            tiny_server(ServerConfig { kv_page_tokens: 4, kv_capacity: 32, ..Default::default() });
         let hidden = server.model().config().hidden;
         let tokens = 6;
         let prompt = token(91, hidden * tokens);
@@ -2698,7 +2618,6 @@ mod tests {
             kv_page_tokens: 4,
             kv_capacity: 32,
             share_prefix: false,
-            coalesce_wait: Duration::ZERO,
             ..Default::default()
         });
         let hidden = server.model().config().hidden;
@@ -2731,7 +2650,7 @@ mod tests {
     fn export_import_migrates_a_session_bit_identically() {
         let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 77));
         let pool = Arc::new(ThreadPool::new(4));
-        let cfg = ServerConfig { coalesce_wait: Duration::ZERO, ..Default::default() };
+        let cfg = ServerConfig::default();
         let src = Server::new(Arc::clone(&model), Arc::clone(&pool), cfg.clone());
         // The destination even uses a different page geometry: the dense
         // snapshot is page-layout-independent.
@@ -2779,11 +2698,7 @@ mod tests {
 
     #[test]
     fn max_queued_tokens_applies_backpressure_through_the_config() {
-        let server = tiny_server(ServerConfig {
-            max_queued_tokens: 1,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        });
+        let server = tiny_server(ServerConfig { max_queued_tokens: 1, ..Default::default() });
         let hidden = server.model().config().hidden;
         let a = server.create_session(0).unwrap();
         let b = server.create_session(0).unwrap();

@@ -9,7 +9,7 @@
 //!
 //! The microkernel keeps an `MR x NR` tile of f32 accumulators live across
 //! the **entire batch reduction** (exactly the register-blocking strategy of
-//! libxsmm [21]) and only converts to the output element type once per tile.
+//! libxsmm \[21\]) and only converts to the output element type once per tile.
 //! Low-precision inputs widen elementwise to f32 — the AVX512-BF16 / AMX /
 //! BFMMLA numerics.
 

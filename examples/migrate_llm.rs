@@ -25,7 +25,7 @@
 //!
 //! Run: `cargo run --release --example migrate_llm`
 
-use pl_bench::{BenchArtifact, BenchRow, ROUTING_OVERHEAD, SERVE_ARTIFACT};
+use pl_bench::{BenchArtifact, BenchRow, SERVE_ARTIFACT};
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
 use pl_perfmodel::Platform;
 use pl_router::{Router, RouterConfig};
@@ -33,7 +33,7 @@ use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::ServerConfig;
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SESSIONS: usize = 4;
 const TENANTS: usize = 2;
@@ -59,12 +59,10 @@ fn make_router(model: &Arc<DecoderModel>, total_threads: usize) -> Router {
         RouterConfig {
             shards: SHARDS,
             total_threads,
-            routing_overhead: ROUTING_OVERHEAD,
             server: ServerConfig {
                 tenants: TENANTS,
                 max_batch: SESSIONS,
                 kv_capacity: KV,
-                coalesce_wait: Duration::ZERO,
                 ..Default::default()
             },
         },

@@ -38,7 +38,6 @@ use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SESSIONS: usize = 8;
 const STEPS: usize = 24;
@@ -63,13 +62,7 @@ fn server_for(model: &Arc<DecoderModel>, pool: &Arc<ThreadPool>) -> Server {
     Server::new(
         Arc::clone(model),
         Arc::clone(pool),
-        ServerConfig {
-            tenants: 2,
-            max_batch: SESSIONS,
-            kv_capacity: KV,
-            coalesce_wait: Duration::from_millis(1),
-            ..Default::default()
-        },
+        ServerConfig { tenants: 2, max_batch: SESSIONS, kv_capacity: KV, ..Default::default() },
     )
 }
 

@@ -12,16 +12,13 @@
 //!
 //! Phase 2 (scaling): the same closed-loop load is driven at 1 shard and
 //! at N shards over the *same* total thread budget (split disjointly),
-//! and the measured steps/s speedup is printed next to the
-//! `pl_perfmodel::ScalingModel` projection (the paper's Table I
-//! methodology, recalibrated to serving shards). Both rows land in the
+//! and the measured steps/s speedup is printed. Both rows land in the
 //! machine-readable `BENCH_serve.json` trajectory artifact.
 //!
 //! Run: `cargo run --release --example router_llm [-- --shards N]`
 
 use pl_bench::{
-    measure_router_steps_per_s, BenchArtifact, BenchRow, RouterLoad, ROUTER_MODE, ROUTING_OVERHEAD,
-    SERVE_ARTIFACT,
+    measure_router_steps_per_s, BenchArtifact, BenchRow, RouterLoad, ROUTER_MODE, SERVE_ARTIFACT,
 };
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
 use pl_perfmodel::Platform;
@@ -30,7 +27,6 @@ use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SESSIONS: usize = 6;
 const TENANTS: usize = 2;
@@ -49,13 +45,7 @@ fn last_token(y: &[f32], hidden: usize) -> Vec<f32> {
 }
 
 fn server_cfg() -> ServerConfig {
-    ServerConfig {
-        tenants: TENANTS,
-        max_batch: SESSIONS,
-        kv_capacity: KV,
-        coalesce_wait: Duration::from_millis(2),
-        ..Default::default()
-    }
+    ServerConfig { tenants: TENANTS, max_batch: SESSIONS, kv_capacity: KV, ..Default::default() }
 }
 
 /// Drives the standard closed-loop traffic through any `step`-shaped
@@ -115,12 +105,7 @@ fn main() {
     // --- Phase 1: correctness through the sharded tier. -----------------
     let mut router = Router::new(
         Arc::clone(&model),
-        RouterConfig {
-            shards,
-            total_threads,
-            routing_overhead: ROUTING_OVERHEAD,
-            server: server_cfg(),
-        },
+        RouterConfig { shards, total_threads, server: server_cfg() },
     )
     .expect("router config");
     let warmed = router.warm_tuning(&Platform::zen4());
@@ -182,17 +167,13 @@ fn main() {
         }
     }
 
-    // --- Phase 2: measured scale-out vs the ScalingModel projection. ----
-    println!("\n=== scale-out: measured vs ScalingModel projection ===");
-    println!(
-        "{:>7} {:>16} {:>12} {:>13} {:>8}",
-        "shards", "steps/s", "measured x", "projected x", "p99 us"
-    );
+    // --- Phase 2: measured scale-out. -------------------------------------
+    println!("\n=== scale-out: measured ===");
+    println!("{:>7} {:>16} {:>12} {:>8}", "shards", "steps/s", "measured x", "p99 us");
     // Same host fingerprint the retune evidence DB keys on: rows from
     // different machines coexist in the artifact instead of clobbering.
     let fp = pl_retune::host_fingerprint(Platform::generic_host(total_threads).name, total_threads);
     let mut artifact = BenchArtifact::load(&pl_bench::workspace_path(SERVE_ARTIFACT));
-    let projection = pl_router::serving_scaling_model(ROUTING_OVERHEAD);
     let load = RouterLoad {
         sessions: SESSIONS,
         steps: 2 * STEPS,
@@ -211,12 +192,7 @@ fn main() {
         if n == shards {
             multi_speedup = measured_x;
         }
-        println!(
-            "{n:>7} {:>16.1} {measured_x:>11.2}x {:>12.2}x {:>8}",
-            m.steps_per_s,
-            projection.projected_speedup(n),
-            m.p99_us
-        );
+        println!("{n:>7} {:>16.1} {measured_x:>11.2}x {:>8}", m.steps_per_s, m.p99_us);
         artifact.upsert(BenchRow {
             mode: ROUTER_MODE.to_string(),
             batch: SESSIONS,
@@ -247,8 +223,6 @@ fn main() {
     }
     println!(
         "\nOK: {SESSIONS} sessions across {shards} shards, all streams bit-identical to the \
-         single-server and unbatched runs; measured {shards}-shard speedup \
-         {multi_speedup:.2}x vs projected {:.2}x",
-        projection.projected_speedup(shards)
+         single-server and unbatched runs; measured {shards}-shard speedup {multi_speedup:.2}x"
     );
 }

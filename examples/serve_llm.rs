@@ -21,7 +21,7 @@
 //! the hit-token counter, bit-identity with the unbatched `Decoder`, and a
 //! shorter prefill wall time than either miss.
 //!
-//! Two precisions (`--precision f32|int8`, or `PL_SERVE_PRECISION`):
+//! Two precisions (`--precision f32|int8`):
 //! with `int8` the model holds VNNI-packed int8 weights and serves
 //! through the quantized i32-accumulation path. The baseline replay uses
 //! the *same* quantized model, so the check stays bit-identical
@@ -32,13 +32,13 @@
 //! derived in `pl_dnn::llm`'s int8 test), open-loop on the served stream
 //! so the bound is per-forward rather than compounding.
 //!
-//! With `--trace` (or `PL_SERVE_TRACE=1`) the `pl-trace` flight recorder
+//! With `--trace` the `pl-trace` flight recorder
 //! runs for the serving phase: the captured events are validated in
 //! process (balanced begin/end on every lane, nonzero GEMM spans) and
 //! dumped to `trace_serve_llm.json` in Chrome `trace_event` format —
 //! open it in `chrome://tracing` or `ui.perfetto.dev`.
 //!
-//! With `--metrics` (or `PL_SERVE_METRICS=1`) the server's pl-metrics
+//! With `--metrics` the server's pl-metrics
 //! plane is exercised: the labeled snapshot is rendered to Prometheus
 //! text exposition, validated in process by the in-repo conformance
 //! parser (`pl_metrics::parse_prometheus`), and dumped to
@@ -97,10 +97,8 @@ const SEED: u64 = 2024;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let trace = args.iter().any(|a| a == "--trace")
-        || std::env::var("PL_SERVE_TRACE").is_ok_and(|v| v == "1");
-    let metrics = args.iter().any(|a| a == "--metrics")
-        || std::env::var("PL_SERVE_METRICS").is_ok_and(|v| v == "1");
+    let trace = args.iter().any(|a| a == "--trace");
+    let metrics = args.iter().any(|a| a == "--metrics");
     let mut precision = Precision::F32;
     for (i, a) in args.iter().enumerate() {
         if let Some(v) = a.strip_prefix("--precision=") {
@@ -109,9 +107,6 @@ fn main() {
             let v = args.get(i + 1).expect("--precision takes f32|int8");
             precision = v.parse().expect("--precision takes f32|int8");
         }
-    }
-    if let Ok(v) = std::env::var("PL_SERVE_PRECISION") {
-        precision = v.parse().expect("PL_SERVE_PRECISION takes f32|int8");
     }
     let cfg = DecoderConfig::scaled_for_tests();
     let hidden = cfg.hidden;
@@ -131,8 +126,6 @@ fn main() {
             max_batch: SESSIONS,
             kv_capacity: KV,
             prefill_chunk: PREFILL_CHUNK,
-            coalesce_wait: Duration::from_millis(2),
-            precision,
             ..Default::default()
         },
     );

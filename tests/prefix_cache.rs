@@ -10,7 +10,6 @@ use pl_runtime::ThreadPool;
 use pl_serve::{ServeError, Server, ServerConfig, SessionId};
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
-use std::time::Duration;
 
 const KV: usize = 128;
 
@@ -18,13 +17,11 @@ fn model(precision: Precision) -> Arc<DecoderModel> {
     Arc::new(DecoderModel::new_with_precision(DecoderConfig::scaled_for_tests(), 4242, precision))
 }
 
-fn config(precision: Precision, page: usize, chunk: usize, share_prefix: bool) -> ServerConfig {
+fn config(page: usize, chunk: usize, share_prefix: bool) -> ServerConfig {
     ServerConfig {
         kv_capacity: KV,
         kv_page_tokens: page,
         prefill_chunk: chunk,
-        coalesce_wait: Duration::ZERO,
-        precision,
         share_prefix,
         ..Default::default()
     }
@@ -86,11 +83,11 @@ fn a_hit_is_bit_identical_to_no_cache_and_every_prompt_token_is_accounted_for() 
                         format!("{precision:?} page {page} chunk {chunk} hit {cached_pages}");
                     let tokens = b.len() / hidden;
                     let cached = cached_pages * page;
-                    let with = server(&model, config(precision, page, chunk, true));
+                    let with = server(&model, config(page, chunk, true));
                     run(&with, a, 0);
                     let before = with.stats().snapshot();
                     let (_, got) = run(&with, b, 8);
-                    let without = server(&model, config(precision, page, chunk, false));
+                    let without = server(&model, config(page, chunk, false));
                     let (_, want) = run(&without, b, 8);
                     assert_eq!(got, want, "{what}");
 
@@ -124,7 +121,7 @@ fn a_hit_rides_a_mixed_batch_next_to_other_sessions_decode_lanes() {
     let a = random(20, hidden * 14);
     let b = diverge(&a, hidden, 8, 21); // two cached pages, six tokens to go
     let serve = |share_prefix: bool| {
-        let srv = server(&model, config(Precision::F32, 4, 4, share_prefix));
+        let srv = server(&model, config(4, 4, share_prefix));
         run(&srv, &a, 0);
         // Two decoding sessions whose next steps are queued together with
         // the second prompt: its chunks share their batches with them.
@@ -158,12 +155,7 @@ fn each_router_shard_hits_its_own_cache() {
     let hidden = model.config().hidden;
     let router = Router::new(
         Arc::clone(&model),
-        RouterConfig {
-            shards: 2,
-            total_threads: 2,
-            routing_overhead: 0.02,
-            server: config(Precision::F32, 4, 4, true),
-        },
+        RouterConfig { shards: 2, total_threads: 2, server: config(4, 4, true) },
     )
     .unwrap();
     let a = random(40, hidden * 10);
@@ -195,8 +187,8 @@ fn each_router_shard_hits_its_own_cache() {
 fn nothing_is_adopted_into_a_session_with_context_or_a_spilled_one() {
     let model = model(Precision::F32);
     let hidden = model.config().hidden;
-    let with = server(&model, config(Precision::F32, 4, 16, true));
-    let without = server(&model, config(Precision::F32, 4, 16, false));
+    let with = server(&model, config(4, 16, true));
+    let without = server(&model, config(4, 16, false));
     let a = random(50, hidden * 9);
     run(&with, &a, 0);
     assert_eq!(with.prefix_cache().entries(), 2);
@@ -236,7 +228,7 @@ fn pool_exhaustion_in_the_suffix_fails_the_job_and_leaves_the_cache_exact() {
     let model = model(Precision::F32);
     let (hidden, layers) = (model.config().hidden, model.config().layers);
     // Room for the first prompt (3 pages + tail, per layer) and no more.
-    let bounded = ServerConfig { kv_pool_pages: 4 * layers, ..config(Precision::F32, 4, 4, true) };
+    let bounded = ServerConfig { kv_pool_pages: 4 * layers, ..config(4, 4, true) };
     let with = server(&model, bounded);
     let a = random(60, hidden * 14);
     let (first, _) = run(&with, &a, 0);
@@ -279,7 +271,7 @@ fn pool_exhaustion_in_the_suffix_fails_the_job_and_leaves_the_cache_exact() {
 fn a_system_prompt_that_keeps_being_hit_outlives_any_number_of_one_off_prompts() {
     let model = model(Precision::F32);
     let hidden = model.config().hidden;
-    let with = server(&model, config(Precision::F32, 4, 16, true));
+    let with = server(&model, config(4, 16, true));
     let system = random(70, hidden * 8);
     let ask = |prompt: &[f32]| {
         let (id, outs) = run(&with, prompt, 0);

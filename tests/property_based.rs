@@ -389,3 +389,134 @@ fn kv_page_pool_refcount_discipline() {
     assert!(cow_seen > 0, "the op mix never exercised a COW split");
     assert!(adoptions > 50, "the op mix barely exercised adoption: {adoptions}");
 }
+
+/// Seeded interleavings of pipelined `submit_step` (up to three tickets
+/// outstanding per session) and `pump` in manual mode, pumped from the
+/// submitting thread (`pumpers == 0`) or from two concurrent threads.
+/// Batches are whatever is queued when a pump collects, so partial and
+/// deferred batches are the common case — and must not be visible: every
+/// reply arrives exactly once, in ticket order, bit-identical to an
+/// unbatched `Decoder` over the same inputs.
+fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize) {
+    use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
+    use pl_serve::{Server, ServerConfig, StepResult};
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{Receiver, TryRecvError};
+    use std::sync::Arc;
+
+    const DEPTH: usize = 3;
+    const KV: usize = 16;
+    let mut rng = Xorshift::new(seed);
+    let sessions = draw(&mut rng, 1, 5);
+    let tenants = draw(&mut rng, 1, 3);
+    let max_batch = draw(&mut rng, 1, 5);
+    let steps = draw(&mut rng, 4, 11);
+    let case =
+        format!("seed {seed:#x} pumpers {pumpers}: {sessions} sessions, max_batch {max_batch}");
+
+    let cfg = DecoderConfig::scaled_for_tests();
+    let model = Arc::new(DecoderModel::new(cfg, 4711));
+    let server = Server::new(
+        Arc::clone(&model),
+        Arc::new(ThreadPool::new(2)),
+        ServerConfig { tenants, max_batch, kv_capacity: KV, ..Default::default() },
+    );
+    // Pipelined inputs cannot feed back, so each session's are fixed up
+    // front; the oracle decodes them one at a time.
+    let oracle_pool = ThreadPool::new(1);
+    let inputs: Vec<Vec<Vec<f32>>> = (0..sessions)
+        .map(|_| {
+            (0..steps)
+                .map(|_| {
+                    let mut x = vec![0.0f32; cfg.hidden];
+                    pl_tensor::fill_uniform(&mut x, &mut rng, -0.5, 0.5);
+                    x
+                })
+                .collect()
+        })
+        .collect();
+    let oracle: Vec<Vec<Vec<f32>>> = inputs
+        .iter()
+        .map(|xs| {
+            let mut d = Decoder::from_model(Arc::clone(&model), KV);
+            xs.iter().map(|x| d.step(x, &oracle_pool)).collect()
+        })
+        .collect();
+
+    let ids: Vec<_> = (0..sessions).map(|s| server.create_session(s % tenants).unwrap()).collect();
+    let pump = || {
+        let ran = server.pump();
+        assert!(ran <= max_batch, "{case}: a batch of {ran}");
+        ran
+    };
+    let submitting = AtomicBool::new(true);
+    let mut answered: Vec<Receiver<StepResult>> = Vec::new();
+    std::thread::scope(|scope| {
+        for _ in 0..pumpers {
+            scope.spawn(|| {
+                while submitting.load(Ordering::Acquire) || server.in_flight() > 0 {
+                    if pump() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+        let mut submitted = vec![0usize; sessions];
+        let mut waiting: Vec<VecDeque<(usize, Receiver<StepResult>)>> =
+            (0..sessions).map(|_| VecDeque::new()).collect();
+        while answered.len() < sessions * steps {
+            let s = draw(&mut rng, 0, sessions);
+            if submitted[s] < steps && waiting[s].len() < DEPTH && draw(&mut rng, 0, 100) < 60 {
+                let t = submitted[s];
+                waiting[s].push_back((t, server.submit_step(ids[s], &inputs[s][t]).unwrap()));
+                submitted[s] += 1;
+            } else if pumpers == 0 {
+                pump();
+            } else {
+                std::thread::yield_now();
+            }
+            for (s, queue) in waiting.iter_mut().enumerate() {
+                // Newest first: a reply seen for a later ticket means every
+                // earlier ticket's reply was delivered before it.
+                let mut replies = Vec::new();
+                for (t, rx) in queue.iter().rev() {
+                    match rx.try_recv() {
+                        Ok(y) => replies.push(y),
+                        Err(TryRecvError::Empty) => {
+                            assert!(replies.is_empty(), "{case}: session {s} answered past {t}")
+                        }
+                        Err(TryRecvError::Disconnected) => panic!("{case}: ticket {t} dropped"),
+                    }
+                }
+                for y in replies.into_iter().rev() {
+                    let (t, rx) = queue.pop_front().unwrap();
+                    assert_eq!(y.unwrap(), oracle[s][t], "{case}: session {s} step {t}");
+                    answered.push(rx);
+                }
+            }
+        }
+        submitting.store(false, Ordering::Release);
+    });
+    assert_eq!((server.in_flight(), server.pending()), (0, 0), "{case}");
+    assert_eq!(pump(), 0, "{case}");
+    for rx in &answered {
+        assert!(matches!(rx.try_recv(), Err(TryRecvError::Disconnected)), "{case}: second reply");
+    }
+    let snap = server.stats().snapshot();
+    assert_eq!((snap.completed, snap.failed), ((sessions * steps) as u64, 0), "{case}");
+    assert!(snap.gemm_shapes.iter().all(|&((_, n, _), _)| n <= max_batch), "{case}");
+    for &id in &ids {
+        assert_eq!(server.close_session(id).unwrap(), steps as u64, "{case}");
+    }
+}
+
+#[test]
+fn pipelined_steps_keep_program_order_under_partial_batches() {
+    for seed in 0..12u64 {
+        pipelined_steps_keep_program_order(0x5e55_1000 + seed, 0);
+    }
+    for seed in 0..8u64 {
+        pipelined_steps_keep_program_order(0x5e55_2000 + seed, 2);
+    }
+}

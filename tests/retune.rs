@@ -95,12 +95,7 @@ fn retune_cycle_end_to_end_with_persistence_and_fallback() {
     let server = Server::new(
         Arc::clone(&model),
         Arc::clone(&pool),
-        ServerConfig {
-            max_batch: 4,
-            kv_capacity: 64,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        },
+        ServerConfig { max_batch: 4, kv_capacity: 64, ..Default::default() },
     );
     server.warm_tuning(&platform, threads);
     let hidden = model.config().hidden;

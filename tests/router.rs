@@ -10,7 +10,6 @@ use pl_runtime::ThreadPool;
 use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SESSIONS: usize = 6;
 const TENANTS: usize = 2;
@@ -29,13 +28,7 @@ fn last_token(y: &[f32], hidden: usize) -> Vec<f32> {
 }
 
 fn server_cfg() -> ServerConfig {
-    ServerConfig {
-        tenants: TENANTS,
-        max_batch: SESSIONS,
-        kv_capacity: KV,
-        coalesce_wait: Duration::from_millis(1),
-        ..Default::default()
-    }
+    ServerConfig { tenants: TENANTS, max_batch: SESSIONS, kv_capacity: KV, ..Default::default() }
 }
 
 #[test]
@@ -49,7 +42,6 @@ fn routing_is_bit_identical(precision: Precision) {
     let cfg = DecoderConfig::scaled_for_tests();
     let hidden = cfg.hidden;
     let model = Arc::new(DecoderModel::new_with_precision(cfg, 20261, precision));
-    let server_cfg = || ServerConfig { precision, ..server_cfg() };
 
     // The same per-session closed-loop traffic through both topologies.
     let drive = |step: &(dyn Fn(usize) -> Vec<Vec<f32>> + Sync)| -> Vec<Vec<Vec<f32>>> {
@@ -65,7 +57,7 @@ fn routing_is_bit_identical(precision: Precision) {
 
     let mut router = Router::new(
         Arc::clone(&model),
-        RouterConfig { shards: 2, total_threads: 4, routing_overhead: 0.02, server: server_cfg() },
+        RouterConfig { shards: 2, total_threads: 4, server: server_cfg() },
     )
     .unwrap();
     router.start();
@@ -146,12 +138,7 @@ fn sessions_are_isolated_across_shards() {
     let model = Arc::new(DecoderModel::new(cfg, 31));
     let r = Router::new(
         model.clone(),
-        RouterConfig {
-            shards: 2,
-            total_threads: 2,
-            routing_overhead: 0.02,
-            server: ServerConfig { coalesce_wait: Duration::ZERO, ..server_cfg() },
-        },
+        RouterConfig { shards: 2, total_threads: 2, server: ServerConfig { ..server_cfg() } },
     )
     .unwrap();
     let a = r.create_session(0).unwrap();
@@ -197,12 +184,7 @@ fn drain_rebalances_placement_without_dropping_work() {
     let model = Arc::new(DecoderModel::new(cfg, 88));
     let r = Router::new(
         model,
-        RouterConfig {
-            shards: 3,
-            total_threads: 3,
-            routing_overhead: 0.02,
-            server: ServerConfig { coalesce_wait: Duration::ZERO, ..server_cfg() },
-        },
+        RouterConfig { shards: 3, total_threads: 3, server: ServerConfig { ..server_cfg() } },
     )
     .unwrap();
     // Fill all three shards, then drain shard 1.

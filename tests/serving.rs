@@ -42,14 +42,7 @@ fn concurrent_sessions_match_unbatched(precision: Precision) {
     let mut server = Server::new(
         Arc::clone(&model),
         Arc::clone(&pool),
-        ServerConfig {
-            tenants: 3,
-            max_batch: SESSIONS,
-            kv_capacity: KV,
-            coalesce_wait: Duration::from_millis(2),
-            precision,
-            ..Default::default()
-        },
+        ServerConfig { tenants: 3, max_batch: SESSIONS, kv_capacity: KV, ..Default::default() },
     );
     server.start();
 
@@ -124,12 +117,7 @@ fn ring_full_backpressure_is_an_error_and_the_session_recovers() {
     let server = Server::new(
         Arc::clone(&model),
         pool,
-        ServerConfig {
-            queue_capacity: capacity,
-            coalesce_wait: Duration::ZERO,
-            kv_capacity: KV,
-            ..Default::default()
-        },
+        ServerConfig { queue_capacity: capacity, kv_capacity: KV, ..Default::default() },
     );
     let id = server.create_session(0).unwrap();
     let xs: Vec<Vec<f32>> = (0..=capacity)
@@ -193,7 +181,6 @@ fn chunked_prefill_interleaves_with_live_decode_traffic() {
             max_batch: DECODERS,
             kv_capacity: 64,
             prefill_chunk: CHUNK,
-            coalesce_wait: Duration::ZERO,
             ..Default::default()
         },
     );
@@ -313,16 +300,8 @@ fn per_tenant_fairness_under_flood() {
     let hidden = cfg.hidden;
     let model = Arc::new(DecoderModel::new(cfg, 7));
     let pool = Arc::new(ThreadPool::new(2));
-    let server = Server::new(
-        model,
-        pool,
-        ServerConfig {
-            tenants: 2,
-            max_batch: 4,
-            coalesce_wait: Duration::ZERO,
-            ..Default::default()
-        },
-    );
+    let server =
+        Server::new(model, pool, ServerConfig { tenants: 2, max_batch: 4, ..Default::default() });
     let x = vec![0.1f32; hidden];
     let flood: Vec<_> = (0..6)
         .map(|_| {
