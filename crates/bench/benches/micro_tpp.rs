@@ -1,33 +1,37 @@
-//! Criterion micro-benchmarks of the elementwise/normalization TPPs.
+//! Micro-benchmarks of the elementwise/normalization TPPs.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use pl_bench::{f1, header, ns_per_iter, row};
 use pl_tensor::Xorshift;
 use std::hint::black_box;
 
-fn bench_tpps(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tpp");
-    g.sample_size(20);
+fn main() {
     let (m, n) = (64usize, 64usize);
     let mut rng = Xorshift::new(2);
     let x: Vec<f32> = (0..m * n).map(|_| rng.next_f32() - 0.5).collect();
     let mut y = vec![0.0f32; m * n];
-    g.throughput(Throughput::Elements((m * n) as u64));
-
-    g.bench_function("relu_64x64", |b| {
-        b.iter(|| pl_tpp::unary::relu(m, n, black_box(&x), m, &mut y, m))
-    });
-    g.bench_function("gelu_64x64", |b| {
-        b.iter(|| pl_tpp::unary::gelu(m, n, black_box(&x), m, &mut y, m))
-    });
-    g.bench_function("softmax_cols_64x64", |b| {
-        b.iter(|| pl_tpp::softmax::softmax_cols(m, n, black_box(&x), m, &mut y, m))
-    });
     let gamma = vec![1.0f32; m];
     let beta = vec![0.0f32; m];
     let mut mean = vec![0.0f32; n];
     let mut rstd = vec![0.0f32; n];
-    g.bench_function("layernorm_64x64", |b| {
-        b.iter(|| {
+    let elems = (m * n) as f64;
+    let report = |name: &str, ns: f64| row(&[name.into(), f1(ns), f1(elems / ns * 1e3)]);
+
+    header("tpp", &["kernel", "ns/iter", "Melem/s"]);
+    report(
+        "relu_64x64",
+        ns_per_iter(100, || pl_tpp::unary::relu(m, n, black_box(&x), m, &mut y, m)),
+    );
+    report(
+        "gelu_64x64",
+        ns_per_iter(100, || pl_tpp::unary::gelu(m, n, black_box(&x), m, &mut y, m)),
+    );
+    report(
+        "softmax_cols_64x64",
+        ns_per_iter(100, || pl_tpp::softmax::softmax_cols(m, n, black_box(&x), m, &mut y, m)),
+    );
+    report(
+        "layernorm_64x64",
+        ns_per_iter(100, || {
             pl_tpp::norm::layernorm(
                 m,
                 n,
@@ -41,13 +45,10 @@ fn bench_tpps(c: &mut Criterion) {
                 &mut mean,
                 &mut rstd,
             )
-        })
-    });
-    g.bench_function("transpose_64x64", |b| {
-        b.iter(|| pl_tpp::transform::transpose(m, n, black_box(&x), m, &mut y, n))
-    });
-    g.finish();
+        }),
+    );
+    report(
+        "transpose_64x64",
+        ns_per_iter(100, || pl_tpp::transform::transpose(m, n, black_box(&x), m, &mut y, n)),
+    );
 }
-
-criterion_group!(benches, bench_tpps);
-criterion_main!(benches);

@@ -1,8 +1,10 @@
 //! # pl-bench — the evaluation harness
 //!
-//! One bench target per table and figure of the paper (see `DESIGN.md`
-//! §4 for the index). Each harness prints the same rows/series the paper
-//! reports, in up to two modes:
+//! Paper figures and tables only: one bench target per table and figure
+//! of the paper (see `DESIGN.md` §4 for the index), plus the `micro_*`
+//! kernel and loop micro-benchmarks. Serving is measured by the repo's
+//! one benchmark, `plbench` (`benchmark/`), not here. Each harness prints
+//! the same rows/series the paper reports, in up to two modes:
 //!
 //! * **simulated** — the platform performance model of `pl-perfmodel`
 //!   parameterized as the paper's machines (SPR / GVT3 / Zen4 / ADL). This
@@ -16,17 +18,7 @@
 //! IPEX) are emulated per the substitution table in `DESIGN.md`; the
 //! emulation parameters live in [`baseline`].
 
-pub mod artifact;
 pub mod baseline;
-pub mod driver;
-pub mod json;
-pub mod trace_artifact;
-
-pub use artifact::{compare, workspace_path, BenchArtifact, BenchRow, RowDelta};
-pub use driver::{
-    measure_router_steps_per_s, RouterLoad, RouterMeasurement, ROUTER_MODE, SERVE_ARTIFACT,
-};
-pub use trace_artifact::{trace_shapes_json, TRACE_SHAPES_ARTIFACT};
 
 use std::time::Instant;
 
@@ -40,6 +32,12 @@ pub fn time_it(reps: usize, mut f: impl FnMut()) -> f64 {
     }
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// Median nanoseconds per call of `f`, timed over 20 batches of `iters`
+/// calls (for operations too short to time one call at a time).
+pub fn ns_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
+    time_it(20, || (0..iters).for_each(|_| f())) * 1e9 / iters as f64
 }
 
 /// GFLOPS from flops and seconds.

@@ -529,9 +529,8 @@ impl PlanRun<'_> {
             plan.k
         );
         // Per-shape wall-clock span (member 0's share — the phase, give
-        // or take the static split): aggregated by (m, n, k) this is the
-        // measured-timing table `TRACE_shapes.json` is built from. The
-        // name carries the plan dtype so f32 and i8 timings of the same
+        // or take the static split): aggregated by (m, n, k) this is a
+        // measured-timing table (`pl_trace::TraceSummary`). The name carries the plan dtype so f32 and i8 timings of the same
         // shape stay distinguishable.
         let _span = (ctx.tid() == 0).then(|| {
             let name = match plan.precision {

@@ -20,20 +20,14 @@
 //! 5. **Persist** the measured DB keyed by a host/topology fingerprint
 //!    ([`save_measured_db`] / [`warm_or_load`]), so the next process
 //!    start on the same host skips straight to measured state.
-//!
-//! The same measured loop also learns one *serve-level* knob: the live
-//! prefill chunk size ([`tune_prefill_chunk`] →
-//! `Server::set_prefill_chunk`).
 
-pub mod artifact;
 pub mod measure;
 pub mod persist;
 pub mod retuner;
 
-pub use artifact::{parse_summary, ServeRow, TuneArtifact, TUNE_DB_ARTIFACT};
 pub use measure::GemmMeasurer;
 pub use persist::{
     host_fingerprint, load_measured_db, save_measured_db, warm_or_load, PersistError, WarmSource,
     PERSIST_VERSION,
 };
-pub use retuner::{tune_prefill_chunk, RetuneConfig, RetuneReport, Retuner, ShapeOutcome};
+pub use retuner::{RetuneConfig, RetuneReport, Retuner, ShapeOutcome};

@@ -145,11 +145,6 @@ impl Retuner {
         Retuner { platform, threads, cfg }
     }
 
-    /// The platform measurements are keyed under.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
     /// One retune cycle against a single [`Server`]: harvest its hot
     /// shapes, measure, and — when a winner beats an incumbent — install
     /// the updated snapshot via [`Server::adopt_tuning`] (exactly one
@@ -312,100 +307,5 @@ impl Retuner {
             });
         }
         (outcomes, skipped)
-    }
-}
-
-/// Measures the decode-under-prefill tradeoff for each candidate
-/// prefill chunk size on a live (manually pumped) server, and installs
-/// the winner via [`Server::set_prefill_chunk`]. For each candidate:
-/// `width` decode sessions run `steps` closed-loop rounds while one
-/// `prompt_tokens`-long prefill is in flight, chunked at the candidate
-/// size; the score is decode steps/s (the quantity chunking protects —
-/// a too-large chunk blocks decode lanes, a too-small one pays per-chunk
-/// overhead). Returns `(chunk, decode_steps_per_s)` rows plus the
-/// installed winner. Sessions need `steps` (decode) and `prompt_tokens`
-/// (prefill) tokens of KV capacity.
-pub fn tune_prefill_chunk(
-    server: &Server,
-    chunks: &[usize],
-    prompt_tokens: usize,
-    width: usize,
-    steps: usize,
-) -> (Vec<(usize, f64)>, usize) {
-    let hidden = server.model().config().hidden;
-    let prompt = vec![0.1f32; hidden * prompt_tokens];
-    let rows: Vec<(usize, f64)> = chunks
-        .iter()
-        .map(|&chunk| {
-            server.set_prefill_chunk(chunk);
-            let decode: Vec<_> =
-                (0..width).map(|_| server.create_session(0).expect("decode session")).collect();
-            let prefill_id = server.create_session(0).expect("prefill session");
-            let token = vec![0.1f32; hidden];
-            let t0 = Instant::now();
-            let prx =
-                server.submit_prefill(prefill_id, &prompt, prompt_tokens).expect("submit prefill");
-            for _ in 0..steps {
-                let rxs: Vec<_> = decode
-                    .iter()
-                    .map(|&id| server.submit_step(id, &token).expect("submit"))
-                    .collect();
-                while server.in_flight() > 0 {
-                    server.pump();
-                }
-                for rx in rxs {
-                    rx.recv().expect("reply").expect("step ok");
-                }
-            }
-            while server.in_flight() > 0 {
-                server.pump();
-            }
-            prx.recv().expect("prefill reply").expect("prefill ok");
-            let secs = t0.elapsed().as_secs_f64().max(1e-9);
-            for id in decode {
-                server.close_session(id).expect("close decode session");
-            }
-            server.close_session(prefill_id).expect("close prefill session");
-            (chunk, (width * steps) as f64 / secs)
-        })
-        .collect();
-    let (best, _) =
-        rows.iter().fold(
-            (server.prefill_chunk(), 0.0),
-            |acc, &(c, s)| {
-                if s > acc.1 {
-                    (c, s)
-                } else {
-                    acc
-                }
-            },
-        );
-    server.set_prefill_chunk(best);
-    (rows, best)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pl_dnn::{DecoderConfig, DecoderModel};
-    use pl_serve::ServerConfig;
-    use std::sync::Arc;
-
-    /// Registry-safe: `tune_prefill_chunk` only touches server-local
-    /// state (the prefill-chunk knob), never the global tuning registry.
-    #[test]
-    fn prefill_chunk_tuner_measures_and_installs_the_winner() {
-        let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 11));
-        let pool = Arc::new(ThreadPool::new(1));
-        let server = Server::new(
-            model,
-            pool,
-            ServerConfig { max_batch: 4, kv_capacity: 32, ..Default::default() },
-        );
-        let (rows, best) = tune_prefill_chunk(&server, &[4, 8], 8, 2, 4);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|&(_, sps)| sps > 0.0), "every candidate must measure: {rows:?}");
-        assert!(rows.iter().any(|&(c, _)| c == best), "winner must come from the candidates");
-        assert_eq!(server.prefill_chunk(), best, "the winner is installed on the live server");
     }
 }

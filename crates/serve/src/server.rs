@@ -47,7 +47,7 @@ use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWin
 use pl_perfmodel::Platform;
 use pl_runtime::ThreadPool;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -66,10 +66,11 @@ pub struct ServerConfig {
     /// KV capacity (tokens) given to every new session.
     pub kv_capacity: usize,
     /// Upper bound on a prefill chunk admitted through the batcher, in
-    /// tokens (normalized up to a power of two so non-final chunks hit
-    /// the warmed prefill ladder exactly). Prompts longer than this are
-    /// split and interleave with decode traffic; prompts that fit execute
-    /// as a single chunk, bit-identical to an unchunked forward.
+    /// tokens (clamped to at least 1, normalized up to a power of two so
+    /// non-final chunks hit the warmed prefill ladder exactly). Prompts
+    /// longer than this are split and interleave with decode traffic;
+    /// prompts that fit execute as a single chunk, bit-identical to an
+    /// unchunked forward.
     pub prefill_chunk: usize,
     /// SLO target for decode step latency (µs): the p99 objective the
     /// per-tenant and shard-wide [`SloWindow`]s track violations
@@ -201,12 +202,6 @@ struct ServerInner {
     /// the blocking wrappers pump on the calling thread when it is not.
     running: AtomicBool,
     tuning: Mutex<TuningDb>,
-    /// Live prefill-chunk bound in tokens — initialized from
-    /// [`ServerConfig::prefill_chunk`], adjustable at runtime
-    /// ([`Server::set_prefill_chunk`]) so a retune cycle can shrink
-    /// chunks under decode load without restarting the server. Read once
-    /// per prefill submission; in-flight jobs keep their chunking.
-    prefill_chunk: AtomicUsize,
     /// Accepted work items (decode steps *and* prefill chunks) not yet
     /// retired — incremented before an item is published to the batcher,
     /// decremented at reply delivery ([`ServerInner::deliver`]); a
@@ -302,6 +297,7 @@ impl Server {
     /// plans.
     pub fn new(model: Arc<DecoderModel>, pool: Arc<ThreadPool>, mut cfg: ServerConfig) -> Self {
         cfg.max_batch = cfg.max_batch.max(1);
+        cfg.prefill_chunk = cfg.prefill_chunk.max(1);
         let page_tokens = cfg.kv_page_tokens.max(1);
         let kv_pool = if cfg.kv_pool_pages > 0 {
             KvPagePool::bounded(model.config().hidden, page_tokens, cfg.kv_pool_pages)
@@ -318,7 +314,6 @@ impl Server {
             kv_pool,
             batcher_waker: OnceLock::new(),
             stats: ServerStats::new(cfg.tenants, cfg.max_batch, cfg.slo_p99_us),
-            prefill_chunk: AtomicUsize::new(cfg.prefill_chunk.max(1)),
             slo: SloWindow::new(cfg.slo_p99_us, pl_metrics::slo::SLO_WINDOW_S),
             health: HealthTracker::default(),
             watchdog: Watchdog::new(cfg.watchdog_deadline),
@@ -532,16 +527,10 @@ impl Server {
         db.len()
     }
 
-    /// Adjusts the live prefill-chunk bound (tokens, clamped to ≥ 1).
-    /// Prefills submitted after this call chunk at the new bound;
-    /// in-flight jobs keep the chunking they were admitted with.
-    pub fn set_prefill_chunk(&self, tokens: usize) {
-        self.inner.prefill_chunk.store(tokens.max(1), Ordering::Release);
-    }
-
-    /// The live prefill-chunk bound (tokens).
+    /// The prefill-chunk bound in tokens ([`ServerConfig::prefill_chunk`],
+    /// clamped to ≥ 1).
     pub fn prefill_chunk(&self) -> usize {
-        self.inner.prefill_chunk.load(Ordering::Acquire)
+        self.inner.cfg.prefill_chunk
     }
 
     /// The GEMM problems that dominated traffic so far, hottest first —
@@ -794,15 +783,8 @@ impl Server {
         // so a decode step pipelined behind the prefill waits for every
         // chunk instead of slipping in between two of them.
         let seq = tickets.fetch_add(1, Ordering::AcqRel);
-        let (job, rx) = PrefillJob::new(
-            id,
-            tenant,
-            seq,
-            x.to_vec(),
-            tokens,
-            self.inner.prefill_chunk.load(Ordering::Acquire),
-            hit,
-        );
+        let (job, rx) =
+            PrefillJob::new(id, tenant, seq, x.to_vec(), tokens, self.inner.cfg.prefill_chunk, hit);
         let item = WorkItem::PrefillChunk(ChunkItem { job, chunk: 0, enqueued: Instant::now() });
         self.publish(&tickets, item)?;
         Ok(rx)
@@ -2087,8 +2069,10 @@ mod tests {
     fn max_batch_zero_is_clamped_to_one() {
         // Unclamped, `collect(0)` returns nothing: accepted steps never
         // run and `shutdown` never sees the queue drain.
-        let mut server = tiny_server(ServerConfig { max_batch: 0, ..Default::default() });
+        let mut server =
+            tiny_server(ServerConfig { max_batch: 0, prefill_chunk: 0, ..Default::default() });
         assert_eq!(server.config().max_batch, 1);
+        assert_eq!(server.prefill_chunk(), 1, "chunk size clamps to at least one token");
         server.start();
         let id = server.create_session(0).unwrap();
         let x = token(7, server.model().config().hidden);
@@ -2330,24 +2314,6 @@ mod tests {
     }
 
     #[test]
-    fn prefill_chunk_is_a_live_knob() {
-        let server =
-            tiny_server(ServerConfig { prefill_chunk: 4, kv_capacity: 32, ..Default::default() });
-        assert_eq!(server.prefill_chunk(), 4);
-        server.set_prefill_chunk(8);
-        assert_eq!(server.prefill_chunk(), 8);
-        let hidden = server.model().config().hidden;
-        let id = server.create_session(0).unwrap();
-        let rx = server.submit_prefill(id, &token(77, hidden * 8), 8).unwrap();
-        assert_eq!(server.pump(), 1, "8 tokens fit a single 8-token chunk");
-        assert_eq!(server.in_flight(), 0);
-        rx.recv().unwrap().unwrap();
-        assert_eq!(server.stats().snapshot().prefill_chunks, 1);
-        server.set_prefill_chunk(0);
-        assert_eq!(server.prefill_chunk(), 1, "chunk size clamps to at least one token");
-    }
-
-    #[test]
     fn hot_gemm_problems_harvests_the_ragged_width_histogram() {
         let server = tiny_server(ServerConfig::default());
         assert!(server.hot_gemm_problems().is_empty(), "no traffic, no hot shapes");
@@ -2570,46 +2536,68 @@ mod tests {
 
     #[test]
     fn prefix_sharing_across_sessions_dedups_pages_and_stays_bitwise() {
-        // Two sessions prefill the same 6-token prompt over 4-token pages
-        // (one full + one partial page per layer). The second session must
-        // adopt the first's cached full page — its only marginal resident
-        // page per layer is its private partial tail — and each stream's
-        // divergent decode step appends into that tail in place (nothing
-        // to COW-split) without perturbing either output.
-        let server =
-            tiny_server(ServerConfig { kv_page_tokens: 4, kv_capacity: 32, ..Default::default() });
-        let hidden = server.model().config().hidden;
-        let tokens = 6;
-        let prompt = token(91, hidden * tokens);
-        let a = server.create_session(0).unwrap();
-        let ya = server.prefill(a, &prompt, tokens).unwrap();
-        let resident = server.kv_pool().allocated_pages();
-        assert!(resident > 0);
-        let b = server.create_session(0).unwrap();
-        let yb = server.prefill(b, &prompt, tokens).unwrap();
-        assert_eq!(ya, yb, "identical prompts must produce identical outputs");
-        let layers = server.model().config().layers;
-        assert_eq!(
-            server.kv_pool().allocated_pages(),
-            resident + layers,
-            "second session must adopt the cached full page and keep only its tail"
-        );
-        assert!(server.prefix_cache().shared_pages() > 0);
-        let xa = token(92, hidden);
-        let xb = token(93, hidden);
-        for (id, x) in [(a, &xa), (b, &xb)] {
-            let rx = server.submit_step(id, x).unwrap();
-            while server.pump() > 0 {}
-            let got = rx.recv().unwrap().unwrap();
+        // `sessions` sessions prefill the same `tokens`-token prompt, then
+        // each decodes one divergent token. With sharing on, later sessions
+        // adopt the first's cached full pages; their only marginal resident
+        // pages per layer are their private partial tails, and a divergent
+        // step appends into such a tail in place (nothing to COW-split) or
+        // opens a fresh private page. The last case is the same traffic in
+        // the pre-paging layout: one capacity-sized page per layer per
+        // session, sharing off. The 64-token cases hold 24 x 4 KiB = 98304
+        // bytes paged+shared vs 16 x 32 KiB = 524288 bytes contiguous.
+        for (sessions, tokens, page_tokens, kv_capacity, share_prefix) in
+            [(2, 6, 4, 32, true), (8, 64, DEFAULT_PAGE_TOKENS, 128, true), (8, 64, 128, 128, false)]
+        {
+            let server = tiny_server(ServerConfig {
+                kv_page_tokens: page_tokens,
+                kv_capacity,
+                share_prefix,
+                ..Default::default()
+            });
+            let hidden = server.model().config().hidden;
+            let layers = server.model().config().layers;
+            let full = tokens / page_tokens;
+            let prompt = token(91, hidden * tokens);
+            let mut ids = Vec::new();
+            let mut first = None;
+            for s in 0..sessions {
+                let id = server.create_session(0).unwrap();
+                let y = server.prefill(id, &prompt, tokens).unwrap();
+                let ya = first.get_or_insert_with(|| y.clone());
+                assert_eq!(*ya, y, "identical prompts must produce identical outputs");
+                // Every session after the first adds only its tail pages.
+                let held = if share_prefix {
+                    full + (s + 1) * (tokens.div_ceil(page_tokens) - full)
+                } else {
+                    (s + 1) * tokens.div_ceil(page_tokens)
+                };
+                assert_eq!(
+                    server.kv_pool().allocated_pages(),
+                    layers * held,
+                    "session {s} must adopt the cached full pages and keep only its tail"
+                );
+                ids.push(id);
+            }
+            assert_eq!(server.prefix_cache().shared_pages() > 0, share_prefix);
             let pool = ThreadPool::new(2);
-            let mut st = server.model().new_state(32);
-            let _ = server.model().forward(&mut st, &prompt, tokens, &pool);
-            let want = server.model().forward(&mut st, x, 1, &pool);
-            assert_eq!(got, want, "decode after sharing must stay bit-identical");
+            for (s, &id) in ids.iter().enumerate() {
+                let x = token(92 + s as u64, hidden);
+                let rx = server.submit_step(id, &x).unwrap();
+                while server.pump() > 0 {}
+                let got = rx.recv().unwrap().unwrap();
+                let mut st = server.model().new_state(kv_capacity);
+                let _ = server.model().forward(&mut st, &prompt, tokens, &pool);
+                let want = server.model().forward(&mut st, &x, 1, &pool);
+                assert_eq!(got, want, "decode after sharing must stay bit-identical");
+            }
+            let private = (tokens + 1).div_ceil(page_tokens);
+            let pages =
+                if share_prefix { full + sessions * (private - full) } else { sessions * private };
+            assert_eq!(server.kv_pool().allocated_pages(), layers * pages);
+            assert_eq!(server.kv_pool().cow_splits(), 0, "private tail pages never need a split");
+            let snap = server.metrics_snapshot();
+            assert_eq!(snap.gauge_value("pl_kv_pages_shared", &[]).unwrap() > 0.0, share_prefix);
         }
-        assert_eq!(server.kv_pool().cow_splits(), 0, "private tail pages never need a split");
-        let snap = server.metrics_snapshot();
-        assert!(snap.gauge_value("pl_kv_pages_shared", &[]).unwrap() > 0.0);
     }
 
     #[test]

@@ -25,9 +25,7 @@
 //!
 //! Run: `cargo run --release --example migrate_llm`
 
-use pl_bench::{BenchArtifact, BenchRow, SERVE_ARTIFACT};
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
-use pl_perfmodel::Platform;
 use pl_router::{Router, RouterConfig};
 use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::ServerConfig;
@@ -151,9 +149,7 @@ fn main() {
     }
     assert_eq!(recovered.len(), 2, "both shard-0 survivors needed re-homing");
 
-    let t = Instant::now();
     run_second_half(&router, &ids, &mut xs, &mut streams);
-    let decode_s = t.elapsed().as_secs_f64();
     let mut generated = 0u64;
     for id in &ids {
         generated += router.close_session(*id).unwrap();
@@ -201,20 +197,6 @@ fn main() {
     let migrations: u64 = (0..SHARDS)
         .map(|s| snap.counter_value("pl_migrations_total", &[("shard", &s.to_string())]))
         .sum();
-
-    // --- Trajectory row. -------------------------------------------------
-    let fp = pl_retune::host_fingerprint(Platform::generic_host(total_threads).name, total_threads);
-    let mut artifact = BenchArtifact::load(&pl_bench::workspace_path(SERVE_ARTIFACT));
-    artifact.upsert(BenchRow {
-        mode: "migrate".into(),
-        batch: 1,
-        shards: SHARDS,
-        steps_per_s: (SESSIONS * STEPS_AFTER) as f64 / decode_s,
-        p99_us: move_us,
-        fingerprint: fp,
-    });
-    artifact.save(&pl_bench::workspace_path(SERVE_ARTIFACT)).expect("write BENCH_serve.json");
-    println!("\nwrote {} rows to {SERVE_ARTIFACT}", artifact.rows().len());
 
     // --- Assertions. -----------------------------------------------------
     assert_eq!(generated, (SESSIONS * (STEPS_BEFORE + STEPS_AFTER)) as u64);

@@ -75,7 +75,7 @@ fn main() {
     // Measurements run on their own pool, never the serving threads.
     let tune_pool = ThreadPool::new(threads);
     let retuner = Retuner::new(platform.clone(), threads, RetuneConfig::default());
-    let db_path = pl_bench::workspace_path("target/retune_llm.db");
+    let db_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/retune_llm.db");
     println!(
         "pl-retune demo: {SESSIONS} sessions x {STEPS} steps, {threads} threads, persisted DB \
          at {}",
@@ -213,7 +213,8 @@ fn main() {
         WarmSource::Warmed(n, why) => unreachable!("restart fell back to warm-up ({n}): {why}"),
     }
 
-    let corrupt_path = pl_bench::workspace_path("target/retune_llm_corrupt.db");
+    let corrupt_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/retune_llm_corrupt.db");
     std::fs::write(&corrupt_path, b"\x00\x01 this is not a tuning db").expect("write corrupt file");
     let degraded = server_for(&model, &pool);
     match warm_or_load(&degraded, &platform, threads, &corrupt_path) {

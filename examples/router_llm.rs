@@ -8,18 +8,11 @@
 //! through a sequential unbatched `Decoder`, and every session's whole
 //! output stream must be **bit-identical** to both — neither routing nor
 //! whatever batch composition each shard happened to see is visible to
-//! the numerics.
-//!
-//! Phase 2 (scaling): the same closed-loop load is driven at 1 shard and
-//! at N shards over the *same* total thread budget (split disjointly),
-//! and the measured steps/s speedup is printed. Both rows land in the
-//! machine-readable `BENCH_serve.json` trajectory artifact.
+//! the numerics. Measured scale-out is plbench's `router.2x1` workload
+//! (`benchmark/`), not this demo's job.
 //!
 //! Run: `cargo run --release --example router_llm [-- --shards N]`
 
-use pl_bench::{
-    measure_router_steps_per_s, BenchArtifact, BenchRow, RouterLoad, ROUTER_MODE, SERVE_ARTIFACT,
-};
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
 use pl_perfmodel::Platform;
 use pl_router::{Router, RouterConfig};
@@ -102,7 +95,7 @@ fn main() {
         pl_router::partition_threads(total_threads, shards),
     );
 
-    // --- Phase 1: correctness through the sharded tier. -----------------
+    // --- Correctness through the sharded tier. ---------------------------
     let mut router = Router::new(
         Arc::clone(&model),
         RouterConfig { shards, total_threads, server: server_cfg() },
@@ -167,47 +160,6 @@ fn main() {
         }
     }
 
-    // --- Phase 2: measured scale-out. -------------------------------------
-    println!("\n=== scale-out: measured ===");
-    println!("{:>7} {:>16} {:>12} {:>8}", "shards", "steps/s", "measured x", "p99 us");
-    // Same host fingerprint the retune evidence DB keys on: rows from
-    // different machines coexist in the artifact instead of clobbering.
-    let fp = pl_retune::host_fingerprint(Platform::generic_host(total_threads).name, total_threads);
-    let mut artifact = BenchArtifact::load(&pl_bench::workspace_path(SERVE_ARTIFACT));
-    let load = RouterLoad {
-        sessions: SESSIONS,
-        steps: 2 * STEPS,
-        tenants: TENANTS,
-        kv_capacity: KV,
-        seed: 40,
-    };
-    let mut single_sps = 0.0f64;
-    let mut multi_speedup = 0.0f64;
-    for n in [1usize, shards] {
-        let m = measure_router_steps_per_s(&model, n, total_threads, &load);
-        if n == 1 {
-            single_sps = m.steps_per_s;
-        }
-        let measured_x = m.steps_per_s / single_sps.max(1e-9);
-        if n == shards {
-            multi_speedup = measured_x;
-        }
-        println!("{n:>7} {:>16.1} {measured_x:>11.2}x {:>8}", m.steps_per_s, m.p99_us);
-        artifact.upsert(BenchRow {
-            mode: ROUTER_MODE.to_string(),
-            batch: SESSIONS,
-            shards: n,
-            steps_per_s: m.steps_per_s,
-            p99_us: m.p99_us as f64,
-            fingerprint: fp.clone(),
-        });
-        if n == shards && shards == 1 {
-            break;
-        }
-    }
-    artifact.save(&pl_bench::workspace_path(SERVE_ARTIFACT)).expect("write BENCH_serve.json");
-    println!("wrote {} rows to {SERVE_ARTIFACT}", artifact.rows().len());
-
     // --- Assertions. -----------------------------------------------------
     assert_eq!(agg.completed, (SESSIONS * STEPS) as u64);
     assert_eq!(agg.prefills, SESSIONS as u64);
@@ -215,14 +167,8 @@ fn main() {
         assert!(s.completed > 0, "shard {i} served no steps — placement is broken");
     }
     assert_eq!(mismatches, 0, "routed outputs must be bit-identical to both replays");
-    let reloaded = BenchArtifact::load(&pl_bench::workspace_path(SERVE_ARTIFACT));
-    assert!(!reloaded.rows_at_shards(1).is_empty(), "artifact has 1-shard rows");
-    if shards > 1 {
-        assert!(!reloaded.rows_at_shards(shards).is_empty(), "artifact has {shards}-shard rows");
-        assert!(multi_speedup > 0.0);
-    }
     println!(
         "\nOK: {SESSIONS} sessions across {shards} shards, all streams bit-identical to the \
-         single-server and unbatched runs; measured {shards}-shard speedup {multi_speedup:.2}x"
+         single-server and unbatched runs"
     );
 }

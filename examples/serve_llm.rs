@@ -387,7 +387,7 @@ fn main() {
         );
         let json = pl_trace::chrome_trace_json(&events);
         assert!(json.contains("\"traceEvents\""), "chrome export malformed");
-        let path = pl_bench::workspace_path("trace_serve_llm.json");
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("trace_serve_llm.json");
         match std::fs::write(&path, &json) {
             Ok(()) => {
                 println!("wrote {} — open in chrome://tracing or ui.perfetto.dev", path.display())
@@ -430,7 +430,7 @@ fn main() {
         println!("sample lines         {:>10}", report.samples);
         println!("histogram series     {:>10}", report.histogram_series);
         println!("shard health         {:>10}", health);
-        let path = pl_bench::workspace_path("metrics_serve_llm.prom");
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("metrics_serve_llm.prom");
         match std::fs::write(&path, &text) {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("failed to write {}: {e}", path.display()),
