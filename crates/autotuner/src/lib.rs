@@ -6,7 +6,7 @@
 //! database ([`db`]). The search space deliberately stops at the TPP
 //! boundary — only cache blocking and parallelization are explored, which
 //! is why tuning here is orders of magnitude faster than full tensor
-//! compilers (paper §V-A2, reproduced by the `fig4_tvm` bench).
+//! compilers (paper §V-A2).
 
 pub mod db;
 pub mod gen;

@@ -1,78 +1,16 @@
-//! Figure 10: block-sparse BERT-base inference.
+//! Figure 10: block-sparse BERT inference.
 //!
-//! Left: BF16, BS=1, 8 cores — dense vs 80 % 8x8-block-sparse vs the
-//! roofline assuming 5x faster contractions. Paper: sparse reaches 1.75x /
-//! 1.95x / 2.79x over dense on SPR / GVT3 / Zen4, i.e. 71-88 % of roofline.
-//! Right: FP32, BS=32, 24 cores vs DeepSparse-like (paper: 1.56x).
+//! The paper reports BERT-base at 80 % 8x8-block sparsity reaching
+//! 1.75x / 1.95x / 2.79x over dense on SPR / GVT3 / Zen4. Measured here:
+//! one tiny encoder layer, dense vs 80 % 8x8-block-sparse, on the host.
 
-use pl_bench::baseline::{BERT_NON_CONTRACTION_FRACTION, DEEPSPARSE_ELEMENT_EFFICIENCY};
-use pl_bench::{f1, f2, header, row};
+use pl_bench::{f2, header, row};
+use pl_dnn::sparse_bert::random_sparse_layer;
 use pl_dnn::BertConfig;
-use pl_perfmodel::{roofline, Platform, WorkItem};
-use pl_tensor::DType;
-
-fn dense_seq_per_sec(
-    p: &Platform,
-    threads: usize,
-    cfg: &BertConfig,
-    dtype: DType,
-    eff: f64,
-) -> f64 {
-    let tokens = cfg.seq / 2; // unpadded
-    let flops = cfg.model_flops(tokens);
-    let bytes = cfg.layers as f64 * cfg.layer_weight_bytes(dtype.size_of());
-    1.0 / roofline::time_seconds(p, threads, dtype, WorkItem { flops, bytes }, eff)
-}
+use pl_runtime::global_pool;
+use pl_tensor::{fill_uniform, Xorshift};
 
 fn main() {
-    let cfg = BertConfig::base();
-    let sparsity = 0.8;
-
-    header(
-        "Fig.10-L BERT-base BF16 inference BS=1, 8 cores [simulated]",
-        &["platform", "dense seq/s", "sparse seq/s", "roofline", "% of roofline"],
-    );
-    // Per-platform utilization of the sparse kernel (AMX's long chains
-    // lose more on 8x8 blocks; FMA platforms keep nearly all of it).
-    for (platform, sparse_util) in
-        [(Platform::spr(), 0.40), (Platform::gvt3(), 0.72), (Platform::zen4(), 0.90)]
-    {
-        let threads = 8; // latency-bound inference uses 8 cores (paper)
-        let dense = dense_seq_per_sec(&platform, threads, &cfg, DType::Bf16, 0.7);
-        let nc = BERT_NON_CONTRACTION_FRACTION;
-        // Contractions keep (1-s)/util of their dense time; the rest of the
-        // layer is unchanged.
-        let sparse_time = (1.0 - nc) * ((1.0 - sparsity) / sparse_util) + nc;
-        let sparse = dense / sparse_time;
-        // Paper roofline: contractions exactly 5x faster, rest unchanged.
-        let roof = dense / ((1.0 - nc) / 5.0 + nc);
-        row(&[
-            platform.name.to_string(),
-            f1(dense),
-            f1(sparse),
-            f1(roof),
-            format!("{}%", f1(100.0 * sparse / roof)),
-        ]);
-    }
-
-    header(
-        "Fig.10-R BERT-base FP32 BS=32, 24 cores (Xeon 8275CL) [simulated]",
-        &["runtime", "seq/s"],
-    );
-    let p = Platform::xeon_8275();
-    let dense = dense_seq_per_sec(&p, 24, &cfg, DType::F32, 0.7) * 32.0 / 8.0; // throughput mode
-    let nc = BERT_NON_CONTRACTION_FRACTION;
-    let ours = dense / ((1.0 - nc) * (1.0 - sparsity) / 0.9 + nc);
-    let deepsparse = dense / ((1.0 - nc) * (1.0 - sparsity) / DEEPSPARSE_ELEMENT_EFFICIENCY + nc);
-    row(&["Dense BERT".into(), f1(dense)]);
-    row(&["PARLOOPER block-SpMM".into(), f1(ours)]);
-    row(&["DeepSparse-like".into(), f1(deepsparse)]);
-    println!("\nPARLOOPER vs DeepSparse-like: {}x (paper: 1.56x)", f2(ours / deepsparse));
-
-    // Measured host check: dense vs 80% block-sparse tiny layer.
-    use pl_dnn::sparse_bert::random_sparse_layer;
-    use pl_runtime::global_pool;
-    use pl_tensor::{fill_uniform, Xorshift};
     let pool = global_pool();
     let tiny = BertConfig { hidden: 128, heads: 4, intermediate: 256, layers: 1, seq: 32 };
     let (dense_l, sparse_l) = random_sparse_layer(tiny, 8, 0.8, 9);
@@ -85,7 +23,7 @@ fn main() {
     let ts = pl_bench::time_it(3, || {
         let _ = sparse_l.forward(&x, tokens, pool);
     });
-    header("Fig.10 measured host (tiny layer, 80% 8x8 sparsity)", &["variant", "ms", "speedup"]);
+    header("Fig.10 measured on host (tiny layer, 80% 8x8 sparsity)", &["variant", "ms", "speedup"]);
     row(&["dense".into(), f2(td * 1e3), "1.00x".into()]);
     row(&["block-sparse".into(), f2(ts * 1e3), format!("{}x", f2(td / ts))]);
 }

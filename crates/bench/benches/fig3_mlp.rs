@@ -1,63 +1,15 @@
-//! Figure 3: MLP with bias add + ReLU activations, BF16, N=512.
+//! Figure 3: MLP with bias add + ReLU activations.
 //!
-//! Paper shape: efficiency (fraction of compute peak) rises with weight
-//! size; SPR saturates earlier (LLC-bound activation hand-off) while
-//! GVT3/Zen4 exceed 90% of their much lower peaks; SPR is up to 3.3x GVT3
-//! and 6.6x Zen4 in absolute GFLOPS.
+//! The paper reports efficiency (fraction of compute peak) rising with
+//! weight size on SPR / GVT3 / Zen4 (BF16, N=512). Measured here: a small
+//! FP32 MLP through the fused `pl_kernels::Mlp` on the host.
 
 use pl_bench::{f1, header, row};
-use pl_perfmodel::{GemmModelSpec, Platform};
-use pl_tensor::DType;
+use pl_kernels::{Activation, Mlp};
+use pl_runtime::global_pool;
+use pl_tensor::BlockedMatrix;
 
 fn main() {
-    // (M=K, layers) per the paper's x-axis.
-    let configs = [(512usize, 200usize), (1024, 100), (2048, 20), (4096, 20), (8192, 20)];
-    let n = 512usize;
-    for platform in [Platform::spr(), Platform::gvt3(), Platform::zen4()] {
-        let threads = platform.total_cores();
-        let peak = platform.peak_gflops(DType::Bf16, threads);
-        header(
-            &format!("Fig.3 MLP (bias+ReLU, BF16, N=512) on {} [simulated]", platform.name),
-            &["MxKx(layers)", "GFLOPS", "% of peak"],
-        );
-        for &(mk, layers) in &configs {
-            let b = pl_bench::baseline::model_block(mk);
-            let spec = GemmModelSpec {
-                m: mk,
-                n,
-                k: mk,
-                bm: b,
-                bn: pl_bench::baseline::model_block(n),
-                bk: b,
-                k_step: mk / b,
-                spec: "BCa".into(),
-                blocks: [vec![], vec![], vec![]],
-                dtype: DType::Bf16,
-            };
-            let pred = spec.predict(&platform, threads).expect("predict");
-            // Cascading layers: per-layer time + activation hand-off between
-            // layers through the shared level (SPR's limiter).
-            let act_bytes = (mk * n * 2) as f64;
-            let llc_bw = platform.caches.last().map(|c| c.bw_bytes_per_cycle).unwrap_or(16.0)
-                * threads as f64
-                * platform.cores[0].freq_ghz
-                * 1e9;
-            let handoff = act_bytes / llc_bw;
-            let per_layer = pred.seconds + handoff;
-            let total_flops = spec.flops() * layers as f64;
-            let g = total_flops / (per_layer * layers as f64) / 1e9;
-            row(&[
-                format!("{mk}x512x{mk} ({layers})"),
-                f1(g),
-                format!("{}%", f1(100.0 * g / peak)),
-            ]);
-        }
-    }
-
-    // Measured host sanity: a small real MLP through the fused kernels.
-    use pl_kernels::{Activation, Mlp};
-    use pl_runtime::global_pool;
-    use pl_tensor::BlockedMatrix;
     let pool = global_pool();
     let mlp =
         Mlp::<f32>::new(&[256, 256, 256], 128, 32, 32, "aBC", Activation::Relu, 3).expect("mlp");
@@ -65,6 +17,6 @@ fn main() {
     let t = pl_bench::time_it(3, || {
         let _ = mlp.forward(&x, pool).unwrap();
     });
-    header("Fig.3 measured host sanity", &["MLP", "GFLOPS"]);
+    header("Fig.3 MLP measured on host", &["MLP", "GFLOPS"]);
     row(&["256-256-256/N=128".into(), f1(pl_bench::gflops(mlp.flops() as f64, t))]);
 }

@@ -1,60 +1,16 @@
-//! Table II: ResNet-50 BF16 training throughput (images/sec), single
-//! socket.
+//! Table II: ResNet-50 training throughput.
 //!
-//! Paper: SPR 255 img/s (PARLOOPER+TPP) vs 265 (IPEX+oneDNN, within 4 %);
-//! GVT3 145 img/s (within 1.76x of SPR).
+//! The paper reports 255 img/s on SPR (PARLOOPER+TPP, within 4 % of
+//! IPEX+oneDNN) and 145 img/s on GVT3. Measured here: one convolution's
+//! forward, backward-data and backward-weights passes through the real
+//! kernels on the host.
 
-use pl_bench::{f1, header, row};
-use pl_dnn::{resnet50_conv_shapes, ConvLayerSpec};
-use pl_perfmodel::{roofline, Platform, WorkItem};
-use pl_tensor::DType;
-
-fn train_images_per_sec(p: &Platform, eff: f64) -> f64 {
-    let threads = p.total_cores();
-    let mb = threads; // paper: minibatch = cores
-    let shapes: Vec<ConvLayerSpec> = resnet50_conv_shapes(mb, 64, 64);
-    // fwd + bwd-data + bwd-weights ~ 3x forward conv work; batchnorm and
-    // pooling add a bandwidth-bound tail (~15 % of time, folded in below).
-    let mut total = 0.0;
-    for l in &shapes {
-        let s = &l.shape;
-        let flops = 3.0 * s.flops() as f64 * l.count as f64;
-        let act_bytes =
-            (s.n * s.c * s.h * s.w + s.n * s.k * s.p() * s.q()) as f64 * 2.0 * 3.0 * l.count as f64;
-        let w_bytes = (s.c * s.k * s.r * s.s) as f64 * 2.0 * 3.0 * l.count as f64;
-        total += roofline::time_seconds(
-            p,
-            threads,
-            DType::Bf16,
-            WorkItem { flops, bytes: act_bytes + w_bytes },
-            eff,
-        );
-    }
-    let total_with_bn = total / 0.85;
-    mb as f64 / total_with_bn
-}
+use pl_bench::{f2, header, row};
+use pl_kernels::{conv_backward_data, conv_backward_weights, ConvForward, ConvTuning};
+use pl_runtime::global_pool;
+use pl_tensor::{ActTensor, ConvShape, ConvWeights};
 
 fn main() {
-    header(
-        "Table II: ResNet-50 BF16 training, images/sec [simulated]",
-        &["system", "implementation", "img/s"],
-    );
-    let spr = train_images_per_sec(&Platform::spr(), 0.62);
-    let spr_ipex = train_images_per_sec(&Platform::spr(), 0.645); // within 4%
-    let gvt3 = train_images_per_sec(&Platform::gvt3(), 0.80);
-    row(&["SPR".into(), "PARLOOPER + TPP".into(), f1(spr)]);
-    row(&["SPR".into(), "IPEX + oneDNN".into(), f1(spr_ipex)]);
-    row(&["GVT3".into(), "PARLOOPER + TPP".into(), f1(gvt3)]);
-    println!(
-        "\nSPR within {:.1}% of IPEX (paper: 4%); SPR/GVT3 = {:.2}x (paper: 1.76x)",
-        100.0 * (spr_ipex - spr) / spr_ipex,
-        spr / gvt3
-    );
-
-    // Measured host: one fwd+bwd of a small conv through the real kernels.
-    use pl_kernels::{conv_backward_data, conv_backward_weights, ConvForward, ConvTuning};
-    use pl_runtime::global_pool;
-    use pl_tensor::{ActTensor, ConvShape, ConvWeights};
     let pool = global_pool();
     let shape = ConvShape {
         n: 2,
@@ -85,6 +41,6 @@ fn main() {
         conv_backward_data(&shape, &out, &weights, &mut din, pool).unwrap();
         conv_backward_weights(&shape, &input, &out, &mut dw, pool).unwrap();
     });
-    header("Table II measured host (one conv fwd+bwd)", &["conv", "ms"]);
-    row(&["3x3 32->32 @14x14 n=2".into(), format!("{:.2}", t * 1e3)]);
+    header("Table II measured on host (one conv fwd+bwd)", &["conv", "ms"]);
+    row(&["3x3 32->32 @14x14 n=2".into(), f2(t * 1e3)]);
 }

@@ -1,24 +1,14 @@
 //! # pl-bench — the evaluation harness
 //!
-//! Paper figures and tables only: one bench target per table and figure
-//! of the paper (see `DESIGN.md` §4 for the index), plus the `micro_*`
-//! kernel and loop micro-benchmarks. Serving is measured by the repo's
-//! one benchmark, `plbench` (`benchmark/`), not here. Each harness prints
-//! the same rows/series the paper reports, in up to two modes:
-//!
-//! * **simulated** — the platform performance model of `pl-perfmodel`
-//!   parameterized as the paper's machines (SPR / GVT3 / Zen4 / ADL). This
-//!   regenerates the cross-platform *shape* of each figure: who wins, by
-//!   roughly what factor, where crossovers fall.
-//! * **measured** — real kernel executions on the host (small shapes,
-//!   host core count), used where measurement is essential (Fig. 6's
-//!   model-vs-measured correlation) or as sanity checks.
-//!
-//! Baselines (oneDNN, TVM-Autoscheduler, Mojo, DeepSparse, HuggingFace,
-//! IPEX) are emulated per the substitution table in `DESIGN.md`; the
-//! emulation parameters live in [`baseline`].
-
-pub mod baseline;
+//! One mode: **measured**. Each paper harness runs the figure's or
+//! table's workload through the real kernels on the host (small shapes,
+//! host core count) and prints what it measured; the `micro_*` harnesses
+//! time single kernels and loop nests. Fig. 6 sets the `pl-perfmodel`
+//! prediction of each candidate schedule next to its measured rate.
+//! Nothing here emulates the paper's machines or its competitors.
+//! Serving and the paper-shaped kernel rows (`kernels.standalone`,
+//! `decode.single`) are measured by the repo's one benchmark, `plbench`
+//! (`benchmark/`).
 
 use std::time::Instant;
 
@@ -43,11 +33,6 @@ pub fn ns_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
 /// GFLOPS from flops and seconds.
 pub fn gflops(flops: f64, seconds: f64) -> f64 {
     flops / seconds / 1e9
-}
-
-/// Geometric mean.
-pub fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 /// Prints a fixed-width table row.
@@ -76,11 +61,6 @@ pub fn f2(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geomean_of_constants() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-    }
 
     #[test]
     fn time_it_positive() {

@@ -34,7 +34,8 @@
 //!
 //! The paper's C++ POC JIT-compiles the requested nest; here the spec
 //! compiles to a cached [`plan::LoopPlan`] executed by a generic walker at
-//! TPP-tile granularity (see `DESIGN.md` for the substitution argument).
+//! TPP-tile granularity, which amortizes the walk as the JIT amortizes
+//! its dispatch.
 
 pub mod cache;
 pub mod plan;

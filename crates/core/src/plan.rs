@@ -6,7 +6,7 @@
 //! step, its parallelization and its barriers. A generic walker then
 //! executes the plan inside one parallel region; since the body runs at TPP
 //! tile granularity, the interpretation overhead is amortized exactly like
-//! the paper's JIT dispatch (see `DESIGN.md`, substitution table).
+//! the paper's JIT dispatch, which this walker replaces.
 
 use crate::spec::{GridAxisSpec, LoopSpecs, ParsedSpec, Schedule, SpecError, Term};
 use pl_runtime::grid::GridAxis;

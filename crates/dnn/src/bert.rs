@@ -9,8 +9,7 @@
 //!
 //! Both forward and backward are implemented (Fig. 9 measures SQuAD
 //! *fine-tuning* throughput). Embedding lookup is a negligible gather next
-//! to the encoder and is replaced by synthetic hidden states in the
-//! harnesses (recorded in DESIGN.md).
+//! to the encoder, so synthetic hidden states stand in for it.
 //!
 //! Forward weight contractions run through prepared plans
 //! ([`crate::prepared::MatmulPlan`]): each weight is packed into its
@@ -42,42 +41,9 @@ pub struct BertConfig {
 }
 
 impl BertConfig {
-    /// BERT-Large (paper Fig. 9): 24 x 1024 x 16 heads x 4096 FFN,
-    /// max sequence 384.
-    pub fn large() -> Self {
-        BertConfig { hidden: 1024, heads: 16, intermediate: 4096, layers: 24, seq: 384 }
-    }
-
-    /// BERT-Base (paper Fig. 10): 12 x 768 x 12 heads x 3072 FFN.
-    pub fn base() -> Self {
-        BertConfig { hidden: 768, heads: 12, intermediate: 3072, layers: 12, seq: 384 }
-    }
-
     /// A scaled-down config with the same architecture, for host tests.
     pub fn tiny() -> Self {
         BertConfig { hidden: 32, heads: 4, intermediate: 64, layers: 2, seq: 16 }
-    }
-
-    /// Flops of one encoder layer forward over `tokens` tokens
-    /// (4 projections + FFN pair + attention matmuls).
-    pub fn layer_flops(&self, tokens: usize) -> f64 {
-        let h = self.hidden as f64;
-        let i = self.intermediate as f64;
-        let t = tokens as f64;
-        let proj = 4.0 * 2.0 * h * h * t;
-        let ffn = 2.0 * 2.0 * h * i * t;
-        let attn = 2.0 * 2.0 * h * t * t; // scores + context
-        proj + ffn + attn
-    }
-
-    /// Whole-model forward flops.
-    pub fn model_flops(&self, tokens: usize) -> f64 {
-        self.layers as f64 * self.layer_flops(tokens)
-    }
-
-    /// Weight bytes of one layer at the given element size.
-    pub fn layer_weight_bytes(&self, elem: usize) -> f64 {
-        ((4 * self.hidden * self.hidden + 2 * self.hidden * self.intermediate) * elem) as f64
     }
 }
 
@@ -721,14 +687,5 @@ mod tests {
         layer.sgd_step(&grads, 0.5);
         let (y1, _) = layer.forward(&x, tokens, &pool);
         assert_ne!(y0, y1, "forward must see the updated weights");
-    }
-
-    #[test]
-    fn flops_accounting_scales() {
-        let cfg = BertConfig::large();
-        let f384 = cfg.model_flops(384);
-        let f128 = cfg.model_flops(128);
-        assert!(f384 > 2.9 * f128); // superlinear due to attention term
-        assert!(cfg.layer_weight_bytes(2) < cfg.layer_weight_bytes(4));
     }
 }

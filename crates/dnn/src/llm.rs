@@ -4,10 +4,10 @@
 //! The full-size models (24-52 GB of weights) cannot be materialized here;
 //! we provide (a) architecture-faithful *scaled* decoders that execute with
 //! the real kernels (prompt pass + cached autoregressive steps), and (b)
-//! exact flop/byte accounting of the *full* configurations which the
-//! Fig. 11 harness feeds through the platform roofline (see DESIGN.md,
-//! substitution table). First-token latency is compute-bound, next-token
-//! latency is weight-bandwidth-bound — the regimes the paper measures.
+//! exact parameter and flop accounting of the *full* configurations, which
+//! `llm_generate` prints next to its measured scaled run. First-token
+//! latency is compute-bound, next-token latency is weight-bandwidth-bound —
+//! the regimes the paper measures.
 //!
 //! ## Model / state split
 //!
@@ -137,11 +137,6 @@ impl DecoderConfig {
         let per_layer =
             4.0 * 2.0 * h * h + self.ffn_mats as f64 * 2.0 * h * f + 2.0 * 2.0 * h * past as f64;
         self.layers as f64 * per_layer + 2.0 * h * self.vocab as f64
-    }
-
-    /// KV-cache bytes for `tokens` cached positions.
-    pub fn kv_cache_bytes(&self, tokens: usize, elem: usize) -> f64 {
-        (2 * self.layers * self.hidden * tokens * elem) as f64
     }
 }
 

@@ -316,11 +316,6 @@ impl FcHead {
     }
 }
 
-/// Total forward flops of ResNet-50's convolutions at minibatch `n`.
-pub fn resnet50_conv_flops(n: usize) -> f64 {
-    resnet50_conv_shapes(n, 64, 64).iter().map(|l| l.shape.flops() as f64 * l.count as f64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,16 +338,6 @@ mod tests {
             assert_eq!(l.shape.c % l.shape.bc, 0, "id {}", l.id);
             assert_eq!(l.shape.k % l.shape.bk, 0, "id {}", l.id);
         }
-    }
-
-    #[test]
-    fn resnet_flops_scale_with_minibatch() {
-        let f1 = resnet50_conv_flops(1);
-        let f8 = resnet50_conv_flops(8);
-        assert!((f8 / f1 - 8.0).abs() < 1e-9);
-        // ~4.1 GFLOP-ish per image x2 (multiply-add counted as 2 flops,
-        // convs only): accept the 6-9 GF band.
-        assert!(f1 > 6e9 && f1 < 9e9, "per-image conv flops {f1}");
     }
 
     #[test]

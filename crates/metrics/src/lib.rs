@@ -5,8 +5,8 @@
 //! lock-light accumulation (hot paths touch pre-created handles backed
 //! by atomics — the registry lock is only taken at handle creation and
 //! snapshot time), mergeable snapshots reusing the serving layer's
-//! summed-bucket discipline, and two renderers: Prometheus text
-//! exposition ([`render_prometheus`]) and JSON ([`snapshot_to_json`]).
+//! summed-bucket discipline, and one renderer: Prometheus text
+//! exposition ([`render_prometheus`]).
 //!
 //! On top of the registry sit three operator-facing primitives:
 //!
@@ -41,6 +41,6 @@ pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricsRegistry, MetricsSnapshot,
     HIST_BUCKETS,
 };
-pub use render::{render_prometheus, snapshot_to_json};
+pub use render::render_prometheus;
 pub use slo::SloWindow;
 pub use watchdog::Watchdog;

@@ -1,6 +1,6 @@
-//! Snapshot renderers: Prometheus text exposition and JSON.
+//! Snapshot renderer: Prometheus text exposition.
 
-use crate::registry::{MetricKind, MetricsSnapshot, SeriesKey};
+use crate::registry::{MetricKind, MetricsSnapshot};
 use std::fmt::Write;
 
 /// Escapes a label value per the Prometheus text format (`\`, `"`,
@@ -115,73 +115,6 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_labels(labels: &[(String, String)]) -> String {
-    let inner: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
-fn json_series_head(key: &SeriesKey) -> String {
-    format!("\"name\":\"{}\",\"labels\":{}", escape_json(&key.0), json_labels(&key.1))
-}
-
-/// Renders a snapshot as a JSON document (hand-rolled like the rest of
-/// the workspace's artifacts):
-/// `{"counters":[...],"gauges":[...],"histograms":[...]}` with each
-/// series carrying `name`, `labels`, and its value(s).
-pub fn snapshot_to_json(snapshot: &MetricsSnapshot) -> String {
-    let counters: Vec<String> = snapshot
-        .counters
-        .iter()
-        .map(|(k, v)| format!("{{{},\"value\":{v}}}", json_series_head(k)))
-        .collect();
-    let gauges: Vec<String> = snapshot
-        .gauges
-        .iter()
-        .map(|(k, v)| format!("{{{},\"value\":{}}}", json_series_head(k), render_f64(*v)))
-        .collect();
-    let histograms: Vec<String> = snapshot
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            format!(
-                "{{{},\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                json_series_head(k),
-                h.count,
-                h.sum,
-                buckets.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"counters\":[{}],\"gauges\":[{}],\"histograms\":[{}]}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,15 +167,5 @@ mod tests {
         r.counter("pl_x_total", &[("path", "a\"b\\c\nd")]).inc();
         let text = render_prometheus(&r.snapshot());
         assert!(text.contains("path=\"a\\\"b\\\\c\\nd\""), "{text}");
-    }
-
-    #[test]
-    fn json_renders_every_map() {
-        let json = snapshot_to_json(&sample_snapshot());
-        assert!(json.contains("\"name\":\"pl_steps_total\""));
-        assert!(json.contains("\"labels\":{\"tenant\":\"0\"}"));
-        assert!(json.contains("\"name\":\"pl_pending\""));
-        assert!(json.contains("\"count\":2,\"sum\":903"));
-        assert!(json.starts_with("{\"counters\":["));
     }
 }

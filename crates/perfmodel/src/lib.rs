@@ -1,27 +1,18 @@
 //! # pl-perfmodel — the high-level loop/tensor performance model
 //!
 //! Reproduces the paper's "lightweight, high-level performance modeling
-//! tool" (§II-E) used for offline, cross-architecture loop tuning, and the
-//! platform descriptions of the evaluation machines (§V):
+//! tool" (§II-E) used for offline, cross-architecture loop tuning:
 //!
-//! * [`platform`] — SPR / GVT3 / Zen4 / ADL / Xeon-CLX descriptions
-//!   (per-core peaks per dtype, 3 cache levels, DRAM bandwidth).
+//! * [`platform`] — SPR / Zen4 / generic-host descriptions (per-core peaks
+//!   per dtype, 3 cache levels, DRAM bandwidth).
 //! * [`cachesim`] — tensor-slice-granular multi-level LRU simulation.
 //! * [`model`] — per-thread trace replay + BRGEMM cycle prediction +
 //!   schedule scoring ([`model::GemmModelSpec`]).
-//! * [`roofline`] — coarse per-layer estimates for end-to-end workloads.
-//! * [`scaling`] — multi-node strong-scaling projection (Table I).
 
 pub mod cachesim;
 pub mod model;
 pub mod platform;
-pub mod roofline;
-pub mod scaling;
 
 pub use cachesim::{CacheHierarchy, HitLevel, SliceId};
-pub use model::{
-    predict, rank_gemm_candidates, Access, BodyModel, ConvModelSpec, GemmModelSpec, Prediction,
-};
+pub use model::{predict, rank_gemm_candidates, Access, BodyModel, GemmModelSpec, Prediction};
 pub use platform::{CacheLevel, CoreClass, Platform};
-pub use roofline::WorkItem;
-pub use scaling::ScalingModel;

@@ -211,105 +211,6 @@ pub fn rank_gemm_candidates(
     ranked
 }
 
-/// A direct-convolution problem in model space — mirrors
-/// `pl_kernels::ConvForward` (7 logical loops, offset-based BRGEMM body).
-#[derive(Debug, Clone)]
-pub struct ConvModelSpec {
-    /// Minibatch.
-    pub n: usize,
-    /// Input/output channels.
-    pub c: usize,
-    /// Output channels.
-    pub k: usize,
-    /// Spatial input size (square).
-    pub hw: usize,
-    /// Filter size (square).
-    pub rs: usize,
-    /// Stride.
-    pub stride: usize,
-    /// Padding.
-    pub pad: usize,
-    /// Channel blockings.
-    pub bc: usize,
-    /// Output channel blocking.
-    pub bk: usize,
-    /// Output pixels per BRGEMM.
-    pub w_step: usize,
-    /// The spec string over loops a..g.
-    pub spec: String,
-    /// Input datatype.
-    pub dtype: DType,
-}
-
-impl ConvModelSpec {
-    /// Output spatial extent.
-    pub fn pq(&self) -> usize {
-        (self.hw + 2 * self.pad - self.rs) / self.stride + 1
-    }
-
-    /// Total conv flops.
-    pub fn flops(&self) -> f64 {
-        2.0 * (self.n * self.k * self.c * self.pq() * self.pq() * self.rs * self.rs) as f64
-    }
-
-    /// Builds the 7-loop nest (full reduction folded per BRGEMM call).
-    pub fn threaded_loop(&self) -> Result<ThreadedLoop, parlooper::SpecError> {
-        let specs = vec![
-            parlooper::LoopSpecs::new(0, self.n, 1),
-            parlooper::LoopSpecs::new(0, self.c / self.bc, self.c / self.bc),
-            parlooper::LoopSpecs::new(0, self.k / self.bk, 1),
-            parlooper::LoopSpecs::new(0, self.pq(), 1),
-            parlooper::LoopSpecs::new(0, self.pq(), self.w_step),
-            parlooper::LoopSpecs::new(0, self.rs, self.rs),
-            parlooper::LoopSpecs::new(0, self.rs, self.rs),
-        ];
-        ThreadedLoop::new(&specs, &self.spec)
-    }
-
-    /// Body model: weight blocks + input rows + one output row segment.
-    pub fn body_model(&self) -> BodyModel<'_> {
-        let ds = self.dtype.size_of();
-        let (bc, bk) = (self.bc, self.bk);
-        let cb = self.c / self.bc;
-        let (rs, stride, pad, hw) = (self.rs, self.stride, self.pad, self.hw);
-        let pq = self.pq();
-        let w_step = self.w_step;
-        let kb = self.k / self.bk;
-        let flops = move |_ind: &[usize]| 2.0 * (bk * w_step * bc * cb * rs * rs) as f64;
-        let accesses = move |ind: &[usize], out: &mut Vec<Access>| {
-            let (i_n, _ic, ik, ih, iw) = (ind[0], ind[1], ind[2], ind[3], ind[4]);
-            // Weight slab for (ik, all c, all r/s).
-            out.push(Access { id: (0, ik as u64), bytes: bk * bc * cb * rs * rs * ds });
-            // Input rows touched: rs rows of the padded image per channel
-            // block; identified by (n, row) at stride granularity.
-            let wp = hw + 2 * pad;
-            for rr in 0..rs {
-                let row = ih * stride + rr;
-                out.push(Access {
-                    id: (1, ((i_n * cb) as u64) << 32 | row as u64),
-                    bytes: wp * bc * cb * ds,
-                });
-            }
-            // Output row segment.
-            out.push(Access {
-                id: (2, (((i_n * kb + ik) * pq + ih) * pq + iw) as u64),
-                bytes: w_step * bk * 4,
-            });
-        };
-        BodyModel { flops: Box::new(flops), accesses: Box::new(accesses) }
-    }
-
-    /// Predicts GFLOPS on a platform.
-    pub fn predict(
-        &self,
-        platform: &Platform,
-        threads: usize,
-    ) -> Result<Prediction, parlooper::SpecError> {
-        let tl = self.threaded_loop()?;
-        Ok(predict(platform, threads, &tl, &self.body_model(), self.dtype, self.flops()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

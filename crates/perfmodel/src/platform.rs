@@ -1,4 +1,5 @@
-//! Platform descriptions of the paper's evaluation machines (§V).
+//! Platform descriptions: two of the paper's evaluation machines (§V) and
+//! a generic host.
 //!
 //! Each description carries per-core compute peaks per datatype, up to
 //! three cache levels (size + bandwidth) and the DRAM bandwidth — exactly
@@ -21,7 +22,8 @@ pub struct CacheLevel {
     pub shared: bool,
 }
 
-/// A class of cores (homogeneous platforms have one; ADL has P + E).
+/// A class of cores (homogeneous platforms have one; hybrid parts list
+/// each class, fastest first).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreClass {
     /// Number of cores of this class.
@@ -68,26 +70,6 @@ impl Platform {
         }
     }
 
-    /// AWS Graviton 3: 64 Neoverse V1 cores, SVE256 + BF16 MMLA,
-    /// 8ch DDR5-4800.
-    pub fn gvt3() -> Self {
-        Platform {
-            name: "GVT3",
-            cores: vec![CoreClass {
-                count: 64,
-                freq_ghz: 2.6,
-                fp32_flops_per_cycle: 32.0,  // 2x 256-bit SVE FMA
-                bf16_flops_per_cycle: 110.0, // MMLA: ~3.4x FP32 (paper: 3.43x)
-            }],
-            caches: vec![
-                CacheLevel { size: 64 << 10, bw_bytes_per_cycle: 96.0, shared: false },
-                CacheLevel { size: 1 << 20, bw_bytes_per_cycle: 48.0, shared: false },
-                CacheLevel { size: 32 << 20, bw_bytes_per_cycle: 12.0, shared: true },
-            ],
-            dram_gbs: 307.0,
-        }
-    }
-
     /// AMD Ryzen 9 7950X "Zen 4": 16 cores, AVX-512 (double-pumped) with
     /// AVX512-BF16, 2ch DDR5-6000.
     pub fn zen4() -> Self {
@@ -105,74 +87,6 @@ impl Platform {
                 CacheLevel { size: 64 << 20, bw_bytes_per_cycle: 14.0, shared: true },
             ],
             dram_gbs: 96.0, // 2 x DDR5-6000
-        }
-    }
-
-    /// Intel i9-12900K "Alder Lake": 8 P-cores + 8 E-cores (hybrid),
-    /// AVX2 only (AVX-512 fused off), 2ch DDR5-5600.
-    pub fn adl() -> Self {
-        Platform {
-            name: "ADL",
-            cores: vec![
-                CoreClass {
-                    count: 8,
-                    freq_ghz: 4.9,
-                    fp32_flops_per_cycle: 32.0, // 2x 256-bit FMA
-                    bf16_flops_per_cycle: 32.0, // no BF16 HW (paper runs FP32)
-                },
-                CoreClass {
-                    count: 8,
-                    freq_ghz: 3.7,
-                    fp32_flops_per_cycle: 16.0, // Gracemont: narrower
-                    bf16_flops_per_cycle: 16.0,
-                },
-            ],
-            caches: vec![
-                CacheLevel { size: 48 << 10, bw_bytes_per_cycle: 96.0, shared: false },
-                CacheLevel { size: 1280 << 10, bw_bytes_per_cycle: 48.0, shared: false },
-                CacheLevel { size: 30 << 20, bw_bytes_per_cycle: 12.0, shared: true },
-            ],
-            dram_gbs: 89.6, // 2 x DDR5-5600
-        }
-    }
-
-    /// AWS c5.4xlarge (Xeon Platinum 8223CL, Cascade Lake): the Mojo
-    /// comparison platform (Fig. 5), 8 cores used.
-    pub fn xeon_8223() -> Self {
-        Platform {
-            name: "Xeon-8223CL",
-            cores: vec![CoreClass {
-                count: 8,
-                freq_ghz: 3.0,
-                fp32_flops_per_cycle: 64.0, // 2x 512-bit FMA
-                bf16_flops_per_cycle: 64.0, // no BF16 HW
-            }],
-            caches: vec![
-                CacheLevel { size: 32 << 10, bw_bytes_per_cycle: 128.0, shared: false },
-                CacheLevel { size: 1 << 20, bw_bytes_per_cycle: 64.0, shared: false },
-                CacheLevel { size: 25 << 20, bw_bytes_per_cycle: 12.0, shared: true },
-            ],
-            dram_gbs: 90.0,
-        }
-    }
-
-    /// AWS c5.12xlarge (Xeon Platinum 8275CL): the DeepSparse comparison
-    /// platform (Fig. 10 right), 24 cores.
-    pub fn xeon_8275() -> Self {
-        Platform {
-            name: "Xeon-8275CL",
-            cores: vec![CoreClass {
-                count: 24,
-                freq_ghz: 3.0,
-                fp32_flops_per_cycle: 64.0,
-                bf16_flops_per_cycle: 64.0,
-            }],
-            caches: vec![
-                CacheLevel { size: 32 << 10, bw_bytes_per_cycle: 128.0, shared: false },
-                CacheLevel { size: 1 << 20, bw_bytes_per_cycle: 64.0, shared: false },
-                CacheLevel { size: 35 << 20, bw_bytes_per_cycle: 12.0, shared: true },
-            ],
-            dram_gbs: 120.0,
         }
     }
 
@@ -195,16 +109,6 @@ impl Platform {
             ],
             dram_gbs: 40.0,
         }
-    }
-
-    /// All evaluation platforms of the paper.
-    pub fn all_eval() -> Vec<Platform> {
-        vec![Self::spr(), Self::gvt3(), Self::zen4(), Self::adl()]
-    }
-
-    /// Total core count.
-    pub fn total_cores(&self) -> usize {
-        self.cores.iter().map(|c| c.count).sum()
     }
 
     /// The core class executing virtual thread `tid` (threads fill classes
@@ -263,14 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn gvt3_mmla_speedup_band() {
-        let g = Platform::gvt3();
-        let r = g.peak_gflops(DType::Bf16, 64) / g.peak_gflops(DType::F32, 64);
-        // Paper reports up to 3.43x for BF16-MMLA over FP32 SVE256.
-        assert!(r > 3.0 && r < 3.6, "ratio {r}");
-    }
-
-    #[test]
     fn zen4_bf16_is_2x() {
         let z = Platform::zen4();
         let r = z.peak_gflops(DType::Bf16, 16) / z.peak_gflops(DType::F32, 16);
@@ -278,23 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn adl_is_heterogeneous() {
-        let a = Platform::adl();
-        assert_eq!(a.total_cores(), 16);
-        assert!(a.class_of(0).freq_ghz > a.class_of(8).freq_ghz);
-        // P-core peak > E-core peak.
-        assert!(a.class_of(0).fp32_flops_per_cycle > a.class_of(15).fp32_flops_per_cycle);
-    }
-
-    #[test]
     fn platform_ranking_matches_paper_fig3() {
-        // SPR >> GVT3 > Zen4 in BF16 peak (paper: SPR up to 3.3x GVT3 and
-        // 6.6x Zen4 on MLP).
+        // SPR >> Zen4 in BF16 peak (paper: SPR up to 6.6x Zen4 on MLP).
         let spr = Platform::spr().peak_gflops(DType::Bf16, 56);
-        let gvt = Platform::gvt3().peak_gflops(DType::Bf16, 64);
         let zen = Platform::zen4().peak_gflops(DType::Bf16, 16);
-        assert!(spr > 2.0 * gvt);
-        assert!(gvt > 2.0 * zen);
+        assert!(spr > 6.6 * zen);
     }
 
     #[test]

@@ -374,8 +374,7 @@ impl Server {
     /// Point-in-time metrics snapshot: samples the liveness gauges
     /// (sessions, queue depths, per-tenant burn rates, shard health) and
     /// returns a copy of every series. Render with
-    /// [`pl_metrics::render_prometheus`] or
-    /// [`pl_metrics::snapshot_to_json`]; merge shard snapshots with
+    /// [`pl_metrics::render_prometheus`]; merge shard snapshots with
     /// [`MetricsSnapshot::merge`] after
     /// [`MetricsSnapshot::with_label`]-stamping them.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {

@@ -2,7 +2,8 @@
 //!
 //! libxsmm generates machine code per kernel descriptor and memoizes it so
 //! repeated requests return the cached code pointer. Our "code generation"
-//! is the selection of a monomorphized microkernel (see `DESIGN.md`), and
+//! is the selection of a monomorphized microkernel in place of emitted
+//! machine code, and
 //! this module memoizes the resulting handles with the same observable
 //! behaviour: one construction per distinct descriptor, cheap lookups after,
 //! and introspectable hit/miss statistics (used by tests and by the JIT

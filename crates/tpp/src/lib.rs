@@ -20,7 +20,7 @@
 //! descriptor selects a monomorphized, shape-specialized Rust microkernel
 //! (rustc/LLVM performed the vectorization ahead of time), and handles are
 //! cached in [`cache`] keyed by descriptor — the same architecture with the
-//! code generator swapped out, as recorded in `DESIGN.md`.
+//! code generator swapped out.
 
 // TPP entry points mirror libxsmm descriptor signatures (m, n, in, ldi,
 // out, ldo, ...), so the argument-count lint is noise here.

@@ -67,14 +67,6 @@ impl DurationStat {
         pl_metrics::merge_buckets(&mut self.buckets, &other.buckets);
     }
 
-    /// Mean duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.total_ns as f64 / self.count as f64
-    }
-
     /// Upper-edge estimate of quantile `q` in nanoseconds.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         pl_metrics::quantile_from_buckets(&self.buckets, q)
@@ -84,8 +76,7 @@ impl DurationStat {
 /// Aggregated per-key duration histograms from a trace snapshot.
 ///
 /// Build with [`TraceSummary::from_events`], combine across snapshots
-/// (or router shards) with [`TraceSummary::merge`], render with
-/// [`TraceSummary::to_json`].
+/// (or router shards) with [`TraceSummary::merge`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// `(name, args) -> stats`, sorted by key.
@@ -159,40 +150,6 @@ impl TraceSummary {
     /// Completed span count across all keys whose name matches `name`.
     pub fn count_for(&self, name: &str) -> u64 {
         self.entries.iter().filter(|((n, _), _)| n == name).map(|(_, s)| s.count).sum()
-    }
-
-    /// Hand-rolled JSON rendering (no serialization crates in this
-    /// environment): one object per
-    /// key with count/total/min/max/p50/p99 and the raw buckets so merged
-    /// summaries stay reconstructible.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<String> = self
-            .entries
-            .iter()
-            .map(|((name, args), s)| {
-                let buckets: Vec<String> = s.buckets.iter().map(u64::to_string).collect();
-                format!(
-                    concat!(
-                        "{{\"name\":\"{}\",\"args\":[{},{},{}],\"count\":{},",
-                        "\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1},",
-                        "\"p50_ns\":{},\"p99_ns\":{},\"buckets\":[{}]}}"
-                    ),
-                    name,
-                    args[0],
-                    args[1],
-                    args[2],
-                    s.count,
-                    s.total_ns,
-                    if s.count == 0 { 0 } else { s.min_ns },
-                    s.max_ns,
-                    s.mean_ns(),
-                    s.quantile_ns(0.50),
-                    s.quantile_ns(0.99),
-                    buckets.join(","),
-                )
-            })
-            .collect();
-        format!("{{\"unmatched\":{},\"entries\":[{}]}}", self.unmatched, entries.join(","))
     }
 }
 
@@ -297,28 +254,5 @@ mod tests {
         // Quantiles recompute from summed buckets: p100 sees b's 900 ns
         // observation even though a alone topped out at 300 ns.
         assert_eq!(x.quantile_ns(1.0), 1024);
-    }
-
-    #[test]
-    fn summary_renders_json() {
-        let s = TraceSummary::from_events(&[
-            ev("gemm.execute", EventKind::Complete, 0, 0, 500, [256, 8, 256]),
-            ev("batch.execute", EventKind::Begin, 0, 0, 0, [8, 0, 0]),
-            ev("batch.execute", EventKind::End, 0, 2000, 0, [8, 0, 0]),
-        ]);
-        let json = s.to_json();
-        for needle in [
-            "\"unmatched\":0",
-            "\"name\":\"gemm.execute\"",
-            "\"args\":[256,8,256]",
-            "\"total_ns\":500",
-            "\"name\":\"batch.execute\"",
-            "\"total_ns\":2000",
-            "\"buckets\":[",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
-        }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

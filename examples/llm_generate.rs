@@ -1,7 +1,7 @@
 //! LLM decoding example (paper §IV-A / Fig. 11): prompt prefill ("first
 //! token") and KV-cached autoregressive steps ("next tokens") on a scaled
-//! decoder, plus the full-size GPT-J/Llama2 accounting used by the Fig. 11
-//! harness.
+//! decoder, plus the parameter and flop accounting of the full-size
+//! GPT-J/Llama2 configurations.
 //!
 //! ```sh
 //! cargo run --release --example llm_generate
@@ -45,8 +45,8 @@ fn main() {
         t_first / avg_next
     );
 
-    // Full-size accounting (what Fig. 11 pushes through the platform
-    // roofline).
+    // Full-size accounting: what one first and one next token cost at the
+    // paper's Fig. 11 model sizes (counted, not run).
     for full in [DecoderConfig::gptj_6b(), DecoderConfig::llama2_13b()] {
         println!(
             "\n{:>11}: {:.1}B params, first-token {:.1} GFLOP @1024, next-token {:.2} GFLOP, weights {:.1} GB (bf16)",
