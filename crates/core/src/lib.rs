@@ -70,8 +70,10 @@ pub struct LoopRun {
 impl LoopRun {
     /// This member's share of the nest. Every member of the team the run
     /// was begun for must call it exactly once (spec `|` barriers are
-    /// team-wide).
-    pub fn member(&self, ctx: &WorkerCtx, body: &(dyn Fn(&[usize]) + Sync)) {
+    /// team-wide). `body` runs on the calling thread only. A nest with no
+    /// parallel level runs its body on member 0 alone; the other members
+    /// only walk it, to meet its barriers.
+    pub fn member(&self, ctx: &WorkerCtx, body: &dyn Fn(&[usize])) {
         self.plan.execute_member(ctx, &self.queues, body);
     }
 }
@@ -185,7 +187,7 @@ mod tests {
         for spec in ["abc", "cba", "bca", "acb"] {
             let cov = coverage(&specs, spec, &pool);
             assert_eq!(cov.len(), expected_tiles(&specs), "spec {spec}");
-            assert!(cov.values().all(|&c| c == 3), "replicated on 3 threads: {spec}");
+            assert!(cov.values().all(|&c| c == 1), "run once, by member 0: {spec}");
         }
     }
 
@@ -294,7 +296,7 @@ mod tests {
         tl.run_on(&pool, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(count.load(Ordering::Relaxed), 16 * 4); // replicated x4
+        assert_eq!(count.load(Ordering::Relaxed), 16); // member 0 only; all meet the barrier
     }
 
     #[test]

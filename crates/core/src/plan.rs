@@ -16,7 +16,8 @@ use std::sync::OnceLock;
 /// Parallelism classification of a whole plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ParKind {
-    /// Fully sequential nest (still executed by thread 0 of the region).
+    /// Fully sequential nest: member 0 runs the body; the other members
+    /// walk the nest without it, so `|` barriers still pair up.
     None,
     /// PAR-MODE 1: one consecutive group of worksharing levels.
     OmpFor {
@@ -289,11 +290,19 @@ impl LoopPlan {
         &self,
         ctx: &WorkerCtx,
         queues: &WorkQueues,
-        body: &(dyn Fn(&[usize]) + Sync),
+        body: &dyn Fn(&[usize]),
     ) {
         let mut vals = vec![0usize; self.levels.len()];
         let mut ind = vec![0usize; self.specs.len()];
+        let idle = |_: &[usize]| {};
+        let body: &dyn Fn(&[usize]) = if self.runs_body(ctx.tid()) { body } else { &idle };
         self.walk(0, 0, &mut vals, &mut ind, ctx.tid(), ctx.nthreads(), Some(ctx), queues, &body);
+    }
+
+    /// Whether member `tid` runs the body: every member of a parallel
+    /// nest, only member 0 of a sequential one.
+    fn runs_body(&self, tid: usize) -> bool {
+        self.par != ParKind::None || tid == 0
     }
 
     /// Single-threaded schedule simulation: returns, for the virtual thread
@@ -304,6 +313,9 @@ impl LoopPlan {
     /// Dynamic scheduling is nondeterministic in reality; the simulation
     /// assumes round-robin chunk ownership instead.
     pub fn simulate_member(&self, tid: usize, nthreads: usize) -> Vec<Vec<usize>> {
+        if !self.runs_body(tid) {
+            return Vec::new();
+        }
         let queues = WorkQueues::empty();
         let out = std::cell::RefCell::new(Vec::new());
         let sink = |idx: &[usize]| out.borrow_mut().push(idx.to_vec());
@@ -421,7 +433,8 @@ impl LoopPlan {
                 self.walk(li + 1, enc, vals, ind, tid, nthreads, ctx, queues, body);
             }
         } else {
-            // Sequential level, replicated on every team member.
+            // Sequential level: every member walks it (each reaching its
+            // own share of the parallel levels below, if any).
             for it in 0..trips {
                 vals[li] = lo + it * step;
                 let child_enc = enc * lvl.max_trips + it;

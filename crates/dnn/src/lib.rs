@@ -21,7 +21,11 @@
 //!   their blocked weight, cached per-width kernels and reusable scratch.
 //!   The model types above hold plans, so steady-state inference packs
 //!   **zero** weight bytes per step (observable via
-//!   [`prepared::pack_events`]).
+//!   [`prepared::pack_events`]). It also holds the in-team runner that
+//!   executes a decoder layer's declared phase list (the table in
+//!   [`llm`]'s docs): every phase a PARLOOPER nest, every barrier and
+//!   every column hand-off placed by the runner, so the decoder's column
+//!   ownership is argued in that one module.
 //! * [`matmul`] — the flat-matrix pack-per-call bridge, kept as a thin
 //!   compatibility wrapper (a throwaway plan per call) for one-shot
 //!   contractions; prefer plans for weights.
@@ -58,6 +62,6 @@ pub use kvpool::{
     DEFAULT_PAGE_TOKENS,
 };
 pub use llm::{prefill_chunk_widths, Decoder, DecoderConfig, DecoderModel, DecoderState};
-pub use prepared::{ActMatrix, MatmulPlan, PlanRun, Precision, SpmmPlan};
+pub use prepared::{ActMatrix, MatmulPlan, Precision, SpmmPlan};
 pub use resnet::{resnet50_conv_shapes, BatchNorm, ConvLayerSpec, FcHead};
 pub use sparse_bert::{prune_to_block_sparse, SparseBertLayer};

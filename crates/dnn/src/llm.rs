@@ -30,19 +30,27 @@
 //! KV cache. The whole batch — all layers — executes inside **one**
 //! [`ThreadPool::parallel`] region, the paper's Fig. 3 pattern: team
 //! barriers separate the phases instead of one fork/join per projection.
-//! Per layer:
+//! Each layer is one declared schedule: every phase is a PARLOOPER nest,
+//! and the runner in [`crate::prepared`] places the barriers and hands
+//! each column or item body a token for its own columns. Per layer:
 //!
-//! | phase | work | split over the team by |
-//! |---|---|---|
-//! | 1 | LN1 → pack (and quantize) the projection input | columns |
-//! | 2 | Q, K, V GEMMs | M blocks x 4-column blocks (the plan's loop spec) |
-//! | 3 | KV append + causal attention → pack the context | items (dynamic) |
-//! | 4 | output-projection GEMM | blocks |
-//! | 5 | residual, LN2 → pack | columns |
-//! | 6 | FFN-up GEMM | blocks |
-//! | 7 | GELU → pack | columns |
-//! | 8 | FFN-down GEMM | blocks |
-//! | 9 | residual (no barrier: the next LN1 owns the same columns) | columns |
+//! | phase | work | split over the team by | span |
+//! |---|---|---|---|
+//! | 1 | LN1 → pack (and quantize) the projection input | columns: `"A"` | `decode.ln` |
+//! | 2 | Q, K, V GEMMs | blocks: the plan's spec | `decode.qkv` |
+//! | 3 | KV append + causal attention → pack the context | items: `"A @ schedule(dynamic,1)"` | `decode.attn` |
+//! | 4 | output-projection GEMM | blocks: the plan's spec | |
+//! | 5 | residual, LN2 → pack | columns: `"A"` | `decode.ffn` |
+//! | 6 | FFN-up GEMM | blocks: the plan's spec | |
+//! | 7 | GELU → pack | columns: `"A"` | |
+//! | 8 | FFN-down GEMM | blocks: the plan's spec | |
+//! | 9 | residual | columns: `"A"` | |
+//!
+//! A GEMM's blocks are its M blocks x 4-column blocks, split by the
+//! plan's (possibly tuned) loop spec. A barrier follows every phase but
+//! the 9th: phase 9 and the next layer's phase 1 split the columns the
+//! same way, so each column stays with one member — 9 phases and 8
+//! barriers per layer. An empty span cell extends the span above it.
 //!
 //! Every output column is a function of its own input column and its own
 //! item's KV only — LayerNorm, GELU, residuals and activation quantization
@@ -63,13 +71,11 @@
 
 use crate::kvpool::{KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, PrefixHit};
 use crate::matmul::Trans;
-use crate::prepared::{ActMatrix, MatmulPlan, Precision};
+use crate::prepared::{Act, Cols, MatmulPlan, Phase, Precision, Region, Work};
 use pl_autotuner::GemmProblem;
-use pl_kernels::SharedSlice;
-use pl_runtime::{block_partition, ThreadPool};
+use pl_runtime::ThreadPool;
 use pl_tensor::Xorshift;
 use pl_tpp::{norm, softmax, unary};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Decoder architecture description.
@@ -179,27 +185,17 @@ fn layernorm_col(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) {
     norm::layernorm(h, 1, x, h, gamma, beta, 1e-5, out, h, &mut mean, &mut rstd);
 }
 
-/// One item of a batched forward inside the region: its state behind a
-/// claimed-once-per-phase hand-off cell, and the columns it owns.
-struct Lane<'s> {
-    /// Uncontended (each attention phase hands a lane to exactly one
-    /// member); it only launders the `&mut` across the team.
-    state: Mutex<&'s mut DecoderState>,
-    col0: usize,
-    width: usize,
-}
-
 /// Splits a `tokens`-token prefill into bounded chunk widths under the
 /// `chunk` cap, **power-of-two-ladder-aligned**: the cap is normalized to
 /// the next power of two, every non-final chunk is exactly that width (an
 /// exact hit on the warmed prefill ladder — see
 /// `pl_autotuner::batch_ladder`), and only the final chunk carries the
 /// remainder (whose tuning lookup rounds up to the nearest warmed rung).
-/// A prompt that fits in one chunk is returned whole. Chunking never
-/// changes values: a chunked prefill is bit-identical to the whole-prompt
-/// forward.
+/// A prompt that fits in one chunk is returned whole, whatever the cap
+/// (even one past the largest power of two). Chunking never changes
+/// values: a chunked prefill is bit-identical to the whole-prompt forward.
 pub fn prefill_chunk_widths(tokens: usize, chunk: usize) -> Vec<usize> {
-    let cap = chunk.max(1).next_power_of_two();
+    let cap = chunk.min(tokens).max(1).next_power_of_two();
     let mut widths = Vec::with_capacity(tokens.div_ceil(cap));
     let mut remaining = tokens;
     while remaining > 0 {
@@ -556,10 +552,9 @@ impl DecoderModel {
         if n == 0 {
             return batch.iter().map(|_| Vec::new()).collect();
         }
-        // Gather: lane i owns columns col0 .. col0 + width of everything.
+        // Gather: item i owns columns `items[i]` of everything.
         let mut x = vec![0.0f32; h * n];
-        let mut lanes = Vec::with_capacity(batch.len());
-        let mut col0 = 0;
+        let (mut states, mut items, mut col0) = (Vec::new(), Vec::new(), 0);
         for (i, (state, xs, width)) in batch.into_iter().enumerate() {
             assert_eq!(xs.len(), h * width, "item {i}: input must be `hidden x width` values");
             state.restore().expect("KV page pool exhausted restoring a spilled session");
@@ -568,140 +563,160 @@ impl DecoderModel {
                 "KV cache overflow (item {i})"
             );
             x[col0 * h..(col0 + width) * h].copy_from_slice(xs);
-            lanes.push(Lane { state: Mutex::new(state), col0, width });
+            states.push(Mutex::new(state));
+            items.push(col0..col0 + width);
             col0 += width;
         }
-
-        // Everything the region shares, built once and reused by every
-        // layer: the blocked projection inputs (`k = hidden`, `k = ffn`)
-        // and outputs, one kernel run per (layer, plan), and one attention
-        // work counter per layer.
-        let team = pool.nthreads();
+        // The region's matrices (named by `XB` .. `UP`), built once and
+        // reused by every layer.
         let first = &self.blocks[0];
-        let (xb, ab) = (first.wq.input(n), first.w2.input(n));
-        let (q, k, v, up) =
-            (first.wq.output(n), first.wq.output(n), first.wq.output(n), first.w1.output(n));
-        let runs: Vec<_> =
-            self.blocks.iter().map(|blk| blk.plans().map(|p| p.begin(n, team))).collect();
-        let next_lane: Vec<AtomicUsize> = self.blocks.iter().map(|_| AtomicUsize::new(0)).collect();
-        let xs = SharedSlice::new(&mut x);
-
-        pool.parallel(|ctx| {
-            let cols = block_partition(n, ctx.nthreads(), ctx.tid());
-            let (mut a, mut b) = (vec![0.0f32; h.max(f)], vec![0.0f32; h.max(f)]);
-            // Phase spans from member 0 (barrier waits included): [layer,
-            // columns, items].
-            let span = |name, l: usize| {
-                (ctx.tid() == 0)
-                    .then(|| pl_trace::span(name, [l as u64, n as u64, lanes.len() as u64]))
-            };
-            // SAFETY (every `unsafe` in this region): in the column phases
-            // a member touches only its own `cols` of `x` and of the
-            // operand it packs; in the attention phase only the columns
-            // of the lanes it claimed; a GEMM's output is touched by
-            // nothing else until the next barrier. Team barriers separate
-            // every writer of a buffer from its readers.
-            // The residual `x[:, j] += m[:, j]`; returns the updated column.
-            let residual = |j: usize, m: &ActMatrix, tmp: &mut [f32]| {
-                let xj = unsafe { xs.slice_mut(j * h, h) };
-                unsafe { m.read_col(j, tmp) };
-                for (r, o) in xj.iter_mut().zip(&*tmp) {
-                    *r += *o;
-                }
-                xj
-            };
-            for (l, blk) in self.blocks.iter().enumerate() {
-                let [wq, wk, wv, wo, w1, w2] = &runs[l];
-                let ln_span = span("decode.ln", l);
-                for j in cols.clone() {
-                    let xj = unsafe { xs.slice(j * h, h) };
-                    layernorm_col(xj, &blk.ln1_g, &blk.ln1_b, &mut a[..h]);
-                    unsafe { xb.write_col(j, &a[..h]) };
-                }
-                ctx.barrier();
-                drop(ln_span);
-
-                let qkv_span = span("decode.qkv", l);
-                unsafe {
-                    wq.member(ctx, &xb, &q);
-                    wk.member(ctx, &xb, &k);
-                    wv.member(ctx, &xb, &v);
-                }
-                ctx.barrier();
-                drop(qkv_span);
-
-                let attn_span = span("decode.attn", l);
-                while let Some(lane) = lanes.get(next_lane[l].fetch_add(1, Ordering::Relaxed)) {
-                    unsafe { self.attend(l, lane, &q, &k, &v, &xb) };
-                }
-                ctx.barrier();
-                unsafe { wo.member(ctx, &xb, &q) };
-                ctx.barrier();
-                drop(attn_span);
-
-                let _ffn_span = span("decode.ffn", l);
-                for j in cols.clone() {
-                    let xj = residual(j, &q, &mut b[..h]);
-                    layernorm_col(xj, &blk.ln2_g, &blk.ln2_b, &mut a[..h]);
-                    unsafe { xb.write_col(j, &a[..h]) };
-                }
-                ctx.barrier();
-                unsafe { w1.member(ctx, &xb, &up) };
-                ctx.barrier();
-                for j in cols.clone() {
-                    unsafe { up.read_col(j, &mut a[..f]) };
-                    unary::gelu(f, 1, &a[..f], f, &mut b[..f], f);
-                    unsafe { ab.write_col(j, &b[..f]) };
-                }
-                ctx.barrier();
-                unsafe { w2.member(ctx, &ab, &q) };
-                ctx.barrier();
-                // No barrier after this residual: the next layer's LN1
-                // reads the same member's columns, and its trailing
-                // barrier precedes the next write to `q`.
-                for j in cols.clone() {
-                    residual(j, &q, &mut a[..h]);
-                }
-            }
-        });
-        lanes.iter().map(|lane| x[lane.col0 * h..(lane.col0 + lane.width) * h].to_vec()).collect()
+        let (xb, ab, up) = (first.wq.input(n), first.w2.input(n), first.w1.output(n));
+        let mut acts = [xb, ab, first.wq.output(n), first.wq.output(n), first.wq.output(n), up];
+        let plans: Vec<_> = self.blocks.iter().map(Block::plans).collect();
+        let batch = Batch { model: self, states };
+        let region = Region::new(&mut x, &mut acts, &items);
+        region.run(pool, &batch, &Batch::LAYER, &plans, 2 * h.max(f));
+        items.iter().map(|cols| x[cols.start * h..cols.end * h].to_vec()).collect()
     }
 
-    /// One lane's attention in layer `l`: appends the lane's new K/V
-    /// columns to its page table (growing pages on demand, COW-splitting a
-    /// shared tail page before the first write), attends causally over the
-    /// whole cached context, and packs the context columns into `out`.
-    ///
-    /// # Safety
-    /// The caller owns `lane` for this phase: nobody else touches its
-    /// columns of `q`/`k`/`v`/`out`, and no GEMM over them is running.
-    unsafe fn attend(
+    /// Forward over `tokens` new positions in bounded chunks
+    /// ([`prefill_chunk_widths`] under the `chunk` cap): each chunk is one
+    /// [`DecoderModel::forward`] call appending to `state`'s KV cache —
+    /// the resumable form a serving runtime admits through its batcher one
+    /// chunk at a time. Returns the concatenated per-chunk outputs,
+    /// **bit-identical** to the whole-prompt forward (a column's
+    /// arithmetic does not depend on which columns share its GEMMs).
+    pub fn forward_chunked(
         &self,
-        l: usize,
-        lane: &Lane<'_>,
-        q: &ActMatrix,
-        k: &ActMatrix,
-        v: &ActMatrix,
-        out: &ActMatrix,
-    ) {
+        state: &mut DecoderState,
+        x: &[f32],
+        tokens: usize,
+        chunk: usize,
+        pool: &ThreadPool,
+    ) -> Vec<f32> {
         let h = self.cfg.hidden;
-        let nh = self.cfg.heads;
+        let mut out = Vec::with_capacity(h * tokens);
+        let mut done = 0usize;
+        for w in prefill_chunk_widths(tokens, chunk) {
+            out.extend(self.forward(state, &x[done * h..(done + w) * h], w, pool));
+            done += w;
+        }
+        out
+    }
+}
+
+// The matrices of a `forward_batch` region, in the order it builds them:
+// the `k = hidden` projection input, the `k = ffn` FFN-down input, the Q /
+// K / V outputs (Q also takes the output and FFN-down projections) and the
+// FFN-up output; then a layer's plans, in `Block::plans` order.
+const XB: Act = Act(0);
+const AB: Act = Act(1);
+const Q: Act = Act(2);
+const K: Act = Act(3);
+const V: Act = Act(4);
+const UP: Act = Act(5);
+const WQ: usize = 0;
+const WK: usize = 1;
+const WV: usize = 2;
+const WO: usize = 3;
+const W1: usize = 4;
+const W2: usize = 5;
+
+/// What the phase bodies of one [`DecoderModel::forward_batch`] region
+/// share: the weights and every item's state.
+struct Batch<'a> {
+    model: &'a DecoderModel,
+    /// Item `i`'s state. Uncontended — the attention phase hands each
+    /// item to exactly one member — it only launders the `&mut` across the
+    /// team.
+    states: Vec<Mutex<&'a mut DecoderState>>,
+}
+
+impl<'a> Batch<'a> {
+    /// One decoder layer: the module docs' phase table, row for row.
+    const LAYER: [Phase<Self>; 9] = [
+        Phase {
+            what: "LN1 → pack (and quantize) the projection input",
+            span: Some("decode.ln"),
+            work: Work::Columns(Self::ln1),
+        },
+        Phase {
+            what: "Q, K, V GEMMs",
+            span: Some("decode.qkv"),
+            work: Work::Gemms(&[(WQ, XB, Q), (WK, XB, K), (WV, XB, V)]),
+        },
+        Phase {
+            what: "KV append + causal attention → pack the context",
+            span: Some("decode.attn"),
+            work: Work::Items(Self::attend),
+        },
+        Phase { what: "output-projection GEMM", span: None, work: Work::Gemms(&[(WO, XB, Q)]) },
+        Phase {
+            what: "residual, LN2 → pack",
+            span: Some("decode.ffn"),
+            work: Work::Columns(Self::residual_ln2),
+        },
+        Phase { what: "FFN-up GEMM", span: None, work: Work::Gemms(&[(W1, XB, UP)]) },
+        Phase { what: "GELU → pack", span: None, work: Work::Columns(Self::gelu) },
+        Phase { what: "FFN-down GEMM", span: None, work: Work::Gemms(&[(W2, AB, Q)]) },
+        Phase { what: "residual", span: None, work: Work::Columns(Self::residual) },
+    ];
+
+    fn ln1(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+        let (blk, j, out) = (&self.model.blocks[c.layer], c.index, &mut s[..self.model.cfg.hidden]);
+        layernorm_col(c.x(j), &blk.ln1_g, &blk.ln1_b, out);
+        c.write(XB, j, out);
+    }
+
+    fn residual_ln2(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+        self.residual(c, s);
+        let (blk, j, out) = (&self.model.blocks[c.layer], c.index, &mut s[..self.model.cfg.hidden]);
+        layernorm_col(c.x(j), &blk.ln2_g, &blk.ln2_b, out);
+        c.write(XB, j, out);
+    }
+
+    fn gelu(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+        let (j, f) = (c.index, self.model.cfg.ffn);
+        let (a, b) = s.split_at_mut(f);
+        c.read(UP, j, a);
+        unary::gelu(f, 1, a, f, &mut b[..f], f);
+        c.write(AB, j, &b[..f]);
+    }
+
+    /// `x[:, j] += Q[:, j]`: the output or FFN-down projection joins the
+    /// residual stream.
+    fn residual(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+        let (j, q) = (c.index, &mut s[..self.model.cfg.hidden]);
+        c.read(Q, j, q);
+        for (x, q) in c.x(j).iter_mut().zip(&*q) {
+            *x += *q;
+        }
+    }
+
+    /// One item's attention in the token's layer: appends the item's new
+    /// K/V columns to its page table (growing pages on demand,
+    /// COW-splitting a shared tail page before the first write), attends
+    /// causally over the whole cached context, and packs the context
+    /// columns into `XB`.
+    fn attend(&self, c: &mut Cols<'_>, _: &mut [f32]) {
+        let (l, cols) = (c.layer, c.cols());
+        let h = self.model.cfg.hidden;
+        let nh = self.model.cfg.heads;
         let dh = h / nh;
-        let tokens = lane.width;
-        // One span per lane: on a trace timeline these tile the attention
-        // phase and show how the lanes load-balanced over the team.
-        let _lane_span = pl_trace::span("batch.item", [lane.col0 as u64, tokens as u64, l as u64]);
-        let gather = |m: &ActMatrix| {
+        let tokens = cols.len();
+        // One span per item: on a trace timeline these tile the attention
+        // phase and show how the items load-balanced over the team.
+        let _item_span = pl_trace::span("batch.item", [cols.start as u64, tokens as u64, l as u64]);
+        let gather = |m: Act| {
             let mut flat = vec![0.0f32; h * tokens];
-            for (t, col) in flat.chunks_exact_mut(h).enumerate() {
-                // SAFETY: the lane's columns, after the projections' barrier.
-                unsafe { m.read_col(lane.col0 + t, col) };
+            for (j, col) in cols.clone().zip(flat.chunks_exact_mut(h)) {
+                c.read(m, j, col);
             }
             flat
         };
-        let (q, knew, vnew) = (gather(q), gather(k), gather(v));
+        let (q, knew, vnew) = (gather(Q), gather(K), gather(V));
 
-        let mut guard = lane.state.lock().expect("lane claimed by a panicked member");
+        let mut guard = self.states[c.index].lock().expect("item claimed by a panicked member");
         let state: &mut DecoderState = &mut guard;
         let kvpool = Arc::clone(&state.pool);
         let seq = &mut state.seqs()[l];
@@ -746,35 +761,9 @@ impl DecoderModel {
                 }
             }
         }
-        for (t, col) in ctx.chunks_exact(h).enumerate() {
-            // SAFETY: the lane's columns of the (idle) projection input.
-            unsafe { out.write_col(lane.col0 + t, col) };
+        for (j, col) in cols.zip(ctx.chunks_exact(h)) {
+            c.write(XB, j, col);
         }
-    }
-
-    /// Forward over `tokens` new positions in bounded chunks
-    /// ([`prefill_chunk_widths`] under the `chunk` cap): each chunk is one
-    /// [`DecoderModel::forward`] call appending to `state`'s KV cache —
-    /// the resumable form a serving runtime admits through its batcher one
-    /// chunk at a time. Returns the concatenated per-chunk outputs,
-    /// **bit-identical** to the whole-prompt forward (a column's
-    /// arithmetic does not depend on which columns share its GEMMs).
-    pub fn forward_chunked(
-        &self,
-        state: &mut DecoderState,
-        x: &[f32],
-        tokens: usize,
-        chunk: usize,
-        pool: &ThreadPool,
-    ) -> Vec<f32> {
-        let h = self.cfg.hidden;
-        let mut out = Vec::with_capacity(h * tokens);
-        let mut done = 0usize;
-        for w in prefill_chunk_widths(tokens, chunk) {
-            out.extend(self.forward(state, &x[done * h..(done + w) * h], w, pool));
-            done += w;
-        }
-        out
     }
 }
 
@@ -835,6 +824,7 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::{column_nest, item_nest};
     use pl_tensor::fill_uniform;
 
     #[test]
@@ -920,13 +910,17 @@ mod tests {
         let mut x = vec![0.0f32; cfg.hidden];
         fill_uniform(&mut x, &mut Xorshift::new(3), -0.5, 0.5);
         let mut outs = Vec::new();
-        for threads in [1, 2, 4] {
+        // 3 divides neither the columns nor the blocks; a width-1 step on
+        // 4 threads leaves three members without a column in every column
+        // phase.
+        for threads in [1, 2, 3, 4] {
             let pool = ThreadPool::new(threads);
             let mut d = Decoder::new(cfg, 8, 42);
             outs.push(d.step(&x, &pool));
         }
         assert_eq!(outs[0], outs[1]);
         assert_eq!(outs[0], outs[2]);
+        assert_eq!(outs[0], outs[3]);
     }
 
     /// `n` sessions over `kvpool` with ragged contexts (session `s`
@@ -1026,6 +1020,9 @@ mod tests {
         assert_eq!(prefill_chunk_widths(20, 6), vec![8, 8, 4]);
         // Degenerate cap: token-at-a-time decoding.
         assert_eq!(prefill_chunk_widths(3, 0), vec![1, 1, 1]);
+        // A cap past the largest power of two ("never chunk") is whole.
+        assert_eq!(prefill_chunk_widths(3, usize::MAX), vec![3]);
+        assert_eq!(prefill_chunk_widths(20, (1 << 63) + 1), vec![20]);
         for (tokens, chunk) in [(1, 1), (7, 2), (100, 16), (33, 32)] {
             let widths = prefill_chunk_widths(tokens, chunk);
             assert_eq!(widths.iter().sum::<usize>(), tokens);
@@ -1060,37 +1057,70 @@ mod tests {
         // A mixed region — decode steps next to a 16-token prefill chunk,
         // 19 columns in all (prime: four full column blocks and a ragged
         // one) — must produce, per item, exactly what a standalone forward
-        // produces: batch composition never changes arithmetic.
-        let pool = ThreadPool::new(4);
-        let cfg = DecoderConfig::scaled_for_tests();
-        let model = Arc::new(DecoderModel::new(cfg, 404));
-        let widths = [1usize, 16, 1, 1];
-        let inputs: Vec<Vec<f32>> = widths
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                let mut x = vec![0.0f32; cfg.hidden * w];
-                fill_uniform(&mut x, &mut Xorshift::new(600 + i as u64), -0.5, 0.5);
-                x
-            })
-            .collect();
-        let want: Vec<Vec<f32>> = inputs
-            .iter()
-            .zip(widths)
-            .map(|(x, w)| model.forward(&mut model.new_state(16), x, w, &pool))
-            .collect();
-        let mut states: Vec<DecoderState> = widths.iter().map(|_| model.new_state(16)).collect();
-        let batch: Vec<(&mut DecoderState, &[f32], usize)> = states
-            .iter_mut()
-            .zip(inputs.iter().map(|x| x.as_slice()))
-            .zip(widths)
-            .map(|((s, x), w)| (s, x, w))
-            .collect();
-        let got = model.forward_batch(batch, &pool);
-        assert_eq!(got, want);
-        for (s, &w) in states.iter().zip(&widths) {
-            assert_eq!(s.cached_tokens(), w);
+        // produces: batch composition never changes arithmetic. Teams of 3
+        // and 4 divide neither the 19 columns nor the 4 items.
+        for threads in [1, 3, 4] {
+            let pool = ThreadPool::new(threads);
+            let cfg = DecoderConfig::scaled_for_tests();
+            let model = Arc::new(DecoderModel::new(cfg, 404));
+            let widths = [1usize, 16, 1, 1];
+            let inputs: Vec<Vec<f32>> = widths
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| {
+                    let mut x = vec![0.0f32; cfg.hidden * w];
+                    fill_uniform(&mut x, &mut Xorshift::new(600 + i as u64), -0.5, 0.5);
+                    x
+                })
+                .collect();
+            let want: Vec<Vec<f32>> = inputs
+                .iter()
+                .zip(widths)
+                .map(|(x, w)| model.forward(&mut model.new_state(16), x, w, &pool))
+                .collect();
+            let mut states: Vec<DecoderState> =
+                widths.iter().map(|_| model.new_state(16)).collect();
+            let batch: Vec<(&mut DecoderState, &[f32], usize)> = states
+                .iter_mut()
+                .zip(inputs.iter().map(|x| x.as_slice()))
+                .zip(widths)
+                .map(|((s, x), w)| (s, x, w))
+                .collect();
+            let got = model.forward_batch(batch, &pool);
+            assert_eq!(got, want);
+            for (s, &w) in states.iter().zip(&widths) {
+                assert_eq!(s.cached_tokens(), w);
+            }
         }
+    }
+
+    #[test]
+    fn the_phase_table_is_the_declared_schedule() {
+        // The module docs' table is `Batch::LAYER`, row for row: what each
+        // phase does, the nest that splits it and the span it opens; and
+        // the runner's barrier rule gives 8 barriers per 9-phase layer.
+        let split = |work: &Work<Batch<'_>>| match work {
+            Work::Columns(_) => format!("columns: `\"{}\"`", column_nest(1).plan().spec_string()),
+            Work::Items(_) => format!("items: `\"{}\"`", item_nest(1).plan().spec_string()),
+            Work::Gemms(_) => "blocks: the plan's spec".to_string(),
+        };
+        let rows: Vec<Vec<String>> = include_str!("llm.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! |"))
+            .map(|row| row.split('|').map(|cell| cell.trim().to_string()).collect::<Vec<_>>())
+            .filter(|cells| cells[0].parse::<usize>().is_ok())
+            .map(|cells| cells[..cells.len() - 1].to_vec())
+            .collect();
+        let layer = Batch::LAYER;
+        assert_eq!(rows.len(), layer.len());
+        for (i, (row, phase)) in rows.iter().zip(&layer).enumerate() {
+            let span = phase.span.map_or(String::new(), |name| format!("`{name}`"));
+            let want = [(i + 1).to_string(), phase.what.to_string(), split(&phase.work), span];
+            assert_eq!(row[..], want, "phase {}", i + 1);
+        }
+        let next = layer.iter().cycle().skip(1);
+        let barriers = layer.iter().zip(next).filter(|(a, b)| a.work.barrier_before(&b.work));
+        assert_eq!((layer.len(), barriers.count()), (9, 8));
     }
 
     #[test]

@@ -20,12 +20,16 @@
 //! * **execute** — [`MatmulPlan::execute`] packs only the activations per
 //!   call; the split surface ([`MatmulPlan::pack`] +
 //!   [`MatmulPlan::execute_packed`]) lets one packed activation matrix
-//!   ([`ActMatrix`]) feed several plans (a layer's QKV projections). Both
-//!   are one parallel region around the **in-team** form
-//!   ([`MatmulPlan::begin`] + [`PlanRun::member`]), which a caller that is
-//!   already inside a region uses directly: a decoder forward chains all
-//!   of its projections in one region, members writing and reading
-//!   [`ActMatrix`] columns between team barriers.
+//!   ([`ActMatrix`]) feed several plans (a layer's QKV projections).
+//!
+//! A decoder forward chains all of its projections in **one** parallel
+//! region. Its schedule is a declared list of phases, run by this
+//! module's in-team runner: column phases (the loop nest `"A"` over the
+//! batch's columns), item phases (`"A @ schedule(dynamic,1)"` over its
+//! items) and GEMM phases (the plans' own nests). The runner places every
+//! team barrier, and a column or item body reaches [`ActMatrix`] columns
+//! only through a token for its own columns, so column ownership is
+//! argued once, here, not at each call site.
 //!
 //! Activations block along N by [`GemmShape::activation_block`] (the
 //! microkernel's register-tile width, ragged last block) whatever the
@@ -52,15 +56,18 @@
 //! decode paths over prepared models must leave it unchanged.
 
 use crate::matmul::{transpose_cm, Trans};
-use parlooper::LoopRun;
+use parlooper::{LoopRun, LoopSpecs, ThreadedLoop};
 use pl_autotuner::GemmProblem;
 use pl_kernels::{BlockSpmm, Gemm, GemmInt8, GemmShape, GemmTuning, SharedSlice, SpmmTuning};
 use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{
     quantize_weight_a_vnni, symmetric_scale, BcscMatrix, BlockedMatrix, DType, Element, VnniMatrix,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -160,12 +167,11 @@ impl<T: Clone + Default> TeamBuf<T> {
 /// A `rows x n` activation (or projection output) in the blocked layout
 /// the plan kernels consume — `[Nb][Rb][bn][br]`, `bn =`
 /// [`GemmShape::activation_block`]`(n)`, storage zero-padded to whole
-/// column blocks — whose **columns are the unit of ownership**: a team
-/// inside one parallel region writes and reads disjoint columns between
-/// barriers ([`ActMatrix::write_col`] / [`ActMatrix::read_col`]) while
-/// [`PlanRun::member`] consumes and produces whole matrices. A matrix
+/// column blocks — whose **columns are the unit of ownership**: inside a
+/// decoder's region, column and item bodies write and read only their own
+/// columns, while GEMM phases consume and produce whole matrices. A matrix
 /// built for an int8 plan also carries the quantized twin of every column
-/// and its scale, filled by the same `write_col`.
+/// and its scale, filled with the column.
 pub struct ActMatrix {
     rows: usize,
     br: usize,
@@ -201,55 +207,14 @@ impl ActMatrix {
         ((j / self.bn) * (self.rows / self.br) + rb) * self.br * self.bn + (j % self.bn) * self.br
     }
 
-    /// Stores `src` (`rows` values) as column `j`, quantizing it too when
-    /// the matrix feeds int8 plans (one symmetric scale per column — the
-    /// arithmetic of [`pl_tensor::quantize_cols_blocked`]).
-    ///
-    /// # Safety
-    /// No other thread may read or write column `j` (nor run a
-    /// [`PlanRun::member`] over this matrix) concurrently.
-    pub unsafe fn write_col(&self, j: usize, src: &[f32]) {
-        assert!(j < self.n && src.len() == self.rows, "column {j} of {}x{}", self.rows, self.n);
-        let scale = self.quant.as_ref().map(|(_, scales)| {
-            let s = symmetric_scale(src.iter().fold(0.0f32, |m, v| m.max(v.abs())));
-            // SAFETY: slot `j` belongs to column `j` (caller contract).
-            unsafe { scales.view.slice_mut(j, 1)[0] = s };
-            s
-        });
-        for (rb, run) in src.chunks_exact(self.br).enumerate() {
-            let off = self.run_offset(j, rb);
-            // SAFETY: the run lies inside column `j` (caller contract).
-            unsafe { self.data.view.slice_mut(off, self.br) }.copy_from_slice(run);
-            if let (Some((q, _)), Some(s)) = (&self.quant, scale) {
-                // SAFETY: as above, on the quantized twin.
-                let dst = unsafe { q.view.slice_mut(off, self.br) };
-                for (d, v) in dst.iter_mut().zip(run) {
-                    *d = i8::from_f32(v / s);
-                }
-            }
-        }
-    }
-
-    /// Copies column `j` into `dst` (`rows` values).
-    ///
-    /// # Safety
-    /// No thread may write column `j` (nor run a [`PlanRun::member`]
-    /// producing this matrix) concurrently.
-    pub unsafe fn read_col(&self, j: usize, dst: &mut [f32]) {
-        assert!(j < self.n && dst.len() == self.rows, "column {j} of {}x{}", self.rows, self.n);
-        for (rb, run) in dst.chunks_exact_mut(self.br).enumerate() {
-            // SAFETY: no concurrent writer of column `j` (caller contract).
-            run.copy_from_slice(unsafe { self.data.view.slice(self.run_offset(j, rb), self.br) });
-        }
-    }
-
-    /// The flat column-major `rows x n` contents (exclusive access: no
-    /// region can be using the matrix).
-    pub fn into_colmajor(self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.rows * self.n];
-        for (j, col) in out.chunks_exact_mut(self.rows).enumerate() {
-            // SAFETY: `self` is owned, so no other thread holds the matrix.
-            unsafe { self.read_col(j, col) };
+    /// The flat column-major `rows x n` contents.
+    pub fn into_colmajor(mut self) -> Vec<f32> {
+        let rows = self.rows;
+        let mut out = vec![0.0f32; rows * self.n];
+        let mut alone = Region::new(&mut [], std::slice::from_mut(&mut self), &[]);
+        let cols = alone.sole();
+        for (j, col) in out.chunks_exact_mut(rows).enumerate() {
+            cols.read(Act(0), j, col);
         }
         out
     }
@@ -441,12 +406,12 @@ impl MatmulPlan {
     /// An empty `k x n` input operand for this plan (and any sibling
     /// with the same `k`, `bk` and precision), for a team to fill by
     /// columns.
-    pub fn input(&self, n: usize) -> ActMatrix {
+    pub(crate) fn input(&self, n: usize) -> ActMatrix {
         ActMatrix::new(self.k, self.bk, n, self.precision == Precision::Int8)
     }
 
     /// An empty `m x n` output operand for this plan.
-    pub fn output(&self, n: usize) -> ActMatrix {
+    pub(crate) fn output(&self, n: usize) -> ActMatrix {
         ActMatrix::new(self.m, self.bm, n, false)
     }
 
@@ -457,19 +422,19 @@ impl MatmulPlan {
     /// **once**.
     pub fn pack(&self, act: &[f32], n: usize) -> ActMatrix {
         assert_eq!(act.len(), self.k * n, "activation size mismatch");
-        let packed = self.input(n);
+        let mut packed = self.input(n);
+        let mut alone = Region::new(&mut [], std::slice::from_mut(&mut packed), &[]);
+        let mut cols = alone.sole();
         for (j, col) in act.chunks_exact(self.k).enumerate() {
-            // SAFETY: `packed` is not shared with any thread yet.
-            unsafe { packed.write_col(j, col) };
+            cols.write(Act(0), j, col);
         }
         packed
     }
 
     /// Starts one execution at width `n` by a team of `team` threads that
     /// is (or will be) inside a parallel region: resolves the cached
-    /// kernel for `n` here, outside the hot phases; every team member
-    /// then calls [`PlanRun::member`]. A run is single-use.
-    pub fn begin(&self, n: usize, team: usize) -> PlanRun<'_> {
+    /// kernel for `n` here, outside the hot phases. A run is single-use.
+    fn begin(&self, n: usize, team: usize) -> PlanRun<'_> {
         let kernel = self.kernel_for(n);
         let run = match &kernel.gemm {
             PlanGemm::F32(g) => g.begin(team),
@@ -485,8 +450,9 @@ impl MatmulPlan {
     pub fn execute_packed(&self, act: &ActMatrix, pool: &ThreadPool) -> Vec<f32> {
         let out = self.output(act.n());
         let run = self.begin(act.n(), pool.nthreads());
-        // SAFETY: `out` is local and `act` is only read; the region runs
-        // nothing but this plan.
+        // SAFETY: `out` is local, and nothing can write `act` while it is
+        // borrowed shared (a region borrows its matrices exclusively); the
+        // parallel region runs nothing but this plan.
         pool.parallel(|ctx| unsafe { run.member(ctx, act, &out) });
         out.into_colmajor()
     }
@@ -500,8 +466,8 @@ impl MatmulPlan {
 }
 
 /// One in-flight execution of a [`MatmulPlan`] by a thread team (see
-/// [`MatmulPlan::begin`]).
-pub struct PlanRun<'a> {
+/// `MatmulPlan::begin`): a GEMM of a [`Region`] schedule.
+struct PlanRun<'a> {
     plan: &'a MatmulPlan,
     kernel: Arc<PlanKernel>,
     run: LoopRun,
@@ -514,12 +480,13 @@ impl PlanRun<'_> {
     /// # Safety
     /// Between the team barriers (or region boundaries) bracketing the
     /// team's calls, no thread may write `act` and none may otherwise
-    /// read or write `out`.
+    /// read or write `out`. Member `i` then writes only the output blocks
+    /// the plan's nest gives it, which no other member writes.
     ///
     /// # Panics
     /// Panics if `act`/`out` were not built for this plan's geometry,
     /// width and precision.
-    pub unsafe fn member(&self, ctx: &WorkerCtx, act: &ActMatrix, out: &ActMatrix) {
+    unsafe fn member(&self, ctx: &WorkerCtx, act: &ActMatrix, out: &ActMatrix) {
         let (plan, n) = (self.plan, self.kernel.shape.n);
         assert!(
             (act.rows, act.br, act.n) == (plan.k, plan.bk, n)
@@ -530,8 +497,9 @@ impl PlanRun<'_> {
         );
         // Per-shape wall-clock span (member 0's share — the phase, give
         // or take the static split): aggregated by (m, n, k) this is a
-        // measured-timing table (`pl_trace::TraceSummary`). The name carries the plan dtype so f32 and i8 timings of the same
-        // shape stay distinguishable.
+        // measured-timing table (`pl_trace::TraceSummary`). The name
+        // carries the plan dtype so f32 and i8 timings of the same shape
+        // stay distinguishable.
         let _span = (ctx.tid() == 0).then(|| {
             let name = match plan.precision {
                 Precision::F32 => "gemm.execute",
@@ -539,27 +507,284 @@ impl PlanRun<'_> {
             };
             pl_trace::span(name, [plan.m as u64, n as u64, plan.k as u64])
         });
+        // Nobody writes `act` during the call and `out` belongs to this
+        // GEMM (the contract above); at int8 the quantized twin and its
+        // scales were written with the columns.
         match (&plan.weight, &self.kernel.gemm) {
             (PlanWeight::F32(wt), PlanGemm::F32(g)) => {
-                // SAFETY: nobody writes `act` during the call and `out`
-                // belongs to this GEMM (caller contract).
-                unsafe {
-                    let b = act.data.view.slice(0, act.data.view.len());
-                    g.execute_in(ctx, &self.run, wt.data(), b, &out.data.view);
-                }
+                let b = act.data.view.slice(0, act.data.view.len());
+                g.execute_in(ctx, &self.run, wt.data(), b, &out.data.view);
             }
             (PlanWeight::Int8 { q, scales, .. }, PlanGemm::Int8(g)) => {
                 let (qact, col_scales) =
                     act.quant.as_ref().expect("int8 plans need an input built by an int8 plan");
-                // SAFETY: as above; the quantized twin and its scales were
-                // written with the columns.
-                unsafe {
-                    let b = qact.view.slice(0, qact.view.len());
-                    let cs = col_scales.view.slice(0, n);
-                    g.execute_in(ctx, &self.run, q.data(), scales, b, cs, &out.data.view);
-                }
+                let b = qact.view.slice(0, qact.view.len());
+                let cs = col_scales.view.slice(0, n);
+                g.execute_in(ctx, &self.run, q.data(), scales, b, cs, &out.data.view);
             }
             _ => unreachable!("plan weight/kernel precision mismatch"),
+        }
+    }
+}
+
+/// Names one of a [`Region`]'s activation matrices: its index in the list
+/// the region borrows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Act(pub(crate) usize);
+
+/// A column or item phase body, run once per index of the phase's nest
+/// with a token for that index's columns and the member's own scratch.
+pub(crate) type Body<C> = fn(&C, &mut Cols<'_>, &mut [f32]);
+
+/// What a phase runs, and so the loop nest that splits it over the team.
+pub(crate) enum Work<C> {
+    /// The body per column, over [`column_nest`].
+    Columns(Body<C>),
+    /// The body per item (owning the item's columns), over [`item_nest`].
+    Items(Body<C>),
+    /// `out = plan x in` per `(plan, in, out)`, `plan` indexing the
+    /// layer's plans: the plans' own nests, back to back.
+    Gemms(&'static [(usize, Act, Act)]),
+}
+
+impl<C> Work<C> {
+    /// Whether the runner puts a team barrier between a phase running
+    /// `self` and the next one running `next`: always, but between two
+    /// column phases, which split the columns identically.
+    pub(crate) fn barrier_before(&self, next: &Work<C>) -> bool {
+        !matches!((self, next), (Work::Columns(_), Work::Columns(_)))
+    }
+}
+
+/// One phase of a [`Region`]'s per-layer schedule: what it does (the
+/// phase table's "work" cell), the trace span it opens (member 0's,
+/// barrier waits included; `None` extends the previous one) and its work.
+pub(crate) struct Phase<C> {
+    pub(crate) what: &'static str,
+    pub(crate) span: Option<&'static str>,
+    pub(crate) work: Work<C>,
+}
+
+/// The column phases' nest: `"A"` over `0..n`, a static contiguous run of
+/// columns per member (`pl_runtime::block_partition`).
+pub(crate) fn column_nest(n: usize) -> ThreadedLoop {
+    ThreadedLoop::new(&[LoopSpecs::new(0, n, 1)], "A").expect("column nest")
+}
+
+/// The item phases' nest: `"A @ schedule(dynamic,1)"` over the items,
+/// each member claiming the next unclaimed one (items differ in width and
+/// context length).
+pub(crate) fn item_nest(items: usize) -> ThreadedLoop {
+    ThreadedLoop::new(&[LoopSpecs::new(0, items, 1)], "A @ schedule(dynamic,1)").expect("item nest")
+}
+
+/// The one in-team runner: runs a per-layer schedule of [`Phase`]s, layer
+/// after layer, inside **one** parallel region, over a residual stream
+/// (`rows x n`, column-major) and activation matrices of `n` columns that
+/// it borrows exclusively.
+///
+/// # Soundness
+/// Every `unsafe` in this module rests on the argument here. While a
+/// region lives, nothing outside it can reach its operands (it holds them
+/// by `&mut`). Inside, the only paths to their storage are a [`Cols`]
+/// token, which reaches only its own columns (every access checks), and
+/// the GEMM phases' nests. Two facts make every access race-free:
+///
+/// 1. **Each nest's partition is disjoint.** The column nest gives every
+///    column, and the item nest every item, to exactly one member; the
+///    items' columns are disjoint (checked by [`Region::new`]). A GEMM nest
+///    writes each output block from one member: a sequential spec runs on
+///    member 0 alone, `Gemm::new` rejects a spec that would share a block,
+///    and `tests/partition.rs` checks every generated spec. A GEMM phase's
+///    outputs are distinct from each other and from its inputs (checked by
+///    [`Region::run`]).
+/// 2. **A team barrier separates consecutive phases**, except two column
+///    phases in a row: they share one static partition, so each column
+///    stays with the member that last touched it.
+pub(crate) struct Region<'r> {
+    n: usize,
+    rows: usize,
+    x: SharedSlice<f32>,
+    acts: &'r [ActMatrix],
+    items: &'r [Range<usize>],
+    _x: PhantomData<&'r mut [f32]>,
+}
+
+impl<'r> Region<'r> {
+    /// A region over the residual stream `x`, the matrices `acts` (all `n`
+    /// columns wide; [`Act`]`(i)` names `acts[i]`) and `items`, disjoint
+    /// ascending column ranges.
+    pub(crate) fn new(
+        x: &'r mut [f32],
+        acts: &'r mut [ActMatrix],
+        items: &'r [Range<usize>],
+    ) -> Self {
+        let n = acts[0].n;
+        assert!(
+            acts.iter().all(|m| m.n == n) && x.len().is_multiple_of(n),
+            "region operands must share their {n} columns"
+        );
+        let mut end = 0;
+        for item in items {
+            assert!(end <= item.start && item.start <= item.end && item.end <= n, "items overlap");
+            end = item.end;
+        }
+        Region { n, rows: x.len() / n, x: SharedSlice::new(x), acts, items, _x: PhantomData }
+    }
+
+    /// A token over every column, for a caller that runs no team.
+    fn sole(&mut self) -> Cols<'_> {
+        Cols { region: self, cols: 0..self.n, layer: 0, index: 0 }
+    }
+
+    /// Runs `layer` once per entry of `plans` — that layer's plans, which
+    /// its GEMM phases index — as one region on `pool`. Each member gets
+    /// `scratch` floats of its own for its bodies.
+    pub(crate) fn run<C: Sync, const P: usize>(
+        self,
+        pool: &ThreadPool,
+        data: &C,
+        layer: &[Phase<C>],
+        plans: &[[&MatmulPlan; P]],
+        scratch: usize,
+    ) {
+        for phase in layer {
+            if let Work::Gemms(ops) = phase.work {
+                let mut outs: Vec<Act> = ops.iter().map(|op| op.2).collect();
+                outs.sort_by_key(|out| out.0);
+                outs.dedup();
+                let clash = outs.len() < ops.len() || ops.iter().any(|op| outs.contains(&op.1));
+                assert!(!clash, "{}: a GEMM writes what another uses", phase.what);
+            }
+        }
+        let team = pool.nthreads();
+        let runs: Vec<_> = plans.iter().map(|l| l.map(|p| p.begin(self.n, team))).collect();
+        let columns = column_nest(self.n);
+        let items = (!self.items.is_empty()).then(|| item_nest(self.items.len()));
+        let nests: Vec<Option<LoopRun>> = runs
+            .iter()
+            .flat_map(|_| layer)
+            .map(|phase| {
+                let nest = match phase.work {
+                    Work::Columns(_) => &columns,
+                    Work::Items(_) => items.as_ref().expect("an item phase needs items"),
+                    Work::Gemms(_) => return None,
+                };
+                Some(nest.begin(team).expect("the column and item nests fit any team"))
+            })
+            .collect();
+        let span_args = |l: usize| [l as u64, self.n as u64, self.items.len() as u64];
+        pool.parallel(|ctx| {
+            let scratch = RefCell::new(vec![0.0f32; scratch]);
+            let (mut span, mut prev) = (None, None::<&Work<C>>);
+            let phases =
+                runs.iter().enumerate().flat_map(|(l, r)| layer.iter().map(move |p| (l, r, p)));
+            for ((l, gemms, phase), nest) in phases.zip(&nests) {
+                if prev.is_some_and(|prev| prev.barrier_before(&phase.work)) {
+                    ctx.barrier();
+                }
+                prev = Some(&phase.work);
+                if let Some(name) = phase.span {
+                    drop(span.take());
+                    span = (ctx.tid() == 0).then(|| pl_trace::span(name, span_args(l)));
+                }
+                match phase.work {
+                    Work::Columns(body) | Work::Items(body) => {
+                        let nest = nest.as_ref().expect("column and item phases have a nest");
+                        let columns = matches!(phase.work, Work::Columns(_));
+                        nest.member(ctx, &|ind| {
+                            let i = ind[0];
+                            let cols = if columns { i..i + 1 } else { self.items[i].clone() };
+                            let mut token = Cols { region: &self, cols, layer: l, index: i };
+                            body(data, &mut token, &mut scratch.borrow_mut());
+                        });
+                    }
+                    Work::Gemms(ops) => {
+                        for &(p, a, out) in ops {
+                            // SAFETY: see `Region`: until the next barrier
+                            // nothing writes `a`, and only this nest
+                            // touches `out`.
+                            unsafe { gemms[p].member(ctx, &self.acts[a.0], &self.acts[out.0]) };
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// What one column or item body may touch: its own columns — of every
+/// [`ActMatrix`] of the [`Region`] and of the residual stream — and
+/// nothing else (every access checks). Only the runner creates one.
+pub(crate) struct Cols<'t> {
+    region: &'t Region<'t>,
+    cols: Range<usize>,
+    /// The layer of the running phase.
+    pub(crate) layer: usize,
+    /// The nest index: the column (column phases) or the item.
+    pub(crate) index: usize,
+}
+
+impl<'t> Cols<'t> {
+    /// The columns this token owns.
+    pub(crate) fn cols(&self) -> Range<usize> {
+        self.cols.clone()
+    }
+
+    /// Matrix `m`, after checking that its column `j` is this token's and
+    /// `len` values tall.
+    fn column(&self, m: Act, j: usize, len: usize) -> &'t ActMatrix {
+        let m = &self.region.acts[m.0];
+        assert!(
+            self.cols.contains(&j) && len == m.rows,
+            "column {j} ({len} rows) of a {}-row matrix is not this body's {:?}",
+            m.rows,
+            self.cols
+        );
+        m
+    }
+
+    /// Column `j` of the residual stream.
+    pub(crate) fn x(&mut self, j: usize) -> &mut [f32] {
+        assert!(self.cols.contains(&j), "column {j} is not this body's {:?}", self.cols);
+        let rows = self.region.rows;
+        // SAFETY: see `Region`: column `j` is this token's alone.
+        unsafe { self.region.x.slice_mut(j * rows, rows) }
+    }
+
+    /// Copies column `j` of `m` into `dst`.
+    pub(crate) fn read(&self, m: Act, j: usize, dst: &mut [f32]) {
+        let m = self.column(m, j, dst.len());
+        for (rb, run) in dst.chunks_exact_mut(m.br).enumerate() {
+            // SAFETY: see `Region`: column `j` is this token's alone.
+            run.copy_from_slice(unsafe { m.data.view.slice(m.run_offset(j, rb), m.br) });
+        }
+    }
+
+    /// Stores `src` as column `j` of `m`, quantizing it too when `m` feeds
+    /// int8 plans (one symmetric scale per column — the arithmetic of
+    /// [`pl_tensor::quantize_cols_blocked`]).
+    pub(crate) fn write(&mut self, m: Act, j: usize, src: &[f32]) {
+        let m = self.column(m, j, src.len());
+        let scale = m
+            .quant
+            .as_ref()
+            .map(|_| symmetric_scale(src.iter().fold(0.0f32, |a, v| a.max(v.abs()))));
+        // SAFETY: see `Region`: column `j` — its runs, its quantized twin
+        // and its scale slot — is this token's alone.
+        unsafe {
+            for (rb, run) in src.chunks_exact(m.br).enumerate() {
+                let off = m.run_offset(j, rb);
+                m.data.view.slice_mut(off, m.br).copy_from_slice(run);
+                if let (Some((q, _)), Some(s)) = (&m.quant, scale) {
+                    for (d, v) in q.view.slice_mut(off, m.br).iter_mut().zip(run) {
+                        *d = i8::from_f32(v / s);
+                    }
+                }
+            }
+            if let (Some((_, scales)), Some(s)) = (&m.quant, scale) {
+                scales.view.slice_mut(j, 1)[0] = s;
+            }
         }
     }
 }
@@ -914,5 +1139,40 @@ mod tests {
         let p = plan.problem(tokens);
         assert_eq!((p.m, p.n, p.k), (m, tokens, k));
         assert_eq!(p.bn, 8);
+    }
+
+    /// What each member of `pool`'s team runs of `nest`, in order, as
+    /// recorded from `LoopRun::member`.
+    fn executed(nest: &ThreadedLoop, pool: &ThreadPool) -> Vec<Vec<usize>> {
+        let shares: Vec<std::sync::Mutex<Vec<usize>>> =
+            (0..pool.nthreads()).map(|_| Default::default()).collect();
+        let run = nest.begin(pool.nthreads()).unwrap();
+        pool.parallel(|ctx| run.member(ctx, &|ind| shares[ctx.tid()].lock().unwrap().push(ind[0])));
+        shares.into_iter().map(|share| share.into_inner().unwrap()).collect()
+    }
+
+    #[test]
+    fn column_and_item_nests_give_each_index_to_one_member() {
+        // Fact 1 of the region's soundness argument, for its own nests, on
+        // teams that divide neither the columns nor the items.
+        for team in [2, 3, 4] {
+            let pool = ThreadPool::new(team);
+            for n in [1, 8, 19] {
+                // Static: each member runs exactly its simulated share.
+                let nest = column_nest(n);
+                let shares = executed(&nest, &pool);
+                for (tid, share) in shares.iter().enumerate() {
+                    let want: Vec<usize> =
+                        nest.plan().simulate_member(tid, team).iter().map(|ind| ind[0]).collect();
+                    assert_eq!(*share, want, "column nest, n {n}, member {tid} of {team}");
+                }
+                // Static or dynamic: every index runs once, on one member.
+                for shares in [shares, executed(&item_nest(n), &pool)] {
+                    let mut all: Vec<usize> = shares.concat();
+                    all.sort_unstable();
+                    assert_eq!(all, (0..n).collect::<Vec<_>>(), "n {n} on {team}");
+                }
+            }
+        }
     }
 }

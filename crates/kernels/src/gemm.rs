@@ -208,6 +208,11 @@ pub struct Gemm<TA: Element, TB: Element, TC: Element> {
 
 impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
     /// Builds the kernel for a flat (column-major-blocked) `B` operand.
+    ///
+    /// A spec that splits the K loop over the team (`A`), or deals the C
+    /// blocks out dynamically below a sequential K level
+    /// (`caB @ schedule(dynamic,1)`: afresh at every K step), is rejected:
+    /// either lets two members accumulate into one C block at once.
     pub fn new(shape: GemmShape, tuning: GemmTuning) -> Result<Self, KernelError> {
         Self::build(shape, tuning, None)
     }
@@ -225,6 +230,12 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
         shape.validate()?;
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
+        let (nest, schedule) = tuning.spec.split_once('@').unwrap_or((&tuning.spec, ""));
+        let group = nest.find(|c: char| c.is_ascii_uppercase());
+        let k_outside = nest.find('a').zip(group).is_some_and(|(k, group)| k < group);
+        if nest.contains('A') || schedule.contains("dynamic") && k_outside {
+            return Err(KernelError::RacySpec(tuning.spec));
+        }
         let desc = match b_vnni {
             None => BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk),
             Some(v) => BrgemmDesc::blocked_vnni(shape.bm, shape.bn, shape.bk, v),
@@ -582,50 +593,46 @@ mod tests {
 
     #[test]
     fn matches_reference_for_many_specs() {
-        // A spec without parallel letters replicates the nest on every team
-        // thread (OpenMP semantics of code outside a worksharing
-        // construct), so sequential specs run on a single-thread pool and
-        // parallel specs on a 4-thread pool — the paper's legality contract.
-        let pool1 = ThreadPool::new(1);
-        let pool4 = ThreadPool::new(4);
+        // Every spec on a 4-thread pool: a spec without parallel letters
+        // runs on member 0 alone, so it is as legal on a team as on one
+        // thread.
+        let pool = ThreadPool::new(4);
         let sh = GemmShape { m: 32, n: 24, k: 48, bm: 8, bn: 6, bk: 8 };
         let (a, b, a_cm, b_cm) = random_problem(sh, 42);
         let c_ref = reference_gemm(&a_cm, &b_cm, sh.m, sh.n, sh.k);
 
-        let mut cases: Vec<(GemmTuning, &ThreadPool)> = vec![
-            (GemmTuning::simple("abc"), &pool1),
-            (GemmTuning::simple("bca"), &pool1),
-            (GemmTuning::simple("cab"), &pool1),
-            (GemmTuning::simple("aBC"), &pool4),
-            (GemmTuning::simple("BCa"), &pool4),
-            (GemmTuning::default_parallel(sh.kb()), &pool4),
+        let mut cases: Vec<GemmTuning> = vec![
+            GemmTuning::simple("abc"),
+            GemmTuning::simple("bca"),
+            GemmTuning::simple("cab"),
+            GemmTuning::simple("aBC"),
+            GemmTuning::simple("BCa"),
+            GemmTuning::default_parallel(sh.kb()),
         ];
-        cases.push((
-            GemmTuning {
-                spec: "bcaBCb".into(),
-                k_step: 2,
-                a_blocks: vec![],
-                b_blocks: vec![4, 2],
-                c_blocks: vec![2],
-            },
-            &pool4,
-        ));
-        cases.push((
-            GemmTuning {
-                spec: "caB @ schedule(dynamic,1)".into(),
-                k_step: 3,
-                a_blocks: vec![],
-                b_blocks: vec![],
-                c_blocks: vec![],
-            },
-            &pool4,
-        ));
+        cases.push(GemmTuning {
+            spec: "bcaBCb".into(),
+            k_step: 2,
+            a_blocks: vec![],
+            b_blocks: vec![4, 2],
+            c_blocks: vec![2],
+        });
+        // Dynamic scheduling keeps the K loop inside the worksharing loop:
+        // below a sequential K loop (`caB`) a block could be claimed by a
+        // second member at the next K step while its first is still
+        // accumulating.
+        cases.push(GemmTuning {
+            spec: "cBa @ schedule(dynamic,1)".into(),
+            k_step: 3,
+            a_blocks: vec![],
+            b_blocks: vec![],
+            c_blocks: vec![],
+        });
 
-        for (t, pool) in cases {
+        for t in cases {
             let spec_str = t.spec.clone();
             let gemm = Gemm::<f32, f32, f32>::new(sh, t).unwrap();
             let mut c = BlockedMatrix::c_layout(sh.m, sh.n, sh.bm, sh.bn).unwrap();
-            gemm.execute(&a, &b, &mut c, pool).unwrap();
+            gemm.execute(&a, &b, &mut c, &pool).unwrap();
             let got = c.unpack_to_colmajor();
             for i in 0..got.len() {
                 assert!(
@@ -636,6 +643,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn specs_that_share_a_c_block_between_members_are_rejected() {
+        let sh = GemmShape { m: 32, n: 24, k: 48, bm: 8, bn: 6, bk: 8 };
+        let build = |spec: &str| Gemm::<f32, f32, f32>::new(sh, GemmTuning::simple(spec));
+        assert!(matches!(build("caB @ schedule(dynamic,1)"), Err(KernelError::RacySpec(_))));
+        assert!(matches!(build("aBC @ schedule(dynamic,2)"), Err(KernelError::RacySpec(_))));
+        assert!(matches!(build("ABc"), Err(KernelError::RacySpec(_))));
+        // K inside the group's blocks, or a static deal, keeps each block
+        // on one member.
+        assert!(build("cBa @ schedule(dynamic,1)").is_ok());
+        assert!(build("caB").is_ok());
+        assert!(build("caB @ schedule(static,2)").is_ok());
     }
 
     #[test]
@@ -747,31 +768,27 @@ mod tests {
 
     #[test]
     fn int8_matches_reference_for_many_specs() {
-        let pool1 = ThreadPool::new(1);
-        let pool4 = ThreadPool::new(4);
+        let pool = ThreadPool::new(4);
         let sh = GemmShape { m: 32, n: 24, k: 48, bm: 8, bn: 6, bk: 8 };
         let (qa, rs, qb, cs) = int8_problem(sh, 2, 43);
         let c_ref = reference_int8(&qa, &rs, &qb, &cs);
-        let cases: Vec<(GemmTuning, &ThreadPool)> = vec![
-            (GemmTuning::simple("abc"), &pool1),
-            (GemmTuning::simple("BCa"), &pool4),
-            (GemmTuning::default_parallel(sh.kb()), &pool4),
-            (
-                GemmTuning {
-                    spec: "bcaBCb".into(),
-                    k_step: 2,
-                    a_blocks: vec![],
-                    b_blocks: vec![4, 2],
-                    c_blocks: vec![2],
-                },
-                &pool4,
-            ),
+        let cases: Vec<GemmTuning> = vec![
+            GemmTuning::simple("abc"),
+            GemmTuning::simple("BCa"),
+            GemmTuning::default_parallel(sh.kb()),
+            GemmTuning {
+                spec: "bcaBCb".into(),
+                k_step: 2,
+                a_blocks: vec![],
+                b_blocks: vec![4, 2],
+                c_blocks: vec![2],
+            },
         ];
-        for (t, pool) in cases {
+        for t in cases {
             let spec_str = t.spec.clone();
             let gemm = GemmInt8::new(sh, t, 2).unwrap();
             let mut c = BlockedMatrix::<f32>::c_layout(sh.m, sh.n, sh.bm, sh.bn).unwrap();
-            gemm.execute(&qa, &rs, &qb, &cs, &mut c, pool).unwrap();
+            gemm.execute(&qa, &rs, &qb, &cs, &mut c, &pool).unwrap();
             let got = c.unpack_to_colmajor();
             // Whatever k_step the spec carries, the kernel folds the whole
             // reduction into one exact i32 sum per element.

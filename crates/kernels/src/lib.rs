@@ -33,6 +33,9 @@ pub enum KernelError {
     BadShape(String),
     /// Invalid `loop_spec_string` for this kernel.
     Spec(parlooper::SpecError),
+    /// A legal nest this kernel cannot run race-free (see
+    /// [`Gemm::new`]).
+    RacySpec(String),
 }
 
 impl std::fmt::Display for KernelError {
@@ -40,6 +43,7 @@ impl std::fmt::Display for KernelError {
         match self {
             KernelError::BadShape(s) => write!(f, "bad shape: {s}"),
             KernelError::Spec(e) => write!(f, "spec error: {e}"),
+            KernelError::RacySpec(spec) => write!(f, "spec {spec:?} races on C"),
         }
     }
 }

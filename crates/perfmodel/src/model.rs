@@ -6,8 +6,8 @@
 //! through the per-thread [`CacheHierarchy`], and charging
 //! `max(compute cycles, sum of transfer cycles)` per BRGEMM invocation.
 //! The kernel time is the slowest thread's time — which automatically
-//! penalizes schedules with poor concurrency (redundant or imbalanced
-//! work), as the paper notes.
+//! penalizes schedules with poor concurrency (idle or imbalanced
+//! members), as the paper notes.
 
 use crate::cachesim::{CacheHierarchy, HitLevel, SliceId};
 use crate::platform::Platform;
@@ -42,13 +42,14 @@ pub struct BodyModel<'a> {
 pub struct Prediction {
     /// Wall time in seconds (slowest thread).
     pub seconds: f64,
-    /// Useful throughput: problem flops / wall time. Replicated work in
-    /// poorly parallelized schedules costs time without adding useful
+    /// Useful throughput: problem flops / wall time. Idle or imbalanced
+    /// members in poorly parallelized schedules cost time without adding
     /// flops — exactly how the paper's tool assigns low scores to
-    /// low-concurrency schedules.
+    /// low-concurrency schedules (a sequential nest runs on member 0
+    /// alone).
     pub gflops: f64,
-    /// Flops actually executed across all threads (>= problem flops when
-    /// work is replicated).
+    /// Flops executed across all threads (the problem flops: every legal
+    /// schedule runs each body index on exactly one member).
     pub executed_gflop: f64,
     /// Per-thread busy seconds.
     pub per_thread_seconds: Vec<f64>,
@@ -235,7 +236,7 @@ mod tests {
         let p = Platform::zen4();
         let seq = spec("abc", 512, 1).predict(&p, 16).unwrap();
         let par = spec("aBC", 512, 1).predict(&p, 16).unwrap();
-        // Sequential nests replicate on all threads: ~16x slower.
+        // A sequential nest runs on one of the 16 threads: ~16x slower.
         assert!(par.gflops > 8.0 * seq.gflops, "par {} vs seq {}", par.gflops, seq.gflops);
     }
 

@@ -75,7 +75,7 @@ fn every_output_column_is_independent_of_width_and_spec() {
     const DIMS: [usize; 8] = [8, 12, 16, 24, 32, 40, 48, 96];
     let platform = "ColumnInvariance";
     let specs = pl_autotuner::generate(3, &Constraints::gemm(1, 1, 1, 80));
-    let (pool1, pool3) = (ThreadPool::new(1), ThreadPool::new(3));
+    let pool3 = ThreadPool::new(3);
     let mut rng = Xorshift::new(0xC01);
     let mut checked = 0usize;
     for draw in 0..3u64 {
@@ -101,10 +101,7 @@ fn every_output_column_is_independent_of_width_and_spec() {
                         DbEntry { spec: spec.clone(), score: 1.0 },
                     );
                     tuning::install(platform, db);
-                    // A spec without a parallel letter replicates the nest
-                    // on every team thread: run it on a team of one.
-                    let parallel = spec.chars().any(|c| c.is_ascii_uppercase());
-                    let got = plan.execute(&x[..k * n], n, if parallel { &pool3 } else { &pool1 });
+                    let got = plan.execute(&x[..k * n], n, &pool3);
                     for (j, col) in got.chunks_exact(m).enumerate() {
                         assert_eq!(
                             col, alone[j],
