@@ -71,12 +71,12 @@
 
 use crate::kvpool::{KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, PrefixHit};
 use crate::matmul::Trans;
-use crate::prepared::{Act, Cols, MatmulPlan, Phase, Precision, Region, Work};
+use crate::prepared::{item_nest, Act, Cols, MatmulPlan, Phase, Precision, Region, Work};
 use pl_autotuner::GemmProblem;
 use pl_runtime::ThreadPool;
 use pl_tensor::Xorshift;
 use pl_tpp::{norm, softmax, unary};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Decoder architecture description.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,6 +394,12 @@ impl DecoderModel {
     /// Random-initialized weights for `cfg`. This is where every weight is
     /// packed into its blocked kernel layout — the only weight-pack events
     /// the model ever generates (see [`crate::prepared::pack_events`]).
+    ///
+    /// Construction is one PARLOOPER nest over the weight matrices,
+    /// `"A @ schedule(dynamic,1)"` on the global pool: each matrix is drawn
+    /// from its own span of the seed's one serial stream (reached with
+    /// [`Xorshift::jump`]) and packed by whichever member claims it, so the
+    /// weights do not depend on the team size.
     pub fn new(cfg: DecoderConfig, seed: u64) -> Self {
         Self::new_with_precision(cfg, seed, Precision::F32)
     }
@@ -405,23 +411,53 @@ impl DecoderModel {
     /// rely on. Quantization happens once here (per plan build); decode
     /// steps touch no weight bytes at either precision.
     pub fn new_with_precision(cfg: DecoderConfig, seed: u64, precision: Precision) -> Self {
-        let mut rng = Xorshift::new(seed);
-        let h = cfg.hidden;
-        let f = cfg.ffn;
-        let mut mk = |rows: usize, cols: usize| {
+        Self::build_on(cfg, seed, precision, pl_runtime::global_pool())
+    }
+
+    /// [`DecoderModel::new_with_precision`] with the construction nest on
+    /// `pool`.
+    pub(crate) fn build_on(
+        cfg: DecoderConfig,
+        seed: u64,
+        precision: Precision,
+        pool: &ThreadPool,
+    ) -> Self {
+        let (h, f) = (cfg.hidden, cfg.ffn);
+        // `(rows, cols, first draw)` of every matrix in stream order: per
+        // layer wq, wk, wv, wo, w1, w2; a normal sample takes two draws.
+        let mut draws = 0;
+        let mats: Vec<(usize, usize, u64)> = (0..cfg.layers)
+            .flat_map(|_| [(h, h), (h, h), (h, h), (h, h), (f, h), (h, f)])
+            .map(|(rows, cols)| {
+                let first = draws;
+                draws += 2 * (rows * cols) as u64;
+                (rows, cols, first)
+            })
+            .collect();
+        let stream = Xorshift::new(seed);
+        let slots: Vec<OnceLock<MatmulPlan>> = mats.iter().map(|_| OnceLock::new()).collect();
+        item_nest(mats.len()).run_on(pool, |ind| {
+            let i = ind[0];
+            let (rows, cols, first) = mats[i];
+            let mut rng = stream.clone();
+            rng.jump(first);
             let std = (1.0 / rows as f32).sqrt();
             let mut v = vec![0.0f32; rows * cols];
             pl_tensor::fill_normal(&mut v, &mut rng, 0.0, std);
-            MatmulPlan::with_precision(&v, Trans::No, rows, cols, precision)
-        };
+            let plan = MatmulPlan::with_precision(&v, Trans::No, rows, cols, precision);
+            assert!(slots[i].set(plan).is_ok(), "matrix {i} claimed twice");
+        });
+        let mut plans =
+            slots.into_iter().map(|slot| slot.into_inner().expect("every matrix built"));
+        let mut next = || plans.next().expect("six plans per layer");
         let blocks = (0..cfg.layers)
             .map(|_| Block {
-                wq: mk(h, h),
-                wk: mk(h, h),
-                wv: mk(h, h),
-                wo: mk(h, h),
-                w1: mk(f, h),
-                w2: mk(h, f),
+                wq: next(),
+                wk: next(),
+                wv: next(),
+                wo: next(),
+                w1: next(),
+                w2: next(),
                 ln1_g: vec![1.0; h],
                 ln1_b: vec![0.0; h],
                 ln2_g: vec![1.0; h],
@@ -824,7 +860,7 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prepared::{column_nest, item_nest};
+    use crate::prepared::column_nest;
     use pl_tensor::fill_uniform;
 
     #[test]
@@ -1422,5 +1458,43 @@ mod tests {
         assert!(!model.new_state_in(&kvpool, 128).adopt_prefix(&PrefixHit::default()));
         // Nor registration of a state that holds more than the prompt.
         assert_eq!(again.register_prefix(&cache, &prompt, &hit, &want), 0);
+    }
+
+    /// The `plbench` models and weight seed.
+    const MID: DecoderConfig =
+        DecoderConfig { layers: 4, hidden: 512, heads: 8, ffn: 2048, vocab: 1024, ffn_mats: 2 };
+    const SMALL: DecoderConfig =
+        DecoderConfig { layers: 2, hidden: 64, heads: 4, ffn: 256, vocab: 128, ffn_mats: 2 };
+    const WEIGHT_SEED: u64 = 0x0070_6c62_656e_6368;
+
+    /// FNV-1a over every plan's packed weight bytes, in layer order.
+    fn weight_fnv(model: &DecoderModel) -> u64 {
+        model
+            .blocks
+            .iter()
+            .flat_map(Block::plans)
+            .fold(0xcbf2_9ce4_8422_2325, |h, p| p.fold_weight_fnv(h))
+    }
+
+    /// Pinned at the serial construction that preceded the nest: the
+    /// weights are bit-identical to it, and independent of the team size.
+    #[test]
+    fn construction_is_pinned_and_team_size_independent() {
+        let pinned = [
+            (MID, Precision::F32, 0x2ecf_25d1_b77f_b099),
+            (MID, Precision::Int8, 0xb8a4_de46_d655_bfe7),
+            (SMALL, Precision::F32, 0xaad4_9cc0_6a0e_6688),
+            (SMALL, Precision::Int8, 0x00a9_4a03_10b3_4495),
+        ];
+        let pools: Vec<ThreadPool> = (1..=3).map(ThreadPool::new).collect();
+        for (cfg, precision, want) in pinned {
+            let global = DecoderModel::new_with_precision(cfg, WEIGHT_SEED, precision);
+            assert_eq!(weight_fnv(&global), want, "{cfg:?} {precision} on the global pool");
+            for pool in &pools {
+                let model = DecoderModel::build_on(cfg, WEIGHT_SEED, precision, pool);
+                let team = pool.nthreads();
+                assert_eq!(weight_fnv(&model), want, "{cfg:?} {precision} on {team} threads");
+            }
+        }
     }
 }

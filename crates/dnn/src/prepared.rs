@@ -789,6 +789,25 @@ impl<'t> Cols<'t> {
     }
 }
 
+#[cfg(test)]
+impl MatmulPlan {
+    /// Folds the packed weight operand's bytes — the blocked data, plus the
+    /// scales of a quantized plan — into the FNV-1a state `h`.
+    pub(crate) fn fold_weight_fnv(&self, h: u64) -> u64 {
+        let fold = |h: u64, bytes: &[u8]| {
+            bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+        };
+        let fold_f32 = |h: u64, xs: &[f32]| xs.iter().fold(h, |h, x| fold(h, &x.to_le_bytes()));
+        match &self.weight {
+            PlanWeight::F32(wt) => fold_f32(h, wt.data()),
+            PlanWeight::Int8 { q, scales, .. } => {
+                let h = q.data().iter().fold(h, |h, &x| fold(h, &x.to_le_bytes()));
+                fold_f32(h, scales)
+            }
+        }
+    }
+}
+
 impl fmt::Debug for MatmulPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MatmulPlan")

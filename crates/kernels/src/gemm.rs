@@ -230,12 +230,7 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
         shape.validate()?;
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
-        let (nest, schedule) = tuning.spec.split_once('@').unwrap_or((&tuning.spec, ""));
-        let group = nest.find(|c: char| c.is_ascii_uppercase());
-        let k_outside = nest.find('a').zip(group).is_some_and(|(k, group)| k < group);
-        if nest.contains('A') || schedule.contains("dynamic") && k_outside {
-            return Err(KernelError::RacySpec(tuning.spec));
-        }
+        crate::check_c_blocks_owned(&tuning.spec)?;
         let desc = match b_vnni {
             None => BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk),
             Some(v) => BrgemmDesc::blocked_vnni(shape.bm, shape.bn, shape.bk, v),
@@ -573,6 +568,7 @@ pub type GemmResult = Result<(), SpecError>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockSpmm, SpmmTuning};
     use pl_tensor::{fill_uniform, Bf16, Xorshift};
 
     fn random_problem(
@@ -657,6 +653,18 @@ mod tests {
         assert!(build("cBa @ schedule(dynamic,1)").is_ok());
         assert!(build("caB").is_ok());
         assert!(build("caB @ schedule(static,2)").is_ok());
+
+        // Block-SpMM declares the same loops (`a` = K) and rejects the same.
+        let spmm = |spec: &str| {
+            let tuning =
+                SpmmTuning { spec: spec.into(), k_step: 1, b_blocks: vec![], c_blocks: vec![] };
+            BlockSpmm::new(sh.m, sh.n, sh.k, sh.bm, sh.bk, sh.bn, tuning)
+        };
+        for racy in ["Abc", "cbA", "caB @ schedule(dynamic,1)"] {
+            assert!(matches!(spmm(racy), Err(KernelError::RacySpec(_))), "{racy}");
+        }
+        assert!(spmm("cBa @ schedule(dynamic,1)").is_ok());
+        assert!(spmm("caB").is_ok());
     }
 
     #[test]

@@ -34,8 +34,23 @@ pub enum KernelError {
     /// Invalid `loop_spec_string` for this kernel.
     Spec(parlooper::SpecError),
     /// A legal nest this kernel cannot run race-free (see
-    /// [`Gemm::new`]).
+    /// [`Gemm::new`] and [`BlockSpmm::new`]).
     RacySpec(String),
+}
+
+/// Rejects a spec over the GEMM-shaped nest (`a` = K, then the C-block
+/// loops) that lets two team members accumulate into one C block at once:
+/// one that splits the K loop over the team (`A`), or that deals the C
+/// blocks out dynamically below a sequential K level
+/// (`caB @ schedule(dynamic,1)`: afresh at every K step).
+pub(crate) fn check_c_blocks_owned(spec: &str) -> Result<(), KernelError> {
+    let (nest, schedule) = spec.split_once('@').unwrap_or((spec, ""));
+    let group = nest.find(|c: char| c.is_ascii_uppercase());
+    let k_outside = nest.find('a').zip(group).is_some_and(|(k, group)| k < group);
+    if nest.contains('A') || schedule.contains("dynamic") && k_outside {
+        return Err(KernelError::RacySpec(spec.to_string()));
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for KernelError {

@@ -52,6 +52,10 @@ pub struct BlockSpmm {
 
 impl BlockSpmm {
     /// Builds the kernel for `M x K (sparse) x K x N (dense)`.
+    ///
+    /// The loops are the dense GEMM's, and so are the specs it rejects
+    /// with [`KernelError::RacySpec`] (see [`crate::Gemm::new`]): a split K
+    /// loop (`A`) or a dynamic C-block deal below a sequential K level.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         m: usize,
@@ -73,6 +77,7 @@ impl BlockSpmm {
             LoopSpecs::blocked(0, n / bn, 1, tuning.c_blocks.clone()),
         ];
         let tl = ThreadedLoop::new(&specs, &tuning.spec).map_err(KernelError::Spec)?;
+        crate::check_c_blocks_owned(&tuning.spec)?;
         let tpp = BcscSpmm::new(bm, bk, bn);
         Ok(BlockSpmm { m, n, k, bm, bk, bn, tuning, tl, tpp })
     }
@@ -115,9 +120,9 @@ impl BlockSpmm {
                 let (ik, im, inb) = (ind[0], ind[1], ind[2]);
                 let k_hi = (ik + k_step).min(kb);
                 // SAFETY: whole-C view; the TPP writes only the (im, inb)
-                // block, and concurrent iterations of a legal spec differ
-                // in (im, inb). The sequential K loop serializes the
-                // accumulation into each block.
+                // block. `new` accepts only specs whose concurrent
+                // iterations differ in (im, inb) and that keep each
+                // block's K steps on one member, in order.
                 let c_view = unsafe { c_shared.slice_mut(0, c_len) };
                 tpp.execute_into(a, im, ik..k_hi, b, inb, c_view, c_rows, c_v, ik == 0);
             })

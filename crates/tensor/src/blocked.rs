@@ -220,21 +220,46 @@ impl<T: Element> BlockedMatrix<T> {
     }
 
     /// Packs a flat column-major `rows x cols` array (leading dim = rows).
+    /// A column-major block holds each source column's `br`-element run
+    /// contiguously, so that layout copies whole runs.
     pub fn pack_from_colmajor(&mut self, src: &[f32]) {
         assert_eq!(src.len(), self.rows * self.cols, "source size mismatch");
+        let br = self.br;
         for c in 0..self.cols {
-            for r in 0..self.rows {
-                self.set(r, c, T::from_f32(src[c * self.rows + r]));
+            let col = &src[c * self.rows..][..self.rows];
+            if self.inner == InnerLayout::ColMajor {
+                for (rb, run) in col.chunks_exact(br).enumerate() {
+                    let off = self.block_offset(rb, c / self.bc) + self.inner_offset(rb * br, c);
+                    for (dst, &v) in self.data.as_mut_slice()[off..off + br].iter_mut().zip(run) {
+                        *dst = T::from_f32(v);
+                    }
+                }
+            } else {
+                for (r, &v) in col.iter().enumerate() {
+                    self.set(r, c, T::from_f32(v));
+                }
             }
         }
     }
 
-    /// Unpacks into a flat column-major `rows x cols` f32 array.
+    /// Unpacks into a flat column-major `rows x cols` f32 array (whole
+    /// column runs for a column-major block, as in
+    /// [`Self::pack_from_colmajor`]).
     pub fn unpack_to_colmajor(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.rows * self.cols];
-        for c in 0..self.cols {
-            for r in 0..self.rows {
-                out[c * self.rows + r] = self.get(r, c).to_f32();
+        let br = self.br;
+        for (c, col) in out.chunks_exact_mut(self.rows).enumerate() {
+            if self.inner == InnerLayout::ColMajor {
+                for (rb, run) in col.chunks_exact_mut(br).enumerate() {
+                    let off = self.block_offset(rb, c / self.bc) + self.inner_offset(rb * br, c);
+                    for (dst, v) in run.iter_mut().zip(&self.data[off..off + br]) {
+                        *dst = v.to_f32();
+                    }
+                }
+            } else {
+                for (r, dst) in col.iter_mut().enumerate() {
+                    *dst = self.get(r, c).to_f32();
+                }
             }
         }
         out
@@ -308,6 +333,47 @@ mod tests {
         let mut a = BlockedMatrix::<f32>::a_layout(m, k, 4, 2).unwrap();
         a.pack_from_colmajor(&src);
         assert_eq!(a.unpack_to_colmajor(), src);
+    }
+
+    #[test]
+    fn column_run_pack_equals_per_element_path() {
+        let layouts = [
+            InnerLayout::ColMajor,
+            InnerLayout::Vnni(1),
+            InnerLayout::Vnni(2),
+            InnerLayout::VnniCols(1),
+            InnerLayout::VnniCols(2),
+        ];
+        // (rows, cols, br, bc): blocks of one element, non-square blocks,
+        // a single block and tall / wide grids.
+        let shapes = [(4, 6, 1, 1), (12, 8, 4, 2), (8, 12, 2, 6), (6, 4, 6, 4), (16, 10, 8, 2)];
+        for grid in [GridOrder::RowBlockMajor, GridOrder::ColBlockMajor] {
+            for inner in layouts {
+                for (rows, cols, br, bc) in shapes {
+                    let Ok(mut packed) = BlockedMatrix::<f32>::new(rows, cols, br, bc, grid, inner)
+                    else {
+                        continue; // a VNNI factor that does not divide the block
+                    };
+                    let mut by_element = packed.clone();
+                    let src: Vec<f32> = (0..rows * cols).map(|i| i as f32 - 7.5).collect();
+                    packed.pack_from_colmajor(&src);
+                    for c in 0..cols {
+                        for r in 0..rows {
+                            by_element.set(r, c, src[c * rows + r]);
+                        }
+                    }
+                    let case = format!("{grid:?} {inner:?} {rows}x{cols} / {br}x{bc}");
+                    assert_eq!(packed.data(), by_element.data(), "{case}");
+                    let unpacked = packed.unpack_to_colmajor();
+                    assert_eq!(unpacked, src, "{case}");
+                    for c in 0..cols {
+                        for r in 0..rows {
+                            assert_eq!(unpacked[c * rows + r], packed.get(r, c), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

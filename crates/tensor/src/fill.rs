@@ -2,6 +2,7 @@
 //! TPP (`get_rng_state()` in paper Listing 6).
 
 use crate::dtype::Element;
+use std::sync::OnceLock;
 
 /// xorshift64* generator: tiny, fast, reproducible — the style of RNG the
 /// TPP dropout primitive keeps as per-thread state.
@@ -20,12 +21,22 @@ impl Xorshift {
     /// Next 64 random bits.
     #[inline(always)]
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545f4914f6cdd1d)
+        self.state = step(self.state);
+        self.state.wrapping_mul(0x2545f4914f6cdd1d)
+    }
+
+    /// Advances the generator past `n` draws in O(64) work — the state
+    /// [`Self::next_u64`] would leave after `n` calls — so disjoint spans of
+    /// one stream can be drawn in parallel. The state update is linear over
+    /// GF(2); the jump applies the table of its `2^i`-th powers for every
+    /// set bit `i` of `n`.
+    pub fn jump(&mut self, n: u64) {
+        let powers = step_powers();
+        for (i, power) in powers.iter().enumerate() {
+            if n >> i & 1 == 1 {
+                self.state = power.apply(self.state);
+            }
+        }
     }
 
     /// Next 32 random bits.
@@ -50,6 +61,45 @@ impl Xorshift {
         let u2 = self.next_f32();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
     }
+}
+
+/// The xorshift state update: a linear map on the 64 state bits.
+#[inline(always)]
+fn step(mut x: u64) -> u64 {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    x
+}
+
+/// A 64x64 matrix over GF(2), stored by columns: column `j` is the image
+/// of state bit `j`.
+#[derive(Clone, Copy)]
+struct Gf2Matrix([u64; 64]);
+
+impl Gf2Matrix {
+    /// The image of `x`: the XOR of the columns of its set bits.
+    fn apply(&self, x: u64) -> u64 {
+        (0..64).filter(|j| x >> j & 1 == 1).fold(0, |acc, j| acc ^ self.0[j])
+    }
+
+    /// `self * self`.
+    fn square(&self) -> Self {
+        Gf2Matrix(self.0.map(|col| self.apply(col)))
+    }
+}
+
+/// `step^(2^i)` for `i` in `0..64`, built once.
+fn step_powers() -> &'static [Gf2Matrix; 64] {
+    static POWERS: OnceLock<[Gf2Matrix; 64]> = OnceLock::new();
+    POWERS.get_or_init(|| {
+        let mut m = Gf2Matrix(std::array::from_fn(|j| step(1 << j)));
+        std::array::from_fn(|_| {
+            let power = m;
+            m = m.square();
+            power
+        })
+    })
 }
 
 /// Fills a slice with uniform values in `[lo, hi)`.
@@ -94,6 +144,39 @@ mod tests {
     fn zero_seed_is_remapped() {
         let mut r = Xorshift::new(0);
         assert_ne!(r.next_u64(), 0);
+    }
+
+    #[test]
+    fn jump_equals_that_many_draws() {
+        let mut lengths = vec![0u64, 1, 2, 63, 64, 65, 1000];
+        let mut pick = Xorshift::new(17);
+        lengths.extend((0..20).map(|_| pick.next_u64() % (1 << 22)));
+        for seed in [0, 1, 0x0070_6c62_656e_6368] {
+            for &n in &lengths {
+                let mut drawn = Xorshift::new(seed);
+                for _ in 0..n {
+                    drawn.next_u64();
+                }
+                let mut jumped = Xorshift::new(seed);
+                jumped.jump(n);
+                assert_eq!(jumped.state, drawn.state, "seed {seed}, n {n}");
+                assert_eq!(jumped.next_u64(), drawn.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn jumps_compose() {
+        let mut pick = Xorshift::new(23);
+        for _ in 0..20 {
+            let (a, b) = (pick.next_u64() >> 2, pick.next_u64() >> 2);
+            let mut twice = Xorshift::new(5);
+            twice.jump(a);
+            twice.jump(b);
+            let mut once = Xorshift::new(5);
+            once.jump(a + b);
+            assert_eq!(twice.state, once.state, "{a} + {b}");
+        }
     }
 
     #[test]
