@@ -16,9 +16,7 @@ pub struct DbEntry {
 }
 
 /// In-memory tuning database with text-file persistence. `Clone` takes a
-/// point-in-time snapshot — consumers (e.g. the kernel-selection registry
-/// in `pl_dnn`) hold an immutable copy while the warmer keeps extending
-/// the original.
+/// point-in-time snapshot.
 #[derive(Debug, Default, Clone)]
 pub struct TuningDb {
     entries: HashMap<String, DbEntry>,
@@ -33,11 +31,6 @@ impl TuningDb {
     /// Canonical key for a GEMM problem on a platform.
     pub fn gemm_key(platform: &str, m: usize, n: usize, k: usize, dtype: &str) -> String {
         format!("gemm/{platform}/{m}x{n}x{k}/{dtype}")
-    }
-
-    /// Canonical key for a Block-SpMM problem on a platform.
-    pub fn spmm_key(platform: &str, m: usize, n: usize, k: usize, dtype: &str) -> String {
-        format!("spmm/{platform}/{m}x{n}x{k}/{dtype}")
     }
 
     /// Inserts or replaces an entry.
@@ -58,15 +51,6 @@ impl TuningDb {
     /// Whether the DB is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// All entries as `(key, entry)` pairs, sorted by key — the stable
-    /// iteration order consumers (persisted-DB writers, retune reports)
-    /// need for reproducible output.
-    pub fn entries_sorted(&self) -> Vec<(&str, &DbEntry)> {
-        let mut out: Vec<_> = self.entries.iter().map(|(k, e)| (k.as_str(), e)).collect();
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
     }
 
     /// Saves as `key\tspec\tscore` lines (sorted for reproducible diffs).
@@ -127,26 +111,6 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(db.len(), 2);
         assert_eq!(snap.get("k1").unwrap().spec, "abc");
-    }
-
-    #[test]
-    fn spmm_and_gemm_keys_are_disjoint() {
-        assert_ne!(
-            TuningDb::gemm_key("Zen4", 8, 8, 8, "f32"),
-            TuningDb::spmm_key("Zen4", 8, 8, 8, "f32")
-        );
-    }
-
-    #[test]
-    fn entries_sorted_is_key_ordered() {
-        let mut db = TuningDb::new();
-        db.put("z/last", DbEntry { spec: "abc".into(), score: 1.0 });
-        db.put("a/first", DbEntry { spec: "bca".into(), score: 2.0 });
-        db.put("m/mid", DbEntry { spec: "cab".into(), score: 3.0 });
-        let entries = db.entries_sorted();
-        let keys: Vec<&str> = entries.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec!["a/first", "m/mid", "z/last"]);
-        assert_eq!(entries[0].1.spec, "bca");
     }
 
     #[test]

@@ -15,7 +15,5 @@ pub mod search;
 pub use db::{DbEntry, TuningDb};
 pub use gen::{blocking_ladder, generate, prime_factors, Constraints};
 pub use search::{
-    batch_ladder, blocks_for_spec, tune_gemm_measured, tune_gemm_modeled,
-    tune_gemm_ranked_measured, tune_spmm_modeled, warm_gemm_db, warm_spmm_db, Candidate,
-    GemmProblem, TuneResult,
+    blocks_for_spec, tune_gemm_measured, tune_gemm_modeled, Candidate, GemmProblem, TuneResult,
 };

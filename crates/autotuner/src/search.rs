@@ -94,40 +94,9 @@ pub fn tune_gemm_modeled(
     platform: &Platform,
     threads: usize,
 ) -> TuneResult {
-    tune_modeled_filtered(problem, constraints, platform, threads, |_| true)
-}
-
-/// Model-based tuning of a Block-SpMM problem: the same constraint-driven
-/// candidate space as the GEMM search, restricted to specs feasible for
-/// `SpmmTuning` (exactly one K-loop occurrence — the Block-SpMM kernel's K
-/// loop supports no extra blocking), scored with the dense-equivalent GEMM
-/// model. A measured SpMM search would refine the scores; the *structural*
-/// winner (loop order + parallelization) is what the `spmm/...` registry
-/// keys need so `lookup_spmm` stops falling through.
-pub fn tune_spmm_modeled(
-    problem: &GemmProblem,
-    constraints: &Constraints,
-    platform: &Platform,
-    threads: usize,
-) -> TuneResult {
-    tune_modeled_filtered(problem, constraints, platform, threads, |spec| {
-        spec.chars().filter(|c| c.eq_ignore_ascii_case(&'a')).count() == 1
-    })
-}
-
-fn tune_modeled_filtered(
-    problem: &GemmProblem,
-    constraints: &Constraints,
-    platform: &Platform,
-    threads: usize,
-    feasible: impl Fn(&str) -> bool,
-) -> TuneResult {
     let t0 = Instant::now();
     let mut candidates: Vec<(String, [Vec<usize>; 3])> = Vec::new();
     for spec in generate(3, constraints) {
-        if !feasible(&spec) {
-            continue;
-        }
         let Some(blocks) = blocks_for_spec(problem, &spec) else {
             continue;
         };
@@ -164,116 +133,6 @@ pub fn tune_gemm_measured(
         }
     }
     finish(evaluated, t0)
-}
-
-/// Ranked measured tuning — the retune loop's search driver. The
-/// analytical model ranks the full constraint-generated candidate space
-/// (via [`pl_perfmodel::rank_gemm_candidates`]); only the `top_k`
-/// survivors are handed to the caller's measurement function, plus any
-/// `extra_specs` (typically the incumbent spec, so a planted or stale
-/// winner is re-scored against the challengers rather than surviving by
-/// default). The returned [`TuneResult`] is sorted by *measured* score;
-/// candidates whose measurement returns `None` (kernel build failure,
-/// budget exhausted) are dropped.
-pub fn tune_gemm_ranked_measured(
-    problem: &GemmProblem,
-    constraints: &Constraints,
-    platform: &Platform,
-    threads: usize,
-    top_k: usize,
-    extra_specs: &[String],
-    mut run: impl FnMut(&str, &[Vec<usize>; 3]) -> Option<f64>,
-) -> TuneResult {
-    let t0 = Instant::now();
-    let ranked = tune_gemm_modeled(problem, constraints, platform, threads).evaluated;
-    let mut to_measure: Vec<(String, [Vec<usize>; 3])> = Vec::new();
-    for cand in ranked.into_iter().take(top_k) {
-        to_measure.push((cand.spec, cand.blocks));
-    }
-    for spec in extra_specs {
-        if to_measure.iter().any(|(s, _)| s == spec) {
-            continue;
-        }
-        if let Some(blocks) = blocks_for_spec(problem, spec) {
-            to_measure.push((spec.clone(), blocks));
-        }
-    }
-    let mut evaluated = Vec::new();
-    for (spec, blocks) in to_measure {
-        if let Some(score) = run(&spec, &blocks) {
-            evaluated.push(Candidate { spec, blocks, score });
-        }
-    }
-    finish(evaluated, t0)
-}
-
-/// A power-of-two width ladder: `1, 2, 4, ...` up to `max`, plus `max`
-/// itself when it is not a power of two. Serving runtimes warm the
-/// N-dimension variants of their per-layer GEMMs on this schedule for
-/// widths too numerous to enumerate (prompt lengths); consumers round a
-/// missed width up to the next rung to reuse the nearest warmed spec.
-pub fn batch_ladder(max: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut b = 1usize;
-    while b <= max {
-        out.push(b);
-        b *= 2;
-    }
-    if *out.last().unwrap_or(&0) != max && max > 0 {
-        out.push(max);
-    }
-    out
-}
-
-/// Warms a [`crate::TuningDb`] with the model-based winners for a set of GEMM
-/// problems on one platform — the serving runtime calls this at startup for
-/// every shape its batcher can produce, so steady-state traffic never pays
-/// search latency. Problems already present in the DB (same key) are
-/// skipped; returns the number of entries added.
-pub fn warm_gemm_db(
-    db: &mut crate::db::TuningDb,
-    problems: &[GemmProblem],
-    constraints: &Constraints,
-    platform: &Platform,
-    threads: usize,
-) -> usize {
-    let mut added = 0;
-    for p in problems {
-        let key = crate::db::TuningDb::gemm_key(platform.name, p.m, p.n, p.k, &p.dtype.to_string());
-        if db.get(&key).is_some() {
-            continue;
-        }
-        let result = tune_gemm_modeled(p, constraints, platform, threads);
-        db.put(&key, crate::db::DbEntry { spec: result.best.spec, score: result.best.score });
-        added += 1;
-    }
-    added
-}
-
-/// SpMM companion of [`warm_gemm_db`] — warms the `spmm/...` keys for a
-/// set of problems via [`tune_spmm_modeled`], so a serving runtime's
-/// startup warm-up leaves the Block-SpMM bridge's registry lookups hitting
-/// instead of always falling through to `default_parallel`. Problems whose
-/// key is already present are skipped; returns the number of entries
-/// added.
-pub fn warm_spmm_db(
-    db: &mut crate::db::TuningDb,
-    problems: &[GemmProblem],
-    constraints: &Constraints,
-    platform: &Platform,
-    threads: usize,
-) -> usize {
-    let mut added = 0;
-    for p in problems {
-        let key = crate::db::TuningDb::spmm_key(platform.name, p.m, p.n, p.k, &p.dtype.to_string());
-        if db.get(&key).is_some() {
-            continue;
-        }
-        let result = tune_spmm_modeled(p, constraints, platform, threads);
-        db.put(&key, crate::db::DbEntry { spec: result.best.spec, score: result.best.score });
-        added += 1;
-    }
-    added
 }
 
 fn finish(mut evaluated: Vec<Candidate>, t0: Instant) -> TuneResult {
@@ -322,52 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn ranked_measured_limits_measurements_and_keeps_incumbent() {
-        let c = Constraints::gemm(0, 1, 1, 300);
-        let mut measured = Vec::new();
-        let r = tune_gemm_ranked_measured(
-            &problem(),
-            &c,
-            &Platform::zen4(),
-            8,
-            4,
-            &["abc".to_string()],
-            |spec, _| {
-                measured.push(spec.to_string());
-                // The sequential incumbent "wins" the measurement: measured
-                // score overrides the model ranking.
-                Some(if spec == "abc" { 1000.0 } else { 10.0 })
-            },
-        );
-        // top_k model picks + the incumbent (which the model would never
-        // rank into the top 4 — it is sequential).
-        assert_eq!(measured.len(), 5, "measured {measured:?}");
-        assert!(measured.contains(&"abc".to_string()));
-        assert_eq!(r.best.spec, "abc");
-        assert_eq!(r.evaluated.len(), 5);
-    }
-
-    #[test]
-    fn ranked_measured_dedups_incumbent_already_in_top_k() {
-        let c = Constraints::gemm(0, 1, 1, 300);
-        let model_best = tune_gemm_modeled(&problem(), &c, &Platform::zen4(), 8).best.spec.clone();
-        let mut count = 0usize;
-        tune_gemm_ranked_measured(
-            &problem(),
-            &c,
-            &Platform::zen4(),
-            8,
-            3,
-            &[model_best],
-            |_, _| {
-                count += 1;
-                Some(1.0)
-            },
-        );
-        assert_eq!(count, 3, "incumbent inside top_k must not be measured twice");
-    }
-
-    #[test]
     fn blocks_follow_ladders() {
         let p = problem(); // 8 blocks per dim -> ladder [4, 2]
         let blocks = blocks_for_spec(&p, "aabbc").unwrap();
@@ -377,94 +190,6 @@ mod tests {
         // Too many occurrences for the ladder (8 = 2^3 -> at most 2 rungs
         // below the extent, so 4 occurrences are infeasible).
         assert!(blocks_for_spec(&p, "aaaabc").is_none());
-    }
-
-    #[test]
-    fn warm_gemm_db_records_winners_and_skips_known_shapes() {
-        let mut db = crate::db::TuningDb::new();
-        let c = Constraints::gemm(0, 1, 1, 100);
-        let platform = Platform::zen4();
-        let p = problem();
-        let added = warm_gemm_db(&mut db, &[p, p], &c, &platform, 8);
-        assert_eq!(added, 1, "duplicate shape must be tuned once");
-        let key = crate::db::TuningDb::gemm_key(platform.name, p.m, p.n, p.k, &p.dtype.to_string());
-        let entry = db.get(&key).expect("warmed entry present");
-        assert!(entry.score > 0.0);
-        // Re-warming is a no-op.
-        assert_eq!(warm_gemm_db(&mut db, &[p], &c, &platform, 8), 0);
-    }
-
-    #[test]
-    fn spmm_search_is_single_k_feasible_and_warms_db() {
-        // Even with K blocking allowed in the candidate space, every spmm
-        // candidate must keep exactly one K-loop occurrence (the kernel's
-        // K loop supports no extra blocking).
-        let c = Constraints::gemm(2, 1, 1, 300);
-        let platform = Platform::zen4();
-        let r = tune_spmm_modeled(&problem(), &c, &platform, 8);
-        assert!(!r.evaluated.is_empty());
-        for cand in &r.evaluated {
-            assert_eq!(
-                cand.spec.chars().filter(|ch| ch.eq_ignore_ascii_case(&'a')).count(),
-                1,
-                "spec {} infeasible for SpmmTuning",
-                cand.spec
-            );
-        }
-        let mut db = crate::db::TuningDb::new();
-        let p = problem();
-        assert_eq!(warm_spmm_db(&mut db, &[p, p], &c, &platform, 8), 1, "duplicate tuned once");
-        let key = crate::db::TuningDb::spmm_key(platform.name, p.m, p.n, p.k, &p.dtype.to_string());
-        assert!(db.get(&key).expect("spmm key warmed").score > 0.0);
-        // Re-warming is a no-op, and the gemm keys are untouched.
-        assert_eq!(warm_spmm_db(&mut db, &[p], &c, &platform, 8), 0);
-        assert_eq!(db.len(), 1);
-    }
-
-    #[test]
-    fn batch_ladder_covers_powers_and_ragged_max() {
-        assert_eq!(batch_ladder(0), Vec::<usize>::new());
-        assert_eq!(batch_ladder(1), vec![1]);
-        assert_eq!(batch_ladder(8), vec![1, 2, 4, 8]);
-        assert_eq!(batch_ladder(6), vec![1, 2, 4, 6]);
-        assert_eq!(batch_ladder(13), vec![1, 2, 4, 8, 13]);
-    }
-
-    #[test]
-    fn batch_ladder_boundary_widths() {
-        // Width 1: the degenerate ladder is exactly the decode width.
-        assert_eq!(batch_ladder(1), vec![1]);
-        assert_eq!(batch_ladder(2), vec![1, 2]);
-        // Exact power-of-two max: no ragged tail rung is appended.
-        for exp in 0..=10u32 {
-            let max = 1usize << exp;
-            let ladder = batch_ladder(max);
-            assert_eq!(*ladder.last().unwrap(), max);
-            assert_eq!(ladder.len(), exp as usize + 1, "pure power ladder for {max}");
-            assert!(ladder.iter().all(|w| w.is_power_of_two()));
-        }
-        // kv_capacity-shaped maxima (the serving warm-up's upper bound):
-        // the capacity itself is always a rung, whether ragged or not.
-        for kv in [16usize, 64, 100, 128, 129, 1000] {
-            let ladder = batch_ladder(kv);
-            assert_eq!(*ladder.last().unwrap(), kv, "kv_capacity {kv} must be warmed");
-            assert!(ladder.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
-            assert!(ladder.iter().all(|&w| w <= kv), "no rung beyond capacity");
-        }
-        // Round-up contract for missed widths: for every width w <= max,
-        // the consumer rounds up to the next rung — which must exist and
-        // be `next_power_of_two(w)` (or `max` itself when that power
-        // overshoots the ragged tail).
-        for max in [6usize, 8, 13, 100] {
-            let ladder = batch_ladder(max);
-            for w in 1..=max {
-                let rung = *ladder.iter().find(|&&r| r >= w).unwrap_or_else(|| {
-                    panic!("width {w} has no rung to round up to in ladder({max})")
-                });
-                let expect = if w.next_power_of_two() <= max { w.next_power_of_two() } else { max };
-                assert_eq!(rung, expect, "width {w} in ladder({max})");
-            }
-        }
     }
 
     #[test]

@@ -29,21 +29,15 @@
 //! * [`matmul`] — the flat-matrix pack-per-call bridge, kept as a thin
 //!   compatibility wrapper (a throwaway plan per call) for one-shot
 //!   contractions; prefer plans for weights.
-//! * [`tuning`] — process-wide consumption of the offline tuning DB: plans
-//!   and the flat bridges resolve their `loop_spec_string` through an
-//!   installed [`pl_autotuner::TuningDb`] snapshot, falling back to the
-//!   built-in `default_parallel` specs. Installs advance a registry
-//!   [`tuning::epoch`] that makes existing plans re-resolve their cached
-//!   kernels.
 //!
 //! ## The prepared-op lifecycle
 //!
 //! 1. **build** — constructing a model packs every weight into its blocked
 //!    kernel layout exactly once (`MatmulPlan::new`);
-//! 2. **warm** — a serving runtime asks the model for the exact GEMM
-//!    shapes its plans will execute ([`DecoderModel::plan_problems`]),
-//!    tunes/install a DB snapshot, then pre-constructs the kernels
-//!    ([`DecoderModel::warm_plans`]);
+//! 2. **warm** — optionally, pre-construct the kernels for the widths a
+//!    caller will execute ([`DecoderModel::warm_plans`]); otherwise each
+//!    width's kernel is built on first use. Every kernel runs the
+//!    built-in `default_parallel` spec;
 //! 3. **execute** — decode/forward paths only gather and pack
 //!    *activations*; weights are never touched again.
 
@@ -54,7 +48,6 @@ pub mod matmul;
 pub mod prepared;
 pub mod resnet;
 pub mod sparse_bert;
-pub mod tuning;
 
 pub use bert::{BertConfig, BertEncoder, BertLayer};
 pub use kvpool::{

@@ -47,7 +47,7 @@
 //! | 9 | residual | columns: `"A"` | |
 //!
 //! A GEMM's blocks are its M blocks x 4-column blocks, split by the
-//! plan's (possibly tuned) loop spec. A barrier follows every phase but
+//! plan's loop spec (`default_parallel`). A barrier follows every phase but
 //! the 9th: phase 9 and the next layer's phase 1 split the columns the
 //! same way, so each column stays with one member — 9 phases and 8
 //! barriers per layer. An empty span cell extends the span above it.
@@ -63,16 +63,14 @@
 //!
 //! Every weight is a [`MatmulPlan`]: packed into its blocked kernel layout
 //! once at [`DecoderModel::new`], with per-width kernels cached on first
-//! use (or pre-built by [`DecoderModel::warm_plans`], fed by the shapes
-//! [`DecoderModel::plan_problems`] reports). Decode steps therefore pack
-//! **zero weight bytes** — only activations are blocked, into buffers
-//! reused across a forward's layers, and a layer's QKV projections consume
-//! a single packed copy of their shared input.
+//! use (or pre-built by [`DecoderModel::warm_plans`]). Decode steps
+//! therefore pack **zero weight bytes** — only activations are blocked,
+//! into buffers reused across a forward's layers, and a layer's QKV
+//! projections consume a single packed copy of their shared input.
 
 use crate::kvpool::{KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, PrefixHit};
 use crate::matmul::Trans;
 use crate::prepared::{item_nest, Act, Cols, MatmulPlan, Phase, Precision, Region, Work};
-use pl_autotuner::GemmProblem;
 use pl_runtime::ThreadPool;
 use pl_tensor::Xorshift;
 use pl_tpp::{norm, softmax, unary};
@@ -186,13 +184,12 @@ fn layernorm_col(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) {
 }
 
 /// Splits a `tokens`-token prefill into bounded chunk widths under the
-/// `chunk` cap, **power-of-two-ladder-aligned**: the cap is normalized to
-/// the next power of two, every non-final chunk is exactly that width (an
-/// exact hit on the warmed prefill ladder — see
-/// `pl_autotuner::batch_ladder`), and only the final chunk carries the
-/// remainder (whose tuning lookup rounds up to the nearest warmed rung).
-/// A prompt that fits in one chunk is returned whole, whatever the cap
-/// (even one past the largest power of two). Chunking never changes
+/// `chunk` cap: the cap is normalized to the next power of two, every
+/// non-final chunk is exactly that width and only the final chunk carries
+/// the remainder, so a prompt builds at most two kernels per plan. No
+/// kernel needs the power-of-two rounding; it only fixes which widths a
+/// cap yields. A prompt that fits in one chunk is returned whole, whatever
+/// the cap (even one past the largest power of two). Chunking never changes
 /// values: a chunked prefill is bit-identical to the whole-prompt forward.
 pub fn prefill_chunk_widths(tokens: usize, chunk: usize) -> Vec<usize> {
     let cap = chunk.min(tokens).max(1).next_power_of_two();
@@ -486,26 +483,9 @@ impl DecoderModel {
         self.blocks.iter().flat_map(|b| b.plans()).map(|p| p.weight_stream_bytes()).sum()
     }
 
-    /// Appends (deduped by `(m, n, k)`) the exact GEMM problems this
-    /// model's prepared plans execute at activation width `n` — what a
-    /// tuning warmer must cover so steady-state traffic runs search
-    /// winners. The shapes come *from the plans themselves*, so they are
-    /// blocked identically to the kernels that will run.
-    pub fn plan_problems(&self, n: usize, out: &mut Vec<GemmProblem>) {
-        for blk in &self.blocks {
-            for plan in blk.plans() {
-                let p = plan.problem(n);
-                if !out.iter().any(|q| (q.m, q.n, q.k) == (p.m, p.n, p.k)) {
-                    out.push(p);
-                }
-            }
-        }
-    }
-
     /// Pre-constructs every plan's kernel at each width in `widths`
     /// (zero-width entries are skipped), so the first real step at any of
-    /// those widths builds nothing. Call after installing a tuning
-    /// snapshot: the kernels then resolve against it immediately.
+    /// those widths builds nothing.
     pub fn warm_plans(&self, widths: &[usize]) {
         for blk in &self.blocks {
             for plan in blk.plans() {
@@ -1160,20 +1140,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_problems_and_warm_cover_layer_shapes() {
-        let cfg = DecoderConfig::scaled_for_tests();
-        let model = DecoderModel::new(cfg, 5);
-        let mut out = Vec::new();
-        model.plan_problems(4, &mut out);
-        let shapes: Vec<(usize, usize, usize)> = out.iter().map(|p| (p.m, p.n, p.k)).collect();
-        // Deduped across layers: QKV/WO share one shape, plus the two FFN
-        // shapes.
-        assert_eq!(
-            shapes,
-            vec![(cfg.hidden, 4, cfg.hidden), (cfg.ffn, 4, cfg.hidden), (cfg.hidden, 4, cfg.ffn)]
-        );
-        // Warming is side-effect-only (zero widths skipped).
-        model.warm_plans(&[1, 4, 0]);
+    fn warm_plans_builds_every_plan_kernel_at_each_width() {
+        let model = DecoderModel::new(DecoderConfig::scaled_for_tests(), 5);
+        model.warm_plans(&[1, 4, 0]); // zero widths are skipped
+        for plan in model.blocks.iter().flat_map(|blk| blk.plans()) {
+            assert_eq!(plan.warmed_widths(), vec![1, 4]);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The layers keep activations as flat column-major `features x tokens`
 //! f32 matrices. Historically every weight contraction went through
 //! [`matmul`], which re-packs both operands into PARLOOPER blocked layouts
-//! and re-constructs the tuned GEMM kernel per call. That per-call layout
+//! and re-constructs the GEMM kernel per call. That per-call layout
 //! cost is exactly what the paper amortizes at layer boundaries, and what
 //! [`crate::prepared::MatmulPlan`] now front-loads: **new code should hold
 //! plans, not call this function** — `matmul` remains only for one-shot
@@ -14,8 +14,8 @@
 //!
 //! [`matmul`] is implemented as a throwaway [`crate::prepared::MatmulPlan`]
 //! built per call, so both paths execute the identical kernel: same
-//! blockings ([`pl_kernels::GemmShape::default_block`]), same tuning
-//! resolution through [`crate::tuning`], same per-element reduction order —
+//! blockings ([`pl_kernels::GemmShape::default_block`]), same
+//! `default_parallel` spec, same per-element reduction order —
 //! plan outputs are **bit-identical** to `matmul` outputs. No-transpose
 //! operands are borrowed, never copied; `Trans::Yes` operands pay one
 //! transpose.

@@ -3,8 +3,8 @@
 //! API.
 //!
 //! The flat bridge ([`crate::matmul::matmul`]) re-copies/transposes its
-//! operands, re-packs them into PARLOOPER blocked layouts, re-resolves the
-//! tuning spec and re-constructs the GEMM kernel on **every** invocation.
+//! operands, re-packs them into PARLOOPER blocked layouts and
+//! re-constructs the GEMM kernel on **every** invocation.
 //! For a weight contraction executed thousands of times per second that is
 //! pure overhead: the weight bytes never change. The prepared-op lifecycle
 //! front-loads all of it:
@@ -14,9 +14,7 @@
 //!   M/K blockings the per-call bridge would pick
 //!   ([`GemmShape::default_block`]), so results stay bit-identical;
 //! * **warm** — [`MatmulPlan::warm`] pre-constructs the kernel for every
-//!   activation width the caller will execute, and [`MatmulPlan::problem`]
-//!   names the exact `(m, n, k)` shapes so a serving runtime's tuning
-//!   warmer covers precisely what will run;
+//!   activation width the caller will execute;
 //! * **execute** — [`MatmulPlan::execute`] packs only the activations per
 //!   call; the split surface ([`MatmulPlan::pack`] +
 //!   [`MatmulPlan::execute_packed`]) lets one packed activation matrix
@@ -35,21 +33,18 @@
 //! microkernel's register-tile width, ragged last block) whatever the
 //! width, and every output column is one k-ordered reduction that depends
 //! on neither the width nor the spec — so **column `j` of `execute(n)`
-//! equals `execute(1)` on that column bit for bit**, at f32 and int8
-//! (`tests/prepared_plans.rs` states the property). Batched = unbatched
-//! decode rests on it.
+//! equals `execute(1)` on that column bit for bit**, at f32 and int8 (this
+//! module's tests state the property under the offline tuner's loop specs
+//! too). Batched = unbatched decode rests on it.
 //!
-//! Kernel selection resolves through [`crate::tuning`]: cached kernels are
-//! tagged with the registry [`crate::tuning::epoch`] and re-resolve when a
-//! new snapshot is installed, so a plan built before
-//! [`crate::tuning::install`] runs the tuned specs right after it. Values
-//! are unchanged either way — every legal spec produces each output block
-//! on exactly one thread with the same ascending-K reduction order.
+//! Every kernel runs the built-in parallel spec
+//! ([`GemmTuning::default_parallel`], [`SpmmTuning::default_parallel`]):
+//! the offline tuner reproduces the paper's search, and no tuned spec has
+//! yet measured better on the serving path.
 //!
 //! [`SpmmPlan`] is the Block-SpMM twin for block-sparse weights: the BCSC
 //! operand is already a pack-once artifact (pruning produces it), so the
-//! plan's job is caching the constructed kernels per width and registering
-//! the `spmm/...` tuning shapes for warmers.
+//! plan's job is caching the constructed kernels per width.
 //!
 //! The module also exposes [`pack_events`], a process-wide count of weight
 //! pack/transpose work, as the assertion hook for the packing discipline:
@@ -57,8 +52,9 @@
 
 use crate::matmul::{transpose_cm, Trans};
 use parlooper::{LoopRun, LoopSpecs, ThreadedLoop};
-use pl_autotuner::GemmProblem;
-use pl_kernels::{BlockSpmm, Gemm, GemmInt8, GemmShape, GemmTuning, SharedSlice, SpmmTuning};
+use pl_kernels::{
+    BlockSpmm, Gemm, GemmInt8, GemmShape, GemmTuning, KernelError, SharedSlice, SpmmTuning,
+};
 use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{
     quantize_weight_a_vnni, symmetric_scale, BcscMatrix, BlockedMatrix, DType, Element, VnniMatrix,
@@ -108,17 +104,6 @@ pub enum Precision {
     F32,
     /// Pack-once symmetric int8 weights, i32 accumulation, f32 outputs.
     Int8,
-}
-
-impl Precision {
-    /// The storage dtype of the plan weight — the dtype that scopes tuning
-    /// keys, trace spans and kernel caches.
-    pub fn dtype(self) -> DType {
-        match self {
-            Precision::F32 => DType::F32,
-            Precision::Int8 => DType::I8,
-        }
-    }
 }
 
 impl fmt::Display for Precision {
@@ -228,8 +213,6 @@ enum PlanGemm {
 }
 
 struct PlanKernel {
-    /// The [`crate::tuning::epoch`] this kernel's spec resolved under.
-    epoch: u64,
     shape: GemmShape,
     gemm: PlanGemm,
 }
@@ -250,8 +233,8 @@ enum PlanWeight {
 ///
 /// Built from the flat column-major weight once; executes
 /// `out (m x n) = W (m x k) x act (k x n)` for any activation width `n`
-/// with zero per-call weight packing, transposition, tuning resolution or
-/// kernel construction (each width's kernel is built on first use — or by
+/// with zero per-call weight packing, transposition or kernel
+/// construction (each width's kernel is built on first use — or by
 /// [`MatmulPlan::warm`] — and cached). Execution is `&self` and
 /// thread-safe: one plan serves any number of concurrent sessions.
 pub struct MatmulPlan {
@@ -336,21 +319,6 @@ impl MatmulPlan {
         self.k
     }
 
-    /// The exact GEMM problem this plan executes at activation width `n` —
-    /// blocked identically to the kernel that will run, so tuning warmers
-    /// cover precisely the shapes that execute.
-    pub fn problem(&self, n: usize) -> GemmProblem {
-        GemmProblem {
-            m: self.m,
-            n,
-            k: self.k,
-            bm: self.bm,
-            bn: GemmShape::activation_block(n),
-            bk: self.bk,
-            dtype: self.precision.dtype(),
-        }
-    }
-
     /// Pre-constructs (and caches) the kernel for width `n`, so the first
     /// real execution at `n` builds nothing.
     pub fn warm(&self, n: usize) {
@@ -366,41 +334,43 @@ impl MatmulPlan {
 
     fn kernel_for(&self, n: usize) -> Arc<PlanKernel> {
         assert!(n > 0, "activation width must be non-zero");
-        let epoch = crate::tuning::epoch();
         if let Some(k) = self.kernels.read().unwrap().get(&n) {
-            if k.epoch == epoch {
-                return Arc::clone(k);
-            }
+            return Arc::clone(k);
         }
-        // Build (or re-resolve after a registry install). Same
-        // degrade-don't-panic contract as the flat bridge: a rejected
-        // registry spec falls back to the built-in parallel spec.
-        let shape = GemmShape {
+        let shape = self.shape(n);
+        let tuning = GemmTuning::default_parallel(shape.kb());
+        let kernel = Arc::new(self.build_kernel(shape, tuning).expect("plan kernel shape"));
+        let mut cache = self.kernels.write().unwrap();
+        if cache.len() < KERNEL_CACHE_CAP || cache.contains_key(&n) {
+            cache.insert(n, Arc::clone(&kernel));
+        }
+        kernel
+    }
+
+    /// The GEMM this plan runs at activation width `n`.
+    fn shape(&self, n: usize) -> GemmShape {
+        GemmShape {
             m: self.m,
             n,
             k: self.k,
             bm: self.bm,
             bn: GemmShape::activation_block(n),
             bk: self.bk,
-        };
-        let tuning = crate::tuning::gemm_tuning_for(&shape, self.precision.dtype());
-        let fallback = || GemmTuning::default_parallel(shape.kb());
-        let gemm = match &self.weight {
-            PlanWeight::F32(_) => Gemm::<f32, f32, f32>::new(shape, tuning)
-                .or_else(|_| Gemm::<f32, f32, f32>::new(shape, fallback()))
-                .map(PlanGemm::F32)
-                .expect("plan kernel shape"),
-            PlanWeight::Int8 { v, .. } => GemmInt8::new(shape, tuning, *v)
-                .or_else(|_| GemmInt8::new(shape, fallback(), *v))
-                .map(PlanGemm::Int8)
-                .expect("plan kernel shape"),
-        };
-        let kernel = Arc::new(PlanKernel { epoch, shape, gemm });
-        let mut cache = self.kernels.write().unwrap();
-        if cache.len() < KERNEL_CACHE_CAP || cache.contains_key(&n) {
-            cache.insert(n, Arc::clone(&kernel));
         }
-        kernel
+    }
+
+    /// Compiles this plan's kernel for `shape` under `tuning` (the plan
+    /// caches it at `default_parallel`, see [`MatmulPlan::kernel_for`]).
+    fn build_kernel(
+        &self,
+        shape: GemmShape,
+        tuning: GemmTuning,
+    ) -> Result<PlanKernel, KernelError> {
+        let gemm = match &self.weight {
+            PlanWeight::F32(_) => PlanGemm::F32(Gemm::new(shape, tuning)?),
+            PlanWeight::Int8 { v, .. } => PlanGemm::Int8(GemmInt8::new(shape, tuning, *v)?),
+        };
+        Ok(PlanKernel { shape, gemm })
     }
 
     /// An empty `k x n` input operand for this plan (and any sibling
@@ -431,11 +401,11 @@ impl MatmulPlan {
         packed
     }
 
-    /// Starts one execution at width `n` by a team of `team` threads that
-    /// is (or will be) inside a parallel region: resolves the cached
-    /// kernel for `n` here, outside the hot phases. A run is single-use.
-    fn begin(&self, n: usize, team: usize) -> PlanRun<'_> {
-        let kernel = self.kernel_for(n);
+    /// Starts one execution of `kernel` (one of this plan's, from
+    /// [`MatmulPlan::kernel_for`] outside the hot phases) by a team of
+    /// `team` threads that is (or will be) inside a parallel region. A run
+    /// is single-use.
+    fn begin(&self, kernel: Arc<PlanKernel>, team: usize) -> PlanRun<'_> {
         let run = match &kernel.gemm {
             PlanGemm::F32(g) => g.begin(team),
             PlanGemm::Int8(g) => g.begin(team),
@@ -448,8 +418,19 @@ impl MatmulPlan {
     /// [`MatmulPlan::pack`] — possibly packed by a sibling plan with the
     /// same `k`). Returns the flat column-major `m x n` result.
     pub fn execute_packed(&self, act: &ActMatrix, pool: &ThreadPool) -> Vec<f32> {
+        self.execute_with(self.kernel_for(act.n()), act, pool)
+    }
+
+    /// [`MatmulPlan::execute_packed`] through `kernel`, one of this plan's
+    /// kernels at `act`'s width.
+    fn execute_with(
+        &self,
+        kernel: Arc<PlanKernel>,
+        act: &ActMatrix,
+        pool: &ThreadPool,
+    ) -> Vec<f32> {
         let out = self.output(act.n());
-        let run = self.begin(act.n(), pool.nthreads());
+        let run = self.begin(kernel, pool.nthreads());
         // SAFETY: `out` is local, and nothing can write `act` while it is
         // borrowed shared (a region borrows its matrices exclusively); the
         // parallel region runs nothing but this plan.
@@ -496,10 +477,9 @@ impl PlanRun<'_> {
             plan.k
         );
         // Per-shape wall-clock span (member 0's share — the phase, give
-        // or take the static split): aggregated by (m, n, k) this is a
-        // measured-timing table (`pl_trace::TraceSummary`). The name
-        // carries the plan dtype so f32 and i8 timings of the same shape
-        // stay distinguishable.
+        // or take the static split), args (m, n, k). The name carries the
+        // plan dtype so f32 and i8 timings of the same shape stay
+        // distinguishable.
         let _span = (ctx.tid() == 0).then(|| {
             let name = match plan.precision {
                 Precision::F32 => "gemm.execute",
@@ -658,7 +638,8 @@ impl<'r> Region<'r> {
             }
         }
         let team = pool.nthreads();
-        let runs: Vec<_> = plans.iter().map(|l| l.map(|p| p.begin(self.n, team))).collect();
+        let runs: Vec<_> =
+            plans.iter().map(|l| l.map(|p| p.begin(p.kernel_for(self.n), team))).collect();
         let columns = column_nest(self.n);
         let items = (!self.items.is_empty()).then(|| item_nest(self.items.len()));
         let nests: Vec<Option<LoopRun>> = runs
@@ -860,10 +841,10 @@ pub(crate) fn spmm_bn(tokens: usize) -> usize {
     1
 }
 
-/// Constructs a Block-SpMM kernel for `tokens` activation columns over an
-/// `m x k` sparse operand blocked `bm x bk`, resolving the spec through
-/// [`crate::tuning`] with the degrade-don't-panic fallback. Shared by
-/// [`SpmmPlan`] and the pack-per-call [`crate::sparse_bert::spmm_matmul`].
+/// Constructs the Block-SpMM kernel (`default_parallel` spec) for `tokens`
+/// activation columns over an `m x k` sparse operand blocked `bm x bk`.
+/// Shared by [`SpmmPlan`] and the pack-per-call
+/// [`crate::sparse_bert::spmm_matmul`].
 pub(crate) fn build_spmm_kernel(
     m: usize,
     k: usize,
@@ -872,19 +853,12 @@ pub(crate) fn build_spmm_kernel(
     tokens: usize,
 ) -> (usize, BlockSpmm) {
     let bn = spmm_bn(tokens);
-    let shape = GemmShape { m, n: tokens, k, bm, bn, bk };
-    let tuning = crate::tuning::spmm_tuning_for(&shape);
-    let kernel = BlockSpmm::new(m, tokens, k, bm, bk, bn, tuning)
-        .or_else(|_| {
-            let fallback = SpmmTuning::default_parallel(k / bk);
-            BlockSpmm::new(m, tokens, k, bm, bk, bn, fallback)
-        })
-        .expect("spmm kernel shape");
+    let tuning = SpmmTuning::default_parallel(k / bk);
+    let kernel = BlockSpmm::new(m, tokens, k, bm, bk, bn, tuning).expect("spmm kernel shape");
     (bn, kernel)
 }
 
 struct SpmmPlanKernel {
-    epoch: u64,
     bn: usize,
     kernel: BlockSpmm,
 }
@@ -893,8 +867,7 @@ struct SpmmPlanKernel {
 ///
 /// The BCSC operand is itself a pack-once artifact (pruning produced it);
 /// the plan adds what the pack-per-call bridge re-did every call: kernel
-/// construction and tuning resolution, cached per activation width with
-/// the same registry-epoch re-resolution as [`MatmulPlan`].
+/// construction, cached per activation width.
 pub struct SpmmPlan {
     weight: BcscMatrix<f32>,
     kernels: RwLock<HashMap<usize, Arc<SpmmPlanKernel>>>,
@@ -911,32 +884,10 @@ impl SpmmPlan {
         &self.weight
     }
 
-    /// The exact SpMM problem this plan executes at `tokens` activation
-    /// columns — the shape (`spmm/...` key) a tuning warmer must cover.
-    pub fn problem(&self, tokens: usize) -> GemmProblem {
-        GemmProblem {
-            m: self.weight.rows(),
-            n: tokens,
-            k: self.weight.cols(),
-            bm: self.weight.bm(),
-            bn: spmm_bn(tokens),
-            bk: self.weight.bk(),
-            dtype: DType::F32,
-        }
-    }
-
-    /// Pre-constructs (and caches) the kernel for `tokens` columns.
-    pub fn warm(&self, tokens: usize) {
-        let _ = self.kernel_for(tokens);
-    }
-
     fn kernel_for(&self, tokens: usize) -> Arc<SpmmPlanKernel> {
         assert!(tokens > 0, "activation width must be non-zero");
-        let epoch = crate::tuning::epoch();
         if let Some(k) = self.kernels.read().unwrap().get(&tokens) {
-            if k.epoch == epoch {
-                return Arc::clone(k);
-            }
+            return Arc::clone(k);
         }
         let (bn, kernel) = build_spmm_kernel(
             self.weight.rows(),
@@ -945,7 +896,7 @@ impl SpmmPlan {
             self.weight.bk(),
             tokens,
         );
-        let k = Arc::new(SpmmPlanKernel { epoch, bn, kernel });
+        let k = Arc::new(SpmmPlanKernel { bn, kernel });
         let mut cache = self.kernels.write().unwrap();
         if cache.len() < KERNEL_CACHE_CAP || cache.contains_key(&tokens) {
             cache.insert(tokens, Arc::clone(&k));
@@ -1002,8 +953,117 @@ mod tests {
             assert!((got1[i] - want[i]).abs() < 1e-3, "idx {i}");
         }
         assert_eq!(plan.warmed_widths(), vec![n]);
-        let p = plan.problem(n);
-        assert_eq!((p.m, p.n, p.k), (m, n, k));
+    }
+
+    /// The loop specs the offline tuner generates over the GEMM nest's K
+    /// (`a`), M (`b`) and N (`c`) loops with at most one loop blocked once
+    /// more: every order of the letters, run sequentially or with one M/N
+    /// letter (or two adjacent, distinct ones) parallel.
+    fn generated_specs() -> Vec<String> {
+        let mut specs = std::collections::BTreeSet::new();
+        for extra in ["", "a", "b", "c"] {
+            let mut letters: Vec<char> = format!("abc{extra}").chars().collect();
+            letters.sort_unstable();
+            let len = letters.len() as u32;
+            for code in 0..3usize.pow(len) {
+                let order: Vec<char> =
+                    (0..len).map(|i| (b'a' + (code / 3usize.pow(i) % 3) as u8) as char).collect();
+                let mut sorted = order.clone();
+                sorted.sort_unstable();
+                if sorted != letters {
+                    continue;
+                }
+                specs.insert(order.iter().collect::<String>());
+                for i in (0..order.len()).filter(|&i| order[i] != 'a') {
+                    let mut par = order.clone();
+                    par[i] = par[i].to_ascii_uppercase();
+                    specs.insert(par.iter().collect());
+                    if order.get(i + 1).is_some_and(|&next| next != 'a' && next != order[i]) {
+                        par[i + 1] = par[i + 1].to_ascii_uppercase();
+                        specs.insert(par.iter().collect());
+                    }
+                }
+            }
+        }
+        specs.into_iter().collect()
+    }
+
+    /// `spec` with the tuner's blocking of `shape` (a loop named twice is
+    /// blocked by its trip count over the count's largest prime factor)
+    /// at `k_step = 1`; `None` when a loop named twice cannot be blocked.
+    fn tuning_for(shape: &GemmShape, spec: &str) -> Option<GemmTuning> {
+        let trips = [shape.kb(), shape.m / shape.bm, shape.n.div_ceil(shape.bn)];
+        let mut blocks = trips.map(|_| Vec::new());
+        for (l, &t) in trips.iter().enumerate() {
+            if spec.chars().filter(|c| c.to_ascii_lowercase() == (b'a' + l as u8) as char).count()
+                > 1
+            {
+                let prime = (2..=t).rev().find(|d| t % d == 0 && (2..*d).all(|f| d % f != 0))?;
+                blocks[l] = vec![Some(t / prime).filter(|&b| b > 1)?];
+            }
+        }
+        let [a_blocks, b_blocks, c_blocks] = blocks;
+        Some(GemmTuning { spec: spec.to_string(), k_step: 1, a_blocks, b_blocks, c_blocks })
+    }
+
+    #[test]
+    fn every_output_column_is_independent_of_width_and_spec() {
+        // THE invariant of the single decode path: column `j` of
+        // `execute(n)` equals `execute(1)` on that column, bit for bit —
+        // for f32 and int8 plans, at widths that block evenly (4, 8),
+        // raggedly (2, 3, 5, 17, 19: a prime width is four full column
+        // blocks and a tail) and not at all (1), under **every** loop spec
+        // the offline tuner can generate for the shape (K-blocked,
+        // reordered, M- or N-parallel, sequential), not just the
+        // `default_parallel` spec plans run. Width 1 runs the default spec
+        // (`k_step = kb`), the wide side each candidate (`k_step = 1`), so
+        // the reduction's chunking differs too. A future K-parallel spec
+        // or a SIMD k-split that reassociates the reduction trips this
+        // test, which is where batched != unbatched would start.
+        const WIDTHS: [usize; 8] = [1, 2, 3, 4, 5, 8, 17, 19];
+        const DIMS: [usize; 8] = [8, 12, 16, 24, 32, 40, 48, 96];
+        let random = |len: usize, seed: u64| {
+            let mut v = vec![0.0f32; len];
+            fill_uniform(&mut v, &mut Xorshift::new(seed), -0.5, 0.5);
+            v
+        };
+        let specs = generated_specs();
+        let pool3 = ThreadPool::new(3);
+        let mut rng = Xorshift::new(0xC01);
+        let mut checked = [0usize; 2];
+        for draw in 0..3u64 {
+            let mut pick = || DIMS[(rng.next_f32() * DIMS.len() as f32) as usize % DIMS.len()];
+            let (m, k) = (pick(), pick());
+            let w = random(m * k, 100 + draw);
+            let x = random(k * 19, 200 + draw);
+            for (p, precision) in [Precision::F32, Precision::Int8].into_iter().enumerate() {
+                let plan = MatmulPlan::with_precision(&w, Trans::No, m, k, precision);
+                let alone: Vec<Vec<f32>> =
+                    x.chunks_exact(k).map(|col| plan.execute(col, 1, &pool3)).collect();
+                for n in WIDTHS {
+                    let shape = plan.shape(n);
+                    let act = plan.pack(&x[..k * n], n);
+                    for spec in &specs {
+                        let Some(tuning) = tuning_for(&shape, spec) else {
+                            continue; // a loop too short to block at this shape
+                        };
+                        let kernel = plan.build_kernel(shape, tuning).expect("generated spec");
+                        let got = plan.execute_with(Arc::new(kernel), &act, &pool3);
+                        for (j, col) in got.chunks_exact(m).enumerate() {
+                            assert_eq!(
+                                col, alone[j],
+                                "{precision:?} {m}x{n}x{k} spec {spec}: column {j} depends on the batch"
+                            );
+                        }
+                        checked[p] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            checked.iter().all(|&c| c > 500),
+            "only {checked:?} (shape, width, spec) cases ran"
+        );
     }
 
     #[test]
@@ -1089,7 +1149,6 @@ mod tests {
         let qplan = MatmulPlan::with_precision(&w, Trans::No, m, k, Precision::Int8);
         assert_eq!(fplan.precision(), Precision::F32);
         assert_eq!(qplan.precision(), Precision::Int8);
-        assert_eq!(qplan.problem(n).dtype, DType::I8);
         // The ~4x decode-traffic claim, exactly: i8 data + f32 row scales.
         assert_eq!(fplan.weight_stream_bytes(), 4 * m * k);
         assert_eq!(qplan.weight_stream_bytes(), m * k + 4 * m);
@@ -1155,9 +1214,6 @@ mod tests {
         for i in 0..got.len() {
             assert!((got[i] - want[i]).abs() < 1e-3, "idx {i}");
         }
-        let p = plan.problem(tokens);
-        assert_eq!((p.m, p.n, p.k), (m, tokens, k));
-        assert_eq!(p.bn, 8);
     }
 
     /// What each member of `pool`'s team runs of `nest`, in order, as

@@ -9,7 +9,6 @@
 
 use crate::bert::{BertConfig, BertLayer, DenseWeights};
 use crate::prepared::{build_spmm_kernel, SpmmPlan};
-use pl_autotuner::GemmProblem;
 use pl_runtime::ThreadPool;
 use pl_tensor::{BcscMatrix, VnniMatrix, Xorshift};
 use pl_tpp::{softmax, unary};
@@ -54,15 +53,11 @@ pub fn prune_to_block_sparse(
 }
 
 /// One sparse contraction: `y (m x t) = A_sparse (m x k) * x (k x t)` —
-/// the **pack-per-call** compatibility bridge: it re-resolves tuning and
-/// re-constructs the kernel every call. Layers that own their sparse
-/// weight should hold a [`SpmmPlan`] instead (what [`SparseBertLayer`]
-/// does); this wrapper remains for one-shot contractions.
-///
-/// The `loop_spec_string` resolves through [`crate::tuning`]: an installed
-/// tuning-DB snapshot with an `spmm/…/{m}x{t}x{k}` entry wins, otherwise
-/// `SpmmTuning::default_parallel` applies (degrade-don't-panic on
-/// rejected registry specs).
+/// the **pack-per-call** compatibility bridge: it re-constructs the
+/// kernel (`SpmmTuning::default_parallel`) every call. Layers that own
+/// their sparse weight should hold a [`SpmmPlan`] instead (what
+/// [`SparseBertLayer`] does); this wrapper remains for one-shot
+/// contractions.
 pub fn spmm_matmul(a: &BcscMatrix<f32>, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
     let (m, k) = (a.rows(), a.cols());
     let (bn, kernel) = build_spmm_kernel(m, k, a.bm(), a.bk(), tokens);
@@ -118,26 +113,6 @@ impl SparseBertLayer {
     /// Compressed weight footprint in bytes.
     pub fn compressed_bytes(&self) -> usize {
         self.sw.iter().map(|m| m.weight().compressed_bytes()).sum()
-    }
-
-    /// Appends (deduped by `(m, n, k)`) the exact SpMM problems this
-    /// layer's plans execute at `tokens` columns — the `spmm/...` shapes a
-    /// tuning warmer must cover for [`crate::tuning::lookup_spmm`] to hit.
-    pub fn plan_problems(&self, tokens: usize, out: &mut Vec<GemmProblem>) {
-        for plan in &self.sw {
-            let p = plan.problem(tokens);
-            if !out.iter().any(|q| (q.m, q.n, q.k) == (p.m, p.n, p.k)) {
-                out.push(p);
-            }
-        }
-    }
-
-    /// Pre-constructs every plan's kernel at `tokens` columns (e.g. right
-    /// after a tuning snapshot install).
-    pub fn warm_plans(&self, tokens: usize) {
-        for plan in &self.sw {
-            plan.warm(tokens);
-        }
     }
 
     /// Forward (inference only; mirrors `BertLayer::forward` with sparse

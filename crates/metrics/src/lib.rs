@@ -19,10 +19,9 @@
 //!   collected for a deadline.
 //!
 //! This crate sits at the very bottom of the workspace graph (no
-//! dependencies at all), so `pl_trace`, `pl_serve`, `pl_router` and
-//! `pl_retune` all publish into it without cycles. The shared
-//! log2-bucket fold in [`buckets`] is the single implementation behind
-//! `pl_serve`'s and `pl_trace`'s histograms.
+//! dependencies at all), so `pl_trace`, `pl_serve` and `pl_router` can
+//! all publish into it without cycles. The log2-bucket fold in
+//! [`buckets`] is the one implementation behind `pl_serve`'s histograms.
 
 #![warn(missing_docs)]
 

@@ -4,15 +4,12 @@ use crate::placement::{placement_order, ShardLoad};
 use crate::shard::{partition_threads, Shard};
 use crate::RouterError;
 use parking_lot::Mutex;
-use pl_autotuner::TuningDb;
 use pl_dnn::DecoderModel;
-use pl_perfmodel::Platform;
 use pl_serve::{
     Health, MetricsSnapshot, ServeError, ServerConfig, SessionId, StatsSnapshot, StepResult,
     TenantId,
 };
-use pl_trace::TraceSummary;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -56,8 +53,7 @@ impl Default for RouterConfig {
 
 /// The sharded serving tier: N [`Shard`]s behind session-affine routing.
 ///
-/// Lifecycle: [`Router::new`] → [`Router::warm_tuning`] (one shard
-/// searches, the rest adopt) → either [`Router::start`] (every shard's
+/// Lifecycle: [`Router::new`] → either [`Router::start`] (every shard's
 /// background batcher; clients call the blocking [`Router::step`]) or a
 /// manual [`Router::pump_all`] drive loop → [`Router::shutdown`]. Drains
 /// ([`Router::begin_drain`]) can retire shards from placement at any
@@ -116,40 +112,6 @@ impl Router {
     /// Live sessions across the fleet.
     pub fn session_count(&self) -> usize {
         self.shards.iter().map(|s| s.server().session_count()).sum()
-    }
-
-    /// Warms the tuning database **once** and shares it fleet-wide: shard
-    /// 0 runs the full offline search ([`pl_serve::Server::warm_tuning`] —
-    /// decode widths, prefill ladder, GEMM + SpMM keys, registry install,
-    /// plan warm-up), then every other shard copies the snapshot into its
-    /// local slot ([`pl_serve::Server::set_tuning_db`]). The registry
-    /// install and the plan warm-up are process-wide / shared-model
-    /// effects shard 0 already performed, so the peers must not repeat
-    /// them (each repeat would bump the registry epoch and rebuild the
-    /// identical kernel set). N shards, one search, one warm. Returns the
-    /// entries the search added.
-    pub fn warm_tuning(&self, platform: &Platform) -> usize {
-        let first = &self.shards[0];
-        let added = first.server().warm_tuning(platform, first.threads());
-        let snapshot: TuningDb = first.server().tuning_db().clone();
-        for shard in &self.shards[1..] {
-            shard.server().set_tuning_db(&snapshot);
-        }
-        added
-    }
-
-    /// Fleet-wide adoption of a retuned snapshot: shard 0 installs `db`
-    /// into the process registry and re-warms the shared model's plans
-    /// ([`pl_serve::Server::adopt_tuning`] — one epoch bump, one kernel
-    /// rebuild), then the peers copy the snapshot into their local slots.
-    /// This is the retune loop's install path: measure on one shard,
-    /// adopt everywhere. Returns the number of entries adopted.
-    pub fn adopt_tuning(&self, platform_name: &str, db: &TuningDb) -> usize {
-        let adopted = self.shards[0].server().adopt_tuning(platform_name, db);
-        for shard in &self.shards[1..] {
-            shard.server().set_tuning_db(db);
-        }
-        adopted
     }
 
     /// Current placement loads (the inputs to [`placement_order`]),
@@ -354,27 +316,6 @@ impl Router {
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::from_metrics(&self.metrics_snapshot())
     }
-
-    /// The fleet-wide trace summary since trace time `since_ns`
-    /// ([`pl_trace::now_ns`]): every shard's pump and pool threads record
-    /// into the process recorder on their own lanes, and this folds one
-    /// per-lane [`TraceSummary`] at a time through
-    /// [`TraceSummary::merge`] — the same summed-buckets aggregation
-    /// discipline as [`MetricsSnapshot::merge`], so fleet quantiles come
-    /// from merged histograms, never from averaged per-lane quantiles.
-    /// Returns an empty summary when tracing was off.
-    pub fn trace_summary(&self, since_ns: u64) -> TraceSummary {
-        let events = pl_trace::snapshot_since(since_ns);
-        let mut by_lane: BTreeMap<u32, Vec<pl_trace::Event>> = BTreeMap::new();
-        for e in events {
-            by_lane.entry(e.lane).or_default().push(e);
-        }
-        let mut agg = TraceSummary::empty();
-        for evs in by_lane.values() {
-            agg.merge(&TraceSummary::from_events(evs));
-        }
-        agg
-    }
 }
 
 impl Drop for Router {
@@ -391,11 +332,6 @@ mod tests {
     use pl_dnn::DecoderConfig;
     use pl_runtime::ThreadPool;
     use pl_tensor::{fill_uniform, Xorshift};
-
-    /// The trace recorder's on/off switch is process-wide: tests that
-    /// toggle it hold this for their enable..disable window, so one
-    /// test's `disable` cannot cut another's recording short.
-    static TRACE_SWITCH: Mutex<()> = Mutex::new(());
 
     fn tiny_router(shards: usize, server: ServerConfig) -> Router {
         let model = Arc::new(DecoderModel::new(DecoderConfig::scaled_for_tests(), 4242));
@@ -513,38 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_summary_aggregates_spans_across_shards() {
-        // Both shards' batch execution records into the process recorder;
-        // the router folds the per-lane summaries into one fleet view.
-        let r = tiny_router(2, ServerConfig::default());
-        let hidden = r.shard(0).server().model().config().hidden;
-        let ids: Vec<_> = (0..4).map(|_| r.create_session(0).unwrap()).collect();
-        let _switch = TRACE_SWITCH.lock();
-        let since = pl_trace::now_ns();
-        pl_trace::enable();
-        let rxs: Vec<_> = (0..4)
-            .map(|s| r.submit_step(ids[s], &token(600 + s as u64, hidden)).unwrap())
-            .collect();
-        while r.pump_all() > 0 {}
-        pl_trace::disable();
-        for rx in rxs {
-            rx.recv().unwrap().unwrap();
-        }
-        let summary = r.trace_summary(since);
-        // Every shard executed ≥ 1 batch, so the fleet summary carries
-        // batch spans, per-shape GEMM spans, and per-step queue waits.
-        assert!(summary.count_for("batch.execute") >= 2, "{summary:?}");
-        assert!(summary.count_for("gemm.execute") > 0);
-        assert!(summary.count_for("step.queue_wait") >= 4);
-        assert!(summary.total_ns_for("gemm.execute") > 0, "GEMM spans carry wall time");
-        // Scoping by `since` excludes the pre-enable traffic of other
-        // tests' routers on these lanes… and re-summarizing later traffic
-        // only grows counts, never shrinks them (merge is additive).
-        let again = r.trace_summary(since);
-        assert!(again.count_for("gemm.execute") >= summary.count_for("gemm.execute"));
-    }
-
-    #[test]
     fn close_session_drains_queued_steps_first() {
         let r = tiny_router(2, ServerConfig::default());
         let hidden = r.shard(0).server().model().config().hidden;
@@ -586,27 +490,11 @@ mod tests {
     }
 
     #[test]
-    fn warm_once_adopt_everywhere() {
-        let r = tiny_router(2, ServerConfig { kv_capacity: 8, ..Default::default() });
-        let added = r.warm_tuning(&Platform::zen4());
-        assert!(added > 0, "first warm runs the search");
-        let len0 = r.shard(0).server().tuning_db().len();
-        let len1 = r.shard(1).server().tuning_db().len();
-        assert_eq!(len0, len1, "peers adopt the full snapshot");
-        assert_eq!(len0, added);
-        assert!(pl_dnn::tuning::is_installed());
-        // Re-warming is a no-op search (everything already in the DB).
-        assert_eq!(r.warm_tuning(&Platform::zen4()), 0);
-    }
-
-    #[test]
-    fn int8_router_scopes_tuning_keys_and_trace_spans() {
-        // A sharded int8 deployment: the fleet warms i8-scoped tuning keys
-        // (never f32 ones — the dtype rides in every plan-reported
-        // problem), serves decode traffic whose outputs track a same-seed
-        // f32 model within the quantization budget, and records the
-        // dtype-tagged `gemm.i8.execute` spans instead of `gemm.execute`.
-        use pl_autotuner::TuningDb;
+    fn int8_router_records_i8_spans_and_tracks_f32() {
+        // A sharded int8 deployment serves decode traffic whose outputs
+        // track a same-seed f32 model within the quantization budget, and
+        // records the dtype-tagged `gemm.i8.execute` spans instead of
+        // `gemm.execute`.
         let cfg = DecoderConfig::scaled_for_tests();
         let i8_model =
             Arc::new(DecoderModel::new_with_precision(cfg, 4242, pl_dnn::Precision::Int8));
@@ -619,20 +507,8 @@ mod tests {
             },
         )
         .unwrap();
-        let platform = Platform::zen4();
-        let added = r.warm_tuning(&platform);
-        assert!(added > 0, "int8 warm-up runs the search");
-        {
-            let db = r.shard(0).server().tuning_db();
-            let h = cfg.hidden;
-            let i8_key = TuningDb::gemm_key(platform.name, h, 1, h, "i8");
-            let f32_key = TuningDb::gemm_key(platform.name, h, 1, h, "f32");
-            assert!(db.get(&i8_key).is_some(), "decode shape warmed under the i8 key");
-            assert!(db.get(&f32_key).is_none(), "no f32 keys for an int8 deployment");
-        }
         let hidden = cfg.hidden;
         let ids: Vec<_> = (0..4).map(|_| r.create_session(0).unwrap()).collect();
-        let _switch = TRACE_SWITCH.lock();
         let since = pl_trace::now_ns();
         pl_trace::enable();
         let rxs: Vec<_> = (0..4)

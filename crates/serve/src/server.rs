@@ -39,12 +39,10 @@ use crate::session::{Session, SessionId, TenantId};
 use crate::stats::ServerStats;
 use crate::{ServeError, StepResult};
 use parking_lot::Mutex;
-use pl_autotuner::{batch_ladder, warm_gemm_db, warm_spmm_db, Constraints, GemmProblem, TuningDb};
 use pl_dnn::{
     DecoderModel, DecoderState, KvPagePool, KvSnapshot, PrefixCache, PrefixHit, DEFAULT_PAGE_TOKENS,
 };
 use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};
-use pl_perfmodel::Platform;
 use pl_runtime::ThreadPool;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,11 +64,10 @@ pub struct ServerConfig {
     /// KV capacity (tokens) given to every new session.
     pub kv_capacity: usize,
     /// Upper bound on a prefill chunk admitted through the batcher, in
-    /// tokens (clamped to at least 1, normalized up to a power of two so
-    /// non-final chunks hit the warmed prefill ladder exactly). Prompts
-    /// longer than this are split and interleave with decode traffic;
-    /// prompts that fit execute as a single chunk, bit-identical to an
-    /// unchunked forward.
+    /// tokens (clamped to at least 1, normalized up to a power of two:
+    /// see [`pl_dnn::prefill_chunk_widths`]). Prompts longer than this are
+    /// split and interleave with decode traffic; prompts that fit execute
+    /// as a single chunk, bit-identical to an unchunked forward.
     pub prefill_chunk: usize,
     /// SLO target for decode step latency (µs): the p99 objective the
     /// per-tenant and shard-wide [`SloWindow`]s track violations
@@ -201,7 +198,6 @@ struct ServerInner {
     /// Whether a background batcher thread is driving [`Server::pump`] —
     /// the blocking wrappers pump on the calling thread when it is not.
     running: AtomicBool,
-    tuning: Mutex<TuningDb>,
     /// Accepted work items (decode steps *and* prefill chunks) not yet
     /// retired — incremented before an item is published to the batcher,
     /// decremented at reply delivery ([`ServerInner::deliver`]); a
@@ -275,10 +271,10 @@ impl ServerInner {
 /// The multi-tenant batched serving runtime over one shared
 /// [`DecoderModel`].
 ///
-/// Lifecycle: [`Server::new`] → optionally [`Server::warm_tuning`] →
-/// either [`Server::start`] (background batcher thread; clients call the
-/// blocking [`Server::step`] / [`Server::prefill`]) or manual
-/// [`Server::pump`] (tests, single-threaded drivers). Protocol: **one
+/// Lifecycle: [`Server::new`] → either [`Server::start`] (background
+/// batcher thread; clients call the blocking [`Server::step`] /
+/// [`Server::prefill`]) or manual [`Server::pump`] (tests,
+/// single-threaded drivers). Protocol: **one
 /// submitter per session** — a session's submits are issued from one
 /// thread at a time (pipelining several in-flight steps from that thread
 /// is fine; program-order tickets keep them ordered). The blocking API
@@ -292,9 +288,8 @@ pub struct Server {
 
 impl Server {
     /// A server over `model`, executing on `pool`. The model owns the
-    /// serving precision ([`DecoderModel::precision`]): tuning-DB keys,
-    /// kernel caches and trace spans are precision-scoped through its
-    /// plans.
+    /// serving precision ([`DecoderModel::precision`]): kernel caches and
+    /// trace spans are precision-scoped through its plans.
     pub fn new(model: Arc<DecoderModel>, pool: Arc<ThreadPool>, mut cfg: ServerConfig) -> Self {
         cfg.max_batch = cfg.max_batch.max(1);
         cfg.prefill_chunk = cfg.prefill_chunk.max(1);
@@ -325,7 +320,6 @@ impl Server {
             next_session: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             running: AtomicBool::new(false),
-            tuning: Mutex::new(TuningDb::new()),
             in_flight: AtomicU64::new(0),
         });
         Server { inner, batcher_thread: None }
@@ -430,128 +424,10 @@ impl Server {
         self.inner.in_flight.load(Ordering::Acquire) as usize
     }
 
-    /// Every activation width worth warming: each batch width
-    /// `1..=max_batch` (a batch's projections run at whatever ragged
-    /// width was pending) plus the power-of-two prompt-width ladder up to
-    /// `kv_capacity`. Prefill is cut to that ladder
-    /// ([`pl_dnn::prefill_chunk_widths`]), so a lone non-final chunk is
-    /// an **exact** hit; any other width (a chunk sharing its batch with
-    /// decode lanes, a ragged final chunk) rounds its tuning lookup up to
-    /// the next rung and builds its kernel on first use.
-    fn plan_widths(&self) -> Vec<usize> {
-        let mut widths: Vec<usize> = (1..=self.inner.cfg.max_batch).collect();
-        for t in batch_ladder(self.inner.cfg.kv_capacity) {
-            if !widths.contains(&t) {
-                widths.push(t);
-            }
-        }
-        widths
-    }
-
-    /// The GEMM problems warm-up covers: every per-layer weight GEMM at
-    /// every width of `plan_widths`, reported **by the model's prepared
-    /// plans themselves** ([`DecoderModel::plan_problems`]) — each plan
-    /// names the exact `(m, n, k)` + blocking its kernel will execute, so
-    /// there is no hand-maintained shape list to drift out of sync with
-    /// the execution layer.
-    pub fn gemm_problems(&self) -> Vec<GemmProblem> {
-        let mut out = Vec::new();
-        for n in self.plan_widths() {
-            self.inner.model.plan_problems(n, &mut out);
-        }
-        out
-    }
-
-    /// Warms the tuning database for the GEMM shapes the server executes
-    /// ([`Server::gemm_problems`]) on `platform`: the paper's offline
-    /// search (Fig. 1 boxes B2/B3) runs at server startup
-    /// so results are ready before traffic arrives. The same geometry is
-    /// also warmed under the `spmm/...` keys ([`warm_spmm_db`], the
-    /// minimal model-based SpMM warm-up), so a block-sparse variant served
-    /// over this model resolves warmed specs instead of always falling
-    /// through to `default_parallel`.
-    ///
-    /// The warmed snapshot is then **installed** into [`pl_dnn::tuning`]
-    /// and the model's prepared plans are warmed *through* it
-    /// ([`DecoderModel::warm_plans`] at every width the batcher can
-    /// produce): every kernel a steady-state step can hit is constructed
-    /// here, against the freshly tuned specs, before traffic arrives.
-    /// Returns the number of database entries added (GEMM + SpMM keys).
-    pub fn warm_tuning(&self, platform: &Platform, threads: usize) -> usize {
-        let problems = self.gemm_problems();
-        let constraints = Constraints::gemm(0, 1, 1, 200);
-        let added = {
-            let mut db = self.inner.tuning.lock();
-            let gemm_added = warm_gemm_db(&mut db, &problems, &constraints, platform, threads);
-            let spmm_added = warm_spmm_db(&mut db, &problems, &constraints, platform, threads);
-            pl_dnn::tuning::install(platform.name, db.clone());
-            gemm_added + spmm_added
-        };
-        self.inner.model.warm_plans(&self.plan_widths());
-        added
-    }
-
-    /// Read access to the warmed tuning database.
-    pub fn tuning_db(&self) -> parking_lot::MutexGuard<'_, TuningDb> {
-        self.inner.tuning.lock()
-    }
-
-    /// Adopts an already-warmed tuning snapshot instead of re-running the
-    /// search — the multi-shard path: a router warms **one** shard with
-    /// [`Server::warm_tuning`] and hands the resulting snapshot to its
-    /// peers, so N shards pay one offline search, not N. The snapshot
-    /// replaces this server's local DB and is **unconditionally**
-    /// installed into the process-wide [`pl_dnn::tuning`] registry
-    /// (kernels resolve from the registry, so skipping the install when
-    /// some other snapshot is live would silently leave stale tuning in
-    /// effect); the install bumps the registry epoch, and the model's
-    /// plans are warmed through the new snapshot before returning.
-    /// Returns the number of entries adopted.
-    pub fn adopt_tuning(&self, platform_name: &str, db: &TuningDb) -> usize {
-        pl_dnn::tuning::install(platform_name, db.clone());
-        self.inner.model.warm_plans(&self.plan_widths());
-        self.set_tuning_db(db)
-    }
-
-    /// Copies `db` into this server's local tuning slot **only** — no
-    /// registry install, no plan warm-up. This is the peer-shard fast
-    /// path: when another server over the *same shared model* already
-    /// installed this snapshot and warmed the plans (both process-wide
-    /// effects), repeating them per shard would only bump the registry
-    /// epoch and rebuild identical kernels N times. Use
-    /// [`Server::adopt_tuning`] when the snapshot is *not* already live
-    /// (e.g. loaded from disk). Returns the number of entries copied.
-    pub fn set_tuning_db(&self, db: &TuningDb) -> usize {
-        *self.inner.tuning.lock() = db.clone();
-        db.len()
-    }
-
     /// The prefill-chunk bound in tokens ([`ServerConfig::prefill_chunk`],
     /// clamped to ≥ 1).
     pub fn prefill_chunk(&self) -> usize {
         self.inner.cfg.prefill_chunk
-    }
-
-    /// The GEMM problems that dominated traffic so far, hottest first —
-    /// the retune loop's harvest hook. Weights come from the
-    /// `pl_gemm_total{m,n,k}` series (per-shape execution counts at the
-    /// ragged width every batch actually ran at), and each shape is
-    /// rebuilt through the model's own prepared plans
-    /// ([`DecoderModel::plan_problems`]), so every returned problem
-    /// carries the **exact blocking** its kernel runs at, precision
-    /// included — measurable as-is.
-    pub fn hot_gemm_problems(&self) -> Vec<(GemmProblem, u64)> {
-        let mut out: Vec<(GemmProblem, u64)> = Vec::new();
-        let mut at_width = Vec::new();
-        for ((m, n, k), count) in self.inner.stats.snapshot().gemm_shapes {
-            at_width.clear();
-            self.inner.model.plan_problems(n, &mut at_width);
-            if let Some(p) = at_width.iter().find(|p| (p.m, p.k) == (m, k)) {
-                out.push((*p, count));
-            }
-        }
-        out.sort_by_key(|&(_, w)| std::cmp::Reverse(w));
-        out
     }
 
     /// Admits a new session for `tenant`. Rejects when the session cap is
@@ -659,13 +535,24 @@ impl Server {
     /// into this shard's page pool — decoding continues bit-identically
     /// from where the source shard stopped. Returns the session's **new**
     /// id (ids are shard-local; the router rebinds its global id).
-    /// Counts toward `pl_migrations_total`.
+    /// Counts toward `pl_migrations_total`. A snapshot of another model's
+    /// geometry (a `KvSnapshot::from_bytes` off the wire is outside
+    /// input) fails with [`ServeError::BadInput`] on its hidden width,
+    /// then on its layer count, before anything is admitted.
     pub fn import_session(&self, export: &SessionExport) -> Result<SessionId, ServeError> {
         if export.tenant >= self.inner.cfg.tenants {
             return Err(ServeError::UnknownTenant(export.tenant));
         }
         if self.inner.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
+        }
+        let cfg = self.inner.model.config();
+        for (expected, got) in
+            [(cfg.hidden, export.kv.hidden()), (cfg.layers, export.kv.layer_count())]
+        {
+            if got != expected {
+                return Err(ServeError::BadInput { expected, got });
+            }
         }
         let live = self.inner.session_count.fetch_add(1, Ordering::AcqRel) + 1;
         if live as usize > self.inner.cfg.max_sessions {
@@ -2139,38 +2026,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_tuning_covers_every_batch_width_and_the_prompt_ladder() {
-        let server = tiny_server(ServerConfig { kv_capacity: 16, ..Default::default() });
-        let problems = server.gemm_problems();
-        // Every width 1..=max_batch (8) plus the kv-capacity rung (16) x
-        // the three per-layer GEMMs: a batch runs its projections at
-        // whatever ragged width was pending, so all of them are warmed.
-        assert_eq!(problems.len(), 27);
-        for n in (1..=8).chain([16]) {
-            assert!(problems.iter().any(|p| p.n == n), "width {n} warmed");
-        }
-        // Warm count = distinct (m, n, k), once under the gemm keys and
-        // once under the spmm keys (the SpMM warm-up rides the same
-        // geometry).
-        let distinct: std::collections::BTreeSet<(usize, usize, usize)> =
-            problems.iter().map(|p| (p.m, p.n, p.k)).collect();
-        let tuned = server.warm_tuning(&Platform::zen4(), 4);
-        assert_eq!(tuned, 2 * distinct.len());
-        assert_eq!(server.tuning_db().len(), 2 * distinct.len());
-        // The warmed snapshot is live in the kernel-selection registry —
-        // and the spmm keys now *hit* instead of falling through.
-        assert!(pl_dnn::tuning::is_installed());
-        let p = &problems[0];
-        let shape = pl_kernels::GemmShape::with_default_blocks(p.m, p.n, p.k);
-        assert!(
-            pl_dnn::tuning::lookup_spmm(&shape).is_some(),
-            "spmm lookup must hit after warm_tuning"
-        );
-        // Idempotent.
-        assert_eq!(server.warm_tuning(&Platform::zen4(), 4), 0);
-    }
-
-    #[test]
     fn batched_pump_matches_unbatched_bitwise_and_records_shapes() {
         for precision in [Precision::F32, Precision::Int8] {
             let model = Arc::new(DecoderModel::new_with_precision(
@@ -2313,10 +2168,11 @@ mod tests {
     }
 
     #[test]
-    fn hot_gemm_problems_harvests_the_ragged_width_histogram() {
+    fn gemm_shapes_count_the_ragged_width_a_batch_ran_at() {
         let server = tiny_server(ServerConfig::default());
-        assert!(server.hot_gemm_problems().is_empty(), "no traffic, no hot shapes");
-        let hidden = server.model().config().hidden;
+        assert!(server.stats().snapshot().gemm_shapes.is_empty(), "no traffic, no shapes");
+        let cfg = *server.model().config();
+        let hidden = cfg.hidden;
         let n = 3;
         let ids: Vec<SessionId> = (0..n).map(|_| server.create_session(0).unwrap()).collect();
         let rxs: Vec<_> = ids
@@ -2328,14 +2184,12 @@ mod tests {
         for rx in rxs {
             rx.recv().unwrap().unwrap();
         }
-        let hot = server.hot_gemm_problems();
-        assert!(!hot.is_empty());
-        assert!(hot.iter().all(|(p, _)| p.n == n), "the harvest carries the batch width");
-        assert!(hot.iter().all(|(p, _)| p.bn == 3), "with the blocking the plans run at");
-        assert!(hot.windows(2).all(|w| w[0].1 >= w[1].1), "sorted hottest-first");
-        // The 4-per-layer hidden x hidden shape outweighs the FFN shapes.
-        let layers = server.model().config().layers as u64;
-        assert_eq!(hot[0].1, 4 * layers);
+        // Three lanes run every projection at width 3, a ragged tile.
+        let (h, f, layers) = (hidden, cfg.ffn, cfg.layers as u64);
+        assert_eq!(
+            server.stats().snapshot().gemm_shapes,
+            vec![((h, n, h), 4 * layers), ((h, n, f), layers), ((f, n, h), layers)]
+        );
     }
 
     #[test]
@@ -2681,6 +2535,37 @@ mod tests {
         assert_eq!(dst.close_session(new_id).unwrap(), 6, "generated count carries the move");
         let snap = dst.metrics_snapshot();
         assert_eq!(snap.counter_value("pl_migrations_total", &[]), 1);
+    }
+
+    #[test]
+    fn import_of_another_models_geometry_is_refused_without_admitting() {
+        let server = tiny_server(ServerConfig::default());
+        let own = *server.model().config();
+        let pool = Arc::new(ThreadPool::new(2));
+        for other in [
+            DecoderConfig { hidden: 2 * own.hidden, ffn: 2 * own.ffn, ..own },
+            DecoderConfig { layers: own.layers + 1, ..own },
+        ] {
+            let src = Server::new(
+                Arc::new(DecoderModel::new(other, 5)),
+                Arc::clone(&pool),
+                Default::default(),
+            );
+            let id = src.create_session(0).unwrap();
+            src.prefill(id, &token(9, other.hidden * 3), 3).unwrap();
+            let mut export = src.export_session(id).unwrap();
+            // Off the wire, as a migration would receive it.
+            export.kv = KvSnapshot::from_bytes(&export.kv.to_bytes()).unwrap();
+            let refused = server.import_session(&export);
+            assert!(matches!(refused, Err(ServeError::BadInput { .. })), "{other:?}: {refused:?}");
+            assert_eq!(server.session_count(), 0, "{other:?}: nothing admitted");
+        }
+        // The shard still serves.
+        let id = server.create_session(0).unwrap();
+        let rx = server.submit_step(id, &token(10, own.hidden)).unwrap();
+        while server.pump() > 0 {}
+        assert_eq!(rx.recv().unwrap().unwrap().len(), own.hidden);
+        assert_eq!(server.session_count(), 1);
     }
 
     #[test]

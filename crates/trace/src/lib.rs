@@ -46,15 +46,10 @@
 //!
 //! [`snapshot`] copies every ring (seqlock-validated against
 //! concurrent writes, see [`ring`]) into a time-sorted `Vec<Event>`.
-//! Two exporters consume it:
-//!
-//! * [`chrome_trace_json`] — Chrome `trace_event` JSON, loadable in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>: one row per
-//!   lane, spans nested as recorded.
-//! * [`TraceSummary`] — per-`(name, args)` duration histograms (log2
-//!   nanosecond buckets): the per-shape GEMM timing table. Summaries
-//!   merge across snapshots and shards with correct quantiles, like
-//!   `pl_metrics::MetricsSnapshot`.
+//! [`chrome_trace_json`] exports it as Chrome `trace_event` JSON,
+//! loadable in `chrome://tracing` or <https://ui.perfetto.dev>: one row
+//! per lane, spans nested as recorded. Per-shape GEMM counts are the
+//! metrics plane's `pl_gemm_total{m,n,k}`, not a trace fold.
 //!
 //! ```
 //! pl_trace::enable();
@@ -63,18 +58,15 @@
 //!     // ... kernel work ...
 //! }
 //! let events = pl_trace::snapshot();
-//! let summary = pl_trace::TraceSummary::from_events(&events);
-//! assert_eq!(summary.count_for("gemm.execute"), 1);
+//! assert!(events.iter().any(|e| e.name == "gemm.execute"));
 //! let _json = pl_trace::chrome_trace_json(&events);
 //! ```
 
 pub mod chrome;
 pub mod ring;
-pub mod summary;
 
 pub use chrome::chrome_trace_json;
 pub use ring::{Event, EventKind, Ring};
-pub use summary::{DurationStat, TraceSummary, DURATION_BUCKETS};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -314,9 +306,6 @@ mod tests {
             ]
         );
         assert!(mine.iter().all(|e| e.lane == mine[0].lane));
-        let summary = TraceSummary::from_events(&events);
-        assert_eq!(summary.count_for("lib.outer"), 1);
-        assert_eq!(summary.count_for("lib.inner"), 1);
     }
 
     #[test]
@@ -358,8 +347,9 @@ mod tests {
         let lanes: std::collections::BTreeSet<u32> =
             events.iter().filter(|e| e.name == "lib.worker").map(|e| e.lane).collect();
         assert_eq!(lanes.len(), 3, "each thread records on its own lane");
-        let summary = TraceSummary::from_events(&events);
-        assert_eq!(summary.count_for("lib.worker"), 3);
-        assert_eq!(summary.unmatched, 0);
+        for kind in [EventKind::Begin, EventKind::End] {
+            let n = events.iter().filter(|e| e.name == "lib.worker" && e.kind == kind).count();
+            assert_eq!(n, 3, "one closed span per thread");
+        }
     }
 }

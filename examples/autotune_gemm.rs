@@ -73,11 +73,14 @@ fn main() {
     let (spec, gf) = best.expect("at least one candidate measured");
     println!("\nwinner: {spec} at {gf:.1} GF");
 
-    // Phase 3: persist for runtime lookup (Fig. 1, off-line database).
+    // Phase 3: persist the winner (Fig. 1, off-line database) and read it
+    // back.
     let mut db = TuningDb::new();
     let key = TuningDb::gemm_key("host", m, n, k, "f32");
     db.put(&key, DbEntry { spec: spec.clone(), score: gf });
     let path = std::env::temp_dir().join("parlooper_tuning.tsv");
     db.save(&path).expect("save db");
+    let loaded = TuningDb::load(&path).expect("load db");
+    assert_eq!(loaded.get(&key).map(|e| e.spec.as_str()), Some(spec.as_str()));
     println!("saved to {} under key {key}", path.display());
 }

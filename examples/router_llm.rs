@@ -14,7 +14,6 @@
 //! Run: `cargo run --release --example router_llm [-- --shards N]`
 
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
-use pl_perfmodel::Platform;
 use pl_router::{Router, RouterConfig};
 use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::{Server, ServerConfig};
@@ -101,8 +100,6 @@ fn main() {
         RouterConfig { shards, total_threads, server: server_cfg() },
     )
     .expect("router config");
-    let warmed = router.warm_tuning(&Platform::zen4());
-    println!("tuning DB warmed once on shard 0 ({warmed} entries), adopted by {shards} shards");
     router.start();
     let routed = drive_clients(
         hidden,

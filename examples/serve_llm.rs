@@ -5,7 +5,7 @@
 //! then a closed decode loop (the last token's transformed state feeds
 //! back as the next input — a deterministic stand-in for sampling). A
 //! ninth client arrives mid-run with a **long prompt** (8 x the server's
-//! `prefill_chunk`): continuous batching splits it into ladder-aligned
+//! `prefill_chunk`): continuous batching splits it into power-of-two
 //! chunks that interleave with the live decode batches instead of
 //! blocking them. The batcher coalesces pending steps — and the chunk
 //! riding along — into one ragged batch per parallel region; afterwards
@@ -48,10 +48,11 @@
 //! [-- --precision int8]`
 
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel, Precision};
-use pl_perfmodel::Platform;
 use pl_runtime::{default_threads, ThreadPool};
 use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
+use pl_trace::EventKind;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -129,8 +130,6 @@ fn main() {
             ..Default::default()
         },
     );
-    let warmed = server.warm_tuning(&Platform::zen4(), pool.nthreads());
-    println!("tuning DB warmed + installed for {warmed} decode/prefill GEMM+SpMM shapes");
     server.start();
 
     // Every weight was packed into its blocked kernel layout at model
@@ -342,48 +341,57 @@ fn main() {
         println!("\n=== flight recorder ===");
         assert!(!events.is_empty(), "tracing was on but captured nothing");
         assert_eq!(pl_trace::total_dropped(), 0, "ring too small for this workload");
-        // Span guards are RAII and strictly nested per thread, so after
-        // shutdown every lane's Begin/End counts must balance exactly.
-        let mut balance: std::collections::BTreeMap<u32, i64> = std::collections::BTreeMap::new();
+        // Span guards are RAII and strictly nested per thread, so every
+        // lane's End closes the innermost open Begin of the same name, and
+        // after shutdown nothing is left open. Pairing them folds each span
+        // name's (count, total ns).
+        let mut open: BTreeMap<u32, Vec<(&str, u64)>> = BTreeMap::new();
+        let mut spans: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for e in &events {
-            match e.kind {
-                pl_trace::EventKind::Begin => *balance.entry(e.lane).or_default() += 1,
-                pl_trace::EventKind::End => *balance.entry(e.lane).or_default() -= 1,
-                _ => {}
-            }
+            let stack = open.entry(e.lane).or_default();
+            let ns = match e.kind {
+                EventKind::Begin => {
+                    stack.push((e.name, e.ts_ns));
+                    continue;
+                }
+                EventKind::End => match stack.pop() {
+                    Some((name, t0)) if name == e.name => e.ts_ns.saturating_sub(t0),
+                    _ => panic!("lane {}: orphan End of {}", e.lane, e.name),
+                },
+                EventKind::Complete => e.dur_ns,
+                EventKind::Instant => 0,
+            };
+            let span = spans.entry(e.name).or_default();
+            *span = (span.0 + 1, span.1 + ns);
         }
-        for (lane, b) in &balance {
-            assert_eq!(*b, 0, "lane {lane}: unbalanced begin/end spans");
+        for (lane, stack) in &open {
+            assert!(stack.is_empty(), "lane {lane}: unbalanced begin/end spans");
         }
-        let summary = pl_trace::TraceSummary::from_events(&events);
-        assert_eq!(summary.unmatched, 0, "orphan End events in the trace");
+        let span = |name: &str| spans.get(name).copied().unwrap_or_default();
+        let ms = |name: &str| span(name).1 as f64 / 1e6;
         // Plans tag their execute span with the weight dtype, so the
         // span name to expect follows the serving precision.
         let gemm_span = match precision {
             Precision::F32 => "gemm.execute",
             Precision::Int8 => "gemm.i8.execute",
         };
-        assert!(summary.count_for(gemm_span) > 0, "no {gemm_span} spans recorded");
-        assert!(summary.total_ns_for(gemm_span) > 0, "GEMM spans all zero-length");
-        assert!(summary.count_for("batch.execute") > 0, "no batch execute spans recorded");
+        assert!(span(gemm_span).0 > 0, "no {gemm_span} spans recorded");
+        assert!(span(gemm_span).1 > 0, "GEMM spans all zero-length");
+        assert!(span("batch.execute").0 > 0, "no batch execute spans recorded");
         assert_eq!(
-            summary.count_for("step.queue_wait"),
+            span("step.queue_wait").0,
             (SESSIONS * STEPS) as u64,
             "every decode step must record its queue wait"
         );
         println!("events captured      {:>10}", events.len());
-        println!("recorder lanes       {:>10}", balance.len());
-        println!(
-            "gemm spans           {:>10} ({:.2} ms total)",
-            summary.count_for(gemm_span),
-            summary.total_ns_for(gemm_span) as f64 / 1e6
-        );
+        println!("recorder lanes       {:>10}", open.len());
+        println!("gemm spans           {:>10} ({:.2} ms total)", span(gemm_span).0, ms(gemm_span));
         println!(
             "decode phases (ms)   ln {:.2} / qkv {:.2} / attn {:.2} / ffn {:.2}",
-            summary.total_ns_for("decode.ln") as f64 / 1e6,
-            summary.total_ns_for("decode.qkv") as f64 / 1e6,
-            summary.total_ns_for("decode.attn") as f64 / 1e6,
-            summary.total_ns_for("decode.ffn") as f64 / 1e6
+            ms("decode.ln"),
+            ms("decode.qkv"),
+            ms("decode.attn"),
+            ms("decode.ffn")
         );
         let json = pl_trace::chrome_trace_json(&events);
         assert!(json.contains("\"traceEvents\""), "chrome export malformed");
