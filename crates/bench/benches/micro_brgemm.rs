@@ -1,14 +1,17 @@
-//! Micro-benchmarks of the BRGEMM TPP microkernels.
+//! Micro-benchmarks of the BRGEMM TPP microkernel: full column panels, a
+//! width-1 call (the shape of every decode projection) and the int8
+//! kernel. The rate column counts `2 * m * n * k * brcount` operations per
+//! call (integer operations in the `i8` rows).
 
 use pl_bench::{f1, header, ns_per_iter, row};
 use pl_tensor::{Bf16, Xorshift};
-use pl_tpp::brgemm::{Brgemm, BrgemmDesc};
+use pl_tpp::brgemm::{Brgemm, BrgemmDesc, BrgemmI8, BrgemmI8Desc};
 use std::hint::black_box;
 
 fn main() {
-    header("brgemm", &["kernel", "ns/iter", "Melem/s"]);
+    header("brgemm", &["kernel", "ns/iter", "MFLOP/s"]);
     for &(m, n, k, br, iters) in
-        &[(32usize, 32usize, 32usize, 1usize, 200usize), (64, 64, 64, 4, 10)]
+        &[(32usize, 32usize, 32usize, 1usize, 200usize), (64, 64, 64, 4, 10), (64, 1, 64, 4, 400)]
     {
         let flops = (2 * m * n * k * br) as f64;
         let mut rng = Xorshift::new(1);
@@ -28,5 +31,25 @@ fn main() {
             kernel_bf.execute_stride(black_box(&ab), m * k, black_box(&bb), k * n, &mut cbuf, br);
         });
         row(&[format!("bf16_{m}x{n}x{k}_br{br}"), f1(ns), f1(flops / ns * 1e3)]);
+
+        // The layout of the A bytes does not change the work, so the
+        // unpacked draw stands in for a VNNI-packed weight.
+        let aq: Vec<i8> = a.iter().map(|&v| (v * 254.0 - 127.0) as i8).collect();
+        let bq: Vec<i8> = b.iter().map(|&v| (v * 254.0 - 127.0) as i8).collect();
+        let (row_scales, col_scales) = (vec![0.01f32; m], vec![0.01f32; n]);
+        let kernel_i8 = BrgemmI8::new(BrgemmI8Desc::blocked(m, n, k, 4));
+        let ns = ns_per_iter(iters, || {
+            kernel_i8.execute_stride(
+                black_box(&aq),
+                m * k,
+                black_box(&bq),
+                k * n,
+                &mut cbuf,
+                br,
+                &row_scales,
+                &col_scales,
+            );
+        });
+        row(&[format!("i8_{m}x{n}x{k}_br{br}"), f1(ns), f1(flops / ns * 1e3)]);
     }
 }

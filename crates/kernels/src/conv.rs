@@ -99,7 +99,6 @@ impl<T: Element> ConvForward<T> {
             ldb: shape.bc * shape.stride,
             ldc: shape.bk,
             beta_one: true,
-            b_vnni: None,
         };
         let brgemm = Brgemm::new(desc);
         Ok(ConvForward { shape, tuning, tl, brgemm })
@@ -169,7 +168,7 @@ impl<T: Element> ConvForward<T> {
                 let _brcount = c_cnt * r_cnt * s_cnt;
                 // Output row segment (n, ik, ih, iw..iw+w_step).
                 let o_off = (((i_nb * kb + ik) * p + ih) * q + iw) * bk;
-                let o_len = w_step.min(q - iw) * bk;
+                let o_len = w_step * bk;
                 // SAFETY: concurrent iterations of any legal spec differ in
                 // (n, kb, p, q-tile) and thus write disjoint output rows;
                 // loops b/f/g must stay sequential (user contract §II-C).
@@ -194,15 +193,7 @@ impl<T: Element> ConvForward<T> {
                         }
                     }
                 }
-                let n_pixels = w_step.min(q - iw);
-                if n_pixels == w_step {
-                    brgemm.execute_offsets(w_data, &offs_a[..bi], i_data, &offs_b[..bi], o_block);
-                } else {
-                    // Edge tile in Q: a narrower BRGEMM via a fresh handle
-                    // (cached by the kernel cache, so this is cheap).
-                    let edge = Brgemm::<T, T, T>::new(BrgemmDesc { n: n_pixels, ..*brgemm.desc() });
-                    edge.execute_offsets(w_data, &offs_a[..bi], i_data, &offs_b[..bi], o_block);
-                }
+                brgemm.execute_offsets(w_data, &offs_a[..bi], i_data, &offs_b[..bi], o_block);
             })
             .map_err(KernelError::Spec)
     }

@@ -8,13 +8,11 @@
 
 use crate::shared::SharedSlice;
 use crate::KernelError;
-use parlooper::{LoopRun, LoopSpecs, SpecError, ThreadedLoop};
+use parlooper::{LoopRun, LoopSpecs, ThreadedLoop};
 use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{BlockedMatrix, Element, InnerLayout};
 use pl_tpp::brgemm::{Brgemm, BrgemmDesc, BrgemmI8, BrgemmI8Desc};
 use std::sync::Arc;
-
-pub use pl_tensor::blocked::InnerLayout as BInner;
 
 /// Tuning knobs of the GEMM kernel: everything the auto-tuner may vary
 /// (paper §II-D, decisions i-iv) with zero changes to the kernel code.
@@ -203,7 +201,6 @@ pub struct Gemm<TA: Element, TB: Element, TC: Element> {
     brgemm: Arc<Brgemm<TA, TB, TC>>,
     /// Kernel of the ragged last N block (`n % bn` columns), if any.
     tail: Option<Arc<Brgemm<TA, TB, TC>>>,
-    b_vnni: Option<usize>,
 }
 
 impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
@@ -214,31 +211,15 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
     /// (`caB @ schedule(dynamic,1)`: afresh at every K step), is rejected:
     /// either lets two members accumulate into one C block at once.
     pub fn new(shape: GemmShape, tuning: GemmTuning) -> Result<Self, KernelError> {
-        Self::build(shape, tuning, None)
-    }
-
-    /// Builds the kernel for a VNNI-packed `B` operand (low precision).
-    pub fn new_vnni(shape: GemmShape, tuning: GemmTuning, v: usize) -> Result<Self, KernelError> {
-        Self::build(shape, tuning, Some(v))
-    }
-
-    fn build(
-        shape: GemmShape,
-        tuning: GemmTuning,
-        b_vnni: Option<usize>,
-    ) -> Result<Self, KernelError> {
         shape.validate()?;
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
         crate::check_c_blocks_owned(&tuning.spec)?;
-        let desc = match b_vnni {
-            None => BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk),
-            Some(v) => BrgemmDesc::blocked_vnni(shape.bm, shape.bn, shape.bk, v),
-        };
+        let desc = BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk);
         let brgemm = Brgemm::new(desc);
         // Same strides as the full block (storage is padded), fewer columns.
         let tail = shape.tail_cols().map(|n| Brgemm::new(BrgemmDesc { n, ..desc }));
-        Ok(Gemm { shape, tuning, tl, brgemm, tail, b_vnni })
+        Ok(Gemm { shape, tuning, tl, brgemm, tail })
     }
 
     /// Problem geometry.
@@ -355,15 +336,10 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
         if !self.shape.operands_match(a, b, c) {
             return Err(KernelError::BadShape("operand layout mismatch".into()));
         }
-        let want = match self.b_vnni {
-            None => InnerLayout::ColMajor,
-            Some(v) => InnerLayout::Vnni(v),
-        };
-        if b.inner() != want {
+        if b.inner() != InnerLayout::ColMajor {
             return Err(KernelError::BadShape(format!(
-                "B inner layout {:?} does not match kernel {:?}",
-                b.inner(),
-                want
+                "B inner layout {:?} must be ColMajor",
+                b.inner()
             )));
         }
         Ok(())
@@ -562,9 +538,6 @@ pub fn reference_gemm(a: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec
     c
 }
 
-/// Convenience error alias used by higher layers.
-pub type GemmResult = Result<(), SpecError>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,7 +663,7 @@ mod tests {
     }
 
     #[test]
-    fn bf16_gemm_with_vnni_b() {
+    fn bf16_gemm_matches_quantized_reference() {
         let pool = ThreadPool::new(2);
         let sh = GemmShape { m: 16, n: 16, k: 32, bm: 8, bn: 8, bk: 8 };
         let mut rng = Xorshift::new(3);
@@ -700,7 +673,7 @@ mod tests {
         fill_uniform(&mut b_cm, &mut rng, -0.5, 0.5);
         let mut a = BlockedMatrix::<Bf16>::a_layout(sh.m, sh.k, sh.bm, sh.bk).unwrap();
         a.pack_from_colmajor(&a_cm);
-        let mut b = BlockedMatrix::<Bf16>::b_layout_vnni(sh.k, sh.n, sh.bk, sh.bn, 2).unwrap();
+        let mut b = BlockedMatrix::<Bf16>::b_layout(sh.k, sh.n, sh.bk, sh.bn).unwrap();
         b.pack_from_colmajor(&b_cm);
 
         // Reference over quantized values.
@@ -708,8 +681,7 @@ mod tests {
         let bq = b.unpack_to_colmajor();
         let c_ref = reference_gemm(&aq, &bq, sh.m, sh.n, sh.k);
 
-        let gemm = Gemm::<Bf16, Bf16, f32>::new_vnni(sh, GemmTuning::default_parallel(sh.kb()), 2)
-            .unwrap();
+        let gemm = Gemm::<Bf16, Bf16, f32>::new(sh, GemmTuning::default_parallel(sh.kb())).unwrap();
         let mut c = BlockedMatrix::<f32>::c_layout(sh.m, sh.n, sh.bm, sh.bn).unwrap();
         gemm.execute(&a, &b, &mut c, &pool).unwrap();
         let got = c.unpack_to_colmajor();

@@ -25,14 +25,10 @@ pub enum GridOrder {
 pub enum InnerLayout {
     /// Plain column-major: element `(r, c)` at `c * br + r`.
     ColMajor,
-    /// VNNI packed with factor `v`: element `(r, c)` at
-    /// `(r / v) * bc * v + c * v + r % v`. Rows are the reduction dimension.
-    Vnni(usize),
     /// VNNI packed along the *column* dimension with factor `v`: element
     /// `(r, c)` at `(c / v) * br * v + r * v + c % v`. Columns are the
-    /// reduction dimension — the `A`-operand twin of [`InnerLayout::Vnni`],
-    /// used by the quantized weight pack where `A = W (M x K)` and `K` runs
-    /// along block columns.
+    /// reduction dimension — the layout of the quantized weight pack, where
+    /// `A = W (M x K)` and `K` runs along block columns.
     VnniCols(usize),
 }
 
@@ -62,7 +58,6 @@ impl<T: Element> BlockedMatrix<T> {
         check_block("rows", rows, br)?;
         check_block("cols", cols, bc)?;
         match inner {
-            InnerLayout::Vnni(v) => check_block("block-rows (vnni)", br, v)?,
             InnerLayout::VnniCols(v) => check_block("block-cols (vnni)", bc, v)?,
             InnerLayout::ColMajor => {}
         }
@@ -77,17 +72,6 @@ impl<T: Element> BlockedMatrix<T> {
     /// GEMM `B` operand: `K x N` blocked `bk x bn`, grid `[Nb][Kb]`.
     pub fn b_layout(k: usize, n: usize, bk: usize, bn: usize) -> Result<Self, TensorError> {
         Self::new(k, n, bk, bn, GridOrder::ColBlockMajor, InnerLayout::ColMajor)
-    }
-
-    /// GEMM `B` operand in VNNI-packed blocks (low-precision path).
-    pub fn b_layout_vnni(
-        k: usize,
-        n: usize,
-        bk: usize,
-        bn: usize,
-        v: usize,
-    ) -> Result<Self, TensorError> {
-        Self::new(k, n, bk, bn, GridOrder::ColBlockMajor, InnerLayout::Vnni(v))
     }
 
     /// GEMM `A` operand in VNNI-packed blocks (quantized weight path):
@@ -188,7 +172,6 @@ impl<T: Element> BlockedMatrix<T> {
         let (ri, ci) = (r % self.br, c % self.bc);
         match self.inner {
             InnerLayout::ColMajor => ci * self.br + ri,
-            InnerLayout::Vnni(v) => (ri / v) * self.bc * v + ci * v + ri % v,
             InnerLayout::VnniCols(v) => (ci / v) * self.br * v + ri * v + ci % v,
         }
     }
@@ -288,7 +271,6 @@ impl<T: Element> BlockedMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtype::Bf16;
 
     #[test]
     fn a_layout_matches_paper_indexing() {
@@ -337,13 +319,7 @@ mod tests {
 
     #[test]
     fn column_run_pack_equals_per_element_path() {
-        let layouts = [
-            InnerLayout::ColMajor,
-            InnerLayout::Vnni(1),
-            InnerLayout::Vnni(2),
-            InnerLayout::VnniCols(1),
-            InnerLayout::VnniCols(2),
-        ];
+        let layouts = [InnerLayout::ColMajor, InnerLayout::VnniCols(1), InnerLayout::VnniCols(2)];
         // (rows, cols, br, bc): blocks of one element, non-square blocks,
         // a single block and tall / wide grids.
         let shapes = [(4, 6, 1, 1), (12, 8, 4, 2), (8, 12, 2, 6), (6, 4, 6, 4), (16, 10, 8, 2)];
@@ -377,36 +353,9 @@ mod tests {
     }
 
     #[test]
-    fn vnni_inner_layout_offsets() {
-        // bk=4, bn=2, v=2: (r,c) at (r/2)*bn*2 + c*2 + r%2.
-        let b = BlockedMatrix::<Bf16>::from_fn(
-            4,
-            2,
-            4,
-            2,
-            GridOrder::ColBlockMajor,
-            InnerLayout::Vnni(2),
-            |r, c| (r * 10 + c) as f32,
-        )
-        .unwrap();
-        let raw: Vec<f32> = b.data().iter().map(|x| x.to_f32()).collect();
-        // Expected order: (0,0),(1,0),(0,1),(1,1),(2,0),(3,0),(2,1),(3,1)
-        assert_eq!(raw, vec![0., 10., 1., 11., 20., 30., 21., 31.]);
-    }
-
-    #[test]
-    fn vnni_roundtrip_bf16() {
-        let src: Vec<f32> = (0..32 * 16).map(|i| (i % 17) as f32 - 8.0).collect();
-        let mut b = BlockedMatrix::<Bf16>::b_layout_vnni(32, 16, 8, 4, 2).unwrap();
-        b.pack_from_colmajor(&src);
-        assert_eq!(b.unpack_to_colmajor(), src);
-    }
-
-    #[test]
     fn rejects_bad_blockings() {
         assert!(BlockedMatrix::<f32>::a_layout(10, 10, 3, 2).is_err());
         assert!(BlockedMatrix::<f32>::a_layout(0, 10, 1, 2).is_err());
-        assert!(BlockedMatrix::<Bf16>::b_layout_vnni(8, 8, 3, 2, 2).is_err());
         // VnniCols requires the block *column* extent divisible by v.
         assert!(BlockedMatrix::<i8>::a_layout_vnni(8, 6, 4, 3, 4).is_err());
     }

@@ -7,19 +7,24 @@
 //! apart — Listing 1), *offset* (explicit per-block offsets — used for
 //! `R,S`-folded convolutions, §III-B) and *address* (explicit block slices).
 //!
-//! The microkernel keeps an `MR x NR` tile of f32 accumulators live across
-//! the **entire batch reduction** (exactly the register-blocking strategy of
-//! libxsmm \[21\]) and only converts to the output element type once per tile.
-//! Low-precision inputs widen elementwise to f32 — the AVX512-BF16 / AMX /
-//! BFMMLA numerics.
+//! Every kernel runs one tile body: an `MR x NR` tile of accumulators kept
+//! live across the **entire batch reduction** (exactly the register-blocking
+//! strategy of libxsmm \[21\]), converted to the output type once per tile.
+//! It is instantiated per column count `NR` in 1..=4 (a width-1 call is a
+//! full `NR = 1` tile; a ragged last row tile is a runtime row count) and
+//! per arithmetic: [`Brgemm`] widens its inputs elementwise to f32 and adds
+//! each product with one `mul_add` (the AVX512-BF16 / AMX / BFMMLA
+//! numerics); [`BrgemmI8`] sums exactly in i32 over a VNNI-packed `A` and
+//! dequantizes on store.
 
 use crate::cache;
 use pl_tensor::Element;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// Register tile rows (f32 lanes: two AVX2 vectors / one AVX-512 vector).
+/// Register tile rows: 8 f32 lanes, one AVX2 vector.
 const MR: usize = 8;
-/// Register tile columns.
+/// Register tile columns of a full column panel.
 const NR: usize = 4;
 
 /// Shape/layout descriptor — the cache key of the "JIT".
@@ -33,58 +38,31 @@ pub struct BrgemmDesc {
     pub k: usize,
     /// Leading dimension of `A_i` (>= m).
     pub lda: usize,
-    /// Leading dimension of `B_i` (>= k for flat layout; the packed column
-    /// count for VNNI layout).
+    /// Leading dimension of `B_i` (>= k).
     pub ldb: usize,
     /// Leading dimension of `C` (>= m).
     pub ldc: usize,
     /// `beta == 1` (accumulate into C) versus `beta == 0` (overwrite).
     pub beta_one: bool,
-    /// `Some(v)`: `B_i` blocks are VNNI-packed with factor `v`
-    /// (element `(p, j)` at `(p/v)*ldb*v + j*v + p%v`).
-    pub b_vnni: Option<usize>,
 }
 
 impl BrgemmDesc {
     /// Plain GEMM-shaped descriptor with tight leading dimensions and
     /// `beta = 1` (the paper's kernels zero `C` explicitly via `zero_tpp`).
     pub fn blocked(m: usize, n: usize, k: usize) -> Self {
-        BrgemmDesc { m, n, k, lda: m, ldb: k, ldc: m, beta_one: true, b_vnni: None }
-    }
-
-    /// Same but with VNNI-packed B.
-    pub fn blocked_vnni(m: usize, n: usize, k: usize, v: usize) -> Self {
-        BrgemmDesc { m, n, k, lda: m, ldb: n, ldc: m, beta_one: true, b_vnni: Some(v) }
+        BrgemmDesc { m, n, k, lda: m, ldb: k, ldc: m, beta_one: true }
     }
 
     fn validate(&self) {
         assert!(self.m > 0 && self.n > 0 && self.k > 0, "empty BRGEMM shape");
         assert!(self.lda >= self.m, "lda {} < m {}", self.lda, self.m);
+        assert!(self.ldb >= self.k, "ldb {} < k {}", self.ldb, self.k);
         assert!(self.ldc >= self.m, "ldc {} < m {}", self.ldc, self.m);
-        match self.b_vnni {
-            None => assert!(self.ldb >= self.k, "ldb {} < k {}", self.ldb, self.k),
-            Some(v) => {
-                assert!(
-                    v > 0 && self.k.is_multiple_of(v),
-                    "k {} not divisible by vnni {v}",
-                    self.k
-                );
-                assert!(self.ldb >= self.n, "vnni ldb {} < n {}", self.ldb, self.n);
-            }
-        }
     }
 
-    fn key_words(&self) -> [u64; 8] {
-        [
-            self.m as u64,
-            self.n as u64,
-            self.k as u64,
-            self.lda as u64,
-            self.ldb as u64,
-            self.ldc as u64,
-            self.beta_one as u64,
-            self.b_vnni.map_or(0, |v| v as u64),
-        ]
+    fn key_words(&self) -> [u64; 7] {
+        let BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one } = *self;
+        [m, n, k, lda, ldb, ldc, beta_one as usize].map(|w| w as u64)
     }
 }
 
@@ -114,7 +92,6 @@ pub enum Blocks<'a, T> {
 
 impl<'a, T> Blocks<'a, T> {
     /// The `i`-th block's backing data (starting at its first element).
-    #[inline(always)]
     fn get(&self, i: usize) -> &'a [T] {
         match *self {
             Blocks::Stride { base, stride } => &base[i * stride..],
@@ -124,27 +101,19 @@ impl<'a, T> Blocks<'a, T> {
     }
 }
 
-type KernelFn<TA, TB, TC> =
-    for<'a> fn(&BrgemmDesc, Blocks<'a, TA>, Blocks<'a, TB>, &mut [TC], usize);
-
 /// A constructed (and cached) BRGEMM kernel handle.
 pub struct Brgemm<TA: Element, TB: Element, TC: Element> {
     desc: BrgemmDesc,
-    kernel: KernelFn<TA, TB, TC>,
+    types: PhantomData<fn(TA, TB) -> TC>,
 }
-
-/// Re-exported alias for the addressing modes (paper terminology).
-pub type BrgemmVariant<'a, T> = Blocks<'a, T>;
 
 impl<TA: Element, TB: Element, TC: Element> Brgemm<TA, TB, TC> {
     /// Builds (or fetches from the kernel cache) the kernel for `desc`.
     pub fn new(desc: BrgemmDesc) -> Arc<Self> {
         desc.validate();
         let tag = type_tag::<TA, TB, TC>();
-        let cached = cache::get_or_jit(cache::hash_key(tag, &desc.key_words()), || Self {
-            desc,
-            kernel: select_kernel::<TA, TB, TC>(&desc),
-        });
+        let make = || Self { desc, types: PhantomData };
+        let cached = cache::get_or_jit(cache::hash_key(tag, &desc.key_words()), make);
         // Hash collisions must never deliver a kernel for another shape.
         assert_eq!(cached.desc, desc, "kernel cache collision");
         cached
@@ -158,9 +127,9 @@ impl<TA: Element, TB: Element, TC: Element> Brgemm<TA, TB, TC> {
     /// Executes the batch reduction with arbitrary addressing.
     ///
     /// # Panics
-    /// Panics (debug) if a block slice is too short for the descriptor.
+    /// Panics if a block slice or `c` is too short for the descriptor.
     pub fn execute(&self, a: Blocks<'_, TA>, b: Blocks<'_, TB>, c: &mut [TC], brcount: usize) {
-        (self.kernel)(&self.desc, a, b, c, brcount);
+        run_tiles(Fma, &self.desc, a, b, c, brcount);
     }
 
     /// Stride variant: `addr(A_i) = addr(A_{i-1}) + stride_a` (Listing 1).
@@ -201,13 +170,8 @@ impl<TA: Element, TB: Element, TC: Element> Brgemm<TA, TB, TC> {
 }
 
 fn type_tag<TA: Element, TB: Element, TC: Element>() -> u64 {
-    // Stable small tag per dtype triple; BRGEMM lives in tag-space 1.
-    let t = |d: pl_tensor::DType| match d {
-        pl_tensor::DType::F32 => 1u64,
-        pl_tensor::DType::F64 => 2,
-        pl_tensor::DType::Bf16 => 3,
-        pl_tensor::DType::I8 => 4,
-    };
+    // One nonzero byte per dtype; BRGEMM lives in tag-space 1.
+    let t = |d: pl_tensor::DType| d as u64 + 1;
     (1 << 48) | (t(TA::DTYPE) << 16) | (t(TB::DTYPE) << 8) | t(TC::DTYPE)
 }
 
@@ -261,16 +225,8 @@ impl BrgemmI8Desc {
     }
 
     fn key_words(&self) -> [u64; 8] {
-        [
-            self.m as u64,
-            self.n as u64,
-            self.k as u64,
-            self.lda as u64,
-            self.ldb as u64,
-            self.ldc as u64,
-            self.beta_one as u64,
-            self.a_vnni as u64,
-        ]
+        let BrgemmI8Desc { m, n, k, lda, ldb, ldc, beta_one, a_vnni } = *self;
+        [m, n, k, lda, ldb, ldc, beta_one as usize, a_vnni].map(|w| w as u64)
     }
 }
 
@@ -302,7 +258,6 @@ impl BrgemmI8 {
     /// channel), `col_scales[j]` of `B` column `j` (per token). The i32
     /// accumulator is exact while `k * brcount <= i32::MAX / 127^2`
     /// (~133k reduction elements) — far beyond any block shape in use.
-    #[allow(clippy::too_many_arguments)]
     pub fn execute_stride(
         &self,
         a: &[i8],
@@ -314,222 +269,186 @@ impl BrgemmI8 {
         row_scales: &[f32],
         col_scales: &[f32],
     ) {
-        let BrgemmI8Desc { m, n, k, lda, ldb, ldc, beta_one, a_vnni: v } = self.desc;
+        let BrgemmI8Desc { m, n, k, lda, ldb, ldc, beta_one, a_vnni } = self.desc;
         debug_assert!(row_scales.len() >= m, "row scales shorter than m");
         debug_assert!(col_scales.len() >= n, "col scales shorter than n");
-        let mut j0 = 0;
-        while j0 < n {
-            let nr = NR.min(n - j0);
-            let mut i0 = 0;
-            while i0 < m {
-                let mr = MR.min(m - i0);
-                let mut acc = [[0i32; MR]; NR];
-                for blk in 0..brcount {
-                    let ab = &a[blk * stride_a..];
-                    let bb = &b[blk * stride_b..];
-                    for p in 0..k {
-                        let abase = (p / v) * lda * v + p % v;
-                        for (jj, accj) in acc.iter_mut().enumerate().take(nr) {
-                            let bv = bb[(j0 + jj) * ldb + p] as i32;
-                            for (ii, dst) in accj.iter_mut().enumerate().take(mr) {
-                                let av = ab[abase + (i0 + ii) * v] as i32;
-                                *dst += av * bv;
-                            }
-                        }
-                    }
-                }
-                for (jj, accj) in acc.iter().enumerate().take(nr) {
-                    let cs = col_scales[j0 + jj];
-                    for (ii, &sum) in accj.iter().enumerate().take(mr) {
-                        let deq = row_scales[i0 + ii] * cs * sum as f32;
-                        let idx = (j0 + jj) * ldc + i0 + ii;
-                        c[idx] = if beta_one { c[idx] + deq } else { deq };
-                    }
-                }
-                i0 += MR;
-            }
-            j0 += NR;
-        }
+        run_tiles(
+            Dequant { a_vnni, beta_one, row_scales, col_scales },
+            &BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one },
+            Blocks::Stride { base: a, stride: stride_a },
+            Blocks::Stride { base: b, stride: stride_b },
+            c,
+            brcount,
+        );
     }
 }
 
-/// "Code generation": pick the monomorphized kernel for this descriptor.
-fn select_kernel<TA: Element, TB: Element, TC: Element>(desc: &BrgemmDesc) -> KernelFn<TA, TB, TC> {
-    match desc.b_vnni {
-        None => kernel_flat::<TA, TB, TC> as KernelFn<TA, TB, TC>,
-        Some(_) => kernel_vnni::<TA, TB, TC> as KernelFn<TA, TB, TC>,
+/// The arithmetic a tile runs: how operands widen into the accumulator,
+/// how it accumulates, and how it meets `C` before and after the batch.
+trait Arith<TA, TB, TC>: Copy {
+    /// The accumulator element held across the batch reduction.
+    type Acc: Copy + Default;
+    /// VNNI factor `v` of the `A` columns: element `(i, p)` of an `A`
+    /// block lives at `(p / v) * lda * v + i * v + p % v`. Flat
+    /// column-major `A` is `v = 1`.
+    fn a_vnni(self) -> usize;
+    fn widen_a(a: TA) -> Self::Acc;
+    fn widen_b(b: TB) -> Self::Acc;
+    /// `acc + a * b`.
+    fn madd(a: Self::Acc, b: Self::Acc, acc: Self::Acc) -> Self::Acc;
+    /// The accumulator's start value for output element `c` when
+    /// `beta = 1` (it starts at zero when `beta = 0`).
+    fn load(self, c: &TC) -> Self::Acc;
+    /// Stores the finished accumulator of output element `(i, j)`.
+    fn store(self, acc: Self::Acc, c: &mut TC, i: usize, j: usize);
+}
+
+/// [`Brgemm`]'s arithmetic: flat `A`, f32 accumulation with one fused
+/// multiply-add per product, `beta = 1` by starting from `C`.
+#[derive(Clone, Copy)]
+struct Fma;
+
+impl<TA: Element, TB: Element, TC: Element> Arith<TA, TB, TC> for Fma {
+    type Acc = f32;
+    fn a_vnni(self) -> usize {
+        1
+    }
+    fn widen_a(a: TA) -> f32 {
+        a.to_f32()
+    }
+    fn widen_b(b: TB) -> f32 {
+        b.to_f32()
+    }
+    fn madd(a: f32, b: f32, acc: f32) -> f32 {
+        a.mul_add(b, acc)
+    }
+    fn load(self, c: &TC) -> f32 {
+        c.to_f32()
+    }
+    fn store(self, acc: f32, c: &mut TC, _: usize, _: usize) {
+        *c = TC::from_f32(acc);
     }
 }
 
-/// Flat-B microkernel: MRxNR register tiles held across the batch reduction.
-fn kernel_flat<TA: Element, TB: Element, TC: Element>(
-    desc: &BrgemmDesc,
-    a: Blocks<'_, TA>,
-    b: Blocks<'_, TB>,
-    c: &mut [TC],
-    brcount: usize,
-) {
-    let &BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one, .. } = desc;
-    let mut j0 = 0;
-    while j0 < n {
-        let nr = NR.min(n - j0);
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = MR.min(m - i0);
-            if mr == MR && nr == NR {
-                tile_full_flat::<TA, TB, TC>(a, b, c, brcount, k, lda, ldb, ldc, i0, j0, beta_one);
-            } else {
-                tile_edge_flat::<TA, TB, TC>(
-                    a, b, c, brcount, k, lda, ldb, ldc, i0, j0, mr, nr, beta_one,
-                );
-            }
-            i0 += MR;
-        }
-        j0 += NR;
-    }
-}
-
-/// Full MRxNR tile, flat B.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn tile_full_flat<TA: Element, TB: Element, TC: Element>(
-    a: Blocks<'_, TA>,
-    b: Blocks<'_, TB>,
-    c: &mut [TC],
-    brcount: usize,
-    k: usize,
-    lda: usize,
-    ldb: usize,
-    ldc: usize,
-    i0: usize,
-    j0: usize,
+/// [`BrgemmI8`]'s arithmetic: VNNI-cols `A`, an exact i32 sum (a
+/// dequantized `C` cannot join it), dequantized on store and then added
+/// to `C` when `beta = 1`.
+#[derive(Clone, Copy)]
+struct Dequant<'s> {
+    a_vnni: usize,
     beta_one: bool,
+    row_scales: &'s [f32],
+    col_scales: &'s [f32],
+}
+
+impl Arith<i8, i8, f32> for Dequant<'_> {
+    type Acc = i32;
+    fn a_vnni(self) -> usize {
+        self.a_vnni
+    }
+    fn widen_a(a: i8) -> i32 {
+        a as i32
+    }
+    fn widen_b(b: i8) -> i32 {
+        b as i32
+    }
+    fn madd(a: i32, b: i32, acc: i32) -> i32 {
+        acc + a * b
+    }
+    fn load(self, _: &f32) -> i32 {
+        0
+    }
+    fn store(self, acc: i32, c: &mut f32, i: usize, j: usize) {
+        let deq = self.row_scales[i] * self.col_scales[j] * acc as f32;
+        *c = if self.beta_one { *c + deq } else { deq };
+    }
+}
+
+/// The one tile loop: walks `C` in column panels of `NR` columns (the last
+/// one ragged) and runs each panel with the tile body of its width.
+fn run_tiles<TA: Copy, TB: Copy, TC, R: Arith<TA, TB, TC>>(
+    arith: R,
+    t: &BrgemmDesc,
+    a: Blocks<'_, TA>,
+    b: Blocks<'_, TB>,
+    c: &mut [TC],
+    brcount: usize,
 ) {
-    let mut acc = [[0.0f32; MR]; NR];
-    if beta_one {
+    for j0 in (0..t.n).step_by(NR) {
+        match t.n - j0 {
+            1 => panel::<1, _, _, _, _>(arith, t, a, b, c, brcount, j0),
+            2 => panel::<2, _, _, _, _>(arith, t, a, b, c, brcount, j0),
+            3 => panel::<3, _, _, _, _>(arith, t, a, b, c, brcount, j0),
+            _ => panel::<NR, _, _, _, _>(arith, t, a, b, c, brcount, j0),
+        }
+    }
+}
+
+/// One `W`-column panel, top to bottom. A full tile passes the constant
+/// `MR` as its row count, so only a ragged last tile loops a runtime count.
+#[inline(always)]
+fn panel<const W: usize, TA: Copy, TB: Copy, TC, R: Arith<TA, TB, TC>>(
+    arith: R,
+    t: &BrgemmDesc,
+    a: Blocks<'_, TA>,
+    b: Blocks<'_, TB>,
+    c: &mut [TC],
+    brcount: usize,
+    j0: usize,
+) {
+    for i0 in (0..t.m).step_by(MR) {
+        let mr = MR.min(t.m - i0);
+        if mr == MR {
+            tile::<W, _, _, _, _>(arith, t, a, b, c, brcount, (i0, j0, MR));
+        } else {
+            tile::<W, _, _, _, _>(arith, t, a, b, c, brcount, (i0, j0, mr));
+        }
+    }
+}
+
+/// The one tile body: the `mr x W` tile of `C` at `(i0, j0)` (`mr <= MR`),
+/// accumulated across all `brcount` block pairs in k order, then stored.
+#[inline(always)]
+fn tile<const W: usize, TA: Copy, TB: Copy, TC, R: Arith<TA, TB, TC>>(
+    arith: R,
+    t: &BrgemmDesc,
+    a: Blocks<'_, TA>,
+    b: Blocks<'_, TB>,
+    c: &mut [TC],
+    brcount: usize,
+    (i0, j0, mr): (usize, usize, usize),
+) {
+    let v = arith.a_vnni();
+    let mut acc = [[R::Acc::default(); MR]; W];
+    if t.beta_one {
         for (jj, accj) in acc.iter_mut().enumerate() {
-            let ccol = &c[(j0 + jj) * ldc + i0..(j0 + jj) * ldc + i0 + MR];
-            for (ii, dst) in accj.iter_mut().enumerate() {
-                *dst = ccol[ii].to_f32();
+            let ccol = &c[(j0 + jj) * t.ldc + i0..][..mr];
+            for (dst, src) in accj.iter_mut().zip(ccol) {
+                *dst = arith.load(src);
             }
         }
     }
     for blk in 0..brcount {
-        let ab = a.get(blk);
-        let bb = b.get(blk);
-        for p in 0..k {
-            let acol = &ab[p * lda + i0..p * lda + i0 + MR];
-            let mut av = [0.0f32; MR];
-            for (dst, src) in av.iter_mut().zip(acol) {
-                *dst = src.to_f32();
+        let (ab, bb) = (a.get(blk), b.get(blk));
+        for p in 0..t.k {
+            let acol = &ab[(p / v) * t.lda * v + p % v + i0 * v..][..(mr - 1) * v + 1];
+            let mut av = [R::Acc::default(); MR];
+            for (dst, src) in av[..mr].iter_mut().zip(acol.iter().step_by(v)) {
+                *dst = R::widen_a(*src);
             }
             for (jj, accj) in acc.iter_mut().enumerate() {
-                let bv = bb[(j0 + jj) * ldb + p].to_f32();
-                for ii in 0..MR {
-                    accj[ii] = av[ii].mul_add(bv, accj[ii]);
+                let bv = R::widen_b(bb[(j0 + jj) * t.ldb + p]);
+                for (dst, &x) in accj[..mr].iter_mut().zip(&av) {
+                    *dst = R::madd(x, bv, *dst);
                 }
             }
         }
     }
     for (jj, accj) in acc.iter().enumerate() {
-        let ccol = &mut c[(j0 + jj) * ldc + i0..(j0 + jj) * ldc + i0 + MR];
-        for (dst, src) in ccol.iter_mut().zip(accj) {
-            *dst = TC::from_f32(*src);
+        let ccol = &mut c[(j0 + jj) * t.ldc + i0..][..mr];
+        for (ii, (dst, &sum)) in ccol.iter_mut().zip(accj).enumerate() {
+            arith.store(sum, dst, i0 + ii, j0 + jj);
         }
-    }
-}
-
-/// Remainder tile, flat B (scalar, still f32-accumulated across the batch).
-#[allow(clippy::too_many_arguments)]
-fn tile_edge_flat<TA: Element, TB: Element, TC: Element>(
-    a: Blocks<'_, TA>,
-    b: Blocks<'_, TB>,
-    c: &mut [TC],
-    brcount: usize,
-    k: usize,
-    lda: usize,
-    ldb: usize,
-    ldc: usize,
-    i0: usize,
-    j0: usize,
-    mr: usize,
-    nr: usize,
-    beta_one: bool,
-) {
-    let mut acc = [[0.0f32; MR]; NR];
-    if beta_one {
-        for jj in 0..nr {
-            for ii in 0..mr {
-                acc[jj][ii] = c[(j0 + jj) * ldc + i0 + ii].to_f32();
-            }
-        }
-    }
-    for blk in 0..brcount {
-        let ab = a.get(blk);
-        let bb = b.get(blk);
-        for p in 0..k {
-            for jj in 0..nr {
-                let bv = bb[(j0 + jj) * ldb + p].to_f32();
-                for ii in 0..mr {
-                    let av = ab[p * lda + i0 + ii].to_f32();
-                    acc[jj][ii] = av.mul_add(bv, acc[jj][ii]);
-                }
-            }
-        }
-    }
-    for jj in 0..nr {
-        for ii in 0..mr {
-            c[(j0 + jj) * ldc + i0 + ii] = TC::from_f32(acc[jj][ii]);
-        }
-    }
-}
-
-/// VNNI-B microkernel: B element `(p, j)` at `(p/v)*ldb*v + j*v + p%v`.
-fn kernel_vnni<TA: Element, TB: Element, TC: Element>(
-    desc: &BrgemmDesc,
-    a: Blocks<'_, TA>,
-    b: Blocks<'_, TB>,
-    c: &mut [TC],
-    brcount: usize,
-) {
-    let &BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one, b_vnni } = desc;
-    let v = b_vnni.expect("vnni kernel without vnni factor");
-    let mut j0 = 0;
-    while j0 < n {
-        let nr = NR.min(n - j0);
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = MR.min(m - i0);
-            let mut acc = [[0.0f32; MR]; NR];
-            if beta_one {
-                for jj in 0..nr {
-                    for ii in 0..mr {
-                        acc[jj][ii] = c[(j0 + jj) * ldc + i0 + ii].to_f32();
-                    }
-                }
-            }
-            for blk in 0..brcount {
-                let ab = a.get(blk);
-                let bb = b.get(blk);
-                for p in 0..k {
-                    let boff = (p / v) * ldb * v + p % v;
-                    for jj in 0..nr {
-                        let bv = bb[boff + (j0 + jj) * v].to_f32();
-                        for ii in 0..mr {
-                            let av = ab[p * lda + i0 + ii].to_f32();
-                            acc[jj][ii] = av.mul_add(bv, acc[jj][ii]);
-                        }
-                    }
-                }
-            }
-            for jj in 0..nr {
-                for ii in 0..mr {
-                    c[(j0 + jj) * ldc + i0 + ii] = TC::from_f32(acc[jj][ii]);
-                }
-            }
-            i0 += MR;
-        }
-        j0 += NR;
     }
 }
 
@@ -686,33 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn vnni_b_matches_flat() {
-        let (m, n, k, v) = (8, 8, 16, 2);
-        let mut rng = Xorshift::new(23);
-        let a = rand_vec(&mut rng, m * k);
-        let b_flat = rand_vec(&mut rng, k * n);
-        // Pack B into VNNI-2.
-        let mut b_vnni = vec![0.0f32; k * n];
-        crate::transform::vnni_pack(k, n, v, &b_flat, k, &mut b_vnni, n);
-
-        let flat = Brgemm::<f32, f32, f32>::new(BrgemmDesc {
-            beta_one: false,
-            ..BrgemmDesc::blocked(m, n, k)
-        });
-        let vnni = Brgemm::<f32, f32, f32>::new(BrgemmDesc {
-            beta_one: false,
-            ..BrgemmDesc::blocked_vnni(m, n, k, v)
-        });
-        let mut c1 = vec![0.0f32; m * n];
-        flat.execute_stride(&a, 0, &b_flat, 0, &mut c1, 1);
-        let mut c2 = vec![0.0f32; m * n];
-        vnni.execute_stride(&a, 0, &b_vnni, 0, &mut c2, 1);
-        for i in 0..m * n {
-            assert!((c1[i] - c2[i]).abs() < 1e-5, "{} vs {}", c1[i], c2[i]);
-        }
-    }
-
-    #[test]
     fn kernel_handles_are_cached() {
         let desc = BrgemmDesc::blocked(24, 24, 24);
         let k1 = Brgemm::<f32, f32, f32>::new(desc);
@@ -820,6 +712,133 @@ mod tests {
         let _ = BrgemmI8::new(BrgemmI8Desc::blocked(8, 8, 6, 4));
     }
 
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// FNV-1a over the bits of `c`.
+    fn fnv(h: u64, c: &[f32]) -> u64 {
+        c.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], case: &str) {
+        let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{case}");
+    }
+
+    /// The pinning grid `(m, n, k, brcount, beta_one)`: one row, ragged
+    /// and full row tiles; every column count 1..=4 and ragged panels
+    /// after full ones.
+    fn pin_grid() -> impl Iterator<Item = (usize, usize, usize, usize, bool)> {
+        let ms = [1, 7, 8, 9, 17];
+        let ns = [1, 2, 3, 4, 5, 9];
+        ms.into_iter().flat_map(move |m| {
+            ns.into_iter().flat_map(move |n| {
+                [1, 3, 8].into_iter().flat_map(move |k| {
+                    [1, 3].into_iter().flat_map(move |br| {
+                        [false, true].into_iter().map(move |beta| (m, n, k, br, beta))
+                    })
+                })
+            })
+        })
+    }
+
+    /// Runs the grid for `TA = TB = T`, `TC = f32`: the stride, offset and
+    /// address modes agree bitwise, and so does every column with its own
+    /// width-1 run. Returns the FNV-1a of the stride outputs.
+    fn pin_float<T: Element>() -> u64 {
+        let mut rng = Xorshift::new(0x0070_696e);
+        let mut h = FNV_OFFSET;
+        for (m, n, k, br, beta_one) in pin_grid() {
+            let case = format!("{:?} m={m} n={n} k={k} br={br} beta_one={beta_one}", T::DTYPE);
+            let mut gen =
+                |len| -> Vec<T> { rand_vec(&mut rng, len).into_iter().map(T::from_f32).collect() };
+            let (a, b) = (gen(m * k * br), gen(k * n * br));
+            let c0 = rand_vec(&mut rng, m * n);
+            let desc = BrgemmDesc { beta_one, ..BrgemmDesc::blocked(m, n, k) };
+            let kernel = Brgemm::<T, T, f32>::new(desc);
+            let mut c = c0.clone();
+            kernel.execute_stride(&a, m * k, &b, k * n, &mut c, br);
+
+            let offs_a: Vec<usize> = (0..br).map(|i| i * m * k).collect();
+            let offs_b: Vec<usize> = (0..br).map(|i| i * k * n).collect();
+            let mut by_offsets = c0.clone();
+            kernel.execute_offsets(&a, &offs_a, &b, &offs_b, &mut by_offsets);
+            assert_bits_eq(&by_offsets, &c, &format!("offsets {case}"));
+
+            let a_slices: Vec<&[T]> = offs_a.iter().map(|&o| &a[o..]).collect();
+            let b_slices: Vec<&[T]> = offs_b.iter().map(|&o| &b[o..]).collect();
+            let mut by_address = c0.clone();
+            kernel.execute(
+                Blocks::Address { slices: &a_slices },
+                Blocks::Address { slices: &b_slices },
+                &mut by_address,
+                br,
+            );
+            assert_bits_eq(&by_address, &c, &format!("address {case}"));
+
+            let column = Brgemm::<T, T, f32>::new(BrgemmDesc { n: 1, ..desc });
+            for j in 0..n {
+                let mut cj = c0[j * m..(j + 1) * m].to_vec();
+                column.execute_stride(&a, m * k, &b[j * k..], k * n, &mut cj, br);
+                assert_bits_eq(&cj, &c[j * m..(j + 1) * m], &format!("column {j} {case}"));
+            }
+            h = fnv(h, &c);
+        }
+        h
+    }
+
+    /// The grid for the int8 kernel with VNNI factor `v` (`k` counts VNNI
+    /// groups, so the reduction is `k * v`): every column equals its own
+    /// width-1 run bitwise. Returns the FNV-1a of the outputs.
+    fn pin_i8(v: usize) -> u64 {
+        let mut rng = Xorshift::new(0x6938 + v as u64);
+        let mut h = FNV_OFFSET;
+        for (m, n, groups, br, beta_one) in pin_grid() {
+            let k = groups * v;
+            let case = format!("i8 v={v} m={m} n={n} k={k} br={br} beta_one={beta_one}");
+            let mut gen = |len| -> Vec<i8> {
+                (0..len).map(|_| ((rng.next_f32() - 0.5) * 254.0) as i8).collect()
+            };
+            let a: Vec<i8> = gen(m * k * br)
+                .chunks(m * k)
+                .flat_map(|blk| pack_a_vnni_cols(blk, m, k, v))
+                .collect();
+            let b = gen(k * n * br);
+            let rs: Vec<f32> = (0..m).map(|_| 0.001 + rng.next_f32() * 0.01).collect();
+            let cs: Vec<f32> = (0..n).map(|_| 0.001 + rng.next_f32() * 0.01).collect();
+            let c0 = rand_vec(&mut rng, m * n);
+            let desc = BrgemmI8Desc { beta_one, ..BrgemmI8Desc::blocked(m, n, k, v) };
+            let mut c = c0.clone();
+            BrgemmI8::new(desc).execute_stride(&a, m * k, &b, k * n, &mut c, br, &rs, &cs);
+
+            let column = BrgemmI8::new(BrgemmI8Desc { n: 1, ..desc });
+            for j in 0..n {
+                let mut cj = c0[j * m..(j + 1) * m].to_vec();
+                column.execute_stride(&a, m * k, &b[j * k..], k * n, &mut cj, br, &rs, &cs[j..]);
+                assert_bits_eq(&cj, &c[j * m..(j + 1) * m], &format!("column {j} {case}"));
+            }
+            h = fnv(h, &c);
+        }
+        h
+    }
+
+    /// Pins every tile shape's output bits (full and ragged rows, widths
+    /// 1..=4, ragged column panels) for the f32, bf16-in and int8 kernels.
+    /// The constants were recorded before the tile bodies were merged into
+    /// one, so they hold the per-element k-order and `mul_add` fixed.
+    #[test]
+    fn tile_bits_are_pinned_and_column_invariant() {
+        let got = [pin_float::<f32>(), pin_float::<Bf16>(), pin_i8(2), pin_i8(4)];
+        let pinned = [
+            0x9ad2_4cde_4f00_e52a,
+            0x7e3a_b432_ccc6_a41e,
+            0xfbb9_0ad3_96ce_107f,
+            0xc9db_c14d_241e_14f3,
+        ];
+        assert_eq!(got, pinned, "got {got:#018x?}");
+    }
+
     #[test]
     #[should_panic(expected = "lda")]
     fn rejects_bad_leading_dim() {
@@ -835,7 +854,7 @@ mod tests {
         let a = rand_vec(&mut rng, lda * k);
         let b = rand_vec(&mut rng, ldb * n);
         let mut c = vec![0.0f32; ldc * n];
-        let desc = BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one: false, b_vnni: None };
+        let desc = BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one: false };
         let kernel = Brgemm::<f32, f32, f32>::new(desc);
         kernel.execute_stride(&a, 0, &b, 0, &mut c, 1);
         for j in 0..n {

@@ -17,10 +17,13 @@
 //! ## The "JIT" substitution
 //!
 //! libxsmm emits machine code per kernel descriptor and caches it. Here a
-//! descriptor selects a monomorphized, shape-specialized Rust microkernel
-//! (rustc/LLVM performed the vectorization ahead of time), and handles are
-//! cached in [`cache`] keyed by descriptor — the same architecture with the
-//! code generator swapped out.
+//! descriptor selects a monomorphized Rust microkernel (one tile body,
+//! instantiated per element types and tile width), and handles are cached
+//! in [`cache`] keyed by descriptor — the same architecture with the code
+//! generator swapped out. Nothing is vectorized for the host ISA: the crate
+//! has no `std::arch` or `#[target_feature]` code, and in a default build
+//! (baseline x86-64, no `fma` target feature) every f32 `mul_add` in a
+//! tile is a call to libm's `fmaf`.
 
 // TPP entry points mirror libxsmm descriptor signatures (m, n, in, ldi,
 // out, ldo, ...), so the argument-count lint is noise here.
@@ -38,7 +41,7 @@ pub mod spmm;
 pub mod transform;
 pub mod unary;
 
-pub use brgemm::{Brgemm, BrgemmDesc, BrgemmI8, BrgemmI8Desc, BrgemmVariant};
+pub use brgemm::{Brgemm, BrgemmDesc, BrgemmI8, BrgemmI8Desc};
 pub use spmm::BcscSpmm;
 
 /// Convenience re-export: every TPP works over these element types.

@@ -113,12 +113,11 @@ fn bf16_matches_quantized_reference_end_to_end() {
     fill_uniform(&mut b_cm, &mut rng, -0.5, 0.5);
     let mut a = BlockedMatrix::<Bf16>::a_layout(sh.m, sh.k, sh.bm, sh.bk).unwrap();
     a.pack_from_colmajor(&a_cm);
-    let mut b = BlockedMatrix::<Bf16>::b_layout_vnni(sh.k, sh.n, sh.bk, sh.bn, 2).unwrap();
+    let mut b = BlockedMatrix::<Bf16>::b_layout(sh.k, sh.n, sh.bk, sh.bn).unwrap();
     b.pack_from_colmajor(&b_cm);
     let c_ref = reference_gemm(&a.unpack_to_colmajor(), &b.unpack_to_colmajor(), sh.m, sh.n, sh.k);
 
-    let gemm =
-        Gemm::<Bf16, Bf16, f32>::new_vnni(sh, GemmTuning::default_parallel(sh.kb()), 2).unwrap();
+    let gemm = Gemm::<Bf16, Bf16, f32>::new(sh, GemmTuning::default_parallel(sh.kb())).unwrap();
     let mut c = BlockedMatrix::<f32>::c_layout(sh.m, sh.n, sh.bm, sh.bn).unwrap();
     gemm.execute(&a, &b, &mut c, &pool).unwrap();
     let got = c.unpack_to_colmajor();
