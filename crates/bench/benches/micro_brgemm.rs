@@ -1,11 +1,12 @@
 //! Micro-benchmarks of the BRGEMM TPP microkernel: full column panels, a
 //! width-1 call (the shape of every decode projection) and the int8
 //! kernel. The rate column counts `2 * m * n * k * brcount` operations per
-//! call (integer operations in the `i8` rows).
+//! call (integer operations in the `i8` rows). A last table times building
+//! a kernel handle, which `Gemm` does for every ragged last block.
 
 use pl_bench::{f1, header, ns_per_iter, row};
 use pl_tensor::{Bf16, Xorshift};
-use pl_tpp::brgemm::{Brgemm, BrgemmDesc, BrgemmI8, BrgemmI8Desc};
+use pl_tpp::brgemm::{Brgemm, BrgemmDesc, BrgemmI8};
 use std::hint::black_box;
 
 fn main() {
@@ -37,7 +38,7 @@ fn main() {
         let aq: Vec<i8> = a.iter().map(|&v| (v * 254.0 - 127.0) as i8).collect();
         let bq: Vec<i8> = b.iter().map(|&v| (v * 254.0 - 127.0) as i8).collect();
         let (row_scales, col_scales) = (vec![0.01f32; m], vec![0.01f32; n]);
-        let kernel_i8 = BrgemmI8::new(BrgemmI8Desc::blocked(m, n, k, 4));
+        let kernel_i8 = BrgemmI8::new(BrgemmDesc::blocked(m, n, k), 4);
         let ns = ns_per_iter(iters, || {
             kernel_i8.execute_stride(
                 black_box(&aq),
@@ -52,4 +53,15 @@ fn main() {
         });
         row(&[format!("i8_{m}x{n}x{k}_br{br}"), f1(ns), f1(flops / ns * 1e3)]);
     }
+
+    header("brgemm handle", &["kernel", "ns/new"]);
+    let desc = BrgemmDesc::blocked(64, 3, 64);
+    let ns = ns_per_iter(100_000, || {
+        black_box(Brgemm::<f32, f32, f32>::new(black_box(desc)));
+    });
+    row(&["f32_64x3x64".to_string(), f1(ns)]);
+    let ns = ns_per_iter(100_000, || {
+        black_box(BrgemmI8::new(black_box(desc), 4));
+    });
+    row(&["i8_64x3x64".to_string(), f1(ns)]);
 }

@@ -822,7 +822,7 @@ impl Clone for MatmulPlan {
 /// The VNNI factor an int8 plan actually uses: the dtype granule `v`
 /// degraded (by halving) to the largest power of two dividing the K
 /// blocking, so narrow layers (`bk < 4` or odd) still build. Every value
-/// this returns divides `bk`, which `BrgemmI8Desc::validate` requires.
+/// this returns divides `bk`, which `BrgemmI8::new` requires.
 fn vnni_fit(v: usize, bk: usize) -> usize {
     let mut f = v.max(1);
     while f > 1 && !bk.is_multiple_of(f) {

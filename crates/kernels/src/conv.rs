@@ -17,7 +17,6 @@ use parlooper::{LoopSpecs, ThreadedLoop};
 use pl_runtime::ThreadPool;
 use pl_tensor::{ActTensor, ConvShape, ConvWeights, Element};
 use pl_tpp::brgemm::{Brgemm, BrgemmDesc};
-use std::sync::Arc;
 
 /// Maximum batch-reduce length of one conv BRGEMM call.
 const MAX_BR: usize = 1024;
@@ -62,7 +61,7 @@ pub struct ConvForward<T: Element> {
     shape: ConvShape,
     tuning: ConvTuning,
     tl: ThreadedLoop,
-    brgemm: Arc<Brgemm<T, T, T>>,
+    brgemm: Brgemm<T, T, T>,
 }
 
 impl<T: Element> ConvForward<T> {
@@ -165,7 +164,6 @@ impl<T: Element> ConvForward<T> {
                 let c_cnt = c_step.min(cb_total - ic);
                 let r_cnt = r_step.min(sh.r - ir);
                 let s_cnt = s_step.min(sh.s - is);
-                let _brcount = c_cnt * r_cnt * s_cnt;
                 // Output row segment (n, ik, ih, iw..iw+w_step).
                 let o_off = (((i_nb * kb + ik) * p + ih) * q + iw) * bk;
                 let o_len = w_step * bk;

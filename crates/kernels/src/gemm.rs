@@ -11,8 +11,7 @@ use crate::KernelError;
 use parlooper::{LoopRun, LoopSpecs, ThreadedLoop};
 use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{BlockedMatrix, Element, InnerLayout};
-use pl_tpp::brgemm::{Brgemm, BrgemmDesc, BrgemmI8, BrgemmI8Desc};
-use std::sync::Arc;
+use pl_tpp::brgemm::{Brgemm, BrgemmDesc, BrgemmI8};
 
 /// Tuning knobs of the GEMM kernel: everything the auto-tuner may vary
 /// (paper §II-D, decisions i-iv) with zero changes to the kernel code.
@@ -131,11 +130,6 @@ impl GemmShape {
         self.nb() * self.bn
     }
 
-    /// Columns of the ragged last N block, when `bn` does not divide `n`.
-    fn tail_cols(&self) -> Option<usize> {
-        Some(self.n % self.bn).filter(|&cols| cols != 0)
-    }
-
     /// Valid columns of N block `i_n` (`bn` except for a ragged tail).
     fn block_cols(&self, i_n: usize) -> usize {
         self.bn.min(self.n - i_n * self.bn)
@@ -198,9 +192,8 @@ pub struct Gemm<TA: Element, TB: Element, TC: Element> {
     shape: GemmShape,
     tuning: GemmTuning,
     tl: ThreadedLoop,
-    brgemm: Arc<Brgemm<TA, TB, TC>>,
-    /// Kernel of the ragged last N block (`n % bn` columns), if any.
-    tail: Option<Arc<Brgemm<TA, TB, TC>>>,
+    /// Kernel of a full `bm x bn` block.
+    brgemm: Brgemm<TA, TB, TC>,
 }
 
 impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
@@ -215,11 +208,8 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
         crate::check_c_blocks_owned(&tuning.spec)?;
-        let desc = BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk);
-        let brgemm = Brgemm::new(desc);
-        // Same strides as the full block (storage is padded), fewer columns.
-        let tail = shape.tail_cols().map(|n| Brgemm::new(BrgemmDesc { n, ..desc }));
-        Ok(Gemm { shape, tuning, tl, brgemm, tail })
+        let brgemm = Brgemm::new(BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk));
+        Ok(Gemm { shape, tuning, tl, brgemm })
     }
 
     /// Problem geometry.
@@ -308,9 +298,13 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
             if ik == 0 {
                 pl_tpp::unary::zero(bm, bn, c_block, bm);
             }
-            let brgemm = match &self.tail {
-                Some(tail) if sh.block_cols(i_n) < bn => tail,
-                _ => &self.brgemm,
+            // A ragged last block: same strides (storage is padded), fewer
+            // columns.
+            let cols = sh.block_cols(i_n);
+            let brgemm = if cols == bn {
+                self.brgemm
+            } else {
+                Brgemm::new(BrgemmDesc { n: cols, ..*self.brgemm.desc() })
             };
             // A[Mb][Kb] grid: block (im, ik) at (im*Kb + ik).
             let a_off = (im * kb + ik) * bm * bk;
@@ -366,9 +360,8 @@ pub struct GemmInt8 {
     shape: GemmShape,
     tuning: GemmTuning,
     tl: ThreadedLoop,
-    brgemm: Arc<BrgemmI8>,
-    /// Kernel of the ragged last N block (`n % bn` columns), if any.
-    tail: Option<Arc<BrgemmI8>>,
+    /// Kernel of a full `bm x bn` block.
+    brgemm: BrgemmI8,
     a_vnni: usize,
 }
 
@@ -385,10 +378,8 @@ impl GemmInt8 {
         }
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
-        let desc = BrgemmI8Desc::blocked(shape.bm, shape.bn, shape.bk, v);
-        let brgemm = BrgemmI8::new(desc);
-        let tail = shape.tail_cols().map(|n| BrgemmI8::new(BrgemmI8Desc { n, ..desc }));
-        Ok(GemmInt8 { shape, tuning, tl, brgemm, tail, a_vnni: v })
+        let brgemm = BrgemmI8::new(BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk), v);
+        Ok(GemmInt8 { shape, tuning, tl, brgemm, a_vnni: v })
     }
 
     /// Problem geometry.
@@ -478,9 +469,10 @@ impl GemmInt8 {
             let c_block = unsafe { c.slice_mut(c_off, block_c) };
             pl_tpp::unary::zero(bm, bn, c_block, bm);
             let cols = sh.block_cols(i_n);
-            let brgemm = match &self.tail {
-                Some(tail) if cols < bn => tail,
-                _ => &self.brgemm,
+            let brgemm = if cols == bn {
+                self.brgemm
+            } else {
+                BrgemmI8::new(BrgemmDesc { n: cols, ..*self.brgemm.desc() }, self.a_vnni)
             };
             brgemm.execute_stride(
                 &a_data[im * kb * bm * bk..],

@@ -14,7 +14,6 @@ use parlooper::{LoopSpecs, ThreadedLoop};
 use pl_runtime::ThreadPool;
 use pl_tensor::{BlockedMatrix, Element};
 use pl_tpp::brgemm::{Brgemm, BrgemmDesc};
-use std::sync::Arc;
 
 /// Activation fused at the tail of each layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,7 @@ pub struct FusedFcLayer<T: Element> {
     /// Minibatch blocking.
     pub bn: usize,
     tl: ThreadedLoop,
-    brgemm: Arc<Brgemm<T, T, T>>,
+    brgemm: Brgemm<T, T, T>,
     k_step: usize,
     activation: Activation,
 }

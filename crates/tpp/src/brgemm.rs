@@ -17,17 +17,15 @@
 //! numerics); [`BrgemmI8`] sums exactly in i32 over a VNNI-packed `A` and
 //! dequantizes on store.
 
-use crate::cache;
 use pl_tensor::Element;
 use std::marker::PhantomData;
-use std::sync::Arc;
 
 /// Register tile rows: 8 f32 lanes, one AVX2 vector.
 const MR: usize = 8;
 /// Register tile columns of a full column panel.
 const NR: usize = 4;
 
-/// Shape/layout descriptor — the cache key of the "JIT".
+/// Shape/layout descriptor of one BRGEMM kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BrgemmDesc {
     /// Rows of `C` (and of every `A_i`).
@@ -36,7 +34,8 @@ pub struct BrgemmDesc {
     pub n: usize,
     /// Inner-product extent of one block pair.
     pub k: usize,
-    /// Leading dimension of `A_i` (>= m).
+    /// Leading dimension of `A_i` (>= m); for [`BrgemmI8`] the row count
+    /// of its VNNI-cols layout.
     pub lda: usize,
     /// Leading dimension of `B_i` (>= k).
     pub ldb: usize,
@@ -58,11 +57,6 @@ impl BrgemmDesc {
         assert!(self.lda >= self.m, "lda {} < m {}", self.lda, self.m);
         assert!(self.ldb >= self.k, "ldb {} < k {}", self.ldb, self.k);
         assert!(self.ldc >= self.m, "ldc {} < m {}", self.ldc, self.m);
-    }
-
-    fn key_words(&self) -> [u64; 7] {
-        let BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one } = *self;
-        [m, n, k, lda, ldb, ldc, beta_one as usize].map(|w| w as u64)
     }
 }
 
@@ -101,22 +95,24 @@ impl<'a, T> Blocks<'a, T> {
     }
 }
 
-/// A constructed (and cached) BRGEMM kernel handle.
+/// A BRGEMM kernel handle: a validated descriptor and the element types,
+/// which select the monomorphized tile body. Building one is a few
+/// compares, so callers make them where they need them.
+#[derive(Debug, Clone, Copy)]
 pub struct Brgemm<TA: Element, TB: Element, TC: Element> {
     desc: BrgemmDesc,
     types: PhantomData<fn(TA, TB) -> TC>,
 }
 
 impl<TA: Element, TB: Element, TC: Element> Brgemm<TA, TB, TC> {
-    /// Builds (or fetches from the kernel cache) the kernel for `desc`.
-    pub fn new(desc: BrgemmDesc) -> Arc<Self> {
+    /// The kernel for `desc`.
+    ///
+    /// # Panics
+    /// Panics if the shape is empty or a leading dimension is shorter
+    /// than its extent.
+    pub fn new(desc: BrgemmDesc) -> Self {
         desc.validate();
-        let tag = type_tag::<TA, TB, TC>();
-        let make = || Self { desc, types: PhantomData };
-        let cached = cache::get_or_jit(cache::hash_key(tag, &desc.key_words()), make);
-        // Hash collisions must never deliver a kernel for another shape.
-        assert_eq!(cached.desc, desc, "kernel cache collision");
-        cached
+        Self { desc, types: PhantomData }
     }
 
     /// The descriptor this kernel was specialized for.
@@ -150,7 +146,11 @@ impl<TA: Element, TB: Element, TC: Element> Brgemm<TA, TB, TC> {
         );
     }
 
-    /// Offset variant (folded `R`/`S` loops in convolutions, §III-B).
+    /// Offset variant (folded `R`/`S` loops in convolutions, §III-B): one
+    /// block pair per entry of the two offset lists.
+    ///
+    /// # Panics
+    /// Panics if the two offset lists differ in length.
     pub fn execute_offsets(
         &self,
         a: &[TA],
@@ -159,105 +159,60 @@ impl<TA: Element, TB: Element, TC: Element> Brgemm<TA, TB, TC> {
         offs_b: &[usize],
         c: &mut [TC],
     ) {
-        let brcount = offs_a.len().min(offs_b.len());
+        assert_eq!(offs_a.len(), offs_b.len(), "A and B offset lists differ in length");
         self.execute(
             Blocks::Offsets { base: a, offsets: offs_a },
             Blocks::Offsets { base: b, offsets: offs_b },
             c,
-            brcount,
+            offs_a.len(),
         );
     }
 }
 
-fn type_tag<TA: Element, TB: Element, TC: Element>() -> u64 {
-    // One nonzero byte per dtype; BRGEMM lives in tag-space 1.
-    let t = |d: pl_tensor::DType| d as u64 + 1;
-    (1 << 48) | (t(TA::DTYPE) << 16) | (t(TB::DTYPE) << 8) | t(TC::DTYPE)
-}
-
-/// Descriptor for the quantized `i8 x i8 -> i32` BRGEMM.
+/// The quantized `i8 x i8 -> i32` BRGEMM kernel handle.
 ///
 /// Unlike the [`Element`]-generic kernels (which widen everything through
 /// f32), the int8 kernel accumulates the inner product **exactly in i32**
 /// and dequantizes on store: `C[i, j] (+)= row_scale[i] * col_scale[j] *
 /// sum_p qA[i, p] * qB[p, j]`. The `A` operand (the pack-once quantized
 /// weight) is VNNI-packed along its *columns* — the reduction dimension for
-/// `A` — with factor `a_vnni` ([`pl_tensor::InnerLayout::VnniCols`]); `B`
-/// (the per-step quantized activation) is flat column-major.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BrgemmI8Desc {
-    /// Rows of `C` (and of every `A_i`).
-    pub m: usize,
-    /// Columns of `C` (and of every `B_i`).
-    pub n: usize,
-    /// Inner-product extent of one block pair.
-    pub k: usize,
-    /// Row count of the VNNI-cols `A` layout (>= m): element `(i, p)` lives
-    /// at `(p / v) * lda * v + i * v + p % v`.
-    pub lda: usize,
-    /// Leading dimension of flat column-major `B_i` (>= k).
-    pub ldb: usize,
-    /// Leading dimension of `C` (>= m).
-    pub ldc: usize,
-    /// `beta == 1` (accumulate into f32 `C`) versus `beta == 0` (overwrite).
-    pub beta_one: bool,
-    /// VNNI factor of the `A` columns; `k % a_vnni == 0`.
-    pub a_vnni: usize,
-}
-
-impl BrgemmI8Desc {
-    /// Tight-leading-dimension descriptor with `beta = 1`.
-    pub fn blocked(m: usize, n: usize, k: usize, v: usize) -> Self {
-        BrgemmI8Desc { m, n, k, lda: m, ldb: k, ldc: m, beta_one: true, a_vnni: v }
-    }
-
-    fn validate(&self) {
-        assert!(self.m > 0 && self.n > 0 && self.k > 0, "empty BRGEMM shape");
-        assert!(self.lda >= self.m, "lda {} < m {}", self.lda, self.m);
-        assert!(self.ldb >= self.k, "ldb {} < k {}", self.ldb, self.k);
-        assert!(self.ldc >= self.m, "ldc {} < m {}", self.ldc, self.m);
-        assert!(
-            self.a_vnni > 0 && self.k.is_multiple_of(self.a_vnni),
-            "k {} not divisible by vnni {}",
-            self.k,
-            self.a_vnni
-        );
-    }
-
-    fn key_words(&self) -> [u64; 8] {
-        let BrgemmI8Desc { m, n, k, lda, ldb, ldc, beta_one, a_vnni } = *self;
-        [m, n, k, lda, ldb, ldc, beta_one as usize, a_vnni].map(|w| w as u64)
-    }
-}
-
-/// A constructed (and cached) int8 BRGEMM kernel handle.
+/// `A` — with factor `a_vnni` ([`pl_tensor::InnerLayout::VnniCols`]): its
+/// element `(i, p)` lives at `(p / v) * lda * v + i * v + p % v`. `B` (the
+/// per-step quantized activation) is flat column-major, and `C` is f32.
+#[derive(Debug, Clone, Copy)]
 pub struct BrgemmI8 {
-    desc: BrgemmI8Desc,
+    desc: BrgemmDesc,
+    a_vnni: usize,
 }
 
 impl BrgemmI8 {
-    /// Builds (or fetches from the kernel cache) the kernel for `desc`.
-    pub fn new(desc: BrgemmI8Desc) -> Arc<Self> {
+    /// The kernel for `desc` over an `A` packed with VNNI factor `a_vnni`.
+    ///
+    /// # Panics
+    /// Panics where [`Brgemm::new`] does, or if `a_vnni` does not divide
+    /// `desc.k`.
+    pub fn new(desc: BrgemmDesc, a_vnni: usize) -> Self {
         desc.validate();
-        // Int8 BRGEMM lives in tag-space 2 (disjoint from the generic
-        // kernels: its descriptor has different field semantics).
-        let cached =
-            cache::get_or_jit(cache::hash_key(2 << 48, &desc.key_words()), || Self { desc });
-        assert_eq!(cached.desc, desc, "kernel cache collision");
-        cached
+        assert!(
+            a_vnni > 0 && desc.k.is_multiple_of(a_vnni),
+            "k {} not divisible by vnni {a_vnni}",
+            desc.k
+        );
+        Self { desc, a_vnni }
     }
 
     /// The descriptor this kernel was specialized for.
-    pub fn desc(&self) -> &BrgemmI8Desc {
+    pub fn desc(&self) -> &BrgemmDesc {
         &self.desc
     }
 
     /// Stride-addressed batch reduction with dequantize-on-store.
     ///
     /// `row_scales[i]` is the quantization scale of `A` row `i` (per output
-    /// channel), `col_scales[j]` of `B` column `j` (per token). The i32
-    /// accumulator is exact while `k * brcount <= i32::MAX / 127^2`
-    /// (~133k reduction elements) — far beyond any block shape in use.
+    /// channel), `col_scales[j]` of `B` column `j` (per token). For
+    /// operands in `[-127, 127]`, the range the quantizers emit, the i32
+    /// accumulator is exact while `k * brcount <= i32::MAX / 127^2` (~133k
+    /// reduction elements) — far beyond any block shape in use.
     pub fn execute_stride(
         &self,
         a: &[i8],
@@ -269,12 +224,12 @@ impl BrgemmI8 {
         row_scales: &[f32],
         col_scales: &[f32],
     ) {
-        let BrgemmI8Desc { m, n, k, lda, ldb, ldc, beta_one, a_vnni } = self.desc;
-        debug_assert!(row_scales.len() >= m, "row scales shorter than m");
-        debug_assert!(col_scales.len() >= n, "col scales shorter than n");
+        let BrgemmI8 { desc, a_vnni } = *self;
+        debug_assert!(row_scales.len() >= desc.m, "row scales shorter than m");
+        debug_assert!(col_scales.len() >= desc.n, "col scales shorter than n");
         run_tiles(
-            Dequant { a_vnni, beta_one, row_scales, col_scales },
-            &BrgemmDesc { m, n, k, lda, ldb, ldc, beta_one },
+            Dequant { a_vnni, beta_one: desc.beta_one, row_scales, col_scales },
+            &desc,
             Blocks::Stride { base: a, stride: stride_a },
             Blocks::Stride { base: b, stride: stride_b },
             c,
@@ -452,29 +407,6 @@ fn tile<const W: usize, TA: Copy, TB: Copy, TC, R: Arith<TA, TB, TC>>(
     }
 }
 
-/// Scalar reference implementation (f64 accumulation) for testing.
-pub fn reference_brgemm(
-    m: usize,
-    n: usize,
-    k: usize,
-    a_blocks: &[Vec<f32>],
-    b_blocks: &[Vec<f32>],
-    c: &mut [f32],
-    beta: f32,
-) {
-    for j in 0..n {
-        for i in 0..m {
-            let mut acc = (c[j * m + i] * beta) as f64;
-            for (ab, bb) in a_blocks.iter().zip(b_blocks) {
-                for p in 0..k {
-                    acc += ab[p * m + i] as f64 * bb[j * k + p] as f64;
-                }
-            }
-            c[j * m + i] = acc as f32;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +414,30 @@ mod tests {
 
     fn rand_vec(rng: &mut Xorshift, len: usize) -> Vec<f32> {
         (0..len).map(|_| rng.next_f32() - 0.5).collect()
+    }
+
+    /// Scalar reference implementation (f64 accumulation): the oracle of
+    /// the f32 and bf16 kernels.
+    fn reference_brgemm(
+        m: usize,
+        n: usize,
+        k: usize,
+        a_blocks: &[Vec<f32>],
+        b_blocks: &[Vec<f32>],
+        c: &mut [f32],
+        beta: f32,
+    ) {
+        for j in 0..n {
+            for i in 0..m {
+                let mut acc = (c[j * m + i] * beta) as f64;
+                for (ab, bb) in a_blocks.iter().zip(b_blocks) {
+                    for p in 0..k {
+                        acc += ab[p * m + i] as f64 * bb[j * k + p] as f64;
+                    }
+                }
+                c[j * m + i] = acc as f32;
+            }
+        }
     }
 
     fn run_case(m: usize, n: usize, k: usize, br: usize, beta_one: bool) {
@@ -559,6 +515,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "offset lists differ in length")]
+    fn offsets_variant_rejects_mismatched_lists() {
+        let (m, n, k) = (8, 4, 4);
+        let (a, b) = (vec![0.0f32; m * k * 3], vec![0.0f32; k * n * 3]);
+        let mut c = vec![0.0f32; m * n];
+        let kernel = Brgemm::<f32, f32, f32>::new(BrgemmDesc::blocked(m, n, k));
+        kernel.execute_offsets(&a, &[0, m * k, 2 * m * k], &b, &[0, k * n], &mut c);
+    }
+
+    #[test]
     fn address_variant_matches_stride() {
         let (m, n, k, br) = (8, 4, 4, 2);
         let mut rng = Xorshift::new(9);
@@ -602,19 +568,6 @@ mod tests {
             // f32 accumulation over bf16 products: tight tolerance.
             assert!((c[i] - c_ref[i]).abs() < 1e-5 * k as f32, "{} vs {}", c[i], c_ref[i]);
         }
-    }
-
-    #[test]
-    fn kernel_handles_are_cached() {
-        let desc = BrgemmDesc::blocked(24, 24, 24);
-        let k1 = Brgemm::<f32, f32, f32>::new(desc);
-        let k2 = Brgemm::<f32, f32, f32>::new(desc);
-        assert!(Arc::ptr_eq(&k1, &k2));
-        // Distinct dtype triple -> distinct handle.
-        let _k3 = Brgemm::<Bf16, Bf16, f32>::new(BrgemmDesc {
-            // same shape, different types must not collide in the cache
-            ..desc
-        });
     }
 
     /// i64 reference for the quantized kernel: exact integer inner product,
@@ -677,8 +630,8 @@ mod tests {
                 a_blocks.iter().flat_map(|blk| pack_a_vnni_cols(blk, m, k, v)).collect();
             let b_flat: Vec<i8> = b_blocks.iter().flatten().copied().collect();
             let mut c = vec![0.0f32; m * n];
-            let desc = BrgemmI8Desc { beta_one: false, ..BrgemmI8Desc::blocked(m, n, k, v) };
-            let kernel = BrgemmI8::new(desc);
+            let desc = BrgemmDesc { beta_one: false, ..BrgemmDesc::blocked(m, n, k) };
+            let kernel = BrgemmI8::new(desc, v);
             kernel.execute_stride(&a_flat, m * k, &b_flat, k * n, &mut c, br, &rs, &cs);
             assert_eq!(c, c_ref, "m={m} n={n} k={k} br={br} v={v}");
         }
@@ -692,24 +645,16 @@ mod tests {
         let rs = vec![0.5f32; m];
         let cs = vec![2.0f32; n];
         let mut c = vec![10.0f32; m * n];
-        let kernel = BrgemmI8::new(BrgemmI8Desc::blocked(m, n, k, v));
+        let kernel = BrgemmI8::new(BrgemmDesc::blocked(m, n, k), v);
         kernel.execute_stride(&a, 0, &b, 0, &mut c, 1, &rs, &cs);
         // 10 + 0.5 * 2.0 * (1*1 summed over k=8) = 18.
         assert!(c.iter().all(|&x| x == 18.0), "{c:?}");
     }
 
     #[test]
-    fn i8_kernel_handles_are_cached() {
-        let desc = BrgemmI8Desc::blocked(24, 8, 24, 4);
-        let k1 = BrgemmI8::new(desc);
-        let k2 = BrgemmI8::new(desc);
-        assert!(Arc::ptr_eq(&k1, &k2));
-    }
-
-    #[test]
     #[should_panic(expected = "not divisible by vnni")]
     fn i8_kernel_rejects_unaligned_k() {
-        let _ = BrgemmI8::new(BrgemmI8Desc::blocked(8, 8, 6, 4));
+        let _ = BrgemmI8::new(BrgemmDesc::blocked(8, 8, 6), 4);
     }
 
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -808,11 +753,11 @@ mod tests {
             let rs: Vec<f32> = (0..m).map(|_| 0.001 + rng.next_f32() * 0.01).collect();
             let cs: Vec<f32> = (0..n).map(|_| 0.001 + rng.next_f32() * 0.01).collect();
             let c0 = rand_vec(&mut rng, m * n);
-            let desc = BrgemmI8Desc { beta_one, ..BrgemmI8Desc::blocked(m, n, k, v) };
+            let desc = BrgemmDesc { beta_one, ..BrgemmDesc::blocked(m, n, k) };
             let mut c = c0.clone();
-            BrgemmI8::new(desc).execute_stride(&a, m * k, &b, k * n, &mut c, br, &rs, &cs);
+            BrgemmI8::new(desc, v).execute_stride(&a, m * k, &b, k * n, &mut c, br, &rs, &cs);
 
-            let column = BrgemmI8::new(BrgemmI8Desc { n: 1, ..desc });
+            let column = BrgemmI8::new(BrgemmDesc { n: 1, ..desc }, v);
             for j in 0..n {
                 let mut cj = c0[j * m..(j + 1) * m].to_vec();
                 column.execute_stride(&a, m * k, &b[j * k..], k * n, &mut cj, br, &rs, &cs[j..]);

@@ -16,14 +16,16 @@
 //!
 //! ## The "JIT" substitution
 //!
-//! libxsmm emits machine code per kernel descriptor and caches it. Here a
-//! descriptor selects a monomorphized Rust microkernel (one tile body,
-//! instantiated per element types and tile width), and handles are cached
-//! in [`cache`] keyed by descriptor — the same architecture with the code
-//! generator swapped out. Nothing is vectorized for the host ISA: the crate
-//! has no `std::arch` or `#[target_feature]` code, and in a default build
-//! (baseline x86-64, no `fma` target feature) every f32 `mul_add` in a
-//! tile is a call to libm's `fmaf`.
+//! libxsmm emits machine code per kernel descriptor at run time and caches
+//! it. Here a descriptor selects a Rust tile body monomorphized at compile
+//! time (one body, instantiated per element types and tile width), so
+//! nothing is generated at run time and a kernel handle is a plain value:
+//! its descriptor, validated by `new`. No handle is cached; the caching
+//! scheme of paper §I is PARLOOPER's plan cache (`parlooper::cache`).
+//! Nothing is vectorized for the host ISA: the crate has no `std::arch` or
+//! `#[target_feature]` code, and in a default build (baseline x86-64, no
+//! `fma` target feature) every f32 `mul_add` in a tile is a call to libm's
+//! `fmaf`.
 
 // TPP entry points mirror libxsmm descriptor signatures (m, n, in, ldi,
 // out, ldo, ...), so the argument-count lint is noise here.
@@ -31,7 +33,6 @@
 
 pub mod binary;
 pub mod brgemm;
-pub mod cache;
 pub mod dropout;
 pub mod equation;
 pub mod norm;
@@ -41,7 +42,7 @@ pub mod spmm;
 pub mod transform;
 pub mod unary;
 
-pub use brgemm::{Brgemm, BrgemmDesc, BrgemmI8, BrgemmI8Desc};
+pub use brgemm::{Brgemm, BrgemmDesc, BrgemmI8};
 pub use spmm::BcscSpmm;
 
 /// Convenience re-export: every TPP works over these element types.
