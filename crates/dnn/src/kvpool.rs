@@ -18,9 +18,9 @@
 //!   gets a private copy first ([`KvPagePool::page_mut`],
 //!   copy-on-write), though whole-page adoption means appends after a
 //!   hit always land on a page of the adopter's own;
-//! * **mobility** — a sequence serializes to a dense [`KvSnapshot`]
-//!   (spill to bytes, restore later, or re-admit on another shard's
-//!   pool), because a page list + cursor is data, not an address.
+//! * **mobility** — a sequence serializes to a dense [`KvSnapshot`] and
+//!   rebuilds in another server's pool (of any page size), because a
+//!   page list + cursor is data, not an address.
 //!
 //! Bit-identity discipline: a page is the *same* token-major layout the
 //! contiguous cache used (`token t`'s K slice at `(t % page_tokens) *
@@ -347,10 +347,10 @@ impl KvSeq {
     }
 }
 
-/// A dense, poolless serialization of a multi-layer KV state: the spill
-/// and migration wire format. Only valid tokens are stored (not
-/// capacity), so an idle 10-token session spills to 10 tokens of bytes
-/// regardless of its admission capacity.
+/// A dense, poolless serialization of a multi-layer KV state: the wire
+/// format a session moves between servers in. Only valid tokens are
+/// stored (not capacity), so a 10-token session serializes to 10 tokens
+/// of bytes regardless of its admission capacity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvSnapshot {
     hidden: usize,
@@ -414,7 +414,7 @@ impl KvSnapshot {
     }
 
     /// Rehydrates into per-layer sequences drawing pages from `pool`
-    /// (possibly a different shard's pool than the one spilled from).
+    /// (possibly a different server's pool than the snapshot came from).
     pub fn restore(&self, pool: &Arc<KvPagePool>) -> Result<Vec<KvSeq>, KvPoolExhausted> {
         assert_eq!(pool.hidden(), self.hidden, "pool geometry mismatch");
         let h = self.hidden;
@@ -448,7 +448,8 @@ impl KvSnapshot {
     }
 
     /// Deserializes [`KvSnapshot::to_bytes`] output; `None` on any
-    /// malformed input.
+    /// malformed input, including one holding more tokens than its
+    /// admission capacity (no state could ever take another token).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let (magic, rest) = bytes.split_at_checked(4)?;
         if magic != b"PLKV" {
@@ -462,6 +463,9 @@ impl KvSnapshot {
             rest = tail;
         }
         let [hidden, len, capacity, layer_count] = fields;
+        if len > capacity {
+            return None;
+        }
         let per_buf = hidden.checked_mul(len)?;
         let want = layer_count.checked_mul(per_buf.checked_mul(8)?)?;
         if rest.len() != want {
@@ -865,6 +869,12 @@ mod tests {
         }
         assert!(KvSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(KvSnapshot::from_bytes(b"nope").is_none());
+        // A capacity word (bytes 12..16) below the token count is refused.
+        let mut over = bytes.clone();
+        over[12..16].copy_from_slice(&(snap.len() as u32 - 1).to_le_bytes());
+        assert!(KvSnapshot::from_bytes(&over).is_none(), "len > capacity parses");
+        over[12..16].copy_from_slice(&(snap.len() as u32).to_le_bytes());
+        assert_eq!(KvSnapshot::from_bytes(&over).map(|s| s.capacity()), Some(snap.len()));
     }
 
     /// `layers` sequences holding `tokens` tokens of `seed`-derived KV,

@@ -12,8 +12,8 @@
 //!   (Fig. 11), plus exact flop/byte accounting of the full-size models.
 //! * [`kvpool`] — paged KV storage behind the decoder: fixed-size pages
 //!   from a shared block allocator ([`KvPagePool`]), a cache of computed
-//!   prompt pages so shared prefixes are not recomputed ([`PrefixCache`]) and dense
-//!   spill/migration snapshots ([`KvSnapshot`]).
+//!   prompt pages so shared prefixes are not recomputed ([`PrefixCache`]) and
+//!   dense snapshots a session moves between servers in ([`KvSnapshot`]).
 //! * [`resnet`] — the Fig. 7 convolution shape table, batchnorm (fwd/bwd)
 //!   and pooling for ResNet-50 training (Table II).
 //! * [`prepared`] — the **prepared-op execution API**: pack-once compiled

@@ -203,42 +203,31 @@ pub fn prefill_chunk_widths(tokens: usize, chunk: usize) -> Vec<usize> {
     widths
 }
 
-/// Where a state's KV lives: resident pages, or a dense spilled snapshot
-/// (restored transparently by the next forward).
-enum KvStore {
-    Paged(Vec<KvSeq>),
-    Spilled(KvSnapshot),
-}
-
 /// One decode stream's mutable state: per-layer KV **page tables** (page
 /// list + cursor, [`KvSeq`]) over a shared [`KvPagePool`]. The paged
 /// layout is token-major inside each page — the contiguous cache's
 /// layout, chunked — and attention reads through the page indirection
 /// with unchanged per-element arithmetic order, so decode outputs are
-/// bit-identical at every page size. Because the state is now a page
-/// list plus a cursor, it is *data*: it can spill to a dense
-/// [`KvSnapshot`] ([`DecoderState::spill`]) and restore later, possibly
-/// into a different pool ([`DecoderState::from_snapshot`] — the
-/// cross-shard migration primitive).
+/// bit-identical at every page size. A dense [`KvSnapshot`] of the state
+/// ([`DecoderState::snapshot`]) rebuilds it in another pool
+/// ([`DecoderState::from_snapshot`]), which is how a session moves
+/// between servers.
 pub struct DecoderState {
     pool: Arc<KvPagePool>,
     capacity: usize,
-    store: KvStore,
+    seqs: Vec<KvSeq>,
 }
 
 impl DecoderState {
     fn new_in(pool: &Arc<KvPagePool>, layers: usize, max_tokens: usize) -> Self {
         assert!(layers > 0, "decoder states need at least one layer");
         let seqs = (0..layers).map(|_| KvSeq::new(pool)).collect();
-        DecoderState { pool: Arc::clone(pool), capacity: max_tokens, store: KvStore::Paged(seqs) }
+        DecoderState { pool: Arc::clone(pool), capacity: max_tokens, seqs }
     }
 
     /// Cached tokens so far.
     pub fn cached_tokens(&self) -> usize {
-        match &self.store {
-            KvStore::Paged(seqs) => seqs[0].len(),
-            KvStore::Spilled(snap) => snap.len(),
-        }
+        self.seqs[0].len()
     }
 
     /// KV capacity in tokens (the admission bound; pages are only
@@ -250,8 +239,8 @@ impl DecoderState {
     /// Clears the KV cache (the stream restarts from an empty context);
     /// every page the state held recycles into the pool.
     pub fn reset(&mut self) {
-        let layers = self.layer_count();
-        self.store = KvStore::Paged((0..layers).map(|_| KvSeq::new(&self.pool)).collect());
+        let layers = self.seqs.len();
+        self.seqs = (0..layers).map(|_| KvSeq::new(&self.pool)).collect();
     }
 
     /// The pool this state draws pages from.
@@ -259,68 +248,25 @@ impl DecoderState {
         &self.pool
     }
 
-    fn layer_count(&self) -> usize {
-        match &self.store {
-            KvStore::Paged(seqs) => seqs.len(),
-            KvStore::Spilled(snap) => snap.layer_count(),
-        }
-    }
-
-    /// Pages currently held across all layers (0 while spilled).
+    /// Pages currently held across all layers.
     pub fn kv_pages(&self) -> usize {
-        match &self.store {
-            KvStore::Paged(seqs) => seqs.iter().map(|s| s.page_count()).sum(),
-            KvStore::Spilled(_) => 0,
-        }
+        self.seqs.iter().map(|s| s.page_count()).sum()
     }
 
     /// Held pages shared with at least one other holder (prefix cache or
     /// sibling session).
     pub fn shared_kv_pages(&self) -> usize {
-        match &self.store {
-            KvStore::Paged(seqs) => seqs.iter().map(|s| s.shared_pages()).sum(),
-            KvStore::Spilled(_) => 0,
-        }
+        self.seqs.iter().map(|s| s.shared_pages()).sum()
     }
 
-    /// Whether the KV currently lives as a spilled snapshot.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self.store, KvStore::Spilled(_))
-    }
-
-    /// Densifies the pages into a snapshot and releases them to the pool
-    /// (idle-session residency bound). Returns `false` if already
-    /// spilled. The next forward restores transparently; note a restored
-    /// state owns all its pages again (prefix sharing, if any, is lost).
-    pub fn spill(&mut self) -> bool {
-        match &self.store {
-            KvStore::Paged(seqs) => {
-                self.store = KvStore::Spilled(KvSnapshot::from_seqs(seqs, self.capacity));
-                true
-            }
-            KvStore::Spilled(_) => false,
-        }
-    }
-
-    /// Re-materializes spilled KV into pool pages; no-op when resident.
-    pub fn restore(&mut self) -> Result<(), KvPoolExhausted> {
-        if let KvStore::Spilled(snap) = &self.store {
-            self.store = KvStore::Paged(snap.restore(&self.pool)?);
-        }
-        Ok(())
-    }
-
-    /// A dense copy of the KV contents (works spilled or resident) — the
-    /// migration wire format ([`KvSnapshot::to_bytes`]).
+    /// A dense copy of the KV contents — the wire format
+    /// ([`KvSnapshot::to_bytes`]) a session moves between servers in.
     pub fn snapshot(&self) -> KvSnapshot {
-        match &self.store {
-            KvStore::Paged(seqs) => KvSnapshot::from_seqs(seqs, self.capacity),
-            KvStore::Spilled(snap) => snap.clone(),
-        }
+        KvSnapshot::from_seqs(&self.seqs, self.capacity)
     }
 
     /// Rebuilds a state from a snapshot, drawing pages from `pool`
-    /// (possibly a different shard's pool than the snapshot came from).
+    /// (possibly a different server's pool than the snapshot came from).
     /// Continuation is bit-identical: the dense copy preserves every KV
     /// value and the paged read path preserves arithmetic order.
     pub fn from_snapshot(
@@ -328,11 +274,7 @@ impl DecoderState {
         snap: &KvSnapshot,
     ) -> Result<Self, KvPoolExhausted> {
         let seqs = snap.restore(pool)?;
-        Ok(DecoderState {
-            pool: Arc::clone(pool),
-            capacity: snap.capacity(),
-            store: KvStore::Paged(seqs),
-        })
+        Ok(DecoderState { pool: Arc::clone(pool), capacity: snap.capacity(), seqs })
     }
 
     /// Adopts the cached leading pages `hit` found for a prompt this state
@@ -341,16 +283,15 @@ impl DecoderState {
     /// `hit.tokens()`. K and V at a position depend on the tokens up to it
     /// only, so the continuation is bit-identical to prefilling the whole
     /// prompt. Refuses (returning `false`, state untouched) unless the
-    /// state is resident and **empty** and the hit is non-empty and within
-    /// capacity: cached pages describe a prompt from position 0.
+    /// state is **empty** and the hit is non-empty and within capacity:
+    /// cached pages describe a prompt from position 0.
     pub fn adopt_prefix(&mut self, hit: &PrefixHit) -> bool {
-        let KvStore::Paged(seqs) = &mut self.store else { return false };
         let adoptable = !hit.is_empty()
             && hit.tokens() <= self.capacity
-            && hit.layers() == seqs.len()
-            && seqs.iter().all(|seq| seq.is_empty());
+            && hit.layers() == self.seqs.len()
+            && self.seqs.iter().all(|seq| seq.is_empty());
         if adoptable {
-            for (layer, seq) in seqs.iter_mut().enumerate() {
+            for (layer, seq) in self.seqs.iter_mut().enumerate() {
                 seq.adopt(hit, layer);
             }
         }
@@ -362,8 +303,7 @@ impl DecoderState {
     /// from **empty** with, `hit` what [`PrefixCache::lookup`] returned
     /// for it (whether or not the state adopted it) and `output` the
     /// prefill's `hidden x tokens` result. Returns the pages added — 0
-    /// when the state holds anything but exactly that prompt, or is
-    /// spilled.
+    /// when the state holds anything but exactly that prompt.
     pub fn register_prefix(
         &self,
         cache: &PrefixCache,
@@ -371,19 +311,7 @@ impl DecoderState {
         hit: &PrefixHit,
         output: &[f32],
     ) -> usize {
-        match &self.store {
-            KvStore::Paged(seqs) => cache.register(prompt, hit, seqs, output),
-            KvStore::Spilled(_) => 0,
-        }
-    }
-
-    /// The resident page tables, restoring from a spill first if needed.
-    fn seqs(&mut self) -> &mut [KvSeq] {
-        self.restore().expect("KV page pool exhausted restoring a spilled session");
-        match &mut self.store {
-            KvStore::Paged(seqs) => seqs,
-            KvStore::Spilled(_) => unreachable!("restored above"),
-        }
+        cache.register(prompt, hit, &self.seqs, output)
     }
 }
 
@@ -516,8 +444,8 @@ impl DecoderModel {
     }
 
     /// Rebuilds a session state from a [`KvSnapshot`] into `pool` — the
-    /// import half of cross-shard migration. Continuation from the
-    /// restored state is bit-identical to continuing the original.
+    /// import half of moving a session between servers. Continuation from
+    /// the restored state is bit-identical to continuing the original.
     pub fn state_from_snapshot(
         &self,
         pool: &Arc<KvPagePool>,
@@ -573,7 +501,6 @@ impl DecoderModel {
         let (mut states, mut items, mut col0) = (Vec::new(), Vec::new(), 0);
         for (i, (state, xs, width)) in batch.into_iter().enumerate() {
             assert_eq!(xs.len(), h * width, "item {i}: input must be `hidden x width` values");
-            state.restore().expect("KV page pool exhausted restoring a spilled session");
             assert!(
                 state.cached_tokens() + width <= state.capacity,
                 "KV cache overflow (item {i})"
@@ -735,7 +662,7 @@ impl<'a> Batch<'a> {
         let mut guard = self.states[c.index].lock().expect("item claimed by a panicked member");
         let state: &mut DecoderState = &mut guard;
         let kvpool = Arc::clone(&state.pool);
-        let seq = &mut state.seqs()[l];
+        let seq = &mut state.seqs[l];
         let past = seq.len();
         for t in 0..tokens {
             seq.append(&kvpool, &knew[t * h..(t + 1) * h], &vnew[t * h..(t + 1) * h])
@@ -1282,7 +1209,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_restore_and_snapshot_migration_are_bitwise() {
+    fn snapshot_wire_roundtrip_into_another_page_size_is_bitwise() {
         let pool = ThreadPool::new(2);
         let cfg = DecoderConfig::scaled_for_tests();
         let model = DecoderModel::new(cfg, 909);
@@ -1296,33 +1223,27 @@ mod tests {
             bx = model.forward(&mut base_st, &bx, 1, &pool);
             base.push(bx.clone());
         }
-        // Spilled mid-stream: densify + release pages, then keep going —
-        // the next forward restores transparently.
+        // Three steps, then serialize to bytes, rebuild into a *different*
+        // pool (different page size — another server's geometry) and
+        // decode the rest there.
         let mut st = model.new_state(16);
         let mut sx = x.clone();
         let mut got = Vec::new();
-        for t in 0..6 {
-            if t == 3 {
-                assert!(st.spill());
-                assert!(st.is_spilled());
-                assert_eq!(st.kv_pages(), 0, "spill releases every page");
-                assert_eq!(st.cached_tokens(), 3, "accounting survives the spill");
-                assert!(!st.spill(), "double spill is a no-op");
-            }
+        for _ in 0..3 {
             sx = model.forward(&mut st, &sx, 1, &pool);
             got.push(sx.clone());
         }
-        assert_eq!(got, base, "spill/restore changed the stream");
-        // Migration: serialize to bytes, rebuild into a *different* pool
-        // (different page size — another shard's geometry), continue.
         let bytes = st.snapshot().to_bytes();
         let snap = crate::kvpool::KvSnapshot::from_bytes(&bytes).expect("wire roundtrip");
         let other_pool = crate::kvpool::KvPagePool::new(cfg.hidden, 4);
         let mut moved = model.state_from_snapshot(&other_pool, &snap).expect("restore");
         assert_eq!(moved.capacity(), 16, "admission capacity rides the snapshot");
-        let y_orig = model.forward(&mut st, &sx.clone(), 1, &pool);
-        let y_moved = model.forward(&mut moved, &sx, 1, &pool);
-        assert_eq!(y_moved, y_orig, "migrated continuation diverged");
+        assert_eq!(moved.cached_tokens(), 3);
+        for _ in 3..6 {
+            sx = model.forward(&mut moved, &sx, 1, &pool);
+            got.push(sx.clone());
+        }
+        assert_eq!(got, base, "migrated continuation diverged");
     }
 
     /// Prefills `prompt` into a fresh state over `kvpool` the way a
@@ -1418,14 +1339,11 @@ mod tests {
         );
         assert_eq!(kvpool.cow_splits(), 0);
 
-        // No adoption into a state that holds context, is spilled, or is
-        // too small; a refused hit leaves the state as it was.
+        // No adoption into a state that holds context or is too small; a
+        // refused hit leaves the state as it was.
         let hit = cache.lookup(&prompt);
         assert!(!again.adopt_prefix(&hit), "holds context");
         assert_eq!(again.cached_tokens(), 9);
-        let mut spilled = model.new_state_in(&kvpool, 128);
-        assert!(spilled.spill());
-        assert!(!spilled.adopt_prefix(&hit), "spilled");
         assert!(!model.new_state_in(&kvpool, 7).adopt_prefix(&hit), "over capacity");
         assert!(!model.new_state_in(&kvpool, 128).adopt_prefix(&PrefixHit::default()));
         // Nor registration of a state that holds more than the prompt.

@@ -362,7 +362,6 @@ pub struct GemmInt8 {
     tl: ThreadedLoop,
     /// Kernel of a full `bm x bn` block.
     brgemm: BrgemmI8,
-    a_vnni: usize,
 }
 
 impl GemmInt8 {
@@ -379,7 +378,7 @@ impl GemmInt8 {
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
         let brgemm = BrgemmI8::new(BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk), v);
-        Ok(GemmInt8 { shape, tuning, tl, brgemm, a_vnni: v })
+        Ok(GemmInt8 { shape, tuning, tl, brgemm })
     }
 
     /// Problem geometry.
@@ -472,7 +471,7 @@ impl GemmInt8 {
             let brgemm = if cols == bn {
                 self.brgemm
             } else {
-                BrgemmI8::new(BrgemmDesc { n: cols, ..*self.brgemm.desc() }, self.a_vnni)
+                BrgemmI8::new(BrgemmDesc { n: cols, ..*self.brgemm.desc() }, self.brgemm.a_vnni())
             };
             brgemm.execute_stride(
                 &a_data[im * kb * bm * bk..],
@@ -496,11 +495,11 @@ impl GemmInt8 {
         if !self.shape.operands_match(a, b, c) {
             return Err(KernelError::BadShape("operand layout mismatch".into()));
         }
-        if a.inner() != InnerLayout::VnniCols(self.a_vnni) {
+        if a.inner() != InnerLayout::VnniCols(self.brgemm.a_vnni()) {
             return Err(KernelError::BadShape(format!(
                 "A inner layout {:?} does not match kernel VnniCols({})",
                 a.inner(),
-                self.a_vnni
+                self.brgemm.a_vnni()
             )));
         }
         if b.inner() != InnerLayout::ColMajor {

@@ -82,11 +82,6 @@ impl BlockSpmm {
         Ok(BlockSpmm { m, n, k, bm, bk, bn, tuning, tl, tpp })
     }
 
-    /// Effective (dense-equivalent) flops of the multiplication.
-    pub fn dense_flops(&self) -> u64 {
-        2 * self.m as u64 * self.n as u64 * self.k as u64
-    }
-
     /// `C = A x B` (paper Listing 5 body).
     pub fn execute<TA: Element, TB: Element, TC: Element>(
         &self,

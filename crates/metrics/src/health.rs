@@ -17,9 +17,6 @@ pub enum Health {
     /// SLO burn over threshold; existing sessions keep stepping, new
     /// sessions are placed elsewhere.
     Degraded,
-    /// Administratively draining (operator intent, overlaid by the
-    /// router) — no new sessions by definition.
-    Draining,
     /// Watchdog fired: work pending but no batch collected for the
     /// deadline.
     Stalled,
@@ -31,12 +28,11 @@ impl Health {
         matches!(self, Health::Healthy)
     }
 
-    /// Gauge encoding (0 healthy, 1 degraded, 2 draining, 3 stalled).
+    /// Gauge encoding (0 healthy, 1 degraded, 3 stalled).
     pub fn as_f64(self) -> f64 {
         match self {
             Health::Healthy => 0.0,
             Health::Degraded => 1.0,
-            Health::Draining => 2.0,
             Health::Stalled => 3.0,
         }
     }
@@ -46,7 +42,6 @@ impl Health {
         match self {
             Health::Healthy => "healthy",
             Health::Degraded => "degraded",
-            Health::Draining => "draining",
             Health::Stalled => "stalled",
         }
     }
@@ -105,11 +100,6 @@ impl HealthTracker {
             Health::Healthy
         }
     }
-
-    /// Whether the degraded latch is currently set (without evaluating).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +109,7 @@ mod tests {
     #[test]
     fn placeability_and_encoding() {
         assert!(Health::Healthy.placeable());
-        for h in [Health::Degraded, Health::Draining, Health::Stalled] {
+        for h in [Health::Degraded, Health::Stalled] {
             assert!(!h.placeable(), "{h}");
         }
         assert_eq!(Health::Stalled.as_f64(), 3.0);

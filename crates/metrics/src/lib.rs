@@ -13,7 +13,7 @@
 //! - [`SloWindow`]: rolling per-second window tracking a latency target
 //!   (violation fraction → burn rate, windowed p99).
 //! - [`Health`] / [`HealthTracker`]: the shard health state machine
-//!   (`Healthy | Degraded | Draining | Stalled`) with a hysteresis band
+//!   (`Healthy | Degraded | Stalled`) with a hysteresis band
 //!   so a flapping shard does not oscillate in and out of placement.
 //! - [`Watchdog`]: detects a stalled pump — work pending but no batch
 //!   collected for a deadline.

@@ -12,17 +12,9 @@
 //!   its KV cache never moves on the hot path and decode stays bit-identical
 //!   to a single-server run of the same stream;
 //! * **least-loaded placement** ([`placement`]): new sessions go to the
-//!   shard with the smallest live-session + queue-depth load, draining
-//!   shards excluded;
-//! * **graceful drains** ([`drain`]): closing a session lets queued work
-//!   complete first, and whole shards can be drained (no new placements,
-//!   pending work pumped dry) for rebalancing or shutdown;
-//! * **session migration** ([`migrate`]): a quiesced export → import of a
-//!   session's dense KV snapshot moves it between shards with a
-//!   **bit-identical** continuation — what [`Router::rebalance`]
-//!   (evacuating degraded shards, evening the spread) and
-//!   [`Router::recover_shard`] (re-homing a drained shard's survivors)
-//!   are built on;
+//!   healthy shard with the smallest live-session + queue-depth load;
+//! * **graceful close** ([`Router::close_session`]): a session's own
+//!   queued work completes before its KV cache is freed;
 //! * **aggregated observability** ([`Router::metrics_snapshot`]): the
 //!   shards' registries merge into one `shard`-labelled fleet snapshot —
 //!   counters add, latency quantiles recompute from summed histogram
@@ -33,14 +25,10 @@
 //! here: the router composes unmodified `Server` instances exactly the
 //! way `Server` composes unmodified kernels.
 
-pub mod drain;
-pub mod migrate;
 pub mod placement;
 pub mod router;
 pub mod shard;
 
-pub use drain::DrainReport;
-pub use migrate::MigrationRecord;
 pub use placement::{least_loaded, placement_order, ShardLoad};
 pub use router::{Router, RouterConfig, RouterSessionId};
 pub use shard::{partition_threads, Shard};
@@ -52,7 +40,7 @@ use pl_serve::ServeError;
 pub enum RouterError {
     /// The session id is not live on this router.
     UnknownSession(RouterSessionId),
-    /// No shard could accept the new session (all draining or full).
+    /// No shard could accept the new session (all unhealthy or full).
     NoShardAvailable,
     /// The configuration is unusable (e.g. fewer threads than shards).
     BadConfig(String),

@@ -18,14 +18,12 @@ use std::sync::{mpsc, Arc};
 /// the router id disambiguates, so there is no cross-shard aliasing).
 pub type RouterSessionId = u64;
 
-/// Where a router session lives. Written at placement and thereafter
-/// only by [`Router::migrate_session`] — the explicit, quiesced KV move;
-/// the hot path treats affinity as invariant, so the KV cache never
-/// moves as a side effect of routing.
+/// Where a router session lives. Written once at placement: the session
+/// and its KV cache stay on that shard until it closes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Placement {
-    pub(crate) shard: usize,
-    pub(crate) local: SessionId,
+struct Placement {
+    shard: usize,
+    local: SessionId,
 }
 
 /// Scale-out knobs.
@@ -55,15 +53,13 @@ impl Default for RouterConfig {
 ///
 /// Lifecycle: [`Router::new`] → either [`Router::start`] (every shard's
 /// background batcher; clients call the blocking [`Router::step`]) or a
-/// manual [`Router::pump_all`] drive loop → [`Router::shutdown`]. Drains
-/// ([`Router::begin_drain`]) can retire shards from placement at any
-/// point in between.
+/// manual [`Router::pump_all`] drive loop → [`Router::shutdown`].
 pub struct Router {
-    pub(crate) shards: Vec<Shard>,
-    pub(crate) cfg: RouterConfig,
-    pub(crate) sessions: Mutex<HashMap<RouterSessionId, Placement>>,
+    shards: Vec<Shard>,
+    cfg: RouterConfig,
+    sessions: Mutex<HashMap<RouterSessionId, Placement>>,
     next_session: AtomicU64,
-    pub(crate) started: AtomicBool,
+    started: AtomicBool,
 }
 
 impl Router {
@@ -116,57 +112,42 @@ impl Router {
 
     /// Current placement loads (the inputs to [`placement_order`]),
     /// health included: each shard's server evaluates its own SLO burn
-    /// and stall watchdog ([`pl_serve::Server::health`]); a draining
-    /// shard reports [`Health::Draining`] regardless (administrative
-    /// intent overrides the measured state for placement purposes).
+    /// and stall watchdog ([`pl_serve::Server::health`]).
     pub fn loads(&self) -> Vec<ShardLoad> {
         self.shards
             .iter()
-            .map(|s| {
-                let draining = s.is_draining();
-                ShardLoad {
-                    shard: s.index(),
-                    live_sessions: s.server().session_count(),
-                    queue_depth: s.server().pending(),
-                    draining,
-                    health: if draining { Health::Draining } else { s.server().health() },
-                }
+            .map(|s| ShardLoad {
+                shard: s.index(),
+                live_sessions: s.server().session_count(),
+                queue_depth: s.server().pending(),
+                health: s.server().health(),
             })
             .collect()
     }
 
-    /// The current health of every shard (index = shard), with the
-    /// draining overlay applied — the fleet view `pl_shard_health`
-    /// exports.
+    /// The current health of every shard (index = shard) — the fleet
+    /// view `pl_shard_health` exports.
     pub fn shard_health(&self) -> Vec<Health> {
-        self.loads().into_iter().map(|l| l.health).collect()
+        self.shards.iter().map(|s| s.server().health()).collect()
     }
 
     /// Fleet-wide metrics: every shard's snapshot stamped with its
     /// `shard` label, then merged (counters and histogram buckets sum;
-    /// the `pl_shard_health` gauge stays per-shard thanks to the label,
-    /// and carries the draining overlay). Render with
-    /// [`pl_metrics::render_prometheus`].
+    /// the `pl_shard_health` gauge stays per-shard thanks to the label).
+    /// Render with [`pl_metrics::render_prometheus`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let healths = self.shard_health();
         let mut fleet = MetricsSnapshot::default();
-        for (shard, health) in self.shards.iter().zip(healths) {
-            let snap = shard.server().metrics_snapshot();
+        for shard in &self.shards {
             let idx = shard.index().to_string();
-            let mut snap = snap.with_label("shard", &idx);
-            // Overlay draining onto the exported health gauge — the
-            // server itself cannot know the router marked it.
-            let key = ("pl_shard_health".to_string(), vec![("shard".to_string(), idx)]);
-            snap.gauges.insert(key, health.as_f64());
-            fleet.merge(&snap);
+            fleet.merge(&shard.server().metrics_snapshot().with_label("shard", &idx));
         }
         fleet
     }
 
     /// Admits a new session: least-loaded placeable shard first, then
     /// the next candidates if it is full ([`placement_order`]) — shards
-    /// that are draining, degraded (SLO burn through the hysteresis
-    /// band) or stalled (watchdog) take no new sessions, while their
+    /// that are degraded (SLO burn through the hysteresis band) or
+    /// stalled (watchdog) take no new sessions, while their
     /// existing sessions keep stepping untouched. The session is
     /// *affine* to the chosen shard for its whole life.
     pub fn create_session(&self, tenant: TenantId) -> Result<RouterSessionId, RouterError> {
@@ -197,16 +178,15 @@ impl Router {
         self.sessions.lock().get(&id).map(|p| p.shard)
     }
 
-    pub(crate) fn lookup(&self, id: RouterSessionId) -> Result<Placement, RouterError> {
+    fn lookup(&self, id: RouterSessionId) -> Result<Placement, RouterError> {
         self.sessions.lock().get(&id).copied().ok_or(RouterError::UnknownSession(id))
     }
 
     /// Routes a blocking prefill to the session's shard. Under the hood
     /// this is the chunked path ([`Router::submit_prefill`]): the prompt
     /// is split into `prefill_chunk`-bounded chunks that interleave with
-    /// the shard's decode batches, so a long prompt no longer monopolizes
-    /// the shard's pool — and the work is visible to the shard's
-    /// `in_flight`, so drains observe it.
+    /// the shard's decode batches, so a long prompt does not monopolize
+    /// the shard's pool.
     pub fn prefill(
         &self,
         id: RouterSessionId,
@@ -222,8 +202,8 @@ impl Router {
     /// on the shard the session was placed on). The full `hidden x
     /// tokens` output arrives on the returned channel after the final
     /// chunk; every chunk counts toward the shard's
-    /// [`pl_serve::Server::in_flight`], which is what
-    /// [`Router::drain_shard`] and [`Router::close_session`] quiesce on.
+    /// [`pl_serve::Server::in_flight`], which [`Router::close_session`]
+    /// waits on.
     pub fn submit_prefill(
         &self,
         id: RouterSessionId,

@@ -3,7 +3,6 @@
 use pl_dnn::DecoderModel;
 use pl_runtime::ThreadPool;
 use pl_serve::{Server, ServerConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Splits `total` threads over `shards` disjoint partitions, each at least
@@ -32,19 +31,13 @@ pub struct Shard {
     index: usize,
     threads: usize,
     server: Server,
-    draining: AtomicBool,
 }
 
 impl Shard {
     /// Builds shard `index` with `threads` pool threads over `model`.
     pub fn new(index: usize, threads: usize, model: Arc<DecoderModel>, cfg: ServerConfig) -> Self {
         let pool = Arc::new(ThreadPool::new(threads.max(1)));
-        Shard {
-            index,
-            threads: threads.max(1),
-            server: Server::new(model, pool, cfg),
-            draining: AtomicBool::new(false),
-        }
+        Shard { index, threads: threads.max(1), server: Server::new(model, pool, cfg) }
     }
 
     /// Shard index within the router.
@@ -65,15 +58,6 @@ impl Shard {
     /// Mutable access (start/shutdown need it).
     pub(crate) fn server_mut(&mut self) -> &mut Server {
         &mut self.server
-    }
-
-    /// Whether this shard is excluded from new-session placement.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn set_draining(&self, draining: bool) {
-        self.draining.store(draining, Ordering::Release);
     }
 }
 

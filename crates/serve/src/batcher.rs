@@ -101,16 +101,6 @@ impl WorkItem {
             WorkItem::PrefillChunk(c) => c.job.reply(),
         }
     }
-
-    /// Token width this item admits into a batch: 1 for a decode step,
-    /// the chunk's width for a prefill chunk — the unit the
-    /// `max_queued_tokens` admission budget is charged in.
-    pub fn tokens(&self) -> usize {
-        match self {
-            WorkItem::Decode(_) => 1,
-            WorkItem::PrefillChunk(c) => c.job.chunk_tokens(c.chunk),
-        }
-    }
 }
 
 /// Per-tenant rings plus the deferred side-queue and fairness cursor.
@@ -120,58 +110,15 @@ pub struct DynamicBatcher {
     /// deferred duplicates, continuation prefill chunks).
     deferred: Mutex<VecDeque<WorkItem>>,
     cursor: AtomicUsize,
-    /// Bound on the summed token widths of ring-queued items (0 =
-    /// unlimited). Per-item request *counts* are bounded by the rings;
-    /// this bounds the *work* they represent, so a few giant prefill
-    /// chunks cannot occupy the same admission share as a few decode
-    /// steps.
-    max_queued_tokens: usize,
-    /// Tokens currently ring-queued against the budget.
-    queued_tokens: AtomicUsize,
 }
 
 impl DynamicBatcher {
-    /// `tenants` rings of `capacity` requests each, with no token budget.
+    /// `tenants` rings of `capacity` requests each.
     pub fn new(tenants: usize, capacity: usize) -> Self {
-        Self::bounded(tenants, capacity, 0)
-    }
-
-    /// [`DynamicBatcher::new`] plus a bound on total queued token width
-    /// (`max_queued_tokens`; 0 = unlimited). Submissions that would push
-    /// the summed widths of ring-queued items past the bound are rejected
-    /// exactly like a full ring — the caller's backpressure path. The
-    /// side-queue is exempt: everything there was already admitted and
-    /// charged once.
-    pub fn bounded(tenants: usize, capacity: usize, max_queued_tokens: usize) -> Self {
         DynamicBatcher {
             queues: (0..tenants.max(1)).map(|_| BoundedQueue::new(capacity)).collect(),
             deferred: Mutex::new(VecDeque::new()),
             cursor: AtomicUsize::new(0),
-            max_queued_tokens,
-            queued_tokens: AtomicUsize::new(0),
-        }
-    }
-
-    /// Tokens currently ring-queued against the budget (approximate
-    /// under concurrent submits/collects).
-    pub fn queued_tokens(&self) -> usize {
-        self.queued_tokens.load(Ordering::Acquire)
-    }
-
-    fn reserve_tokens(&self, tokens: usize) -> bool {
-        if self.max_queued_tokens == 0 {
-            return true;
-        }
-        self.queued_tokens
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                (cur + tokens <= self.max_queued_tokens).then_some(cur + tokens)
-            })
-            .is_ok()
-    }
-
-    fn release_tokens(&self, tokens: usize) {
-        if self.max_queued_tokens != 0 {
-            self.queued_tokens.fetch_sub(tokens, Ordering::AcqRel);
         }
     }
 
@@ -191,26 +138,12 @@ impl DynamicBatcher {
         ring + self.deferred.lock().iter().filter(|i| i.tenant() == tenant).count()
     }
 
-    /// Enqueues an item on its tenant's ring; a full ring — or a token
-    /// budget the item's width would blow through — returns the item
-    /// back: the backpressure signal.
+    /// Enqueues an item on its tenant's ring; a full ring returns the
+    /// item back: the backpressure signal.
     pub fn submit(&self, item: WorkItem) -> Result<(), WorkItem> {
-        let tokens = item.tokens();
-        if !self.reserve_tokens(tokens) {
-            return Err(item);
-        }
         match self.queues.get(item.tenant()) {
-            Some(q) => match q.push(item) {
-                Ok(()) => Ok(()),
-                Err(item) => {
-                    self.release_tokens(tokens);
-                    Err(item)
-                }
-            },
-            None => {
-                self.release_tokens(tokens);
-                Err(item)
-            }
+            Some(q) => q.push(item),
+            None => Err(item),
         }
     }
 
@@ -287,14 +220,7 @@ impl DynamicBatcher {
                 continue;
             }
             match self.queues[t].pop() {
-                Some(item) => {
-                    // Leaving the ring releases the item's token
-                    // reservation — once collected it occupies a batch
-                    // lane, not queue budget (deferred replays are not
-                    // re-charged).
-                    self.release_tokens(item.tokens());
-                    batch.push(item);
-                }
+                Some(item) => batch.push(item),
                 None => {
                     exhausted[t] = true;
                     live -= 1;
@@ -491,39 +417,5 @@ mod tests {
     fn unknown_tenant_is_rejected() {
         let b = DynamicBatcher::new(2, 4);
         assert!(b.submit(req(7, 0)).is_err());
-    }
-
-    /// A width-4 prefill chunk of an 8-token job.
-    fn wide_chunk(session: SessionId) -> WorkItem {
-        chunk(0, session)
-    }
-
-    #[test]
-    fn token_budget_bounds_queued_widths_at_the_boundary() {
-        // Budget 5: one width-4 chunk + one decode step fill it EXACTLY
-        // (boundary: 4 + 1 == 5 admits); the next decode step would make
-        // 6 and must bounce even though the ring has plenty of slots.
-        let b = DynamicBatcher::bounded(1, 16, 5);
-        assert_eq!(wide_chunk(0).tokens(), 4, "test chunk is width 4");
-        b.submit(wide_chunk(10)).unwrap_or_else(|_| panic!("4 <= 5 admits"));
-        b.submit(req(0, 1)).unwrap_or_else(|_| panic!("4 + 1 == 5 admits at the boundary"));
-        assert_eq!(b.queued_tokens(), 5);
-        let rejected = b.submit(req(0, 2));
-        assert!(rejected.is_err(), "5 + 1 > 5 must bounce");
-        assert_eq!(rejected.err().unwrap().session(), 2);
-        // Collecting releases the budget; the bounced step now fits.
-        let batch = b.collect(4);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(b.queued_tokens(), 0);
-        b.submit(req(0, 2)).unwrap_or_else(|_| panic!("freed budget readmits"));
-        // The side-queue is exempt: deferred replays are never re-charged.
-        b.defer(wide_chunk(11));
-        assert_eq!(b.queued_tokens(), 1, "defer charges nothing");
-        // Zero budget = unlimited (the default config).
-        let unlimited = DynamicBatcher::new(1, 16);
-        for i in 0..8 {
-            unlimited.submit(wide_chunk(i)).unwrap_or_else(|_| panic!("no budget, no bounce"));
-        }
-        assert_eq!(unlimited.queued_tokens(), 0, "no accounting without a budget");
     }
 }

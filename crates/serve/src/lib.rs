@@ -102,7 +102,7 @@ pub enum ServeError {
         reason: String,
     },
     /// The session is momentarily checked out by an executing batch —
-    /// retry shortly (export/migration path; batches re-insert their
+    /// retry shortly ([`crate::Server::export_session`]; batches re-insert their
     /// sessions before delivering replies, so the window is microseconds
     /// wide).
     SessionBusy {

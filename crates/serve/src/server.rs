@@ -13,7 +13,8 @@
 //! interleaves with live decode traffic — decode steps complete between
 //! (and alongside) its chunks — instead of monopolizing the pool for the
 //! whole forward, and every chunk is visible to [`Server::in_flight`], so
-//! drains and shutdown observe prefill work exactly like decode work.
+//! a graceful close and shutdown observe prefill work exactly like decode
+//! work.
 //! The blocking [`Server::prefill`] is a wrapper over this path; a prompt
 //! that fits in one chunk executes as a single forward and stays
 //! **bit-identical** to the pre-chunking inline prefill.
@@ -84,8 +85,8 @@ pub struct ServerConfig {
     /// Page budget for the shard's KV pool (`0` = unbounded). A bounded
     /// pool makes KV memory a hard resource: size it to the working set
     /// (`max_sessions * ceil(kv_capacity / kv_page_tokens)` covers the
-    /// worst case with no sharing; prefix sharing and idle spill reduce
-    /// the real demand, which is what the density benchmark measures).
+    /// worst case with no sharing; prefix sharing reduces the real
+    /// demand).
     pub kv_pool_pages: usize,
     /// Keep completed prompts' pages in the shard's [`PrefixCache`] and
     /// look every new prompt up in it **before** its prefill is planned:
@@ -95,12 +96,6 @@ pub struct ServerConfig {
     /// changes outputs (position `t` depends on tokens `0..=t` only).
     /// `false` disables lookup and registration together.
     pub share_prefix: bool,
-    /// Upper bound on the **sum of token widths** queued across all
-    /// tenant rings (a decode step counts 1, a prefill chunk its width);
-    /// `0` = unlimited. Bounds the KV/compute debt admission can take on
-    /// ahead of execution — a submission that would exceed it bounces
-    /// with [`ServeError::Backpressure`], same as a full ring.
-    pub max_queued_tokens: usize,
 }
 
 impl Default for ServerConfig {
@@ -117,7 +112,6 @@ impl Default for ServerConfig {
             kv_page_tokens: DEFAULT_PAGE_TOKENS,
             kv_pool_pages: 0,
             share_prefix: true,
-            max_queued_tokens: 0,
         }
     }
 }
@@ -134,9 +128,7 @@ const PREFIX_CACHE_ENTRIES: usize = 64;
 /// A serialized session: everything another shard needs to re-admit it
 /// ([`Server::import_session`]) and continue decoding **bit-identically**
 /// — the dense, page-layout-independent KV snapshot plus the decode
-/// counters. Produced by [`Server::export_session`]; the router's
-/// `migrate_session` wraps the export → import handshake with the
-/// quiesce/retry discipline it needs.
+/// counters. Produced by [`Server::export_session`].
 #[derive(Debug, Clone)]
 pub struct SessionExport {
     /// Owning tenant — the importer places the session in the same ring.
@@ -205,7 +197,7 @@ struct ServerInner {
     /// successor (nothing is delivered for it), so accepted work is
     /// counted even while its batch holds the session checked out of the
     /// table and across chunk boundaries of one prefill. This is the
-    /// quiescence signal drains rely on.
+    /// quiescence signal a graceful close relies on.
     in_flight: AtomicU64,
     /// Shard-wide SLO window over decode step latency — what
     /// [`Server::health`] derives its burn rate from.
@@ -215,8 +207,8 @@ struct ServerInner {
     /// Stalled-pump detector over `(pending, batches)`.
     watchdog: Watchdog,
     /// The shard's shared KV page pool: every session's cache is a page
-    /// table over this ([`DecoderModel::new_state_in`]), so free pages,
-    /// prefix-shared pages and spilled sessions are shard-level facts.
+    /// table over this ([`DecoderModel::new_state_in`]), so free and
+    /// prefix-shared pages are shard-level facts.
     kv_pool: Arc<KvPagePool>,
     /// Completed prompts' pages, for later prompts to adopt.
     prefix: PrefixCache,
@@ -300,11 +292,7 @@ impl Server {
             KvPagePool::new(model.config().hidden, page_tokens)
         };
         let inner = Arc::new(ServerInner {
-            batcher: DynamicBatcher::bounded(
-                cfg.tenants,
-                cfg.queue_capacity,
-                cfg.max_queued_tokens,
-            ),
+            batcher: DynamicBatcher::new(cfg.tenants, cfg.queue_capacity),
             prefix: PrefixCache::new(&kv_pool, PREFIX_CACHE_ENTRIES),
             kv_pool,
             batcher_waker: OnceLock::new(),
@@ -354,11 +342,9 @@ impl Server {
     /// Current health of this server: feeds one `(pending, batches)`
     /// observation to the stall watchdog, folds the shard-wide SLO burn
     /// rate through the hysteresis tracker, and reports
-    /// `Healthy | Degraded | Stalled` (a router overlays `Draining` on
-    /// top — administrative intent lives above the server). Degraded
-    /// entry/exit uses the [`pl_metrics::HealthTracker`] hysteresis band
-    /// so a shard hovering at the threshold does not flap in and out of
-    /// placement.
+    /// `Healthy | Degraded | Stalled`. Degraded entry/exit uses the
+    /// [`pl_metrics::HealthTracker`] hysteresis band so a shard hovering
+    /// at the threshold does not flap in and out of placement.
     pub fn health(&self) -> Health {
         let stalled =
             self.inner.watchdog.check(self.pending() as u64, self.inner.stats.batches.get());
@@ -382,7 +368,6 @@ impl Server {
         m.gauge("pl_shard_health", &[]).set(self.health().as_f64());
         m.gauge("pl_kv_pages_free", &[]).set(self.inner.kv_pool.free_pages() as f64);
         m.gauge("pl_kv_pages_shared", &[]).set(self.inner.prefix.shared_pages() as f64);
-        m.gauge("pl_kv_sessions_spilled", &[]).set(self.spilled_sessions() as f64);
         self.inner.stats.registry_snapshot()
     }
 
@@ -404,8 +389,7 @@ impl Server {
     /// Work items queued but not yet executed — decode steps and prefill
     /// chunks, across all tenant rings plus the deferred side-queue
     /// (approximate — rings are concurrent). This is the queue-depth
-    /// signal a fronting router uses for least-loaded placement and for
-    /// graceful drains.
+    /// signal a fronting router uses for least-loaded placement.
     pub fn pending(&self) -> usize {
         self.inner.batcher.pending()
     }
@@ -417,9 +401,8 @@ impl Server {
     /// submit, at reply delivery, and across prefill chunk hand-offs
     /// (successor enqueued before the completed chunk retires), so there
     /// is no window where accepted work is invisible: this is the
-    /// quiescence signal for graceful drains (`pending() == 0` alone
-    /// races the batch-execution window — and, before chunked prefill,
-    /// missed in-progress prefills entirely).
+    /// quiescence signal for a graceful close (`pending() == 0` alone
+    /// races the batch-execution window).
     pub fn in_flight(&self) -> usize {
         self.inner.in_flight.load(Ordering::Acquire) as usize
     }
@@ -461,50 +444,6 @@ impl Server {
     /// The shard's prompt prefix cache.
     pub fn prefix_cache(&self) -> &PrefixCache {
         &self.inner.prefix
-    }
-
-    /// Spills a live session's KV cache into a dense snapshot, returning
-    /// its pages to the pool. `Ok(true)` if the session spilled now;
-    /// `Ok(false)` if it already was, held no tokens, or is momentarily
-    /// checked out by an executing batch. The session stays live — its
-    /// next work item restores the pages transparently (bit-identically:
-    /// the snapshot preserves every KV row).
-    pub fn spill_session(&self, id: SessionId) -> Result<bool, ServeError> {
-        let mut sessions = self.inner.sessions.lock();
-        match sessions.get_mut(&id) {
-            None => Err(ServeError::UnknownSession(id)),
-            Some(Slot::Live(sess)) => Ok(sess.state.spill()),
-            Some(Slot::CheckedOut { .. }) => Ok(false),
-        }
-    }
-
-    /// Spills every live session that has executed no work for at least
-    /// `min_idle` (see [`Session::last_active`]). Returns how many
-    /// sessions spilled. The pool-level effect is what matters: an idle
-    /// session's pages become reusable by active sessions, so a shard
-    /// over-committed on sessions keeps serving as long as the *active*
-    /// working set fits.
-    pub fn spill_idle(&self, min_idle: Duration) -> usize {
-        let now = Instant::now();
-        let mut sessions = self.inner.sessions.lock();
-        let mut spilled = 0;
-        for slot in sessions.values_mut() {
-            if let Slot::Live(sess) = slot {
-                if now.duration_since(sess.last_active) >= min_idle && sess.state.spill() {
-                    spilled += 1;
-                }
-            }
-        }
-        spilled
-    }
-
-    /// Live sessions currently holding their KV as a spilled snapshot.
-    pub fn spilled_sessions(&self) -> usize {
-        let sessions = self.inner.sessions.lock();
-        sessions
-            .values()
-            .filter(|s| matches!(s, Slot::Live(sess) if sess.state.is_spilled()))
-            .count()
     }
 
     /// Removes a live session and serializes it for re-admission
@@ -950,7 +889,6 @@ impl Server {
                                 // the table. The reply goes out once the
                                 // lock is released.
                                 sess.exec_seq += 1;
-                                sess.last_active = collected;
                                 cached.push(Arc::clone(job));
                                 continue;
                             }
@@ -1051,7 +989,6 @@ impl Server {
             match r {
                 ReadyItem::Decode(req, mut sess) => {
                     sess.generated += 1;
-                    sess.last_active = collected;
                     // The step's ticket is spent: advance the
                     // program-order cursor so the session's next
                     // pipelined step becomes executable.
@@ -1098,7 +1035,6 @@ impl Server {
                             [c.job.session(), c.chunk as u64, 0],
                         );
                     }
-                    sess.last_active = collected;
                     if c.chunk + 1 == c.job.chunks() {
                         // The job's single ticket is spent only when its
                         // final chunk lands: items pipelined behind the
@@ -1112,7 +1048,7 @@ impl Server {
                         // The completed chunk's in-flight unit transfers
                         // to the successor: nothing is delivered for a
                         // non-final chunk, so the counter stays raised
-                        // across the hand-off and a drain polling
+                        // across the hand-off and a close polling
                         // `in_flight` never sees a mid-prefill gap.
                         inner.batcher.defer(WorkItem::PrefillChunk(ChunkItem {
                             job: Arc::clone(&c.job),
@@ -1413,8 +1349,8 @@ mod tests {
         // backpressure rollback raced a concurrent same-session submit
         // and the dispenser re-issued a published ticket. Checkout used
         // to re-defer such an item on every batch — a silent livelock
-        // (the caller hangs on recv, in_flight never drains, drains and
-        // shutdown never quiesce). It must fail loudly instead.
+        // (the caller hangs on recv, in_flight never drains, a graceful
+        // close and shutdown never quiesce). It must fail loudly instead.
         let server = tiny_server(ServerConfig::default());
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
@@ -1777,8 +1713,8 @@ mod tests {
     #[test]
     fn in_flight_covers_every_prefill_chunk_without_gaps() {
         // Satellite regression: prefill work used to be invisible to
-        // in_flight (and unchecked against shutdown), so drains could
-        // report a shard quiesced mid-prefill. Now every chunk counts,
+        // in_flight (and unchecked against shutdown), so a close could
+        // see a shard quiesced mid-prefill. Now every chunk counts,
         // including across chunk hand-offs.
         let server =
             tiny_server(ServerConfig { prefill_chunk: 2, kv_capacity: 16, ..Default::default() });
@@ -2376,7 +2312,6 @@ mod tests {
             "pl_shard_health",
             "pl_kv_pages_free",
             "pl_kv_pages_shared",
-            "pl_kv_sessions_spilled",
             "pl_migrations_total",
         ] {
             assert!(report.families.contains_key(fam), "family {fam} missing from exposition");
@@ -2451,40 +2386,6 @@ mod tests {
             let snap = server.metrics_snapshot();
             assert_eq!(snap.gauge_value("pl_kv_pages_shared", &[]).unwrap() > 0.0, share_prefix);
         }
-    }
-
-    #[test]
-    fn idle_spill_returns_pages_and_restores_bitwise_on_next_step() {
-        let server = tiny_server(ServerConfig {
-            kv_page_tokens: 4,
-            kv_capacity: 32,
-            share_prefix: false,
-            ..Default::default()
-        });
-        let hidden = server.model().config().hidden;
-        let id = server.create_session(0).unwrap();
-        let prompt = token(95, hidden * 5);
-        let _ = server.prefill(id, &prompt, 5).unwrap();
-        assert!(server.kv_pool().allocated_pages() > 0);
-        // Nothing is idle at a generous threshold; everything is at zero.
-        assert_eq!(server.spill_idle(Duration::from_secs(3600)), 0);
-        assert_eq!(server.spill_idle(Duration::ZERO), 1);
-        assert_eq!(server.spilled_sessions(), 1);
-        assert_eq!(server.kv_pool().allocated_pages(), 0, "spill must return every page");
-        let snap = server.metrics_snapshot();
-        assert_eq!(snap.gauge_value("pl_kv_sessions_spilled", &[]), Some(1.0));
-        assert!(snap.gauge_value("pl_kv_pages_free", &[]).unwrap() > 0.0);
-        // The next step transparently restores and stays bit-identical.
-        let x = token(96, hidden);
-        let rx = server.submit_step(id, &x).unwrap();
-        while server.pump() > 0 {}
-        let got = rx.recv().unwrap().unwrap();
-        assert_eq!(server.spilled_sessions(), 0);
-        let pool = ThreadPool::new(2);
-        let mut st = server.model().new_state(32);
-        let _ = server.model().forward(&mut st, &prompt, 5, &pool);
-        let want = server.model().forward(&mut st, &x, 1, &pool);
-        assert_eq!(got, want, "restore-from-spill must be bit-identical");
     }
 
     #[test]
@@ -2566,27 +2467,5 @@ mod tests {
         while server.pump() > 0 {}
         assert_eq!(rx.recv().unwrap().unwrap().len(), own.hidden);
         assert_eq!(server.session_count(), 1);
-    }
-
-    #[test]
-    fn max_queued_tokens_applies_backpressure_through_the_config() {
-        let server = tiny_server(ServerConfig { max_queued_tokens: 1, ..Default::default() });
-        let hidden = server.model().config().hidden;
-        let a = server.create_session(0).unwrap();
-        let b = server.create_session(0).unwrap();
-        let rx = server.submit_step(a, &token(1, hidden)).unwrap();
-        // The 1-token budget is spent: the next step bounces even though
-        // the ring has plenty of room.
-        assert!(matches!(
-            server.submit_step(b, &token(2, hidden)),
-            Err(ServeError::Backpressure { tenant: 0 })
-        ));
-        assert_eq!(server.stats().snapshot().rejected_backpressure, 1);
-        while server.pump() > 0 {}
-        rx.recv().unwrap().unwrap();
-        // Executed work released its budget; admission resumes.
-        let rx = server.submit_step(b, &token(3, hidden)).unwrap();
-        while server.pump() > 0 {}
-        rx.recv().unwrap().unwrap();
     }
 }

@@ -3,7 +3,6 @@
 use pl_dnn::DecoderState;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Server-assigned session identifier.
 pub type SessionId = u64;
@@ -23,11 +22,6 @@ pub struct Session {
     pub state: DecoderState,
     /// Tokens decoded through the step path.
     pub generated: u64,
-    /// Creation time (for session-age metrics/eviction policies).
-    pub created: Instant,
-    /// Last time a batch executed work for this session — what
-    /// [`crate::Server::spill_idle`] ages against.
-    pub last_active: Instant,
     /// Monotonic ticket dispenser for submitted decode steps. Shared
     /// (`Arc`) with the session's `CheckedOut` marker so a step submitted
     /// during an execution window still draws an ordered ticket.
@@ -41,14 +35,11 @@ pub struct Session {
 impl Session {
     /// Fresh session around an empty KV state.
     pub fn new(id: SessionId, tenant: TenantId, state: DecoderState) -> Self {
-        let now = Instant::now();
         Session {
             id,
             tenant,
             state,
             generated: 0,
-            created: now,
-            last_active: now,
             submit_seq: Arc::new(AtomicU64::new(0)),
             exec_seq: 0,
         }

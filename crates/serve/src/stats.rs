@@ -42,10 +42,9 @@ const FAMILIES: &[(&str, &str)] = &[
     ("pl_sessions_live", "Live sessions"),
     ("pl_pending", "Work items queued but not executing"),
     ("pl_in_flight", "Accepted work not yet delivered"),
-    ("pl_shard_health", "0 healthy, 1 degraded, 2 draining, 3 stalled"),
+    ("pl_shard_health", "0 healthy, 1 degraded, 3 stalled"),
     ("pl_kv_pages_free", "Recycled KV pages available in the shard pool"),
     ("pl_kv_pages_shared", "KV pages shared by more than one owner (prefix cache)"),
-    ("pl_kv_sessions_spilled", "Live sessions whose KV is spilled to a snapshot"),
 ];
 
 /// One tenant's handle set.

@@ -206,6 +206,11 @@ impl BrgemmI8 {
         &self.desc
     }
 
+    /// The VNNI factor of the `A` columns this kernel reads.
+    pub fn a_vnni(&self) -> usize {
+        self.a_vnni
+    }
+
     /// Stride-addressed batch reduction with dequantize-on-store.
     ///
     /// `row_scales[i]` is the quantization scale of `A` row `i` (per output

@@ -11,6 +11,10 @@
 //! the numerics. Measured scale-out is plbench's `router.2x1` workload
 //! (`benchmark/`), not this demo's job.
 //!
+//! The fleet's merged, `shard`-labelled metrics snapshot
+//! ([`pl_router::Router::metrics_snapshot`]) is printed in Prometheus
+//! text format.
+//!
 //! Run: `cargo run --release --example router_llm [-- --shards N]`
 
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
@@ -112,6 +116,7 @@ fn main() {
     );
     let per_shard = router.shard_stats();
     let agg = router.stats();
+    let fleet_metrics = pl_metrics::render_prometheus(&router.metrics_snapshot());
     router.shutdown();
 
     println!("\n=== per-shard / aggregated stats ===");
@@ -125,6 +130,7 @@ fn main() {
         "fleet:   completed {:>5}  batches {:>4}  mean batch {:>5.2}  p99 {:>6} us",
         agg.completed, agg.batches, agg.mean_batch, agg.p99_us
     );
+    println!("\n=== fleet metrics (Prometheus text format) ===\n{fleet_metrics}");
 
     let mut mismatches = 0usize;
     // The identical per-session traffic through a single Server must

@@ -1,11 +1,10 @@
 //! Integration test of the pl-router scale-out tier: concurrent sessions
 //! routed across core-partitioned shards must behave exactly like a
 //! single server — bit-identical streams, no cross-shard
-//! state leakage, stats that aggregate coherently, drains that never
-//! drop queued work.
+//! state leakage, stats that aggregate coherently.
 
 use pl_dnn::{Decoder, DecoderConfig, DecoderModel, Precision};
-use pl_router::{Router, RouterConfig, RouterError};
+use pl_router::{Router, RouterConfig};
 use pl_runtime::ThreadPool;
 use pl_serve::{Server, ServerConfig};
 use pl_tensor::{fill_uniform, Xorshift};
@@ -175,38 +174,4 @@ fn sessions_are_isolated_across_shards() {
         assert_eq!(got[1], w1);
     }
     assert_ne!(got_a, got_b, "distinct streams stayed distinct");
-}
-
-#[test]
-fn drain_rebalances_placement_without_dropping_work() {
-    let cfg = DecoderConfig::scaled_for_tests();
-    let hidden = cfg.hidden;
-    let model = Arc::new(DecoderModel::new(cfg, 88));
-    let r = Router::new(
-        model,
-        RouterConfig { shards: 3, total_threads: 3, server: ServerConfig { ..server_cfg() } },
-    )
-    .unwrap();
-    // Fill all three shards, then drain shard 1.
-    let ids: Vec<_> = (0..3).map(|_| r.create_session(0).unwrap()).collect();
-    assert_eq!(r.placement_of(ids[1]), Some(1));
-    let x = vec![0.25f32; hidden];
-    let rx = r.submit_step(ids[1], &x).unwrap();
-    let report = r.drain_shard(1);
-    assert!(report.is_quiesced());
-    assert!(rx.recv().unwrap().is_ok(), "queued step survived the drain");
-    // New sessions skip the draining shard; the others keep balancing.
-    let placements: Vec<_> =
-        (0..4).map(|_| r.placement_of(r.create_session(0).unwrap()).unwrap()).collect();
-    assert!(placements.iter().all(|&p| p != 1), "draining shard got {placements:?}");
-    assert_eq!(placements.iter().filter(|&&p| p == 0).count(), 2);
-    assert_eq!(placements.iter().filter(|&&p| p == 2).count(), 2);
-    // Its resident closes; the shard is then empty and can come back.
-    r.close_session(ids[1]).unwrap();
-    assert!(r.drain_shard(1).is_empty());
-    r.cancel_drain(1);
-    let back = r.create_session(0).unwrap();
-    assert_eq!(r.placement_of(back), Some(1), "recommissioned shard is least-loaded");
-    // Sanity: a bad tenant still errors through the router.
-    assert!(matches!(r.create_session(TENANTS + 1), Err(RouterError::Serve(_))));
 }
