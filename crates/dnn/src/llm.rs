@@ -248,11 +248,6 @@ impl DecoderState {
         &self.pool
     }
 
-    /// Pages currently held across all layers.
-    pub fn kv_pages(&self) -> usize {
-        self.seqs.iter().map(|s| s.page_count()).sum()
-    }
-
     /// Held pages shared with at least one other holder (prefix cache or
     /// sibling session).
     pub fn shared_kv_pages(&self) -> usize {
@@ -661,11 +656,10 @@ impl<'a> Batch<'a> {
 
         let mut guard = self.states[c.index].lock().expect("item claimed by a panicked member");
         let state: &mut DecoderState = &mut guard;
-        let kvpool = Arc::clone(&state.pool);
-        let seq = &mut state.seqs[l];
+        let (kvpool, seq) = (&state.pool, &mut state.seqs[l]);
         let past = seq.len();
         for t in 0..tokens {
-            seq.append(&kvpool, &knew[t * h..(t + 1) * h], &vnew[t * h..(t + 1) * h])
+            seq.append(kvpool, &knew[t * h..(t + 1) * h], &vnew[t * h..(t + 1) * h])
                 .expect("KV page pool exhausted");
         }
         let total = past + tokens;

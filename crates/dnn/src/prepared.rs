@@ -42,6 +42,13 @@
 //! the offline tuner reproduces the paper's search, and no tuned spec has
 //! yet measured better on the serving path.
 //!
+//! A plan branches on its [`Precision`] twice, both at the edges of its
+//! GEMM: what [`MatmulPlan::with_precision`] packs (the f32 weight, or its
+//! int8 quantization with per-channel scales), and whether its activation
+//! matrices carry a quantized twin. In between, one generic path runs the
+//! one GEMM nest ([`GemmKernel`]) over the precision's BRGEMM tile, which
+//! also names the trace span (`gemm.execute` / `gemm.i8.execute`).
+//!
 //! [`SpmmPlan`] is the Block-SpMM twin for block-sparse weights: the BCSC
 //! operand is already a pack-once artifact (pruning produces it), so the
 //! plan's job is caching the constructed kernels per width.
@@ -53,12 +60,13 @@
 use crate::matmul::{transpose_cm, Trans};
 use parlooper::{LoopRun, LoopSpecs, ThreadedLoop};
 use pl_kernels::{
-    BlockSpmm, Gemm, GemmInt8, GemmShape, GemmTuning, KernelError, SharedSlice, SpmmTuning,
+    BlockSpmm, GemmKernel, GemmShape, GemmTuning, KernelError, SharedSlice, SpmmTuning, Tile,
 };
 use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{
     quantize_weight_a_vnni, symmetric_scale, BcscMatrix, BlockedMatrix, DType, Element, VnniMatrix,
 };
+use pl_tpp::brgemm::{Brgemm, BrgemmI8};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -205,28 +213,141 @@ impl ActMatrix {
     }
 }
 
-/// The per-width compiled kernel: f32 and int8 plans build different
-/// kernel types over the same loop-nest machinery.
-enum PlanGemm {
-    F32(Gemm<f32, f32, f32>),
-    Int8(GemmInt8),
+/// The BRGEMM tile of a plan precision, and how a GEMM phase feeds it.
+trait PlanTile: Tile<C = f32> + 'static {
+    const PRECISION: Precision;
+
+    /// The `B` operand and per-call scales of a GEMM over `act`: its
+    /// columns and `()`, or their quantized twin and (`rows`, its column
+    /// scales).
+    ///
+    /// # Safety
+    /// Nothing may write `act` while they are in use.
+    unsafe fn inputs<'a>(act: &'a ActMatrix, rows: &'a [f32]) -> (&'a [Self::B], Self::Scales<'a>);
+
+    /// `x`'s little-endian bytes.
+    #[cfg(test)]
+    fn le_bytes(x: Self::A) -> impl IntoIterator<Item = u8>;
 }
 
-struct PlanKernel {
-    shape: GemmShape,
-    gemm: PlanGemm,
+impl PlanTile for Brgemm<f32, f32, f32> {
+    const PRECISION: Precision = Precision::F32;
+
+    unsafe fn inputs<'a>(act: &'a ActMatrix, _: &'a [f32]) -> (&'a [f32], ()) {
+        (act.data.view.slice(0, act.data.view.len()), ())
+    }
+
+    #[cfg(test)]
+    fn le_bytes(x: f32) -> impl IntoIterator<Item = u8> {
+        x.to_le_bytes()
+    }
 }
 
-/// The pack-once weight operand of a [`MatmulPlan`], per precision.
-#[derive(Clone)]
-enum PlanWeight {
-    /// Blocked `A` layout, f32.
-    F32(BlockedMatrix<f32>),
-    /// VNNI-blocked quantized `A` plus one dequantization scale per output
-    /// channel (logical row). `v` is the VNNI factor actually used: the
-    /// dtype's factor ([`DType::vnni_factor`]) degraded to the largest
-    /// divisor of `bk` when the K blocking is narrower than the granule.
-    Int8 { q: BlockedMatrix<i8>, scales: Vec<f32>, v: usize },
+impl PlanTile for BrgemmI8 {
+    const PRECISION: Precision = Precision::Int8;
+
+    unsafe fn inputs<'a>(act: &'a ActMatrix, rows: &'a [f32]) -> (&'a [i8], Self::Scales<'a>) {
+        let (q, cols) = act.quant.as_ref().expect("int8 plans need an input built by an int8 plan");
+        (q.view.slice(0, q.view.len()), (rows, cols.view.slice(0, act.n)))
+    }
+
+    #[cfg(test)]
+    fn le_bytes(x: i8) -> impl IntoIterator<Item = u8> {
+        x.to_le_bytes()
+    }
+}
+
+/// A plan's pack-once weight: `A` in the layout its precision's tile
+/// reads and, at int8, one dequantization scale per output channel.
+struct Packed<T: Tile> {
+    a: BlockedMatrix<T::A>,
+    row_scales: Vec<f32>,
+}
+
+/// A plan's weight, whatever its precision: the one point where a plan
+/// dispatches to its precision's (generic) code.
+trait Weight: Send + Sync {
+    fn precision(&self) -> Precision;
+    /// See [`MatmulPlan::weight_stream_bytes`].
+    fn stream_bytes(&self) -> usize;
+    /// The GEMM over this weight for `shape` under tuning `t`.
+    fn kernel(self: Arc<Self>, shape: GemmShape, t: GemmTuning) -> Result<PlanKernel, KernelError>;
+    #[cfg(test)]
+    fn fold_fnv(&self, h: u64) -> u64;
+}
+
+impl<T: PlanTile> Weight for Packed<T> {
+    fn precision(&self) -> Precision {
+        T::PRECISION
+    }
+
+    fn stream_bytes(&self) -> usize {
+        std::mem::size_of_val(self.a.data()) + std::mem::size_of_val(self.row_scales.as_slice())
+    }
+
+    fn kernel(self: Arc<Self>, shape: GemmShape, t: GemmTuning) -> Result<PlanKernel, KernelError> {
+        Ok(Box::new(Bound { gemm: GemmKernel::build(shape, t, self.a.inner())?, weight: self }))
+    }
+
+    #[cfg(test)]
+    fn fold_fnv(&self, h: u64) -> u64 {
+        let a = self.a.data().iter().flat_map(|&x| T::le_bytes(x));
+        let bytes = a.chain(self.row_scales.iter().flat_map(|x| x.to_le_bytes()));
+        bytes.fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+}
+
+/// A plan's compiled kernel at one activation width.
+type PlanKernel = Box<dyn Kernel>;
+
+trait Kernel: Send + Sync {
+    /// Starts one (single-use) execution by a team of `team` threads that
+    /// is, or will be, inside a parallel region.
+    fn begin(&self, team: usize) -> LoopRun;
+
+    /// This member's share of `out = W x act` in `run`; every member of
+    /// the team calls it once.
+    ///
+    /// # Safety
+    /// Between the team barriers (or region boundaries) bracketing the
+    /// team's calls, no thread may write `act` and none may otherwise
+    /// read or write `out`. Member `i` then writes only the output blocks
+    /// the plan's nest gives it, which no other member writes.
+    ///
+    /// # Panics
+    /// Panics if `act`/`out` were not built for this kernel's geometry,
+    /// width and precision.
+    unsafe fn member(&self, ctx: &WorkerCtx, run: &LoopRun, act: &ActMatrix, out: &ActMatrix);
+}
+
+/// The GEMM nest at one width over a precision's tile, bound to the
+/// weight it reads.
+struct Bound<T: Tile> {
+    gemm: GemmKernel<T>,
+    weight: Arc<Packed<T>>,
+}
+
+impl<T: PlanTile> Kernel for Bound<T> {
+    fn begin(&self, team: usize) -> LoopRun {
+        self.gemm.begin(team).expect("plan kernel spec incompatible with the team size")
+    }
+
+    unsafe fn member(&self, ctx: &WorkerCtx, run: &LoopRun, act: &ActMatrix, out: &ActMatrix) {
+        let GemmShape { m, n, k, bm, bk, .. } = *self.gemm.shape();
+        assert!(
+            (act.rows, act.br, act.n, out.rows, out.br, out.n) == (k, bk, n, m, bm, n),
+            "operands do not match the {m}x{n}x{k} plan"
+        );
+        // Per-shape wall-clock span (member 0's share — the phase, give
+        // or take the static split), args (m, n, k). The tile names it, so
+        // f32 and i8 timings of the same shape stay distinguishable.
+        let _span = (ctx.tid() == 0).then(|| pl_trace::span(T::SPAN, [m, n, k].map(|d| d as u64)));
+        // Nobody writes `act` during the call and `out` belongs to this
+        // GEMM (the contract); at int8 the quantized twin and its scales
+        // were written with the columns.
+        let (b, scales) = T::inputs(act, &self.weight.row_scales);
+        self.gemm.execute_in(ctx, run, self.weight.a.data(), b, &out.data.view, scales);
+    }
 }
 
 /// A compiled, pack-once GEMM plan over one weight operand.
@@ -242,8 +363,7 @@ pub struct MatmulPlan {
     k: usize,
     bm: usize,
     bk: usize,
-    precision: Precision,
-    weight: PlanWeight,
+    weight: Arc<dyn Weight>,
     kernels: RwLock<HashMap<usize, Arc<PlanKernel>>>,
 }
 
@@ -272,27 +392,29 @@ impl MatmulPlan {
                 std::borrow::Cow::Owned(transpose_cm(w, k, m))
             }
         };
-        let weight = match p {
+        let weight: Arc<dyn Weight> = match p {
             Precision::F32 => {
-                let mut packed =
+                let mut a =
                     BlockedMatrix::<f32>::a_layout(m, k, bm, bk).expect("plan weight layout");
-                packed.pack_from_colmajor(&flat);
-                PlanWeight::F32(packed)
+                a.pack_from_colmajor(&flat);
+                Arc::new(Packed::<Brgemm<f32, f32, f32>> { a, row_scales: Vec::new() })
             }
             Precision::Int8 => {
+                // The dtype's VNNI factor, degraded to a divisor of `bk`
+                // when the K blocking is narrower than the granule.
                 let v = vnni_fit(DType::I8.vnni_factor(), bk);
-                let (q, scales) =
+                let (a, row_scales) =
                     quantize_weight_a_vnni(&flat, m, k, bm, bk, v).expect("plan weight layout");
-                PlanWeight::Int8 { q, scales, v }
+                Arc::new(Packed::<BrgemmI8> { a, row_scales })
             }
         };
         record_pack_event();
-        MatmulPlan { m, k, bm, bk, precision: p, weight, kernels: RwLock::new(HashMap::new()) }
+        MatmulPlan { m, k, bm, bk, weight, kernels: RwLock::new(HashMap::new()) }
     }
 
     /// The precision this plan was built at.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.weight.precision()
     }
 
     /// Bytes of packed weight operand streamed through memory by one
@@ -301,12 +423,14 @@ impl MatmulPlan {
     /// the counter behind the ~4x decode-traffic claim: an int8 plan
     /// streams `m*k + 4*m` bytes where the f32 plan streams `4*m*k`.
     pub fn weight_stream_bytes(&self) -> usize {
-        match &self.weight {
-            PlanWeight::F32(wt) => std::mem::size_of_val(wt.data()),
-            PlanWeight::Int8 { q, scales, .. } => {
-                std::mem::size_of_val(q.data()) + std::mem::size_of_val(scales.as_slice())
-            }
-        }
+        self.weight.stream_bytes()
+    }
+
+    /// Folds the packed weight operand's bytes — the blocked data, plus the
+    /// scales of a quantized plan — into the FNV-1a state `h`.
+    #[cfg(test)]
+    pub(crate) fn fold_weight_fnv(&self, h: u64) -> u64 {
+        self.weight.fold_fnv(h)
     }
 
     /// Output rows (`m`).
@@ -366,18 +490,14 @@ impl MatmulPlan {
         shape: GemmShape,
         tuning: GemmTuning,
     ) -> Result<PlanKernel, KernelError> {
-        let gemm = match &self.weight {
-            PlanWeight::F32(_) => PlanGemm::F32(Gemm::new(shape, tuning)?),
-            PlanWeight::Int8 { v, .. } => PlanGemm::Int8(GemmInt8::new(shape, tuning, *v)?),
-        };
-        Ok(PlanKernel { shape, gemm })
+        Arc::clone(&self.weight).kernel(shape, tuning)
     }
 
     /// An empty `k x n` input operand for this plan (and any sibling
     /// with the same `k`, `bk` and precision), for a team to fill by
     /// columns.
     pub(crate) fn input(&self, n: usize) -> ActMatrix {
-        ActMatrix::new(self.k, self.bk, n, self.precision == Precision::Int8)
+        ActMatrix::new(self.k, self.bk, n, self.precision() == Precision::Int8)
     }
 
     /// An empty `m x n` output operand for this plan.
@@ -401,19 +521,6 @@ impl MatmulPlan {
         packed
     }
 
-    /// Starts one execution of `kernel` (one of this plan's, from
-    /// [`MatmulPlan::kernel_for`] outside the hot phases) by a team of
-    /// `team` threads that is (or will be) inside a parallel region. A run
-    /// is single-use.
-    fn begin(&self, kernel: Arc<PlanKernel>, team: usize) -> PlanRun<'_> {
-        let run = match &kernel.gemm {
-            PlanGemm::F32(g) => g.begin(team),
-            PlanGemm::Int8(g) => g.begin(team),
-        }
-        .expect("plan kernel spec incompatible with the team size");
-        PlanRun { plan: self, kernel, run }
-    }
-
     /// Runs the plan over an already-packed activation operand (from
     /// [`MatmulPlan::pack`] — possibly packed by a sibling plan with the
     /// same `k`). Returns the flat column-major `m x n` result.
@@ -430,11 +537,11 @@ impl MatmulPlan {
         pool: &ThreadPool,
     ) -> Vec<f32> {
         let out = self.output(act.n());
-        let run = self.begin(kernel, pool.nthreads());
+        let run = kernel.begin(pool.nthreads());
         // SAFETY: `out` is local, and nothing can write `act` while it is
         // borrowed shared (a region borrows its matrices exclusively); the
         // parallel region runs nothing but this plan.
-        pool.parallel(|ctx| unsafe { run.member(ctx, act, &out) });
+        pool.parallel(|ctx| unsafe { kernel.member(ctx, &run, act, &out) });
         out.into_colmajor()
     }
 
@@ -443,67 +550,6 @@ impl MatmulPlan {
     /// cached kernel for width `n`.
     pub fn execute(&self, act: &[f32], n: usize, pool: &ThreadPool) -> Vec<f32> {
         self.execute_packed(&self.pack(act, n), pool)
-    }
-}
-
-/// One in-flight execution of a [`MatmulPlan`] by a thread team (see
-/// `MatmulPlan::begin`): a GEMM of a [`Region`] schedule.
-struct PlanRun<'a> {
-    plan: &'a MatmulPlan,
-    kernel: Arc<PlanKernel>,
-    run: LoopRun,
-}
-
-impl PlanRun<'_> {
-    /// This member's share of `out = W x act`; every member of the team
-    /// calls it once.
-    ///
-    /// # Safety
-    /// Between the team barriers (or region boundaries) bracketing the
-    /// team's calls, no thread may write `act` and none may otherwise
-    /// read or write `out`. Member `i` then writes only the output blocks
-    /// the plan's nest gives it, which no other member writes.
-    ///
-    /// # Panics
-    /// Panics if `act`/`out` were not built for this plan's geometry,
-    /// width and precision.
-    unsafe fn member(&self, ctx: &WorkerCtx, act: &ActMatrix, out: &ActMatrix) {
-        let (plan, n) = (self.plan, self.kernel.shape.n);
-        assert!(
-            (act.rows, act.br, act.n) == (plan.k, plan.bk, n)
-                && (out.rows, out.br, out.n) == (plan.m, plan.bm, n),
-            "operands do not match the {}x{n}x{} plan",
-            plan.m,
-            plan.k
-        );
-        // Per-shape wall-clock span (member 0's share — the phase, give
-        // or take the static split), args (m, n, k). The name carries the
-        // plan dtype so f32 and i8 timings of the same shape stay
-        // distinguishable.
-        let _span = (ctx.tid() == 0).then(|| {
-            let name = match plan.precision {
-                Precision::F32 => "gemm.execute",
-                Precision::Int8 => "gemm.i8.execute",
-            };
-            pl_trace::span(name, [plan.m as u64, n as u64, plan.k as u64])
-        });
-        // Nobody writes `act` during the call and `out` belongs to this
-        // GEMM (the contract above); at int8 the quantized twin and its
-        // scales were written with the columns.
-        match (&plan.weight, &self.kernel.gemm) {
-            (PlanWeight::F32(wt), PlanGemm::F32(g)) => {
-                let b = act.data.view.slice(0, act.data.view.len());
-                g.execute_in(ctx, &self.run, wt.data(), b, &out.data.view);
-            }
-            (PlanWeight::Int8 { q, scales, .. }, PlanGemm::Int8(g)) => {
-                let (qact, col_scales) =
-                    act.quant.as_ref().expect("int8 plans need an input built by an int8 plan");
-                let b = qact.view.slice(0, qact.view.len());
-                let cs = col_scales.view.slice(0, n);
-                g.execute_in(ctx, &self.run, q.data(), scales, b, cs, &out.data.view);
-            }
-            _ => unreachable!("plan weight/kernel precision mismatch"),
-        }
     }
 }
 
@@ -574,10 +620,10 @@ pub(crate) fn item_nest(items: usize) -> ThreadedLoop {
 ///    column, and the item nest every item, to exactly one member; the
 ///    items' columns are disjoint (checked by [`Region::new`]). A GEMM nest
 ///    writes each output block from one member: a sequential spec runs on
-///    member 0 alone, `Gemm::new` rejects a spec that would share a block,
-///    and `tests/partition.rs` checks every generated spec. A GEMM phase's
-///    outputs are distinct from each other and from its inputs (checked by
-///    [`Region::run`]).
+///    member 0 alone, `GemmKernel::build` rejects a spec that would share a
+///    block (at every precision), and `tests/partition.rs` checks every
+///    generated spec. A GEMM phase's outputs are distinct from each other
+///    and from its inputs (checked by [`Region::run`]).
 /// 2. **A team barrier separates consecutive phases**, except two column
 ///    phases in a row: they share one static partition, so each column
 ///    stays with the member that last touched it.
@@ -638,8 +684,10 @@ impl<'r> Region<'r> {
             }
         }
         let team = pool.nthreads();
-        let runs: Vec<_> =
-            plans.iter().map(|l| l.map(|p| p.begin(p.kernel_for(self.n), team))).collect();
+        let runs: Vec<_> = plans
+            .iter()
+            .map(|l| l.map(|p| p.kernel_for(self.n)).map(|k| (k.begin(team), k)))
+            .collect();
         let columns = column_nest(self.n);
         let items = (!self.items.is_empty()).then(|| item_nest(self.items.len()));
         let nests: Vec<Option<LoopRun>> = runs
@@ -682,10 +730,11 @@ impl<'r> Region<'r> {
                     }
                     Work::Gemms(ops) => {
                         for &(p, a, out) in ops {
+                            let (run, kernel) = &gemms[p];
                             // SAFETY: see `Region`: until the next barrier
                             // nothing writes `a`, and only this nest
                             // touches `out`.
-                            unsafe { gemms[p].member(ctx, &self.acts[a.0], &self.acts[out.0]) };
+                            unsafe { kernel.member(ctx, run, &self.acts[a.0], &self.acts[out.0]) };
                         }
                     }
                 }
@@ -770,25 +819,6 @@ impl<'t> Cols<'t> {
     }
 }
 
-#[cfg(test)]
-impl MatmulPlan {
-    /// Folds the packed weight operand's bytes — the blocked data, plus the
-    /// scales of a quantized plan — into the FNV-1a state `h`.
-    pub(crate) fn fold_weight_fnv(&self, h: u64) -> u64 {
-        let fold = |h: u64, bytes: &[u8]| {
-            bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-        };
-        let fold_f32 = |h: u64, xs: &[f32]| xs.iter().fold(h, |h, x| fold(h, &x.to_le_bytes()));
-        match &self.weight {
-            PlanWeight::F32(wt) => fold_f32(h, wt.data()),
-            PlanWeight::Int8 { q, scales, .. } => {
-                let h = q.data().iter().fold(h, |h, &x| fold(h, &x.to_le_bytes()));
-                fold_f32(h, scales)
-            }
-        }
-    }
-}
-
 impl fmt::Debug for MatmulPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MatmulPlan")
@@ -796,7 +826,7 @@ impl fmt::Debug for MatmulPlan {
             .field("k", &self.k)
             .field("bm", &self.bm)
             .field("bk", &self.bk)
-            .field("precision", &self.precision)
+            .field("precision", &self.precision())
             .field("warmed_widths", &self.warmed_widths())
             .finish()
     }
@@ -804,7 +834,7 @@ impl fmt::Debug for MatmulPlan {
 
 impl Clone for MatmulPlan {
     fn clone(&self) -> Self {
-        // The packed weight is copied as-is (no re-pack/re-quantize — and
+        // The packed weight is shared as-is (no re-pack/re-quantize — and
         // no pack event); kernels are cheap to rebuild, so the clone
         // starts cold.
         MatmulPlan {
@@ -812,8 +842,7 @@ impl Clone for MatmulPlan {
             k: self.k,
             bm: self.bm,
             bk: self.bk,
-            precision: self.precision,
-            weight: self.weight.clone(),
+            weight: Arc::clone(&self.weight),
             kernels: RwLock::new(HashMap::new()),
         }
     }

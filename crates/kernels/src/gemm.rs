@@ -5,6 +5,12 @@
 //! iterate the blocked operands; the body zeroes the output block on the
 //! first K-step (`zero_tpp`) and invokes the stride-based BRGEMM with
 //! `brcount = k_step`, `stride_A = bm*bk`, `stride_B = bn*bk`.
+//!
+//! There is one nest, [`GemmKernel`], generic over the BRGEMM tile its
+//! body calls. The [`Tile`] chooses the arithmetic — f32 FMA ([`Gemm`]) or
+//! exact int8 with dequantize-on-store ([`GemmInt8`]) — and with it the
+//! element types, the per-call scales, the `A` layout, and whether an
+//! output block's whole K extent must run in one call.
 
 use crate::shared::SharedSlice;
 use crate::KernelError;
@@ -12,6 +18,7 @@ use parlooper::{LoopRun, LoopSpecs, ThreadedLoop};
 use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{BlockedMatrix, Element, InnerLayout};
 use pl_tpp::brgemm::{Brgemm, BrgemmDesc, BrgemmI8};
+use std::marker::PhantomData;
 
 /// Tuning knobs of the GEMM kernel: everything the auto-tuner may vary
 /// (paper §II-D, decisions i-iv) with zero changes to the kernel code.
@@ -44,13 +51,7 @@ impl GemmTuning {
     /// The paper's default parallel instantiation: distribute the (M, N)
     /// block space, K innermost and fully folded into one BRGEMM call.
     pub fn default_parallel(kb: usize) -> Self {
-        GemmTuning {
-            spec: "BCa".to_string(),
-            k_step: kb.max(1),
-            a_blocks: Vec::new(),
-            b_blocks: Vec::new(),
-            c_blocks: Vec::new(),
-        }
+        GemmTuning { k_step: kb.max(1), ..Self::simple("BCa") }
     }
 }
 
@@ -157,25 +158,6 @@ impl GemmShape {
         ]
     }
 
-    /// Whether blocked operands `a`, `b`, `c` have this shape's extents
-    /// and blockings (`b`/`c` padded to whole N blocks).
-    fn operands_match<TA, TB, TC>(
-        &self,
-        a: &BlockedMatrix<TA>,
-        b: &BlockedMatrix<TB>,
-        c: &BlockedMatrix<TC>,
-    ) -> bool
-    where
-        TA: Element,
-        TB: Element,
-        TC: Element,
-    {
-        let np = self.n_padded();
-        (a.rows(), a.cols(), a.br(), a.bc()) == (self.m, self.k, self.bm, self.bk)
-            && (b.rows(), b.cols(), b.br(), b.bc()) == (self.k, np, self.bk, self.bn)
-            && (c.rows(), c.cols(), c.br(), c.bc()) == (self.m, np, self.bm, self.bn)
-    }
-
     /// Number of K blocks.
     pub fn kb(&self) -> usize {
         self.k / self.bk
@@ -187,29 +169,148 @@ impl GemmShape {
     }
 }
 
-/// The GEMM kernel handle (Listing 1 realized).
-pub struct Gemm<TA: Element, TB: Element, TC: Element> {
+/// A BRGEMM tile the GEMM nest can call: what the nest's body asks of its
+/// arithmetic. Implemented for `pl_tpp`'s [`Brgemm`] (operands widened to
+/// f32, one fused multiply-add per product) and [`BrgemmI8`] (an exact i32
+/// sum over a VNNI-cols `A`, dequantized on store). It is sealed: its
+/// methods take a `Call`, which no other crate can name.
+pub trait Tile: Sized + Send + Sync {
+    /// Element type of `A`.
+    type A: Element;
+    /// Element type of `B`.
+    type B: Element;
+    /// Element type of `C`.
+    type C: Element;
+    /// The per-call scale operand: `()`, or [`BrgemmI8`]'s one scale per
+    /// logical `A` row and one per logical `B` column.
+    type Scales<'s>: Copy + Send + Sync;
+    /// Whether the accumulator is exact only *within* one call, so that an
+    /// output block's whole K extent runs at its first K step.
+    const WHOLE_K: bool;
+    /// The trace span a GEMM over this tile opens.
+    const SPAN: &'static str;
+    /// The tile of one `desc` block over an `A` in inner layout `a`, or
+    /// `None` if it cannot read that layout.
+    #[doc(hidden)]
+    fn for_block(desc: BrgemmDesc, a: InnerLayout) -> Option<Self>;
+    /// One output block's batch reduction.
+    #[doc(hidden)]
+    fn run(&self, call: sealed::Call<'_, Self::A, Self::B>, c: &mut [Self::C], s: Self::Scales<'_>);
+}
+
+mod sealed {
+    /// One output block's batch reduction, as the nest issues it: `count`
+    /// block pairs `strides` elements apart, into the block whose first
+    /// element is `at` = `(row, col)` of the whole `C`.
+    pub struct Call<'a, A, B> {
+        pub a: &'a [A],
+        pub b: &'a [B],
+        pub strides: (usize, usize),
+        pub count: usize,
+        pub at: (usize, usize),
+    }
+}
+
+impl<TA: Element, TB: Element, TC: Element> Tile for Brgemm<TA, TB, TC> {
+    type A = TA;
+    type B = TB;
+    type C = TC;
+    type Scales<'s> = ();
+    const WHOLE_K: bool = false;
+    const SPAN: &'static str = "gemm.execute";
+
+    fn for_block(desc: BrgemmDesc, a: InnerLayout) -> Option<Self> {
+        (a == InnerLayout::ColMajor).then(|| Brgemm::new(desc))
+    }
+
+    fn run(&self, k: sealed::Call<'_, TA, TB>, c: &mut [TC], _: ()) {
+        self.execute_stride(k.a, k.strides.0, k.b, k.strides.1, c, k.count);
+    }
+}
+
+impl Tile for BrgemmI8 {
+    type A = i8;
+    type B = i8;
+    type C = f32;
+    type Scales<'s> = (&'s [f32], &'s [f32]);
+    const WHOLE_K: bool = true;
+    const SPAN: &'static str = "gemm.i8.execute";
+
+    fn for_block(desc: BrgemmDesc, a: InnerLayout) -> Option<Self> {
+        match a {
+            InnerLayout::VnniCols(v) if v > 0 && desc.k.is_multiple_of(v) => {
+                Some(BrgemmI8::new(desc, v))
+            }
+            _ => None,
+        }
+    }
+
+    fn run(&self, k: sealed::Call<'_, i8, i8>, c: &mut [f32], (rows, cols): Self::Scales<'_>) {
+        let (BrgemmDesc { m, n, .. }, (i, j)) = (*self.desc(), k.at);
+        let (rows, cols) = (&rows[i..i + m], &cols[j..j + n]);
+        self.execute_stride(k.a, k.strides.0, k.b, k.strides.1, c, k.count, rows, cols);
+    }
+}
+
+/// The GEMM kernel (Listing 1 realized): one PARLOOPER nest whose body
+/// zeroes an output block at its first K step and calls the BRGEMM tile
+/// `T`, which chooses the arithmetic. [`Gemm`] and [`GemmInt8`] name its
+/// two instantiations.
+pub struct GemmKernel<T: Tile> {
     shape: GemmShape,
     tuning: GemmTuning,
     tl: ThreadedLoop,
-    /// Kernel of a full `bm x bn` block.
-    brgemm: Brgemm<TA, TB, TC>,
+    /// The `A` inner layout the tile reads.
+    a_layout: InnerLayout,
+    /// The tile type: a handle is a few compares, so each block builds its own.
+    tile: PhantomData<T>,
 }
 
-impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
-    /// Builds the kernel for a flat (column-major-blocked) `B` operand.
+/// The GEMM over `TA x TB -> TC` with f32 arithmetic (f32 or bf16
+/// operands): flat blocked `A` and `B`, one k-ordered FMA chain per output
+/// element.
+pub type Gemm<TA, TB, TC> = GemmKernel<Brgemm<TA, TB, TC>>;
+
+/// The quantized GEMM: the same loop nest as [`Gemm`], but the body
+/// invokes the `i8 x i8 -> i32` BRGEMM with dequantize-on-store.
+///
+/// `A` is the pack-once quantized weight in the VNNI-cols layout
+/// ([`BlockedMatrix::a_layout_vnni`]) with one scale per logical row
+/// (output channel); `B` is the per-step quantized activation in the plain
+/// blocked `B` layout with one scale per logical column (token). `C` stays
+/// f32, so downstream consumers (bias, activation, attention) are untouched.
+///
+/// The i32 accumulator is exact only *within* one BRGEMM call (partial
+/// sums would be dequantized and re-added in f32), so the body folds the
+/// **whole** K extent into the call issued at an output block's first K
+/// step and does nothing at the later ones, whatever `k_step` and K
+/// blocking the spec carries. Every output element is therefore one exact
+/// integer sum and one dequantizing multiply — independent of the spec
+/// and, like the f32 kernel's FMA chain, of the activation width.
+pub type GemmInt8 = GemmKernel<BrgemmI8>;
+
+impl<T: Tile> GemmKernel<T> {
+    /// Builds the kernel for an `A` operand in inner layout `a_layout`
+    /// (`B` and `C` are flat blocked).
     ///
     /// A spec that splits the K loop over the team (`A`), or deals the C
     /// blocks out dynamically below a sequential K level
     /// (`caB @ schedule(dynamic,1)`: afresh at every K step), is rejected:
     /// either lets two members accumulate into one C block at once.
-    pub fn new(shape: GemmShape, tuning: GemmTuning) -> Result<Self, KernelError> {
+    pub fn build(
+        shape: GemmShape,
+        tuning: GemmTuning,
+        a_layout: InnerLayout,
+    ) -> Result<Self, KernelError> {
         shape.validate()?;
+        // The tile must be able to read `a_layout`.
+        T::for_block(BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk), a_layout).ok_or_else(
+            || KernelError::BadShape(format!("A inner layout {a_layout:?} at bk={}", shape.bk)),
+        )?;
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
         crate::check_c_blocks_owned(&tuning.spec)?;
-        let brgemm = Brgemm::new(BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk));
-        Ok(Gemm { shape, tuning, tl, brgemm })
+        Ok(GemmKernel { shape, tuning, tl, a_layout, tile: PhantomData })
     }
 
     /// Problem geometry.
@@ -227,24 +328,6 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
         &self.tl
     }
 
-    /// `C = A x B` on the given pool: one parallel region around
-    /// [`Self::execute_in`].
-    pub fn execute(
-        &self,
-        a: &BlockedMatrix<TA>,
-        b: &BlockedMatrix<TB>,
-        c: &mut BlockedMatrix<TC>,
-        pool: &ThreadPool,
-    ) -> Result<(), KernelError> {
-        self.check_operands(a, b, c)?;
-        let run = self.begin(pool.nthreads())?;
-        let c_shared = SharedSlice::new(c.data_mut());
-        // SAFETY: `c` is exclusively borrowed for the whole region and the
-        // region runs nothing but this GEMM.
-        pool.parallel(|ctx| unsafe { self.execute_in(ctx, &run, a.data(), b.data(), &c_shared) });
-        Ok(())
-    }
-
     /// Starts one in-team execution for a team of `team` threads (see
     /// [`ThreadedLoop::begin`]); pass the run to [`Self::execute_in`].
     pub fn begin(&self, team: usize) -> Result<LoopRun, KernelError> {
@@ -256,7 +339,7 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
     /// shares one region, with [`WorkerCtx::barrier`] between dependent
     /// ones. Operands are the backing data of blocked matrices laid out
     /// for [`Self::shape`] (`B`/`C` padded to [`GemmShape::n_padded`]
-    /// columns).
+    /// columns); `scales` is the tile's per-call scale operand.
     ///
     /// # Safety
     /// Between the team barriers (or region boundaries) that bracket the
@@ -264,14 +347,16 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
     /// the members write disjoint blocks of it through the shared view.
     ///
     /// # Panics
-    /// Panics if an operand is shorter than the shape requires.
+    /// Panics if an operand or scale vector is shorter than the shape
+    /// requires.
     pub unsafe fn execute_in(
         &self,
         ctx: &WorkerCtx,
         run: &LoopRun,
-        a_data: &[TA],
-        b_data: &[TB],
-        c: &SharedSlice<TC>,
+        a_data: &[T::A],
+        b_data: &[T::B],
+        c: &SharedSlice<T::C>,
+        scales: T::Scales<'_>,
     ) {
         let sh = self.shape;
         let (bm, bn, bk) = (sh.bm, sh.bn, sh.bk);
@@ -282,12 +367,13 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
                 && c.len() >= sh.m * sh.n_padded(),
             "GEMM operand shorter than its shape"
         );
-        let k_step = self.tuning.k_step;
-        let stride_a = bm * bk;
-        let stride_b = bn * bk;
-        let block_c = bm * bn;
+        let k_step = if T::WHOLE_K { kb } else { self.tuning.k_step };
+        let (stride_a, stride_b, block_c) = (bm * bk, bn * bk, bm * bn);
         run.member(ctx, &|ind| {
             let (ik, im, i_n) = (ind[0], ind[1], ind[2]);
+            if T::WHOLE_K && ik != 0 {
+                return; // the whole reduction ran at this block's first K step
+            }
             let brcount = k_step.min(kb - ik);
             // C[Nb][Mb] grid: block (im, in) at (in*Mb + im).
             let c_off = (i_n * mb + im) * block_c;
@@ -298,102 +384,79 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
             if ik == 0 {
                 pl_tpp::unary::zero(bm, bn, c_block, bm);
             }
-            // A ragged last block: same strides (storage is padded), fewer
-            // columns.
+            // The block's tile; a ragged last block keeps the strides
+            // (storage is padded) and has fewer columns.
             let cols = sh.block_cols(i_n);
-            let brgemm = if cols == bn {
-                self.brgemm
-            } else {
-                Brgemm::new(BrgemmDesc { n: cols, ..*self.brgemm.desc() })
-            };
-            // A[Mb][Kb] grid: block (im, ik) at (im*Kb + ik).
-            let a_off = (im * kb + ik) * bm * bk;
-            // B[Nb][Kb] grid: block (ik, in) at (in*Kb + ik).
-            let b_off = (i_n * kb + ik) * bk * bn;
-            brgemm.execute_stride(
-                &a_data[a_off..],
-                stride_a,
-                &b_data[b_off..],
-                stride_b,
-                c_block,
-                brcount,
-            );
+            let tile = T::for_block(BrgemmDesc::blocked(bm, cols, bk), self.a_layout)
+                .expect("a block of a valid kernel's layout");
+            // A[Mb][Kb] grid: block (im, ik) at (im*Kb + ik); B[Nb][Kb]
+            // grid: block (ik, in) at (in*Kb + ik).
+            let a = &a_data[(im * kb + ik) * stride_a..];
+            let b = &b_data[(i_n * kb + ik) * stride_b..];
+            let (strides, at) = ((stride_a, stride_b), (im * bm, i_n * bn));
+            tile.run(sealed::Call { a, b, strides, count: brcount, at }, c_block, scales);
         });
     }
 
-    fn check_operands(
+    /// `C = A x B` on the given pool: one parallel region around
+    /// [`Self::execute_in`].
+    fn execute_on(
         &self,
-        a: &BlockedMatrix<TA>,
-        b: &BlockedMatrix<TB>,
-        c: &BlockedMatrix<TC>,
+        a: &BlockedMatrix<T::A>,
+        b: &BlockedMatrix<T::B>,
+        c: &mut BlockedMatrix<T::C>,
+        scales: T::Scales<'_>,
+        pool: &ThreadPool,
     ) -> Result<(), KernelError> {
-        if !self.shape.operands_match(a, b, c) {
-            return Err(KernelError::BadShape("operand layout mismatch".into()));
+        let (sh, np) = (self.shape, self.shape.n_padded());
+        if (a.rows(), a.cols(), a.br(), a.bc(), a.inner())
+            != (sh.m, sh.k, sh.bm, sh.bk, self.a_layout)
+            || (b.rows(), b.cols(), b.br(), b.bc(), b.inner())
+                != (sh.k, np, sh.bk, sh.bn, InnerLayout::ColMajor)
+            || (c.rows(), c.cols(), c.br(), c.bc()) != (sh.m, np, sh.bm, sh.bn)
+        {
+            let msg = format!("operands do not match {sh:?} over A {:?}", self.a_layout);
+            return Err(KernelError::BadShape(msg));
         }
-        if b.inner() != InnerLayout::ColMajor {
-            return Err(KernelError::BadShape(format!(
-                "B inner layout {:?} must be ColMajor",
-                b.inner()
-            )));
-        }
+        let run = self.begin(pool.nthreads())?;
+        let c_shared = SharedSlice::new(c.data_mut());
+        // SAFETY: `c` is exclusively borrowed for the whole region and the
+        // region runs nothing but this GEMM.
+        pool.parallel(|ctx| unsafe {
+            self.execute_in(ctx, &run, a.data(), b.data(), &c_shared, scales)
+        });
         Ok(())
     }
 }
 
-/// The quantized GEMM kernel: same PARLOOPER loop nest as [`Gemm`], but the
-/// body invokes the `i8 x i8 -> i32` BRGEMM with dequantize-on-store.
-///
-/// `A` is the pack-once quantized weight in the VNNI-cols layout
-/// ([`BlockedMatrix::a_layout_vnni`]) with one scale per logical row
-/// (output channel); `B` is the per-step quantized activation in the plain
-/// blocked `B` layout with one scale per logical column (token). `C` stays
-/// f32, so downstream consumers (bias, activation, attention) are untouched.
-///
-/// The i32 accumulator is exact only *within* one BRGEMM call (partial
-/// sums would be dequantized and re-added in f32), so the body folds the
-/// **whole** K extent into the call issued at an output block's first K
-/// step and does nothing at the later ones, whatever `k_step` and K
-/// blocking the spec carries. Every output element is therefore one exact
-/// integer sum and one dequantizing multiply — independent of the spec
-/// and, like the f32 kernel's FMA chain, of the activation width.
-pub struct GemmInt8 {
-    shape: GemmShape,
-    tuning: GemmTuning,
-    tl: ThreadedLoop,
-    /// Kernel of a full `bm x bn` block.
-    brgemm: BrgemmI8,
+impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
+    /// Builds the kernel for a flat (column-major-blocked) `A` (see
+    /// [`GemmKernel::build`]).
+    pub fn new(shape: GemmShape, tuning: GemmTuning) -> Result<Self, KernelError> {
+        Self::build(shape, tuning, InnerLayout::ColMajor)
+    }
+
+    /// `C = A x B` on the given pool.
+    pub fn execute(
+        &self,
+        a: &BlockedMatrix<TA>,
+        b: &BlockedMatrix<TB>,
+        c: &mut BlockedMatrix<TC>,
+        pool: &ThreadPool,
+    ) -> Result<(), KernelError> {
+        self.execute_on(a, b, c, (), pool)
+    }
 }
 
 impl GemmInt8 {
     /// Builds the kernel; `v` is the VNNI factor of the `A` columns
     /// (`bk % v == 0`).
     pub fn new(shape: GemmShape, tuning: GemmTuning, v: usize) -> Result<Self, KernelError> {
-        shape.validate()?;
-        if v == 0 || !shape.bk.is_multiple_of(v) {
-            return Err(KernelError::BadShape(format!(
-                "bk={} not divisible by vnni factor {v}",
-                shape.bk
-            )));
-        }
-        let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
-            .map_err(KernelError::Spec)?;
-        let brgemm = BrgemmI8::new(BrgemmDesc::blocked(shape.bm, shape.bn, shape.bk), v);
-        Ok(GemmInt8 { shape, tuning, tl, brgemm })
+        Self::build(shape, tuning, InnerLayout::VnniCols(v))
     }
 
-    /// Problem geometry.
-    pub fn shape(&self) -> &GemmShape {
-        &self.shape
-    }
-
-    /// Active tuning.
-    pub fn tuning(&self) -> &GemmTuning {
-        &self.tuning
-    }
-
-    /// `C = dequant(qA x qB)` on the given pool: one parallel region around
-    /// [`Self::execute_in`]. `row_scales` has one entry per logical `A`
-    /// row, `col_scales` one per logical `B` column.
+    /// `C = dequant(qA x qB)` on the given pool. `row_scales` has one
+    /// entry per logical `A` row, `col_scales` one per logical `B` column.
     pub fn execute(
         &self,
         a: &BlockedMatrix<i8>,
@@ -403,112 +466,10 @@ impl GemmInt8 {
         c: &mut BlockedMatrix<f32>,
         pool: &ThreadPool,
     ) -> Result<(), KernelError> {
-        self.check_operands(a, b, c)?;
         if row_scales.len() != self.shape.m || col_scales.len() < self.shape.n {
             return Err(KernelError::BadShape("scale length mismatch".into()));
         }
-        let run = self.begin(pool.nthreads())?;
-        let c_shared = SharedSlice::new(c.data_mut());
-        // SAFETY: `c` is exclusively borrowed for the whole region and the
-        // region runs nothing but this GEMM.
-        pool.parallel(|ctx| unsafe {
-            self.execute_in(ctx, &run, a.data(), row_scales, b.data(), col_scales, &c_shared)
-        });
-        Ok(())
-    }
-
-    /// Starts one in-team execution (see [`Gemm::begin`]).
-    pub fn begin(&self, team: usize) -> Result<LoopRun, KernelError> {
-        self.tl.begin(team).map_err(KernelError::Spec)
-    }
-
-    /// This member's share of the quantized GEMM inside an enclosing
-    /// region (see [`Gemm::execute_in`]).
-    ///
-    /// # Safety
-    /// Same contract as [`Gemm::execute_in`]: nothing else touches the
-    /// memory behind `c` while the team executes.
-    ///
-    /// # Panics
-    /// Panics if an operand or scale vector is shorter than the shape
-    /// requires.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn execute_in(
-        &self,
-        ctx: &WorkerCtx,
-        run: &LoopRun,
-        a_data: &[i8],
-        row_scales: &[f32],
-        b_data: &[i8],
-        col_scales: &[f32],
-        c: &SharedSlice<f32>,
-    ) {
-        let sh = self.shape;
-        let (bm, bn, bk) = (sh.bm, sh.bn, sh.bk);
-        let (mb, kb) = (sh.mb(), sh.kb());
-        assert!(
-            a_data.len() >= sh.m * sh.k
-                && b_data.len() >= sh.k * sh.n_padded()
-                && c.len() >= sh.m * sh.n_padded()
-                && row_scales.len() >= sh.m
-                && col_scales.len() >= sh.n,
-            "int8 GEMM operand shorter than its shape"
-        );
-        let stride_a = bm * bk;
-        let stride_b = bn * bk;
-        let block_c = bm * bn;
-        run.member(ctx, &|ind| {
-            let (ik, im, i_n) = (ind[0], ind[1], ind[2]);
-            if ik != 0 {
-                return; // the whole reduction ran at this block's first K step
-            }
-            let c_off = (i_n * mb + im) * block_c;
-            // SAFETY: same disjointness argument as [`Gemm::execute_in`]:
-            // concurrent iterations differ in (im, in) for any legal spec.
-            let c_block = unsafe { c.slice_mut(c_off, block_c) };
-            pl_tpp::unary::zero(bm, bn, c_block, bm);
-            let cols = sh.block_cols(i_n);
-            let brgemm = if cols == bn {
-                self.brgemm
-            } else {
-                BrgemmI8::new(BrgemmDesc { n: cols, ..*self.brgemm.desc() }, self.brgemm.a_vnni())
-            };
-            brgemm.execute_stride(
-                &a_data[im * kb * bm * bk..],
-                stride_a,
-                &b_data[i_n * kb * bk * bn..],
-                stride_b,
-                c_block,
-                kb,
-                &row_scales[im * bm..im * bm + bm],
-                &col_scales[i_n * bn..i_n * bn + cols],
-            );
-        });
-    }
-
-    fn check_operands(
-        &self,
-        a: &BlockedMatrix<i8>,
-        b: &BlockedMatrix<i8>,
-        c: &BlockedMatrix<f32>,
-    ) -> Result<(), KernelError> {
-        if !self.shape.operands_match(a, b, c) {
-            return Err(KernelError::BadShape("operand layout mismatch".into()));
-        }
-        if a.inner() != InnerLayout::VnniCols(self.brgemm.a_vnni()) {
-            return Err(KernelError::BadShape(format!(
-                "A inner layout {:?} does not match kernel VnniCols({})",
-                a.inner(),
-                self.brgemm.a_vnni()
-            )));
-        }
-        if b.inner() != InnerLayout::ColMajor {
-            return Err(KernelError::BadShape(format!(
-                "B inner layout {:?} must be ColMajor for the int8 kernel",
-                b.inner()
-            )));
-        }
-        Ok(())
+        self.execute_on(a, b, c, (row_scales, col_scales), pool)
     }
 }
 
@@ -854,9 +815,9 @@ mod tests {
         // SAFETY: c1 is written only before the barrier and read only
         // after it; c2 is touched by the second GEMM alone.
         pool.parallel(|ctx| unsafe {
-            g.execute_in(ctx, &run1, a1.data(), b.data(), &s1);
+            g.execute_in(ctx, &run1, a1.data(), b.data(), &s1, ());
             ctx.barrier();
-            g.execute_in(ctx, &run2, a2.data(), s1.slice(0, s1.len()), &s2);
+            g.execute_in(ctx, &run2, a2.data(), s1.slice(0, s1.len()), &s2, ());
         });
         let mid_ref = reference_gemm(&a1_cm, &b_cm, sh.m, sh.n, sh.k);
         let want = reference_gemm(&a2_cm, &mid_ref, sh.m, sh.n, sh.m);
@@ -886,6 +847,13 @@ mod tests {
             GemmInt8::new(sh, GemmTuning::simple("abc"), 3),
             Err(KernelError::BadShape(_))
         ));
+        // The racy-spec rule is the f32 kernel's: a K-parallel spec or a
+        // dynamic deal below a sequential K level is rejected, even though
+        // the int8 body only accumulates at an output block's first K step.
+        let build = |spec: &str| GemmInt8::new(sh, GemmTuning::simple(spec), 4);
+        assert!(matches!(build("ABc"), Err(KernelError::RacySpec(_))));
+        assert!(matches!(build("caB @ schedule(dynamic,1)"), Err(KernelError::RacySpec(_))));
+        assert!(build("cBa @ schedule(dynamic,1)").is_ok());
     }
 
     #[test]

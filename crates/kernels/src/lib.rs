@@ -3,7 +3,9 @@
 //! The kernels of paper §III, each a direct transcription of the listing it
 //! reproduces:
 //!
-//! * [`gemm`] — GEMM over blocked operands (Listing 1).
+//! * [`gemm`] — GEMM over blocked operands (Listing 1): one loop nest,
+//!   [`GemmKernel`], whose BRGEMM [`Tile`] chooses the arithmetic — f32
+//!   FMA ([`Gemm`]) or exact int8 with dequantize-on-store ([`GemmInt8`]).
 //! * [`mlp`] — fully-connected layers / MLP with fused bias + activation
 //!   (§III-A1).
 //! * [`conv`] — direct convolution forward (Listing 4) plus backward-data /
@@ -21,7 +23,7 @@ pub mod shared;
 pub mod spmm;
 
 pub use conv::{conv_backward_data, conv_backward_weights, ConvForward, ConvTuning};
-pub use gemm::{Gemm, GemmInt8, GemmShape, GemmTuning};
+pub use gemm::{Gemm, GemmInt8, GemmKernel, GemmShape, GemmTuning, Tile};
 pub use mlp::{Activation, FusedFcLayer, Mlp};
 pub use shared::SharedSlice;
 pub use spmm::{BlockSpmm, SpmmTuning};
@@ -34,7 +36,7 @@ pub enum KernelError {
     /// Invalid `loop_spec_string` for this kernel.
     Spec(parlooper::SpecError),
     /// A legal nest this kernel cannot run race-free (see
-    /// [`Gemm::new`] and [`BlockSpmm::new`]).
+    /// [`GemmKernel::build`] and [`BlockSpmm::new`]).
     RacySpec(String),
 }
 

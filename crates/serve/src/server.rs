@@ -215,6 +215,11 @@ struct ServerInner {
     /// The background batcher's thread, set by that thread before its
     /// first pump, so `publish` and `shutdown` can unpark it.
     batcher_waker: OnceLock<Thread>,
+    /// Set by [`ServerInner::wake_batcher`], cleared as a park ends.
+    wake_requested: AtomicBool,
+    /// How the background batcher's parks ended: `[timed out, woken]`,
+    /// woken meaning a wake was requested before the park ended.
+    park_ends: [AtomicU64; 2],
 }
 
 impl ServerInner {
@@ -239,6 +244,7 @@ impl ServerInner {
     /// batcher parks cut that park short, so none is lost.
     fn wake_batcher(&self) {
         if let Some(batcher) = self.batcher_waker.get() {
+            self.wake_requested.store(true, Ordering::SeqCst);
             batcher.unpark();
         }
     }
@@ -296,6 +302,8 @@ impl Server {
             prefix: PrefixCache::new(&kv_pool, PREFIX_CACHE_ENTRIES),
             kv_pool,
             batcher_waker: OnceLock::new(),
+            wake_requested: AtomicBool::new(false),
+            park_ends: Default::default(),
             stats: ServerStats::new(cfg.tenants, cfg.max_batch, cfg.slo_p99_us),
             slo: SloWindow::new(cfg.slo_p99_us, pl_metrics::slo::SLO_WINDOW_S),
             health: HealthTracker::default(),
@@ -474,7 +482,7 @@ impl Server {
     /// into this shard's page pool — decoding continues bit-identically
     /// from where the source shard stopped. Returns the session's **new**
     /// id (ids are shard-local; the router rebinds its global id).
-    /// Counts toward `pl_migrations_total`. A snapshot of another model's
+    /// Counts toward `pl_sessions_imported_total`. A snapshot of another model's
     /// geometry (a `KvSnapshot::from_bytes` off the wire is outside
     /// input) fails with [`ServeError::BadInput`] on its hidden width,
     /// then on its layer count, before anything is admitted.
@@ -513,7 +521,7 @@ impl Server {
         let mut sess = Session::new(id, export.tenant, state);
         sess.generated = export.generated;
         self.inner.sessions.lock().insert(id, Slot::Live(sess));
-        self.inner.stats.migrations.inc();
+        self.inner.stats.sessions_imported.inc();
         Ok(id)
     }
 
@@ -1108,12 +1116,13 @@ impl Server {
             std::thread::Builder::new()
                 .name("pl-serve-batcher".into())
                 .spawn(move || {
-                    let _ = server.inner.batcher_waker.set(std::thread::current());
+                    let inner = &server.inner;
+                    let _ = inner.batcher_waker.set(std::thread::current());
                     loop {
                         let ran = server.pump();
                         if ran == 0 {
-                            if server.inner.shutdown.load(Ordering::Acquire)
-                                && server.inner.batcher.pending() == 0
+                            if inner.shutdown.load(Ordering::Acquire)
+                                && inner.batcher.pending() == 0
                             {
                                 break;
                             }
@@ -1124,10 +1133,12 @@ impl Server {
                             // work is still pending and becomes runnable as
                             // soon as the blocking item checks in — yield and
                             // re-collect instead of parking.
-                            if server.inner.batcher.pending() > 0 {
+                            if inner.batcher.pending() > 0 {
                                 std::thread::yield_now();
                             } else {
                                 std::thread::park_timeout(IDLE_PARK);
+                                let woken = inner.wake_requested.swap(false, Ordering::SeqCst);
+                                inner.park_ends[woken as usize].fetch_add(1, Ordering::SeqCst);
                             }
                         }
                     }
@@ -1904,61 +1915,53 @@ mod tests {
         server.shutdown();
     }
 
-    fn median(mut v: Vec<Duration>) -> Duration {
-        v.sort();
-        v[v.len() / 2]
+    /// How the started batcher's parks have ended: `(timed out, woken)`.
+    fn park_ends(server: &Server) -> (u64, u64) {
+        let ends = &server.inner.park_ends;
+        (ends[0].load(Ordering::SeqCst), ends[1].load(Ordering::SeqCst))
+    }
+
+    /// Waits until the started batcher has found the rings empty, parked
+    /// and timed out once: from then on it is registered for wakes.
+    fn await_first_park(server: &Server) {
+        while park_ends(server).0 == 0 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn idle_batcher_wakes_on_submit_not_on_a_timer() {
-        // One closed-loop session: every submit finds the batcher idle.
-        // A batcher that polls on a timer adds its period (1 ms before
-        // the park/unpark wake) to every step; an unparked one adds a
-        // thread wake-up. Compared against the same steps hand-pumped on
-        // the calling thread, so a slow build moves both sides.
-        let cfg = ServerConfig { kv_capacity: 1024, ..Default::default() };
-        let time_steps = |server: &Server, started: bool| {
-            let hidden = server.model().config().hidden;
-            let id = server.create_session(0).unwrap();
-            let mut x = token(31, hidden);
-            let mut took = Vec::with_capacity(500);
-            for _ in 0..500 {
-                let t0 = Instant::now();
-                let rx = server.submit_step(id, &x).unwrap();
-                if !started {
-                    assert_eq!(server.pump(), 1);
-                }
-                x = rx.recv().unwrap().unwrap();
-                took.push(t0.elapsed());
-            }
-            median(took)
-        };
-        let manual = time_steps(&tiny_server(cfg.clone()), false);
-        let mut server = tiny_server(cfg);
+        // One closed-loop session: every submit finds the batcher idle. A
+        // batcher that polled on its timer would serve the steps too, so
+        // each step must instead end one park by the wake it requested —
+        // no later than the park after it, which cannot time out first.
+        let mut server = tiny_server(ServerConfig { kv_capacity: 1024, ..Default::default() });
         server.start();
-        let served = time_steps(&server, true);
+        await_first_park(&server);
+        let id = server.create_session(0).unwrap();
+        let mut x = token(31, server.model().config().hidden);
+        for step in 0..20 {
+            let (_, woken) = park_ends(&server);
+            x = server.step(id, &x).unwrap();
+            let before = (park_ends(&server).0, woken);
+            while park_ends(&server) == before {
+                std::thread::yield_now();
+            }
+            assert_eq!(park_ends(&server).1, woken + 1, "step {step} never woke the batcher");
+        }
         server.shutdown();
-        assert!(
-            served < manual + Duration::from_micros(500),
-            "median step {served:?} through an idle batcher vs {manual:?} hand-pumped"
-        );
     }
 
     #[test]
     fn shutdown_of_an_idle_started_server_does_not_wait_out_the_park() {
-        let took: Vec<Duration> = (0..5)
-            .map(|_| {
-                let mut server = tiny_server(ServerConfig::default());
-                server.start();
-                // Let the batcher find the rings empty and park.
-                std::thread::sleep(Duration::from_millis(2));
-                let t0 = Instant::now();
-                server.shutdown();
-                t0.elapsed()
-            })
-            .collect();
-        let m = median(took);
-        assert!(m < IDLE_PARK / 2, "shutdown took {m:?} of a {IDLE_PARK:?} park");
+        let mut server = tiny_server(ServerConfig::default());
+        server.start();
+        await_first_park(&server);
+        server.shutdown();
+        // Shutdown's wake ended the park in progress, or is still pending
+        // because the batcher saw the shutdown flag before it parked again.
+        let pending = server.inner.wake_requested.load(Ordering::SeqCst);
+        assert_eq!(park_ends(&server).1 + pending as u64, 1, "shutdown never woke the batcher");
     }
 
     #[test]
@@ -2312,7 +2315,7 @@ mod tests {
             "pl_shard_health",
             "pl_kv_pages_free",
             "pl_kv_pages_shared",
-            "pl_migrations_total",
+            "pl_sessions_imported_total",
         ] {
             assert!(report.families.contains_key(fam), "family {fam} missing from exposition");
         }
@@ -2435,7 +2438,7 @@ mod tests {
         assert_eq!(&got[..], &want[3..], "migrated continuation must be bit-identical");
         assert_eq!(dst.close_session(new_id).unwrap(), 6, "generated count carries the move");
         let snap = dst.metrics_snapshot();
-        assert_eq!(snap.counter_value("pl_migrations_total", &[]), 1);
+        assert_eq!(snap.counter_value("pl_sessions_imported_total", &[]), 1);
     }
 
     #[test]

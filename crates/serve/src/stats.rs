@@ -36,7 +36,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("pl_mixed_batches_total", "Batches packing a prefill chunk next to decode lanes"),
     ("pl_batch_size_total", "Batches executed, by exact size (lanes, a chunk counts as one)"),
     ("pl_gemm_total", "GEMMs executed, by (m, n, k); n is the batch's ragged width"),
-    ("pl_migrations_total", "Sessions imported from another shard"),
+    ("pl_sessions_imported_total", "Sessions imported with `Server::import_session`"),
     ("pl_uptime_seconds", "Seconds since the server was constructed"),
     ("pl_slo_burn_rate", "Windowed SLO violation fraction over the error budget"),
     ("pl_sessions_live", "Live sessions"),
@@ -79,7 +79,7 @@ pub struct ServerStats {
     pub(crate) batches: Counter,
     pub(crate) decode_batches: Counter,
     pub(crate) mixed_batches: Counter,
-    pub(crate) migrations: Counter,
+    pub(crate) sessions_imported: Counter,
     /// `pl_batch_size_total{size}` for sizes `1..=max_batch`.
     batch_sizes: Vec<Counter>,
     /// `pl_gemm_total{m,n,k}` handles by shape. One locked update per
@@ -128,7 +128,7 @@ impl ServerStats {
             batches: registry.counter("pl_batches_total", &[]),
             decode_batches: registry.counter("pl_decode_batches_total", &[]),
             mixed_batches: registry.counter("pl_mixed_batches_total", &[]),
-            migrations: registry.counter("pl_migrations_total", &[]),
+            sessions_imported: registry.counter("pl_sessions_imported_total", &[]),
             batch_sizes,
             gemm: Mutex::new(BTreeMap::new()),
             registry,
