@@ -5,10 +5,9 @@
 
 use crate::plan::LoopPlan;
 use crate::spec::{parse, LoopSpecs, SpecError};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Cache hit/miss statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,13 +45,13 @@ fn cache() -> &'static PlanCache {
 pub fn get_or_build(specs: &[LoopSpecs], spec_string: &str) -> Result<Arc<LoopPlan>, SpecError> {
     let c = cache();
     let key = Key { spec_string: spec_string.to_string(), specs: specs.to_vec() };
-    if let Some(hit) = c.map.read().get(&key) {
+    if let Some(hit) = c.map.read().expect("plan cache poisoned").get(&key) {
         c.hits.fetch_add(1, Ordering::Relaxed);
         return Ok(Arc::clone(hit));
     }
     let parsed = parse(spec_string, specs.len())?;
     let plan = Arc::new(LoopPlan::build(&parsed, specs, spec_string)?);
-    let mut map = c.map.write();
+    let mut map = c.map.write().expect("plan cache poisoned");
     let entry = map.entry(key).or_insert_with(|| Arc::clone(&plan));
     c.misses.fetch_add(1, Ordering::Relaxed);
     Ok(Arc::clone(entry))
@@ -64,13 +63,8 @@ pub fn stats() -> PlanCacheStats {
     PlanCacheStats {
         hits: c.hits.load(Ordering::Relaxed),
         misses: c.misses.load(Ordering::Relaxed),
-        entries: c.map.read().len(),
+        entries: c.map.read().expect("plan cache poisoned").len(),
     }
-}
-
-/// Clears the cache (tests only).
-pub fn clear() {
-    cache().map.write().clear();
 }
 
 #[cfg(test)]

@@ -433,11 +433,6 @@ impl MatmulPlan {
         self.weight.fold_fnv(h)
     }
 
-    /// Output rows (`m`).
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
     /// Reduction extent (`k`) — the activation row count.
     pub fn k(&self) -> usize {
         self.k

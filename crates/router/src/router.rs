@@ -3,7 +3,6 @@
 use crate::placement::{placement_order, ShardLoad};
 use crate::shard::{partition_threads, Shard};
 use crate::RouterError;
-use parking_lot::Mutex;
 use pl_dnn::DecoderModel;
 use pl_serve::{
     Health, MetricsSnapshot, ServeError, ServerConfig, SessionId, StatsSnapshot, StepResult,
@@ -11,7 +10,7 @@ use pl_serve::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Router-assigned session identifier — a distinct namespace from the
 /// per-shard [`SessionId`]s (two shards can both hold a local session 1;
@@ -162,7 +161,8 @@ impl Router {
             match self.shards[shard_idx].server().create_session(tenant) {
                 Ok(local) => {
                     let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-                    self.sessions.lock().insert(id, Placement { shard: shard_idx, local });
+                    let mut sessions = self.sessions.lock().expect("placement table poisoned");
+                    sessions.insert(id, Placement { shard: shard_idx, local });
                     return Ok(id);
                 }
                 // A full shard is not fatal — spill to the next candidate.
@@ -175,11 +175,12 @@ impl Router {
 
     /// The shard a session lives on (None when unknown/closed).
     pub fn placement_of(&self, id: RouterSessionId) -> Option<usize> {
-        self.sessions.lock().get(&id).map(|p| p.shard)
+        self.sessions.lock().expect("placement table poisoned").get(&id).map(|p| p.shard)
     }
 
     fn lookup(&self, id: RouterSessionId) -> Result<Placement, RouterError> {
-        self.sessions.lock().get(&id).copied().ok_or(RouterError::UnknownSession(id))
+        let sessions = self.sessions.lock().expect("placement table poisoned");
+        sessions.get(&id).copied().ok_or(RouterError::UnknownSession(id))
     }
 
     /// Routes a blocking prefill to the session's shard. Under the hood
@@ -258,7 +259,7 @@ impl Router {
             }
         }
         let generated = server.close_session(p.local)?;
-        self.sessions.lock().remove(&id);
+        self.sessions.lock().expect("placement table poisoned").remove(&id);
         Ok(generated)
     }
 

@@ -20,12 +20,11 @@ use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::barrier::TeamBarrier;
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::Mutex;
 
 type Job = dyn Fn(&WorkerCtx) + Send + Sync;
 
@@ -103,7 +102,7 @@ impl ThreadPool {
         let mut senders = Vec::with_capacity(nthreads.saturating_sub(1));
         let mut handles = Vec::with_capacity(nthreads.saturating_sub(1));
         for tid in 1..nthreads {
-            let (tx, rx) = unbounded::<Message>();
+            let (tx, rx) = channel::<Message>();
             senders.push(tx);
             let handle = std::thread::Builder::new()
                 .name(format!("pl-worker-{tid}"))
@@ -147,7 +146,9 @@ impl ThreadPool {
         // nested (serialized) calls above are inside the caller's spans
         // already and record nothing extra.
         let _region_span = pl_trace::span("pool.region", [self.nthreads as u64, 0, 0]);
-        let _guard = self.dispatch.lock();
+        // Held while a member's panic is re-raised below, so every caught
+        // region panic poisons it; the next region must still run.
+        let _guard = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
 
         let barrier = Arc::new(TeamBarrier::new(self.nthreads));
         let remaining = Arc::new(AtomicUsize::new(self.nthreads));
@@ -192,7 +193,7 @@ impl ThreadPool {
             std::thread::park();
         }
 
-        let captured = panic_slot.lock().take();
+        let captured = panic_slot.lock().expect("region panic slot poisoned").take();
         if let Some(p) = captured {
             resume_unwind(p);
         }
@@ -229,7 +230,7 @@ fn run_region_member(region: Region, tid: usize) {
     drop(job);
     if let Err(p) = result {
         {
-            let mut slot = panic.lock();
+            let mut slot = panic.lock().expect("region panic slot poisoned");
             if slot.is_none() {
                 *slot = Some(p);
             }
@@ -282,11 +283,11 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         pool.parallel(|ctx| {
             count.fetch_add(1, Ordering::Relaxed);
-            seen.lock().push(ctx.tid());
+            seen.lock().unwrap().push(ctx.tid());
             assert_eq!(ctx.nthreads(), 4);
         });
         assert_eq!(count.load(Ordering::Relaxed), 4);
-        let mut tids = seen.into_inner();
+        let mut tids = seen.into_inner().unwrap();
         tids.sort_unstable();
         assert_eq!(tids, vec![0, 1, 2, 3]);
     }
@@ -324,10 +325,10 @@ mod tests {
         let inner_counts = Mutex::new(Vec::new());
         pool.parallel(|_outer| {
             pool.parallel(|inner| {
-                inner_counts.lock().push((inner.tid(), inner.nthreads()));
+                inner_counts.lock().unwrap().push((inner.tid(), inner.nthreads()));
             });
         });
-        let counts = inner_counts.into_inner();
+        let counts = inner_counts.into_inner().unwrap();
         // Each of the 2 outer threads ran the inner region serially.
         assert_eq!(counts.len(), 2);
         assert!(counts.iter().all(|&(tid, n)| tid == 0 && n == 1));

@@ -28,11 +28,10 @@
 use crate::prefill::PrefillJob;
 use crate::queue::BoundedQueue;
 use crate::session::{SessionId, TenantId};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One pending decode step.
@@ -129,13 +128,15 @@ impl DynamicBatcher {
 
     /// Pending items across all tenants plus the side-queue (approximate).
     pub fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum::<usize>() + self.deferred.lock().len()
+        self.queues.iter().map(|q| q.len()).sum::<usize>()
+            + self.deferred.lock().expect("deferred queue poisoned").len()
     }
 
     /// Pending items for one tenant, side-queue included (approximate).
     pub fn pending_for(&self, tenant: TenantId) -> usize {
         let ring = self.queues.get(tenant).map_or(0, |q| q.len());
-        ring + self.deferred.lock().iter().filter(|i| i.tenant() == tenant).count()
+        let deferred = self.deferred.lock().expect("deferred queue poisoned");
+        ring + deferred.iter().filter(|i| i.tenant() == tenant).count()
     }
 
     /// Enqueues an item on its tenant's ring; a full ring returns the
@@ -155,7 +156,7 @@ impl DynamicBatcher {
     /// a bounded ring, so this cannot grow past the rings' capacity plus
     /// one continuation chunk per live prefill.
     pub fn defer(&self, item: WorkItem) {
-        self.deferred.lock().push_back(item);
+        self.deferred.lock().expect("deferred queue poisoned").push_back(item);
     }
 
     /// Forms the next batch: up to `max_batch` items — the side-queue
@@ -166,7 +167,7 @@ impl DynamicBatcher {
     pub fn collect(&self, max_batch: usize) -> Vec<WorkItem> {
         let mut batch = Vec::new();
         {
-            let mut deferred = self.deferred.lock();
+            let mut deferred = self.deferred.lock().expect("deferred queue poisoned");
             // At most one prefill chunk rides per batch (`run_batch`
             // admits no more), so surplus chunks are *skipped in place* —
             // relative order preserved — rather than collected and

@@ -19,10 +19,9 @@
 
 use crate::session::{SessionId, TenantId};
 use crate::StepResult;
-use parking_lot::Mutex;
 use pl_dnn::{prefill_chunk_widths, DecoderState, PrefixCache, PrefixHit};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The chunks a job executes as: widths in execution order and the prompt
 /// token each starts at.
@@ -175,7 +174,7 @@ impl PrefillJob {
         }
         let suffix = Plan::new(self.hit.tokens(), self.tokens, self.chunk);
         assert!(self.suffix.set(suffix).is_ok(), "a job checks out chunk 0 once");
-        self.hit.write_outputs(&mut self.out.lock());
+        self.hit.write_outputs(&mut self.out.lock().expect("prefill output poisoned"));
         self.hit.tokens()
     }
 
@@ -187,19 +186,20 @@ impl PrefillJob {
 
     /// Appends chunk `i`'s output (called in chunk order by the executor).
     pub fn push_output(&self, y: Vec<f32>) {
-        self.out.lock().extend(y);
+        self.out.lock().expect("prefill output poisoned").extend(y);
     }
 
     /// The final chunk landed and `state` holds the prompt: registers its
     /// pages and outputs with `cache` for later prompts (a no-op without
     /// page keys, or when `state` held context before this prefill).
     pub fn register(&self, state: &DecoderState, cache: &PrefixCache) {
-        state.register_prefix(cache, &self.prompt, &self.hit, &self.out.lock());
+        let out = self.out.lock().expect("prefill output poisoned");
+        state.register_prefix(cache, &self.prompt, &self.hit, &out);
     }
 
     /// Takes the accumulated `hidden x tokens` output (final-chunk path).
     pub fn take_output(&self) -> Vec<f32> {
-        std::mem::take(&mut self.out.lock())
+        std::mem::take(&mut self.out.lock().expect("prefill output poisoned"))
     }
 
     /// The completion channel (one delivery per job: the full output after

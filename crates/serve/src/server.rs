@@ -39,7 +39,6 @@ use crate::prefill::PrefillJob;
 use crate::session::{Session, SessionId, TenantId};
 use crate::stats::ServerStats;
 use crate::{ServeError, StepResult};
-use parking_lot::Mutex;
 use pl_dnn::{
     DecoderModel, DecoderState, KvPagePool, KvSnapshot, PrefixCache, PrefixHit, DEFAULT_PAGE_TOKENS,
 };
@@ -47,7 +46,7 @@ use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWin
 use pl_runtime::ThreadPool;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -439,7 +438,8 @@ impl Server {
         }
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
         let state = self.inner.model.new_state_in(&self.inner.kv_pool, self.inner.cfg.kv_capacity);
-        self.inner.sessions.lock().insert(id, Slot::Live(Session::new(id, tenant, state)));
+        let mut sessions = self.inner.sessions.lock().expect("session table poisoned");
+        sessions.insert(id, Slot::Live(Session::new(id, tenant, state)));
         Ok(id)
     }
 
@@ -462,7 +462,7 @@ impl Server {
     /// orphaned (work submitted after the export errors
     /// `UnknownSession`, exactly like work after a close).
     pub fn export_session(&self, id: SessionId) -> Result<SessionExport, ServeError> {
-        let mut sessions = self.inner.sessions.lock();
+        let mut sessions = self.inner.sessions.lock().expect("session table poisoned");
         match sessions.get(&id) {
             None => return Err(ServeError::UnknownSession(id)),
             Some(Slot::CheckedOut { .. }) => return Err(ServeError::SessionBusy { session: id }),
@@ -520,7 +520,7 @@ impl Server {
         let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
         let mut sess = Session::new(id, export.tenant, state);
         sess.generated = export.generated;
-        self.inner.sessions.lock().insert(id, Slot::Live(sess));
+        self.inner.sessions.lock().expect("session table poisoned").insert(id, Slot::Live(sess));
         self.inner.stats.sessions_imported.inc();
         Ok(id)
     }
@@ -530,7 +530,7 @@ impl Server {
     /// program-order ticket it drew has executed. What a graceful close
     /// waits on — this session's own work, not the shard's.
     pub fn session_idle(&self, id: SessionId) -> Result<bool, ServeError> {
-        match self.inner.sessions.lock().get(&id) {
+        match self.inner.sessions.lock().expect("session table poisoned").get(&id) {
             None => Err(ServeError::UnknownSession(id)),
             Some(Slot::Live(sess)) => Ok(sess.submit_seq.load(Ordering::Acquire) == sess.exec_seq),
             Some(Slot::CheckedOut { .. }) => Ok(false),
@@ -550,7 +550,7 @@ impl Server {
     /// channel, exactly as if the close had happened first.
     pub fn close_session(&self, id: SessionId) -> Result<u64, ServeError> {
         let done = {
-            let mut sessions = self.inner.sessions.lock();
+            let mut sessions = self.inner.sessions.lock().expect("session table poisoned");
             match sessions.get_mut(&id) {
                 None => return Err(ServeError::UnknownSession(id)),
                 Some(Slot::Live(_)) => {
@@ -635,7 +635,7 @@ impl Server {
     /// prompt is rejected before any token appends, never leaving a
     /// partial prefill behind.
     fn admit(&self, id: SessionId, need: usize) -> Result<(TenantId, Arc<AtomicU64>), ServeError> {
-        let sessions = self.inner.sessions.lock();
+        let sessions = self.inner.sessions.lock().expect("session table poisoned");
         match sessions.get(&id) {
             None => Err(ServeError::UnknownSession(id)),
             Some(Slot::Live(sess)) => {
@@ -811,7 +811,7 @@ impl Server {
         let mut cached: Vec<Arc<PrefillJob>> = Vec::new();
         let mut has_chunk = false;
         {
-            let mut sessions = inner.sessions.lock();
+            let mut sessions = inner.sessions.lock().expect("session table poisoned");
             for item in batch {
                 let sid = item.session();
                 let second_chunk = has_chunk && matches!(item, WorkItem::PrefillChunk(_));
@@ -992,7 +992,7 @@ impl Server {
                 }
             }
         }
-        let mut sessions = inner.sessions.lock();
+        let mut sessions = inner.sessions.lock().expect("session table poisoned");
         for (r, y) in ready.into_iter().zip(outputs) {
             match r {
                 ReadyItem::Decode(req, mut sess) => {
@@ -1086,7 +1086,7 @@ impl Server {
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("region member panicked")
             .to_string();
-        let mut sessions = inner.sessions.lock();
+        let mut sessions = inner.sessions.lock().expect("session table poisoned");
         for r in ready {
             let sid = r.session_id();
             let (reply, sess) = match &r {
@@ -1786,7 +1786,10 @@ mod tests {
             // Wait for the checked-out window itself (not merely for the
             // collect: a close landing between collect and checkout would
             // take the plain Live path and test nothing).
-            while !matches!(server.inner.sessions.lock().get(&id), Some(Slot::CheckedOut { .. })) {
+            while !matches!(
+                server.inner.sessions.lock().expect("session table poisoned").get(&id),
+                Some(Slot::CheckedOut { .. })
+            ) {
                 std::hint::spin_loop();
             }
             // Close mid-window: must succeed (waiting for the window),

@@ -7,11 +7,11 @@
 //! [`MetricsSnapshot`]: what `plbench` reads and what Prometheus scrapes
 //! are the same series.
 
-use parking_lot::Mutex;
 use pl_metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SloWindow,
 };
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// `(family, # HELP text)` of every series the serving layer records;
@@ -143,7 +143,7 @@ impl ServerStats {
     /// Records one batch's GEMMs: each `(shape, count)` entry says the
     /// batch executed `count` GEMMs of that `(m, n, k)` shape.
     pub(crate) fn record_gemm_shapes(&self, shapes: &[((usize, usize, usize), u64)]) {
-        let mut handles = self.gemm.lock();
+        let mut handles = self.gemm.lock().expect("gemm counter map poisoned");
         for &((m, n, k), count) in shapes {
             handles
                 .entry((m, n, k))

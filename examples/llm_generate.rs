@@ -1,7 +1,6 @@
 //! LLM decoding example (paper §IV-A / Fig. 11): prompt prefill ("first
 //! token") and KV-cached autoregressive steps ("next tokens") on a scaled
-//! decoder, plus the parameter and flop accounting of the full-size
-//! GPT-J/Llama2 configurations.
+//! decoder.
 //!
 //! ```sh
 //! cargo run --release --example llm_generate
@@ -44,17 +43,4 @@ fn main() {
         avg_next * 1e3,
         t_first / avg_next
     );
-
-    // Full-size accounting: what one first and one next token cost at the
-    // paper's Fig. 11 model sizes (counted, not run).
-    for full in [DecoderConfig::gptj_6b(), DecoderConfig::llama2_13b()] {
-        println!(
-            "\n{:>11}: {:.1}B params, first-token {:.1} GFLOP @1024, next-token {:.2} GFLOP, weights {:.1} GB (bf16)",
-            if full.layers == 28 { "GPT-J-6B" } else { "Llama2-13B" },
-            full.params() / 1e9,
-            full.first_token_flops(1024) / 1e9,
-            full.next_token_flops(1024) / 1e9,
-            full.weight_bytes(2) / 1e9,
-        );
-    }
 }

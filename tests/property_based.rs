@@ -1,10 +1,10 @@
 //! Property-based tests over the core invariants.
 //!
-//! The seed expressed these with `proptest`; that crate is unavailable in
-//! this offline environment (see `crates/shims/README.md`), so the same
-//! properties run through a small hand-rolled harness: each property draws
-//! its inputs from a seeded [`Xorshift`] stream, so runs are deterministic
-//! and a failing case is reproducible from the printed case index.
+//! The seed expressed these with `proptest`; the workspace has no
+//! registry dependencies, so the same properties run through a small
+//! hand-rolled harness: each property draws its inputs from a seeded
+//! [`Xorshift`] stream, so runs are deterministic and a failing case is
+//! reproducible from the printed case index.
 
 use pl_kernels::gemm::reference_gemm;
 use pl_kernels::{Gemm, GemmShape, GemmTuning};
