@@ -97,11 +97,6 @@ impl CacheHierarchy {
         }
         hit
     }
-
-    /// Number of simulated levels.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 #[cfg(test)]

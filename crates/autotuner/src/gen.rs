@@ -29,7 +29,7 @@ impl Constraints {
 }
 
 /// Prime factorization in ascending order (with multiplicity).
-pub fn prime_factors(mut n: usize) -> Vec<usize> {
+fn prime_factors(mut n: usize) -> Vec<usize> {
     let mut out = Vec::new();
     let mut d = 2;
     while d * d <= n {

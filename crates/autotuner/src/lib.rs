@@ -1,19 +1,32 @@
 //! # pl-autotuner — offline tuning of `loop_spec_string` knobs
 //!
-//! Reproduces the paper's auto-tuning infrastructure (§II-D, Fig. 1 boxes
-//! B2/B3): exhaustive candidate generation under constraints ([`gen`]),
-//! measured or model-based search ([`search`]) and a persistent tuning
-//! database ([`db`]). The search space deliberately stops at the TPP
-//! boundary — only cache blocking and parallelization are explored, which
-//! is why tuning here is orders of magnitude faster than full tensor
-//! compilers (paper §V-A2).
+//! Reproduces the paper's auto-tuning loop (§II-D/E, Fig. 1 boxes B2/B3):
+//! the generator emits candidate spec strings and the performance model
+//! ranks them.
+//!
+//! * [`gen`] — exhaustive candidate generation under constraints.
+//! * [`platform`] — SPR / Zen4 / generic-host descriptions (per-core peaks
+//!   per dtype, 3 cache levels, DRAM bandwidth).
+//! * [`cachesim`] — tensor-slice-granular multi-level LRU simulation.
+//! * [`model`] — the "lightweight, high-level performance modeling tool"
+//!   of §II-E: per-thread trace replay + BRGEMM cycle prediction +
+//!   schedule scoring ([`model::GemmModelSpec`]).
+//! * [`search`] — model-based search; [`db`] — the persistent tuning
+//!   database.
+//!
+//! The search space deliberately stops at the TPP boundary — only cache
+//! blocking and parallelization are explored, which is why tuning here is
+//! orders of magnitude faster than full tensor compilers (paper §V-A2).
 
+pub mod cachesim;
 pub mod db;
 pub mod gen;
+pub mod model;
+pub mod platform;
 pub mod search;
 
 pub use db::{DbEntry, TuningDb};
-pub use gen::{blocking_ladder, generate, prime_factors, Constraints};
-pub use search::{
-    blocks_for_spec, tune_gemm_measured, tune_gemm_modeled, Candidate, GemmProblem, TuneResult,
-};
+pub use gen::{generate, Constraints};
+pub use model::GemmModelSpec;
+pub use platform::Platform;
+pub use search::{blocks_for_spec, tune_gemm_modeled, GemmProblem};

@@ -154,7 +154,7 @@ impl GemmModelSpec {
 
     /// The body model of Listing 1: `k_step` A and B blocks plus one C
     /// block per invocation.
-    pub fn body_model(&self) -> BodyModel<'_> {
+    fn body_model(&self) -> BodyModel<'_> {
         let ds = self.dtype.size_of();
         let cs = 4; // C accumulates in f32
         let (bm, bn, bk, k_step) = (self.bm, self.bn, self.bk, self.k_step);

@@ -2,7 +2,8 @@
 //! the performance model (paper Fig. 1, boxes B2/B3), keep the best.
 
 use crate::gen::{blocking_ladder, generate, Constraints};
-use pl_perfmodel::{GemmModelSpec, Platform};
+use crate::model::{rank_gemm_candidates, GemmModelSpec};
+use crate::platform::Platform;
 use pl_tensor::DType;
 use std::time::Instant;
 
@@ -103,7 +104,7 @@ pub fn tune_gemm_modeled(
         candidates.push((spec, blocks));
     }
     let template = problem.model_spec("abc", [Vec::new(), Vec::new(), Vec::new()], 1);
-    let ranked = pl_perfmodel::rank_gemm_candidates(&template, &candidates, platform, threads);
+    let ranked = rank_gemm_candidates(&template, &candidates, platform, threads);
     let evaluated = ranked
         .into_iter()
         .map(|(i, pred)| Candidate {
@@ -112,26 +113,6 @@ pub fn tune_gemm_modeled(
             score: pred.gflops,
         })
         .collect();
-    finish(evaluated, t0)
-}
-
-/// Measured tuning: the caller provides the evaluation function
-/// (e.g. running the real kernel and reporting GFLOPS).
-pub fn tune_gemm_measured(
-    problem: &GemmProblem,
-    constraints: &Constraints,
-    mut run: impl FnMut(&str, &[Vec<usize>; 3]) -> Option<f64>,
-) -> TuneResult {
-    let t0 = Instant::now();
-    let mut evaluated = Vec::new();
-    for spec in generate(3, constraints) {
-        let Some(blocks) = blocks_for_spec(problem, &spec) else {
-            continue;
-        };
-        if let Some(score) = run(&spec, &blocks) {
-            evaluated.push(Candidate { spec, blocks, score });
-        }
-    }
     finish(evaluated, t0)
 }
 
@@ -167,17 +148,6 @@ mod tests {
         for w in r.evaluated.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
-    }
-
-    #[test]
-    fn measured_search_uses_caller_scores() {
-        let c = Constraints::gemm(0, 0, 0, 50);
-        // Score "cab" artificially highest.
-        let r = tune_gemm_measured(&problem(), &c, |spec, _| {
-            Some(if spec == "cab" { 100.0 } else { 1.0 })
-        });
-        assert_eq!(r.best.spec, "cab");
-        assert_eq!(r.best.score, 100.0);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! Paper shape: the model captures the trends; the top-5 modeled schedules
 //! always contain the most performant measured instantiation.
 
-use pl_autotuner::{blocks_for_spec, generate, Constraints, GemmProblem};
+use pl_autotuner::{blocks_for_spec, generate, Constraints, GemmModelSpec, GemmProblem, Platform};
 use pl_bench::{f1, header, row};
 use pl_kernels::{Gemm, GemmShape, GemmTuning};
-use pl_perfmodel::{GemmModelSpec, Platform};
 use pl_runtime::global_pool;
 use pl_tensor::{fill_uniform, BlockedMatrix, DType, Xorshift};
 

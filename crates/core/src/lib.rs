@@ -120,7 +120,7 @@ impl ThreadedLoop {
 
     /// Full form with the paper's optional `init_func` / `term_func`
     /// (§II-C): both run once per team thread, before/after the nest.
-    pub fn try_run_full(
+    fn try_run_full(
         &self,
         pool: &ThreadPool,
         init: Option<&(dyn Fn() + Sync)>,

@@ -1,8 +1,8 @@
 //! BERT encoder via the PARLOOPER/TPP paradigm (paper §IV-A).
 //!
-//! The four fused modules of the paper are reproduced: Self-Attention
-//! (blocked contractions + scale + softmax + dropout), Output / SelfOutput
-//! (Listing 6: BRGEMM + bias + dropout + residual add + layernorm fused on
+//! The four fused modules of the paper are reproduced without dropout:
+//! Self-Attention (blocked contractions + scale + softmax), Output /
+//! SelfOutput (Listing 6: BRGEMM + bias + residual add + layernorm fused on
 //! block granularity), and Intermediate (BRGEMM + bias + GELU). Activations
 //! are `hidden x tokens` column-major f32; weight contractions run through
 //! the PARLOOPER GEMM kernel.
@@ -14,8 +14,8 @@
 //! Forward weight contractions run through prepared plans
 //! ([`crate::prepared::MatmulPlan`]): each weight is packed into its
 //! blocked kernel layout when the layer is built (and re-packed once per
-//! [`BertLayer::sgd_step`]); inference-only forwards pack zero weight
-//! bytes per call. The backward pass keeps the flat
+//! SGD update in [`BertEncoder::train_step`]); inference-only forwards
+//! pack zero weight bytes per call. The backward pass keeps the flat
 //! [`crate::matmul::matmul`] bridge — its contractions combine
 //! per-iteration gradient/activation operands that no plan could own.
 
@@ -42,7 +42,8 @@ pub struct BertConfig {
 
 impl BertConfig {
     /// A scaled-down config with the same architecture, for host tests.
-    pub fn tiny() -> Self {
+    #[cfg(test)]
+    fn tiny() -> Self {
         BertConfig { hidden: 32, heads: 4, intermediate: 64, layers: 2, seq: 16 }
     }
 }
@@ -53,7 +54,7 @@ impl BertConfig {
 /// pass, SGD updates and the pruning view consume them); the **forward**
 /// contractions run through prepared plans (`plans`, one [`MatmulPlan`]
 /// per weight in `wq, wk, wv, wo, w1, w2` order) rebuilt once per
-/// [`BertLayer::sgd_step`] — pack-once per *update*, amortized over every
+/// SGD update (`sgd_step`) — pack-once per *update*, amortized over every
 /// forward in between, instead of pack-per-projection-call.
 #[derive(Debug, Clone)]
 pub struct BertLayer {
@@ -437,7 +438,7 @@ impl BertLayer {
     /// SGD update from gradients. Re-packs the forward plans afterwards —
     /// the prepared-op layout cost is paid once per parameter update, not
     /// once per forward contraction.
-    pub fn sgd_step(&mut self, grads: &BertLayerGrads, lr: f32) {
+    fn sgd_step(&mut self, grads: &BertLayerGrads, lr: f32) {
         let weights: [&mut Vec<f32>; 6] =
             [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo, &mut self.w1, &mut self.w2];
         for (w, g) in weights.into_iter().zip(&grads.weights) {

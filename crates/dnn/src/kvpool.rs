@@ -15,7 +15,7 @@
 //!   outputs — **before** its forward and computes only what follows
 //!   ([`PrefixCache::lookup`] → [`KvSeq::adopt`]); a hit saves the
 //!   compute as well as the residency. A writer hitting a shared page
-//!   gets a private copy first ([`KvPagePool::page_mut`],
+//!   gets a private copy first (`KvPagePool::page_mut`,
 //!   copy-on-write), though whole-page adoption means appends after a
 //!   hit always land on a page of the adopter's own;
 //! * **mobility** — a sequence serializes to a dense [`KvSnapshot`] and
@@ -57,7 +57,7 @@ impl std::error::Error for KvPoolExhausted {}
 /// token-major (token slot `i`'s K values at `i * hidden`). Pages are
 /// held as `Arc<KvPage>`; a strong count above one means the page is
 /// shared (prefix cache and/or other sessions) and must be COW-split
-/// before writing ([`KvPagePool::page_mut`]). Dropping the last reference
+/// before writing (`KvPagePool::page_mut`). Dropping the last reference
 /// recycles the buffers into the owning pool's free list.
 pub struct KvPage {
     pub(crate) k: Vec<f32>,
@@ -98,7 +98,7 @@ struct PoolInner {
     allocated: usize,
     /// High-water mark of `allocated`.
     peak: usize,
-    /// Copy-on-write splits performed ([`KvPagePool::page_mut`] on a
+    /// Copy-on-write splits performed (`KvPagePool::page_mut` on a
     /// shared page).
     cow_splits: u64,
 }
@@ -138,13 +138,8 @@ impl KvPagePool {
     }
 
     /// Tokens per page.
-    pub fn page_tokens(&self) -> usize {
+    fn page_tokens(&self) -> usize {
         self.page_tokens
-    }
-
-    /// The residency bound (`usize::MAX` when unbounded).
-    pub fn max_pages(&self) -> usize {
-        self.max_pages
     }
 
     /// Bytes of one page's K+V storage.
@@ -218,7 +213,7 @@ impl KvPagePool {
     /// above one), it is first replaced by a private copy — the
     /// copy-on-write split that isolates a writer from every other
     /// holder of the original page.
-    pub fn page_mut<'a>(
+    fn page_mut<'a>(
         self: &Arc<Self>,
         page: &'a mut Arc<KvPage>,
     ) -> Result<&'a mut KvPage, KvPoolExhausted> {
@@ -409,7 +404,7 @@ impl KvSnapshot {
     }
 
     /// Bytes of KV payload held (keys + values, all layers).
-    pub fn kv_bytes(&self) -> usize {
+    fn kv_bytes(&self) -> usize {
         self.layers.iter().map(|(k, v)| (k.len() + v.len()) * 4).sum()
     }
 

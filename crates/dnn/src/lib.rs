@@ -57,4 +57,4 @@ pub use kvpool::{
 pub use llm::{prefill_chunk_widths, Decoder, DecoderConfig, DecoderModel, DecoderState};
 pub use prepared::{ActMatrix, MatmulPlan, Precision, SpmmPlan};
 pub use resnet::{resnet50_conv_shapes, BatchNorm, ConvLayerSpec, FcHead};
-pub use sparse_bert::{prune_to_block_sparse, SparseBertLayer};
+pub use sparse_bert::SparseBertLayer;

@@ -176,7 +176,7 @@ pub fn prefill_chunk_widths(tokens: usize, chunk: usize) -> Vec<usize> {
 /// with unchanged per-element arithmetic order, so decode outputs are
 /// bit-identical at every page size. A dense [`KvSnapshot`] of the state
 /// ([`DecoderState::snapshot`]) rebuilds it in another pool
-/// ([`DecoderState::from_snapshot`]), which is how a session moves
+/// ([`DecoderModel::state_from_snapshot`]), which is how a session moves
 /// between servers.
 pub struct DecoderState {
     pool: Arc<KvPagePool>,
@@ -209,14 +209,10 @@ impl DecoderState {
         self.seqs = (0..layers).map(|_| KvSeq::new(&self.pool)).collect();
     }
 
-    /// The pool this state draws pages from.
-    pub fn pool(&self) -> &Arc<KvPagePool> {
-        &self.pool
-    }
-
     /// Held pages shared with at least one other holder (prefix cache or
     /// sibling session).
-    pub fn shared_kv_pages(&self) -> usize {
+    #[cfg(test)]
+    fn shared_kv_pages(&self) -> usize {
         self.seqs.iter().map(|s| s.shared_pages()).sum()
     }
 
@@ -230,10 +226,7 @@ impl DecoderState {
     /// (possibly a different server's pool than the snapshot came from).
     /// Continuation is bit-identical: the dense copy preserves every KV
     /// value and the paged read path preserves arithmetic order.
-    pub fn from_snapshot(
-        pool: &Arc<KvPagePool>,
-        snap: &KvSnapshot,
-    ) -> Result<Self, KvPoolExhausted> {
+    fn from_snapshot(pool: &Arc<KvPagePool>, snap: &KvSnapshot) -> Result<Self, KvPoolExhausted> {
         let seqs = snap.restore(pool)?;
         Ok(DecoderState { pool: Arc::clone(pool), capacity: snap.capacity(), seqs })
     }

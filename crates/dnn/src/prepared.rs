@@ -201,7 +201,7 @@ impl ActMatrix {
     }
 
     /// The flat column-major `rows x n` contents.
-    pub fn into_colmajor(mut self) -> Vec<f32> {
+    fn into_colmajor(mut self) -> Vec<f32> {
         let rows = self.rows;
         let mut out = vec![0.0f32; rows * self.n];
         let mut alone = Region::new(&mut [], std::slice::from_mut(&mut self), &[]);

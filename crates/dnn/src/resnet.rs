@@ -1,6 +1,6 @@
 //! ResNet-50 components (paper §IV-C, Fig. 7, Table II): the exact
-//! convolution shape table of Fig. 7, batch normalization (fwd/bwd),
-//! pooling, and the dense classifier head ([`FcHead`]) — the layers that,
+//! convolution shape table of Fig. 7, batch normalization (fwd/bwd) and
+//! the dense classifier head ([`FcHead`]) — the layers that,
 //! together with `pl_kernels::conv`, make up the training pipeline. The
 //! classifier is the network's one dense weight contraction and runs as a
 //! prepared plan ([`crate::prepared::MatmulPlan`]): the `classes x
@@ -220,49 +220,7 @@ fn y_plane_len<T: Element>(x: &ActTensor<T>) -> usize {
     x.hp() * x.wp() * x.bc()
 }
 
-/// Max pooling (kernel `k`, stride `s`) — ResNet-50's 3x3/s2 stem pool.
-pub fn maxpool<T: Element>(x: &ActTensor<T>, k: usize, s: usize) -> ActTensor<T> {
-    let (n, c, h, w, bc) = (x.n(), x.c(), x.h(), x.w(), x.bc());
-    let (ph, pw) = ((h - k) / s + 1, (w - k) / s + 1);
-    let mut y = ActTensor::<T>::new(n, c, ph, pw, bc, 0).expect("pool out");
-    for ni in 0..n {
-        for ch in 0..c {
-            for oy in 0..ph {
-                for ox in 0..pw {
-                    let mut m = f32::NEG_INFINITY;
-                    for dy in 0..k {
-                        for dx in 0..k {
-                            m = m.max(x.get(ni, ch, oy * s + dy, ox * s + dx).to_f32());
-                        }
-                    }
-                    y.set(ni, ch, oy, ox, T::from_f32(m));
-                }
-            }
-        }
-    }
-    y
-}
-
-/// Global average pooling to a `(n, c)` matrix (column-major `c x n`).
-pub fn global_avgpool<T: Element>(x: &ActTensor<T>) -> Vec<f32> {
-    let (n, c, h, w) = (x.n(), x.c(), x.h(), x.w());
-    let mut out = vec![0.0f32; c * n];
-    let inv = 1.0 / (h * w) as f32;
-    for ni in 0..n {
-        for ch in 0..c {
-            let mut s = 0.0f32;
-            for yy in 0..h {
-                for xx in 0..w {
-                    s += x.get(ni, ch, yy, xx).to_f32();
-                }
-            }
-            out[ni * c + ch] = s * inv;
-        }
-    }
-    out
-}
-
-/// The dense classifier head: [`global_avgpool`] features (`features x n`
+/// The dense classifier head: globally pooled features (`features x n`
 /// column-major) → class logits (`classes x n`), through a pack-once
 /// prepared plan.
 pub struct FcHead {
@@ -286,7 +244,7 @@ impl FcHead {
 
     /// Builds from explicit weights (`classes x features`, column-major)
     /// and bias — the weight is packed here, exactly once.
-    pub fn from_weights(w: &[f32], bias: &[f32], features: usize, classes: usize) -> Self {
+    fn from_weights(w: &[f32], bias: &[f32], features: usize, classes: usize) -> Self {
         assert_eq!(bias.len(), classes, "bias size mismatch");
         FcHead {
             features,
@@ -296,18 +254,8 @@ impl FcHead {
         }
     }
 
-    /// Class count.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Input feature count.
-    pub fn features(&self) -> usize {
-        self.features
-    }
-
     /// Logits (`classes x n`, column-major) for a `features x n` pooled
-    /// activation matrix (the [`global_avgpool`] output layout).
+    /// activation matrix.
     pub fn forward(&self, feats: &[f32], n: usize, pool: &ThreadPool) -> Vec<f32> {
         assert_eq!(feats.len(), self.features * n, "pooled feature size mismatch");
         let mut y = self.plan.execute(feats, n, pool);
@@ -423,7 +371,6 @@ mod tests {
         pl_tensor::fill_uniform(&mut bias, &mut rng, -0.5, 0.5);
         pl_tensor::fill_uniform(&mut feats, &mut rng, -0.5, 0.5);
         let head = FcHead::from_weights(&w, &bias, features, classes);
-        assert_eq!((head.features(), head.classes()), (features, classes));
         let got = head.forward(&feats, n, &pool);
         assert_eq!(got, head.forward(&feats, n, &pool), "cached-kernel forward is stable");
         let mut want = pl_kernels::gemm::reference_gemm(&w, &feats, classes, n, features);
@@ -435,20 +382,5 @@ mod tests {
         for i in 0..want.len() {
             assert!((got[i] - want[i]).abs() < 1e-3, "idx {i}");
         }
-    }
-
-    #[test]
-    fn maxpool_and_avgpool() {
-        let x = ActTensor::<f32>::from_fn(1, 4, 4, 4, 4, 0, |_, c, y, xx| {
-            (c * 100 + y * 10 + xx) as f32
-        })
-        .unwrap();
-        let y = maxpool(&x, 2, 2);
-        assert_eq!(y.h(), 2);
-        assert_eq!(y.get(0, 0, 0, 0), 11.0); // max of {0,1,10,11}
-        assert_eq!(y.get(0, 0, 1, 1), 33.0);
-        let avg = global_avgpool(&x);
-        // Channel 0 mean over 0..33 grid = 16.5.
-        assert!((avg[0] - 16.5).abs() < 1e-4);
     }
 }

@@ -15,7 +15,7 @@ use pl_tpp::{softmax, unary};
 
 /// Magnitude-based block pruning: keeps the `(1 - sparsity)` fraction of
 /// `block x block` blocks with the largest Frobenius norms.
-pub fn prune_to_block_sparse(
+fn prune_to_block_sparse(
     w: &[f32],
     rows: usize,
     cols: usize,
@@ -84,7 +84,7 @@ pub struct SparseBertLayer {
 
 impl SparseBertLayer {
     /// Prunes a dense layer's weights to the target block sparsity.
-    pub fn from_dense(dense: &DenseWeights<'_>, block: usize, sparsity: f64) -> Self {
+    fn from_dense(dense: &DenseWeights<'_>, block: usize, sparsity: f64) -> Self {
         let cfg = *dense.cfg;
         let (h, i) = (cfg.hidden, cfg.intermediate);
         let dims = [(h, h), (h, h), (h, h), (h, h), (i, h), (h, i)];

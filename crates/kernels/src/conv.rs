@@ -66,6 +66,11 @@ pub struct ConvForward<T: Element> {
 
 impl<T: Element> ConvForward<T> {
     /// Builds the kernel (Listing 4 lines 5-13).
+    ///
+    /// Loops `b`, `f` and `g` (Cb, R, S) reduce into one output block, so
+    /// a spec that puts any of them in the parallel group, or deals the
+    /// output blocks out dynamically below one of them, is rejected with
+    /// [`KernelError::RacySpec`], as [`crate::Gemm::new`] rejects a split K.
     pub fn new(shape: ConvShape, tuning: ConvTuning) -> Result<Self, KernelError> {
         shape.validate().map_err(|e| KernelError::BadShape(e.to_string()))?;
         if !shape.q().is_multiple_of(tuning.w_step) {
@@ -89,6 +94,7 @@ impl<T: Element> ConvForward<T> {
             LoopSpecs::new(0, shape.s, tuning.s_step),                     // g: S
         ];
         let tl = ThreadedLoop::new(&specs, &tuning.spec).map_err(KernelError::Spec)?;
+        crate::check_outputs_owned(&tuning.spec, "bfg")?;
         // GEMM view: m=bk output features, n=w_step pixels, k=bc.
         let desc = BrgemmDesc {
             m: shape.bk,
@@ -460,6 +466,42 @@ mod tests {
             },
             8,
         );
+    }
+
+    #[test]
+    fn specs_that_reduce_over_the_team_are_rejected() {
+        // n1 c64 k8 8x8 3x3, bc = 4: a parallel Cb loop (`B`) made 2-thread
+        // runs write wrong outputs nearly every time.
+        let shape = ConvShape {
+            n: 1,
+            c: 64,
+            k: 8,
+            h: 8,
+            w: 8,
+            r: 3,
+            s: 3,
+            stride: 1,
+            pad: 1,
+            bc: 4,
+            bk: 4,
+        };
+        let build = |spec: &str| {
+            let tuning =
+                ConvTuning { spec: spec.into(), c_step: 1, ..ConvTuning::default_for(&shape) };
+            ConvForward::<f32>::new(shape, tuning)
+        };
+        for racy in [
+            "aBcdefg",
+            "abcdeFg",
+            "abcdefG",
+            "bACDefg @ schedule(dynamic,1)",
+            "fgACDbe @ schedule(dynamic,2)",
+        ] {
+            assert!(matches!(build(racy), Err(KernelError::RacySpec(_))), "{racy}");
+        }
+        for owned in ["ACDbefg", "Abcdefg", "bfgACDe", "ACDbefg @ schedule(dynamic,1)"] {
+            assert!(build(owned).is_ok(), "{owned}");
+        }
     }
 
     #[test]

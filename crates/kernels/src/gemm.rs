@@ -309,7 +309,7 @@ impl<T: Tile> GemmKernel<T> {
         )?;
         let tl = ThreadedLoop::new(&shape.loop_specs(&tuning), &tuning.spec)
             .map_err(KernelError::Spec)?;
-        crate::check_c_blocks_owned(&tuning.spec)?;
+        crate::check_outputs_owned(&tuning.spec, "a")?;
         Ok(GemmKernel { shape, tuning, tl, a_layout, tile: PhantomData })
     }
 

@@ -36,20 +36,25 @@ pub enum KernelError {
     /// Invalid `loop_spec_string` for this kernel.
     Spec(parlooper::SpecError),
     /// A legal nest this kernel cannot run race-free (see
-    /// [`GemmKernel::build`] and [`BlockSpmm::new`]).
+    /// [`GemmKernel::build`], [`BlockSpmm::new`] and [`ConvForward::new`]).
     RacySpec(String),
 }
 
-/// Rejects a spec over the GEMM-shaped nest (`a` = K, then the C-block
-/// loops) that lets two team members accumulate into one C block at once:
-/// one that splits the K loop over the team (`A`), or that deals the C
-/// blocks out dynamically below a sequential K level
-/// (`caB @ schedule(dynamic,1)`: afresh at every K step).
-pub(crate) fn check_c_blocks_owned(spec: &str) -> Result<(), KernelError> {
+/// Rejects a spec that lets two team members accumulate into one output
+/// block at once. `reductions` names the nest's reduction loops (`a` = K
+/// for the GEMM-shaped nests; `b`, `f`, `g` = Cb, R, S for the
+/// convolution). A spec is racy if it puts one of them in the parallel
+/// group (`A`), or deals the output blocks out dynamically below a
+/// sequential reduction level (`caB @ schedule(dynamic,1)`: afresh at
+/// every K step).
+pub(crate) fn check_outputs_owned(spec: &str, reductions: &str) -> Result<(), KernelError> {
     let (nest, schedule) = spec.split_once('@').unwrap_or((spec, ""));
     let group = nest.find(|c: char| c.is_ascii_uppercase());
-    let k_outside = nest.find('a').zip(group).is_some_and(|(k, group)| k < group);
-    if nest.contains('A') || schedule.contains("dynamic") && k_outside {
+    let outside = |r: char| nest.find(r).zip(group).is_some_and(|(at, group)| at < group);
+    let racy = |r: char| {
+        nest.contains(r.to_ascii_uppercase()) || schedule.contains("dynamic") && outside(r)
+    };
+    if reductions.chars().any(racy) {
         return Err(KernelError::RacySpec(spec.to_string()));
     }
     Ok(())
@@ -60,7 +65,7 @@ impl std::fmt::Display for KernelError {
         match self {
             KernelError::BadShape(s) => write!(f, "bad shape: {s}"),
             KernelError::Spec(e) => write!(f, "spec error: {e}"),
-            KernelError::RacySpec(spec) => write!(f, "spec {spec:?} races on C"),
+            KernelError::RacySpec(spec) => write!(f, "spec {spec:?} races on an output block"),
         }
     }
 }

@@ -220,11 +220,6 @@ impl<T: Element> Mlp<T> {
         Ok(Mlp { layers, weights, biases, n, bn })
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total flops of one forward pass.
     pub fn flops(&self) -> u64 {
         self.layers
@@ -308,7 +303,6 @@ mod tests {
     fn cascade_dimensions_flow() {
         let pool = ThreadPool::new(2);
         let mlp = Mlp::<f32>::new(&[16, 32, 8], 8, 8, 4, "aBC", Activation::Relu, 5).unwrap();
-        assert_eq!(mlp.num_layers(), 2);
         let mut x = BlockedMatrix::<f32>::b_layout(16, 8, 8, 4).unwrap();
         let mut rng = Xorshift::new(2);
         let mut x_cm = vec![0.0f32; 16 * 8];

@@ -77,7 +77,7 @@ impl BlockSpmm {
             LoopSpecs::blocked(0, n / bn, 1, tuning.c_blocks.clone()),
         ];
         let tl = ThreadedLoop::new(&specs, &tuning.spec).map_err(KernelError::Spec)?;
-        crate::check_c_blocks_owned(&tuning.spec)?;
+        crate::check_outputs_owned(&tuning.spec, "a")?;
         let tpp = BcscSpmm::new(bm, bk, bn);
         Ok(BlockSpmm { m, n, k, bm, bk, bn, tuning, tl, tpp })
     }

@@ -8,8 +8,8 @@
 //! counters and zero locks), and cross-shard aggregation **sums raw
 //! buckets and recomputes** — never averages per-shard quantiles.
 //!
-//! `pl_serve::stats` (40 µs-buckets), `pl_trace::summary` (48
-//! ns-buckets) and [`crate::registry::Histogram`] all delegate here.
+//! [`crate::registry::Histogram`] (and through it `pl_serve::stats`) and
+//! [`crate::SloWindow`] delegate here.
 
 /// Index of the log2 bucket holding `value`, clamped to `n_buckets`.
 /// Bucket 0 holds `value < 1` (i.e. 0); bucket `i` holds

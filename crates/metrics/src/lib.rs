@@ -19,8 +19,8 @@
 //!   collected for a deadline.
 //!
 //! This crate sits at the very bottom of the workspace graph (no
-//! dependencies at all), so `pl_trace`, `pl_serve` and `pl_router` can
-//! all publish into it without cycles. The log2-bucket fold in
+//! dependencies at all), so `pl_serve` and `pl_router` can both publish
+//! into it without cycles. The log2-bucket fold in
 //! [`buckets`] is the one implementation behind `pl_serve`'s histograms.
 
 #![warn(missing_docs)]

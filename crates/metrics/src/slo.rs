@@ -9,8 +9,8 @@
 //! fast as it accrues) and *what is the windowed p99 right now*.
 //!
 //! Time is injectable: the serving hot path calls [`SloWindow::record`]
-//! (internal monotonic clock), tests call [`SloWindow::record_at`] /
-//! [`SloWindow::burn_rate_at`] with explicit milliseconds to drive the
+//! (internal monotonic clock), tests call its private `record_at` /
+//! `burn_rate_at` twins with explicit milliseconds to drive the
 //! window deterministically.
 
 use crate::buckets::{bucket_of, merge_buckets, quantile_from_buckets};
@@ -76,11 +76,6 @@ impl SloWindow {
         }
     }
 
-    /// The latency target in microseconds.
-    pub fn target_us(&self) -> u64 {
-        self.target_us
-    }
-
     /// The window length in seconds.
     pub fn window_s(&self) -> u64 {
         self.window_s
@@ -97,7 +92,7 @@ impl SloWindow {
 
     /// Records one latency observation at explicit time `ms` since the
     /// window's epoch — the deterministic injection point for tests.
-    pub fn record_at(&self, ms: u64, us: u64) {
+    fn record_at(&self, ms: u64, us: u64) {
         let sec = ms / 1000;
         let mut slots = self.slots.lock().unwrap();
         let idx = (sec % self.window_s) as usize;
@@ -134,7 +129,7 @@ impl SloWindow {
     /// divided by [`ERROR_BUDGET`]. 0.0 when the window is empty; 1.0
     /// means the error budget is being consumed exactly as fast as it
     /// accrues; > 1.0 means the SLO is burning down.
-    pub fn burn_rate_at(&self, ms: u64) -> f64 {
+    fn burn_rate_at(&self, ms: u64) -> f64 {
         let (total, over, _) = self.window_at(ms);
         if total == 0 {
             return 0.0;
@@ -148,7 +143,7 @@ impl SloWindow {
     }
 
     /// Windowed p99 (upper-edge estimate, µs) at explicit time `ms`.
-    pub fn p99_at(&self, ms: u64) -> u64 {
+    fn p99_at(&self, ms: u64) -> u64 {
         let (_, _, buckets) = self.window_at(ms);
         quantile_from_buckets(&buckets, 0.99)
     }

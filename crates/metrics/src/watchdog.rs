@@ -92,7 +92,8 @@ impl Watchdog {
     }
 
     /// The latched verdict from the last observation (no re-evaluation).
-    pub fn is_stalled(&self) -> bool {
+    #[cfg(test)]
+    fn is_stalled(&self) -> bool {
         self.state.lock().unwrap().stalled
     }
 }

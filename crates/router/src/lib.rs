@@ -29,7 +29,7 @@ pub mod placement;
 pub mod router;
 pub mod shard;
 
-pub use placement::{least_loaded, placement_order, ShardLoad};
+pub use placement::{placement_order, ShardLoad};
 pub use router::{Router, RouterConfig, RouterSessionId};
 pub use shard::{partition_threads, Shard};
 

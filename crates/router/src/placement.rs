@@ -35,7 +35,7 @@ impl ShardLoad {
     /// The scalar placement key: sessions + queued steps. Both terms
     /// matter — sessions predict future load (each will keep stepping),
     /// queue depth measures present congestion.
-    pub fn score(&self) -> usize {
+    fn score(&self) -> usize {
         self.live_sessions + self.queue_depth
     }
 
@@ -46,19 +46,14 @@ impl ShardLoad {
 }
 
 /// Placement-ordered candidate list: placeable (healthy) shards sorted
-/// by ascending [`ShardLoad::score`], ties broken by lowest shard index
-/// (so placement is deterministic and the first shards fill first at
-/// equal load). The router tries candidates in order until one admits
-/// the session.
+/// by ascending load score (sessions + queued steps), ties broken by
+/// lowest shard index (so placement is deterministic and the first shards
+/// fill first at equal load). The router tries candidates in order until
+/// one admits the session.
 pub fn placement_order(loads: &[ShardLoad]) -> Vec<usize> {
     let mut candidates: Vec<&ShardLoad> = loads.iter().filter(|l| l.placeable()).collect();
     candidates.sort_by_key(|l| (l.score(), l.shard));
     candidates.into_iter().map(|l| l.shard).collect()
-}
-
-/// The least-loaded placeable shard, if any.
-pub fn least_loaded(loads: &[ShardLoad]) -> Option<usize> {
-    placement_order(loads).first().copied()
 }
 
 #[cfg(test)]
@@ -72,16 +67,15 @@ mod tests {
     #[test]
     fn picks_smallest_combined_load() {
         let loads = [load(0, 3, 0), load(1, 1, 1), load(2, 1, 4)];
-        assert_eq!(least_loaded(&loads), Some(1));
+        assert_eq!(placement_order(&loads)[0], 1);
         // Queue depth counts: shard 0 has fewer sessions but a deep queue.
         let loads = [load(0, 1, 9), load(1, 3, 0)];
-        assert_eq!(least_loaded(&loads), Some(1));
+        assert_eq!(placement_order(&loads)[0], 1);
     }
 
     #[test]
     fn ties_break_to_lowest_index() {
         let loads = [load(2, 1, 0), load(0, 1, 0), load(1, 1, 0)];
-        assert_eq!(least_loaded(&loads), Some(0));
         assert_eq!(placement_order(&loads), vec![0, 1, 2]);
     }
 
@@ -91,8 +85,7 @@ mod tests {
             let mut idle = load(0, 0, 0);
             idle.health = bad;
             let loads = [idle, load(1, 5, 2)];
-            assert_eq!(least_loaded(&loads), Some(1), "idle-but-{bad} shard skipped");
-            assert_eq!(placement_order(&loads), vec![1]);
+            assert_eq!(placement_order(&loads), vec![1], "idle-but-{bad} shard skipped");
         }
         // Every shard unhealthy: no candidates, admission must fail
         // loudly rather than place onto a degraded shard.
@@ -100,8 +93,8 @@ mod tests {
         a.health = Health::Degraded;
         let mut b = load(1, 0, 0);
         b.health = Health::Stalled;
-        assert_eq!(least_loaded(&[a, b]), None);
-        assert_eq!(least_loaded(&[]), None);
+        assert!(placement_order(&[a, b]).is_empty());
+        assert!(placement_order(&[]).is_empty());
     }
 
     #[test]

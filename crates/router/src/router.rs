@@ -5,8 +5,7 @@ use crate::shard::{partition_threads, Shard};
 use crate::RouterError;
 use pl_dnn::DecoderModel;
 use pl_serve::{
-    Health, MetricsSnapshot, ServeError, ServerConfig, SessionId, StatsSnapshot, StepResult,
-    TenantId,
+    MetricsSnapshot, ServeError, ServerConfig, SessionId, StatsSnapshot, StepResult, TenantId,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,7 +84,8 @@ impl Router {
     }
 
     /// Number of shards.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -112,7 +112,7 @@ impl Router {
     /// Current placement loads (the inputs to [`placement_order`]),
     /// health included: each shard's server evaluates its own SLO burn
     /// and stall watchdog ([`pl_serve::Server::health`]).
-    pub fn loads(&self) -> Vec<ShardLoad> {
+    fn loads(&self) -> Vec<ShardLoad> {
         self.shards
             .iter()
             .map(|s| ShardLoad {
@@ -126,7 +126,8 @@ impl Router {
 
     /// The current health of every shard (index = shard) — the fleet
     /// view `pl_shard_health` exports.
-    pub fn shard_health(&self) -> Vec<Health> {
+    #[cfg(test)]
+    fn shard_health(&self) -> Vec<pl_serve::Health> {
         self.shards.iter().map(|s| s.server().health()).collect()
     }
 
@@ -312,6 +313,7 @@ mod tests {
     use super::*;
     use pl_dnn::DecoderConfig;
     use pl_runtime::ThreadPool;
+    use pl_serve::Health;
     use pl_tensor::{fill_uniform, Xorshift};
 
     fn tiny_router(shards: usize, server: ServerConfig) -> Router {

@@ -32,21 +32,6 @@ pub struct GridDecomp {
 }
 
 impl GridDecomp {
-    /// 1-D grid of `r` rows.
-    pub fn d1(r: usize) -> Self {
-        GridDecomp { rows: r.max(1), cols: 1, layers: 1 }
-    }
-
-    /// 2-D grid `r x c`.
-    pub fn d2(r: usize, c: usize) -> Self {
-        GridDecomp { rows: r.max(1), cols: c.max(1), layers: 1 }
-    }
-
-    /// 3-D grid `r x c x l`.
-    pub fn d3(r: usize, c: usize, l: usize) -> Self {
-        GridDecomp { rows: r.max(1), cols: c.max(1), layers: l.max(1) }
-    }
-
     /// Builds a grid from per-axis ways; `None` axes get extent 1.
     pub fn from_ways(r: Option<usize>, c: Option<usize>, l: Option<usize>) -> Self {
         GridDecomp {
@@ -62,7 +47,7 @@ impl GridDecomp {
     }
 
     /// Extent along an axis.
-    pub fn extent(&self, axis: GridAxis) -> usize {
+    fn extent(&self, axis: GridAxis) -> usize {
         match axis {
             GridAxis::Row => self.rows,
             GridAxis::Col => self.cols,
@@ -72,7 +57,7 @@ impl GridDecomp {
 
     /// Grid coordinate of `tid` along `axis`.
     #[inline]
-    pub fn coord(&self, tid: usize, axis: GridAxis) -> usize {
+    fn coord(&self, tid: usize, axis: GridAxis) -> usize {
         debug_assert!(tid < self.size(), "tid {tid} outside grid {self:?}");
         match axis {
             GridAxis::Row => tid / (self.cols * self.layers),
@@ -98,7 +83,7 @@ mod tests {
     fn two_d_coords_match_paper_listing3() {
         // Listing 3: row_teams=16, col_teams=4, row_id=tid/col_teams,
         // col_id=tid%col_teams.
-        let g = GridDecomp::d2(16, 4);
+        let g = GridDecomp::from_ways(Some(16), Some(4), None);
         assert_eq!(g.size(), 64);
         for tid in 0..64 {
             assert_eq!(g.coord(tid, GridAxis::Row), tid / 4);
@@ -108,7 +93,7 @@ mod tests {
 
     #[test]
     fn three_d_coords_are_row_major() {
-        let g = GridDecomp::d3(2, 3, 4);
+        let g = GridDecomp::from_ways(Some(2), Some(3), Some(4));
         assert_eq!(g.size(), 24);
         let tid = (3 + 2) * 4 + 3; // row 1, col 2, layer 3 (row-major: (r*3 + c)*4 + l)
         assert_eq!(g.coord(tid, GridAxis::Row), 1);
@@ -118,7 +103,7 @@ mod tests {
 
     #[test]
     fn partitions_tile_the_space_per_axis() {
-        let g = GridDecomp::d2(3, 2);
+        let g = GridDecomp::from_ways(Some(3), Some(2), None);
         // Along rows: threads sharing a row coordinate get the same range;
         // distinct rows tile 0..10.
         let mut seen = [0u8; 10];

@@ -198,20 +198,6 @@ impl ThreadPool {
             resume_unwind(p);
         }
     }
-
-    /// Convenience: statically distributes `0..total` over the team and
-    /// calls `f(i)` for every index.
-    pub fn parallel_for<F>(&self, total: usize, f: F)
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        self.parallel(|ctx| {
-            let r = crate::sched::block_partition(total, ctx.nthreads(), ctx.tid());
-            for i in r {
-                f(i);
-            }
-        });
-    }
 }
 
 fn run_region_member(region: Region, tid: usize) {
@@ -421,16 +407,6 @@ mod tests {
             assert_eq!(violations.load(Ordering::Relaxed), 0);
             assert_eq!(phase.load(Ordering::SeqCst), 4 * rounds);
         });
-    }
-
-    #[test]
-    fn parallel_for_covers_all_indices_once() {
-        let pool = ThreadPool::new(3);
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(100, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl DynamicBatcher {
         }
     }
 
-    /// Number of tenant rings.
-    pub fn tenants(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Pending items across all tenants plus the side-queue (approximate).
     pub fn pending(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum::<usize>()
@@ -133,7 +128,8 @@ impl DynamicBatcher {
     }
 
     /// Pending items for one tenant, side-queue included (approximate).
-    pub fn pending_for(&self, tenant: TenantId) -> usize {
+    #[cfg(test)]
+    fn pending_for(&self, tenant: TenantId) -> usize {
         let ring = self.queues.get(tenant).map_or(0, |q| q.len());
         let deferred = self.deferred.lock().expect("deferred queue poisoned");
         ring + deferred.iter().filter(|i| i.tenant() == tenant).count()

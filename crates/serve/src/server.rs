@@ -342,7 +342,8 @@ impl Server {
     }
 
     /// Per-tenant SLO window (`None` for an out-of-range tenant).
-    pub fn tenant_slo(&self, tenant: TenantId) -> Option<&SloWindow> {
+    #[cfg(test)]
+    fn tenant_slo(&self, tenant: TenantId) -> Option<&SloWindow> {
         self.inner.stats.tenants.get(tenant).map(|tm| &tm.slo)
     }
 

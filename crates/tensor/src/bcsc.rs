@@ -174,14 +174,9 @@ impl<T: Element> BcscMatrix<T> {
         &self.kidx
     }
 
-    /// All stored block values.
-    pub fn vals(&self) -> &[T] {
-        &self.vals
-    }
-
     /// Values of stored block `b` (column-major `bm x bk`).
     #[inline(always)]
-    pub fn block_vals(&self, b: usize) -> &[T] {
+    fn block_vals(&self, b: usize) -> &[T] {
         let bsz = self.bm * self.bk;
         &self.vals[b * bsz..(b + 1) * bsz]
     }

@@ -158,14 +158,6 @@ impl<T: Element> BlockedMatrix<T> {
         &self.data[off..off + self.br * self.bc]
     }
 
-    /// Mutable view of block `(rb, cb)`.
-    #[inline(always)]
-    pub fn block_mut(&mut self, rb: usize, cb: usize) -> &mut [T] {
-        let off = self.block_offset(rb, cb);
-        let end = off + self.br * self.bc;
-        &mut self.data.as_mut_slice()[off..end]
-    }
-
     /// Offset of logical element `(r, c)` within its block.
     #[inline(always)]
     fn inner_offset(&self, r: usize, c: usize) -> usize {
@@ -384,22 +376,6 @@ mod tests {
         let mut a = BlockedMatrix::<i8>::a_layout_vnni(16, 32, 8, 8, 4).unwrap();
         a.pack_from_colmajor(&src);
         assert_eq!(a.unpack_to_colmajor(), src);
-    }
-
-    #[test]
-    fn block_views_are_disjoint_and_complete() {
-        let mut c = BlockedMatrix::<f32>::c_layout(8, 8, 4, 2).unwrap();
-        for rb in 0..c.row_blocks() {
-            for cb in 0..c.col_blocks() {
-                let v = (rb * 10 + cb) as f32;
-                c.block_mut(rb, cb).iter_mut().for_each(|x| *x = v);
-            }
-        }
-        for r in 0..8 {
-            for col in 0..8 {
-                assert_eq!(c.get(r, col), ((r / 4) * 10 + col / 2) as f32);
-            }
-        }
     }
 }
 

@@ -45,7 +45,7 @@ impl<T: Copy + Default> AlignedVec<T> {
     }
 
     /// Allocates and fills from a slice.
-    pub fn from_slice(src: &[T]) -> Self {
+    fn from_slice(src: &[T]) -> Self {
         let mut v = Self::zeroed(src.len());
         v.as_mut_slice().copy_from_slice(src);
         v

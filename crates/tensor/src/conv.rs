@@ -163,7 +163,7 @@ impl<T: Element> ActTensor<T> {
     /// Flat offset of the `bc`-vector at `(n, cb, y, x)` in *padded*
     /// coordinates (`y in 0..hp`, `x in 0..wp`).
     #[inline(always)]
-    pub fn offset_padded(&self, ni: usize, cb: usize, y: usize, x: usize) -> usize {
+    fn offset_padded(&self, ni: usize, cb: usize, y: usize, x: usize) -> usize {
         debug_assert!(ni < self.n && cb < self.c / self.bc && y < self.hp() && x < self.wp());
         (((ni * (self.c / self.bc) + cb) * self.hp() + y) * self.wp() + x) * self.bc
     }
@@ -278,11 +278,6 @@ impl<T: Element> ConvWeights<T> {
     /// Output feature extent.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Filter height.
-    pub fn r(&self) -> usize {
-        self.r
     }
 
     /// Filter width.

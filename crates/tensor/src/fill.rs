@@ -1,11 +1,10 @@
-//! Deterministic pseudo-random fills and the RNG state used by the dropout
-//! TPP (`get_rng_state()` in paper Listing 6).
+//! Deterministic pseudo-random fills and the RNG behind them.
 
 use crate::dtype::Element;
 use std::sync::OnceLock;
 
-/// xorshift64* generator: tiny, fast, reproducible — the style of RNG the
-/// TPP dropout primitive keeps as per-thread state.
+/// xorshift64* generator: tiny, fast, reproducible — the style of RNG a
+/// TPP keeps as per-thread state (`get_rng_state()` in paper Listing 6).
 #[derive(Debug, Clone)]
 pub struct Xorshift {
     state: u64,
@@ -41,7 +40,7 @@ impl Xorshift {
 
     /// Next 32 random bits.
     #[inline(always)]
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
@@ -53,7 +52,7 @@ impl Xorshift {
     }
 
     /// Standard normal via Box-Muller.
-    pub fn next_normal(&mut self) -> f32 {
+    fn next_normal(&mut self) -> f32 {
         let mut u1 = self.next_f32();
         if u1 < 1e-12 {
             u1 = 1e-12;

@@ -61,21 +61,11 @@ impl<T: Element> VnniMatrix<T> {
 
     /// Flat offset of logical element `(r, c)`.
     #[inline(always)]
-    pub fn offset(&self, r: usize, c: usize) -> usize {
+    fn offset(&self, r: usize, c: usize) -> usize {
         debug_assert!(r < self.rows && c < self.cols);
         let nb = c / self.bn;
         let cc = c % self.bn;
         ((nb * (self.rows / self.v) + r / self.v) * self.bn + cc) * self.v + r % self.v
-    }
-
-    /// Offset of the `v`-row group starting at row `r` (must be `v`-aligned)
-    /// in column block `nb` — the pointer the SpMM TPP receives
-    /// (`&B[in][ik/v][0][ik%v]` in the paper collapses to this for
-    /// `v`-aligned `ik`).
-    #[inline(always)]
-    pub fn group_offset(&self, nb: usize, r: usize) -> usize {
-        debug_assert_eq!(r % self.v, 0);
-        (nb * (self.rows / self.v) + r / self.v) * self.bn * self.v
     }
 
     /// Read logical element `(r, c)`.
@@ -156,16 +146,6 @@ mod tests {
         assert_eq!(m.offset(0, 1), 2);
         assert_eq!(m.offset(2, 0), 4); // next v-group
         assert_eq!(m.offset(0, 2), 8); // next column block
-    }
-
-    #[test]
-    fn group_offset_matches_offset() {
-        let m = VnniMatrix::<f32>::new(8, 6, 3, 2).unwrap();
-        for nb in 0..m.col_blocks() {
-            for r in (0..8).step_by(2) {
-                assert_eq!(m.group_offset(nb, r), m.offset(r, nb * 3));
-            }
-        }
     }
 
     #[test]

@@ -4,29 +4,6 @@
 
 use pl_tensor::Element;
 
-#[inline(always)]
-fn zip2<TA: Element, TB: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    a: &[TA],
-    lda: usize,
-    b: &[TB],
-    ldb: usize,
-    out: &mut [TO],
-    ldo: usize,
-    f: impl Fn(f32, f32) -> f32,
-) {
-    debug_assert!(lda >= m && ldb >= m && ldo >= m);
-    for c in 0..n {
-        let acol = &a[c * lda..c * lda + m];
-        let bcol = &b[c * ldb..c * ldb + m];
-        let ocol = &mut out[c * ldo..c * ldo + m];
-        for ((o, x), y) in ocol.iter_mut().zip(acol).zip(bcol) {
-            *o = TO::from_f32(f(x.to_f32(), y.to_f32()));
-        }
-    }
-}
-
 /// Elementwise addition (`add_tpp` — residual connections).
 pub fn add<TA: Element, TB: Element, TO: Element>(
     m: usize,
@@ -38,68 +15,13 @@ pub fn add<TA: Element, TB: Element, TO: Element>(
     out: &mut [TO],
     ldo: usize,
 ) {
-    zip2(m, n, a, lda, b, ldb, out, ldo, |x, y| x + y);
-}
-
-/// Elementwise subtraction.
-pub fn sub<TA: Element, TB: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    a: &[TA],
-    lda: usize,
-    b: &[TB],
-    ldb: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    zip2(m, n, a, lda, b, ldb, out, ldo, |x, y| x - y);
-}
-
-/// Elementwise multiplication (masking, gating).
-pub fn mul<TA: Element, TB: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    a: &[TA],
-    lda: usize,
-    b: &[TB],
-    ldb: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    zip2(m, n, a, lda, b, ldb, out, ldo, |x, y| x * y);
-}
-
-/// `out += alpha * a` (axpy view).
-pub fn axpy<TA: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    alpha: f32,
-    a: &[TA],
-    lda: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
+    debug_assert!(lda >= m && ldb >= m && ldo >= m);
     for c in 0..n {
-        for r in 0..m {
-            let cur = out[c * ldo + r].to_f32();
-            out[c * ldo + r] = TO::from_f32(cur + alpha * a[c * lda + r].to_f32());
-        }
-    }
-}
-
-/// `copy_bias_tpp`: broadcasts a length-`m` bias vector (the feature/row
-/// dimension) into every column of an `m x n` view.
-pub fn bias_broadcast<TB: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    bias: &[TB],
-    out: &mut [TO],
-    ldo: usize,
-) {
-    debug_assert!(bias.len() >= m);
-    for c in 0..n {
-        for r in 0..m {
-            out[c * ldo + r] = TO::from_f32(bias[r].to_f32());
+        let acol = &a[c * lda..c * lda + m];
+        let bcol = &b[c * ldb..c * ldb + m];
+        let ocol = &mut out[c * ldo..c * ldo + m];
+        for ((o, x), y) in ocol.iter_mut().zip(acol).zip(bcol) {
+            *o = TO::from_f32(x.to_f32() + y.to_f32());
         }
     }
 }
@@ -127,16 +49,12 @@ mod tests {
     use pl_tensor::Bf16;
 
     #[test]
-    fn add_and_sub_and_mul() {
+    fn add_is_elementwise() {
         let a = vec![1.0f32, 2.0, 3.0, 4.0];
         let b = vec![10.0f32, 20.0, 30.0, 40.0];
         let mut o = vec![0.0f32; 4];
         add(2, 2, &a, 2, &b, 2, &mut o, 2);
         assert_eq!(o, vec![11.0, 22.0, 33.0, 44.0]);
-        sub(2, 2, &b, 2, &a, 2, &mut o, 2);
-        assert_eq!(o, vec![9.0, 18.0, 27.0, 36.0]);
-        mul(2, 2, &a, 2, &b, 2, &mut o, 2);
-        assert_eq!(o, vec![10.0, 40.0, 90.0, 160.0]);
     }
 
     #[test]
@@ -147,22 +65,6 @@ mod tests {
         add(2, 1, &a, 2, &b, 2, &mut o, 2);
         assert_eq!(o[0].to_f32(), 2.0);
         assert_eq!(o[1].to_f32(), 2.75);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let a = vec![1.0f32, 1.0, 1.0, 1.0];
-        let mut o = vec![1.0f32, 2.0, 3.0, 4.0];
-        axpy(4, 1, 0.5, &a, 4, &mut o, 4);
-        assert_eq!(o, vec![1.5, 2.5, 3.5, 4.5]);
-    }
-
-    #[test]
-    fn bias_broadcast_fills_columns() {
-        let bias = vec![7.0f32, 8.0];
-        let mut o = vec![0.0f32; 6]; // 2x3
-        bias_broadcast(2, 3, &bias, &mut o, 2);
-        assert_eq!(o, vec![7.0, 8.0, 7.0, 8.0, 7.0, 8.0]);
     }
 
     #[test]

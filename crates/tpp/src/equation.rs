@@ -57,51 +57,6 @@ pub fn layernorm_blocked<TI: Element, TO: Element>(
     }
 }
 
-/// Backward of [`layernorm_blocked`]: produces `dx` (same blocked layout)
-/// and accumulates `dgamma`/`dbeta` (`[Nk][bk]`).
-#[allow(clippy::too_many_arguments)]
-pub fn layernorm_blocked_backward<TI: Element, TG: Element, TO: Element>(
-    nk: usize,
-    s2: usize,
-    bk: usize,
-    x: &[TI],
-    dy: &[TG],
-    gamma: &[f32],
-    mean: &[f32],
-    rstd: &[f32],
-    dx: &mut [TO],
-    dgamma: &mut [f32],
-    dbeta: &mut [f32],
-) {
-    let features = (nk * bk) as f32;
-    for t in 0..s2 {
-        let mu = mean[t];
-        let rs = rstd[t];
-        let mut sum_g = 0.0f32;
-        let mut sum_gx = 0.0f32;
-        for nkb in 0..nk {
-            let base = (nkb * s2 + t) * bk;
-            for i in 0..bk {
-                let xhat = (x[base + i].to_f32() - mu) * rs;
-                let g = dy[base + i].to_f32();
-                let gg = g * gamma[nkb * bk + i];
-                sum_g += gg;
-                sum_gx += gg * xhat;
-                dgamma[nkb * bk + i] += g * xhat;
-                dbeta[nkb * bk + i] += g;
-            }
-        }
-        for nkb in 0..nk {
-            let base = (nkb * s2 + t) * bk;
-            for i in 0..bk {
-                let xhat = (x[base + i].to_f32() - mu) * rs;
-                let gg = dy[base + i].to_f32() * gamma[nkb * bk + i];
-                dx[base + i] = TO::from_f32(rs * (gg - (sum_g + xhat * sum_gx) / features));
-            }
-        }
-    }
-}
-
 /// Fused bias + GELU over a `bk x s2` feature-major block
 /// (Bert-Intermediate, §IV-A): `out = gelu(x + bias)`.
 pub fn bias_gelu<TI: Element, TO: Element>(
@@ -180,54 +135,6 @@ mod tests {
                 assert!((got - expect).abs() < 1e-4, "t={t} f={f}: {got} vs {expect}");
             }
             assert!((mean[t] - mu).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn blocked_layernorm_backward_finite_difference() {
-        let (nk, s2, bk) = (2usize, 1usize, 3usize);
-        let total = nk * s2 * bk;
-        let x: Vec<f32> = vec![0.4, -0.9, 1.3, 0.2, -0.6, 0.8];
-        let dy: Vec<f32> = vec![0.3, -0.2, 0.1, 0.25, -0.05, 0.15];
-        let gamma: Vec<f32> = vec![1.1, 0.9, 1.0, 1.2, 0.8, 1.05];
-        let beta = vec![0.0f32; total];
-
-        let fwd = |xs: &[f32]| -> f32 {
-            let mut y = vec![0.0f32; total];
-            let mut mean = vec![0.0f32; s2];
-            let mut rstd = vec![0.0f32; s2];
-            layernorm_blocked(nk, s2, bk, xs, &gamma, &beta, 1e-5, &mut y, &mut mean, &mut rstd);
-            y.iter().zip(&dy).map(|(a, b)| a * b).sum()
-        };
-
-        let mut y = vec![0.0f32; total];
-        let mut mean = vec![0.0f32; s2];
-        let mut rstd = vec![0.0f32; s2];
-        layernorm_blocked(nk, s2, bk, &x, &gamma, &beta, 1e-5, &mut y, &mut mean, &mut rstd);
-        let mut dx = vec![0.0f32; total];
-        let mut dgamma = vec![0.0f32; total];
-        let mut dbeta = vec![0.0f32; total];
-        layernorm_blocked_backward(
-            nk,
-            s2,
-            bk,
-            &x,
-            &dy,
-            &gamma,
-            &mean,
-            &rstd,
-            &mut dx,
-            &mut dgamma,
-            &mut dbeta,
-        );
-        for i in 0..total {
-            let h = 1e-2;
-            let mut xp = x.clone();
-            xp[i] += h;
-            let mut xm = x.clone();
-            xm[i] -= h;
-            let fd = (fwd(&xp) - fwd(&xm)) / (2.0 * h);
-            assert!((dx[i] - fd).abs() < 3e-3, "i={i}: {} vs {}", dx[i], fd);
         }
     }
 

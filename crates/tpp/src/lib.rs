@@ -9,8 +9,8 @@
 //!
 //! Tensor-contraction TPPs ([`brgemm`], [`spmm`], [`transform`]) follow the
 //! paper's column-major convention: an `m x n` operand has element `(r, c)`
-//! at `c * ld + r`. Row-wise DL operators ([`softmax`], [`norm`],
-//! [`dropout`], bias add) state their own orientation in their docs — in the
+//! at `c * ld + r`. Row-wise DL operators ([`softmax`], [`norm`], bias
+//! add) state their own orientation in their docs — in the
 //! end-to-end workloads they act on `(rows = features, cols = tokens)`
 //! blocks exactly as the fused modules of paper Listing 6 do.
 //!
@@ -33,7 +33,6 @@
 
 pub mod binary;
 pub mod brgemm;
-pub mod dropout;
 pub mod equation;
 pub mod norm;
 pub mod reduce;

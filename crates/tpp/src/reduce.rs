@@ -1,5 +1,5 @@
-//! Reduction TPPs over 2-D views: row/column sums, maxima, and the
-//! mean/variance pairs consumed by the normalization equations.
+//! Reduction TPPs over 2-D views: row sums, and the column mean/variance
+//! pairs consumed by the normalization equations.
 
 use pl_tensor::Element;
 
@@ -20,43 +20,6 @@ pub fn row_sum<TI: Element, TO: Element>(
     }
     for (o, a) in out.iter_mut().take(m).zip(&acc) {
         *o = TO::from_f32(*a);
-    }
-}
-
-/// Sums each column of an `m x n` view into `out[0..n]`.
-pub fn col_sum<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-) {
-    debug_assert!(out.len() >= n);
-    for c in 0..n {
-        let s: f32 = input[c * ldi..c * ldi + m].iter().map(|v| v.to_f32()).sum();
-        out[c] = TO::from_f32(s);
-    }
-}
-
-/// Row-wise maximum.
-pub fn row_max<TI: Element>(m: usize, n: usize, input: &[TI], ldi: usize, out: &mut [f32]) {
-    debug_assert!(out.len() >= m);
-    out[..m].iter_mut().for_each(|v| *v = f32::NEG_INFINITY);
-    for c in 0..n {
-        for (o, v) in out.iter_mut().take(m).zip(&input[c * ldi..c * ldi + m]) {
-            *o = o.max(v.to_f32());
-        }
-    }
-}
-
-/// Column-wise maximum.
-pub fn col_max<TI: Element>(m: usize, n: usize, input: &[TI], ldi: usize, out: &mut [f32]) {
-    debug_assert!(out.len() >= n);
-    for c in 0..n {
-        out[c] = input[c * ldi..c * ldi + m]
-            .iter()
-            .map(|v| v.to_f32())
-            .fold(f32::NEG_INFINITY, f32::max);
     }
 }
 
@@ -87,15 +50,6 @@ pub fn col_mean_var<TI: Element>(
     }
 }
 
-/// Sum of all elements of the view (used for loss reductions).
-pub fn total_sum<TI: Element>(m: usize, n: usize, input: &[TI], ldi: usize) -> f32 {
-    let mut s = 0.0f64;
-    for c in 0..n {
-        s += input[c * ldi..c * ldi + m].iter().map(|v| v.to_f32() as f64).sum::<f64>();
-    }
-    s as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,23 +58,10 @@ mod tests {
     const X: [f32; 6] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
 
     #[test]
-    fn row_and_col_sums() {
+    fn row_sums() {
         let mut rs = vec![0.0f32; 3];
         row_sum(3, 2, &X, 3, &mut rs);
         assert_eq!(rs, vec![5.0, 7.0, 9.0]);
-        let mut cs = vec![0.0f32; 2];
-        col_sum(3, 2, &X, 3, &mut cs);
-        assert_eq!(cs, vec![6.0, 15.0]);
-    }
-
-    #[test]
-    fn maxima() {
-        let mut rm = vec![0.0f32; 3];
-        row_max(3, 2, &X, 3, &mut rm);
-        assert_eq!(rm, vec![4.0, 5.0, 6.0]);
-        let mut cm = vec![0.0f32; 2];
-        col_max(3, 2, &X, 3, &mut cm);
-        assert_eq!(cm, vec![3.0, 6.0]);
     }
 
     #[test]
@@ -134,18 +75,11 @@ mod tests {
     }
 
     #[test]
-    fn total() {
-        assert_eq!(total_sum(3, 2, &X, 3), 21.0);
-        // Sub-view: first 2 rows only.
-        assert_eq!(total_sum(2, 2, &X, 3), 12.0);
-    }
-
-    #[test]
     fn respects_leading_dim() {
         // 2x2 view of a 3-ld buffer.
         let buf = [1.0f32, 2.0, 99.0, 3.0, 4.0, 99.0];
-        let mut cs = vec![0.0f32; 2];
-        col_sum(2, 2, &buf, 3, &mut cs);
-        assert_eq!(cs, vec![3.0, 7.0]);
+        let mut rs = vec![0.0f32; 2];
+        row_sum(2, 2, &buf, 3, &mut rs);
+        assert_eq!(rs, vec![4.0, 6.0]);
     }
 }

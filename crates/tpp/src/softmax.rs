@@ -30,36 +30,6 @@ pub fn softmax_cols<TI: Element, TO: Element>(
     }
 }
 
-/// Softmax over each *row* of an `m x n` column-major view (equivalently,
-/// over the contiguous rows of a row-major buffer when `m` and `n` are
-/// swapped by the caller).
-pub fn softmax_rows<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    for r in 0..m {
-        let mut max = f32::NEG_INFINITY;
-        for c in 0..n {
-            max = max.max(input[c * ldi + r].to_f32());
-        }
-        let mut denom = 0.0f32;
-        for c in 0..n {
-            let e = (input[c * ldi + r].to_f32() - max).exp();
-            denom += e;
-            out[c * ldo + r] = TO::from_f32(e);
-        }
-        let inv = 1.0 / denom;
-        for c in 0..n {
-            let v = out[c * ldo + r].to_f32() * inv;
-            out[c * ldo + r] = TO::from_f32(v);
-        }
-    }
-}
-
 /// Backward of [`softmax_cols`]: given `y = softmax(x)` and upstream `dy`,
 /// computes `dx = y * (dy - <dy, y>)` per column.
 pub fn softmax_cols_backward<TY: Element, TG: Element, TO: Element>(
@@ -120,19 +90,6 @@ mod tests {
         softmax_cols(3, 1, &x, 3, &mut y, 3);
         assert!((y[0] - 1.0).abs() < 1e-6);
         assert!(y.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn rows_variant_matches_transposed_cols() {
-        let x = vec![1.0f32, 4.0, 2.0, 5.0, 3.0, 6.0]; // 2x3 col-major
-        let mut yr = vec![0.0f32; 6];
-        softmax_rows(2, 3, &x, 2, &mut yr, 2);
-        // Row 0 = softmax(1,2,3), row 1 = softmax(4,5,6).
-        let mut yc = vec![0.0f32; 3];
-        softmax_cols(3, 1, &[1.0, 2.0, 3.0], 3, &mut yc, 3);
-        for c in 0..3 {
-            assert!((yr[c * 2] - yc[c]).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Data-movement TPPs: transpose and the VNNI (re)formatting primitives
-//! ("The TPP collection provides the corresponding reformatting primitives",
-//! paper §III-A2).
+//! Data-movement TPPs: the out-of-place transpose. The VNNI reformatting
+//! of paper §III-A2 is `pl_tensor::VnniMatrix`, which packs whole operands.
 
 use pl_tensor::Element;
 
@@ -27,48 +26,9 @@ pub fn transpose<TI: Element, TO: Element>(
     }
 }
 
-/// Packs a column-major `k x n` panel into VNNI-`v` format:
-/// element `(p, j)` goes to `(p/v) * ldo * v + j * v + p%v`, where `ldo`
-/// is the packed panel's column count (usually `n`). `k % v` must be 0.
-pub fn vnni_pack<TI: Element, TO: Element>(
-    k: usize,
-    n: usize,
-    v: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    debug_assert_eq!(k % v, 0, "reduction dim must divide the vnni factor");
-    for j in 0..n {
-        for p in 0..k {
-            out[(p / v) * ldo * v + j * v + p % v] = TO::from_f32(input[j * ldi + p].to_f32());
-        }
-    }
-}
-
-/// Inverse of [`vnni_pack`].
-pub fn vnni_unpack<TI: Element, TO: Element>(
-    k: usize,
-    n: usize,
-    v: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    debug_assert_eq!(k % v, 0);
-    for j in 0..n {
-        for p in 0..k {
-            out[j * ldo + p] = TO::from_f32(input[(p / v) * ldi * v + j * v + p % v].to_f32());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pl_tensor::Bf16;
 
     #[test]
     fn transpose_small() {
@@ -100,36 +60,5 @@ mod tests {
         assert_eq!(y[1], 3.0);
         assert_eq!(y[4], 2.0);
         assert_eq!(y[5], 4.0);
-    }
-
-    #[test]
-    fn vnni_pack_layout_v2() {
-        // k=4, n=2, v=2. Col-major input: col0=[a0,a1,a2,a3], col1=[b0..b3].
-        let x = vec![0.0f32, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0];
-        let mut y = vec![0.0f32; 8];
-        vnni_pack(4, 2, 2, &x, 4, &mut y, 2);
-        // Group 0 (rows 0-1): [a0,a1, b0,b1]; group 1 (rows 2-3): [a2,a3, b2,b3].
-        assert_eq!(y, vec![0.0, 1.0, 10.0, 11.0, 2.0, 3.0, 12.0, 13.0]);
-    }
-
-    #[test]
-    fn vnni_roundtrip_bf16() {
-        let (k, n, v) = (16, 6, 2);
-        let x: Vec<f32> = (0..k * n).map(|i| (i % 31) as f32 - 15.0).collect();
-        let mut packed = vec![Bf16::ZERO; k * n];
-        vnni_pack(k, n, v, &x, k, &mut packed, n);
-        let mut back = vec![0.0f32; k * n];
-        vnni_unpack(k, n, v, &packed, n, &mut back, k);
-        assert_eq!(x, back);
-    }
-
-    #[test]
-    fn vnni_v1_is_row_major() {
-        // With v=1 the packed layout [K][N][1] degenerates to row-major,
-        // i.e. the transpose of the column-major input.
-        let x = vec![1.0f32, 2.0, 3.0, 4.0];
-        let mut y = vec![0.0f32; 4];
-        vnni_pack(2, 2, 1, &x, 2, &mut y, 2);
-        assert_eq!(y, vec![1.0, 3.0, 2.0, 4.0]);
     }
 }

@@ -1,5 +1,5 @@
-//! Unary TPPs: `zero`, `copy`/identity, activations and their backward
-//! passes, and elementwise math over 2-D sub-tensors.
+//! Unary TPPs over 2-D sub-tensors: `zero` and the activations (with
+//! GELU's backward pass).
 //!
 //! Every operator takes column-major `(m, n, ldi, ldo)` views so it can act
 //! on a sub-tensor of a larger blocked tensor — the defining property of
@@ -38,26 +38,6 @@ pub fn zero<T: Element>(m: usize, n: usize, out: &mut [T], ldo: usize) {
     }
 }
 
-/// Identity/copy TPP, also performing dtype conversion when `TI != TO`.
-pub fn copy<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, |x| x);
-}
-
-/// Broadcast a scalar into an `m x n` view.
-pub fn fill<T: Element>(m: usize, n: usize, value: f32, out: &mut [T], ldo: usize) {
-    let v = T::from_f32(value);
-    for c in 0..n {
-        out[c * ldo..c * ldo + m].iter_mut().for_each(|o| *o = v);
-    }
-}
-
 /// ReLU forward (paper §III-A1).
 pub fn relu<TI: Element, TO: Element>(
     m: usize,
@@ -70,45 +50,6 @@ pub fn relu<TI: Element, TO: Element>(
     map2(m, n, input, ldi, out, ldo, |x| x.max(0.0));
 }
 
-/// ReLU forward that also records a 0/1 mask for the backward pass.
-pub fn relu_with_mask<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-    mask: &mut [u8],
-) {
-    debug_assert!(mask.len() >= m * n);
-    for c in 0..n {
-        for r in 0..m {
-            let x = input[c * ldi + r].to_f32();
-            let keep = x > 0.0;
-            mask[c * m + r] = keep as u8;
-            out[c * ldo + r] = TO::from_f32(if keep { x } else { 0.0 });
-        }
-    }
-}
-
-/// ReLU backward: `dx = dy * mask`.
-pub fn relu_backward<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    dy: &[TI],
-    ldi: usize,
-    dx: &mut [TO],
-    ldo: usize,
-    mask: &[u8],
-) {
-    for c in 0..n {
-        for r in 0..m {
-            let g = if mask[c * m + r] != 0 { dy[c * ldi + r].to_f32() } else { 0.0 };
-            dx[c * ldo + r] = TO::from_f32(g);
-        }
-    }
-}
-
 /// The tanh-based GELU approximation used throughout BERT-era models.
 #[inline(always)]
 pub fn gelu_scalar(x: f32) -> f32 {
@@ -118,7 +59,7 @@ pub fn gelu_scalar(x: f32) -> f32 {
 
 /// Derivative of [`gelu_scalar`].
 #[inline(always)]
-pub fn gelu_grad_scalar(x: f32) -> f32 {
+fn gelu_grad_scalar(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = SQRT_2_OVER_PI * (x + 0.044715 * x3);
@@ -158,91 +99,6 @@ pub fn gelu_backward<TI: Element, TG: Element, TO: Element>(
     }
 }
 
-/// Logistic sigmoid.
-pub fn sigmoid<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, |x| 1.0 / (1.0 + (-x).exp()));
-}
-
-/// Hyperbolic tangent.
-pub fn tanh<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, f32::tanh);
-}
-
-/// Elementwise exponential.
-pub fn exp<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, f32::exp);
-}
-
-/// Elementwise square.
-pub fn square<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, |x| x * x);
-}
-
-/// Elementwise square root.
-pub fn sqrt<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, f32::sqrt);
-}
-
-/// Elementwise reciprocal square root.
-pub fn rsqrt<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, |x| 1.0 / x.sqrt());
-}
-
-/// Multiply by a scalar.
-pub fn scale<TI: Element, TO: Element>(
-    m: usize,
-    n: usize,
-    alpha: f32,
-    input: &[TI],
-    ldi: usize,
-    out: &mut [TO],
-    ldo: usize,
-) {
-    map2(m, n, input, ldi, out, ldo, |x| alpha * x);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,10 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn copy_converts_precision() {
+    fn relu_converts_precision() {
         let src = colmajor(3, 3, |r, c| (r + 10 * c) as f32 + 0.25);
         let mut dst = vec![Bf16::ZERO; 9];
-        copy(3, 3, &src, 3, &mut dst, 3);
+        relu(3, 3, &src, 3, &mut dst, 3);
         // 0.25 is exactly representable in bf16 for these magnitudes.
         for i in 0..9 {
             assert_eq!(dst[i].to_f32(), src[i]);
@@ -288,21 +144,6 @@ mod tests {
         relu(4, 2, &src, 4, &mut dst, 4);
         for i in 0..8 {
             assert_eq!(dst[i], src[i].max(0.0));
-        }
-    }
-
-    #[test]
-    fn relu_mask_roundtrip() {
-        let src = colmajor(4, 4, |r, c| (r as f32 - 2.0) * (c as f32 - 1.5));
-        let mut out = vec![0.0f32; 16];
-        let mut mask = vec![0u8; 16];
-        relu_with_mask(4, 4, &src, 4, &mut out, 4, &mut mask);
-        // Backward of ones recovers the indicator.
-        let dy = vec![1.0f32; 16];
-        let mut dx = vec![0.0f32; 16];
-        relu_backward(4, 4, &dy, 4, &mut dx, 4, &mask);
-        for i in 0..16 {
-            assert_eq!(dx[i], if src[i] > 0.0 { 1.0 } else { 0.0 });
         }
     }
 
@@ -328,38 +169,10 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_tanh_exp_behave() {
-        let src = vec![0.0f32, 1.0, -1.0, 3.0];
-        let mut s = vec![0.0f32; 4];
-        sigmoid(4, 1, &src, 4, &mut s, 4);
-        assert!((s[0] - 0.5).abs() < 1e-6);
-        let mut t = vec![0.0f32; 4];
-        tanh(4, 1, &src, 4, &mut t, 4);
-        assert!((t[1] - 0.76159).abs() < 1e-4);
-        let mut e = vec![0.0f32; 4];
-        exp(4, 1, &src, 4, &mut e, 4);
-        assert!((e[2] - (-1.0f32).exp()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scale_and_square_and_sqrt() {
-        let src = vec![4.0f32, 9.0, 16.0];
-        let mut out = vec![0.0f32; 3];
-        scale(3, 1, 0.5, &src, 3, &mut out, 3);
-        assert_eq!(out, vec![2.0, 4.5, 8.0]);
-        square(3, 1, &src, 3, &mut out, 3);
-        assert_eq!(out, vec![16.0, 81.0, 256.0]);
-        sqrt(3, 1, &src, 3, &mut out, 3);
-        assert_eq!(out, vec![2.0, 3.0, 4.0]);
-        rsqrt(3, 1, &src, 3, &mut out, 3);
-        assert!((out[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn different_input_output_lds() {
         let src = colmajor(8, 2, |r, c| (r + c) as f32); // ld 8
         let mut dst = vec![0.0f32; 5 * 2]; // ld 5
-        copy(4, 2, &src, 8, &mut dst, 5);
+        relu(4, 2, &src, 8, &mut dst, 5);
         for c in 0..2 {
             for r in 0..4 {
                 assert_eq!(dst[c * 5 + r], (r + c) as f32);

@@ -25,7 +25,7 @@
 //!   guard from [`span`]. Spans are strictly nested per thread (guard
 //!   drop order), which is exactly what Chrome `B`/`E` events require.
 //! * `Complete` — a span recorded after the fact with an explicit
-//!   duration ([`complete`], [`complete_since`]); used when the start
+//!   duration ([`complete`]); used when the start
 //!   happened on another thread (queue wait: submit on a client
 //!   thread, measured at collect on the batcher thread).
 //! * `Instant` — a point marker ([`instant`]).
@@ -159,7 +159,8 @@ pub struct Span {
 
 impl Span {
     /// Whether this guard recorded a `Begin` (tracing was enabled).
-    pub fn armed(&self) -> bool {
+    #[cfg(test)]
+    fn armed(&self) -> bool {
         self.armed
     }
 }
@@ -199,18 +200,6 @@ pub fn complete(name: &'static str, ts_ns: u64, dur_ns: u64, args: [u64; 3]) {
     }
 }
 
-/// Records a complete span that started at `start` (an `Instant`
-/// captured on any thread — e.g. a request's enqueue time) and ends
-/// now. Translates the foreign `Instant` into the trace timebase.
-#[inline]
-pub fn complete_since(name: &'static str, start: Instant, args: [u64; 3]) {
-    if enabled() {
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        let end = now_ns();
-        record(EventKind::Complete, name, end.saturating_sub(dur_ns), dur_ns, args);
-    }
-}
-
 /// Copies every registered ring's resident events into one vector,
 /// sorted by timestamp (stable, so per-lane order — and therefore
 /// `Begin`/`End` nesting — survives ties). Runs concurrently with
@@ -246,11 +235,6 @@ pub fn total_dropped() -> u64 {
     RECORDER.lock().expect("trace recorder poisoned").iter().map(|r| r.dropped()).sum()
 }
 
-/// Total events ever recorded, summed over lanes.
-pub fn total_recorded() -> u64 {
-    RECORDER.lock().expect("trace recorder poisoned").iter().map(|r| r.recorded()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,6 +245,11 @@ mod tests {
     fn global_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Total events ever recorded, summed over lanes.
+    fn total_recorded() -> u64 {
+        RECORDER.lock().expect("trace recorder poisoned").iter().map(|r| r.recorded()).sum()
     }
 
     #[test]
@@ -274,7 +263,6 @@ mod tests {
         }
         instant("lib.disabled", [0; 3]);
         complete("lib.disabled", 0, 10, [0; 3]);
-        complete_since("lib.disabled", Instant::now(), [0; 3]);
         assert_eq!(total_recorded(), before);
         assert!(snapshot().iter().all(|e| e.name != "lib.disabled"));
     }
@@ -306,25 +294,6 @@ mod tests {
             ]
         );
         assert!(mine.iter().all(|e| e.lane == mine[0].lane));
-    }
-
-    #[test]
-    fn complete_since_lands_in_the_trace_timebase() {
-        let _g = global_lock();
-        enable();
-        let t0 = now_ns();
-        let start = Instant::now();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        complete_since("lib.wait", start, [0; 3]);
-        disable();
-        let events = snapshot_since(t0);
-        let e = events.iter().find(|e| e.name == "lib.wait").expect("complete recorded");
-        assert_eq!(e.kind, EventKind::Complete);
-        assert!(e.dur_ns >= 2_000_000, "slept 2 ms, dur {}", e.dur_ns);
-        // Start timestamp is on the shared timebase: at/after t0 and
-        // consistent with ts + dur == "now-ish".
-        assert!(e.ts_ns >= t0);
-        assert!(e.ts_ns + e.dur_ns <= now_ns());
     }
 
     #[test]

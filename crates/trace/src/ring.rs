@@ -117,11 +117,6 @@ impl Ring {
         self.slots.len()
     }
 
-    /// The recorder lane this ring writes as.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
     /// Total events ever recorded into this ring.
     pub fn recorded(&self) -> u64 {
         self.head.load(Ordering::Acquire)

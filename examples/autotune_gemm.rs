@@ -8,10 +8,9 @@
 //! ```
 
 use pl_autotuner::{
-    blocks_for_spec, tune_gemm_modeled, Constraints, DbEntry, GemmProblem, TuningDb,
+    blocks_for_spec, tune_gemm_modeled, Constraints, DbEntry, GemmProblem, Platform, TuningDb,
 };
 use pl_kernels::{Gemm, GemmShape, GemmTuning};
-use pl_perfmodel::Platform;
 use pl_runtime::global_pool;
 use pl_tensor::{fill_uniform, BlockedMatrix, DType, Xorshift};
 

@@ -1,9 +1,10 @@
 //! Integration of the auto-tuner with the performance model and the real
 //! kernels (the Fig. 1 / Fig. 6 workflow).
 
-use pl_autotuner::{blocks_for_spec, tune_gemm_modeled, Constraints, GemmProblem};
+use pl_autotuner::{
+    blocks_for_spec, tune_gemm_modeled, Constraints, GemmModelSpec, GemmProblem, Platform,
+};
 use pl_kernels::{Gemm, GemmShape, GemmTuning};
-use pl_perfmodel::{GemmModelSpec, Platform};
 use pl_runtime::ThreadPool;
 use pl_tensor::{fill_uniform, BlockedMatrix, DType, Xorshift};
 
