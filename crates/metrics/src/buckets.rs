@@ -8,8 +8,8 @@
 //! counters and zero locks), and cross-shard aggregation **sums raw
 //! buckets and recomputes** — never averages per-shard quantiles.
 //!
-//! [`crate::registry::Histogram`] (and through it `pl_serve::stats`) and
-//! [`crate::SloWindow`] delegate here.
+//! [`crate::registry::Histogram`] (and through it `pl_serve::stats`)
+//! delegates here.
 
 /// Index of the log2 bucket holding `value`, clamped to `n_buckets`.
 /// Bucket 0 holds `value < 1` (i.e. 0); bucket `i` holds

@@ -11,7 +11,7 @@
 //! On top of the registry sit three operator-facing primitives:
 //!
 //! - [`SloWindow`]: rolling per-second window tracking a latency target
-//!   (violation fraction → burn rate, windowed p99).
+//!   (violation fraction → burn rate).
 //! - [`Health`] / [`HealthTracker`]: the shard health state machine
 //!   (`Healthy | Degraded | Stalled`) with a hysteresis band
 //!   so a flapping shard does not oscillate in and out of placement.

@@ -1,19 +1,17 @@
 //! Rolling-window SLO tracking.
 //!
-//! An [`SloWindow`] holds a target p99 latency and a ring of per-second
-//! slots over the last N seconds; each slot counts observations, how
-//! many exceeded the target, and log2 latency buckets. From those it
-//! answers the two operator questions: *what fraction of recent
-//! requests violated the target* (expressed as a **burn rate** against
-//! a 1% error budget — burn ≥ 1.0 means the budget is being spent as
-//! fast as it accrues) and *what is the windowed p99 right now*.
+//! An [`SloWindow`] holds a latency target and a ring of per-second
+//! slots over the last N seconds; each slot counts observations and how
+//! many exceeded the target. From those it answers the operator
+//! question *what fraction of recent requests violated the target*,
+//! expressed as a **burn rate** against a 1% error budget — burn ≥ 1.0
+//! means the budget is being spent as fast as it accrues.
 //!
 //! Time is injectable: the serving hot path calls [`SloWindow::record`]
 //! (internal monotonic clock), tests call its private `record_at` /
 //! `burn_rate_at` twins with explicit milliseconds to drive the
 //! window deterministically.
 
-use crate::buckets::{bucket_of, merge_buckets, quantile_from_buckets};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -26,29 +24,13 @@ pub const ERROR_BUDGET: f64 = 0.01;
 /// over.
 pub const SLO_WINDOW_S: u64 = 60;
 
-const SLOT_BUCKETS: usize = 40;
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Which absolute second this slot currently holds (u64::MAX =
     /// never written).
     sec: u64,
     total: u64,
     over: u64,
-    buckets: Vec<u64>,
-}
-
-impl Slot {
-    fn empty() -> Self {
-        Slot { sec: u64::MAX, total: 0, over: 0, buckets: vec![0; SLOT_BUCKETS] }
-    }
-
-    fn reset_to(&mut self, sec: u64) {
-        self.sec = sec;
-        self.total = 0;
-        self.over = 0;
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-    }
 }
 
 /// A rolling per-second window tracking a latency target. Interior
@@ -58,27 +40,21 @@ impl Slot {
 #[derive(Debug)]
 pub struct SloWindow {
     target_us: u64,
-    window_s: u64,
     epoch: Instant,
+    /// One slot per second of the window.
     slots: Mutex<Vec<Slot>>,
 }
 
 impl SloWindow {
-    /// A window targeting `target_us` p99 over the last `window_s`
-    /// seconds (clamped to ≥ 1).
+    /// A window targeting `target_us` over the last `window_s` seconds
+    /// (clamped to ≥ 1).
     pub fn new(target_us: u64, window_s: u64) -> Self {
-        let window_s = window_s.max(1);
+        let empty = Slot { sec: u64::MAX, total: 0, over: 0 };
         SloWindow {
             target_us,
-            window_s,
             epoch: Instant::now(),
-            slots: Mutex::new(vec![Slot::empty(); window_s as usize]),
+            slots: Mutex::new(vec![empty; window_s.max(1) as usize]),
         }
-    }
-
-    /// The window length in seconds.
-    pub fn window_s(&self) -> u64 {
-        self.window_s
     }
 
     fn now_ms(&self) -> u64 {
@@ -95,34 +71,25 @@ impl SloWindow {
     fn record_at(&self, ms: u64, us: u64) {
         let sec = ms / 1000;
         let mut slots = self.slots.lock().unwrap();
-        let idx = (sec % self.window_s) as usize;
-        let slot = &mut slots[idx];
+        let n = slots.len() as u64;
+        let slot = &mut slots[(sec % n) as usize];
         if slot.sec != sec {
-            slot.reset_to(sec);
+            *slot = Slot { sec, total: 0, over: 0 };
         }
         slot.total += 1;
-        if us > self.target_us {
-            slot.over += 1;
-        }
-        slot.buckets[bucket_of(us, SLOT_BUCKETS)] += 1;
+        slot.over += u64::from(us > self.target_us);
     }
 
-    /// `(total, over_target, summed buckets)` across slots still inside
-    /// the window ending at `ms`.
-    fn window_at(&self, ms: u64) -> (u64, u64, Vec<u64>) {
+    /// `(total, over_target)` across slots still inside the window
+    /// ending at `ms`.
+    fn window_at(&self, ms: u64) -> (u64, u64) {
         let now_sec = ms / 1000;
-        let oldest = now_sec.saturating_sub(self.window_s - 1);
         let slots = self.slots.lock().unwrap();
-        let (mut total, mut over) = (0u64, 0u64);
-        let mut buckets = vec![0u64; SLOT_BUCKETS];
-        for slot in slots.iter() {
-            if slot.sec != u64::MAX && slot.sec >= oldest && slot.sec <= now_sec {
-                total += slot.total;
-                over += slot.over;
-                merge_buckets(&mut buckets, &slot.buckets);
-            }
-        }
-        (total, over, buckets)
+        let oldest = now_sec.saturating_sub(slots.len() as u64 - 1);
+        slots
+            .iter()
+            .filter(|slot| slot.sec != u64::MAX && slot.sec >= oldest && slot.sec <= now_sec)
+            .fold((0, 0), |(total, over), slot| (total + slot.total, over + slot.over))
     }
 
     /// Burn rate at explicit time `ms`: the windowed violation fraction
@@ -130,7 +97,7 @@ impl SloWindow {
     /// means the error budget is being consumed exactly as fast as it
     /// accrues; > 1.0 means the SLO is burning down.
     fn burn_rate_at(&self, ms: u64) -> f64 {
-        let (total, over, _) = self.window_at(ms);
+        let (total, over) = self.window_at(ms);
         if total == 0 {
             return 0.0;
         }
@@ -140,17 +107,6 @@ impl SloWindow {
     /// Burn rate at the internal clock's now.
     pub fn burn_rate(&self) -> f64 {
         self.burn_rate_at(self.now_ms())
-    }
-
-    /// Windowed p99 (upper-edge estimate, µs) at explicit time `ms`.
-    fn p99_at(&self, ms: u64) -> u64 {
-        let (_, _, buckets) = self.window_at(ms);
-        quantile_from_buckets(&buckets, 0.99)
-    }
-
-    /// Windowed p99 at the internal clock's now.
-    pub fn p99(&self) -> u64 {
-        self.p99_at(self.now_ms())
     }
 
     /// Windowed observation count at the internal clock's now.
@@ -167,7 +123,6 @@ mod tests {
     fn empty_window_burns_nothing() {
         let w = SloWindow::new(1000, 10);
         assert_eq!(w.burn_rate_at(0), 0.0);
-        assert_eq!(w.p99_at(0), 0);
     }
 
     #[test]
@@ -199,7 +154,6 @@ mod tests {
         // New traffic in the fresh window dominates.
         w.record_at(7000, 10);
         assert_eq!(w.burn_rate_at(7000), 0.0);
-        assert_eq!(w.p99_at(7000), 16); // bucket [8,16) upper edge
     }
 
     #[test]
@@ -207,18 +161,19 @@ mod tests {
         let w = SloWindow::new(1000, 2);
         w.record_at(0, 5000); // second 0 -> slot 0
         w.record_at(2000, 10); // second 2 -> same slot 0, must reset
-        let (total, over, _) = w.window_at(2500);
+        let (total, over) = w.window_at(2500);
         assert_eq!((total, over), (1, 0), "stale second-0 data must not leak");
     }
 
     #[test]
     fn windowed_p99_recomputes_from_summed_buckets() {
+        // The window sums its seconds: 99 observations in second 0 and
+        // one in second 1 are 100 in the window.
         let w = SloWindow::new(1_000_000, 10);
         for _ in 0..99 {
-            w.record_at(100, 3); // bucket [2,4)
+            w.record_at(100, 3);
         }
         w.record_at(1100, 1_000_000);
-        assert_eq!(w.p99_at(1500), 4);
         assert_eq!(w.observations_at_test(1500), 100);
     }
 

@@ -1,9 +1,8 @@
 //! The stall watchdog: detects a pump that has stopped making progress
 //! while work is queued.
 //!
-//! The contract mirrors the livelock class the serving layer's ticket
-//! interlock closed per-bug: if `pending > 0` and the batch counter has
-//! not advanced for `deadline`, something is wedged — report `Stalled`.
+//! The contract: if `pending > 0` and the batch counter has not advanced
+//! for `deadline`, something is wedged — report `Stalled`.
 //! An **idle** server (`pending == 0`) never fires, no matter how long
 //! it sits. Progress (the batch counter advancing) or going idle clears
 //! the stall.
@@ -49,11 +48,6 @@ impl Watchdog {
                 stalled: false,
             }),
         }
-    }
-
-    /// The configured deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
     }
 
     /// Feeds one observation at explicit time `now_ms`: current queue

@@ -237,10 +237,10 @@ impl Router {
     }
 
     /// Gracefully ends a session: its **own** accepted work is allowed to
-    /// finish first (a step still sitting in the shard's rings completes
+    /// finish first (a step still queued on the shard completes
     /// instead of erroring `UnknownSession`), then the session is closed
-    /// and its KV cache freed. Only this session's program-order tickets
-    /// are waited on ([`pl_serve::Server::session_idle`]) — peers' queued
+    /// and its KV cache freed. Only this session's own queued work is
+    /// waited on ([`pl_serve::Server::session_idle`]) — peers' queued
     /// work on the same shard is neither awaited nor, for an idle session,
     /// pumped — and a session checked out by an executing batch is
     /// handled by the shard itself (the close parks on the checked-out

@@ -7,15 +7,16 @@
 //!
 //! Architecture (see `crates/serve/README.md` for the full picture):
 //!
-//! * [`Session`] — one decode stream: a per-session KV cache
+//! * `Session` — one decode stream: a per-session KV cache
 //!   ([`pl_dnn::DecoderState`]) over the server's single shared weight
 //!   copy, with a prefill → step lifecycle.
-//! * [`DynamicBatcher`] — lock-light per-tenant submission rings
-//!   ([`BoundedQueue`], Vyukov-style atomic tickets in the spirit of
-//!   `pl_runtime::DynamicQueue`) plus round-robin batch formation.
-//! * [`Server`] — admission control (session caps, bounded rings =
-//!   backpressure), the batch execution path (one parallel region per
-//!   batch), and the blocking client API.
+//! * `SessionTable` (`batcher.rs`) — every live session with its queued
+//!   work in its own slot, under one mutex: admission (session cap,
+//!   per-tenant queue bound = backpressure), program order (one FIFO per
+//!   session, one item of a session per batch) and round-robin batch
+//!   formation with checkout, all one module's decision.
+//! * [`Server`] — execution (one parallel region per batch), reply
+//!   delivery, and the blocking client API.
 //! * [`ServerStats`] — the one telemetry plane: every serving fact is
 //!   recorded once into a `pl_metrics` registry; [`StatsSnapshot`] is the
 //!   typed view (throughput, p50/p99 step latency, batch-size
@@ -31,18 +32,14 @@
 //! is **bit-identical** to running it alone — at f32 and int8 — which the
 //! integration tests and `examples/serve_llm.rs` assert exactly.
 
-pub mod batcher;
-pub mod prefill;
-pub mod queue;
+mod batcher;
+mod prefill;
 pub mod server;
-pub mod session;
+mod session;
 pub mod stats;
 
-pub use batcher::{ChunkItem, DynamicBatcher, StepRequest, WorkItem};
-pub use prefill::PrefillJob;
-pub use queue::BoundedQueue;
 pub use server::{Server, ServerConfig, SessionExport};
-pub use session::{Session, SessionId, TenantId};
+pub use session::{SessionId, TenantId};
 pub use stats::{ServerStats, StatsSnapshot};
 // The health/SLO vocabulary servers speak — re-exported so consumers
 // (router, examples) need not depend on pl_metrics directly.
@@ -58,9 +55,10 @@ pub enum ServeError {
     UnknownSession(SessionId),
     /// The tenant index is outside `ServerConfig::tenants`.
     UnknownTenant(TenantId),
-    /// The tenant's submission ring is full — retry later (backpressure).
+    /// The tenant already has `ServerConfig::queue_capacity` work items
+    /// queued — retry later (backpressure).
     Backpressure {
-        /// The tenant whose ring rejected the request.
+        /// The tenant whose queue bound refused the request.
         tenant: TenantId,
     },
     /// The server-wide session cap is reached.
@@ -84,15 +82,6 @@ pub enum ServeError {
     },
     /// The server is shutting down.
     ShuttingDown,
-    /// The work item carried a program-order ticket the session has
-    /// already executed past. Possible only when the one-submitter-per-
-    /// session protocol was violated (two threads raced submits and a
-    /// backpressure rollback duplicated a ticket); rejected loudly
-    /// instead of deferred forever.
-    StaleTicket {
-        /// The session whose ticket was stale.
-        session: SessionId,
-    },
     /// The batch this request rode in failed while executing: a region
     /// member panicked (e.g. the shard's bounded KV page pool ran dry
     /// mid-forward). The batch's sessions are closed — their KV may be
@@ -129,9 +118,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "bad input: expected {expected} values, got {got}")
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
-            ServeError::StaleTicket { session } => {
-                write!(f, "stale program-order ticket for session {session} (duplicate submit?)")
-            }
             ServeError::BatchFailed { reason } => write!(f, "batch failed: {reason}"),
             ServeError::SessionBusy { session } => {
                 write!(f, "session {session} is checked out by an executing batch — retry")

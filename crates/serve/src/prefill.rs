@@ -3,9 +3,9 @@
 //! A prompt submitted through [`crate::Server::submit_prefill`] becomes one
 //! [`PrefillJob`]: the whole prompt plus its ladder-aligned chunk widths
 //! ([`pl_dnn::prefill_chunk_widths`]). The job itself never sits in a
-//! queue — *chunks* do ([`crate::batcher::WorkItem::PrefillChunk`]), one at
-//! a time: chunk `i + 1` is enqueued only after chunk `i` executed, so the
-//! KV cache always extends in prompt order while decode batches run in
+//! queue — *chunks* do, one at a time, in the session's FIFO: chunk `i + 1`
+//! goes back to the front of it only after chunk `i` executed, so the KV
+//! cache always extends in prompt order while decode batches run in
 //! between. Outputs accumulate here and the completion channel fires once
 //! with the full `hidden x tokens` result after the final chunk.
 //!
@@ -17,7 +17,6 @@
 //! all for a fully cached prompt, and the cached outputs stand in for the
 //! positions that were never forwarded.
 
-use crate::session::{SessionId, TenantId};
 use crate::StepResult;
 use pl_dnn::{prefill_chunk_widths, DecoderState, PrefixCache, PrefixHit};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -46,15 +45,7 @@ impl Plan {
 
 /// One in-flight chunked prefill: the prompt, its chunk plan, the
 /// accumulated outputs, and the completion channel.
-pub struct PrefillJob {
-    session: SessionId,
-    tenant: TenantId,
-    /// The session's program-order ticket for the **whole job** (drawn
-    /// from `Session::submit_seq`, like a decode step's
-    /// `StepRequest::seq`): every chunk checks out under this ticket and
-    /// the cursor advances only when the job finishes (or aborts), so
-    /// work pipelined behind the prefill cannot execute between chunks.
-    seq: u64,
+pub(crate) struct PrefillJob {
     hidden: usize,
     prompt: Vec<f32>,
     tokens: usize,
@@ -80,9 +71,6 @@ impl PrefillJob {
     /// it has none). Returns the job and the receiver its completion (or
     /// error) will be delivered on.
     pub fn new(
-        session: SessionId,
-        tenant: TenantId,
-        seq: u64,
         prompt: Vec<f32>,
         tokens: usize,
         chunk: usize,
@@ -90,9 +78,6 @@ impl PrefillJob {
     ) -> (Arc<Self>, Receiver<StepResult>) {
         let (tx, rx) = mpsc::channel();
         let job = PrefillJob {
-            session,
-            tenant,
-            seq,
             hidden: prompt.len() / tokens,
             out: Mutex::new(Vec::with_capacity(prompt.len())),
             prompt,
@@ -110,30 +95,10 @@ impl PrefillJob {
         self.suffix.get().unwrap_or(&self.whole)
     }
 
-    /// Target session.
-    pub fn session(&self) -> SessionId {
-        self.session
-    }
-
-    /// The job's program-order ticket (see the field docs).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Submitting tenant (selects the ring).
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
     /// Number of chunks this prefill executes as — 0 for a prompt whose
     /// every token was adopted from the prefix cache.
     pub fn chunks(&self) -> usize {
         self.plan().widths.len()
-    }
-
-    /// Total prompt tokens.
-    pub fn tokens(&self) -> usize {
-        self.tokens
     }
 
     /// Prompt tokens the session took from the prefix cache instead of
@@ -218,7 +183,7 @@ mod tests {
         prompt: Vec<f32>,
         chunk: usize,
     ) -> (Arc<PrefillJob>, Receiver<StepResult>) {
-        PrefillJob::new(7, 1, 5, prompt, tokens, chunk, PrefixHit::default())
+        PrefillJob::new(prompt, tokens, chunk, PrefixHit::default())
     }
 
     #[test]
@@ -227,11 +192,7 @@ mod tests {
         let tokens = 11;
         let prompt: Vec<f32> = (0..hidden * tokens).map(|i| i as f32).collect();
         let (job, rx) = uncached(tokens, prompt.clone(), 4);
-        assert_eq!(job.session(), 7);
-        assert_eq!(job.tenant(), 1);
-        assert_eq!(job.seq(), 5);
         assert_eq!(job.chunks(), 3);
-        assert_eq!(job.tokens(), tokens);
         assert_eq!(
             (0..job.chunks()).map(|i| job.chunk_tokens(i)).collect::<Vec<_>>(),
             vec![4, 4, 3]
@@ -277,7 +238,7 @@ mod tests {
 
         let job = |chunk| {
             let hit = cache.lookup(&prompt);
-            PrefillJob::new(1, 0, 0, prompt.clone(), tokens, chunk, hit).0
+            PrefillJob::new(prompt.clone(), tokens, chunk, hit).0
         };
         // A session with context refuses the prefix: the whole-prompt plan
         // stands and nothing counts as cached.

@@ -1,20 +1,21 @@
-//! The serving runtime: admission control, the batcher loop, and the
-//! request lifecycle.
+//! The serving runtime: the batch execution path, reply delivery, and the
+//! blocking client API over the session table (`batcher.rs`), which
+//! decides admission, program order and checkout.
 //!
 //! ## Continuous batching
 //!
-//! Decode steps and **prefill chunks** flow through the same
-//! [`DynamicBatcher`]. A prompt submitted via [`Server::submit_prefill`]
-//! is split into bounded, power-of-two-ladder-aligned chunks
-//! ([`pl_dnn::prefill_chunk_widths`] under [`ServerConfig::prefill_chunk`])
-//! and admitted one chunk at a time: each batch packs **at most one**
-//! prefill chunk next to its decode lanes, and a chunk's successor is
-//! enqueued only after it executed. A 2048-token prompt therefore
-//! interleaves with live decode traffic — decode steps complete between
-//! (and alongside) its chunks — instead of monopolizing the pool for the
-//! whole forward, and every chunk is visible to [`Server::in_flight`], so
-//! a graceful close and shutdown observe prefill work exactly like decode
-//! work.
+//! Decode steps and **prefill chunks** wait in the same per-session FIFOs
+//! and ride the same batches. A prompt submitted via
+//! [`Server::submit_prefill`] is split into bounded,
+//! power-of-two-ladder-aligned chunks ([`pl_dnn::prefill_chunk_widths`]
+//! under [`ServerConfig::prefill_chunk`]) and admitted one chunk at a
+//! time: each batch packs **at most one** prefill chunk next to its decode
+//! lanes, and a chunk's successor is queued only after it executed. A
+//! 2048-token prompt therefore interleaves with live decode traffic —
+//! decode steps complete between (and alongside) its chunks — instead of
+//! monopolizing the pool for the whole forward, and every chunk is visible
+//! to [`Server::in_flight`], so a graceful close and shutdown observe
+//! prefill work exactly like decode work.
 //! The blocking [`Server::prefill`] is a wrapper over this path; a prompt
 //! that fits in one chunk executes as a single forward and stays
 //! **bit-identical** to the pre-chunking inline prefill.
@@ -22,19 +23,17 @@
 //! ## The checked-out-session interlock
 //!
 //! Executing a batch *checks sessions out* of the table so the parallel
-//! region holds no lock while computing. A checked-out session leaves a
-//! `Slot::CheckedOut` marker behind rather than vanishing: concurrent
-//! submitters still resolve the tenant, a concurrent batch defers (rather
-//! than bounces) work for it, and — the part that closes a real race — a
-//! concurrent [`Server::close_session`] does not get `UnknownSession` for
-//! a live session. The close instead parks a completion channel in the
-//! marker and waits; when the executing batch checks the session back in
-//! it sees the parked closer, frees the session (KV cache and all) and
-//! hands over the generated-token count. Without the marker, a close
-//! racing the execution window failed spuriously and the batch then
-//! re-inserted the session as an untracked zombie.
+//! region holds no lock while computing. A checked-out session keeps its
+//! slot: concurrent submitters still queue work for it, and — the part
+//! that closes a real race — a concurrent [`Server::close_session`] does
+//! not get `UnknownSession` for a live session. The close instead parks a
+//! completion channel in the slot and waits; when the executing batch
+//! checks the session back in it sees the parked closer, frees the session
+//! (KV cache and all) and hands over the generated-token count. Without
+//! this interlock, a close racing the execution window failed spuriously and
+//! the batch then re-inserted the session as an untracked zombie.
 
-use crate::batcher::{ChunkItem, DynamicBatcher, StepRequest, WorkItem};
+use crate::batcher::{Batch, ChunkItem, Close, Refused, SessionTable, StepRequest, WorkItem};
 use crate::prefill::PrefillJob;
 use crate::session::{Session, SessionId, TenantId};
 use crate::stats::ServerStats;
@@ -44,20 +43,20 @@ use pl_dnn::{
 };
 use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};
 use pl_runtime::ThreadPool;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Serving runtime knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of tenants (rings) admitted.
+    /// Number of tenants admitted.
     pub tenants: usize,
     /// Upper bound on a batch (clamped to at least 1).
     pub max_batch: usize,
-    /// Per-tenant submission-ring capacity (the backpressure bound).
+    /// Per-tenant bound on queued work items (the backpressure bound;
+    /// clamped to at least 1).
     pub queue_capacity: usize,
     /// Concurrent-session cap across all tenants.
     pub max_sessions: usize,
@@ -116,8 +115,8 @@ impl Default for ServerConfig {
 }
 
 /// Longest the idle background batcher stays parked without a wake-up.
-/// `publish` and `shutdown` unpark it, so this only bounds how late it
-/// notices work a concurrent manual `pump` deferred.
+/// A submit and `shutdown` unpark it, so this only bounds how late it
+/// notices work a concurrent manual `pump` checked back in.
 const IDLE_PARK: Duration = Duration::from_millis(10);
 
 /// Capacity of the shard prefix cache, in prompt pages (each pins one KV
@@ -130,7 +129,7 @@ const PREFIX_CACHE_ENTRIES: usize = 64;
 /// counters. Produced by [`Server::export_session`].
 #[derive(Debug, Clone)]
 pub struct SessionExport {
-    /// Owning tenant — the importer places the session in the same ring.
+    /// Owning tenant — the importer admits the session under it.
     pub tenant: TenantId,
     /// Tokens decoded so far (carried so accounting survives the move).
     pub generated: u64,
@@ -138,59 +137,23 @@ pub struct SessionExport {
     pub kv: KvSnapshot,
 }
 
-/// A session-table slot: either the live session, or the marker left
-/// behind while an executing batch holds the session (see the module docs
-/// on the checked-out interlock).
-enum Slot {
-    /// Resident and claimable.
-    Live(Session),
-    /// Checked out by an executing batch/prefill chunk.
-    CheckedOut {
-        /// Owning tenant (submitters still need to resolve the ring).
-        tenant: TenantId,
-        /// The session's ticket dispenser (shared with the live
-        /// [`Session`]), so steps submitted during the window still draw
-        /// ordered tickets.
-        submit_seq: Arc<AtomicU64>,
-        /// Parked by a concurrent `close_session`: at check-in the session
-        /// is freed instead of re-inserted and the generated-token count
-        /// is sent here.
-        closer: Option<mpsc::Sender<u64>>,
-    },
-}
-
-/// One checked-out batch entry: the work item plus its claimed session.
-enum ReadyItem {
-    Decode(StepRequest, Session),
-    Chunk(ChunkItem, Session),
-}
-
-impl ReadyItem {
-    fn session_id(&self) -> SessionId {
-        match self {
-            ReadyItem::Decode(req, _) => req.session,
-            ReadyItem::Chunk(c, _) => c.job.session(),
-        }
-    }
-}
-
 struct ServerInner {
     model: Arc<DecoderModel>,
     pool: Arc<ThreadPool>,
     cfg: ServerConfig,
-    sessions: Mutex<HashMap<SessionId, Slot>>,
-    session_count: AtomicU64,
-    next_session: AtomicU64,
-    batcher: DynamicBatcher,
+    /// Every live session and its queued work (see `batcher.rs`).
+    table: Mutex<SessionTable>,
     /// The one telemetry plane: the metrics registry and every
     /// pre-created recording handle into it.
     stats: ServerStats,
+    /// Set once by [`Server::shutdown`]; read under the table lock by
+    /// every admission, so no work is queued after the final drain.
     shutdown: AtomicBool,
     /// Whether a background batcher thread is driving [`Server::pump`] —
     /// the blocking wrappers pump on the calling thread when it is not.
     running: AtomicBool,
     /// Accepted work items (decode steps *and* prefill chunks) not yet
-    /// retired — incremented before an item is published to the batcher,
+    /// retired — incremented in the critical section that queues an item,
     /// decremented at reply delivery ([`ServerInner::deliver`]); a
     /// non-final prefill chunk's unit is **carried over** to its
     /// successor (nothing is delivered for it), so accepted work is
@@ -212,7 +175,7 @@ struct ServerInner {
     /// Completed prompts' pages, for later prompts to adopt.
     prefix: PrefixCache,
     /// The background batcher's thread, set by that thread before its
-    /// first pump, so `publish` and `shutdown` can unpark it.
+    /// first pump, so a submit and `shutdown` can unpark it.
     batcher_waker: OnceLock<Thread>,
     /// Set by [`ServerInner::wake_batcher`], cleared as a park ends.
     wake_requested: AtomicBool,
@@ -222,6 +185,10 @@ struct ServerInner {
 }
 
 impl ServerInner {
+    fn table(&self) -> MutexGuard<'_, SessionTable> {
+        self.table.lock().expect("session table poisoned")
+    }
+
     /// Delivers a reply and retires its in-flight count. Every accepted
     /// item's terminal reply must go through here exactly once.
     fn deliver(&self, reply: &mpsc::Sender<StepResult>, result: StepResult) {
@@ -229,38 +196,24 @@ impl ServerInner {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Answers an accepted item with `err`; a decode step so answered is
-    /// a failed step (`pl_steps_failed_total`).
-    fn reject(&self, item: &WorkItem, err: ServeError) {
-        if let WorkItem::Decode(req) = item {
-            self.stats.tenants[req.tenant].failed.inc();
+    /// Answers queued work the table handed back; a decode step so
+    /// answered is a failed step (`pl_steps_failed_total`).
+    fn refuse(&self, refused: Vec<Refused>) {
+        for Refused { tenant, item, err } in refused {
+            if let WorkItem::Decode(_) = item {
+                self.stats.tenants[tenant].failed.inc();
+            }
+            self.deliver(item.reply(), Err(err));
         }
-        self.deliver(item.reply(), Err(err));
     }
 
     /// Unparks the background batcher, if one runs. Called after work is
-    /// published: `park`'s token makes a wake-up that lands before the
+    /// queued: `park`'s token makes a wake-up that lands before the
     /// batcher parks cut that park short, so none is lost.
     fn wake_batcher(&self) {
         if let Some(batcher) = self.batcher_waker.get() {
             self.wake_requested.store(true, Ordering::SeqCst);
             batcher.unpark();
-        }
-    }
-
-    /// Checks `sess` back into the table after its batch window. If a
-    /// closer parked on the slot meanwhile, the session is freed here and
-    /// the closer receives its generated-token count; otherwise the slot
-    /// goes back to [`Slot::Live`].
-    fn check_in(&self, sessions: &mut HashMap<SessionId, Slot>, id: SessionId, sess: Session) {
-        match sessions.remove(&id) {
-            Some(Slot::CheckedOut { closer: Some(done), .. }) => {
-                self.session_count.fetch_sub(1, Ordering::AcqRel);
-                let _ = done.send(sess.generated);
-            }
-            _ => {
-                sessions.insert(id, Slot::Live(sess));
-            }
         }
     }
 }
@@ -271,13 +224,9 @@ impl ServerInner {
 /// Lifecycle: [`Server::new`] → either [`Server::start`] (background
 /// batcher thread; clients call the blocking [`Server::step`] /
 /// [`Server::prefill`]) or manual [`Server::pump`] (tests,
-/// single-threaded drivers). Protocol: **one
-/// submitter per session** — a session's submits are issued from one
-/// thread at a time (pipelining several in-flight steps from that thread
-/// is fine; program-order tickets keep them ordered). The blocking API
-/// upholds this by construction; racing submits to one session from two
-/// threads can duplicate a ticket across a backpressure rollback, which
-/// batch checkout rejects with [`ServeError::StaleTicket`].
+/// single-threaded drivers). Any number of threads may submit to one
+/// session, and pipeline several items on it: its work runs one item at
+/// a time, in the order the submits were accepted.
 pub struct Server {
     inner: Arc<ServerInner>,
     batcher_thread: Option<JoinHandle<()>>,
@@ -297,7 +246,7 @@ impl Server {
             KvPagePool::new(model.config().hidden, page_tokens)
         };
         let inner = Arc::new(ServerInner {
-            batcher: DynamicBatcher::new(cfg.tenants, cfg.queue_capacity),
+            table: Mutex::new(SessionTable::new(cfg.tenants, cfg.queue_capacity, cfg.max_sessions)),
             prefix: PrefixCache::new(&kv_pool, PREFIX_CACHE_ENTRIES),
             kv_pool,
             batcher_waker: OnceLock::new(),
@@ -310,9 +259,6 @@ impl Server {
             model,
             pool,
             cfg,
-            sessions: Mutex::new(HashMap::new()),
-            session_count: AtomicU64::new(0),
-            next_session: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             running: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
@@ -386,7 +332,7 @@ impl Server {
 
     /// Live session count.
     pub fn session_count(&self) -> usize {
-        self.inner.session_count.load(Ordering::Relaxed) as usize
+        self.inner.table().len()
     }
 
     /// The server's configuration.
@@ -395,20 +341,18 @@ impl Server {
     }
 
     /// Work items queued but not yet executed — decode steps and prefill
-    /// chunks, across all tenant rings plus the deferred side-queue
-    /// (approximate — rings are concurrent). This is the queue-depth
-    /// signal a fronting router uses for least-loaded placement.
+    /// chunks, across every session. This is the queue-depth signal a
+    /// fronting router uses for least-loaded placement.
     pub fn pending(&self) -> usize {
-        self.inner.batcher.pending()
+        self.inner.table().pending()
     }
 
     /// Accepted work whose terminal reply has **not yet been delivered** —
-    /// decode steps and prefill chunks, queued in a ring *or* executing
-    /// inside a batch (where the session is checked out of the table and
-    /// [`Server::pending`] no longer sees it). The counter moves at
-    /// submit, at reply delivery, and across prefill chunk hand-offs
-    /// (successor enqueued before the completed chunk retires), so there
-    /// is no window where accepted work is invisible: this is the
+    /// decode steps and prefill chunks, queued *or* executing inside a
+    /// batch (where [`Server::pending`] no longer sees it). The counter
+    /// moves at submit, at reply delivery, and across prefill chunk
+    /// hand-offs (successor queued before the completed chunk retires),
+    /// so there is no window where accepted work is invisible: this is the
     /// quiescence signal for a graceful close (`pending() == 0` alone
     /// races the batch-execution window).
     pub fn in_flight(&self) -> usize {
@@ -424,24 +368,29 @@ impl Server {
     /// Admits a new session for `tenant`. Rejects when the session cap is
     /// reached or the tenant id is out of range.
     pub fn create_session(&self, tenant: TenantId) -> Result<SessionId, ServeError> {
-        if tenant >= self.inner.cfg.tenants {
-            return Err(ServeError::UnknownTenant(tenant));
-        }
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        // Optimistic admission: bump, then verify the cap.
-        let live = self.inner.session_count.fetch_add(1, Ordering::AcqRel) + 1;
-        if live as usize > self.inner.cfg.max_sessions {
-            self.inner.session_count.fetch_sub(1, Ordering::AcqRel);
-            self.inner.stats.tenants[tenant].rejected_sessions.inc();
-            return Err(ServeError::TooManySessions { limit: self.inner.cfg.max_sessions });
-        }
-        let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
         let state = self.inner.model.new_state_in(&self.inner.kv_pool, self.inner.cfg.kv_capacity);
-        let mut sessions = self.inner.sessions.lock().expect("session table poisoned");
-        sessions.insert(id, Slot::Live(Session::new(id, tenant, state)));
-        Ok(id)
+        self.admit(tenant, state, 0)
+    }
+
+    /// Session admission shared by [`Server::create_session`] and
+    /// [`Server::import_session`].
+    fn admit(
+        &self,
+        tenant: TenantId,
+        state: DecoderState,
+        generated: u64,
+    ) -> Result<SessionId, ServeError> {
+        let admitted = {
+            let mut table = self.inner.table();
+            if self.inner.shutdown.load(Ordering::Acquire) {
+                return Err(ServeError::ShuttingDown);
+            }
+            table.insert(tenant, state, generated)
+        };
+        if let Err(ServeError::TooManySessions { .. }) = admitted {
+            self.inner.stats.tenants[tenant].rejected_sessions.inc();
+        }
+        admitted
     }
 
     /// The shard's shared KV page pool — paged-KV observability: resident
@@ -459,18 +408,12 @@ impl Server {
     /// elsewhere ([`Server::import_session`]). Fails with
     /// [`ServeError::SessionBusy`] while an executing batch holds the
     /// session checked out (retry — the window is one batch execution);
-    /// callers should quiesce the shard first so no queued work is
-    /// orphaned (work submitted after the export errors
-    /// `UnknownSession`, exactly like work after a close).
+    /// callers should quiesce the shard first: work still queued for the
+    /// session errors `UnknownSession`, exactly like work queued at a
+    /// close.
     pub fn export_session(&self, id: SessionId) -> Result<SessionExport, ServeError> {
-        let mut sessions = self.inner.sessions.lock().expect("session table poisoned");
-        match sessions.get(&id) {
-            None => return Err(ServeError::UnknownSession(id)),
-            Some(Slot::CheckedOut { .. }) => return Err(ServeError::SessionBusy { session: id }),
-            Some(Slot::Live(_)) => {}
-        }
-        let Some(Slot::Live(sess)) = sessions.remove(&id) else { unreachable!() };
-        self.inner.session_count.fetch_sub(1, Ordering::AcqRel);
+        let (sess, refused) = self.inner.table().take(id)?;
+        self.inner.refuse(refused);
         Ok(SessionExport {
             tenant: sess.tenant,
             generated: sess.generated,
@@ -478,22 +421,16 @@ impl Server {
         })
     }
 
-    /// Admits an exported session on this shard: same admission checks as
-    /// [`Server::create_session`], then the KV snapshot is rehydrated
-    /// into this shard's page pool — decoding continues bit-identically
-    /// from where the source shard stopped. Returns the session's **new**
-    /// id (ids are shard-local; the router rebinds its global id).
-    /// Counts toward `pl_sessions_imported_total`. A snapshot of another model's
-    /// geometry (a `KvSnapshot::from_bytes` off the wire is outside
-    /// input) fails with [`ServeError::BadInput`] on its hidden width,
-    /// then on its layer count, before anything is admitted.
+    /// Admits an exported session on this shard: the KV snapshot is
+    /// rehydrated into this shard's page pool, then the same admission
+    /// checks as [`Server::create_session`] apply — decoding continues
+    /// bit-identically from where the source shard stopped. Returns the
+    /// session's **new** id (ids are shard-local; the router rebinds its
+    /// global id). Counts toward `pl_sessions_imported_total`. A snapshot
+    /// of another model's geometry (a `KvSnapshot::from_bytes` off the
+    /// wire is outside input) fails with [`ServeError::BadInput`] on its
+    /// hidden width, then on its layer count, before anything is admitted.
     pub fn import_session(&self, export: &SessionExport) -> Result<SessionId, ServeError> {
-        if export.tenant >= self.inner.cfg.tenants {
-            return Err(ServeError::UnknownTenant(export.tenant));
-        }
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
         let cfg = self.inner.model.config();
         for (expected, got) in
             [(cfg.hidden, export.kv.hidden()), (cfg.layers, export.kv.layer_count())]
@@ -502,40 +439,23 @@ impl Server {
                 return Err(ServeError::BadInput { expected, got });
             }
         }
-        let live = self.inner.session_count.fetch_add(1, Ordering::AcqRel) + 1;
-        if live as usize > self.inner.cfg.max_sessions {
-            self.inner.session_count.fetch_sub(1, Ordering::AcqRel);
-            self.inner.stats.tenants[export.tenant].rejected_sessions.inc();
-            return Err(ServeError::TooManySessions { limit: self.inner.cfg.max_sessions });
-        }
-        let state = match self.inner.model.state_from_snapshot(&self.inner.kv_pool, &export.kv) {
-            Ok(state) => state,
-            Err(_) => {
-                self.inner.session_count.fetch_sub(1, Ordering::AcqRel);
-                return Err(ServeError::KvExhausted {
-                    context: export.kv.len(),
-                    capacity: export.kv.capacity(),
-                });
-            }
-        };
-        let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed);
-        let mut sess = Session::new(id, export.tenant, state);
-        sess.generated = export.generated;
-        self.inner.sessions.lock().expect("session table poisoned").insert(id, Slot::Live(sess));
+        let state = self.inner.model.state_from_snapshot(&self.inner.kv_pool, &export.kv).map_err(
+            |_| ServeError::KvExhausted {
+                context: export.kv.len(),
+                capacity: export.kv.capacity(),
+            },
+        )?;
+        let id = self.admit(export.tenant, state, export.generated)?;
         self.inner.stats.sessions_imported.inc();
         Ok(id)
     }
 
     /// Whether session `id` has no accepted work outstanding: it is
-    /// resident (not checked out by an executing batch) and every
-    /// program-order ticket it drew has executed. What a graceful close
-    /// waits on — this session's own work, not the shard's.
+    /// resident (not checked out by an executing batch) with nothing
+    /// queued. What a graceful close waits on — this session's own work,
+    /// not the shard's.
     pub fn session_idle(&self, id: SessionId) -> Result<bool, ServeError> {
-        match self.inner.sessions.lock().expect("session table poisoned").get(&id) {
-            None => Err(ServeError::UnknownSession(id)),
-            Some(Slot::Live(sess)) => Ok(sess.submit_seq.load(Ordering::Acquire) == sess.exec_seq),
-            Some(Slot::CheckedOut { .. }) => Ok(false),
-        }
+        self.inner.table().idle(id)
     }
 
     /// Ends a session, freeing its KV cache. Returns how many tokens it
@@ -547,40 +467,26 @@ impl Server {
     /// the batch to check the session back in (microseconds — one batch
     /// execution), at which point the session is freed on the batcher's
     /// side and the token count handed over. Work still queued for the
-    /// session afterwards errors `UnknownSession` through its reply
-    /// channel, exactly as if the close had happened first.
+    /// session is answered `UnknownSession` through its reply channel.
     pub fn close_session(&self, id: SessionId) -> Result<u64, ServeError> {
-        let done = {
-            let mut sessions = self.inner.sessions.lock().expect("session table poisoned");
-            match sessions.get_mut(&id) {
-                None => return Err(ServeError::UnknownSession(id)),
-                Some(Slot::Live(_)) => {
-                    let Some(Slot::Live(sess)) = sessions.remove(&id) else { unreachable!() };
-                    self.inner.session_count.fetch_sub(1, Ordering::AcqRel);
-                    return Ok(sess.generated);
-                }
-                Some(Slot::CheckedOut { closer, .. }) => {
-                    if closer.is_some() {
-                        // A concurrent close already parked; first one wins.
-                        return Err(ServeError::UnknownSession(id));
-                    }
-                    let (tx, rx) = mpsc::channel();
-                    *closer = Some(tx);
-                    rx
-                }
+        let close = self.inner.table().close(id)?;
+        match close {
+            Close::Now(generated, refused) => {
+                self.inner.refuse(refused);
+                Ok(generated)
             }
-        };
-        done.recv().map_err(|_| ServeError::UnknownSession(id))
+            Close::AtCheckIn(done) => done.recv().map_err(|_| ServeError::UnknownSession(id)),
+        }
     }
 
     /// Submits a prefill without blocking: the prompt (`hidden x tokens`,
     /// column-major) is split into ladder-aligned chunks of at most
-    /// [`ServerConfig::prefill_chunk`] tokens and admitted through the
-    /// batcher one chunk at a time, interleaving with decode traffic. The
-    /// full `hidden x tokens` output arrives on the returned channel once
-    /// the final chunk executes (or the error that aborted the prefill —
-    /// e.g. the session was closed mid-prefill). Every chunk counts
-    /// toward [`Server::in_flight`] from submission to completion.
+    /// [`ServerConfig::prefill_chunk`] tokens and admitted one chunk at a
+    /// time, interleaving with decode traffic. The full `hidden x tokens`
+    /// output arrives on the returned channel once the final chunk
+    /// executes (or the error that aborted the prefill — e.g. the session
+    /// was closed mid-prefill). Every chunk counts toward
+    /// [`Server::in_flight`] from submission to completion.
     ///
     /// With [`ServerConfig::share_prefix`] the prompt is first looked up
     /// in the shard's [`PrefixCache`]: if its leading pages are cached and
@@ -594,14 +500,10 @@ impl Server {
         x: &[f32],
         tokens: usize,
     ) -> Result<mpsc::Receiver<StepResult>, ServeError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
         let hidden = self.inner.model.config().hidden;
         if x.len() != hidden * tokens || tokens == 0 {
             return Err(ServeError::BadInput { expected: hidden * tokens.max(1), got: x.len() });
         }
-        let (tenant, tickets) = self.admit(id, tokens)?;
         // Hash the prompt's pages once, here on the caller's thread with
         // no server lock held, and find its cached leading pages; the job
         // carries the result to chunk-0 checkout (adoption) and to
@@ -612,111 +514,10 @@ impl Server {
         } else {
             PrefixHit::default()
         };
-        // The whole job draws ONE program-order ticket: its chunks check
-        // out under it and the cursor advances only when the job finishes,
-        // so a decode step pipelined behind the prefill waits for every
-        // chunk instead of slipping in between two of them.
-        let seq = tickets.fetch_add(1, Ordering::AcqRel);
-        let (job, rx) =
-            PrefillJob::new(id, tenant, seq, x.to_vec(), tokens, self.inner.cfg.prefill_chunk, hit);
+        let (job, rx) = PrefillJob::new(x.to_vec(), tokens, self.inner.cfg.prefill_chunk, hit);
         let item = WorkItem::PrefillChunk(ChunkItem { job, chunk: 0, enqueued: Instant::now() });
-        self.publish(&tickets, item)?;
+        self.enqueue(id, tokens, item)?;
         Ok(rx)
-    }
-
-    /// Shared admission lookup for [`Server::submit_step`] and
-    /// [`Server::submit_prefill`]: resolves the session's tenant and
-    /// program-order ticket dispenser. A `Live` session is validated for
-    /// `need` tokens of KV capacity (decode passes 0 — its one token is
-    /// checked at batch checkout, preserving the delivered-error path). A
-    /// `CheckedOut` session is still live — the marker shares the ticket
-    /// dispenser — but its state is with the executing batch, so the
-    /// capacity check is deferred to checkout, which validates a
-    /// prefill's **whole remaining prompt** atomically: an oversized
-    /// prompt is rejected before any token appends, never leaving a
-    /// partial prefill behind.
-    fn admit(&self, id: SessionId, need: usize) -> Result<(TenantId, Arc<AtomicU64>), ServeError> {
-        let sessions = self.inner.sessions.lock().expect("session table poisoned");
-        match sessions.get(&id) {
-            None => Err(ServeError::UnknownSession(id)),
-            Some(Slot::Live(sess)) => {
-                if !sess.fits(need) {
-                    return Err(ServeError::KvExhausted {
-                        context: sess.context_len(),
-                        capacity: self.inner.cfg.kv_capacity,
-                    });
-                }
-                Ok((sess.tenant, Arc::clone(&sess.submit_seq)))
-            }
-            Some(Slot::CheckedOut { tenant, submit_seq, .. }) => {
-                Ok((*tenant, Arc::clone(submit_seq)))
-            }
-        }
-    }
-
-    /// Shared publication tail for admitted work: counts the item
-    /// in-flight **before** the ring push (a concurrent batcher may
-    /// execute and deliver it — retiring the count — at any moment;
-    /// incrementing afterwards could transiently wrap the counter below
-    /// zero), closes the check-then-push race with `shutdown()` (if the
-    /// flag flipped while enqueueing, the batcher and shutdown's drain may
-    /// already be gone — bounce whatever is pending so no caller blocks
-    /// forever), and on a full ring rolls back the drawn ticket and the
-    /// in-flight unit. The ticket rollback is safe under the documented
-    /// **one-submitter-per-session** protocol: the same thread observes
-    /// the backpressure error before its next submit, so no later ticket
-    /// for this session can have been drawn concurrently. If the protocol
-    /// is violated and the rollback duplicates a published ticket, batch
-    /// checkout rejects the duplicate with [`ServeError::StaleTicket`]
-    /// rather than deferring it forever.
-    fn publish(&self, tickets: &AtomicU64, item: WorkItem) -> Result<(), ServeError> {
-        self.inner.in_flight.fetch_add(1, Ordering::AcqRel);
-        match self.inner.batcher.submit(item) {
-            Ok(()) => {
-                if self.inner.shutdown.load(Ordering::Acquire) {
-                    self.bounce_pending();
-                }
-                self.inner.wake_batcher();
-                Ok(())
-            }
-            Err(item) => {
-                tickets.fetch_sub(1, Ordering::AcqRel);
-                self.inner.in_flight.fetch_sub(1, Ordering::AcqRel);
-                self.inner.stats.tenants[item.tenant()].rejected_backpressure.inc();
-                Err(ServeError::Backpressure { tenant: item.tenant() })
-            }
-        }
-    }
-
-    /// Blocking whole-prompt prefill (`hidden x tokens`, column-major) for
-    /// `id`: a wrapper over the chunked [`Server::submit_prefill`] path.
-    /// With a background batcher ([`Server::start`]) the call simply waits
-    /// for completion while the chunks interleave with other traffic; in
-    /// manual-drive mode it pumps on the calling thread until its own
-    /// chunks (and whatever decode work shares their batches) have
-    /// executed. A prompt of at most [`ServerConfig::prefill_chunk`]
-    /// tokens runs as a single chunk and is bit-identical to an unchunked
-    /// forward.
-    pub fn prefill(&self, id: SessionId, x: &[f32], tokens: usize) -> Result<Vec<f32>, ServeError> {
-        let rx = self.submit_prefill(id, x, tokens)?;
-        loop {
-            match rx.try_recv() {
-                Ok(res) => return res,
-                Err(mpsc::TryRecvError::Disconnected) => return Err(ServeError::ShuttingDown),
-                Err(mpsc::TryRecvError::Empty) => {
-                    if self.inner.running.load(Ordering::Acquire) {
-                        // A background batcher owns execution; just wait.
-                        return match rx.recv() {
-                            Ok(res) => res,
-                            Err(_) => Err(ServeError::ShuttingDown),
-                        };
-                    }
-                    if self.pump() == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
     }
 
     /// Submits one decode step without blocking; the result arrives on the
@@ -726,230 +527,141 @@ impl Server {
         id: SessionId,
         x: &[f32],
     ) -> Result<mpsc::Receiver<StepResult>, ServeError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
         let hidden = self.inner.model.config().hidden;
         if x.len() != hidden {
             return Err(ServeError::BadInput { expected: hidden, got: x.len() });
         }
-        let (tenant, tickets) = self.admit(id, 0)?;
-        let (tx, rx) = mpsc::channel();
-        // Draw the program-order ticket: batch checkout executes this
-        // session's steps strictly in ticket order, so concurrent pumps
-        // cannot reorder a pipelined stream.
-        let seq = tickets.fetch_add(1, Ordering::AcqRel);
-        let req = StepRequest {
-            session: id,
-            tenant,
-            seq,
-            x: x.to_vec(),
-            enqueued: Instant::now(),
-            reply: tx,
-        };
-        self.publish(&tickets, WorkItem::Decode(req))?;
+        let (reply, rx) = mpsc::channel();
+        let req = StepRequest { x: x.to_vec(), enqueued: Instant::now(), reply };
+        let tenant = self.enqueue(id, 0, WorkItem::Decode(req))?;
         self.inner.stats.tenants[tenant].submitted.inc();
         Ok(rx)
     }
 
-    /// Drains the submission rings and the deferred side-queue, replying
-    /// `ShuttingDown` to every queued item (a prefill job's completion
-    /// channel receives the bounce of whichever chunk was pending).
-    fn bounce_pending(&self) {
-        loop {
-            let left = self.inner.batcher.collect(usize::MAX);
-            if left.is_empty() {
-                break;
+    /// Queues `item` on session `id` in one critical section — the
+    /// shutdown check, the table's admission (`need` tokens of KV capacity
+    /// for a resident session, the tenant's queue bound) and the in-flight
+    /// count — and wakes the batcher. Returns the session's tenant.
+    fn enqueue(&self, id: SessionId, need: usize, item: WorkItem) -> Result<TenantId, ServeError> {
+        let inner = &self.inner;
+        let queued = {
+            let mut table = inner.table();
+            if inner.shutdown.load(Ordering::Acquire) {
+                return Err(ServeError::ShuttingDown);
             }
-            for item in left {
-                self.inner.reject(&item, ServeError::ShuttingDown);
+            let queued = table.submit(id, need, item);
+            if queued.is_ok() {
+                inner.in_flight.fetch_add(1, Ordering::AcqRel);
             }
+            queued
+        };
+        match queued {
+            Ok(_) => inner.wake_batcher(),
+            Err(ServeError::Backpressure { tenant }) => {
+                inner.stats.tenants[tenant].rejected_backpressure.inc();
+            }
+            Err(_) => {}
         }
+        queued
     }
 
-    /// Blocking decode step: submit, then wait for the batcher. Requires
-    /// [`Server::start`] (or a concurrent [`Server::pump`] driver).
+    /// Blocking whole-prompt prefill (`hidden x tokens`, column-major) for
+    /// `id`: the chunked [`Server::submit_prefill`] path, then a wait
+    /// for the reply — a plain wait with a background batcher
+    /// ([`Server::start`]), else pumping on the calling thread until the
+    /// reply arrives. A prompt of at most
+    /// [`ServerConfig::prefill_chunk`] tokens runs as a single chunk and
+    /// is bit-identical to an unchunked forward.
+    pub fn prefill(&self, id: SessionId, x: &[f32], tokens: usize) -> Result<Vec<f32>, ServeError> {
+        self.wait(self.submit_prefill(id, x, tokens)?)
+    }
+
+    /// Blocking decode step: [`Server::submit_step`], then the same wait
+    /// as [`Server::prefill`] — so it also completes in manual-drive
+    /// mode, pumping on the calling thread.
     pub fn step(&self, id: SessionId, x: &[f32]) -> Result<Vec<f32>, ServeError> {
-        let rx = self.submit_step(id, x)?;
-        match rx.recv() {
-            Ok(res) => res,
-            Err(_) => Err(ServeError::ShuttingDown),
+        self.wait(self.submit_step(id, x)?)
+    }
+
+    /// Waits for the reply on `rx`. With a background batcher
+    /// ([`Server::start`]) the call simply blocks; in manual-drive mode it
+    /// pumps on the calling thread until the reply arrives (its own work
+    /// and whatever shares its batches executes here).
+    fn wait(&self, rx: mpsc::Receiver<StepResult>) -> StepResult {
+        loop {
+            if self.inner.running.load(Ordering::Acquire) {
+                return rx.recv().unwrap_or(Err(ServeError::ShuttingDown));
+            }
+            match rx.try_recv() {
+                Ok(res) => return res,
+                Err(mpsc::TryRecvError::Disconnected) => return Err(ServeError::ShuttingDown),
+                Err(mpsc::TryRecvError::Empty) => {
+                    if self.pump() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            }
         }
     }
 
     /// Collects and executes one batch on the calling thread: whatever is
-    /// queued right now, up to [`ServerConfig::max_batch`] — work arriving
-    /// while it executes forms the next batch. Returns how
-    /// many work items it finished with — the executed batch size, plus
-    /// prefills answered entirely from the prefix cache (0 when nothing
-    /// was pending or everything collected had to wait). This is the same
-    /// code path the background batcher runs; it is safe to call from
-    /// several threads concurrently (work for a session another pump holds
-    /// checked out is deferred, not lost or double-executed).
+    /// queued right now, up to [`ServerConfig::max_batch`] items, one per
+    /// session — work arriving while it executes forms the next batch.
+    /// Returns how many work items it finished with — the executed batch
+    /// size, plus prefills answered entirely from the prefix cache (0 when
+    /// nothing was runnable). This is the same code path the background
+    /// batcher runs; it is safe to call from several threads concurrently
+    /// (a session one pump holds checked out is not runnable for another).
     pub fn pump(&self) -> usize {
-        let batch = self.inner.batcher.collect(self.inner.cfg.max_batch);
-        if batch.is_empty() {
-            return 0;
-        }
-        self.run_batch(batch)
-    }
-
-    /// Executes `batch` in one parallel region and delivers replies. At
-    /// most one prefill chunk rides per batch, next to the decode lanes;
-    /// surplus chunks, duplicate-session items and items whose session is
-    /// checked out by a concurrent batch are deferred (FIFO, ahead of the
-    /// rings) to the next batch in program order.
-    fn run_batch(&self, batch: Vec<WorkItem>) -> usize {
         let inner = &self.inner;
+        let checkout_ns = pl_trace::now_ns();
+        let Batch { mut ready, cached, refused } = inner.table().collect(inner.cfg.max_batch);
         // The collect boundary for the queue-wait/execute latency split:
         // submit→here is queue wait, here→reply is execute.
         let collected = Instant::now();
-        // Phase 1 — checkout: pull the target sessions out of the table so
-        // the region holds no lock while computing, leaving CheckedOut
-        // markers behind (see the module docs).
-        let checkout_span = pl_trace::span("batch.checkout", [batch.len() as u64, 0, 0]);
-        let mut ready: Vec<ReadyItem> = Vec::with_capacity(batch.len());
-        let mut cached: Vec<Arc<PrefillJob>> = Vec::new();
-        let mut has_chunk = false;
-        {
-            let mut sessions = inner.sessions.lock().expect("session table poisoned");
-            for item in batch {
-                let sid = item.session();
-                let second_chunk = has_chunk && matches!(item, WorkItem::PrefillChunk(_));
-                if second_chunk || ready.iter().any(|r| r.session_id() == sid) {
-                    inner.batcher.defer(item);
-                    continue;
-                }
-                match sessions.get_mut(&sid) {
-                    None => inner.reject(&item, ServeError::UnknownSession(sid)),
-                    Some(Slot::CheckedOut { .. }) => {
-                        // A concurrent pump's batch holds this session;
-                        // replay the item next batch, in program order.
-                        inner.batcher.defer(item);
-                    }
-                    Some(slot) => {
-                        let Slot::Live(sess) = &mut *slot else { unreachable!() };
-                        // Program-order guard: a concurrent pump may have
-                        // collected a *later* pipelined item of this
-                        // session and reached checkout first — and a
-                        // decode step queued behind a multi-chunk prefill
-                        // replays through the side-queue ahead of the
-                        // prefill's continuation chunks. Only the item
-                        // holding the session's next ticket runs (every
-                        // chunk of a prefill job carries the job's one
-                        // ticket); later tickets are deferred.
-                        let item_seq = match &item {
-                            WorkItem::Decode(req) => req.seq,
-                            WorkItem::PrefillChunk(c) => c.job.seq(),
-                        };
-                        if item_seq > sess.exec_seq {
-                            inner.batcher.defer(item);
-                            continue;
-                        }
-                        if item_seq < sess.exec_seq {
-                            // A ticket behind the cursor can only be a
-                            // duplicate: every legitimate ticket advances
-                            // `exec_seq` exactly once when it executes or
-                            // errors. Duplicates arise when the one-
-                            // submitter-per-session protocol is violated
-                            // (a backpressure rollback raced another
-                            // submit's draw). Deferring would replay it
-                            // forever — a silent livelock where the caller
-                            // hangs and `in_flight` never drains; reject
-                            // it loudly instead.
-                            inner.reject(&item, ServeError::StaleTicket { session: sid });
-                            continue;
-                        }
-                        // Capacity: a decode step needs one token; a
-                        // prefill chunk is validated against the job's
-                        // **whole remaining prompt**, so an oversized
-                        // prefill (admitted while the session was checked
-                        // out and unverifiable) fails atomically at its
-                        // first chunk instead of leaving a partial prompt
-                        // in the KV cache.
-                        let need = match &item {
-                            WorkItem::Decode(_) => 1,
-                            WorkItem::PrefillChunk(c) => c.job.remaining_tokens(c.chunk),
-                        };
-                        if !sess.fits(need) {
-                            let err = ServeError::KvExhausted {
-                                context: sess.context_len(),
-                                capacity: inner.cfg.kv_capacity,
-                            };
-                            // The errored step — or aborted prefill job —
-                            // consumed its ticket; advance the cursor so
-                            // later pipelined items are not deferred
-                            // forever.
-                            sess.exec_seq += 1;
-                            inner.reject(&item, err);
-                            continue;
-                        }
-                        if let WorkItem::PrefillChunk(ChunkItem { job, chunk: 0, .. }) = &item {
-                            // The session is in hand and its ticket is up:
-                            // the one moment the cached prefix the job
-                            // found at submission can be adopted (only
-                            // into an empty, resident session — anything
-                            // else runs the whole-prompt plan).
-                            let adopted = job.adopt(&mut sess.state);
-                            inner.stats.tenants[sess.tenant].prefix_hit_tokens.add(adopted as u64);
-                            if job.chunks() == 0 {
-                                // Every token came from the cache: nothing
-                                // to forward, so the session never leaves
-                                // the table. The reply goes out once the
-                                // lock is released.
-                                sess.exec_seq += 1;
-                                cached.push(Arc::clone(job));
-                                continue;
-                            }
-                        }
-                        let marker = Slot::CheckedOut {
-                            tenant: sess.tenant,
-                            submit_seq: Arc::clone(&sess.submit_seq),
-                            closer: None,
-                        };
-                        let Slot::Live(sess) = std::mem::replace(slot, marker) else {
-                            unreachable!()
-                        };
-                        ready.push(match item {
-                            WorkItem::Decode(req) => ReadyItem::Decode(req, sess),
-                            WorkItem::PrefillChunk(c) => {
-                                has_chunk = true;
-                                ReadyItem::Chunk(c, sess)
-                            }
-                        });
-                    }
-                }
-            }
+        if !ready.is_empty() {
+            let dur = pl_trace::now_ns().saturating_sub(checkout_ns);
+            pl_trace::complete("batch.checkout", checkout_ns, dur, [ready.len() as u64, 0, 0]);
         }
-        drop(checkout_span);
+        inner.refuse(refused);
         let from_cache = cached.len();
-        for job in cached {
-            inner.stats.tenants[job.tenant()].prefills.inc();
+        for (tenant, job) in cached {
+            let tm = &inner.stats.tenants[tenant];
+            tm.prefix_hit_tokens.add(job.cached_tokens() as u64);
+            tm.prefills.inc();
             inner.deliver(job.reply(), Ok(job.take_output()));
         }
         if ready.is_empty() {
             return from_cache;
         }
         let size = ready.len();
+        let has_chunk = ready.iter().any(|(item, _)| matches!(item, WorkItem::PrefillChunk(_)));
         let decode_lanes = size - usize::from(has_chunk);
 
-        // Phase 2 — execute, no lock held: decode lanes and the chunk are
-        // one ragged batch, one parallel region, sharing every projection.
-        let width: usize = ready
-            .iter()
-            .map(|r| match r {
-                ReadyItem::Decode(..) => 1,
-                ReadyItem::Chunk(c, _) => c.job.chunk_tokens(c.chunk),
-            })
-            .sum();
+        // Execute, no lock held: decode lanes and the chunk are one ragged
+        // batch, one parallel region, sharing every projection.
+        let mut width = 0;
+        for (item, sess) in &ready {
+            width += match item {
+                WorkItem::Decode(_) => 1,
+                WorkItem::PrefillChunk(c) => {
+                    if c.chunk == 0 {
+                        // What chunk-0 checkout adopted from the prefix cache.
+                        let adopted = c.job.cached_tokens() as u64;
+                        inner.stats.tenants[sess.tenant].prefix_hit_tokens.add(adopted);
+                    }
+                    c.job.chunk_tokens(c.chunk)
+                }
+            };
+        }
         let execute_span =
             pl_trace::span("batch.execute", [size as u64, decode_lanes as u64, width as u64]);
         let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let items: Vec<(&mut DecoderState, &[f32], usize)> = ready
                 .iter_mut()
-                .map(|r| match r {
-                    ReadyItem::Decode(req, sess) => (&mut sess.state, req.x.as_slice(), 1),
-                    ReadyItem::Chunk(c, sess) => {
+                .map(|(item, sess)| match item {
+                    WorkItem::Decode(req) => (&mut sess.state, req.x.as_slice(), 1),
+                    WorkItem::PrefillChunk(c) => {
                         (&mut sess.state, c.job.chunk_input(c.chunk), c.job.chunk_tokens(c.chunk))
                     }
                 })
@@ -957,7 +669,7 @@ impl Server {
             inner.model.forward_batch(items, &inner.pool)
         }));
         drop(execute_span);
-        let outputs = match executed {
+        let mut outputs = match executed {
             Ok(outputs) => outputs,
             Err(panic) => {
                 self.fail_batch(ready, panic.as_ref());
@@ -971,7 +683,7 @@ impl Server {
         let stats = &inner.stats;
         stats.record_gemm_shapes(&[((h, width, h), 4 * l), ((f, width, h), l), ((h, width, f), l)]);
 
-        // Phase 3 — check-in and delivery.
+        // Check-in and delivery.
         let _deliver_span = pl_trace::span("batch.deliver", [size as u64, 0, 0]);
         stats.batches.inc();
         stats.record_batch_size(size);
@@ -984,32 +696,29 @@ impl Server {
         // A chunk's output joins its job, and a completed prompt's pages
         // and outputs go to the prefix cache, while the session is still
         // checked out — before the table lock is taken.
-        let mut outputs = outputs;
-        for (r, y) in ready.iter().zip(&mut outputs) {
-            if let ReadyItem::Chunk(c, sess) = r {
+        for ((item, sess), y) in ready.iter().zip(&mut outputs) {
+            if let WorkItem::PrefillChunk(c) = item {
                 c.job.push_output(std::mem::take(y));
                 if c.chunk + 1 == c.job.chunks() {
                     c.job.register(&sess.state, &inner.prefix);
                 }
             }
         }
-        let mut sessions = inner.sessions.lock().expect("session table poisoned");
-        for (r, y) in ready.into_iter().zip(outputs) {
-            match r {
-                ReadyItem::Decode(req, mut sess) => {
+        let mut orphans = Vec::new();
+        let mut table = inner.table();
+        for ((item, mut sess), y) in ready.into_iter().zip(outputs) {
+            let tm = &stats.tenants[sess.tenant];
+            let id = sess.id;
+            match item {
+                WorkItem::Decode(req) => {
                     sess.generated += 1;
-                    // The step's ticket is spent: advance the
-                    // program-order cursor so the session's next
-                    // pipelined step becomes executable.
-                    sess.exec_seq += 1;
-                    inner.check_in(&mut sessions, req.session, sess);
+                    orphans.extend(table.check_in(sess, None).into_iter().flatten());
                     // Combined latency plus its split at the collect
-                    // boundary: ring wait vs batch compute.
+                    // boundary: queue wait vs batch compute.
                     let us = req.enqueued.elapsed().as_micros() as u64;
                     let queue_wait = collected.saturating_duration_since(req.enqueued);
                     // Pre-created handles: atomics and one short mutex
                     // per SLO window, no registry lock.
-                    let tm = &stats.tenants[req.tenant];
                     tm.steps.inc();
                     tm.step_latency.observe(us);
                     tm.queue_wait.observe(queue_wait.as_micros() as u64);
@@ -1023,12 +732,11 @@ impl Server {
                         let q_ns = queue_wait.as_nanos() as u64;
                         let since_collect = collected.elapsed().as_nanos() as u64;
                         let start = pl_trace::now_ns().saturating_sub(since_collect + q_ns);
-                        pl_trace::complete("step.queue_wait", start, q_ns, [req.session, 0, 0]);
+                        pl_trace::complete("step.queue_wait", start, q_ns, [id, 0, 0]);
                     }
                     inner.deliver(&req.reply, Ok(y));
                 }
-                ReadyItem::Chunk(c, mut sess) => {
-                    let tm = &stats.tenants[c.job.tenant()];
+                WorkItem::PrefillChunk(c) => {
                     tm.prefill_chunks.inc();
                     tm.prefill_tokens.add(c.job.chunk_tokens(c.chunk) as u64);
                     tm.chunk_latency.observe(c.enqueued.elapsed().as_micros() as u64);
@@ -1037,49 +745,45 @@ impl Server {
                             collected.saturating_duration_since(c.enqueued).as_nanos() as u64;
                         let since_collect = collected.elapsed().as_nanos() as u64;
                         let start = pl_trace::now_ns().saturating_sub(since_collect + q_ns);
-                        pl_trace::complete(
-                            "chunk.queue_wait",
-                            start,
-                            q_ns,
-                            [c.job.session(), c.chunk as u64, 0],
-                        );
+                        let args = [id, c.chunk as u64, 0];
+                        pl_trace::complete("chunk.queue_wait", start, q_ns, args);
                     }
-                    if c.chunk + 1 == c.job.chunks() {
-                        // The job's single ticket is spent only when its
-                        // final chunk lands: items pipelined behind the
-                        // prefill become executable now, never between
-                        // chunks.
-                        sess.exec_seq += 1;
-                    }
-                    inner.check_in(&mut sessions, c.job.session(), sess);
+                    // The successor goes to the front of the session's
+                    // FIFO, ahead of anything queued behind the prefill;
+                    // the completed chunk's in-flight unit transfers to it
+                    // (nothing is delivered for a non-final chunk), so a
+                    // close polling `in_flight` never sees a mid-prefill
+                    // gap.
                     let next = c.chunk + 1;
-                    if next < c.job.chunks() {
-                        // The completed chunk's in-flight unit transfers
-                        // to the successor: nothing is delivered for a
-                        // non-final chunk, so the counter stays raised
-                        // across the hand-off and a close polling
-                        // `in_flight` never sees a mid-prefill gap.
-                        inner.batcher.defer(WorkItem::PrefillChunk(ChunkItem {
-                            job: Arc::clone(&c.job),
+                    let successor = (next < c.job.chunks()).then(|| {
+                        let job = Arc::clone(&c.job);
+                        WorkItem::PrefillChunk(ChunkItem {
+                            job,
                             chunk: next,
                             enqueued: Instant::now(),
-                        }));
-                    } else {
+                        })
+                    });
+                    let last = successor.is_none();
+                    orphans.extend(table.check_in(sess, successor).into_iter().flatten());
+                    if last {
                         tm.prefills.inc();
                         inner.deliver(c.job.reply(), Ok(c.job.take_output()));
                     }
                 }
             }
         }
+        drop(table);
+        inner.refuse(orphans);
         size + from_cache
     }
 
     /// A region member panicked mid-forward (e.g. the bounded KV page
     /// pool ran dry inside attention): the batch's sessions hold partially
     /// appended KV and cannot continue, so they are closed — parked closers
-    /// are answered — and every request of the batch is failed with
-    /// [`ServeError::BatchFailed`]. The pump itself carries on.
-    fn fail_batch(&self, ready: Vec<ReadyItem>, panic: &(dyn std::any::Any + Send)) {
+    /// are answered, queued work refused — and every request of the batch
+    /// is failed with [`ServeError::BatchFailed`]. The pump itself carries
+    /// on.
+    fn fail_batch(&self, ready: Vec<(WorkItem, Session)>, panic: &(dyn std::any::Any + Send)) {
         let inner = &self.inner;
         let reason = panic
             .downcast_ref::<String>()
@@ -1087,22 +791,15 @@ impl Server {
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("region member panicked")
             .to_string();
-        let mut sessions = inner.sessions.lock().expect("session table poisoned");
-        for r in ready {
-            let sid = r.session_id();
-            let (reply, sess) = match &r {
-                ReadyItem::Decode(req, sess) => {
-                    inner.stats.tenants[req.tenant].failed.inc();
-                    (&req.reply, sess)
-                }
-                ReadyItem::Chunk(c, sess) => (c.job.reply(), sess),
-            };
-            if let Some(Slot::CheckedOut { closer: Some(done), .. }) = sessions.remove(&sid) {
-                let _ = done.send(sess.generated);
-            }
-            inner.session_count.fetch_sub(1, Ordering::AcqRel);
-            inner.deliver(reply, Err(ServeError::BatchFailed { reason: reason.clone() }));
+        let mut orphans = Vec::new();
+        let mut table = inner.table();
+        for (item, sess) in ready {
+            orphans.extend(table.discard(&sess));
+            let err = ServeError::BatchFailed { reason: reason.clone() };
+            orphans.push(Refused { tenant: sess.tenant, item, err });
         }
+        drop(table);
+        inner.refuse(orphans);
     }
 
     /// Spawns the background batcher thread. Idempotent.
@@ -1120,27 +817,22 @@ impl Server {
                     let inner = &server.inner;
                     let _ = inner.batcher_waker.set(std::thread::current());
                     loop {
-                        let ran = server.pump();
-                        if ran == 0 {
-                            if inner.shutdown.load(Ordering::Acquire)
-                                && inner.batcher.pending() == 0
-                            {
-                                break;
-                            }
-                            // `pump` returns the *executed* count: a batch
-                            // whose items were all deferred (out-of-order
-                            // ticket at the side-queue head, session checked
-                            // out by a concurrent pump) executes nothing yet
-                            // work is still pending and becomes runnable as
-                            // soon as the blocking item checks in — yield and
-                            // re-collect instead of parking.
-                            if inner.batcher.pending() > 0 {
-                                std::thread::yield_now();
-                            } else {
-                                std::thread::park_timeout(IDLE_PARK);
-                                let woken = inner.wake_requested.swap(false, Ordering::SeqCst);
-                                inner.park_ends[woken as usize].fetch_add(1, Ordering::SeqCst);
-                            }
+                        if server.pump() > 0 {
+                            continue;
+                        }
+                        if inner.shutdown.load(Ordering::Acquire) && server.pending() == 0 {
+                            break;
+                        }
+                        // Work queued yet nothing runnable: a concurrent
+                        // manual pump holds those sessions checked out and
+                        // frees them within one batch — yield and re-collect
+                        // instead of parking.
+                        if server.pending() > 0 {
+                            std::thread::yield_now();
+                        } else {
+                            std::thread::park_timeout(IDLE_PARK);
+                            let woken = inner.wake_requested.swap(false, Ordering::SeqCst);
+                            inner.park_ends[woken as usize].fetch_add(1, Ordering::SeqCst);
                         }
                     }
                 })
@@ -1148,7 +840,8 @@ impl Server {
         );
     }
 
-    /// Stops admitting work, drains the queues, and joins the batcher.
+    /// Stops admitting work, drains the queues, and joins the batcher;
+    /// without one, whatever is still queued is answered `ShuttingDown`.
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.wake_batcher();
@@ -1156,8 +849,8 @@ impl Server {
             let _ = h.join();
         }
         self.inner.running.store(false, Ordering::Release);
-        // Without a batcher thread, bounce whatever is still queued.
-        self.bounce_pending();
+        let refused = self.inner.table().drain();
+        self.inner.refuse(refused);
     }
 }
 
@@ -1355,58 +1048,13 @@ mod tests {
     }
 
     #[test]
-    fn stale_ticket_is_rejected_not_deferred_forever() {
-        // A ticket behind the session's exec_seq cursor can only exist if
-        // the one-submitter-per-session protocol was violated: a
-        // backpressure rollback raced a concurrent same-session submit
-        // and the dispenser re-issued a published ticket. Checkout used
-        // to re-defer such an item on every batch — a silent livelock
-        // (the caller hangs on recv, in_flight never drains, a graceful
-        // close and shutdown never quiesce). It must fail loudly instead.
-        let server = tiny_server(ServerConfig::default());
-        let hidden = server.model().config().hidden;
-        let id = server.create_session(0).unwrap();
-        let rx1 = server.submit_step(id, &token(91, hidden)).unwrap();
-        assert_eq!(server.pump(), 1);
-        // Ticket 0 is spent and exec_seq is now 1. Forge the duplicate: a
-        // second item carrying the spent ticket 0, published exactly as
-        // submit_step would have.
-        rx1.recv().unwrap().unwrap();
-        let (tx, rx) = mpsc::channel();
-        server.inner.in_flight.fetch_add(1, Ordering::AcqRel);
-        server
-            .inner
-            .batcher
-            .submit(WorkItem::Decode(StepRequest {
-                session: id,
-                tenant: 0,
-                seq: 0,
-                x: token(92, hidden),
-                enqueued: Instant::now(),
-                reply: tx,
-            }))
-            .unwrap_or_else(|_| panic!("ring full"));
-        server.pump();
-        match rx.try_recv() {
-            Ok(Err(ServeError::StaleTicket { session })) => assert_eq!(session, id),
-            other => panic!("stale ticket must be rejected loudly, got {other:?}"),
-        }
-        assert_eq!(server.in_flight(), 0, "the rejected duplicate must retire its count");
-        assert_eq!(server.inner.batcher.pending(), 0, "nothing may stay parked in the queues");
-        // The session itself is unharmed: a fresh step still executes.
-        let rx2 = server.submit_step(id, &token(93, hidden)).unwrap();
-        assert_eq!(server.pump(), 1);
-        rx2.recv().unwrap().unwrap();
-    }
-
-    #[test]
     fn decode_is_not_starved_by_concurrent_multi_chunk_prefills() {
         // Regression: with `max_batch` (or more) concurrent prefill jobs,
-        // the side-queue held that many chunks, every collect filled the
-        // whole batch from it (one chunk executing, the rest re-deferred),
-        // and a ring-queued decode step waited for ALL remaining prefill
-        // work — cross-session head-of-line blocking. The one-chunk-per-
-        // collect cap leaves the other lanes for decode.
+        // a collect that filled the whole batch with their chunks (one
+        // executing, the rest put back) made a queued decode step wait for
+        // ALL remaining prefill work — cross-session head-of-line
+        // blocking. The one-chunk-per-collect cap leaves the other lanes
+        // for decode.
         let server = tiny_server(ServerConfig {
             max_batch: 2,
             prefill_chunk: 4,
@@ -1492,18 +1140,17 @@ mod tests {
 
     #[test]
     fn deferred_steps_execute_in_submission_order_ahead_of_ring_queued_ones() {
-        // Satellite regression: three pipelined steps of one session,
-        // batch window of two. The old code re-submitted the deferred
-        // step 2 to the *back* of the ring — behind step 3 — so step 3
-        // executed first and corrupted the KV stream. The FIFO side-queue
-        // replays step 2 ahead of the ring.
+        // Regression: three pipelined steps of one session, batch window
+        // of two. Re-queueing a step that could not run in its batch
+        // behind the session's later steps once let step 3 execute before
+        // step 2 and corrupted the KV stream. A session gives one item to
+        // a batch, the head of its FIFO, so step 2 runs next.
         let server = tiny_server(ServerConfig { max_batch: 2, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let xs: Vec<Vec<f32>> = (0..3).map(|t| token(50 + t as u64, hidden)).collect();
         let rxs: Vec<_> = xs.iter().map(|x| server.submit_step(id, x).unwrap()).collect();
-        // Batch 1 collects steps 1+2, executes 1, defers 2 (step 3 still
-        // ring-queued). Batch 2 must run step 2, NOT step 3.
+        // Batch 1 runs step 1 only; batch 2 must run step 2, NOT step 3.
         assert_eq!(server.pump(), 1);
         assert_eq!(server.pump(), 1);
         assert_eq!(server.pump(), 1);
@@ -1522,12 +1169,12 @@ mod tests {
 
     #[test]
     fn concurrent_pumps_preserve_same_session_program_order() {
-        // Review regression: two pumps could each collect one of a
-        // session's pipelined steps, and whichever reached checkout first
-        // executed — even if it held the *later* step — corrupting the KV
-        // stream. The per-session ticket (`StepRequest::seq` vs
-        // `Session::exec_seq`) defers out-of-order steps, so the stream
-        // must stay bitwise-sequential under two concurrent pumpers.
+        // Regression: two pumps could each collect one of a session's
+        // pipelined steps, and whichever reached checkout first executed
+        // — even if it held the *later* step — corrupting the KV stream.
+        // A collect checks the session out as it takes the head of its
+        // FIFO, so the stream must stay bitwise-sequential under two
+        // concurrent pumpers.
         let server = Arc::new(tiny_server(ServerConfig {
             // One item per batch maximizes pump interleavings.
             max_batch: 1,
@@ -1567,30 +1214,101 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_submitters_to_one_session_are_each_answered_once() {
+        // Two threads submit to one session at once, each until it has
+        // `ACCEPTED` steps accepted, while a third pumps. Every accepted
+        // submit gets exactly one `Ok` reply, every refused one
+        // `Backpressure`, the session decodes exactly the accepted steps,
+        // and the tenant never holds more than `queue_capacity` items
+        // queued — at capacity 1, one item at a time.
+        const ACCEPTED: usize = 10;
+        for capacity in [2, 1] {
+            let server =
+                tiny_server(ServerConfig { queue_capacity: capacity, ..Default::default() });
+            let hidden = server.model().config().hidden;
+            let id = server.create_session(0).unwrap();
+            let submitting = AtomicBool::new(true);
+            let (accepted, refused) = std::thread::scope(|scope| {
+                let (server, submitting) = (&server, &submitting);
+                scope.spawn(move || {
+                    while submitting.load(Ordering::Acquire) || server.in_flight() > 0 {
+                        if server.pump() == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+                let submitters: Vec<_> = (0..2u64)
+                    .map(|t| {
+                        scope.spawn(move || {
+                            let (mut accepted, mut refused) = (Vec::new(), 0u64);
+                            while accepted.len() < ACCEPTED {
+                                let x = token(1000 * t + accepted.len() as u64, hidden);
+                                match server.submit_step(id, &x) {
+                                    Ok(rx) => accepted.push(rx),
+                                    Err(ServeError::Backpressure { tenant: 0 }) => {
+                                        refused += 1;
+                                        std::thread::yield_now();
+                                    }
+                                    Err(e) => panic!("thread {t}: {e}"),
+                                }
+                                assert!(server.pending() <= capacity, "capacity {capacity}");
+                            }
+                            (accepted, refused)
+                        })
+                    })
+                    .collect();
+                let mut all = (Vec::new(), 0);
+                for h in submitters {
+                    let (accepted, refused) = h.join().unwrap();
+                    all.0.extend(accepted);
+                    all.1 += refused;
+                }
+                submitting.store(false, Ordering::Release);
+                all
+            });
+            for rx in &accepted {
+                assert_eq!(rx.recv().unwrap().unwrap().len(), hidden);
+                assert!(matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)));
+            }
+            let snap = server.stats().snapshot();
+            assert_eq!(
+                (snap.completed, snap.rejected_backpressure),
+                (2 * ACCEPTED as u64, refused)
+            );
+            assert_eq!((server.in_flight(), server.pending()), (0, 0));
+            assert_eq!(server.close_session(id).unwrap(), 2 * ACCEPTED as u64);
+        }
+    }
+
+    #[test]
     fn out_of_order_checkout_is_deferred_not_executed() {
         // Deterministic white-box form of the concurrent-pump race: pump A
-        // collects step N, pump B collects step N+1, and B reaches
-        // checkout FIRST. Simulated by collecting both items by hand and
-        // running B's batch before A's: the program-order guard must
-        // defer step N+1 (not execute it against a KV cache missing step
-        // N), then execute it after step N in a later pump.
+        // collects step N and pump B collects next, while A's batch still
+        // holds the session. B must take nothing from that session — step
+        // N+1 cannot run against a KV cache missing step N — and step N+1
+        // runs after A checks the session back in.
         let server = tiny_server(ServerConfig::default());
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let xs: Vec<Vec<f32>> = (0..2).map(|t| token(70 + t as u64, hidden)).collect();
         let rx0 = server.submit_step(id, &xs[0]).unwrap();
         let rx1 = server.submit_step(id, &xs[1]).unwrap();
-        // Pump A's collect takes step 0; pump B's takes step 1.
-        let step0 = server.inner.batcher.collect(1);
-        let step1 = server.inner.batcher.collect(1);
-        assert_eq!(step0.len(), 1);
-        assert_eq!(step1.len(), 1);
-        // B wins the checkout race with the LATER step: it must not run.
-        assert_eq!(server.run_batch(step1), 0, "out-of-order step must be deferred");
-        assert!(rx1.try_recv().is_err(), "no reply for the deferred step");
-        // A's batch executes step 0; the deferred step 1 rides the next
-        // pump from the side-queue.
-        assert_eq!(server.run_batch(step0), 1);
+        let first = server.inner.table().collect(8);
+        assert_eq!(first.ready.len(), 1, "one item of a session per batch");
+        assert!(server.inner.table().checked_out(id));
+        let second = server.inner.table().collect(8);
+        assert!(second.ready.is_empty(), "a checked-out session gives nothing to a second collect");
+        assert_eq!(server.pending(), 1, "step 1 stays queued in the session's slot");
+        assert_eq!(server.pump(), 0, "nor to a concurrent pump");
+        assert!(rx1.try_recv().is_err(), "no reply for the later step");
+        // A's batch executes step 0 and checks the session in; step 1
+        // rides the next pump.
+        let (item, mut sess) = first.ready.into_iter().next().unwrap();
+        let WorkItem::Decode(req) = item else { panic!("a decode step") };
+        let y0 = server.model().forward(&mut sess.state, &req.x, 1, &server.inner.pool);
+        sess.generated += 1;
+        assert!(server.inner.table().check_in(sess, None).is_none());
+        server.inner.deliver(&req.reply, Ok(y0));
         assert_eq!(server.pump(), 1);
         let y0 = rx0.recv().unwrap().unwrap();
         let y1 = rx1.recv().unwrap().unwrap();
@@ -1603,13 +1321,11 @@ mod tests {
 
     #[test]
     fn decode_step_pipelined_behind_a_prefill_waits_for_every_chunk() {
-        // Review regression: a decode step submitted after a multi-chunk
-        // prefill replays through the side-queue *ahead of* the prefill's
-        // continuation chunks (the same-session dedup defers the step
-        // before phase 3 defers the next chunk). Without the job ticket it
-        // executed between two chunks, splicing a decode token into the
-        // middle of the prompt's KV — silently. The job-wide ticket
-        // defers it until the final chunk has landed.
+        // Regression: a decode step submitted after a multi-chunk prefill
+        // once ran ahead of the prefill's continuation chunks, splicing a
+        // decode token into the middle of the prompt's KV — silently. A
+        // chunk's successor goes back to the front of the session's FIFO,
+        // so the step waits until the final chunk has landed.
         let server =
             tiny_server(ServerConfig { prefill_chunk: 2, kv_capacity: 32, ..Default::default() });
         let hidden = server.model().config().hidden;
@@ -1673,7 +1389,7 @@ mod tests {
         let step_rx = server.submit_step(id, &x0).unwrap();
         let prompt = token(61, hidden * 8);
         let prefill_rx = server.submit_prefill(id, &prompt, 8).unwrap();
-        assert_eq!(server.pump(), 1, "the step runs first; the same-session chunk defers");
+        assert_eq!(server.pump(), 1, "the step runs first; the chunk waits behind it");
         let y0 = step_rx.recv().unwrap().unwrap();
         assert_eq!(server.pump(), 0, "chunk 0 is rejected at checkout, nothing executes");
         assert!(matches!(
@@ -1703,8 +1419,8 @@ mod tests {
         let rx2 = server.submit_step(id, &token(42, hidden)).unwrap();
         assert_eq!(server.in_flight(), 2);
         assert_eq!(server.pending(), 2);
-        // One pump executes one step (same-session pipelining defers the
-        // second): exactly one reply retired.
+        // One pump executes one step (a session gives one item to a
+        // batch): exactly one reply retired.
         assert_eq!(server.pump(), 1);
         assert_eq!(server.in_flight(), 1);
         assert_eq!(server.pump(), 1);
@@ -1787,10 +1503,7 @@ mod tests {
             // Wait for the checked-out window itself (not merely for the
             // collect: a close landing between collect and checkout would
             // take the plain Live path and test nothing).
-            while !matches!(
-                server.inner.sessions.lock().expect("session table poisoned").get(&id),
-                Some(Slot::CheckedOut { .. })
-            ) {
+            while !server.inner.table().checked_out(id) {
                 std::hint::spin_loop();
             }
             // Close mid-window: must succeed (waiting for the window),
@@ -1838,8 +1551,8 @@ mod tests {
         let _r2 = server.submit_step(id, &x).unwrap();
         assert!(matches!(server.submit_step(id, &x), Err(ServeError::Backpressure { tenant: 0 })));
         assert_eq!(server.stats().snapshot().rejected_backpressure, 1);
-        // Prefills ride the same bounded rings: a full ring bounces them
-        // too (and releases their in-flight count).
+        // Prefills count toward the same bound: a full tenant queue
+        // bounces them too (and leaves the in-flight count alone).
         let before = server.in_flight();
         assert!(matches!(
             server.submit_prefill(id, &x, 1),
@@ -1925,7 +1638,7 @@ mod tests {
         (ends[0].load(Ordering::SeqCst), ends[1].load(Ordering::SeqCst))
     }
 
-    /// Waits until the started batcher has found the rings empty, parked
+    /// Waits until the started batcher has found nothing queued, parked
     /// and timed out once: from then on it is registered for wakes.
     fn await_first_park(server: &Server) {
         while park_ends(server).0 == 0 {
@@ -2175,7 +1888,7 @@ mod tests {
         let a = server.create_session(0).unwrap();
         let b = server.create_session(1).unwrap();
         assert!(matches!(server.create_session(1), Err(ServeError::TooManySessions { .. })));
-        // Tenant 0: two steps fill the ring, the third bounces.
+        // Tenant 0: two steps fill its queue bound, the third bounces.
         let rx0 = server.submit_step(a, &token(1, hidden)).unwrap();
         let rx1 = server.submit_step(a, &token(2, hidden)).unwrap();
         assert!(matches!(

@@ -25,7 +25,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("pl_prefill_chunks_total", "Prefill chunks executed, per tenant"),
     ("pl_prefill_tokens_total", "Prompt tokens forwarded by prefill chunks, per tenant"),
     ("pl_prefix_hit_tokens_total", "Prompt tokens taken from the prefix cache, per tenant"),
-    ("pl_rejected_backpressure_total", "Submissions bounced on a full ring"),
+    ("pl_rejected_backpressure_total", "Submissions bounced at the tenant queue bound"),
     ("pl_rejected_sessions_total", "Sessions refused at the session cap"),
     ("pl_step_latency_us", "Submit-to-reply decode latency (log2 buckets, µs)"),
     ("pl_queue_wait_us", "Submit-to-collect latency (log2 buckets, µs)"),

@@ -18,8 +18,11 @@ fn modeled_winner_beats_pathological_schedule_when_measured() {
     let tuned = tune_gemm_modeled(&problem, &Constraints::gemm(0, 1, 1, 100), &host, 2);
     assert!(!tuned.evaluated.is_empty());
 
-    // Measure the modeled winner vs a sequential schedule (member 0 runs
-    // the whole nest while its peer idles).
+    // The modeled winner against a sequential schedule on the same
+    // 2-member team: the winner gives member 1 body calls, "abc" runs
+    // the whole nest on member 0 while its peer idles. The mechanism is
+    // asserted here; the wall-clock comparison lives in `fig6` and
+    // plbench, where a busy host cannot flip a test.
     let mut rng = Xorshift::new(2);
     let mut a_cm = vec![0.0f32; m * k];
     let mut b_cm = vec![0.0f32; k * n];
@@ -29,16 +32,6 @@ fn modeled_winner_beats_pathological_schedule_when_measured() {
     a.pack_from_colmajor(&a_cm);
     let mut b = BlockedMatrix::<f32>::b_layout(k, n, 32, 32).unwrap();
     b.pack_from_colmajor(&b_cm);
-
-    // One timed sample (3 executions) of a prebuilt kernel.
-    let sample = |kernel: &Gemm<f32, f32, f32>, pool: &ThreadPool| -> f64 {
-        let mut c = BlockedMatrix::<f32>::c_layout(m, n, 32, 32).unwrap();
-        let t0 = std::time::Instant::now();
-        for _ in 0..3 {
-            kernel.execute(&a, &b, &mut c, pool).unwrap();
-        }
-        t0.elapsed().as_secs_f64()
-    };
 
     let blocks = blocks_for_spec(&problem, &tuned.best.spec).unwrap();
     let best = Gemm::<f32, f32, f32>::new(
@@ -52,21 +45,19 @@ fn modeled_winner_beats_pathological_schedule_when_measured() {
         },
     )
     .unwrap();
-    // Pathological: fully sequential on a 2-thread pool (one busy member).
     let seq = Gemm::<f32, f32, f32>::new(shape, GemmTuning::simple("abc")).unwrap();
-    let seq_pool = ThreadPool::new(2);
-    // A single wall-clock sample per schedule loses to a scheduling
-    // hiccup on a shared host about one run in four: interleave several
-    // samples of each (after one untimed warm-up) and compare the minima —
-    // interference only ever adds time.
-    sample(&best, &pool);
-    sample(&seq, &seq_pool);
-    let (mut best_time, mut seq_time) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..7 {
-        best_time = best_time.min(sample(&best, &pool));
-        seq_time = seq_time.min(sample(&seq, &seq_pool));
-    }
-    assert!(best_time < seq_time, "tuned {best_time}s not faster than sequential {seq_time}s");
+    let member_1_calls =
+        |kernel: &Gemm<f32, f32, f32>| kernel.threaded_loop().plan().simulate_member(1, 2).len();
+    assert!(member_1_calls(&best) > 0, "the modeled winner idles member 1");
+    assert_eq!(member_1_calls(&seq), 0, "\"abc\" is sequential");
+
+    // Both schedules compute the same product.
+    let run = |kernel: &Gemm<f32, f32, f32>| {
+        let mut c = BlockedMatrix::<f32>::c_layout(m, n, 32, 32).unwrap();
+        kernel.execute(&a, &b, &mut c, &pool).unwrap();
+        c.unpack_to_colmajor()
+    };
+    assert_eq!(run(&best), run(&seq), "tuned and sequential schedules disagree");
 }
 
 #[test]
