@@ -11,21 +11,22 @@
 //! * [`model`] — the "lightweight, high-level performance modeling tool"
 //!   of §II-E: per-thread trace replay + BRGEMM cycle prediction +
 //!   schedule scoring ([`model::GemmModelSpec`]).
-//! * [`search`] — model-based search; [`db`] — the persistent tuning
-//!   database.
+//! * [`search`] — model-based search.
+//!
+//! A winning spec is not persisted: serving builds every plan at the
+//! built-in default spec, and `examples/autotune_gemm.rs` prints the
+//! modeled ranking and the measured pick.
 //!
 //! The search space deliberately stops at the TPP boundary — only cache
 //! blocking and parallelization are explored, which is why tuning here is
 //! orders of magnitude faster than full tensor compilers (paper §V-A2).
 
 pub mod cachesim;
-pub mod db;
 pub mod gen;
 pub mod model;
 pub mod platform;
 pub mod search;
 
-pub use db::{DbEntry, TuningDb};
 pub use gen::{generate, Constraints};
 pub use model::GemmModelSpec;
 pub use platform::Platform;

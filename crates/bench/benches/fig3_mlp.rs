@@ -5,14 +5,13 @@
 //! FP32 MLP through the fused `pl_kernels::Mlp` on the host.
 
 use pl_bench::{f1, header, row};
-use pl_kernels::{Activation, Mlp};
+use pl_kernels::Mlp;
 use pl_runtime::global_pool;
 use pl_tensor::BlockedMatrix;
 
 fn main() {
     let pool = global_pool();
-    let mlp =
-        Mlp::<f32>::new(&[256, 256, 256], 128, 32, 32, "aBC", Activation::Relu, 3).expect("mlp");
+    let mlp = Mlp::<f32>::new(&[256, 256, 256], 128, 32, 32, "aBC", 3).expect("mlp");
     let x = BlockedMatrix::<f32>::b_layout(256, 128, 32, 32).unwrap();
     let t = pl_bench::time_it(3, || {
         let _ = mlp.forward(&x, pool).unwrap();

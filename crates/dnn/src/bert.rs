@@ -1,11 +1,17 @@
 //! BERT encoder via the PARLOOPER/TPP paradigm (paper §IV-A).
 //!
-//! The four fused modules of the paper are reproduced without dropout:
-//! Self-Attention (blocked contractions + scale + softmax), Output /
-//! SelfOutput (Listing 6: BRGEMM + bias + residual add + layernorm fused on
-//! block granularity), and Intermediate (BRGEMM + bias + GELU). Activations
-//! are `hidden x tokens` column-major f32; weight contractions run through
-//! the PARLOOPER GEMM kernel.
+//! The paper's four modules are reproduced without dropout: Self-Attention
+//! (blocked contractions + scale + softmax), SelfOutput / Output, and
+//! Intermediate (contraction + bias + GELU). They are not fused yet:
+//! SelfOutput and Output each run four passes over the whole
+//! `hidden x tokens` matrix (the contraction, a bias add, a residual add,
+//! a layernorm) where Listing 6 fuses them on block granularity.
+//! Activations are `hidden x tokens` column-major f32.
+//!
+//! The forward body is written once, over a layer's six weight
+//! contractions (`Contraction`): the dense layer runs it over
+//! PARLOOPER GEMM plans, the block-sparse layer ([`crate::sparse_bert`])
+//! over Block-SpMM plans.
 //!
 //! Both forward and backward are implemented (Fig. 9 measures SQuAD
 //! *fine-tuning* throughput). Embedding lookup is a negligible gather next
@@ -41,6 +47,12 @@ pub struct BertConfig {
 }
 
 impl BertConfig {
+    /// `(rows, cols)` of `wq, wk, wv, wo, w1, w2`.
+    fn weight_dims(&self) -> [(usize, usize); 6] {
+        let (h, i) = (self.hidden, self.intermediate);
+        [(h, h), (h, h), (h, h), (h, h), (i, h), (h, i)]
+    }
+
     /// A scaled-down config with the same architecture, for host tests.
     #[cfg(test)]
     fn tiny() -> Self {
@@ -48,34 +60,182 @@ impl BertConfig {
     }
 }
 
-/// Weights of one encoder layer.
-///
-/// The flat column-major weights remain the source of truth (the backward
-/// pass, SGD updates and the pruning view consume them); the **forward**
-/// contractions run through prepared plans (`plans`, one [`MatmulPlan`]
-/// per weight in `wq, wk, wv, wo, w1, w2` order) rebuilt once per
-/// SGD update (`sgd_step`) — pack-once per *update*, amortized over every
-/// forward in between, instead of pack-per-projection-call.
+/// A weight contraction `y = W x` over flat column-major activations:
+/// what the encoder body asks of each of a layer's six weights. The dense
+/// layer's [`MatmulPlan`]s run BRGEMM, the block-sparse layer's
+/// [`crate::prepared::SpmmPlan`]s Block-SpMM, under one unchanged body.
+pub(crate) trait Contraction {
+    /// `W x` over `tokens` columns.
+    fn apply(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32>;
+
+    /// `[W_q x, W_k x, W_v x]` for `qkv = [W_q, W_k, W_v]`.
+    fn apply3(qkv: &[Self], x: &[f32], tokens: usize, pool: &ThreadPool) -> [Vec<f32>; 3]
+    where
+        Self: Sized,
+    {
+        std::array::from_fn(|j| qkv[j].apply(x, tokens, pool))
+    }
+}
+
+impl Contraction for MatmulPlan {
+    fn apply(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
+        self.execute(x, tokens, pool)
+    }
+
+    /// The three plans consume one packed copy of `x` (pack-once per layer
+    /// boundary).
+    fn apply3(qkv: &[Self], x: &[f32], tokens: usize, pool: &ThreadPool) -> [Vec<f32>; 3] {
+        let xp = qkv[0].pack(x, tokens);
+        std::array::from_fn(|j| qkv[j].execute_packed(&xp, pool))
+    }
+}
+
+/// One encoder layer's forward body and what it reads: the six weight
+/// contractions `W` (`wq, wk, wv, wo, w1, w2`), their biases and the two
+/// LayerNorms' parameters.
 #[derive(Debug, Clone)]
-pub struct BertLayer {
+pub(crate) struct EncoderBody<W> {
     cfg: BertConfig,
-    wq: Vec<f32>,
-    wk: Vec<f32>,
-    wv: Vec<f32>,
-    wo: Vec<f32>,
-    w1: Vec<f32>,
-    w2: Vec<f32>,
-    plans: [MatmulPlan; 6],
-    bq: Vec<f32>,
-    bk: Vec<f32>,
-    bv: Vec<f32>,
-    bo: Vec<f32>,
-    b1: Vec<f32>,
-    b2: Vec<f32>,
+    weights: [W; 6],
+    /// bq, bk, bv, bo, b1, b2.
+    biases: [Vec<f32>; 6],
     ln1_g: Vec<f32>,
     ln1_b: Vec<f32>,
     ln2_g: Vec<f32>,
     ln2_b: Vec<f32>,
+}
+
+impl<W> EncoderBody<W> {
+    /// The weight contractions.
+    pub(crate) fn weights(&self) -> &[W; 6] {
+        &self.weights
+    }
+}
+
+impl<W: Contraction> EncoderBody<W> {
+    /// Forward over `x` (`hidden x tokens`, column-major): the output and,
+    /// if `keep_tape`, the intermediates the backward pass reads.
+    pub(crate) fn forward(
+        &self,
+        x: &[f32],
+        tokens: usize,
+        pool: &ThreadPool,
+        keep_tape: bool,
+    ) -> (Vec<f32>, Option<BertLayerTape>) {
+        let BertConfig { hidden: h, heads: nh, intermediate: i, .. } = self.cfg;
+        let dh = h / nh;
+        debug_assert_eq!(x.len(), h * tokens);
+        let bias = |j: usize, mut y: Vec<f32>| {
+            let b = &self.biases[j];
+            pl_tpp::binary::bias_add(b.len(), tokens, b, &mut y, b.len());
+            y
+        };
+        let linear = |j: usize, x: &[f32]| bias(j, self.weights[j].apply(x, tokens, pool));
+
+        // Self-attention projections (fused bias adds).
+        let [q, k, v] = W::apply3(&self.weights[..3], x, tokens, pool);
+        let (q, k, v) = (bias(0, q), bias(1, k), bias(2, v));
+
+        // Per-head attention: scores = (K_h^T Q_h) / sqrt(dh), softmax over
+        // keys (rows of scores in our col-major view), ctx = V_h probs.
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut probs = vec![0.0f32; nh * tokens * tokens];
+        let mut ctx = vec![0.0f32; h * tokens];
+        for hd in 0..nh {
+            let qh = slice_head(&q, h, dh, hd, tokens);
+            let kh = slice_head(&k, h, dh, hd, tokens);
+            let vh = slice_head(&v, h, dh, hd, tokens);
+            // scores (keys x queries), col-major: S = K_h^T Q_h.
+            let mut s = matmul(&kh, Trans::Yes, &qh, Trans::No, tokens, tokens, dh, pool);
+            for val in s.iter_mut() {
+                *val *= scale;
+            }
+            let ph = &mut probs[hd * tokens * tokens..(hd + 1) * tokens * tokens];
+            softmax::softmax_cols(tokens, tokens, &s, tokens, ph, tokens);
+            // ctx_h = V_h P (dh x tokens).
+            let ch = matmul(&vh, Trans::No, ph, Trans::No, dh, tokens, tokens, pool);
+            write_head(&mut ctx, &ch, h, dh, hd, tokens);
+        }
+
+        // Bert-SelfOutput: Wo ctx + bias, residual, layernorm.
+        let mut attn_res = linear(3, &ctx);
+        pl_tpp::binary::add(h, tokens, &attn_res.clone(), h, x, h, &mut attn_res, h);
+        let mut h1 = vec![0.0f32; h * tokens];
+        let mut ln1_mean = vec![0.0f32; tokens];
+        let mut ln1_rstd = vec![0.0f32; tokens];
+        norm::layernorm(
+            h,
+            tokens,
+            &attn_res,
+            h,
+            &self.ln1_g,
+            &self.ln1_b,
+            1e-5,
+            &mut h1,
+            h,
+            &mut ln1_mean,
+            &mut ln1_rstd,
+        );
+
+        // Bert-Intermediate: W1 h1 + b1, GELU.
+        let inter_pre = linear(4, &h1);
+        let mut inter = vec![0.0f32; i * tokens];
+        unary::gelu(i, tokens, &inter_pre, i, &mut inter, i);
+
+        // Bert-Output: W2 inter + b2, residual (h1), layernorm.
+        let mut ffn_res = linear(5, &inter);
+        pl_tpp::binary::add(h, tokens, &ffn_res.clone(), h, &h1, h, &mut ffn_res, h);
+        let mut out = vec![0.0f32; h * tokens];
+        let mut ln2_mean = vec![0.0f32; tokens];
+        let mut ln2_rstd = vec![0.0f32; tokens];
+        norm::layernorm(
+            h,
+            tokens,
+            &ffn_res,
+            h,
+            &self.ln2_g,
+            &self.ln2_b,
+            1e-5,
+            &mut out,
+            h,
+            &mut ln2_mean,
+            &mut ln2_rstd,
+        );
+
+        let tape = keep_tape.then(|| BertLayerTape {
+            x: x.to_vec(),
+            q,
+            k,
+            v,
+            probs,
+            ctx,
+            attn_res,
+            h1,
+            inter_pre,
+            inter,
+            ffn_res,
+            ln1_mean,
+            ln1_rstd,
+            ln2_mean,
+            ln2_rstd,
+            tokens,
+        });
+        (out, tape)
+    }
+}
+
+/// One dense encoder layer.
+///
+/// The flat column-major weights remain the source of truth (the backward
+/// pass, SGD updates and pruning read them); the **forward** contractions
+/// run through prepared plans, one [`MatmulPlan`] per weight, rebuilt once
+/// per SGD update (`sgd_step`) — pack-once per *update*, amortized over
+/// every forward in between, instead of pack-per-projection-call.
+#[derive(Debug, Clone)]
+pub struct BertLayer {
+    /// wq, wk, wv, wo, w1, w2 (column-major).
+    w: [Vec<f32>; 6],
+    body: EncoderBody<MatmulPlan>,
 }
 
 /// Forward-pass intermediates needed by the backward pass.
@@ -110,70 +270,55 @@ pub struct BertLayerGrads {
 impl BertLayer {
     /// Random initialization.
     pub fn new(cfg: BertConfig, rng: &mut Xorshift) -> Self {
-        let h = cfg.hidden;
-        let i = cfg.intermediate;
-        let mut mk = |rows: usize, cols: usize| -> Vec<f32> {
+        let dims = cfg.weight_dims();
+        let w = dims.map(|(rows, cols)| {
             let std = (2.0 / (rows + cols) as f32).sqrt();
             let mut v = vec![0.0f32; rows * cols];
             pl_tensor::fill_normal(&mut v, rng, 0.0, std);
             v
-        };
-        let (wq, wk, wv, wo, w1, w2) = (mk(h, h), mk(h, h), mk(h, h), mk(h, h), mk(i, h), mk(h, i));
-        BertLayer {
-            plans: Self::build_plans(cfg, [&wq, &wk, &wv, &wo, &w1, &w2]),
+        });
+        let h = cfg.hidden;
+        let body = EncoderBody {
             cfg,
-            wq,
-            wk,
-            wv,
-            wo,
-            w1,
-            w2,
-            bq: vec![0.0; h],
-            bk: vec![0.0; h],
-            bv: vec![0.0; h],
-            bo: vec![0.0; h],
-            b1: vec![0.0; i],
-            b2: vec![0.0; h],
+            weights: Self::build_plans(cfg, &w),
+            biases: dims.map(|(rows, _)| vec![0.0; rows]),
             ln1_g: vec![1.0; h],
             ln1_b: vec![0.0; h],
             ln2_g: vec![1.0; h],
             ln2_b: vec![0.0; h],
-        }
+        };
+        BertLayer { w, body }
     }
 
     /// The config.
     pub fn config(&self) -> &BertConfig {
-        &self.cfg
+        &self.body.cfg
     }
 
     /// Builds the six forward plans from flat weights (`wq..w2` order).
-    fn build_plans(cfg: BertConfig, ws: [&[f32]; 6]) -> [MatmulPlan; 6] {
-        let (h, i) = (cfg.hidden, cfg.intermediate);
-        let dims = [(h, h), (h, h), (h, h), (h, h), (i, h), (h, i)];
-        std::array::from_fn(|j| MatmulPlan::new(ws[j], Trans::No, dims[j].0, dims[j].1))
+    fn build_plans(cfg: BertConfig, w: &[Vec<f32>; 6]) -> [MatmulPlan; 6] {
+        let dims = cfg.weight_dims();
+        std::array::from_fn(|j| MatmulPlan::new(&w[j], Trans::No, dims[j].0, dims[j].1))
     }
 
-    /// Re-packs the forward plans from the (updated) flat weights — the
-    /// once-per-update layout cost.
-    fn rebuild_plans(&mut self) {
-        self.plans = Self::build_plans(
-            self.cfg,
-            [&self.wq, &self.wk, &self.wv, &self.wo, &self.w1, &self.w2],
-        );
-    }
-
-    fn linear(
+    /// This layer's parameters over other weight contractions: `f` maps
+    /// each flat weight and its `(rows, cols)` (pruning builds the
+    /// block-sparse layer this way).
+    pub(crate) fn map_weights<V>(
         &self,
-        plan: &MatmulPlan,
-        b: &[f32],
-        x: &[f32],
-        out_f: usize,
-        tokens: usize,
-        pool: &ThreadPool,
-    ) -> Vec<f32> {
-        let mut y = plan.execute(x, tokens, pool);
-        pl_tpp::binary::bias_add(out_f, tokens, b, &mut y, out_f);
-        y
+        mut f: impl FnMut(&[f32], usize, usize) -> V,
+    ) -> EncoderBody<V> {
+        let dims = self.body.cfg.weight_dims();
+        let b = &self.body;
+        EncoderBody {
+            cfg: b.cfg,
+            weights: std::array::from_fn(|j| f(&self.w[j], dims[j].0, dims[j].1)),
+            biases: b.biases.clone(),
+            ln1_g: b.ln1_g.clone(),
+            ln1_b: b.ln1_b.clone(),
+            ln2_g: b.ln2_g.clone(),
+            ln2_b: b.ln2_b.clone(),
+        }
     }
 
     /// Forward over `x` (`hidden x tokens`, column-major). Returns the
@@ -184,110 +329,8 @@ impl BertLayer {
         tokens: usize,
         pool: &ThreadPool,
     ) -> (Vec<f32>, BertLayerTape) {
-        let h = self.cfg.hidden;
-        let nh = self.cfg.heads;
-        let dh = h / nh;
-        let i = self.cfg.intermediate;
-        debug_assert_eq!(x.len(), h * tokens);
-
-        // Self-attention projections (fused bias adds): the three plans
-        // consume a single packed copy of `x` (pack-once per layer
-        // boundary).
-        let (q, k, v) = {
-            let xp = self.plans[0].pack(x, tokens);
-            let proj = |j: usize, bias: &[f32]| {
-                let mut y = self.plans[j].execute_packed(&xp, pool);
-                pl_tpp::binary::bias_add(h, tokens, bias, &mut y, h);
-                y
-            };
-            (proj(0, &self.bq), proj(1, &self.bk), proj(2, &self.bv))
-        };
-
-        // Per-head attention: scores = (K_h^T Q_h) / sqrt(dh), softmax over
-        // keys (rows of scores in our col-major view), ctx = V_h probs.
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut probs = vec![0.0f32; nh * tokens * tokens];
-        let mut ctx = vec![0.0f32; h * tokens];
-        for hd in 0..nh {
-            let qh = slice_head(&q, h, dh, hd, tokens);
-            let kh = slice_head(&k, h, dh, hd, tokens);
-            let vh = slice_head(&v, h, dh, hd, tokens);
-            // scores (keys x queries), col-major: S = K_h^T Q_h.
-            let mut s = matmul(&kh, Trans::Yes, &qh, Trans::No, tokens, tokens, dh, pool);
-            for val in s.iter_mut() {
-                *val *= scale;
-            }
-            let ph = &mut probs[hd * tokens * tokens..(hd + 1) * tokens * tokens];
-            softmax::softmax_cols(tokens, tokens, &s, tokens, ph, tokens);
-            // ctx_h = V_h P (dh x tokens).
-            let ch = matmul(&vh, Trans::No, ph, Trans::No, dh, tokens, tokens, pool);
-            write_head(&mut ctx, &ch, h, dh, hd, tokens);
-        }
-
-        // Bert-SelfOutput (Listing 6): Wo ctx + bias, residual, layernorm.
-        let mut attn_res = self.linear(&self.plans[3], &self.bo, &ctx, h, tokens, pool);
-        pl_tpp::binary::add(h, tokens, &attn_res.clone(), h, x, h, &mut attn_res, h);
-        let mut h1 = vec![0.0f32; h * tokens];
-        let mut ln1_mean = vec![0.0f32; tokens];
-        let mut ln1_rstd = vec![0.0f32; tokens];
-        norm::layernorm(
-            h,
-            tokens,
-            &attn_res,
-            h,
-            &self.ln1_g,
-            &self.ln1_b,
-            1e-5,
-            &mut h1,
-            h,
-            &mut ln1_mean,
-            &mut ln1_rstd,
-        );
-
-        // Bert-Intermediate: W1 h1 + b1, GELU.
-        let inter_pre = self.linear(&self.plans[4], &self.b1, &h1, i, tokens, pool);
-        let mut inter = vec![0.0f32; i * tokens];
-        unary::gelu(i, tokens, &inter_pre, i, &mut inter, i);
-
-        // Bert-Output: W2 inter + b2, residual (h1), layernorm.
-        let mut ffn_res = self.linear(&self.plans[5], &self.b2, &inter, h, tokens, pool);
-        pl_tpp::binary::add(h, tokens, &ffn_res.clone(), h, &h1, h, &mut ffn_res, h);
-        let mut out = vec![0.0f32; h * tokens];
-        let mut ln2_mean = vec![0.0f32; tokens];
-        let mut ln2_rstd = vec![0.0f32; tokens];
-        norm::layernorm(
-            h,
-            tokens,
-            &ffn_res,
-            h,
-            &self.ln2_g,
-            &self.ln2_b,
-            1e-5,
-            &mut out,
-            h,
-            &mut ln2_mean,
-            &mut ln2_rstd,
-        );
-
-        let tape = BertLayerTape {
-            x: x.to_vec(),
-            q,
-            k,
-            v,
-            probs,
-            ctx,
-            attn_res,
-            h1,
-            inter_pre,
-            inter,
-            ffn_res,
-            ln1_mean,
-            ln1_rstd,
-            ln2_mean,
-            ln2_rstd,
-            tokens,
-        };
-        (out, tape)
+        let (out, tape) = self.body.forward(x, tokens, pool, true);
+        (out, tape.expect("the tape was asked for"))
     }
 
     /// Backward: upstream `dy` -> input gradient + parameter gradients.
@@ -297,11 +340,11 @@ impl BertLayer {
         tape: &BertLayerTape,
         pool: &ThreadPool,
     ) -> (Vec<f32>, BertLayerGrads) {
-        let h = self.cfg.hidden;
-        let nh = self.cfg.heads;
+        let BertConfig { hidden: h, heads: nh, intermediate: i, .. } = self.body.cfg;
         let dh = h / nh;
-        let i = self.cfg.intermediate;
         let t = tape.tokens;
+        let [wq, wk, wv, wo, w1, w2] = &self.w;
+        let (ln1_g, ln2_g) = (&self.body.ln1_g, &self.body.ln2_g);
 
         // LN2 backward.
         let mut d_ffn_res = vec![0.0f32; h * t];
@@ -314,7 +357,7 @@ impl BertLayer {
             h,
             dy,
             h,
-            &self.ln2_g,
+            ln2_g,
             &tape.ln2_mean,
             &tape.ln2_rstd,
             &mut d_ffn_res,
@@ -335,7 +378,7 @@ impl BertLayer {
             pool,
         );
         let d_b2 = row_sum(&d_ffn_res, h, t);
-        let mut d_inter = matmul(&self.w2, Trans::Yes, &d_ffn_res, Trans::No, i, t, h, pool);
+        let mut d_inter = matmul(w2, Trans::Yes, &d_ffn_res, Trans::No, i, t, h, pool);
         // GELU backward.
         let d_inter_c = d_inter.clone();
         unary::gelu_backward(i, t, &tape.inter_pre, i, &d_inter_c, i, &mut d_inter, i);
@@ -343,7 +386,7 @@ impl BertLayer {
         let d_w1 =
             matmul(&d_inter, Trans::No, &transpose_cm(&tape.h1, h, t), Trans::No, i, h, t, pool);
         let d_b1 = row_sum(&d_inter, i, t);
-        let mut d_h1 = matmul(&self.w1, Trans::Yes, &d_inter, Trans::No, h, t, i, pool);
+        let mut d_h1 = matmul(w1, Trans::Yes, &d_inter, Trans::No, h, t, i, pool);
         // Residual from LN2 input.
         for (a, b) in d_h1.iter_mut().zip(&d_ffn_res) {
             *a += *b;
@@ -360,7 +403,7 @@ impl BertLayer {
             h,
             &d_h1,
             h,
-            &self.ln1_g,
+            ln1_g,
             &tape.ln1_mean,
             &tape.ln1_rstd,
             &mut d_attn_res,
@@ -382,7 +425,7 @@ impl BertLayer {
             pool,
         );
         let d_bo = row_sum(&d_attn_res, h, t);
-        let d_ctx = matmul(&self.wo, Trans::Yes, &d_attn_res, Trans::No, h, t, h, pool);
+        let d_ctx = matmul(wo, Trans::Yes, &d_attn_res, Trans::No, h, t, h, pool);
 
         // Attention backward per head.
         let scale = 1.0 / (dh as f32).sqrt();
@@ -420,7 +463,7 @@ impl BertLayer {
         let d_bq = row_sum(&dq, h, t);
         let d_bk = row_sum(&dk, h, t);
         let d_bv = row_sum(&dv, h, t);
-        for (w, g) in [(&self.wq, &dq), (&self.wk, &dk), (&self.wv, &dv)] {
+        for (w, g) in [(wq, &dq), (wk, &dk), (wv, &dv)] {
             let dxp = matmul(w, Trans::Yes, g, Trans::No, h, t, h, pool);
             for (a, b) in dx.iter_mut().zip(&dxp) {
                 *a += *b;
@@ -439,55 +482,17 @@ impl BertLayer {
     /// the prepared-op layout cost is paid once per parameter update, not
     /// once per forward contraction.
     fn sgd_step(&mut self, grads: &BertLayerGrads, lr: f32) {
-        let weights: [&mut Vec<f32>; 6] =
-            [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo, &mut self.w1, &mut self.w2];
-        for (w, g) in weights.into_iter().zip(&grads.weights) {
+        for (w, g) in self.w.iter_mut().zip(&grads.weights) {
             for (a, b) in w.iter_mut().zip(g) {
                 *a -= lr * b;
             }
         }
-        let biases: [&mut Vec<f32>; 6] =
-            [&mut self.bq, &mut self.bk, &mut self.bv, &mut self.bo, &mut self.b1, &mut self.b2];
-        for (b, g) in biases.into_iter().zip(&grads.biases) {
+        for (b, g) in self.body.biases.iter_mut().zip(&grads.biases) {
             for (a, d) in b.iter_mut().zip(g) {
                 *a -= lr * d;
             }
         }
-        self.rebuild_plans();
-    }
-}
-
-/// Borrowed view of a dense layer's parameters (consumed by the
-/// block-sparse construction in [`crate::sparse_bert`]).
-pub struct DenseWeights<'a> {
-    /// Config.
-    pub cfg: &'a BertConfig,
-    /// wq, wk, wv, wo, w1, w2 (column-major).
-    pub weights: [&'a [f32]; 6],
-    /// bq, bk, bv, bo, b1, b2.
-    pub biases: [&'a [f32]; 6],
-    /// LN1 gamma.
-    pub ln1_g: &'a [f32],
-    /// LN1 beta.
-    pub ln1_b: &'a [f32],
-    /// LN2 gamma.
-    pub ln2_g: &'a [f32],
-    /// LN2 beta.
-    pub ln2_b: &'a [f32],
-}
-
-impl BertLayer {
-    /// Borrow all parameters for pruning/export.
-    pub fn as_weight_view(&self) -> DenseWeights<'_> {
-        DenseWeights {
-            cfg: &self.cfg,
-            weights: [&self.wq, &self.wk, &self.wv, &self.wo, &self.w1, &self.w2],
-            biases: [&self.bq, &self.bk, &self.bv, &self.bo, &self.b1, &self.b2],
-            ln1_g: &self.ln1_g,
-            ln1_b: &self.ln1_b,
-            ln2_g: &self.ln2_g,
-            ln2_b: &self.ln2_b,
-        }
+        self.body.weights = Self::build_plans(self.body.cfg, &self.w);
     }
 }
 
@@ -574,7 +579,7 @@ fn row_sum(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pl_tensor::fill_uniform;
 
@@ -596,6 +601,48 @@ mod tests {
             let mu: f32 = col.iter().sum::<f32>() / cfg.hidden as f32;
             assert!(mu.abs() < 1e-4, "token {t} mean {mu}");
         }
+    }
+
+    /// FNV-1a over the bit patterns of `parts`, in order.
+    pub(crate) fn fnv(parts: &[&[f32]]) -> u64 {
+        parts
+            .iter()
+            .flat_map(|p| p.iter())
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn forward_output_and_tape_bits_are_pinned() {
+        // Recorded while the dense layer still had its own forward body,
+        // before it shared one with the block-sparse layer.
+        let pool = ThreadPool::new(2);
+        let cfg = BertConfig::tiny();
+        let layer = BertLayer::new(cfg, &mut Xorshift::new(41));
+        let tokens = 12;
+        let mut x = vec![0.0f32; cfg.hidden * tokens];
+        fill_uniform(&mut x, &mut Xorshift::new(42), -1.0, 1.0);
+        let (y, t) = layer.forward(&x, tokens, &pool);
+        let tape: [&[f32]; 15] = [
+            &t.x,
+            &t.q,
+            &t.k,
+            &t.v,
+            &t.probs,
+            &t.ctx,
+            &t.attn_res,
+            &t.h1,
+            &t.inter_pre,
+            &t.inter,
+            &t.ffn_res,
+            &t.ln1_mean,
+            &t.ln1_rstd,
+            &t.ln2_mean,
+            &t.ln2_rstd,
+        ];
+        assert_eq!(t.tokens, tokens);
+        assert_eq!(fnv(&[&y]), 0x3a50_7a1d_7eeb_cd9c, "output {:#018x}", fnv(&[&y]));
+        assert_eq!(fnv(&tape), 0xd109_af3a_7b7d_5b98, "tape {:#018x}", fnv(&tape));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! The paper's §IV workloads, rebuilt on the kernel layer:
 //!
-//! * [`bert`] — BERT encoder with the four fused modules (Self-Attention,
-//!   SelfOutput/Output per Listing 6, Intermediate), forward *and* backward
-//!   (Fig. 9 fine-tuning).
-//! * [`sparse_bert`] — magnitude block-pruned BERT inference on the
-//!   Block-SpMM kernel (Fig. 10).
+//! * [`bert`] — BERT encoder with the paper's four modules (Self-Attention,
+//!   SelfOutput/Output, Intermediate; Listing 6's block-granular fusion is
+//!   not reproduced yet), forward *and* backward (Fig. 9 fine-tuning).
+//! * [`sparse_bert`] — magnitude block-pruned BERT inference (Fig. 10): the
+//!   dense layer's one forward body over Block-SpMM contractions.
 //! * [`llm`] — decoder-only LLM (GPT-J / Llama2 architectures) with KV
 //!   cache: prefill (first token) and autoregressive steps (next tokens)
 //!   (Fig. 11), plus exact flop/byte accounting of the full-size models.

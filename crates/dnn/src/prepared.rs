@@ -49,9 +49,10 @@
 //! one GEMM nest ([`GemmKernel`]) over the precision's BRGEMM tile, which
 //! also names the trace span (`gemm.execute` / `gemm.i8.execute`).
 //!
-//! [`SpmmPlan`] is the Block-SpMM twin for block-sparse weights: the BCSC
-//! operand is already a pack-once artifact (pruning produces it), so the
-//! plan's job is caching the constructed kernels per width.
+//! [`SpmmPlan`] is the Block-SpMM twin for block-sparse weights, the
+//! contractions of the block-sparse BERT layer: the BCSC operand is already
+//! a pack-once artifact (pruning produces it), so the plan's job is
+//! building the kernel for each width once and caching it.
 //!
 //! The module also exposes [`pack_events`], a process-wide count of weight
 //! pack/transpose work, as the assertion hook for the packing discipline:
@@ -346,7 +347,7 @@ impl<T: PlanTile> Kernel for Bound<T> {
         // GEMM (the contract); at int8 the quantized twin and its scales
         // were written with the columns.
         let (b, scales) = T::inputs(act, &self.weight.row_scales);
-        self.gemm.execute_in(ctx, run, self.weight.a.data(), b, &out.data.view, scales);
+        self.gemm.execute_in(ctx, run, self.weight.a.data(), b, &out.data.view, scales, None);
     }
 }
 
@@ -855,31 +856,14 @@ fn vnni_fit(v: usize, bk: usize) -> usize {
     f
 }
 
-/// The `bn` blocking the Block-SpMM bridge picks for an activation width.
-pub(crate) fn spmm_bn(tokens: usize) -> usize {
+/// The `bn` blocking of a Block-SpMM kernel for an activation width.
+fn spmm_bn(tokens: usize) -> usize {
     for cand in [16, 8, 4, 2, 1] {
         if tokens.is_multiple_of(cand) {
             return cand;
         }
     }
     1
-}
-
-/// Constructs the Block-SpMM kernel (`default_parallel` spec) for `tokens`
-/// activation columns over an `m x k` sparse operand blocked `bm x bk`.
-/// Shared by [`SpmmPlan`] and the pack-per-call
-/// [`crate::sparse_bert::spmm_matmul`].
-pub(crate) fn build_spmm_kernel(
-    m: usize,
-    k: usize,
-    bm: usize,
-    bk: usize,
-    tokens: usize,
-) -> (usize, BlockSpmm) {
-    let bn = spmm_bn(tokens);
-    let tuning = SpmmTuning::default_parallel(k / bk);
-    let kernel = BlockSpmm::new(m, tokens, k, bm, bk, bn, tuning).expect("spmm kernel shape");
-    (bn, kernel)
 }
 
 struct SpmmPlanKernel {
@@ -890,8 +874,7 @@ struct SpmmPlanKernel {
 /// A compiled Block-SpMM plan over one block-sparse (BCSC) weight.
 ///
 /// The BCSC operand is itself a pack-once artifact (pruning produced it);
-/// the plan adds what the pack-per-call bridge re-did every call: kernel
-/// construction, cached per activation width.
+/// the plan adds kernel construction, cached per activation width.
 pub struct SpmmPlan {
     weight: BcscMatrix<f32>,
     kernels: RwLock<HashMap<usize, Arc<SpmmPlanKernel>>>,
@@ -913,13 +896,11 @@ impl SpmmPlan {
         if let Some(k) = self.kernels.read().unwrap().get(&tokens) {
             return Arc::clone(k);
         }
-        let (bn, kernel) = build_spmm_kernel(
-            self.weight.rows(),
-            self.weight.cols(),
-            self.weight.bm(),
-            self.weight.bk(),
-            tokens,
-        );
+        // The Block-SpMM kernel at the built-in parallel spec.
+        let w = &self.weight;
+        let (bn, tuning) = (spmm_bn(tokens), SpmmTuning::default_parallel(w.cols() / w.bk()));
+        let kernel = BlockSpmm::new(w.rows(), tokens, w.cols(), w.bm(), w.bk(), bn, tuning)
+            .expect("spmm kernel shape");
         let k = Arc::new(SpmmPlanKernel { bn, kernel });
         let mut cache = self.kernels.write().unwrap();
         if cache.len() < KERNEL_CACHE_CAP || cache.contains_key(&tokens) {

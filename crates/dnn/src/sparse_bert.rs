@@ -3,15 +3,16 @@
 //! A dense layer's weights are magnitude-pruned at `block x block`
 //! granularity (the paper prunes to 80 % with 8x8 blocks via knowledge
 //! distillation; our synthetic stand-in keeps the largest-norm blocks, which
-//! produces the same *structure* the kernels see). The six weight
-//! contractions then run through the Block-SpMM PARLOOPER kernel instead of
-//! dense BRGEMM.
+//! produces the same *structure* the kernels see). The layer then runs the
+//! dense layer's one forward body ([`crate::bert`]) with its six weight
+//! contractions on the Block-SpMM PARLOOPER kernel instead of dense BRGEMM:
+//! the TPP contract lets the computational core change under unchanged
+//! loops.
 
-use crate::bert::{BertConfig, BertLayer, DenseWeights};
-use crate::prepared::{build_spmm_kernel, SpmmPlan};
+use crate::bert::{BertConfig, BertLayer, Contraction, EncoderBody};
+use crate::prepared::SpmmPlan;
 use pl_runtime::ThreadPool;
-use pl_tensor::{BcscMatrix, VnniMatrix, Xorshift};
-use pl_tpp::{softmax, unary};
+use pl_tensor::{BcscMatrix, Xorshift};
 
 /// Magnitude-based block pruning: keeps the `(1 - sparsity)` fraction of
 /// `block x block` blocks with the largest Frobenius norms.
@@ -52,20 +53,11 @@ fn prune_to_block_sparse(
     BcscMatrix::from_dense_colmajor(&dense, rows, cols, block, block).expect("bcsc")
 }
 
-/// One sparse contraction: `y (m x t) = A_sparse (m x k) * x (k x t)` —
-/// the **pack-per-call** compatibility bridge: it re-constructs the
-/// kernel (`SpmmTuning::default_parallel`) every call. Layers that own
-/// their sparse weight should hold a [`SpmmPlan`] instead (what
-/// [`SparseBertLayer`] does); this wrapper remains for one-shot
-/// contractions.
-pub fn spmm_matmul(a: &BcscMatrix<f32>, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
-    let (m, k) = (a.rows(), a.cols());
-    let (bn, kernel) = build_spmm_kernel(m, k, a.bm(), a.bk(), tokens);
-    let mut b = VnniMatrix::<f32>::new(k, tokens, bn, 1).expect("b vnni");
-    b.pack_from_colmajor(x);
-    let mut c = VnniMatrix::<f32>::new(m, tokens, bn, 1).expect("c vnni");
-    kernel.execute(a, &b, &mut c, pool).expect("spmm exec");
-    c.unpack_to_colmajor()
+/// Block-SpMM in place of BRGEMM: the encoder body is unchanged.
+impl Contraction for SpmmPlan {
+    fn apply(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
+        self.execute(x, tokens, pool)
+    }
 }
 
 /// Block-sparse weights of one encoder layer, held as prepared
@@ -73,134 +65,34 @@ pub fn spmm_matmul(a: &BcscMatrix<f32>, x: &[f32], tokens: usize, pool: &ThreadP
 /// the constructed kernels are cached per token width, so forwards pay
 /// neither weight re-compression nor kernel re-construction.
 pub struct SparseBertLayer {
-    cfg: BertConfig,
-    sw: Vec<SpmmPlan>, // wq, wk, wv, wo, w1, w2
-    biases: Vec<Vec<f32>>,
-    ln1_g: Vec<f32>,
-    ln1_b: Vec<f32>,
-    ln2_g: Vec<f32>,
-    ln2_b: Vec<f32>,
+    body: EncoderBody<SpmmPlan>,
 }
 
 impl SparseBertLayer {
-    /// Prunes a dense layer's weights to the target block sparsity.
-    fn from_dense(dense: &DenseWeights<'_>, block: usize, sparsity: f64) -> Self {
-        let cfg = *dense.cfg;
-        let (h, i) = (cfg.hidden, cfg.intermediate);
-        let dims = [(h, h), (h, h), (h, h), (h, h), (i, h), (h, i)];
-        let sw = dense
-            .weights
-            .iter()
-            .zip(dims)
-            .map(|(w, (r, c))| SpmmPlan::new(prune_to_block_sparse(w, r, c, block, sparsity)))
-            .collect();
-        SparseBertLayer {
-            cfg,
-            sw,
-            biases: dense.biases.iter().map(|b| b.to_vec()).collect(),
-            ln1_g: dense.ln1_g.to_vec(),
-            ln1_b: dense.ln1_b.to_vec(),
-            ln2_g: dense.ln2_g.to_vec(),
-            ln2_b: dense.ln2_b.to_vec(),
-        }
+    /// Prunes a dense layer's weights to the target block sparsity; the
+    /// biases and LayerNorm parameters carry over unchanged.
+    fn from_dense(dense: &BertLayer, block: usize, sparsity: f64) -> Self {
+        let body = dense.map_weights(|w, rows, cols| {
+            SpmmPlan::new(prune_to_block_sparse(w, rows, cols, block, sparsity))
+        });
+        SparseBertLayer { body }
     }
 
     /// Effective sparsity actually achieved across the six weights.
     pub fn sparsity(&self) -> f64 {
-        self.sw.iter().map(|m| m.weight().sparsity()).sum::<f64>() / self.sw.len() as f64
+        let ws = self.body.weights();
+        ws.iter().map(|m| m.weight().sparsity()).sum::<f64>() / ws.len() as f64
     }
 
     /// Compressed weight footprint in bytes.
     pub fn compressed_bytes(&self) -> usize {
-        self.sw.iter().map(|m| m.weight().compressed_bytes()).sum()
+        self.body.weights().iter().map(|m| m.weight().compressed_bytes()).sum()
     }
 
-    /// Forward (inference only; mirrors `BertLayer::forward` with sparse
-    /// contractions).
+    /// Forward (inference only): the dense layer's body over the sparse
+    /// contractions.
     pub fn forward(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
-        let h = self.cfg.hidden;
-        let nh = self.cfg.heads;
-        let dh = h / nh;
-        let i = self.cfg.intermediate;
-        let lin = |w: &SpmmPlan, b: &[f32], x: &[f32], out_f: usize| -> Vec<f32> {
-            let mut y = w.execute(x, tokens, pool);
-            pl_tpp::binary::bias_add(out_f, tokens, b, &mut y, out_f);
-            y
-        };
-        let q = lin(&self.sw[0], &self.biases[0], x, h);
-        let k = lin(&self.sw[1], &self.biases[1], x, h);
-        let v = lin(&self.sw[2], &self.biases[2], x, h);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut ctx = vec![0.0f32; h * tokens];
-        for hd in 0..nh {
-            let qh = head(&q, h, dh, hd, tokens);
-            let kh = head(&k, h, dh, hd, tokens);
-            let vh = head(&v, h, dh, hd, tokens);
-            let mut s = crate::matmul::matmul(
-                &kh,
-                crate::matmul::Trans::Yes,
-                &qh,
-                crate::matmul::Trans::No,
-                tokens,
-                tokens,
-                dh,
-                pool,
-            );
-            s.iter_mut().for_each(|v| *v *= scale);
-            let mut p = vec![0.0f32; tokens * tokens];
-            softmax::softmax_cols(tokens, tokens, &s, tokens, &mut p, tokens);
-            let ch = crate::matmul::matmul(
-                &vh,
-                crate::matmul::Trans::No,
-                &p,
-                crate::matmul::Trans::No,
-                dh,
-                tokens,
-                tokens,
-                pool,
-            );
-            for t in 0..tokens {
-                ctx[t * h + hd * dh..t * h + (hd + 1) * dh]
-                    .copy_from_slice(&ch[t * dh..(t + 1) * dh]);
-            }
-        }
-        let mut attn = lin(&self.sw[3], &self.biases[3], &ctx, h);
-        pl_tpp::binary::add(h, tokens, &attn.clone(), h, x, h, &mut attn, h);
-        let mut h1 = vec![0.0f32; h * tokens];
-        let (mut mean, mut rstd) = (vec![0.0; tokens], vec![0.0; tokens]);
-        pl_tpp::norm::layernorm(
-            h,
-            tokens,
-            &attn,
-            h,
-            &self.ln1_g,
-            &self.ln1_b,
-            1e-5,
-            &mut h1,
-            h,
-            &mut mean,
-            &mut rstd,
-        );
-        let pre = lin(&self.sw[4], &self.biases[4], &h1, i);
-        let mut act = vec![0.0f32; i * tokens];
-        unary::gelu(i, tokens, &pre, i, &mut act, i);
-        let mut out = lin(&self.sw[5], &self.biases[5], &act, h);
-        pl_tpp::binary::add(h, tokens, &out.clone(), h, &h1, h, &mut out, h);
-        let mut y = vec![0.0f32; h * tokens];
-        pl_tpp::norm::layernorm(
-            h,
-            tokens,
-            &out,
-            h,
-            &self.ln2_g,
-            &self.ln2_b,
-            1e-5,
-            &mut y,
-            h,
-            &mut mean,
-            &mut rstd,
-        );
-        y
+        self.body.forward(x, tokens, pool, false).0
     }
 }
 
@@ -212,16 +104,8 @@ pub fn random_sparse_layer(
     seed: u64,
 ) -> (BertLayer, SparseBertLayer) {
     let dense = BertLayer::new(cfg, &mut Xorshift::new(seed));
-    let sparse = SparseBertLayer::from_dense(&dense.as_weight_view(), block, sparsity);
+    let sparse = SparseBertLayer::from_dense(&dense, block, sparsity);
     (dense, sparse)
-}
-
-fn head(x: &[f32], h: usize, dh: usize, hd: usize, tokens: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; dh * tokens];
-    for t in 0..tokens {
-        out[t * dh..(t + 1) * dh].copy_from_slice(&x[t * h + hd * dh..t * h + (hd + 1) * dh]);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -266,6 +150,21 @@ mod tests {
         let dense = s.to_dense_colmajor();
         assert_eq!(dense[0], 10.0);
         assert_eq!(s.nnz_blocks(), 1);
+    }
+
+    #[test]
+    fn sparse_forward_bits_are_pinned() {
+        // Recorded while the block-sparse layer still had its own copy of
+        // the dense layer's forward body.
+        let pool = ThreadPool::new(2);
+        let cfg = BertConfig { hidden: 32, heads: 4, intermediate: 64, layers: 1, seq: 16 };
+        let (_, sparse) = random_sparse_layer(cfg, 8, 0.8, 43);
+        let tokens = 12;
+        let mut x = vec![0.0f32; cfg.hidden * tokens];
+        pl_tensor::fill_uniform(&mut x, &mut Xorshift::new(44), -1.0, 1.0);
+        let y = sparse.forward(&x, tokens, &pool);
+        let fnv = crate::bert::tests::fnv(&[&y]);
+        assert_eq!(fnv, 0xd4c4_3888_12c5_dd60, "{fnv:#018x}");
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! exact int8 with dequantize-on-store ([`GemmInt8`]) — and with it the
 //! element types, the per-call scales, the `A` layout, and whether an
 //! output block's whole K extent must run in one call.
+//!
+//! The nest has one optional epilogue, the MLP's (§III-A1): a TPP adding a
+//! per-row bias and applying ReLU, fired on an output block right after its
+//! last K step while the block is still in cache ([`crate::Mlp`] runs its
+//! layers that way).
 
 use crate::shared::SharedSlice;
 use crate::KernelError;
@@ -339,7 +344,9 @@ impl<T: Tile> GemmKernel<T> {
     /// shares one region, with [`WorkerCtx::barrier`] between dependent
     /// ones. Operands are the backing data of blocked matrices laid out
     /// for [`Self::shape`] (`B`/`C` padded to [`GemmShape::n_padded`]
-    /// columns); `scales` is the tile's per-call scale operand.
+    /// columns); `scales` is the tile's per-call scale operand. With a
+    /// `bias` (one per row of `C`), each C block becomes
+    /// `max(C + bias, 0)` right after its last K step.
     ///
     /// # Safety
     /// Between the team barriers (or region boundaries) that bracket the
@@ -347,8 +354,9 @@ impl<T: Tile> GemmKernel<T> {
     /// the members write disjoint blocks of it through the shared view.
     ///
     /// # Panics
-    /// Panics if an operand or scale vector is shorter than the shape
-    /// requires.
+    /// Panics if an operand, scale vector or bias is shorter than the
+    /// shape requires.
+    #[allow(clippy::too_many_arguments)]
     pub unsafe fn execute_in(
         &self,
         ctx: &WorkerCtx,
@@ -357,6 +365,7 @@ impl<T: Tile> GemmKernel<T> {
         b_data: &[T::B],
         c: &SharedSlice<T::C>,
         scales: T::Scales<'_>,
+        bias: Option<&[f32]>,
     ) {
         let sh = self.shape;
         let (bm, bn, bk) = (sh.bm, sh.bn, sh.bk);
@@ -364,7 +373,8 @@ impl<T: Tile> GemmKernel<T> {
         assert!(
             a_data.len() >= sh.m * sh.k
                 && b_data.len() >= sh.k * sh.n_padded()
-                && c.len() >= sh.m * sh.n_padded(),
+                && c.len() >= sh.m * sh.n_padded()
+                && bias.is_none_or(|b| b.len() >= sh.m),
             "GEMM operand shorter than its shape"
         );
         let k_step = if T::WHOLE_K { kb } else { self.tuning.k_step };
@@ -395,17 +405,22 @@ impl<T: Tile> GemmKernel<T> {
             let b = &b_data[(i_n * kb + ik) * stride_b..];
             let (strides, at) = ((stride_a, stride_b), (im * bm, i_n * bn));
             tile.run(sealed::Call { a, b, strides, count: brcount, at }, c_block, scales);
+            if let Some(bias) = bias.filter(|_| ik + brcount >= kb) {
+                // The block's last K step: fuse the bias + ReLU epilogue.
+                pl_tpp::equation::bias_relu(bm, cols, &bias[im * bm..][..bm], c_block, bm);
+            }
         });
     }
 
-    /// `C = A x B` on the given pool: one parallel region around
-    /// [`Self::execute_in`].
-    fn execute_on(
+    /// `C = A x B` on the given pool (with the bias + ReLU epilogue if
+    /// `bias` is given): one parallel region around [`Self::execute_in`].
+    pub(crate) fn execute_on(
         &self,
         a: &BlockedMatrix<T::A>,
         b: &BlockedMatrix<T::B>,
         c: &mut BlockedMatrix<T::C>,
         scales: T::Scales<'_>,
+        bias: Option<&[f32]>,
         pool: &ThreadPool,
     ) -> Result<(), KernelError> {
         let (sh, np) = (self.shape, self.shape.n_padded());
@@ -414,6 +429,7 @@ impl<T: Tile> GemmKernel<T> {
             || (b.rows(), b.cols(), b.br(), b.bc(), b.inner())
                 != (sh.k, np, sh.bk, sh.bn, InnerLayout::ColMajor)
             || (c.rows(), c.cols(), c.br(), c.bc()) != (sh.m, np, sh.bm, sh.bn)
+            || bias.is_some_and(|b| b.len() < sh.m)
         {
             let msg = format!("operands do not match {sh:?} over A {:?}", self.a_layout);
             return Err(KernelError::BadShape(msg));
@@ -423,7 +439,7 @@ impl<T: Tile> GemmKernel<T> {
         // SAFETY: `c` is exclusively borrowed for the whole region and the
         // region runs nothing but this GEMM.
         pool.parallel(|ctx| unsafe {
-            self.execute_in(ctx, &run, a.data(), b.data(), &c_shared, scales)
+            self.execute_in(ctx, &run, a.data(), b.data(), &c_shared, scales, bias)
         });
         Ok(())
     }
@@ -444,7 +460,7 @@ impl<TA: Element, TB: Element, TC: Element> Gemm<TA, TB, TC> {
         c: &mut BlockedMatrix<TC>,
         pool: &ThreadPool,
     ) -> Result<(), KernelError> {
-        self.execute_on(a, b, c, (), pool)
+        self.execute_on(a, b, c, (), None, pool)
     }
 }
 
@@ -469,7 +485,7 @@ impl GemmInt8 {
         if row_scales.len() != self.shape.m || col_scales.len() < self.shape.n {
             return Err(KernelError::BadShape("scale length mismatch".into()));
         }
-        self.execute_on(a, b, c, (row_scales, col_scales), pool)
+        self.execute_on(a, b, c, (row_scales, col_scales), None, pool)
     }
 }
 
@@ -800,6 +816,38 @@ mod tests {
     }
 
     #[test]
+    fn bias_relu_epilogue_fires_after_the_last_k_step() {
+        // Two K blocks, one per K step. Every column's first K block sums
+        // to -8 and its second to 8 * w[j], so the partial sums are
+        // negative before the last K step and (but for column 0) positive
+        // after it: a ReLU fired at an earlier step would clamp them.
+        let pool = ThreadPool::new(2);
+        let sh = GemmShape { m: 8, n: 4, k: 16, bm: 8, bn: 4, bk: 8 };
+        let w = [0.5f32, 1.5, 2.0, 3.0];
+        let b_cm: Vec<f32> =
+            (0..sh.n * sh.k).map(|i| if i % sh.k < sh.bk { -1.0 } else { w[i / sh.k] }).collect();
+        let mut a = BlockedMatrix::<f32>::a_layout(sh.m, sh.k, sh.bm, sh.bk).unwrap();
+        a.pack_from_colmajor(&vec![1.0; sh.m * sh.k]);
+        let mut b = BlockedMatrix::<f32>::b_layout(sh.k, sh.n, sh.bk, sh.bn).unwrap();
+        b.pack_from_colmajor(&b_cm);
+        let bias: Vec<f32> = (0..sh.m).map(|r| r as f32 * 0.25 - 1.0).collect();
+        for spec in ["aBC", "BCa"] {
+            let gemm = Gemm::<f32, f32, f32>::new(sh, GemmTuning::simple(spec)).unwrap();
+            assert_eq!((gemm.tuning().k_step, sh.kb()), (1, 2));
+            let mut plain = BlockedMatrix::c_layout(sh.m, sh.n, sh.bm, sh.bn).unwrap();
+            gemm.execute(&a, &b, &mut plain, &pool).unwrap();
+            let mut want = plain.unpack_to_colmajor();
+            for (i, v) in want.iter_mut().enumerate() {
+                *v = (*v + bias[i % sh.m]).max(0.0);
+            }
+            let mut fused = BlockedMatrix::c_layout(sh.m, sh.n, sh.bm, sh.bn).unwrap();
+            gemm.execute_on(&a, &b, &mut fused, (), Some(&bias), &pool).unwrap();
+            let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused.unpack_to_colmajor()), bits(&want), "spec {spec}");
+        }
+    }
+
+    #[test]
     fn dependent_gemms_chain_inside_one_region() {
         // C2 = A2 x (A1 x B): the second GEMM consumes the first one's
         // blocked output as its B operand, one region, one barrier.
@@ -815,9 +863,9 @@ mod tests {
         // SAFETY: c1 is written only before the barrier and read only
         // after it; c2 is touched by the second GEMM alone.
         pool.parallel(|ctx| unsafe {
-            g.execute_in(ctx, &run1, a1.data(), b.data(), &s1, ());
+            g.execute_in(ctx, &run1, a1.data(), b.data(), &s1, (), None);
             ctx.barrier();
-            g.execute_in(ctx, &run2, a2.data(), s1.slice(0, s1.len()), &s2, ());
+            g.execute_in(ctx, &run2, a2.data(), s1.slice(0, s1.len()), &s2, (), None);
         });
         let mid_ref = reference_gemm(&a1_cm, &b_cm, sh.m, sh.n, sh.k);
         let want = reference_gemm(&a2_cm, &mid_ref, sh.m, sh.n, sh.m);

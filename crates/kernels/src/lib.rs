@@ -6,8 +6,8 @@
 //! * [`gemm`] — GEMM over blocked operands (Listing 1): one loop nest,
 //!   [`GemmKernel`], whose BRGEMM [`Tile`] chooses the arithmetic — f32
 //!   FMA ([`Gemm`]) or exact int8 with dequantize-on-store ([`GemmInt8`]).
-//! * [`mlp`] — fully-connected layers / MLP with fused bias + activation
-//!   (§III-A1).
+//! * [`mlp`] — the MLP (§III-A1): each layer is [`Gemm`] with its fused
+//!   bias + ReLU epilogue.
 //! * [`conv`] — direct convolution forward (Listing 4) plus backward-data /
 //!   backward-weights for training.
 //! * [`spmm`] — block-sparse x dense matmul over BCSC (Listing 5).
@@ -24,7 +24,7 @@ pub mod spmm;
 
 pub use conv::{conv_backward_data, conv_backward_weights, ConvForward, ConvTuning};
 pub use gemm::{Gemm, GemmInt8, GemmKernel, GemmShape, GemmTuning, Tile};
-pub use mlp::{Activation, FusedFcLayer, Mlp};
+pub use mlp::Mlp;
 pub use shared::SharedSlice;
 pub use spmm::{BlockSpmm, SpmmTuning};
 

@@ -50,8 +50,9 @@ impl Default for RouterConfig {
 /// The sharded serving tier: N [`Shard`]s behind session-affine routing.
 ///
 /// Lifecycle: [`Router::new`] → either [`Router::start`] (every shard's
-/// background batcher; clients call the blocking [`Router::step`]) or a
-/// manual [`Router::pump_all`] drive loop → [`Router::shutdown`].
+/// background batcher) or manual drive ([`Router::pump_all`], or the
+/// blocking [`Router::step`] / [`Router::prefill`], which pump the
+/// session's shard on the calling thread) → [`Router::shutdown`].
 pub struct Router {
     shards: Vec<Shard>,
     cfg: RouterConfig,
@@ -226,14 +227,11 @@ impl Router {
         Ok(self.shards[p.shard].server().submit_step(p.local, x)?)
     }
 
-    /// Blocking decode step. Requires [`Router::start`] (or a concurrent
-    /// [`Router::pump_all`] driver on another thread).
+    /// Blocking decode step on the session's shard ([`pl_serve::Server::step`]):
+    /// in manual-drive mode it pumps that shard on the calling thread.
     pub fn step(&self, id: RouterSessionId, x: &[f32]) -> Result<Vec<f32>, RouterError> {
-        let rx = self.submit_step(id, x)?;
-        match rx.recv() {
-            Ok(res) => Ok(res?),
-            Err(_) => Err(RouterError::Serve(ServeError::ShuttingDown)),
-        }
+        let p = self.lookup(id)?;
+        Ok(self.shards[p.shard].server().step(p.local, x)?)
     }
 
     /// Gracefully ends a session: its **own** accepted work is allowed to
@@ -313,7 +311,7 @@ mod tests {
     use super::*;
     use pl_dnn::DecoderConfig;
     use pl_runtime::ThreadPool;
-    use pl_serve::Health;
+    use pl_serve::{Health, Server};
     use pl_tensor::{fill_uniform, Xorshift};
 
     fn tiny_router(shards: usize, server: ServerConfig) -> Router {
@@ -523,6 +521,24 @@ mod tests {
                 let rel = (a - b).abs() / b.abs().max(1.0);
                 assert!(rel < 0.25, "session {s} idx {i}: i8 {a} vs f32 {b}");
             }
+        }
+    }
+
+    #[test]
+    fn manual_drive_step_pumps_and_matches_the_server() {
+        // A router that was never started has no batcher, so its blocking
+        // step must pump the session's shard on the calling thread.
+        let r = tiny_router(2, ServerConfig::default());
+        let model = Arc::clone(r.shard(0).server().model());
+        let hidden = model.config().hidden;
+        let server =
+            Server::new(Arc::clone(&model), Arc::new(ThreadPool::new(2)), ServerConfig::default());
+        let (id, sid) = (r.create_session(0).unwrap(), server.create_session(0).unwrap());
+        let (mut routed, mut served) = (token(900, hidden), token(900, hidden));
+        for t in 0..3 {
+            routed = r.step(id, &routed).unwrap();
+            served = server.step(sid, &served).unwrap();
+            assert_eq!(routed, served, "step {t}");
         }
     }
 

@@ -74,18 +74,15 @@ pub fn bias_gelu<TI: Element, TO: Element>(
     }
 }
 
-/// Fused bias + ReLU over a `bk x s2` feature-major block (MLP, §III-A).
-pub fn bias_relu<TI: Element, TO: Element>(
-    bk: usize,
-    s2: usize,
-    x: &[TI],
-    bias: &[f32],
-    out: &mut [TO],
-) {
-    for t in 0..s2 {
-        for i in 0..bk {
-            let v = (x[t * bk + i].to_f32() + bias[i]).max(0.0);
-            out[t * bk + i] = TO::from_f32(v);
+/// Fused bias + ReLU in place over an `m x n` column-major block with
+/// leading dimension `ldc`: `c = max(c + bias, 0)`, one bias per row. The
+/// MLP's epilogue (§III-A1), fired by the GEMM nest on an output block
+/// right after its last K step.
+pub fn bias_relu<T: Element>(m: usize, n: usize, bias: &[f32], c: &mut [T], ldc: usize) {
+    debug_assert!(bias.len() >= m);
+    for col in 0..n {
+        for (v, b) in c[col * ldc..][..m].iter_mut().zip(bias) {
+            *v = T::from_f32((v.to_f32() + b).max(0.0));
         }
     }
 }
@@ -142,8 +139,8 @@ mod tests {
     fn bias_activations() {
         let x = vec![-1.0f32, 0.5, 2.0, -0.25];
         let bias = vec![0.5f32, 0.5];
-        let mut r = vec![0.0f32; 4];
-        bias_relu(2, 2, &x, &bias, &mut r);
+        let mut r = x.clone();
+        bias_relu(2, 2, &bias, &mut r, 2);
         assert_eq!(r, vec![0.0, 1.0, 2.5, 0.25]);
         let mut g = vec![0.0f32; 4];
         bias_gelu(2, 2, &x, &bias, &mut g);

@@ -1,15 +1,12 @@
 //! Auto-tuning a GEMM (paper §II-D + Fig. 1): generate candidate
 //! loop_spec_strings under constraints, score them with the offline
-//! performance model, verify the top candidates by measurement, and
-//! persist the winner in the tuning database.
+//! performance model, and verify the top candidates by measurement.
 //!
 //! ```sh
 //! cargo run --release --example autotune_gemm
 //! ```
 
-use pl_autotuner::{
-    blocks_for_spec, tune_gemm_modeled, Constraints, DbEntry, GemmProblem, Platform, TuningDb,
-};
+use pl_autotuner::{blocks_for_spec, tune_gemm_modeled, Constraints, GemmProblem, Platform};
 use pl_kernels::{Gemm, GemmShape, GemmTuning};
 use pl_runtime::global_pool;
 use pl_tensor::{fill_uniform, BlockedMatrix, DType, Xorshift};
@@ -71,15 +68,4 @@ fn main() {
 
     let (spec, gf) = best.expect("at least one candidate measured");
     println!("\nwinner: {spec} at {gf:.1} GF");
-
-    // Phase 3: persist the winner (Fig. 1, off-line database) and read it
-    // back.
-    let mut db = TuningDb::new();
-    let key = TuningDb::gemm_key("host", m, n, k, "f32");
-    db.put(&key, DbEntry { spec: spec.clone(), score: gf });
-    let path = std::env::temp_dir().join("parlooper_tuning.tsv");
-    db.save(&path).expect("save db");
-    let loaded = TuningDb::load(&path).expect("load db");
-    assert_eq!(loaded.get(&key).map(|e| e.spec.as_str()), Some(spec.as_str()));
-    println!("saved to {} under key {key}", path.display());
 }
