@@ -8,7 +8,7 @@
 use pl_bench::{f2, header, row};
 use pl_kernels::{conv_backward_data, conv_backward_weights, ConvForward, ConvTuning};
 use pl_runtime::global_pool;
-use pl_tensor::{ActTensor, ConvShape, ConvWeights};
+use pl_tensor::{ActTensor, ConvShape, ConvWeights, Xorshift};
 
 fn main() {
     let pool = global_pool();
@@ -26,10 +26,15 @@ fn main() {
         bk: 16,
     };
     let conv = ConvForward::<f32>::new(shape, ConvTuning::default_for(&shape)).unwrap();
-    let input =
-        ActTensor::<f32>::new(shape.n, shape.c, shape.h, shape.w, shape.bc, shape.pad).unwrap();
+    // Random operands: a pass that skipped zero products would otherwise
+    // time nothing.
+    let mut rng = Xorshift::new(7);
+    let mut random = |_: usize, _: usize, _: usize, _: usize| rng.next_f32() - 0.5;
+    let (n, c, h, w, bc, pad) = (shape.n, shape.c, shape.h, shape.w, shape.bc, shape.pad);
+    let input = ActTensor::<f32>::from_fn(n, c, h, w, bc, pad, &mut random).unwrap();
     let weights =
-        ConvWeights::<f32>::new(shape.c, shape.k, shape.r, shape.s, shape.bc, shape.bk).unwrap();
+        ConvWeights::<f32>::from_fn(c, shape.k, shape.r, shape.s, bc, shape.bk, &mut random)
+            .unwrap();
     let mut out =
         ActTensor::<f32>::new(shape.n, shape.k, shape.p(), shape.q(), shape.bk, 0).unwrap();
     let mut din =

@@ -8,10 +8,10 @@
 //! a layernorm) where Listing 6 fuses them on block granularity.
 //! Activations are `hidden x tokens` column-major f32.
 //!
-//! The forward body is written once, over a layer's six weight
-//! contractions (`Contraction`): the dense layer runs it over
-//! PARLOOPER GEMM plans, the block-sparse layer ([`crate::sparse_bert`])
-//! over Block-SpMM plans.
+//! The forward body is written once, over a layer's six weight plans: the
+//! dense layer's pack its flat weights, the block-sparse layer's
+//! ([`crate::sparse_bert`]) hold pruned BCSC weights, and both run the one
+//! GEMM nest, over a dense or a block-sparse BRGEMM tile.
 //!
 //! Both forward and backward are implemented (Fig. 9 measures SQuAD
 //! *fine-tuning* throughput). Embedding lookup is a negligible gather next
@@ -60,43 +60,13 @@ impl BertConfig {
     }
 }
 
-/// A weight contraction `y = W x` over flat column-major activations:
-/// what the encoder body asks of each of a layer's six weights. The dense
-/// layer's [`MatmulPlan`]s run BRGEMM, the block-sparse layer's
-/// [`crate::prepared::SpmmPlan`]s Block-SpMM, under one unchanged body.
-pub(crate) trait Contraction {
-    /// `W x` over `tokens` columns.
-    fn apply(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32>;
-
-    /// `[W_q x, W_k x, W_v x]` for `qkv = [W_q, W_k, W_v]`.
-    fn apply3(qkv: &[Self], x: &[f32], tokens: usize, pool: &ThreadPool) -> [Vec<f32>; 3]
-    where
-        Self: Sized,
-    {
-        std::array::from_fn(|j| qkv[j].apply(x, tokens, pool))
-    }
-}
-
-impl Contraction for MatmulPlan {
-    fn apply(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
-        self.execute(x, tokens, pool)
-    }
-
-    /// The three plans consume one packed copy of `x` (pack-once per layer
-    /// boundary).
-    fn apply3(qkv: &[Self], x: &[f32], tokens: usize, pool: &ThreadPool) -> [Vec<f32>; 3] {
-        let xp = qkv[0].pack(x, tokens);
-        std::array::from_fn(|j| qkv[j].execute_packed(&xp, pool))
-    }
-}
-
 /// One encoder layer's forward body and what it reads: the six weight
-/// contractions `W` (`wq, wk, wv, wo, w1, w2`), their biases and the two
-/// LayerNorms' parameters.
+/// plans (`wq, wk, wv, wo, w1, w2`), their biases and the two LayerNorms'
+/// parameters.
 #[derive(Debug, Clone)]
-pub(crate) struct EncoderBody<W> {
+pub(crate) struct EncoderBody {
     cfg: BertConfig,
-    weights: [W; 6],
+    weights: [MatmulPlan; 6],
     /// bq, bk, bv, bo, b1, b2.
     biases: [Vec<f32>; 6],
     ln1_g: Vec<f32>,
@@ -105,14 +75,12 @@ pub(crate) struct EncoderBody<W> {
     ln2_b: Vec<f32>,
 }
 
-impl<W> EncoderBody<W> {
-    /// The weight contractions.
-    pub(crate) fn weights(&self) -> &[W; 6] {
+impl EncoderBody {
+    /// The weight plans.
+    pub(crate) fn weights(&self) -> &[MatmulPlan; 6] {
         &self.weights
     }
-}
 
-impl<W: Contraction> EncoderBody<W> {
     /// Forward over `x` (`hidden x tokens`, column-major): the output and,
     /// if `keep_tape`, the intermediates the backward pass reads.
     pub(crate) fn forward(
@@ -130,10 +98,12 @@ impl<W: Contraction> EncoderBody<W> {
             pl_tpp::binary::bias_add(b.len(), tokens, b, &mut y, b.len());
             y
         };
-        let linear = |j: usize, x: &[f32]| bias(j, self.weights[j].apply(x, tokens, pool));
+        let linear = |j: usize, x: &[f32]| bias(j, self.weights[j].execute(x, tokens, pool));
 
-        // Self-attention projections (fused bias adds).
-        let [q, k, v] = W::apply3(&self.weights[..3], x, tokens, pool);
+        // Self-attention projections over one packed copy of `x` (pack-once
+        // per layer boundary), then their bias adds.
+        let xp = self.weights[0].pack(x, tokens);
+        let [q, k, v] = std::array::from_fn(|j| self.weights[j].execute_packed(&xp, pool));
         let (q, k, v) = (bias(0, q), bias(1, k), bias(2, v));
 
         // Per-head attention: scores = (K_h^T Q_h) / sqrt(dh), softmax over
@@ -235,7 +205,7 @@ impl<W: Contraction> EncoderBody<W> {
 pub struct BertLayer {
     /// wq, wk, wv, wo, w1, w2 (column-major).
     w: [Vec<f32>; 6],
-    body: EncoderBody<MatmulPlan>,
+    body: EncoderBody,
 }
 
 /// Forward-pass intermediates needed by the backward pass.
@@ -301,13 +271,13 @@ impl BertLayer {
         std::array::from_fn(|j| MatmulPlan::new(&w[j], Trans::No, dims[j].0, dims[j].1))
     }
 
-    /// This layer's parameters over other weight contractions: `f` maps
-    /// each flat weight and its `(rows, cols)` (pruning builds the
-    /// block-sparse layer this way).
-    pub(crate) fn map_weights<V>(
+    /// This layer's parameters over other weight plans: `f` maps each flat
+    /// weight and its `(rows, cols)` (pruning builds the block-sparse layer
+    /// this way).
+    pub(crate) fn map_weights(
         &self,
-        mut f: impl FnMut(&[f32], usize, usize) -> V,
-    ) -> EncoderBody<V> {
+        mut f: impl FnMut(&[f32], usize, usize) -> MatmulPlan,
+    ) -> EncoderBody {
         let dims = self.body.cfg.weight_dims();
         let b = &self.body;
         EncoderBody {

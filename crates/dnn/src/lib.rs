@@ -6,7 +6,7 @@
 //!   SelfOutput/Output, Intermediate; Listing 6's block-granular fusion is
 //!   not reproduced yet), forward *and* backward (Fig. 9 fine-tuning).
 //! * [`sparse_bert`] — magnitude block-pruned BERT inference (Fig. 10): the
-//!   dense layer's one forward body over Block-SpMM contractions.
+//!   dense layer's one forward body over block-sparse plans.
 //! * [`llm`] — decoder-only LLM (GPT-J / Llama2 architectures) with KV
 //!   cache: prefill (first token) and autoregressive steps (next tokens)
 //!   (Fig. 11), plus exact flop/byte accounting of the full-size models.
@@ -17,8 +17,9 @@
 //! * [`resnet`] — the Fig. 7 convolution shape table, batchnorm (fwd/bwd)
 //!   and pooling for ResNet-50 training (Table II).
 //! * [`prepared`] — the **prepared-op execution API**: pack-once compiled
-//!   plans ([`prepared::MatmulPlan`], [`prepared::SpmmPlan`]) that own
-//!   their blocked weight, cached per-width kernels and reusable scratch.
+//!   plans ([`prepared::MatmulPlan`]) that own their blocked weight — or a
+//!   block-sparse one, run by the same GEMM nest over a block-sparse tile —
+//!   cached per-width kernels and reusable scratch.
 //!   The model types above hold plans, so steady-state inference packs
 //!   **zero** weight bytes per step (observable via
 //!   [`prepared::pack_events`]). It also holds the in-team runner that
@@ -55,6 +56,6 @@ pub use kvpool::{
     DEFAULT_PAGE_TOKENS,
 };
 pub use llm::{prefill_chunk_widths, Decoder, DecoderConfig, DecoderModel, DecoderState};
-pub use prepared::{ActMatrix, MatmulPlan, Precision, SpmmPlan};
+pub use prepared::{ActMatrix, MatmulPlan, Precision};
 pub use resnet::{resnet50_conv_shapes, BatchNorm, ConvLayerSpec, FcHead};
 pub use sparse_bert::SparseBertLayer;

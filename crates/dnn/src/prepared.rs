@@ -38,21 +38,19 @@
 //! too). Batched = unbatched decode rests on it.
 //!
 //! Every kernel runs the built-in parallel spec
-//! ([`GemmTuning::default_parallel`], [`SpmmTuning::default_parallel`]):
-//! the offline tuner reproduces the paper's search, and no tuned spec has
-//! yet measured better on the serving path.
+//! ([`GemmTuning::default_parallel`]): the offline tuner reproduces the
+//! paper's search, and no tuned spec has yet measured better on the serving
+//! path.
 //!
-//! A plan branches on its [`Precision`] twice, both at the edges of its
-//! GEMM: what [`MatmulPlan::with_precision`] packs (the f32 weight, or its
-//! int8 quantization with per-channel scales), and whether its activation
-//! matrices carry a quantized twin. In between, one generic path runs the
-//! one GEMM nest ([`GemmKernel`]) over the precision's BRGEMM tile, which
-//! also names the trace span (`gemm.execute` / `gemm.i8.execute`).
-//!
-//! [`SpmmPlan`] is the Block-SpMM twin for block-sparse weights, the
-//! contractions of the block-sparse BERT layer: the BCSC operand is already
-//! a pack-once artifact (pruning produces it), so the plan's job is
-//! building the kernel for each width once and caching it.
+//! A plan's weight chooses its BRGEMM tile, and the weight is the one
+//! place a plan branches: the f32 weight packed by [`MatmulPlan::new`], its
+//! int8 quantization with per-channel scales ([`MatmulPlan::with_precision`],
+//! whose activation matrices also carry a quantized twin), or a
+//! block-sparse (BCSC) weight ([`MatmulPlan::block_sparse`], the
+//! contractions of the block-sparse BERT layer). In between, one generic
+//! path runs the one GEMM nest ([`GemmKernel`]) over the weight's tile,
+//! which also names the trace span (`gemm.execute` / `gemm.i8.execute` /
+//! `spmm.execute`).
 //!
 //! The module also exposes [`pack_events`], a process-wide count of weight
 //! pack/transpose work, as the assertion hook for the packing discipline:
@@ -60,12 +58,11 @@
 
 use crate::matmul::{transpose_cm, Trans};
 use parlooper::{LoopRun, LoopSpecs, ThreadedLoop};
-use pl_kernels::{
-    BlockSpmm, GemmKernel, GemmShape, GemmTuning, KernelError, SharedSlice, SpmmTuning, Tile,
-};
+use pl_kernels::spmm::BcscTile;
+use pl_kernels::{GemmKernel, GemmShape, GemmTuning, KernelError, SharedSlice, Tile};
 use pl_runtime::{ThreadPool, WorkerCtx};
 use pl_tensor::{
-    quantize_weight_a_vnni, symmetric_scale, BcscMatrix, BlockedMatrix, DType, Element, VnniMatrix,
+    quantize_weight_a_vnni, symmetric_scale, BcscMatrix, BlockedMatrix, DType, Element,
 };
 use pl_tpp::brgemm::{Brgemm, BrgemmI8};
 use std::cell::RefCell;
@@ -214,9 +211,13 @@ impl ActMatrix {
     }
 }
 
-/// The BRGEMM tile of a plan precision, and how a GEMM phase feeds it.
+/// The BRGEMM tile of a plan's weight, and how a GEMM phase feeds it.
 trait PlanTile: Tile<C = f32> + 'static {
     const PRECISION: Precision;
+
+    /// Bytes of `a` one execution streams (see
+    /// [`MatmulPlan::weight_stream_bytes`]).
+    fn stream_bytes(a: &Self::Operand) -> usize;
 
     /// The `B` operand and per-call scales of a GEMM over `act`: its
     /// columns and `()`, or their quantized twin and (`rows`, its column
@@ -226,26 +227,40 @@ trait PlanTile: Tile<C = f32> + 'static {
     /// Nothing may write `act` while they are in use.
     unsafe fn inputs<'a>(act: &'a ActMatrix, rows: &'a [f32]) -> (&'a [Self::B], Self::Scales<'a>);
 
-    /// `x`'s little-endian bytes.
+    /// `a`'s values' little-endian bytes, folded into the FNV-1a state `h`.
     #[cfg(test)]
-    fn le_bytes(x: Self::A) -> impl IntoIterator<Item = u8>;
+    fn fold_fnv(a: &Self::Operand, h: u64) -> u64;
+}
+
+/// Folds `bytes` into the FNV-1a state `h`.
+#[cfg(test)]
+fn fnv(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 impl PlanTile for Brgemm<f32, f32, f32> {
     const PRECISION: Precision = Precision::F32;
+
+    fn stream_bytes(a: &BlockedMatrix<f32>) -> usize {
+        std::mem::size_of_val(a.data())
+    }
 
     unsafe fn inputs<'a>(act: &'a ActMatrix, _: &'a [f32]) -> (&'a [f32], ()) {
         (act.data.view.slice(0, act.data.view.len()), ())
     }
 
     #[cfg(test)]
-    fn le_bytes(x: f32) -> impl IntoIterator<Item = u8> {
-        x.to_le_bytes()
+    fn fold_fnv(a: &BlockedMatrix<f32>, h: u64) -> u64 {
+        fnv(h, a.data().iter().flat_map(|x| x.to_le_bytes()))
     }
 }
 
 impl PlanTile for BrgemmI8 {
     const PRECISION: Precision = Precision::Int8;
+
+    fn stream_bytes(a: &BlockedMatrix<i8>) -> usize {
+        std::mem::size_of_val(a.data())
+    }
 
     unsafe fn inputs<'a>(act: &'a ActMatrix, rows: &'a [f32]) -> (&'a [i8], Self::Scales<'a>) {
         let (q, cols) = act.quant.as_ref().expect("int8 plans need an input built by an int8 plan");
@@ -253,15 +268,34 @@ impl PlanTile for BrgemmI8 {
     }
 
     #[cfg(test)]
-    fn le_bytes(x: i8) -> impl IntoIterator<Item = u8> {
-        x.to_le_bytes()
+    fn fold_fnv(a: &BlockedMatrix<i8>, h: u64) -> u64 {
+        fnv(h, a.data().iter().flat_map(|x| x.to_le_bytes()))
     }
 }
 
-/// A plan's pack-once weight: `A` in the layout its precision's tile
-/// reads and, at int8, one dequantization scale per output channel.
+impl PlanTile for BcscTile {
+    const PRECISION: Precision = Precision::F32;
+
+    /// The values and both index arrays.
+    fn stream_bytes(a: &BcscMatrix<f32>) -> usize {
+        a.compressed_bytes()
+    }
+
+    /// The dense f32 plan's: the columns themselves.
+    unsafe fn inputs<'a>(act: &'a ActMatrix, rows: &'a [f32]) -> (&'a [f32], ()) {
+        <Brgemm<f32, f32, f32> as PlanTile>::inputs(act, rows)
+    }
+
+    #[cfg(test)]
+    fn fold_fnv(a: &BcscMatrix<f32>, h: u64) -> u64 {
+        fnv(h, a.values().iter().flat_map(|x| x.to_le_bytes()))
+    }
+}
+
+/// A plan's pack-once weight: `A` in the operand its tile reads and, at
+/// int8, one dequantization scale per output channel.
 struct Packed<T: Tile> {
-    a: BlockedMatrix<T::A>,
+    a: T::Operand,
     row_scales: Vec<f32>,
 }
 
@@ -283,18 +317,17 @@ impl<T: PlanTile> Weight for Packed<T> {
     }
 
     fn stream_bytes(&self) -> usize {
-        std::mem::size_of_val(self.a.data()) + std::mem::size_of_val(self.row_scales.as_slice())
+        T::stream_bytes(&self.a) + std::mem::size_of_val(self.row_scales.as_slice())
     }
 
     fn kernel(self: Arc<Self>, shape: GemmShape, t: GemmTuning) -> Result<PlanKernel, KernelError> {
-        Ok(Box::new(Bound { gemm: GemmKernel::build(shape, t, self.a.inner())?, weight: self }))
+        let gemm = GemmKernel::build(shape, t, T::geometry(&self.a).4)?;
+        Ok(Box::new(Bound { gemm, weight: self }))
     }
 
     #[cfg(test)]
     fn fold_fnv(&self, h: u64) -> u64 {
-        let a = self.a.data().iter().flat_map(|&x| T::le_bytes(x));
-        let bytes = a.chain(self.row_scales.iter().flat_map(|x| x.to_le_bytes()));
-        bytes.fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+        fnv(T::fold_fnv(&self.a, h), self.row_scales.iter().flat_map(|x| x.to_le_bytes()))
     }
 }
 
@@ -347,7 +380,7 @@ impl<T: PlanTile> Kernel for Bound<T> {
         // GEMM (the contract); at int8 the quantized twin and its scales
         // were written with the columns.
         let (b, scales) = T::inputs(act, &self.weight.row_scales);
-        self.gemm.execute_in(ctx, run, self.weight.a.data(), b, &out.data.view, scales, None);
+        self.gemm.execute_in(ctx, run, &self.weight.a, b, &out.data.view, scales, None);
     }
 }
 
@@ -410,6 +443,16 @@ impl MatmulPlan {
             }
         };
         record_pack_event();
+        MatmulPlan { m, k, bm, bk, weight, kernels: RwLock::new(HashMap::new()) }
+    }
+
+    /// A plan over a block-sparse weight, already compressed: pruning
+    /// packed it, so the build records no pack event. Its GEMM is the same
+    /// nest over the block-sparse tile ([`pl_kernels::BlockSpmm`]),
+    /// reading the same packed activations as a dense f32 plan.
+    pub fn block_sparse(w: BcscMatrix<f32>) -> Self {
+        let (m, k, bm, bk) = (w.rows(), w.cols(), w.bm(), w.bk());
+        let weight = Arc::new(Packed::<BcscTile> { a: w, row_scales: Vec::new() });
         MatmulPlan { m, k, bm, bk, weight, kernels: RwLock::new(HashMap::new()) }
     }
 
@@ -856,84 +899,6 @@ fn vnni_fit(v: usize, bk: usize) -> usize {
     f
 }
 
-/// The `bn` blocking of a Block-SpMM kernel for an activation width.
-fn spmm_bn(tokens: usize) -> usize {
-    for cand in [16, 8, 4, 2, 1] {
-        if tokens.is_multiple_of(cand) {
-            return cand;
-        }
-    }
-    1
-}
-
-struct SpmmPlanKernel {
-    bn: usize,
-    kernel: BlockSpmm,
-}
-
-/// A compiled Block-SpMM plan over one block-sparse (BCSC) weight.
-///
-/// The BCSC operand is itself a pack-once artifact (pruning produced it);
-/// the plan adds kernel construction, cached per activation width.
-pub struct SpmmPlan {
-    weight: BcscMatrix<f32>,
-    kernels: RwLock<HashMap<usize, Arc<SpmmPlanKernel>>>,
-}
-
-impl SpmmPlan {
-    /// Wraps an already-compressed weight.
-    pub fn new(weight: BcscMatrix<f32>) -> Self {
-        SpmmPlan { weight, kernels: RwLock::new(HashMap::new()) }
-    }
-
-    /// The compressed weight (sparsity/footprint accounting).
-    pub fn weight(&self) -> &BcscMatrix<f32> {
-        &self.weight
-    }
-
-    fn kernel_for(&self, tokens: usize) -> Arc<SpmmPlanKernel> {
-        assert!(tokens > 0, "activation width must be non-zero");
-        if let Some(k) = self.kernels.read().unwrap().get(&tokens) {
-            return Arc::clone(k);
-        }
-        // The Block-SpMM kernel at the built-in parallel spec.
-        let w = &self.weight;
-        let (bn, tuning) = (spmm_bn(tokens), SpmmTuning::default_parallel(w.cols() / w.bk()));
-        let kernel = BlockSpmm::new(w.rows(), tokens, w.cols(), w.bm(), w.bk(), bn, tuning)
-            .expect("spmm kernel shape");
-        let k = Arc::new(SpmmPlanKernel { bn, kernel });
-        let mut cache = self.kernels.write().unwrap();
-        if cache.len() < KERNEL_CACHE_CAP || cache.contains_key(&tokens) {
-            cache.insert(tokens, Arc::clone(&k));
-        }
-        k
-    }
-
-    /// `y (m x tokens) = A_sparse x x (k x tokens)` over flat column-major
-    /// activations, through the cached kernel for this width.
-    pub fn execute(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
-        let (m, k) = (self.weight.rows(), self.weight.cols());
-        assert_eq!(x.len(), k * tokens, "activation size mismatch");
-        let _span = pl_trace::span("spmm.execute", [m as u64, tokens as u64, k as u64]);
-        let kernel = self.kernel_for(tokens);
-        let mut b = VnniMatrix::<f32>::new(k, tokens, kernel.bn, 1).expect("b layout");
-        b.pack_from_colmajor(x);
-        let mut c = VnniMatrix::<f32>::new(m, tokens, kernel.bn, 1).expect("c layout");
-        kernel.kernel.execute(&self.weight, &b, &mut c, pool).expect("spmm execute");
-        c.unpack_to_colmajor()
-    }
-}
-
-impl fmt::Debug for SpmmPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SpmmPlan")
-            .field("m", &self.weight.rows())
-            .field("k", &self.weight.cols())
-            .field("sparsity", &self.weight.sparsity())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1207,15 +1172,23 @@ mod tests {
 
     #[test]
     fn spmm_plan_matches_dense_reference() {
+        // A block-sparse plan runs each output element's ascending-k FMA
+        // chain over the nonzero blocks: bit for bit the dense plan over
+        // the decompressed weight, whose zero blocks add exact zeros.
         let pool = ThreadPool::new(2);
         let (m, k, tokens) = (32, 32, 8);
         let mut rng = Xorshift::new(45);
         let a = BcscMatrix::<f32>::random(m, k, 8, 8, 0.5, &mut rng).unwrap();
         let mut x = vec![0.0f32; k * tokens];
         fill_uniform(&mut x, &mut rng, -0.5, 0.5);
-        let plan = SpmmPlan::new(a);
+        let dense = a.to_dense_colmajor();
+        let plan = MatmulPlan::block_sparse(a);
+        // Eight of the sixteen 8x8 blocks' values, their K indices, 4 + 1
+        // row-block pointers.
+        assert_eq!(plan.weight_stream_bytes(), 8 * 64 * 4 + 8 * 8 + 5 * 8);
         let got = plan.execute(&x, tokens, &pool);
-        let want = reference_gemm(&plan.weight().to_dense_colmajor(), &x, m, tokens, k);
+        assert_eq!(got, MatmulPlan::new(&dense, Trans::No, m, k).execute(&x, tokens, &pool));
+        let want = reference_gemm(&dense, &x, m, tokens, k);
         for i in 0..got.len() {
             assert!((got[i] - want[i]).abs() < 1e-3, "idx {i}");
         }

@@ -4,13 +4,13 @@
 //! granularity (the paper prunes to 80 % with 8x8 blocks via knowledge
 //! distillation; our synthetic stand-in keeps the largest-norm blocks, which
 //! produces the same *structure* the kernels see). The layer then runs the
-//! dense layer's one forward body ([`crate::bert`]) with its six weight
-//! contractions on the Block-SpMM PARLOOPER kernel instead of dense BRGEMM:
-//! the TPP contract lets the computational core change under unchanged
-//! loops.
+//! dense layer's one forward body ([`crate::bert`]) over six block-sparse
+//! plans ([`MatmulPlan::block_sparse`]): the same GEMM nest, its BRGEMM
+//! tile reading the BCSC weight (Block-SpMM, Listing 5) — the TPP contract
+//! lets the computational core change under unchanged loops.
 
-use crate::bert::{BertConfig, BertLayer, Contraction, EncoderBody};
-use crate::prepared::SpmmPlan;
+use crate::bert::{BertConfig, BertLayer, EncoderBody};
+use crate::prepared::MatmulPlan;
 use pl_runtime::ThreadPool;
 use pl_tensor::{BcscMatrix, Xorshift};
 
@@ -53,44 +53,41 @@ fn prune_to_block_sparse(
     BcscMatrix::from_dense_colmajor(&dense, rows, cols, block, block).expect("bcsc")
 }
 
-/// Block-SpMM in place of BRGEMM: the encoder body is unchanged.
-impl Contraction for SpmmPlan {
-    fn apply(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
-        self.execute(x, tokens, pool)
-    }
-}
-
-/// Block-sparse weights of one encoder layer, held as prepared
-/// [`SpmmPlan`]s: the BCSC compression happens once at pruning time and
-/// the constructed kernels are cached per token width, so forwards pay
-/// neither weight re-compression nor kernel re-construction.
+/// Block-sparse weights of one encoder layer, held as prepared plans: the
+/// BCSC compression happens once at pruning time and the constructed
+/// kernels are cached per token width, so forwards pay neither weight
+/// re-compression nor kernel re-construction.
 pub struct SparseBertLayer {
-    body: EncoderBody<SpmmPlan>,
+    body: EncoderBody,
+    /// The mean block sparsity of the six weights.
+    sparsity: f64,
 }
 
 impl SparseBertLayer {
     /// Prunes a dense layer's weights to the target block sparsity; the
     /// biases and LayerNorm parameters carry over unchanged.
     fn from_dense(dense: &BertLayer, block: usize, sparsity: f64) -> Self {
+        let mut achieved = 0.0;
         let body = dense.map_weights(|w, rows, cols| {
-            SpmmPlan::new(prune_to_block_sparse(w, rows, cols, block, sparsity))
+            let pruned = prune_to_block_sparse(w, rows, cols, block, sparsity);
+            achieved += pruned.sparsity();
+            MatmulPlan::block_sparse(pruned)
         });
-        SparseBertLayer { body }
+        SparseBertLayer { body, sparsity: achieved / 6.0 }
     }
 
     /// Effective sparsity actually achieved across the six weights.
     pub fn sparsity(&self) -> f64 {
-        let ws = self.body.weights();
-        ws.iter().map(|m| m.weight().sparsity()).sum::<f64>() / ws.len() as f64
+        self.sparsity
     }
 
     /// Compressed weight footprint in bytes.
     pub fn compressed_bytes(&self) -> usize {
-        self.body.weights().iter().map(|m| m.weight().compressed_bytes()).sum()
+        self.body.weights().iter().map(MatmulPlan::weight_stream_bytes).sum()
     }
 
     /// Forward (inference only): the dense layer's body over the sparse
-    /// contractions.
+    /// plans.
     pub fn forward(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
         self.body.forward(x, tokens, pool, false).0
     }

@@ -9,8 +9,12 @@
 //! There is one nest, [`GemmKernel`], generic over the BRGEMM tile its
 //! body calls. The [`Tile`] chooses the arithmetic — f32 FMA ([`Gemm`]) or
 //! exact int8 with dequantize-on-store ([`GemmInt8`]) — and with it the
-//! element types, the per-call scales, the `A` layout, and whether an
-//! output block's whole K extent must run in one call.
+//! element types, the per-call scales, and whether an output block's whole
+//! K extent must run in one call. The tile also addresses `A`: the nest
+//! hands it an output block's `(im, ik, count)`, which a dense tile maps to
+//! `count` blocks of the flat `A[Mb][Kb]` grid, and the block-sparse tile
+//! ([`crate::BlockSpmm`], Listing 5) to row block `im`'s nonzero blocks in
+//! that K range.
 //!
 //! The nest has one optional epilogue, the MLP's (§III-A1): a TPP adding a
 //! per-row bias and applying ReLU, fired on an output block right after its
@@ -175,13 +179,16 @@ impl GemmShape {
 }
 
 /// A BRGEMM tile the GEMM nest can call: what the nest's body asks of its
-/// arithmetic. Implemented for `pl_tpp`'s [`Brgemm`] (operands widened to
-/// f32, one fused multiply-add per product) and [`BrgemmI8`] (an exact i32
-/// sum over a VNNI-cols `A`, dequantized on store). It is sealed: its
-/// methods take a `Call`, which no other crate can name.
+/// arithmetic and of its `A` operand. The nest hands each call an output
+/// block's coordinates and K-block range, and the tile maps them to `A`
+/// blocks. Implemented for `pl_tpp`'s [`Brgemm`] (operands widened to f32,
+/// one fused multiply-add per product) and [`BrgemmI8`] (an exact i32 sum
+/// over a VNNI-cols `A`, dequantized on store), both over a flat blocked
+/// `A`, and for [`crate::spmm::BcscTile`] over a block-sparse one. It is
+/// sealed: its methods take a `Call`, which no other crate can name.
 pub trait Tile: Sized + Send + Sync {
-    /// Element type of `A`.
-    type A: Element;
+    /// The whole `A` operand.
+    type Operand: Send + Sync;
     /// Element type of `B`.
     type B: Element;
     /// Element type of `C`.
@@ -198,26 +205,48 @@ pub trait Tile: Sized + Send + Sync {
     /// `None` if it cannot read that layout.
     #[doc(hidden)]
     fn for_block(desc: BrgemmDesc, a: InnerLayout) -> Option<Self>;
+    /// `a`'s rows, columns, block rows, block columns and inner layout.
+    #[doc(hidden)]
+    fn geometry(a: &Self::Operand) -> (usize, usize, usize, usize, InnerLayout);
     /// One output block's batch reduction.
     #[doc(hidden)]
-    fn run(&self, call: sealed::Call<'_, Self::A, Self::B>, c: &mut [Self::C], s: Self::Scales<'_>);
+    fn run(
+        &self,
+        call: sealed::Call<'_, Self::Operand, Self::B>,
+        c: &mut [Self::C],
+        s: Self::Scales<'_>,
+    );
 }
 
-mod sealed {
-    /// One output block's batch reduction, as the nest issues it: `count`
-    /// block pairs `strides` elements apart, into the block whose first
-    /// element is `at` = `(row, col)` of the whole `C`.
+pub(crate) mod sealed {
+    /// One output block's batch reduction, as the nest issues it: output
+    /// block `im` of `C`'s rows over K blocks `ik..ik + count`, into the
+    /// block whose first element is `at` = `(row, col)` of the whole `C`.
+    /// `b` starts at the output block's column of `B` blocks, which are
+    /// `stride_b` elements apart.
     pub struct Call<'a, A, B> {
-        pub a: &'a [A],
+        pub a: &'a A,
         pub b: &'a [B],
-        pub strides: (usize, usize),
-        pub count: usize,
+        pub stride_b: usize,
+        pub blocks: (usize, usize, usize),
         pub at: (usize, usize),
     }
 }
 
+impl<'a, TA: Element, B> sealed::Call<'a, BlockedMatrix<TA>, B> {
+    /// The call's `A` and `B` blocks over a flat blocked `A`, each
+    /// stride-addressed: `A[Mb][Kb]` holds block `(im, ik)` at
+    /// `(im * Kb + ik)`, `B[Nb][Kb]` block `(ik, in)` at `(in * Kb + ik)`.
+    fn dense(&self) -> (&'a [TA], usize, &'a [B]) {
+        let (im, ik, _) = self.blocks;
+        let stride_a = self.a.br() * self.a.bc();
+        let a = &self.a.data()[(im * self.a.col_blocks() + ik) * stride_a..];
+        (a, stride_a, &self.b[ik * self.stride_b..])
+    }
+}
+
 impl<TA: Element, TB: Element, TC: Element> Tile for Brgemm<TA, TB, TC> {
-    type A = TA;
+    type Operand = BlockedMatrix<TA>;
     type B = TB;
     type C = TC;
     type Scales<'s> = ();
@@ -228,13 +257,18 @@ impl<TA: Element, TB: Element, TC: Element> Tile for Brgemm<TA, TB, TC> {
         (a == InnerLayout::ColMajor).then(|| Brgemm::new(desc))
     }
 
-    fn run(&self, k: sealed::Call<'_, TA, TB>, c: &mut [TC], _: ()) {
-        self.execute_stride(k.a, k.strides.0, k.b, k.strides.1, c, k.count);
+    fn geometry(a: &BlockedMatrix<TA>) -> (usize, usize, usize, usize, InnerLayout) {
+        (a.rows(), a.cols(), a.br(), a.bc(), a.inner())
+    }
+
+    fn run(&self, k: sealed::Call<'_, BlockedMatrix<TA>, TB>, c: &mut [TC], _: ()) {
+        let (a, stride_a, b) = k.dense();
+        self.execute_stride(a, stride_a, b, k.stride_b, c, k.blocks.2);
     }
 }
 
 impl Tile for BrgemmI8 {
-    type A = i8;
+    type Operand = BlockedMatrix<i8>;
     type B = i8;
     type C = f32;
     type Scales<'s> = (&'s [f32], &'s [f32]);
@@ -250,10 +284,20 @@ impl Tile for BrgemmI8 {
         }
     }
 
-    fn run(&self, k: sealed::Call<'_, i8, i8>, c: &mut [f32], (rows, cols): Self::Scales<'_>) {
+    fn geometry(a: &BlockedMatrix<i8>) -> (usize, usize, usize, usize, InnerLayout) {
+        (a.rows(), a.cols(), a.br(), a.bc(), a.inner())
+    }
+
+    fn run(
+        &self,
+        k: sealed::Call<'_, BlockedMatrix<i8>, i8>,
+        c: &mut [f32],
+        (rows, cols): Self::Scales<'_>,
+    ) {
         let (BrgemmDesc { m, n, .. }, (i, j)) = (*self.desc(), k.at);
         let (rows, cols) = (&rows[i..i + m], &cols[j..j + n]);
-        self.execute_stride(k.a, k.strides.0, k.b, k.strides.1, c, k.count, rows, cols);
+        let (a, stride_a, b) = k.dense();
+        self.execute_stride(a, stride_a, b, k.stride_b, c, k.blocks.2, rows, cols);
     }
 }
 
@@ -342,11 +386,11 @@ impl<T: Tile> GemmKernel<T> {
     /// This member's share of `C = A x B`, called by **every** member of a
     /// team already inside a parallel region — the way a chain of GEMMs
     /// shares one region, with [`WorkerCtx::barrier`] between dependent
-    /// ones. Operands are the backing data of blocked matrices laid out
-    /// for [`Self::shape`] (`B`/`C` padded to [`GemmShape::n_padded`]
-    /// columns); `scales` is the tile's per-call scale operand. With a
-    /// `bias` (one per row of `C`), each C block becomes
-    /// `max(C + bias, 0)` right after its last K step.
+    /// ones. `A` is the tile's operand for [`Self::shape`]; `B` and `C` are
+    /// the backing data of blocked matrices laid out for it (padded to
+    /// [`GemmShape::n_padded`] columns); `scales` is the tile's per-call
+    /// scale operand. With a `bias` (one per row of `C`), each C block
+    /// becomes `max(C + bias, 0)` right after its last K step.
     ///
     /// # Safety
     /// Between the team barriers (or region boundaries) that bracket the
@@ -354,14 +398,14 @@ impl<T: Tile> GemmKernel<T> {
     /// the members write disjoint blocks of it through the shared view.
     ///
     /// # Panics
-    /// Panics if an operand, scale vector or bias is shorter than the
-    /// shape requires.
+    /// Panics if `a` does not match the shape, or an operand, scale vector
+    /// or bias is shorter than the shape requires.
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn execute_in(
         &self,
         ctx: &WorkerCtx,
         run: &LoopRun,
-        a_data: &[T::A],
+        a: &T::Operand,
         b_data: &[T::B],
         c: &SharedSlice<T::C>,
         scales: T::Scales<'_>,
@@ -371,14 +415,14 @@ impl<T: Tile> GemmKernel<T> {
         let (bm, bn, bk) = (sh.bm, sh.bn, sh.bk);
         let (mb, kb) = (sh.mb(), sh.kb());
         assert!(
-            a_data.len() >= sh.m * sh.k
+            T::geometry(a) == (sh.m, sh.k, bm, bk, self.a_layout)
                 && b_data.len() >= sh.k * sh.n_padded()
                 && c.len() >= sh.m * sh.n_padded()
                 && bias.is_none_or(|b| b.len() >= sh.m),
-            "GEMM operand shorter than its shape"
+            "GEMM operand does not match its shape"
         );
         let k_step = if T::WHOLE_K { kb } else { self.tuning.k_step };
-        let (stride_a, stride_b, block_c) = (bm * bk, bn * bk, bm * bn);
+        let (stride_b, block_c) = (bn * bk, bm * bn);
         run.member(ctx, &|ind| {
             let (ik, im, i_n) = (ind[0], ind[1], ind[2]);
             if T::WHOLE_K && ik != 0 {
@@ -399,12 +443,10 @@ impl<T: Tile> GemmKernel<T> {
             let cols = sh.block_cols(i_n);
             let tile = T::for_block(BrgemmDesc::blocked(bm, cols, bk), self.a_layout)
                 .expect("a block of a valid kernel's layout");
-            // A[Mb][Kb] grid: block (im, ik) at (im*Kb + ik); B[Nb][Kb]
-            // grid: block (ik, in) at (in*Kb + ik).
-            let a = &a_data[(im * kb + ik) * stride_a..];
-            let b = &b_data[(i_n * kb + ik) * stride_b..];
-            let (strides, at) = ((stride_a, stride_b), (im * bm, i_n * bn));
-            tile.run(sealed::Call { a, b, strides, count: brcount, at }, c_block, scales);
+            // B[Nb][Kb] grid: column block `in` starts at block (0, in).
+            let b = &b_data[i_n * kb * stride_b..];
+            let (blocks, at) = ((im, ik, brcount), (im * bm, i_n * bn));
+            tile.run(sealed::Call { a, b, stride_b, blocks, at }, c_block, scales);
             if let Some(bias) = bias.filter(|_| ik + brcount >= kb) {
                 // The block's last K step: fuse the bias + ReLU epilogue.
                 pl_tpp::equation::bias_relu(bm, cols, &bias[im * bm..][..bm], c_block, bm);
@@ -416,7 +458,7 @@ impl<T: Tile> GemmKernel<T> {
     /// `bias` is given): one parallel region around [`Self::execute_in`].
     pub(crate) fn execute_on(
         &self,
-        a: &BlockedMatrix<T::A>,
+        a: &T::Operand,
         b: &BlockedMatrix<T::B>,
         c: &mut BlockedMatrix<T::C>,
         scales: T::Scales<'_>,
@@ -424,8 +466,7 @@ impl<T: Tile> GemmKernel<T> {
         pool: &ThreadPool,
     ) -> Result<(), KernelError> {
         let (sh, np) = (self.shape, self.shape.n_padded());
-        if (a.rows(), a.cols(), a.br(), a.bc(), a.inner())
-            != (sh.m, sh.k, sh.bm, sh.bk, self.a_layout)
+        if T::geometry(a) != (sh.m, sh.k, sh.bm, sh.bk, self.a_layout)
             || (b.rows(), b.cols(), b.br(), b.bc(), b.inner())
                 != (sh.k, np, sh.bk, sh.bn, InnerLayout::ColMajor)
             || (c.rows(), c.cols(), c.br(), c.bc()) != (sh.m, np, sh.bm, sh.bn)
@@ -439,7 +480,7 @@ impl<T: Tile> GemmKernel<T> {
         // SAFETY: `c` is exclusively borrowed for the whole region and the
         // region runs nothing but this GEMM.
         pool.parallel(|ctx| unsafe {
-            self.execute_in(ctx, &run, a.data(), b.data(), &c_shared, scales, bias)
+            self.execute_in(ctx, &run, a, b.data(), &c_shared, scales, bias)
         });
         Ok(())
     }
@@ -597,9 +638,7 @@ mod tests {
 
         // Block-SpMM declares the same loops (`a` = K) and rejects the same.
         let spmm = |spec: &str| {
-            let tuning =
-                SpmmTuning { spec: spec.into(), k_step: 1, b_blocks: vec![], c_blocks: vec![] };
-            BlockSpmm::new(sh.m, sh.n, sh.k, sh.bm, sh.bk, sh.bn, tuning)
+            BlockSpmm::new(sh.m, sh.n, sh.k, sh.bm, sh.bk, sh.bn, SpmmTuning::simple(spec))
         };
         for racy in ["Abc", "cbA", "caB @ schedule(dynamic,1)"] {
             assert!(matches!(spmm(racy), Err(KernelError::RacySpec(_))), "{racy}");
@@ -863,9 +902,9 @@ mod tests {
         // SAFETY: c1 is written only before the barrier and read only
         // after it; c2 is touched by the second GEMM alone.
         pool.parallel(|ctx| unsafe {
-            g.execute_in(ctx, &run1, a1.data(), b.data(), &s1, (), None);
+            g.execute_in(ctx, &run1, &a1, b.data(), &s1, (), None);
             ctx.barrier();
-            g.execute_in(ctx, &run2, a2.data(), s1.slice(0, s1.len()), &s2, (), None);
+            g.execute_in(ctx, &run2, &a2, s1.slice(0, s1.len()), &s2, (), None);
         });
         let mid_ref = reference_gemm(&a1_cm, &b_cm, sh.m, sh.n, sh.k);
         let want = reference_gemm(&a2_cm, &mid_ref, sh.m, sh.n, sh.m);

@@ -5,12 +5,14 @@
 //!
 //! * [`gemm`] — GEMM over blocked operands (Listing 1): one loop nest,
 //!   [`GemmKernel`], whose BRGEMM [`Tile`] chooses the arithmetic — f32
-//!   FMA ([`Gemm`]) or exact int8 with dequantize-on-store ([`GemmInt8`]).
+//!   FMA ([`Gemm`]) or exact int8 with dequantize-on-store ([`GemmInt8`])
+//!   — and addresses the `A` operand.
 //! * [`mlp`] — the MLP (§III-A1): each layer is [`Gemm`] with its fused
 //!   bias + ReLU epilogue.
 //! * [`conv`] — direct convolution forward (Listing 4) plus backward-data /
-//!   backward-weights for training.
-//! * [`spmm`] — block-sparse x dense matmul over BCSC (Listing 5).
+//!   backward-weights for training, each pass BRGEMM calls in a nest.
+//! * [`spmm`] — block-sparse x dense matmul over BCSC (Listing 5): the
+//!   same nest over a block-sparse tile, [`BlockSpmm`].
 //!
 //! Every kernel is *declarative*: the loop order, blocking and
 //! parallelization live in a `loop_spec_string` tuning knob, and changing
@@ -36,9 +38,13 @@ pub enum KernelError {
     /// Invalid `loop_spec_string` for this kernel.
     Spec(parlooper::SpecError),
     /// A legal nest this kernel cannot run race-free (see
-    /// [`GemmKernel::build`], [`BlockSpmm::new`] and [`ConvForward::new`]).
+    /// [`GemmKernel::build`] and [`ConvForward::new`]).
     RacySpec(String),
 }
+
+/// Maximum batch-reduce length of one BRGEMM call whose offsets a kernel
+/// lists on the stack.
+pub(crate) const MAX_BR: usize = 1024;
 
 /// Rejects a spec that lets two team members accumulate into one output
 /// block at once. `reductions` names the nest's reduction loops (`a` = K

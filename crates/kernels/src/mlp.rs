@@ -70,15 +70,16 @@ impl<T: Element> Mlp<T> {
         input: &BlockedMatrix<T>,
         pool: &ThreadPool,
     ) -> Result<BlockedMatrix<T>, KernelError> {
-        let mut cur = input.clone();
+        let mut cur: Option<BlockedMatrix<T>> = None;
         for ((layer, w), bias) in self.layers.iter().zip(&self.weights).zip(&self.biases) {
             let sh = layer.shape();
             let mut out = BlockedMatrix::<T>::c_layout(sh.m, sh.n, sh.bm, sh.bn)
                 .map_err(|e| KernelError::BadShape(e.to_string()))?;
-            layer.execute_on(w, &cur, &mut out, (), Some(bias), pool)?;
-            cur = out;
+            // The first layer reads `input` itself.
+            layer.execute_on(w, cur.as_ref().unwrap_or(input), &mut out, (), Some(bias), pool)?;
+            cur = Some(out);
         }
-        Ok(cur)
+        Ok(cur.expect("an MLP has at least one layer"))
     }
 }
 

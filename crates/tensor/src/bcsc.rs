@@ -174,6 +174,12 @@ impl<T: Element> BcscMatrix<T> {
         &self.kidx
     }
 
+    /// Values of the stored blocks, `bm * bk` per block in storage order
+    /// (row block by row block, ascending `K`-block index within each).
+    pub fn values(&self) -> &[T] {
+        &self.vals
+    }
+
     /// Values of stored block `b` (column-major `bm x bk`).
     #[inline(always)]
     fn block_vals(&self, b: usize) -> &[T] {
@@ -181,9 +187,8 @@ impl<T: Element> BcscMatrix<T> {
         &self.vals[b * bsz..(b + 1) * bsz]
     }
 
-    /// Iterator over `(k_block_index, block_values)` for row-block `im` —
-    /// what the SpMM microkernel walks.
-    pub fn row_block_iter(&self, im: usize) -> impl Iterator<Item = (usize, &[T])> + '_ {
+    /// Iterator over `(k_block_index, block_values)` for row-block `im`.
+    fn row_block_iter(&self, im: usize) -> impl Iterator<Item = (usize, &[T])> + '_ {
         let (lo, hi) = (self.ptr[im], self.ptr[im + 1]);
         (lo..hi).map(move |b| (self.kidx[b], self.block_vals(b)))
     }

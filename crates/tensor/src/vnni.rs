@@ -1,7 +1,8 @@
 //! Flat VNNI-packed matrices (paper Listing 5, lines 3-4).
 //!
-//! The Block-SpMM kernel keeps its dense operands `B` and `C` in a flat
-//! VNNI-packed layout `[Nb][rows/v][bn][v]`: the column dimension is blocked
+//! The Block-SpMM kernel's `execute` takes its dense operands `B` and `C` in
+//! a flat VNNI-packed layout `[Nb][rows/v][bn][v]` (and converts them to the
+//! GEMM's blocked layouts around the nest): the column dimension is blocked
 //! by `bn`, and `v` consecutive *rows* (the reduction dimension for `B`, the
 //! `M` dimension for `C`) are interleaved so that low-precision FMA
 //! sequences (AVX512-BF16 `VDPBF16PS`, AMX tiles, SVE BFMMLA) can consume

@@ -87,20 +87,6 @@ pub fn bias_relu<T: Element>(m: usize, n: usize, bias: &[f32], c: &mut [T], ldc:
     }
 }
 
-/// Scale + residual-add + store, the tail of the Bert-Output fusion chain:
-/// `out = a * alpha + b`.
-pub fn scale_add<TA: Element, TB: Element, TO: Element>(
-    len: usize,
-    alpha: f32,
-    a: &[TA],
-    b: &[TB],
-    out: &mut [TO],
-) {
-    for i in 0..len {
-        out[i] = TO::from_f32(a[i].to_f32().mul_add(alpha, b[i].to_f32()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,14 +131,5 @@ mod tests {
         let mut g = vec![0.0f32; 4];
         bias_gelu(2, 2, &x, &bias, &mut g);
         assert!((g[0] - crate::unary::gelu_scalar(-0.5)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scale_add_fma() {
-        let a = vec![1.0f32, 2.0];
-        let b = vec![10.0f32, 20.0];
-        let mut o = vec![0.0f32; 2];
-        scale_add(2, 0.5, &a, &b, &mut o);
-        assert_eq!(o, vec![10.5, 21.0]);
     }
 }

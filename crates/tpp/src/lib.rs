@@ -7,9 +7,11 @@
 //!
 //! ## Orientation conventions
 //!
-//! Tensor-contraction TPPs ([`brgemm`], [`spmm`], [`transform`]) follow the
-//! paper's column-major convention: an `m x n` operand has element `(r, c)`
-//! at `c * ld + r`. Row-wise DL operators ([`softmax`], [`norm`], bias
+//! Tensor-contraction TPPs ([`brgemm`], [`transform`]) follow the paper's
+//! column-major convention: an `m x n` operand has element `(r, c)` at
+//! `c * ld + r`. BRGEMM is the one contraction body: the block-sparse
+//! matmul is a BRGEMM tile in `pl_kernels`, and [`spmm`] keeps only its
+//! dense test oracle. Row-wise DL operators ([`softmax`], [`norm`], bias
 //! add) state their own orientation in their docs — in the
 //! end-to-end workloads they act on `(rows = features, cols = tokens)`
 //! blocks exactly as the fused modules of paper Listing 6 do.
@@ -42,7 +44,6 @@ pub mod transform;
 pub mod unary;
 
 pub use brgemm::{Brgemm, BrgemmDesc, BrgemmI8};
-pub use spmm::BcscSpmm;
 
 /// Convenience re-export: every TPP works over these element types.
 pub use pl_tensor::{Bf16, DType, Element};

@@ -1,132 +1,8 @@
-//! The Block-Sparse x Dense matrix-multiply TPP (paper §III-C, Listing 5).
+//! The block-sparse x dense matmul's test oracle (paper §III-C, Listing 5).
 //!
-//! `C = A x B` with `A` block-sparse in BCSC format (see
-//! [`pl_tensor::BcscMatrix`]) and `B`, `C` dense in VNNI-packed layout. The
-//! microkernel walks the non-zero `bm x bk` blocks of one row-block of `A`,
-//! multiplies each with the matching `bk x bn` panel of `B`, and keeps the
-//! `bm x bn` output tile in f32 accumulators for the whole walk — the 2-D
-//! register-blocking strategy of the paper "whenever possible (i.e. large
-//! bn and bm)".
-
-use pl_tensor::{BcscMatrix, Element, VnniMatrix};
-use std::ops::Range;
-
-/// Maximum `bm * bn` tile the kernel accumulates on the stack.
-const MAX_TILE: usize = 64 * 64;
-
-/// Descriptor/handle for the BCSC SpMM TPP.
-#[derive(Debug, Clone, Copy)]
-pub struct BcscSpmm {
-    /// Row-block extent of `A` (and of the output tile).
-    pub bm: usize,
-    /// Column-block extent of `A` (reduction granularity).
-    pub bk: usize,
-    /// Column-block extent of `B`/`C` panels.
-    pub bn: usize,
-}
-
-impl BcscSpmm {
-    /// Creates the kernel handle; `bm * bn` must fit the accumulator tile.
-    pub fn new(bm: usize, bk: usize, bn: usize) -> Self {
-        assert!(bm > 0 && bk > 0 && bn > 0);
-        assert!(bm * bn <= MAX_TILE, "output tile {bm}x{bn} exceeds accumulator capacity");
-        BcscSpmm { bm, bk, bn }
-    }
-
-    /// Computes the `(im, inb)` output block:
-    /// `C[im-block, inb-panel] (+)= sum_{ik in k_blocks} A[im,ik] x B[ik, inb]`
-    ///
-    /// `k_blocks` restricts the reduction to a block range of `K` (the
-    /// paper's blocked `a` loop); pass `0..a.col_blocks()` for the full
-    /// reduction. `beta_zero` overwrites `C` (the `ik == 0` zero_tpp of
-    /// Listing 5); otherwise accumulates.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute<TA: Element, TB: Element, TC: Element>(
-        &self,
-        a: &BcscMatrix<TA>,
-        im: usize,
-        k_blocks: Range<usize>,
-        b: &VnniMatrix<TB>,
-        inb: usize,
-        c: &mut VnniMatrix<TC>,
-        beta_zero: bool,
-    ) {
-        let (rows, v) = (c.rows(), c.v());
-        self.execute_into(a, im, k_blocks, b, inb, c.data_mut(), rows, v, beta_zero);
-    }
-
-    /// Raw-output variant of [`Self::execute`]: `c_data` is the backing
-    /// buffer of a VNNI matrix with `c_rows` rows, packing factor `c_v` and
-    /// column blocking `bn`. Used by the PARLOOPER kernel, which hands out
-    /// disjoint output blocks to concurrent threads.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_into<TA: Element, TB: Element, TC: Element>(
-        &self,
-        a: &BcscMatrix<TA>,
-        im: usize,
-        k_blocks: Range<usize>,
-        b: &VnniMatrix<TB>,
-        inb: usize,
-        c_data: &mut [TC],
-        c_rows: usize,
-        c_v: usize,
-        beta_zero: bool,
-    ) {
-        let (bm, bk, bn) = (self.bm, self.bk, self.bn);
-        debug_assert_eq!(a.bm(), bm);
-        debug_assert_eq!(a.bk(), bk);
-        debug_assert_eq!(b.bn(), bn);
-        debug_assert_eq!(a.cols(), b.rows(), "A cols must equal B rows");
-
-        let c_off = |r: usize, cidx: usize| -> usize {
-            let nb = cidx / bn;
-            let cc = cidx % bn;
-            ((nb * (c_rows / c_v) + r / c_v) * bn + cc) * c_v + r % c_v
-        };
-
-        // f32 accumulator tile, column-major bm x bn.
-        let mut acc = [0.0f32; MAX_TILE];
-        let tile = &mut acc[..bm * bn];
-        if !beta_zero {
-            for j in 0..bn {
-                for r in 0..bm {
-                    tile[j * bm + r] = c_data[c_off(im * bm + r, inb * bn + j)].to_f32();
-                }
-            }
-        }
-
-        let bv = b.v();
-        let b_data = b.data();
-        let rows_over_v = b.rows() / bv;
-        for (ik, vals) in a.row_block_iter(im) {
-            if ik < k_blocks.start || ik >= k_blocks.end {
-                continue;
-            }
-            // Panel of B: rows ik*bk .. ik*bk+bk, column block inb.
-            for p in 0..bk {
-                let row = ik * bk + p;
-                let grp_base = (inb * rows_over_v + row / bv) * bn * bv + row % bv;
-                let acol = &vals[p * bm..p * bm + bm];
-                for j in 0..bn {
-                    let bval = b_data[grp_base + j * bv].to_f32();
-                    if bval == 0.0 {
-                        continue;
-                    }
-                    let out = &mut tile[j * bm..j * bm + bm];
-                    for (o, av) in out.iter_mut().zip(acol) {
-                        *o = av.to_f32().mul_add(bval, *o);
-                    }
-                }
-            }
-        }
-
-        for j in 0..bn {
-            for r in 0..bm {
-                c_data[c_off(im * bm + r, inb * bn + j)] = TC::from_f32(tile[j * bm + r]);
-            }
-        }
-    }
-}
+//! The Block-SpMM itself is the GEMM nest over a block-sparse BRGEMM tile
+//! (`pl_kernels::BlockSpmm`); this module keeps the dense reference its
+//! tests and benches check it against.
 
 /// Dense reference: `C = A_dense x B` in plain f64-accumulated form.
 pub fn reference_spmm(
@@ -147,129 +23,4 @@ pub fn reference_spmm(
         }
     }
     c
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pl_tensor::{Bf16, Xorshift};
-
-    fn run_spmm_case(m: usize, k: usize, n: usize, bm: usize, bk: usize, bn: usize, sp: f64) {
-        let mut rng = Xorshift::new((m + k * 3 + n * 7) as u64 + (sp * 100.0) as u64);
-        let a = BcscMatrix::<f32>::random(m, k, bm, bk, sp, &mut rng).unwrap();
-        let b_cm: Vec<f32> = (0..k * n).map(|_| rng.next_f32() - 0.5).collect();
-        let mut b = VnniMatrix::<f32>::new(k, n, bn, 1).unwrap();
-        b.pack_from_colmajor(&b_cm);
-        let mut c = VnniMatrix::<f32>::new(m, n, bn, 1).unwrap();
-
-        let kernel = BcscSpmm::new(bm, bk, bn);
-        for im in 0..m / bm {
-            for inb in 0..n / bn {
-                kernel.execute(&a, im, 0..k / bk, &b, inb, &mut c, true);
-            }
-        }
-
-        let c_ref = reference_spmm(&a.to_dense_colmajor(), m, k, &b_cm, n);
-        let c_got = c.unpack_to_colmajor();
-        for i in 0..m * n {
-            assert!(
-                (c_got[i] - c_ref[i]).abs() < 1e-4 * k as f32,
-                "m={m} k={k} n={n} sp={sp} i={i}: {} vs {}",
-                c_got[i],
-                c_ref[i]
-            );
-        }
-    }
-
-    #[test]
-    fn matches_dense_reference_across_sparsities() {
-        for &sp in &[0.0, 0.3, 0.7, 0.95, 1.0] {
-            run_spmm_case(32, 32, 16, 8, 8, 4, sp);
-        }
-    }
-
-    #[test]
-    fn various_block_shapes() {
-        run_spmm_case(16, 24, 12, 4, 8, 6, 0.5);
-        run_spmm_case(64, 32, 32, 16, 16, 16, 0.5);
-        run_spmm_case(8, 8, 8, 8, 8, 8, 0.5);
-    }
-
-    fn run_spmm_case_blocks(m: usize, k: usize, n: usize, bm: usize, bk: usize, bn: usize) {
-        run_spmm_case(m, k, n, bm, bk, bn, 0.5);
-    }
-
-    #[test]
-    fn k_range_partitions_compose() {
-        // Running [0..half) then [half..end) with accumulate equals full run.
-        let (m, k, n, bm, bk, bn) = (16, 32, 8, 8, 8, 4);
-        let mut rng = Xorshift::new(77);
-        let a = BcscMatrix::<f32>::random(m, k, bm, bk, 0.4, &mut rng).unwrap();
-        let b_cm: Vec<f32> = (0..k * n).map(|_| rng.next_f32() - 0.5).collect();
-        let mut b = VnniMatrix::<f32>::new(k, n, bn, 1).unwrap();
-        b.pack_from_colmajor(&b_cm);
-        let kernel = BcscSpmm::new(bm, bk, bn);
-
-        let mut c_full = VnniMatrix::<f32>::new(m, n, bn, 1).unwrap();
-        let mut c_split = VnniMatrix::<f32>::new(m, n, bn, 1).unwrap();
-        let kb = k / bk;
-        for im in 0..m / bm {
-            for inb in 0..n / bn {
-                kernel.execute(&a, im, 0..kb, &b, inb, &mut c_full, true);
-                kernel.execute(&a, im, 0..kb / 2, &b, inb, &mut c_split, true);
-                kernel.execute(&a, im, kb / 2..kb, &b, inb, &mut c_split, false);
-            }
-        }
-        assert_eq!(c_full.unpack_to_colmajor(), c_split.unpack_to_colmajor());
-    }
-
-    #[test]
-    fn bf16_vnni2_path() {
-        let (m, k, n, bm, bk, bn, v) = (16, 16, 8, 8, 8, 4, 2);
-        let mut rng = Xorshift::new(13);
-        let a = BcscMatrix::<Bf16>::random(m, k, bm, bk, 0.5, &mut rng).unwrap();
-        let b_cm: Vec<f32> = (0..k * n).map(|_| (rng.next_f32() - 0.5) * 0.25).collect();
-        let mut b = VnniMatrix::<Bf16>::new(k, n, bn, v).unwrap();
-        b.pack_from_colmajor(&b_cm);
-        let mut c = VnniMatrix::<f32>::new(m, n, bn, 1).unwrap();
-        let kernel = BcscSpmm::new(bm, bk, bn);
-        for im in 0..m / bm {
-            for inb in 0..n / bn {
-                kernel.execute(&a, im, 0..k / bk, &b, inb, &mut c, true);
-            }
-        }
-        // Reference over the bf16-quantized operands.
-        let bq: Vec<f32> = {
-            let mut t = VnniMatrix::<Bf16>::new(k, n, bn, v).unwrap();
-            t.pack_from_colmajor(&b_cm);
-            t.unpack_to_colmajor()
-        };
-        let c_ref = reference_spmm(&a.to_dense_colmajor(), m, k, &bq, n);
-        let c_got = c.unpack_to_colmajor();
-        for i in 0..m * n {
-            assert!((c_got[i] - c_ref[i]).abs() < 1e-4 * k as f32);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "accumulator capacity")]
-    fn oversized_tile_is_rejected() {
-        let _ = BcscSpmm::new(128, 8, 64);
-    }
-
-    #[test]
-    fn empty_row_block_leaves_zero() {
-        let mut rng = Xorshift::new(1);
-        let a = BcscMatrix::<f32>::random(16, 16, 8, 8, 1.0, &mut rng).unwrap();
-        let b = VnniMatrix::<f32>::new(16, 8, 4, 1).unwrap();
-        let mut c = VnniMatrix::<f32>::new(16, 8, 4, 1).unwrap();
-        let kernel = BcscSpmm::new(8, 8, 4);
-        kernel.execute(&a, 0, 0..2, &b, 0, &mut c, true);
-        assert!(c.data().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn exercises_nontrivial_blocks() {
-        run_spmm_case_blocks(48, 32, 24, 16, 8, 8);
-    }
 }

@@ -1,12 +1,13 @@
 //! Integration tests of the prepared-op API (`pl_dnn::prepared`): a
 //! plan is bitwise equal to its pack-per-call bridge, for the dense GEMM
-//! across all operand orientations and for the Block-SpMM. (The
+//! across all operand orientations, and a block-sparse plan is bitwise
+//! stable. (The
 //! column-invariance property batched = unbatched decode rests on is
 //! stated in `pl_dnn::prepared`'s unit tests, which reach the plan's
 //! private kernel constructor.)
 
 use pl_dnn::matmul::{matmul, transpose_cm, Trans};
-use pl_dnn::{MatmulPlan, SpmmPlan};
+use pl_dnn::MatmulPlan;
 use pl_kernels::gemm::reference_gemm;
 use pl_runtime::ThreadPool;
 use pl_tensor::{fill_uniform, BcscMatrix, Xorshift};
@@ -52,17 +53,17 @@ fn plan_is_bitwise_equal_to_free_matmul_for_all_orientations() {
 
 #[test]
 fn spmm_plan_is_bitwise_stable_across_cached_and_fresh_kernels() {
-    // The SpMM twin of the orientation test's cache check: a first
-    // execution (kernel built), a cached one, and a freshly built plan's
-    // must agree bit for bit. Plan-vs-dense correctness is
+    // The block-sparse twin of the orientation test's cache check: a
+    // first execution (kernel built), a cached one, and a freshly built
+    // plan's must agree bit for bit. Plan-vs-dense correctness is
     // `prepared::tests::spmm_plan_matches_dense_reference`.
     let pool = ThreadPool::new(4);
     let (m, k, tokens) = (32, 32, 8);
     let weight = || BcscMatrix::<f32>::random(m, k, 8, 8, 0.6, &mut Xorshift::new(6)).unwrap();
     let x = random(k * tokens, 7);
-    let plan = SpmmPlan::new(weight());
+    let plan = MatmulPlan::block_sparse(weight());
     let first = plan.execute(&x, tokens, &pool);
     assert_eq!(plan.execute(&x, tokens, &pool), first, "cached-kernel re-execution drifted");
-    let fresh = SpmmPlan::new(weight()).execute(&x, tokens, &pool);
+    let fresh = MatmulPlan::block_sparse(weight()).execute(&x, tokens, &pool);
     assert_eq!(fresh, first, "a freshly built plan drifted");
 }

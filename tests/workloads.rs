@@ -35,9 +35,9 @@ fn sparse_bert_at_zero_sparsity_equals_dense() {
     fill_uniform(&mut x, &mut Xorshift::new(24), -0.5, 0.5);
     let (yd, _) = dense.forward(&x, 8, &pool);
     let ys = sparse.forward(&x, 8, &pool);
-    for (a, b) in yd.iter().zip(&ys) {
-        assert!((a - b).abs() < 1e-3);
-    }
+    // Both layers run each projection element as one ascending-k FMA chain
+    // in the one GEMM nest; unpruned, the sparse tile skips no block.
+    assert_eq!(yd, ys);
 }
 
 #[test]
