@@ -1,35 +1,53 @@
 //! BERT encoder via the PARLOOPER/TPP paradigm (paper §IV-A).
 //!
 //! The paper's four modules are reproduced without dropout: Self-Attention
-//! (blocked contractions + scale + softmax), SelfOutput / Output, and
-//! Intermediate (contraction + bias + GELU). They are not fused yet:
-//! SelfOutput and Output each run four passes over the whole
-//! `hidden x tokens` matrix (the contraction, a bias add, a residual add,
-//! a layernorm) where Listing 6 fuses them on block granularity.
-//! Activations are `hidden x tokens` column-major f32.
+//! (blocked contractions + scale + softmax), SelfOutput / Output and
+//! Intermediate. Activations are `hidden x tokens` column-major f32.
 //!
-//! The forward body is written once, over a layer's six weight plans: the
-//! dense layer's pack its flat weights, the block-sparse layer's
-//! ([`crate::sparse_bert`]) hold pruned BCSC weights, and both run the one
-//! GEMM nest, over a dense or a block-sparse BRGEMM tile.
+//! A layer's forward is one parallel region (the paper's Fig. 3 pattern,
+//! as the decoder's layer in [`crate::llm`]): a declared phase table that
+//! the in-team runner of [`crate::prepared`] executes, every phase a
+//! PARLOOPER nest, every barrier placed by the runner. Listing 6 fuses
+//! SelfOutput's and Output's contraction with bias, residual and
+//! layernorm; here each is a GEMM phase and the column phase behind it,
+//! which adds in the order `(y + b) + x` and normalizes one token per body
+//! with the decoder's per-column TPPs. Per layer:
+//!
+//! | phase | work | split over the team by | span |
+//! |---|---|---|---|
+//! | 1 | pack x | columns: `"A"` | `bert.qkv` |
+//! | 2 | Q, K, V GEMMs | blocks: the plan's spec | |
+//! | 3 | per head: + biases, S = K_hᵀQ_h, scale, softmax, ctx_h = V_h·P → pack | row ranges: `"A @ schedule(dynamic,1)"` | `bert.attn` |
+//! | 4 | Wo GEMM | blocks: the plan's spec | |
+//! | 5 | SelfOutput: + bo, + x, LN1 | columns: `"A"` | |
+//! | 6 | W1 GEMM | blocks: the plan's spec | `bert.ffn` |
+//! | 7 | Intermediate: + b1, GELU | columns: `"A"` | |
+//! | 8 | W2 GEMM | blocks: the plan's spec | |
+//! | 9 | Output: + b2, + h1, LN2 | columns: `"A"` | |
+//!
+//! A head owns its rows of Q, K, V and the context, and each of its two
+//! products is one BRGEMM call on the head's slices in the member's
+//! scratch: every element one ascending-k chain of fused multiply-adds, as
+//! the GEMM nest computes it. The dense layer's plans pack its flat
+//! weights and the block-sparse layer's ([`crate::sparse_bert`]) hold
+//! pruned BCSC weights; the one table runs both.
 //!
 //! Both forward and backward are implemented (Fig. 9 measures SQuAD
 //! *fine-tuning* throughput). Embedding lookup is a negligible gather next
-//! to the encoder, so synthetic hidden states stand in for it.
-//!
-//! Forward weight contractions run through prepared plans
-//! ([`crate::prepared::MatmulPlan`]): each weight is packed into its
-//! blocked kernel layout when the layer is built (and re-packed once per
-//! SGD update in [`BertEncoder::train_step`]); inference-only forwards
-//! pack zero weight bytes per call. The backward pass keeps the flat
-//! [`crate::matmul::matmul`] bridge — its contractions combine
-//! per-iteration gradient/activation operands that no plan could own.
+//! to the encoder, so synthetic hidden states stand in for it. Each weight
+//! is packed into its plan when the layer is built (and re-packed once per
+//! SGD update in [`BertEncoder::train_step`]), so forwards pack zero weight
+//! bytes. The backward pass keeps the flat [`crate::matmul::matmul`]
+//! bridge — its contractions combine per-iteration gradient/activation
+//! operands that no plan could own.
 
 use crate::matmul::{matmul, transpose_cm, Trans};
-use crate::prepared::MatmulPlan;
+use crate::prepared::{Act, MatmulPlan, Phase, Region, Token, Work};
 use pl_runtime::ThreadPool;
 use pl_tensor::Xorshift;
-use pl_tpp::{norm, softmax, unary};
+use pl_tpp::brgemm::{Brgemm, BrgemmDesc};
+use pl_tpp::{binary, norm, softmax, unary};
+use std::sync::Mutex;
 
 /// Model hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +100,8 @@ impl EncoderBody {
     }
 
     /// Forward over `x` (`hidden x tokens`, column-major): the output and,
-    /// if `keep_tape`, the intermediates the backward pass reads.
+    /// if `keep_tape`, the intermediates the backward pass reads. One
+    /// parallel region runs [`Layer::PHASES`].
     pub(crate) fn forward(
         &self,
         x: &[f32],
@@ -91,106 +110,177 @@ impl EncoderBody {
         keep_tape: bool,
     ) -> (Vec<f32>, Option<BertLayerTape>) {
         let BertConfig { hidden: h, heads: nh, intermediate: i, .. } = self.cfg;
-        let dh = h / nh;
-        debug_assert_eq!(x.len(), h * tokens);
-        let bias = |j: usize, mut y: Vec<f32>| {
-            let b = &self.biases[j];
-            pl_tpp::binary::bias_add(b.len(), tokens, b, &mut y, b.len());
-            y
-        };
-        let linear = |j: usize, x: &[f32]| bias(j, self.weights[j].execute(x, tokens, pool));
-
-        // Self-attention projections over one packed copy of `x` (pack-once
-        // per layer boundary), then their bias adds.
-        let xp = self.weights[0].pack(x, tokens);
-        let [q, k, v] = std::array::from_fn(|j| self.weights[j].execute_packed(&xp, pool));
-        let (q, k, v) = (bias(0, q), bias(1, k), bias(2, v));
-
-        // Per-head attention: scores = (K_h^T Q_h) / sqrt(dh), softmax over
-        // keys (rows of scores in our col-major view), ctx = V_h probs.
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut probs = vec![0.0f32; nh * tokens * tokens];
-        let mut ctx = vec![0.0f32; h * tokens];
-        for hd in 0..nh {
-            let qh = slice_head(&q, h, dh, hd, tokens);
-            let kh = slice_head(&k, h, dh, hd, tokens);
-            let vh = slice_head(&v, h, dh, hd, tokens);
-            // scores (keys x queries), col-major: S = K_h^T Q_h.
-            let mut s = matmul(&kh, Trans::Yes, &qh, Trans::No, tokens, tokens, dh, pool);
-            for val in s.iter_mut() {
-                *val *= scale;
-            }
-            let ph = &mut probs[hd * tokens * tokens..(hd + 1) * tokens * tokens];
-            softmax::softmax_cols(tokens, tokens, &s, tokens, ph, tokens);
-            // ctx_h = V_h P (dh x tokens).
-            let ch = matmul(&vh, Trans::No, ph, Trans::No, dh, tokens, tokens, pool);
-            write_head(&mut ctx, &ch, h, dh, hd, tokens);
+        let (dh, n) = (h / nh, tokens);
+        assert_eq!(x.len(), h * n, "input must be `hidden x tokens` values");
+        // The matrices `XB` .. `DN`: plan `p`'s input (0) or output (1).
+        let io = [(0, 0), (0, 1), (1, 1), (2, 1), (3, 0), (3, 1), (4, 1), (5, 0), (5, 1)];
+        let w = &self.weights;
+        let mut acts = io.map(|(p, out)| if out == 0 { w[p].input(n) } else { w[p].output(n) });
+        let (mut out, mut stats) = (x.to_vec(), vec![0.0f32; 4 * n]);
+        let mut probs = vec![0.0f32; nh * n * n];
+        {
+            let heads: Vec<_> = (0..nh).map(|hd| hd * dh..(hd + 1) * dh).collect();
+            let layer = Layer {
+                body: self,
+                probs: probs.chunks_exact_mut(n * n).map(Mutex::new).collect(),
+            };
+            let scratch = (2 * h.max(i)).max(4 * dh * n + n * n);
+            let region = Region::new(vec![&mut out, &mut stats], &mut acts, &[], &heads);
+            region.run(pool, &layer, &Layer::PHASES, &[self.weights.each_ref()], scratch);
         }
-
-        // Bert-SelfOutput: Wo ctx + bias, residual, layernorm.
-        let mut attn_res = linear(3, &ctx);
-        pl_tpp::binary::add(h, tokens, &attn_res.clone(), h, x, h, &mut attn_res, h);
-        let mut h1 = vec![0.0f32; h * tokens];
-        let mut ln1_mean = vec![0.0f32; tokens];
-        let mut ln1_rstd = vec![0.0f32; tokens];
-        norm::layernorm(
-            h,
-            tokens,
-            &attn_res,
-            h,
-            &self.ln1_g,
-            &self.ln1_b,
-            1e-5,
-            &mut h1,
-            h,
-            &mut ln1_mean,
-            &mut ln1_rstd,
-        );
-
-        // Bert-Intermediate: W1 h1 + b1, GELU.
-        let inter_pre = linear(4, &h1);
-        let mut inter = vec![0.0f32; i * tokens];
-        unary::gelu(i, tokens, &inter_pre, i, &mut inter, i);
-
-        // Bert-Output: W2 inter + b2, residual (h1), layernorm.
-        let mut ffn_res = linear(5, &inter);
-        pl_tpp::binary::add(h, tokens, &ffn_res.clone(), h, &h1, h, &mut ffn_res, h);
-        let mut out = vec![0.0f32; h * tokens];
-        let mut ln2_mean = vec![0.0f32; tokens];
-        let mut ln2_rstd = vec![0.0f32; tokens];
-        norm::layernorm(
-            h,
-            tokens,
-            &ffn_res,
-            h,
-            &self.ln2_g,
-            &self.ln2_b,
-            1e-5,
-            &mut out,
-            h,
-            &mut ln2_mean,
-            &mut ln2_rstd,
-        );
-
-        let tape = keep_tape.then(|| BertLayerTape {
-            x: x.to_vec(),
-            q,
-            k,
-            v,
-            probs,
-            ctx,
-            attn_res,
-            h1,
-            inter_pre,
-            inter,
-            ffn_res,
-            ln1_mean,
-            ln1_rstd,
-            ln2_mean,
-            ln2_rstd,
-            tokens,
+        let tape = keep_tape.then(|| {
+            let [h1, q, k, v, ctx, attn_res, inter_pre, inter, ffn_res] =
+                acts.map(|m| m.into_colmajor());
+            let stat = |row: usize| stats.iter().skip(row).step_by(4).copied().collect();
+            BertLayerTape {
+                x: x.to_vec(),
+                q,
+                k,
+                v,
+                probs,
+                ctx,
+                attn_res,
+                h1,
+                inter_pre,
+                inter,
+                ffn_res,
+                ln1_mean: stat(0),
+                ln1_rstd: stat(1),
+                ln2_mean: stat(2),
+                ln2_rstd: stat(3),
+                tokens,
+            }
         });
         (out, tape)
+    }
+}
+
+// The matrices of an encoder layer's region: the `k = hidden` input of
+// Q/K/V, then of W1 (x, then h1); the Q, K and V outputs; Wo's input (the
+// context); Wo's output (then attn_res); W1's output (then inter_pre); W2's
+// input (inter); W2's output (then ffn_res).
+const XB: Act = Act(0);
+const Q: Act = Act(1);
+const K: Act = Act(2);
+const V: Act = Act(3);
+const CTX: Act = Act(4);
+const AO: Act = Act(5);
+const UP: Act = Act(6);
+const IB: Act = Act(7);
+const DN: Act = Act(8);
+/// The region's second stream: per token, LN1's mean and rstd, then LN2's.
+const STATS: usize = 1;
+
+/// What the phase bodies of one encoder layer's region share: the layer
+/// and each head's probabilities.
+struct Layer<'a> {
+    body: &'a EncoderBody,
+    /// Head `h`'s `tokens x tokens` probabilities. Uncontended — the
+    /// attention phase hands each head to exactly one member — it only
+    /// launders the `&mut` across the team.
+    probs: Vec<Mutex<&'a mut [f32]>>,
+}
+
+impl Layer<'_> {
+    /// One encoder layer: the module docs' phase table, row for row.
+    const PHASES: [Phase<Self>; 9] = [
+        Phase { what: "pack x", span: Some("bert.qkv"), work: Work::Columns(Self::pack_x) },
+        Phase {
+            what: "Q, K, V GEMMs",
+            span: None,
+            work: Work::Gemms(&[(0, XB, Q), (1, XB, K), (2, XB, V)]),
+        },
+        Phase {
+            what: "per head: + biases, S = K_hᵀQ_h, scale, softmax, ctx_h = V_h·P → pack",
+            span: Some("bert.attn"),
+            work: Work::Rows(Self::attend),
+        },
+        Phase { what: "Wo GEMM", span: None, work: Work::Gemms(&[(3, CTX, AO)]) },
+        Phase {
+            what: "SelfOutput: + bo, + x, LN1",
+            span: None,
+            work: Work::Columns(Self::ln::<1>),
+        },
+        Phase { what: "W1 GEMM", span: Some("bert.ffn"), work: Work::Gemms(&[(4, XB, UP)]) },
+        Phase { what: "Intermediate: + b1, GELU", span: None, work: Work::Columns(Self::gelu) },
+        Phase { what: "W2 GEMM", span: None, work: Work::Gemms(&[(5, IB, DN)]) },
+        Phase { what: "Output: + b2, + h1, LN2", span: None, work: Work::Columns(Self::ln::<2>) },
+    ];
+
+    fn pack_x(&self, c: &mut Token<'_>, s: &mut [f32]) {
+        let (j, x) = (c.index, &mut s[..self.body.cfg.hidden]);
+        x.copy_from_slice(c.x(j));
+        c.write(XB, j, x);
+    }
+
+    /// One head's attention over every token, in the member's scratch.
+    fn attend(&self, c: &mut Token<'_>, s: &mut [f32]) {
+        let BertConfig { hidden: h, heads: nh, .. } = self.body.cfg;
+        let (hd, dh, t) = (c.index, h / nh, c.cols().len());
+        let (slices, scores) = s.split_at_mut(4 * dh * t);
+        let mut slices = slices.chunks_exact_mut(dh * t);
+        let [qh, kh, kt, vh] = std::array::from_fn(|_| slices.next().expect("four slices"));
+        // The head's biased slices, column-major; the biased Q, K and V
+        // also go back in place, for the tape.
+        for (m, slice, b) in [(Q, &mut *qh, 0), (K, &mut *kh, 1), (V, &mut *vh, 2)] {
+            for (j, col) in slice.chunks_exact_mut(dh).enumerate() {
+                c.read(m, j, col);
+                binary::bias_add(dh, 1, &self.body.biases[b][hd * dh..], col, dh);
+                c.write(m, j, col);
+            }
+        }
+        // Scores (keys x queries) S = K_hᵀ Q_h: one call with K = dh into a
+        // zeroed S.
+        let scores = &mut scores[..t * t];
+        let gemm = |m, n, k| Brgemm::<f32, f32, f32>::new(BrgemmDesc::blocked(m, n, k));
+        pl_tpp::transform::transpose(dh, t, kh, dh, kt, t);
+        scores.fill(0.0);
+        gemm(t, t, dh).execute_stride(kt, 0, qh, 0, scores, 1);
+        let scale = 1.0 / (dh as f32).sqrt();
+        scores.iter_mut().for_each(|v| *v *= scale);
+        let mut p = self.probs[hd].lock().expect("head claimed by a panicked member");
+        softmax::softmax_cols(t, t, scores, t, &mut p, t);
+        // ctx_h = V_h P (dh x tokens): one call with K = tokens, into Q_h's
+        // zeroed scratch.
+        qh.fill(0.0);
+        gemm(dh, t, t).execute_stride(vh, 0, &p, 0, qh, 1);
+        for (j, col) in qh.chunks_exact(dh).enumerate() {
+            c.write(CTX, j, col);
+        }
+    }
+
+    /// LayerNorm `L`'s column phase: column `j` of Wo's (W2's) output
+    /// becomes `(y + bias) + x` — kept for the tape — and the residual
+    /// stream's column its layernorm, with the mean and rstd in the stats
+    /// stream. LN1's output also feeds W1.
+    fn ln<const L: usize>(&self, c: &mut Token<'_>, s: &mut [f32]) {
+        let (body, j, h) = (self.body, c.index, self.body.cfg.hidden);
+        let (m, bias, g, b) = match L {
+            1 => (AO, 3, &body.ln1_g, &body.ln1_b),
+            _ => (DN, 5, &body.ln2_g, &body.ln2_b),
+        };
+        let (y, res) = s[..2 * h].split_at_mut(h);
+        c.read(m, j, y);
+        binary::bias_add(h, 1, &body.biases[bias], y, h);
+        binary::add(h, 1, y, h, c.x(j), h, res, h);
+        c.write(m, j, res);
+        let (mut mean, mut rstd) = ([0.0f32], [0.0f32]);
+        norm::layernorm(h, 1, res, h, g, b, 1e-5, y, h, &mut mean, &mut rstd);
+        c.x(j).copy_from_slice(y);
+        c.stream(STATS, j)[2 * L - 2..2 * L].copy_from_slice(&[mean[0], rstd[0]]);
+        if L == 1 {
+            c.write(XB, j, y);
+        }
+    }
+
+    fn gelu(&self, c: &mut Token<'_>, s: &mut [f32]) {
+        let (j, i) = (c.index, self.body.cfg.intermediate);
+        let (pre, act) = s[..2 * i].split_at_mut(i);
+        c.read(UP, j, pre);
+        binary::bias_add(i, 1, &self.body.biases[4], pre, i);
+        c.write(UP, j, pre);
+        unary::gelu(i, 1, pre, i, act, i);
+        c.write(IB, j, act);
     }
 }
 
@@ -613,6 +703,53 @@ pub(crate) mod tests {
         assert_eq!(t.tokens, tokens);
         assert_eq!(fnv(&[&y]), 0x3a50_7a1d_7eeb_cd9c, "output {:#018x}", fnv(&[&y]));
         assert_eq!(fnv(&tape), 0xd109_af3a_7b7d_5b98, "tape {:#018x}", fnv(&tape));
+    }
+
+    #[test]
+    fn the_phase_table_is_the_declared_schedule() {
+        // The module docs' table is `Layer::PHASES`, row for row, and the
+        // runner's barrier rule separates its 9 phases with 8 barriers.
+        let layer = Layer::PHASES;
+        crate::prepared::tests::assert_table_is_schedule(include_str!("bert.rs"), &layer);
+        let barriers = layer.windows(2).filter(|w| w[0].work.barrier_before(&w[1].work));
+        assert_eq!(barriers.count(), 8);
+    }
+
+    /// Parallel regions this thread opened since `since_ns`, counted from
+    /// the trace: the `pool.region` spans on the lane `marker` lands on.
+    fn regions_on_this_thread(since_ns: u64, marker: u64) -> usize {
+        pl_trace::instant("test.lane_marker", [marker, 0, 0]);
+        let events = pl_trace::snapshot_since(since_ns);
+        let lane = events
+            .iter()
+            .find(|e| e.name == "test.lane_marker" && e.args[0] == marker)
+            .expect("marker recorded")
+            .lane;
+        let begins = events.iter().filter(|e| {
+            e.lane == lane && e.name == "pool.region" && e.kind == pl_trace::EventKind::Begin
+        });
+        begins.count()
+    }
+
+    #[test]
+    fn a_layer_forward_is_one_parallel_region() {
+        // Dense (with its tape) and block-sparse, whatever the head count:
+        // the whole layer runs in one region, the attention heads included.
+        pl_trace::enable();
+        let pool = ThreadPool::new(2);
+        for (heads, marker) in [(2usize, 0xB2u64), (5, 0xB5)] {
+            let hidden = 8 * heads;
+            let cfg = BertConfig { hidden, heads, intermediate: 2 * hidden, layers: 1, seq: 8 };
+            let (dense, sparse) = crate::sparse_bert::random_sparse_layer(cfg, 8, 0.5, 61);
+            let mut x = vec![0.0f32; hidden * 6];
+            fill_uniform(&mut x, &mut Xorshift::new(62), -1.0, 1.0);
+            let t0 = pl_trace::now_ns();
+            let _ = dense.forward(&x, 6, &pool);
+            assert_eq!(regions_on_this_thread(t0, marker), 1, "dense, {heads} heads");
+            let t1 = pl_trace::now_ns();
+            let _ = sparse.forward(&x, 6, &pool);
+            assert_eq!(regions_on_this_thread(t1, marker + 0x100), 1, "sparse, {heads} heads");
+        }
     }
 
     #[test]

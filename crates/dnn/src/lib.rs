@@ -3,8 +3,9 @@
 //! The paper's §IV workloads, rebuilt on the kernel layer:
 //!
 //! * [`bert`] — BERT encoder with the paper's four modules (Self-Attention,
-//!   SelfOutput/Output, Intermediate; Listing 6's block-granular fusion is
-//!   not reproduced yet), forward *and* backward (Fig. 9 fine-tuning).
+//!   SelfOutput/Output, Intermediate), a layer's forward one parallel
+//!   region whose column phases are Listing 6's epilogues, and its backward
+//!   (Fig. 9 fine-tuning).
 //! * [`sparse_bert`] — magnitude block-pruned BERT inference (Fig. 10): the
 //!   dense layer's one forward body over block-sparse plans.
 //! * [`llm`] — decoder-only LLM (GPT-J / Llama2 architectures) with KV
@@ -23,10 +24,10 @@
 //!   The model types above hold plans, so steady-state inference packs
 //!   **zero** weight bytes per step (observable via
 //!   [`prepared::pack_events`]). It also holds the in-team runner that
-//!   executes a decoder layer's declared phase list (the table in
-//!   [`llm`]'s docs): every phase a PARLOOPER nest, every barrier and
-//!   every column hand-off placed by the runner, so the decoder's column
-//!   ownership is argued in that one module.
+//!   executes a layer's declared phase list (the tables in [`llm`]'s and
+//!   [`bert`]'s docs): every phase a PARLOOPER nest, every barrier and
+//!   every column or row hand-off placed by the runner, so ownership is
+//!   argued in that one module.
 //! * [`matmul`] — the flat-matrix pack-per-call bridge, kept as a thin
 //!   compatibility wrapper (a throwaway plan per call) for one-shot
 //!   contractions; prefer plans for weights.
@@ -56,6 +57,6 @@ pub use kvpool::{
     DEFAULT_PAGE_TOKENS,
 };
 pub use llm::{prefill_chunk_widths, Decoder, DecoderConfig, DecoderModel, DecoderState};
-pub use prepared::{ActMatrix, MatmulPlan, Precision};
+pub use prepared::{MatmulPlan, Precision};
 pub use resnet::{resnet50_conv_shapes, BatchNorm, ConvLayerSpec, FcHead};
 pub use sparse_bert::SparseBertLayer;

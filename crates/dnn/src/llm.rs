@@ -68,7 +68,7 @@
 
 use crate::kvpool::{KvPagePool, KvPoolExhausted, KvSeq, KvSnapshot, PrefixCache, PrefixHit};
 use crate::matmul::Trans;
-use crate::prepared::{item_nest, Act, Cols, MatmulPlan, Phase, Precision, Region, Work};
+use crate::prepared::{item_nest, Act, MatmulPlan, Phase, Precision, Region, Token, Work};
 use pl_runtime::ThreadPool;
 use pl_tensor::Xorshift;
 use pl_tpp::{norm, softmax, unary};
@@ -471,7 +471,7 @@ impl DecoderModel {
         let mut acts = [xb, ab, first.wq.output(n), first.wq.output(n), first.wq.output(n), up];
         let plans: Vec<_> = self.blocks.iter().map(Block::plans).collect();
         let batch = Batch { model: self, states };
-        let region = Region::new(&mut x, &mut acts, &items);
+        let region = Region::new(vec![&mut x], &mut acts, &items, &[]);
         region.run(pool, &batch, &Batch::LAYER, &plans, 2 * h.max(f));
         items.iter().map(|cols| x[cols.start * h..cols.end * h].to_vec()).collect()
     }
@@ -559,20 +559,20 @@ impl<'a> Batch<'a> {
         Phase { what: "residual", span: None, work: Work::Columns(Self::residual) },
     ];
 
-    fn ln1(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+    fn ln1(&self, c: &mut Token<'_>, s: &mut [f32]) {
         let (blk, j, out) = (&self.model.blocks[c.layer], c.index, &mut s[..self.model.cfg.hidden]);
         layernorm_col(c.x(j), &blk.ln1_g, &blk.ln1_b, out);
         c.write(XB, j, out);
     }
 
-    fn residual_ln2(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+    fn residual_ln2(&self, c: &mut Token<'_>, s: &mut [f32]) {
         self.residual(c, s);
         let (blk, j, out) = (&self.model.blocks[c.layer], c.index, &mut s[..self.model.cfg.hidden]);
         layernorm_col(c.x(j), &blk.ln2_g, &blk.ln2_b, out);
         c.write(XB, j, out);
     }
 
-    fn gelu(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+    fn gelu(&self, c: &mut Token<'_>, s: &mut [f32]) {
         let (j, f) = (c.index, self.model.cfg.ffn);
         let (a, b) = s.split_at_mut(f);
         c.read(UP, j, a);
@@ -582,7 +582,7 @@ impl<'a> Batch<'a> {
 
     /// `x[:, j] += Q[:, j]`: the output or FFN-down projection joins the
     /// residual stream.
-    fn residual(&self, c: &mut Cols<'_>, s: &mut [f32]) {
+    fn residual(&self, c: &mut Token<'_>, s: &mut [f32]) {
         let (j, q) = (c.index, &mut s[..self.model.cfg.hidden]);
         c.read(Q, j, q);
         for (x, q) in c.x(j).iter_mut().zip(&*q) {
@@ -595,7 +595,7 @@ impl<'a> Batch<'a> {
     /// COW-splitting a shared tail page before the first write), attends
     /// causally over the whole cached context, and packs the context
     /// columns into `XB`.
-    fn attend(&self, c: &mut Cols<'_>, _: &mut [f32]) {
+    fn attend(&self, c: &mut Token<'_>, _: &mut [f32]) {
         let (l, cols) = (c.layer, c.cols());
         let h = self.model.cfg.hidden;
         let nh = self.model.cfg.heads;
@@ -720,7 +720,6 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prepared::column_nest;
     use pl_tensor::fill_uniform;
 
     #[test]
@@ -979,28 +978,10 @@ mod tests {
 
     #[test]
     fn the_phase_table_is_the_declared_schedule() {
-        // The module docs' table is `Batch::LAYER`, row for row: what each
-        // phase does, the nest that splits it and the span it opens; and
-        // the runner's barrier rule gives 8 barriers per 9-phase layer.
-        let split = |work: &Work<Batch<'_>>| match work {
-            Work::Columns(_) => format!("columns: `\"{}\"`", column_nest(1).plan().spec_string()),
-            Work::Items(_) => format!("items: `\"{}\"`", item_nest(1).plan().spec_string()),
-            Work::Gemms(_) => "blocks: the plan's spec".to_string(),
-        };
-        let rows: Vec<Vec<String>> = include_str!("llm.rs")
-            .lines()
-            .filter_map(|line| line.strip_prefix("//! |"))
-            .map(|row| row.split('|').map(|cell| cell.trim().to_string()).collect::<Vec<_>>())
-            .filter(|cells| cells[0].parse::<usize>().is_ok())
-            .map(|cells| cells[..cells.len() - 1].to_vec())
-            .collect();
+        // The module docs' table is `Batch::LAYER`, row for row, and the
+        // runner's barrier rule gives 8 barriers per 9-phase layer.
         let layer = Batch::LAYER;
-        assert_eq!(rows.len(), layer.len());
-        for (i, (row, phase)) in rows.iter().zip(&layer).enumerate() {
-            let span = phase.span.map_or(String::new(), |name| format!("`{name}`"));
-            let want = [(i + 1).to_string(), phase.what.to_string(), split(&phase.work), span];
-            assert_eq!(row[..], want, "phase {}", i + 1);
-        }
+        crate::prepared::tests::assert_table_is_schedule(include_str!("llm.rs"), &layer);
         let next = layer.iter().cycle().skip(1);
         let barriers = layer.iter().zip(next).filter(|(a, b)| a.work.barrier_before(&b.work));
         assert_eq!((layer.len(), barriers.count()), (9, 8));

@@ -1,24 +1,20 @@
 //! Flat-matrix matmul bridge — the **pack-per-call compatibility wrapper**
 //! over the prepared-op API.
 //!
-//! The layers keep activations as flat column-major `features x tokens`
-//! f32 matrices. Historically every weight contraction went through
-//! [`matmul`], which re-packs both operands into PARLOOPER blocked layouts
-//! and re-constructs the GEMM kernel per call. That per-call layout
-//! cost is exactly what the paper amortizes at layer boundaries, and what
-//! [`crate::prepared::MatmulPlan`] now front-loads: **new code should hold
-//! plans, not call this function** — `matmul` remains only for one-shot
-//! contractions whose operands change every call (gradients, attention
-//! score/context products) and as the reference the plan equivalence tests
-//! compare against. Consider it deprecated for weight operands.
+//! [`matmul`] re-packs both operands into PARLOOPER blocked layouts and
+//! re-constructs the GEMM kernel on every call: the per-call layout cost
+//! the paper amortizes at layer boundaries, and that
+//! [`crate::prepared::MatmulPlan`] front-loads. Every forward holds plans;
+//! only BERT's backward pass calls this bridge, for contractions whose
+//! operands change every call (gradients against activations), and the
+//! plan equivalence tests compare against it.
 //!
-//! [`matmul`] is implemented as a throwaway [`crate::prepared::MatmulPlan`]
-//! built per call, so both paths execute the identical kernel: same
-//! blockings ([`pl_kernels::GemmShape::default_block`]), same
-//! `default_parallel` spec, same per-element reduction order —
-//! plan outputs are **bit-identical** to `matmul` outputs. No-transpose
-//! operands are borrowed, never copied; `Trans::Yes` operands pay one
-//! transpose.
+//! [`matmul`] is a throwaway [`crate::prepared::MatmulPlan`] built per
+//! call, so both paths execute the identical kernel: same blockings
+//! ([`pl_kernels::GemmShape::default_block`]), same `default_parallel`
+//! spec, same per-element reduction order — plan outputs are
+//! **bit-identical** to `matmul` outputs. No-transpose operands are
+//! borrowed, never copied; `Trans::Yes` operands pay one transpose.
 
 use crate::prepared::MatmulPlan;
 use pl_runtime::ThreadPool;

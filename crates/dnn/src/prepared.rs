@@ -16,18 +16,21 @@
 //! * **warm** — [`MatmulPlan::warm`] pre-constructs the kernel for every
 //!   activation width the caller will execute;
 //! * **execute** — [`MatmulPlan::execute`] packs only the activations per
-//!   call; the split surface ([`MatmulPlan::pack`] +
-//!   [`MatmulPlan::execute_packed`]) lets one packed activation matrix
-//!   ([`ActMatrix`]) feed several plans (a layer's QKV projections).
+//!   call. Inside a layer's region, one packed activation matrix feeds
+//!   every plan with the same reduction extent (a layer's QKV
+//!   projections).
 //!
-//! A decoder forward chains all of its projections in **one** parallel
-//! region. Its schedule is a declared list of phases, run by this
-//! module's in-team runner: column phases (the loop nest `"A"` over the
-//! batch's columns), item phases (`"A @ schedule(dynamic,1)"` over its
-//! items) and GEMM phases (the plans' own nests). The runner places every
-//! team barrier, and a column or item body reaches [`ActMatrix`] columns
-//! only through a token for its own columns, so column ownership is
-//! argued once, here, not at each call site.
+//! A model layer runs all of its work in **one** parallel region. Its
+//! schedule is a declared list of phases, run by this module's in-team
+//! runner (`Region`). Two schedules run on it: the decoder's layer
+//! (`llm::Batch::LAYER`, layer after layer in one region) and the BERT
+//! encoder layer (`bert::Layer::PHASES`). A phase is a column phase (the
+//! loop nest `"A"` over the columns), an item phase (`"A @
+//! schedule(dynamic,1)"` over column ranges), a row phase (the same nest
+//! over disjoint row ranges, e.g. attention heads) or a GEMM phase (the
+//! plans' own nests). The runner places every team barrier, and a body
+//! reaches the region's matrices only through a token for its own columns
+//! or rows, so ownership is argued once, here, not at each call site.
 //!
 //! Activations block along N by [`GemmShape::activation_block`] (the
 //! microkernel's register-tile width, ragged last block) whatever the
@@ -158,12 +161,12 @@ impl<T: Clone + Default> TeamBuf<T> {
 /// A `rows x n` activation (or projection output) in the blocked layout
 /// the plan kernels consume — `[Nb][Rb][bn][br]`, `bn =`
 /// [`GemmShape::activation_block`]`(n)`, storage zero-padded to whole
-/// column blocks — whose **columns are the unit of ownership**: inside a
-/// decoder's region, column and item bodies write and read only their own
-/// columns, while GEMM phases consume and produce whole matrices. A matrix
-/// built for an int8 plan also carries the quantized twin of every column
-/// and its scale, filled with the column.
-pub struct ActMatrix {
+/// column blocks. Inside a region, column and item bodies write and read
+/// only their own columns and row bodies only their own rows, while GEMM
+/// phases consume and produce whole matrices. A matrix built for an int8
+/// plan also carries the quantized twin of every column and its scale,
+/// filled with the column.
+pub(crate) struct ActMatrix {
     rows: usize,
     br: usize,
     n: usize,
@@ -187,22 +190,27 @@ impl ActMatrix {
         }
     }
 
-    /// Logical columns.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Offset of the `rb`-th `br`-element run of column `j`.
     #[inline]
     fn run_offset(&self, j: usize, rb: usize) -> usize {
         ((j / self.bn) * (self.rows / self.br) + rb) * self.br * self.bn + (j % self.bn) * self.br
     }
 
+    /// The pieces of rows `rows` of column `j` — the parts of the
+    /// `br`-element runs they cross — in row order, each as (its first
+    /// row's index within `rows`, its storage offset, its length).
+    fn pieces(&self, j: usize, rows: Range<usize>) -> impl Iterator<Item = [usize; 3]> + '_ {
+        (rows.start / self.br..rows.end.div_ceil(self.br)).map(move |rb| {
+            let (lo, hi) = (rows.start.max(rb * self.br), rows.end.min((rb + 1) * self.br));
+            [lo - rows.start, self.run_offset(j, rb) + lo - rb * self.br, hi - lo]
+        })
+    }
+
     /// The flat column-major `rows x n` contents.
-    fn into_colmajor(mut self) -> Vec<f32> {
+    pub(crate) fn into_colmajor(mut self) -> Vec<f32> {
         let rows = self.rows;
         let mut out = vec![0.0f32; rows * self.n];
-        let mut alone = Region::new(&mut [], std::slice::from_mut(&mut self), &[]);
+        let mut alone = Region::new(Vec::new(), std::slice::from_mut(&mut self), &[], &[]);
         let cols = alone.sole();
         for (j, col) in out.chunks_exact_mut(rows).enumerate() {
             cols.read(Act(0), j, col);
@@ -544,15 +552,11 @@ impl MatmulPlan {
         ActMatrix::new(self.m, self.bm, n, false)
     }
 
-    /// Packs a flat column-major `k x n` activation matrix. The layout
-    /// depends only on `(k, n)`, so one packed matrix can feed every plan
-    /// with the same reduction extent and precision — a layer's QKV
-    /// projections pack (and, at int8, quantize) their shared input
-    /// **once**.
-    pub fn pack(&self, act: &[f32], n: usize) -> ActMatrix {
+    /// Packs a flat column-major `k x n` activation matrix.
+    fn pack(&self, act: &[f32], n: usize) -> ActMatrix {
         assert_eq!(act.len(), self.k * n, "activation size mismatch");
         let mut packed = self.input(n);
-        let mut alone = Region::new(&mut [], std::slice::from_mut(&mut packed), &[]);
+        let mut alone = Region::new(Vec::new(), std::slice::from_mut(&mut packed), &[], &[]);
         let mut cols = alone.sole();
         for (j, col) in act.chunks_exact(self.k).enumerate() {
             cols.write(Act(0), j, col);
@@ -560,22 +564,11 @@ impl MatmulPlan {
         packed
     }
 
-    /// Runs the plan over an already-packed activation operand (from
-    /// [`MatmulPlan::pack`] — possibly packed by a sibling plan with the
-    /// same `k`). Returns the flat column-major `m x n` result.
-    pub fn execute_packed(&self, act: &ActMatrix, pool: &ThreadPool) -> Vec<f32> {
-        self.execute_with(self.kernel_for(act.n()), act, pool)
-    }
-
-    /// [`MatmulPlan::execute_packed`] through `kernel`, one of this plan's
-    /// kernels at `act`'s width.
-    fn execute_with(
-        &self,
-        kernel: Arc<PlanKernel>,
-        act: &ActMatrix,
-        pool: &ThreadPool,
-    ) -> Vec<f32> {
-        let out = self.output(act.n());
+    /// Runs the plan over an already-packed activation operand through
+    /// `kernel`, one of this plan's kernels at `act`'s width. Returns the
+    /// flat column-major `m x n` result.
+    fn execute_with(&self, kernel: &PlanKernel, act: &ActMatrix, pool: &ThreadPool) -> Vec<f32> {
+        let out = self.output(act.n);
         let run = kernel.begin(pool.nthreads());
         // SAFETY: `out` is local, and nothing can write `act` while it is
         // borrowed shared (a region borrows its matrices exclusively); the
@@ -588,7 +581,7 @@ impl MatmulPlan {
     /// matrix. Packs the activations (never the weight) and executes the
     /// cached kernel for width `n`.
     pub fn execute(&self, act: &[f32], n: usize, pool: &ThreadPool) -> Vec<f32> {
-        self.execute_packed(&self.pack(act, n), pool)
+        self.execute_with(&self.kernel_for(n), &self.pack(act, n), pool)
     }
 }
 
@@ -597,9 +590,9 @@ impl MatmulPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Act(pub(crate) usize);
 
-/// A column or item phase body, run once per index of the phase's nest
-/// with a token for that index's columns and the member's own scratch.
-pub(crate) type Body<C> = fn(&C, &mut Cols<'_>, &mut [f32]);
+/// A column, item or row phase body, run once per index of the phase's
+/// nest with a token for that index's share and the member's own scratch.
+pub(crate) type Body<C> = fn(&C, &mut Token<'_>, &mut [f32]);
 
 /// What a phase runs, and so the loop nest that splits it over the team.
 pub(crate) enum Work<C> {
@@ -607,6 +600,9 @@ pub(crate) enum Work<C> {
     Columns(Body<C>),
     /// The body per item (owning the item's columns), over [`item_nest`].
     Items(Body<C>),
+    /// The body per row range (owning those rows of every column of every
+    /// matrix), over [`item_nest`].
+    Rows(Body<C>),
     /// `out = plan x in` per `(plan, in, out)`, `plan` indexing the
     /// layer's plans: the plans' own nests, back to back.
     Gemms(&'static [(usize, Act, Act)]),
@@ -636,70 +632,81 @@ pub(crate) fn column_nest(n: usize) -> ThreadedLoop {
     ThreadedLoop::new(&[LoopSpecs::new(0, n, 1)], "A").expect("column nest")
 }
 
-/// The item phases' nest: `"A @ schedule(dynamic,1)"` over the items,
-/// each member claiming the next unclaimed one (items differ in width and
-/// context length).
+/// The item and row phases' nest: `"A @ schedule(dynamic,1)"` over the
+/// items (or row ranges), each member claiming the next unclaimed one
+/// (items differ in width and context length).
 pub(crate) fn item_nest(items: usize) -> ThreadedLoop {
     ThreadedLoop::new(&[LoopSpecs::new(0, items, 1)], "A @ schedule(dynamic,1)").expect("item nest")
 }
 
 /// The one in-team runner: runs a per-layer schedule of [`Phase`]s, layer
-/// after layer, inside **one** parallel region, over a residual stream
-/// (`rows x n`, column-major) and activation matrices of `n` columns that
-/// it borrows exclusively.
+/// after layer, inside **one** parallel region, over column-major streams
+/// (`rows x n` each; the first is the residual stream) and activation
+/// matrices of `n` columns, all of which it borrows exclusively. Two
+/// schedules run on it: the decoder's layer and the BERT encoder layer.
 ///
 /// # Soundness
 /// Every `unsafe` in this module rests on the argument here. While a
 /// region lives, nothing outside it can reach its operands (it holds them
-/// by `&mut`). Inside, the only paths to their storage are a [`Cols`]
-/// token, which reaches only its own columns (every access checks), and
-/// the GEMM phases' nests. Two facts make every access race-free:
+/// by `&mut`). Inside, the only paths to their storage are a [`Token`] and
+/// the GEMM phases' nests. A token reaches only its own share, and every
+/// access checks it: a column or item body's token owns its columns (every
+/// row of every stream and matrix), a row body's token owns its rows of
+/// every column of every matrix. A row token reaches no stream and writes
+/// no matrix with an int8 twin, whose per-column scale spans every row.
+/// Two facts make every access race-free:
 ///
 /// 1. **Each nest's partition is disjoint.** The column nest gives every
-///    column, and the item nest every item, to exactly one member; the
-///    items' columns are disjoint (checked by [`Region::new`]). A GEMM nest
-///    writes each output block from one member: a sequential spec runs on
-///    member 0 alone, `GemmKernel::build` rejects a spec that would share a
-///    block (at every precision), and `tests/partition.rs` checks every
-///    generated spec. A GEMM phase's outputs are distinct from each other
-///    and from its inputs (checked by [`Region::run`]).
+///    column, and the item nest every item or row range, to exactly one
+///    member; the items' columns and the row ranges are disjoint (checked
+///    by [`Region::new`]). A GEMM nest writes each output block from one
+///    member: a sequential spec runs on member 0 alone, `GemmKernel::build`
+///    rejects a spec that would share a block (at every precision), and
+///    `tests/partition.rs` checks every generated spec. A GEMM phase's
+///    outputs are distinct from each other and from its inputs (checked by
+///    [`Region::run`]).
 /// 2. **A team barrier separates consecutive phases**, except two column
 ///    phases in a row: they share one static partition, so each column
-///    stays with the member that last touched it.
+///    stays with the member that last touched it. So a barrier precedes and
+///    follows every row phase, where ownership turns from columns to rows
+///    and back.
 pub(crate) struct Region<'r> {
     n: usize,
-    rows: usize,
-    x: SharedSlice<f32>,
+    /// Each stream's rows and storage.
+    streams: Vec<(usize, SharedSlice<f32>)>,
     acts: &'r [ActMatrix],
     items: &'r [Range<usize>],
-    _x: PhantomData<&'r mut [f32]>,
+    bands: &'r [Range<usize>],
+    _streams: PhantomData<&'r mut [f32]>,
 }
 
 impl<'r> Region<'r> {
-    /// A region over the residual stream `x`, the matrices `acts` (all `n`
-    /// columns wide; [`Act`]`(i)` names `acts[i]`) and `items`, disjoint
-    /// ascending column ranges.
+    /// A region over `streams`, the matrices `acts` (all `n` columns wide;
+    /// [`Act`]`(i)` names `acts[i]`), `items`, disjoint ascending column
+    /// ranges, and `bands`, disjoint ascending row ranges.
     pub(crate) fn new(
-        x: &'r mut [f32],
+        streams: Vec<&'r mut [f32]>,
         acts: &'r mut [ActMatrix],
         items: &'r [Range<usize>],
+        bands: &'r [Range<usize>],
     ) -> Self {
         let n = acts[0].n;
         assert!(
-            acts.iter().all(|m| m.n == n) && x.len().is_multiple_of(n),
+            acts.iter().all(|m| m.n == n) && streams.iter().all(|x| x.len().is_multiple_of(n)),
             "region operands must share their {n} columns"
         );
-        let mut end = 0;
-        for item in items {
-            assert!(end <= item.start && item.start <= item.end && item.end <= n, "items overlap");
-            end = item.end;
-        }
-        Region { n, rows: x.len() / n, x: SharedSlice::new(x), acts, items, _x: PhantomData }
+        let ordered = |r: &[Range<usize>]| {
+            r.iter().all(|r| r.start <= r.end) && r.windows(2).all(|w| w[0].end <= w[1].start)
+        };
+        let inside = items.last().is_none_or(|item| item.end <= n);
+        assert!(ordered(items) && ordered(bands) && inside, "items or row ranges overlap");
+        let streams = streams.into_iter().map(|x| (x.len() / n, SharedSlice::new(x))).collect();
+        Region { n, streams, acts, items, bands, _streams: PhantomData }
     }
 
     /// A token over every column, for a caller that runs no team.
-    fn sole(&mut self) -> Cols<'_> {
-        Cols { region: self, cols: 0..self.n, layer: 0, index: 0 }
+    fn sole(&mut self) -> Token<'_> {
+        Token { region: self, cols: 0..self.n, rows: None, layer: 0, index: 0 }
     }
 
     /// Runs `layer` once per entry of `plans` — that layer's plans, which
@@ -729,6 +736,7 @@ impl<'r> Region<'r> {
             .collect();
         let columns = column_nest(self.n);
         let items = (!self.items.is_empty()).then(|| item_nest(self.items.len()));
+        let bands = (!self.bands.is_empty()).then(|| item_nest(self.bands.len()));
         let nests: Vec<Option<LoopRun>> = runs
             .iter()
             .flat_map(|_| layer)
@@ -736,6 +744,7 @@ impl<'r> Region<'r> {
                 let nest = match phase.work {
                     Work::Columns(_) => &columns,
                     Work::Items(_) => items.as_ref().expect("an item phase needs items"),
+                    Work::Rows(_) => bands.as_ref().expect("a row phase needs row ranges"),
                     Work::Gemms(_) => return None,
                 };
                 Some(nest.begin(team).expect("the column and item nests fit any team"))
@@ -757,13 +766,16 @@ impl<'r> Region<'r> {
                     span = (ctx.tid() == 0).then(|| pl_trace::span(name, span_args(l)));
                 }
                 match phase.work {
-                    Work::Columns(body) | Work::Items(body) => {
-                        let nest = nest.as_ref().expect("column and item phases have a nest");
-                        let columns = matches!(phase.work, Work::Columns(_));
+                    Work::Columns(body) | Work::Items(body) | Work::Rows(body) => {
+                        let nest = nest.as_ref().expect("body phases have a nest");
                         nest.member(ctx, &|ind| {
                             let i = ind[0];
-                            let cols = if columns { i..i + 1 } else { self.items[i].clone() };
-                            let mut token = Cols { region: &self, cols, layer: l, index: i };
+                            let (cols, rows) = match phase.work {
+                                Work::Columns(_) => (i..i + 1, None),
+                                Work::Items(_) => (self.items[i].clone(), None),
+                                _ => (0..self.n, Some(self.bands[i].clone())),
+                            };
+                            let mut token = Token { region: &self, cols, rows, layer: l, index: i };
                             body(data, &mut token, &mut scratch.borrow_mut());
                         });
                     }
@@ -782,71 +794,82 @@ impl<'r> Region<'r> {
     }
 }
 
-/// What one column or item body may touch: its own columns — of every
-/// [`ActMatrix`] of the [`Region`] and of the residual stream — and
-/// nothing else (every access checks). Only the runner creates one.
-pub(crate) struct Cols<'t> {
+/// What one body may touch, and nothing else (every access checks): a
+/// column or item body's columns of every stream and every [`ActMatrix`]
+/// of the [`Region`], or a row body's rows of every column of every
+/// matrix. Only the runner creates one.
+pub(crate) struct Token<'t> {
     region: &'t Region<'t>,
     cols: Range<usize>,
+    /// A row body's rows; `None` for every row.
+    rows: Option<Range<usize>>,
     /// The layer of the running phase.
     pub(crate) layer: usize,
-    /// The nest index: the column (column phases) or the item.
+    /// The nest index: the column, the item or the row range.
     pub(crate) index: usize,
 }
 
-impl<'t> Cols<'t> {
-    /// The columns this token owns.
+impl<'t> Token<'t> {
+    /// The columns this token owns (all of them for a row body).
     pub(crate) fn cols(&self) -> Range<usize> {
         self.cols.clone()
     }
 
-    /// Matrix `m`, after checking that its column `j` is this token's and
-    /// `len` values tall.
-    fn column(&self, m: Act, j: usize, len: usize) -> &'t ActMatrix {
+    /// Matrix `m` and this token's rows of it, after checking that its
+    /// column `j` is this token's and the rows are `len` values.
+    fn share(&self, m: Act, j: usize, len: usize) -> (&'t ActMatrix, Range<usize>) {
         let m = &self.region.acts[m.0];
+        let rows = self.rows.clone().unwrap_or(0..m.rows);
         assert!(
-            self.cols.contains(&j) && len == m.rows,
-            "column {j} ({len} rows) of a {}-row matrix is not this body's {:?}",
+            self.cols.contains(&j) && rows.end <= m.rows && len == rows.len(),
+            "rows {rows:?} of column {j} ({len} values) of a {}-row matrix are not this body's {:?}",
             m.rows,
             self.cols
         );
-        m
+        (m, rows)
+    }
+
+    /// Column `j` of stream `s`.
+    pub(crate) fn stream(&mut self, s: usize, j: usize) -> &mut [f32] {
+        assert!(self.rows.is_none() && self.cols.contains(&j), "column {j} is not this body's");
+        let (rows, x) = &self.region.streams[s];
+        // SAFETY: see `Region`: column `j` is this token's alone.
+        unsafe { x.slice_mut(j * rows, *rows) }
     }
 
     /// Column `j` of the residual stream.
     pub(crate) fn x(&mut self, j: usize) -> &mut [f32] {
-        assert!(self.cols.contains(&j), "column {j} is not this body's {:?}", self.cols);
-        let rows = self.region.rows;
-        // SAFETY: see `Region`: column `j` is this token's alone.
-        unsafe { self.region.x.slice_mut(j * rows, rows) }
+        self.stream(0, j)
     }
 
-    /// Copies column `j` of `m` into `dst`.
+    /// Copies this token's rows of column `j` of `m` into `dst`.
     pub(crate) fn read(&self, m: Act, j: usize, dst: &mut [f32]) {
-        let m = self.column(m, j, dst.len());
-        for (rb, run) in dst.chunks_exact_mut(m.br).enumerate() {
-            // SAFETY: see `Region`: column `j` is this token's alone.
-            run.copy_from_slice(unsafe { m.data.view.slice(m.run_offset(j, rb), m.br) });
+        let (m, rows) = self.share(m, j, dst.len());
+        for [at, off, len] in m.pieces(j, rows) {
+            // SAFETY: see `Region`: these rows of column `j` are this
+            // token's alone.
+            dst[at..at + len].copy_from_slice(unsafe { m.data.view.slice(off, len) });
         }
     }
 
-    /// Stores `src` as column `j` of `m`, quantizing it too when `m` feeds
-    /// int8 plans (one symmetric scale per column — the arithmetic of
-    /// [`pl_tensor::quantize_cols_blocked`]).
+    /// Stores `src` as this token's rows of column `j` of `m`, quantizing
+    /// the column too when `m` feeds int8 plans (one symmetric scale per
+    /// column — the arithmetic of [`pl_tensor::quantize_cols_blocked`]).
     pub(crate) fn write(&mut self, m: Act, j: usize, src: &[f32]) {
-        let m = self.column(m, j, src.len());
-        let scale = m
-            .quant
-            .as_ref()
-            .map(|_| symmetric_scale(src.iter().fold(0.0f32, |a, v| a.max(v.abs()))));
-        // SAFETY: see `Region`: column `j` — its runs, its quantized twin
-        // and its scale slot — is this token's alone.
+        let (m, rows) = self.share(m, j, src.len());
+        let scale = m.quant.as_ref().map(|_| {
+            assert!(self.rows.is_none(), "a row body cannot write a quantized matrix");
+            symmetric_scale(src.iter().fold(0.0f32, |a, v| a.max(v.abs())))
+        });
+        // SAFETY: see `Region`: these rows of column `j` — and, for a
+        // whole column, its quantized twin and its scale slot — are this
+        // token's alone.
         unsafe {
-            for (rb, run) in src.chunks_exact(m.br).enumerate() {
-                let off = m.run_offset(j, rb);
-                m.data.view.slice_mut(off, m.br).copy_from_slice(run);
+            for [at, off, len] in m.pieces(j, rows) {
+                let run = &src[at..at + len];
+                m.data.view.slice_mut(off, len).copy_from_slice(run);
                 if let (Some((q, _)), Some(s)) = (&m.quant, scale) {
-                    for (d, v) in q.view.slice_mut(off, m.br).iter_mut().zip(run) {
+                    for (d, v) in q.view.slice_mut(off, len).iter_mut().zip(run) {
                         *d = i8::from_f32(v / s);
                     }
                 }
@@ -900,7 +923,7 @@ fn vnni_fit(v: usize, bk: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pl_kernels::gemm::reference_gemm;
     use pl_tensor::{fill_uniform, Xorshift};
@@ -1018,7 +1041,7 @@ mod tests {
                             continue; // a loop too short to block at this shape
                         };
                         let kernel = plan.build_kernel(shape, tuning).expect("generated spec");
-                        let got = plan.execute_with(Arc::new(kernel), &act, &pool3);
+                        let got = plan.execute_with(&kernel, &act, &pool3);
                         for (j, col) in got.chunks_exact(m).enumerate() {
                             assert_eq!(
                                 col, alone[j],
@@ -1068,8 +1091,8 @@ mod tests {
         let p1 = MatmulPlan::new(&w1, Trans::No, m, k);
         let p2 = MatmulPlan::new(&w2, Trans::No, m, k);
         let xp = p1.pack(&x, n);
-        let y1 = p1.execute_packed(&xp, &pool);
-        let y2 = p2.execute_packed(&xp, &pool);
+        let y1 = p1.execute_with(&p1.kernel_for(n), &xp, &pool);
+        let y2 = p2.execute_with(&p2.kernel_for(n), &xp, &pool);
         assert_eq!(y1, p1.execute(&x, n, &pool), "shared-pack path matches the direct path");
         assert_eq!(y2, p2.execute(&x, n, &pool));
     }
@@ -1191,6 +1214,31 @@ mod tests {
         let want = reference_gemm(&dense, &x, m, tokens, k);
         for i in 0..got.len() {
             assert!((got[i] - want[i]).abs() < 1e-3, "idx {i}");
+        }
+    }
+
+    /// Asserts that the phase table in the module docs of `src` is `layer`,
+    /// row for row: what each phase does, the nest that splits it and the
+    /// span it opens.
+    pub(crate) fn assert_table_is_schedule<C>(src: &str, layer: &[Phase<C>]) {
+        let split = |work: &Work<C>| match work {
+            Work::Columns(_) => format!("columns: `\"{}\"`", column_nest(1).plan().spec_string()),
+            Work::Items(_) => format!("items: `\"{}\"`", item_nest(1).plan().spec_string()),
+            Work::Rows(_) => format!("row ranges: `\"{}\"`", item_nest(1).plan().spec_string()),
+            Work::Gemms(_) => "blocks: the plan's spec".to_string(),
+        };
+        let rows: Vec<Vec<String>> = src
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! |"))
+            .map(|row| row.split('|').map(|cell| cell.trim().to_string()).collect::<Vec<_>>())
+            .filter(|cells| cells[0].parse::<usize>().is_ok())
+            .map(|cells| cells[..cells.len() - 1].to_vec())
+            .collect();
+        assert_eq!(rows.len(), layer.len());
+        for (i, (row, phase)) in rows.iter().zip(layer).enumerate() {
+            let span = phase.span.map_or(String::new(), |name| format!("`{name}`"));
+            let want = [(i + 1).to_string(), phase.what.to_string(), split(&phase.work), span];
+            assert_eq!(row[..], want, "phase {}", i + 1);
         }
     }
 

@@ -87,7 +87,8 @@ impl BlockSpmm {
     }
 
     /// `C = A x B` over VNNI-packed `B` and `C`, which it converts to and
-    /// from the GEMM's blocked layouts around one nest execution.
+    /// from the GEMM's blocked layouts around one nest execution, through
+    /// flat column-major copies that both layouts pack and unpack by runs.
     pub fn execute(
         &self,
         a: &BcscMatrix<f32>,
@@ -104,17 +105,11 @@ impl BlockSpmm {
             BlockedMatrix::b_layout(sh.k, sh.n_padded(), sh.bk, sh.bn).map_err(layout)?;
         let mut blocked_c =
             BlockedMatrix::c_layout(sh.m, sh.n_padded(), sh.bm, sh.bn).map_err(layout)?;
-        for j in 0..sh.n {
-            for r in 0..sh.k {
-                blocked_b.set(r, j, b.get(r, j));
-            }
-        }
+        let mut flat_b = b.unpack_to_colmajor();
+        flat_b.resize(sh.k * sh.n_padded(), 0.0);
+        blocked_b.pack_from_colmajor(&flat_b);
         self.execute_on(a, &blocked_b, &mut blocked_c, (), None, pool)?;
-        for j in 0..sh.n {
-            for r in 0..sh.m {
-                c.set(r, j, blocked_c.get(r, j));
-            }
-        }
+        c.pack_from_colmajor(&blocked_c.unpack_to_colmajor()[..sh.m * sh.n]);
         Ok(())
     }
 }

@@ -11,6 +11,7 @@
 use crate::buffer::AlignedVec;
 use crate::dtype::Element;
 use crate::{check_block, TensorError};
+use std::ops::Range;
 
 /// A flat `rows x cols` matrix packed as `[Nb][rows/v][bn][v]`.
 #[derive(Debug)]
@@ -94,22 +95,30 @@ impl<T: Element> VnniMatrix<T> {
         self.data.as_mut_slice()
     }
 
-    /// Packs from a flat column-major array (leading dimension = rows).
+    /// The storage ranges of column `c`'s `v`-element runs, in row order.
+    fn runs(&self, c: usize) -> impl Iterator<Item = Range<usize>> {
+        let (bn, v) = (self.bn, self.v);
+        let start = (c / bn) * self.rows * bn + (c % bn) * v;
+        (0..self.rows / v).map(move |g| start + g * bn * v..start + g * bn * v + v)
+    }
+
+    /// Packs from a flat column-major array (leading dimension = rows),
+    /// a run at a time.
     pub fn pack_from_colmajor(&mut self, src: &[f32]) {
         assert_eq!(src.len(), self.rows * self.cols, "source size mismatch");
-        for c in 0..self.cols {
-            for r in 0..self.rows {
-                self.set(r, c, T::from_f32(src[c * self.rows + r]));
+        for (c, col) in src.chunks_exact(self.rows).enumerate() {
+            for (run, s) in self.runs(c).zip(col.chunks_exact(self.v)) {
+                self.data[run].iter_mut().zip(s).for_each(|(d, s)| *d = T::from_f32(*s));
             }
         }
     }
 
-    /// Unpacks to a flat column-major f32 array.
+    /// Unpacks to a flat column-major f32 array, a run at a time.
     pub fn unpack_to_colmajor(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.rows * self.cols];
-        for c in 0..self.cols {
-            for r in 0..self.rows {
-                out[c * self.rows + r] = self.get(r, c).to_f32();
+        for (c, col) in out.chunks_exact_mut(self.rows).enumerate() {
+            for (run, d) in self.runs(c).zip(col.chunks_exact_mut(self.v)) {
+                d.iter_mut().zip(&self.data[run]).for_each(|(d, s)| *d = s.to_f32());
             }
         }
         out

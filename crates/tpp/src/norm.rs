@@ -1,8 +1,8 @@
 //! Layer normalization TPPs (forward + backward).
 //!
 //! Orientation: a "token" is one *column* of an `m x n` column-major view
-//! (`m` = features being normalized over, `n` = tokens). The blocked-tensor
-//! variant spanning several feature blocks lives in [`crate::equation`].
+//! (`m` = features being normalized over, `n` = tokens), so a layer that
+//! holds `features x tokens` activations normalizes one token per call.
 
 use crate::reduce::col_mean_var;
 use pl_tensor::Element;

@@ -1,5 +1,5 @@
 //! Reduction TPPs over 2-D views: row sums, and the column mean/variance
-//! pairs consumed by the normalization equations.
+//! pairs layernorm ([`crate::norm`]) normalizes with.
 
 use pl_tensor::Element;
 

@@ -52,7 +52,7 @@ pub fn relu<TI: Element, TO: Element>(
 
 /// The tanh-based GELU approximation used throughout BERT-era models.
 #[inline(always)]
-pub fn gelu_scalar(x: f32) -> f32 {
+fn gelu_scalar(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
 }

@@ -14,7 +14,8 @@
 use pl_dnn::matmul::{matmul, Trans};
 use pl_dnn::prepared::pack_events;
 use pl_dnn::resnet::FcHead;
-use pl_dnn::{Decoder, DecoderConfig, DecoderModel, Precision};
+use pl_dnn::sparse_bert::random_sparse_layer;
+use pl_dnn::{BertConfig, Decoder, DecoderConfig, DecoderModel, Precision};
 use pl_runtime::ThreadPool;
 use pl_tensor::{fill_uniform, Xorshift};
 use std::sync::{Arc, Mutex};
@@ -126,6 +127,17 @@ fn fc_head_forward_packs_no_weight_bytes() {
     let _ = head.forward(&feats, 8, &pool);
     let _ = head.forward(&feats, 8, &pool);
     assert_eq!(pack_events(), after_build, "FcHead forward packed weight bytes");
+}
+
+#[test]
+fn bert_forward_packs_no_weight_bytes() {
+    let _guard = SERIAL.lock().unwrap();
+    let cfg = BertConfig { hidden: 32, heads: 4, intermediate: 64, layers: 1, seq: 8 };
+    let (dense, sparse) = random_sparse_layer(cfg, 8, 0.5, 50);
+    let (x, pool, after_build) = (token(cfg.hidden * 8, 51), ThreadPool::new(2), pack_events());
+    // The dense forward keeps its tape; the per-head products build no plan.
+    let _ = (dense.forward(&x, 8, &pool), sparse.forward(&x, 8, &pool));
+    assert_eq!(pack_events(), after_build, "BERT forwards packed weight bytes");
 }
 
 #[test]
