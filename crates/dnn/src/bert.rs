@@ -381,9 +381,15 @@ impl BertLayer {
         }
     }
 
-    /// Forward over `x` (`hidden x tokens`, column-major). Returns the
-    /// output and the tape for backward.
-    pub fn forward(
+    /// Inference forward over `x` (`hidden x tokens`, column-major): the
+    /// output only, no tape.
+    pub fn forward(&self, x: &[f32], tokens: usize, pool: &ThreadPool) -> Vec<f32> {
+        self.body.forward(x, tokens, pool, false).0
+    }
+
+    /// Training forward: the same output as [`BertLayer::forward`] and
+    /// the tape [`BertLayer::backward`] reads.
+    fn forward_train(
         &self,
         x: &[f32],
         tokens: usize,
@@ -588,7 +594,7 @@ impl BertEncoder {
         let mut cur = x.to_vec();
         let mut tapes = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            let (out, tape) = layer.forward(&cur, tokens, pool);
+            let (out, tape) = layer.forward_train(&cur, tokens, pool);
             cur = out;
             tapes.push(tape);
         }
@@ -682,7 +688,7 @@ pub(crate) mod tests {
         let tokens = 12;
         let mut x = vec![0.0f32; cfg.hidden * tokens];
         fill_uniform(&mut x, &mut Xorshift::new(42), -1.0, 1.0);
-        let (y, t) = layer.forward(&x, tokens, &pool);
+        let (y, t) = layer.forward_train(&x, tokens, &pool);
         let tape: [&[f32]; 15] = [
             &t.x,
             &t.q,
@@ -733,7 +739,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_layer_forward_is_one_parallel_region() {
-        // Dense (with its tape) and block-sparse, whatever the head count:
+        // Dense and block-sparse, whatever the head count:
         // the whole layer runs in one region, the attention heads included.
         pl_trace::enable();
         let pool = ThreadPool::new(2);
@@ -753,6 +759,23 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn inference_and_training_forwards_give_the_same_bits() {
+        // The tape is a copy-out after the region; keeping it changes no
+        // arithmetic, whatever the head count.
+        let pool = ThreadPool::new(2);
+        for heads in [2usize, 5] {
+            let hidden = 8 * heads;
+            let cfg = BertConfig { hidden, heads, intermediate: 2 * hidden, layers: 1, seq: 8 };
+            let layer = BertLayer::new(cfg, &mut Xorshift::new(91));
+            let mut x = vec![0.0f32; hidden * 7];
+            fill_uniform(&mut x, &mut Xorshift::new(92), -1.0, 1.0);
+            let (taped, _) = layer.forward_train(&x, 7, &pool);
+            let y = layer.forward(&x, 7, &pool);
+            assert_eq!(fnv(&[&y]), fnv(&[&taped]), "{heads} heads");
+        }
+    }
+
+    #[test]
     fn attention_probs_are_distributions() {
         let pool = ThreadPool::new(2);
         let cfg = BertConfig::tiny();
@@ -760,7 +783,7 @@ pub(crate) mod tests {
         let tokens = 8;
         let mut x = vec![0.0f32; cfg.hidden * tokens];
         fill_uniform(&mut x, &mut Xorshift::new(4), -1.0, 1.0);
-        let (_, tape) = layer.forward(&x, tokens, &pool);
+        let (_, tape) = layer.forward_train(&x, tokens, &pool);
         for hd in 0..cfg.heads {
             for col in 0..tokens {
                 let p = &tape.probs[hd * tokens * tokens + col * tokens..][..tokens];
@@ -782,11 +805,11 @@ pub(crate) mod tests {
         let mut dy = vec![0.0f32; cfg.hidden * tokens];
         fill_uniform(&mut dy, &mut Xorshift::new(7), -0.5, 0.5);
 
-        let (_, tape) = layer.forward(&x, tokens, &pool);
+        let (_, tape) = layer.forward_train(&x, tokens, &pool);
         let (dx, _) = layer.backward(&dy, &tape, &pool);
 
         let loss = |xv: &[f32]| -> f32 {
-            let (y, _) = layer.forward(xv, tokens, &pool);
+            let y = layer.forward(xv, tokens, &pool);
             y.iter().zip(&dy).map(|(a, b)| a * b).sum()
         };
         let h = 2e-2;
@@ -835,12 +858,12 @@ pub(crate) mod tests {
         let tokens = 4;
         let mut x = vec![0.0f32; cfg.hidden * tokens];
         fill_uniform(&mut x, &mut Xorshift::new(78), -0.5, 0.5);
-        let (y0, tape) = layer.forward(&x, tokens, &pool);
+        let (y0, tape) = layer.forward_train(&x, tokens, &pool);
         let mut dy = vec![0.0f32; cfg.hidden * tokens];
         fill_uniform(&mut dy, &mut Xorshift::new(79), -0.5, 0.5);
         let (_, grads) = layer.backward(&dy, &tape, &pool);
         layer.sgd_step(&grads, 0.5);
-        let (y1, _) = layer.forward(&x, tokens, &pool);
+        let y1 = layer.forward(&x, tokens, &pool);
         assert_ne!(y0, y1, "forward must see the updated weights");
     }
 }

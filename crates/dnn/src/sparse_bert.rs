@@ -117,7 +117,7 @@ mod tests {
         let tokens = 8;
         let mut x = vec![0.0f32; cfg.hidden * tokens];
         pl_tensor::fill_uniform(&mut x, &mut Xorshift::new(22), -0.5, 0.5);
-        let (yd, _) = dense.forward(&x, tokens, &pool);
+        let yd = dense.forward(&x, tokens, &pool);
         let ys = sparse.forward(&x, tokens, &pool);
         for i in 0..yd.len() {
             assert!((yd[i] - ys[i]).abs() < 1e-3, "i={i}: {} vs {}", yd[i], ys[i]);

@@ -12,7 +12,7 @@
 //!   its KV cache never moves on the hot path and decode stays bit-identical
 //!   to a single-server run of the same stream;
 //! * **least-loaded placement** ([`placement`]): new sessions go to the
-//!   healthy shard with the smallest live-session + queue-depth load;
+//!   shard with the smallest live-session + queue-depth load;
 //! * **graceful close** ([`Router::close_session`]): a session's own
 //!   queued work completes before its KV cache is freed;
 //! * **aggregated observability** ([`Router::metrics_snapshot`]): the
@@ -40,7 +40,8 @@ use pl_serve::ServeError;
 pub enum RouterError {
     /// The session id is not live on this router.
     UnknownSession(RouterSessionId),
-    /// No shard could accept the new session (all unhealthy or full).
+    /// No shard could accept the new session: every shard is at its
+    /// session cap.
     NoShardAvailable,
     /// The configuration is unusable (e.g. fewer threads than shards).
     BadConfig(String),

@@ -7,15 +7,8 @@
 //! whole life, and moving it would cost more than any rebalancing could
 //! win at decode timescales.
 //!
-//! Health feeds placement: a shard whose [`Health`] is not
-//! [`Health::Healthy`] — degraded (SLO burn over threshold) or stalled
-//! (watchdog) — is excluded from the candidate list. Existing sessions
-//! keep stepping on their shard either way; health only gates **new**
-//! placements. The degraded state itself carries hysteresis
-//! (`pl_metrics::HealthTracker`), so a shard hovering at the burn
-//! threshold does not flap in and out of this list.
-
-use pl_metrics::Health;
+//! Load is the only input: every shard is a candidate, and a shard at its
+//! session cap is skipped by the router when it refuses the session.
 
 /// One shard's load sample at placement time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,9 +19,6 @@ pub struct ShardLoad {
     pub live_sessions: usize,
     /// Decode steps queued but not yet executed.
     pub queue_depth: usize,
-    /// Health state derived from the shard's SLO windows and watchdog;
-    /// only [`Health::Healthy`] shards take new sessions.
-    pub health: Health,
 }
 
 impl ShardLoad {
@@ -38,20 +28,15 @@ impl ShardLoad {
     fn score(&self) -> usize {
         self.live_sessions + self.queue_depth
     }
-
-    /// Whether this shard accepts new sessions.
-    pub fn placeable(&self) -> bool {
-        self.health.placeable()
-    }
 }
 
-/// Placement-ordered candidate list: placeable (healthy) shards sorted
-/// by ascending load score (sessions + queued steps), ties broken by
-/// lowest shard index (so placement is deterministic and the first shards
-/// fill first at equal load). The router tries candidates in order until
-/// one admits the session.
+/// Placement-ordered candidate list: every shard, sorted by ascending
+/// load score (sessions + queued steps), ties broken by lowest shard
+/// index (so placement is deterministic and the first shards fill first
+/// at equal load). The router tries candidates in order until one admits
+/// the session.
 pub fn placement_order(loads: &[ShardLoad]) -> Vec<usize> {
-    let mut candidates: Vec<&ShardLoad> = loads.iter().filter(|l| l.placeable()).collect();
+    let mut candidates: Vec<&ShardLoad> = loads.iter().collect();
     candidates.sort_by_key(|l| (l.score(), l.shard));
     candidates.into_iter().map(|l| l.shard).collect()
 }
@@ -61,7 +46,7 @@ mod tests {
     use super::*;
 
     fn load(shard: usize, live: usize, queued: usize) -> ShardLoad {
-        ShardLoad { shard, live_sessions: live, queue_depth: queued, health: Health::Healthy }
+        ShardLoad { shard, live_sessions: live, queue_depth: queued }
     }
 
     #[test]
@@ -77,24 +62,6 @@ mod tests {
     fn ties_break_to_lowest_index() {
         let loads = [load(2, 1, 0), load(0, 1, 0), load(1, 1, 0)];
         assert_eq!(placement_order(&loads), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn unhealthy_shards_are_excluded() {
-        for bad in [Health::Degraded, Health::Stalled] {
-            let mut idle = load(0, 0, 0);
-            idle.health = bad;
-            let loads = [idle, load(1, 5, 2)];
-            assert_eq!(placement_order(&loads), vec![1], "idle-but-{bad} shard skipped");
-        }
-        // Every shard unhealthy: no candidates, admission must fail
-        // loudly rather than place onto a degraded shard.
-        let mut a = load(0, 0, 0);
-        a.health = Health::Degraded;
-        let mut b = load(1, 0, 0);
-        b.health = Health::Stalled;
-        assert!(placement_order(&[a, b]).is_empty());
-        assert!(placement_order(&[]).is_empty());
     }
 
     #[test]

@@ -110,9 +110,7 @@ impl Router {
         self.shards.iter().map(|s| s.server().session_count()).sum()
     }
 
-    /// Current placement loads (the inputs to [`placement_order`]),
-    /// health included: each shard's server evaluates its own SLO burn
-    /// and stall watchdog ([`pl_serve::Server::health`]).
+    /// Current placement loads (the inputs to [`placement_order`]).
     fn loads(&self) -> Vec<ShardLoad> {
         self.shards
             .iter()
@@ -120,22 +118,14 @@ impl Router {
                 shard: s.index(),
                 live_sessions: s.server().session_count(),
                 queue_depth: s.server().pending(),
-                health: s.server().health(),
             })
             .collect()
     }
 
-    /// The current health of every shard (index = shard) — the fleet
-    /// view `pl_shard_health` exports.
-    #[cfg(test)]
-    fn shard_health(&self) -> Vec<pl_serve::Health> {
-        self.shards.iter().map(|s| s.server().health()).collect()
-    }
-
     /// Fleet-wide metrics: every shard's snapshot stamped with its
     /// `shard` label, then merged (counters and histogram buckets sum;
-    /// the `pl_shard_health` gauge stays per-shard thanks to the label).
-    /// Render with [`pl_metrics::render_prometheus`].
+    /// gauges such as `pl_in_flight` stay per-shard thanks to the label).
+    /// Render with [`pl_serve::render_prometheus`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut fleet = MetricsSnapshot::default();
         for shard in &self.shards {
@@ -145,21 +135,14 @@ impl Router {
         fleet
     }
 
-    /// Admits a new session: least-loaded placeable shard first, then
-    /// the next candidates if it is full ([`placement_order`]) — shards
-    /// that are degraded (SLO burn through the hysteresis band) or
-    /// stalled (watchdog) take no new sessions, while their
-    /// existing sessions keep stepping untouched. The session is
+    /// Admits a new session: least-loaded shard first, then the next
+    /// candidates if it is full ([`placement_order`]). The session is
     /// *affine* to the chosen shard for its whole life.
     pub fn create_session(&self, tenant: TenantId) -> Result<RouterSessionId, RouterError> {
         if tenant >= self.cfg.server.tenants {
             return Err(RouterError::Serve(ServeError::UnknownTenant(tenant)));
         }
-        let order = placement_order(&self.loads());
-        if order.is_empty() {
-            return Err(RouterError::NoShardAvailable);
-        }
-        for shard_idx in order {
+        for shard_idx in placement_order(&self.loads()) {
             match self.shards[shard_idx].server().create_session(tenant) {
                 Ok(local) => {
                     let id = self.next_session.fetch_add(1, Ordering::Relaxed);
@@ -311,7 +294,7 @@ mod tests {
     use super::*;
     use pl_dnn::DecoderConfig;
     use pl_runtime::ThreadPool;
-    use pl_serve::{Health, Server};
+    use pl_serve::Server;
     use pl_tensor::{fill_uniform, Xorshift};
 
     fn tiny_router(shards: usize, server: ServerConfig) -> Router {
@@ -571,66 +554,19 @@ mod tests {
     }
 
     #[test]
-    fn degraded_shard_excluded_until_burn_recovers() {
-        let r = tiny_router(2, ServerConfig::default());
-        let model = Arc::clone(r.shard(0).server().model());
-        let hidden = model.config().hidden;
+    fn a_step_over_the_objective_leaves_placement_least_loaded() {
+        // Placement reads load and nothing else: a shard whose one step
+        // took longer than `slo_p99_us` still takes the next session when
+        // it is tied for least loaded (lowest index wins the tie).
+        let r = tiny_router(2, ServerConfig { slo_p99_us: 1, ..Default::default() });
+        let hidden = r.shard(0).server().model().config().hidden;
         let s0 = r.create_session(0).unwrap();
         let s1 = r.create_session(0).unwrap();
-        assert_eq!(r.placement_of(s0), Some(0));
-        assert_eq!(r.placement_of(s1), Some(1));
-        // Inject SLO violations on shard 0: every observation blows the
-        // target, so the burn rate saturates at 100x the error budget
-        // and the health tracker latches Degraded.
-        let slo = r.shard(0).server().slo();
-        for _ in 0..200 {
-            slo.record(9_999_999);
-        }
-        assert_eq!(r.shard_health(), vec![Health::Degraded, Health::Healthy]);
-        // New sessions skip the degraded shard even though both shards
-        // hold one session (and shard 1 only grows more loaded)...
-        for i in 0..3 {
-            let id = r.create_session(0).unwrap();
-            assert_eq!(r.placement_of(id), Some(1), "new session {i} hit the degraded shard");
-        }
-        // ...while the existing shard-0 session keeps stepping,
-        // bit-identical to unbatched decode over the same weights.
-        let mut outs = Vec::new();
-        let mut x = token(77, hidden);
-        for _ in 0..3 {
-            let rx = r.submit_step(s0, &x).unwrap();
-            while r.pump_all() == 0 {}
-            x = rx.recv().unwrap().unwrap();
-            outs.push(x.clone());
-        }
-        let pool = ThreadPool::new(2);
-        let mut st = model.new_state(16);
-        let mut want = token(77, hidden);
-        for (t, got) in outs.iter().enumerate() {
-            want = model.forward(&mut st, &want, 1, &pool);
-            assert_eq!(got, &want, "degraded-shard step {t} diverged");
-        }
-        // Hysteresis: dilute the violations with in-target traffic until
-        // burn sits inside the (exit, enter) band — the shard must STAY
-        // out of placement, not flap back at the first dip below enter.
-        while slo.burn_rate() >= 1.0 {
-            for _ in 0..500 {
-                slo.record(10);
-            }
-        }
-        let burn = slo.burn_rate();
-        assert!((0.5..1.0).contains(&burn), "burn {burn} should sit inside the band");
-        assert_eq!(r.shard_health()[0], Health::Degraded, "in-band burn keeps the latch");
-        assert_eq!(r.placement_of(r.create_session(0).unwrap()), Some(1));
-        // Recovery: only once burn falls through the exit threshold does
-        // the shard rejoin the candidate list (and, holding 1 session to
-        // shard 1's 5, it is immediately the least-loaded pick).
-        while slo.burn_rate() > 0.5 {
-            for _ in 0..2000 {
-                slo.record(10);
-            }
-        }
-        assert_eq!(r.shard_health(), vec![Health::Healthy, Health::Healthy]);
-        assert_eq!(r.placement_of(r.create_session(0).unwrap()), Some(0));
+        assert_eq!((r.placement_of(s0), r.placement_of(s1)), (Some(0), Some(1)));
+        let rx = r.submit_step(s0, &token(5, hidden)).unwrap();
+        while r.pump_all() == 0 {}
+        rx.recv().unwrap().unwrap();
+        let s2 = r.create_session(0).unwrap();
+        assert_eq!(r.placement_of(s2), Some(0), "equal load places on shard 0");
     }
 }

@@ -18,9 +18,14 @@
 //! * [`Server`] — execution (one parallel region per batch), reply
 //!   delivery, and the blocking client API.
 //! * [`ServerStats`] — the one telemetry plane: every serving fact is
-//!   recorded once into a `pl_metrics` registry; [`StatsSnapshot`] is the
+//!   recorded once into a [`MetricsRegistry`]; [`StatsSnapshot`] is the
 //!   typed view (throughput, p50/p99 step latency, batch-size
 //!   distribution) of the same series Prometheus scrapes.
+//! * The metrics modules (`registry`, `buckets`, `render`, `promtext`) —
+//!   a std-only labeled registry of counters, gauges and log2-bucket
+//!   histograms with lock-free handles and mergeable snapshots, its
+//!   Prometheus text renderer ([`render_prometheus`]) and the in-repo
+//!   conformance checker for that text ([`parse_prometheus`]).
 //!
 //! Every batch — decode lanes plus at most one prefill chunk — executes
 //! as **one** ragged forward ([`pl_dnn::DecoderModel::forward_batch`]):
@@ -33,17 +38,23 @@
 //! integration tests and `examples/serve_llm.rs` assert exactly.
 
 mod batcher;
+mod buckets;
 mod prefill;
+mod promtext;
+mod registry;
+mod render;
 pub mod server;
 mod session;
 pub mod stats;
 
+pub use promtext::{parse_prometheus, PromReport};
+pub use registry::{
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricsRegistry, MetricsSnapshot,
+};
+pub use render::render_prometheus;
 pub use server::{Server, ServerConfig, SessionExport};
 pub use session::{SessionId, TenantId};
 pub use stats::{ServerStats, StatsSnapshot};
-// The health/SLO vocabulary servers speak — re-exported so consumers
-// (router, examples) need not depend on pl_metrics directly.
-pub use pl_metrics::{Health, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};
 
 /// What a decode step resolves to.
 pub type StepResult = Result<Vec<f32>, ServeError>;

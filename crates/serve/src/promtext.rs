@@ -262,7 +262,7 @@ mod tests {
         let r = MetricsRegistry::new();
         r.help("pl_steps_total", "steps");
         r.counter("pl_steps_total", &[("tenant", "0")]).add(3);
-        r.gauge("pl_shard_health", &[("shard", "0")]).set(0.0);
+        r.gauge("pl_in_flight", &[("shard", "0")]).set(0.0);
         let h = r.histogram("pl_queue_wait_us", &[("tenant", "0")]);
         h.observe(7);
         h.observe(12345);

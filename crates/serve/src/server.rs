@@ -35,13 +35,13 @@
 
 use crate::batcher::{Batch, ChunkItem, Close, Refused, SessionTable, StepRequest, WorkItem};
 use crate::prefill::PrefillJob;
+use crate::registry::{MetricsRegistry, MetricsSnapshot};
 use crate::session::{Session, SessionId, TenantId};
 use crate::stats::ServerStats;
 use crate::{ServeError, StepResult};
 use pl_dnn::{
     DecoderModel, DecoderState, KvPagePool, KvSnapshot, PrefixCache, PrefixHit, DEFAULT_PAGE_TOKENS,
 };
-use pl_metrics::{Health, HealthTracker, MetricsRegistry, MetricsSnapshot, SloWindow, Watchdog};
 use pl_runtime::ThreadPool;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
@@ -68,12 +68,14 @@ pub struct ServerConfig {
     /// split and interleave with decode traffic; prompts that fit execute
     /// as a single chunk, bit-identical to an unchunked forward.
     pub prefill_chunk: usize,
-    /// SLO target for decode step latency (µs): the p99 objective the
-    /// per-tenant and shard-wide [`SloWindow`]s track violations
-    /// against. Feeds the burn-rate gauges and [`Server::health`].
+    /// Decode step latency objective (µs). Nothing reads it (placement is
+    /// least-loaded and no objective gates it); the benchmark package
+    /// still names it in its server config, and the next change to that
+    /// package drops it.
     pub slo_p99_us: u64,
-    /// Stall-watchdog deadline: with work pending and no batch collected
-    /// for this long, [`Server::health`] reports [`Health::Stalled`].
+    /// Stall deadline. Nothing reads it; the benchmark package still
+    /// names it in its server config, and the next change to that
+    /// package drops it.
     pub watchdog_deadline: Duration,
     /// KV page size in tokens: the allocation granularity of the shard's
     /// shared [`KvPagePool`] every session's cache draws from. Paging is
@@ -161,13 +163,6 @@ struct ServerInner {
     /// table and across chunk boundaries of one prefill. This is the
     /// quiescence signal a graceful close relies on.
     in_flight: AtomicU64,
-    /// Shard-wide SLO window over decode step latency — what
-    /// [`Server::health`] derives its burn rate from.
-    slo: SloWindow,
-    /// Degraded/healthy state machine with hysteresis.
-    health: HealthTracker,
-    /// Stalled-pump detector over `(pending, batches)`.
-    watchdog: Watchdog,
     /// The shard's shared KV page pool: every session's cache is a page
     /// table over this ([`DecoderModel::new_state_in`]), so free and
     /// prefix-shared pages are shard-level facts.
@@ -252,10 +247,7 @@ impl Server {
             batcher_waker: OnceLock::new(),
             wake_requested: AtomicBool::new(false),
             park_ends: Default::default(),
-            stats: ServerStats::new(cfg.tenants, cfg.max_batch, cfg.slo_p99_us),
-            slo: SloWindow::new(cfg.slo_p99_us, pl_metrics::slo::SLO_WINDOW_S),
-            health: HealthTracker::default(),
-            watchdog: Watchdog::new(cfg.watchdog_deadline),
+            stats: ServerStats::new(cfg.tenants, cfg.max_batch),
             model,
             pool,
             cfg,
@@ -274,41 +266,15 @@ impl Server {
 
     /// The labeled metrics registry every serving fact is recorded in;
     /// scrape through [`Server::metrics_snapshot`] +
-    /// [`pl_metrics::render_prometheus`].
+    /// [`crate::render_prometheus`].
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.stats.registry
     }
 
-    /// The shard-wide SLO window over decode step latency. Public so
-    /// operators (and tests) can inspect the burn rate — or inject
-    /// observations via [`SloWindow::record`] to drive
-    /// [`Server::health`] deterministically.
-    pub fn slo(&self) -> &SloWindow {
-        &self.inner.slo
-    }
-
-    /// Per-tenant SLO window (`None` for an out-of-range tenant).
-    #[cfg(test)]
-    fn tenant_slo(&self, tenant: TenantId) -> Option<&SloWindow> {
-        self.inner.stats.tenants.get(tenant).map(|tm| &tm.slo)
-    }
-
-    /// Current health of this server: feeds one `(pending, batches)`
-    /// observation to the stall watchdog, folds the shard-wide SLO burn
-    /// rate through the hysteresis tracker, and reports
-    /// `Healthy | Degraded | Stalled`. Degraded entry/exit uses the
-    /// [`pl_metrics::HealthTracker`] hysteresis band so a shard hovering
-    /// at the threshold does not flap in and out of placement.
-    pub fn health(&self) -> Health {
-        let stalled =
-            self.inner.watchdog.check(self.pending() as u64, self.inner.stats.batches.get());
-        self.inner.health.evaluate(self.inner.slo.burn_rate(), stalled)
-    }
-
     /// Point-in-time metrics snapshot: samples the liveness gauges
-    /// (sessions, queue depths, per-tenant burn rates, shard health) and
-    /// returns a copy of every series. Render with
-    /// [`pl_metrics::render_prometheus`]; merge shard snapshots with
+    /// (sessions, queue depth, in-flight work, KV pages) and returns a
+    /// copy of every series. Render with
+    /// [`crate::render_prometheus`]; merge shard snapshots with
     /// [`MetricsSnapshot::merge`] after
     /// [`MetricsSnapshot::with_label`]-stamping them.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -316,10 +282,6 @@ impl Server {
         m.gauge("pl_sessions_live", &[]).set(self.session_count() as f64);
         m.gauge("pl_pending", &[]).set(self.pending() as f64);
         m.gauge("pl_in_flight", &[]).set(self.in_flight() as f64);
-        for tm in &self.inner.stats.tenants {
-            tm.burn.set(tm.slo.burn_rate());
-        }
-        m.gauge("pl_shard_health", &[]).set(self.health().as_f64());
         m.gauge("pl_kv_pages_free", &[]).set(self.inner.kv_pool.free_pages() as f64);
         m.gauge("pl_kv_pages_shared", &[]).set(self.inner.prefix.shared_pages() as f64);
         self.inner.stats.registry_snapshot()
@@ -717,14 +679,11 @@ impl Server {
                     // boundary: queue wait vs batch compute.
                     let us = req.enqueued.elapsed().as_micros() as u64;
                     let queue_wait = collected.saturating_duration_since(req.enqueued);
-                    // Pre-created handles: atomics and one short mutex
-                    // per SLO window, no registry lock.
+                    // Pre-created handles: atomics only, no registry lock.
                     tm.steps.inc();
                     tm.step_latency.observe(us);
                     tm.queue_wait.observe(queue_wait.as_micros() as u64);
                     tm.execute.observe(collected.elapsed().as_micros() as u64);
-                    tm.slo.record(us);
-                    inner.slo.record(us);
                     if pl_trace::enabled() {
                         // The per-item submit→collect span, placed on the
                         // trace timebase so it lines up under this batch's
@@ -1849,33 +1808,6 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_detects_stalled_pump_but_never_fires_idle() {
-        // A huge SLO target isolates the watchdog: the deliberate stall
-        // below would otherwise also blow the burn rate and the test
-        // could not tell Stalled from Degraded recovery.
-        let server = tiny_server(ServerConfig {
-            slo_p99_us: 60_000_000,
-            watchdog_deadline: Duration::from_millis(50),
-            ..Default::default()
-        });
-        // Idle-but-empty: nothing pending, so no amount of inactivity
-        // counts as a stall.
-        std::thread::sleep(Duration::from_millis(80));
-        assert_eq!(server.health(), Health::Healthy, "idle server must not stall");
-        // Deliberately stall a manual pump: submit a step, never pump.
-        let hidden = server.model().config().hidden;
-        let id = server.create_session(0).unwrap();
-        let rx = server.submit_step(id, &token(9, hidden)).unwrap();
-        assert_eq!(server.health(), Health::Healthy, "first pending observation arms");
-        std::thread::sleep(Duration::from_millis(80));
-        assert_eq!(server.health(), Health::Stalled, "pending work, no batch for the deadline");
-        // Progress clears the stall: one pump retires the backlog.
-        assert_eq!(server.pump(), 1);
-        rx.recv().unwrap().unwrap();
-        assert_eq!(server.health(), Health::Healthy, "progress + empty queue recovers");
-    }
-
-    #[test]
     fn stats_view_equals_its_recomputation_from_the_registry() {
         let server = tiny_server(ServerConfig {
             tenants: 2,
@@ -1918,17 +1850,13 @@ mod tests {
         assert_eq!(per_tenant("pl_rejected_sessions_total"), [0, 1]);
         assert_eq!(m.gauge_value("pl_sessions_live", &[]), Some(2.0));
         assert_eq!(m.gauge_value("pl_pending", &[]), Some(0.0));
-        // SLO windows are per-tenant too: tenant 0 saw the traffic.
-        assert_eq!(server.tenant_slo(0).unwrap().observations(), 3);
-        assert_eq!(server.tenant_slo(1).unwrap().observations(), 0);
-        assert!(server.tenant_slo(2).is_none());
 
         // Every field of the typed view, recomputed by hand from the
         // exported series.
         let view = StatsSnapshot::from_metrics(&m);
         let total = |name: &str| per_tenant(name).iter().sum::<u64>();
         let hist = |name: &str| {
-            let mut h = pl_metrics::HistogramSnapshot::default();
+            let mut h = crate::HistogramSnapshot::default();
             for t in ["0", "1"] {
                 h.merge(m.histogram_series(name, &[("tenant", t)]).unwrap());
             }
@@ -2013,10 +1941,10 @@ mod tests {
             while server.pump() > 0 {}
             rx.recv().unwrap().unwrap();
         }
-        let text = pl_metrics::render_prometheus(&server.metrics_snapshot());
+        let text = crate::render_prometheus(&server.metrics_snapshot());
         // The in-repo conformance parser: family/type/label/bucket
         // well-formedness, monotone cumulative buckets, no orphan TYPEs.
-        let report = pl_metrics::parse_prometheus(&text)
+        let report = crate::parse_prometheus(&text)
             .unwrap_or_else(|e| panic!("non-conformant exposition: {e}\n{text}"));
         for fam in [
             "pl_steps_total",
@@ -2025,11 +1953,9 @@ mod tests {
             "pl_queue_wait_us",
             "pl_execute_us",
             "pl_batches_total",
-            "pl_slo_burn_rate",
             "pl_sessions_live",
             "pl_pending",
             "pl_in_flight",
-            "pl_shard_health",
             "pl_kv_pages_free",
             "pl_kv_pages_shared",
             "pl_sessions_imported_total",

@@ -1,14 +1,14 @@
 //! `ServerStats` — the server's handles into its one telemetry plane.
 //!
 //! Every serving fact is recorded exactly once, through a pre-created
-//! [`pl_metrics`] handle (atomics only — the registry lock is taken at
+//! [`MetricsRegistry`] handle (atomics only — the registry lock is taken at
 //! construction, on the first batch of a new GEMM width, and at snapshot
 //! time). [`StatsSnapshot`] is a typed, read-only fold of a
 //! [`MetricsSnapshot`]: what `plbench` reads and what Prometheus scrapes
 //! are the same series.
 
-use pl_metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SloWindow,
+use crate::registry::{
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -38,11 +38,9 @@ const FAMILIES: &[(&str, &str)] = &[
     ("pl_gemm_total", "GEMMs executed, by (m, n, k); n is the batch's ragged width"),
     ("pl_sessions_imported_total", "Sessions imported with `Server::import_session`"),
     ("pl_uptime_seconds", "Seconds since the server was constructed"),
-    ("pl_slo_burn_rate", "Windowed SLO violation fraction over the error budget"),
     ("pl_sessions_live", "Live sessions"),
     ("pl_pending", "Work items queued but not executing"),
     ("pl_in_flight", "Accepted work not yet delivered"),
-    ("pl_shard_health", "0 healthy, 1 degraded, 3 stalled"),
     ("pl_kv_pages_free", "Recycled KV pages available in the shard pool"),
     ("pl_kv_pages_shared", "KV pages shared by more than one owner (prefix cache)"),
 ];
@@ -62,8 +60,6 @@ pub(crate) struct TenantMetrics {
     pub queue_wait: Histogram,
     pub execute: Histogram,
     pub chunk_latency: Histogram,
-    pub burn: Gauge,
-    pub slo: SloWindow,
 }
 
 /// The serving runtime's recording handles over its [`MetricsRegistry`].
@@ -90,7 +86,7 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    pub(crate) fn new(tenants: usize, max_batch: usize, slo_p99_us: u64) -> Self {
+    pub(crate) fn new(tenants: usize, max_batch: usize) -> Self {
         let registry = MetricsRegistry::new();
         for (family, help) in FAMILIES {
             registry.help(family, help);
@@ -113,8 +109,6 @@ impl ServerStats {
                     queue_wait: registry.histogram("pl_queue_wait_us", &l),
                     execute: registry.histogram("pl_execute_us", &l),
                     chunk_latency: registry.histogram("pl_prefill_chunk_latency_us", &l),
-                    burn: registry.gauge("pl_slo_burn_rate", &l),
-                    slo: SloWindow::new(slo_p99_us, pl_metrics::slo::SLO_WINDOW_S),
                 }
             })
             .collect();
@@ -156,8 +150,8 @@ impl ServerStats {
     }
 
     /// Point-in-time copy of every recorded series (plus the uptime
-    /// gauge). No liveness gauge is sampled and no health state moves —
-    /// that is [`crate::Server::metrics_snapshot`].
+    /// gauge). No liveness gauge is sampled — that is
+    /// [`crate::Server::metrics_snapshot`].
     pub(crate) fn registry_snapshot(&self) -> MetricsSnapshot {
         self.uptime.set(self.started.elapsed().as_secs_f64());
         self.registry.snapshot()
@@ -324,7 +318,7 @@ mod tests {
     #[test]
     fn gemm_shapes_accumulate_counts_per_batch() {
         // Two layers: 8 QKV+WO GEMMs of h x h, 2 of each FFN shape.
-        let s = ServerStats::new(1, 8, 50_000);
+        let s = ServerStats::new(1, 8);
         s.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
         s.record_gemm_shapes(&[((32, 4, 32), 8), ((64, 4, 32), 2), ((32, 4, 64), 2)]);
         s.record_gemm_shapes(&[((32, 8, 32), 8), ((64, 8, 32), 2), ((32, 8, 64), 2)]);
@@ -336,7 +330,7 @@ mod tests {
 
     #[test]
     fn snapshot_derives_rates_from_the_size_series() {
-        let s = ServerStats::new(2, 4, 50_000);
+        let s = ServerStats::new(2, 4);
         for size in [2, 4, 9] {
             s.batches.inc();
             s.record_batch_size(size); // 9 clamps to max_batch
@@ -361,7 +355,7 @@ mod tests {
     fn shard_snapshots_merge_by_summed_buckets_so_the_slow_tail_survives() {
         // A fast shard (90 steps at ≤ 16 µs) and a slow one (10 at
         // ≤ 1024 µs), merged the way the router merges them.
-        let (fast, slow) = (ServerStats::new(1, 8, 50_000), ServerStats::new(1, 8, 50_000));
+        let (fast, slow) = (ServerStats::new(1, 8), ServerStats::new(1, 8));
         for (stats, steps, us, batches) in [(&fast, 90, 16, 45), (&slow, 10, 1000, 10)] {
             stats.tenants[0].steps.add(steps);
             (0..steps).for_each(|_| stats.tenants[0].step_latency.observe(us));

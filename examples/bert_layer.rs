@@ -43,7 +43,7 @@ fn main() {
         sparse.compressed_bytes() / 1024
     );
     let t0 = std::time::Instant::now();
-    let yd = dense.forward(&x, tokens, pool).0;
+    let yd = dense.forward(&x, tokens, pool);
     let t_dense = t0.elapsed();
     let t0 = std::time::Instant::now();
     let ys = sparse.forward(&x, tokens, pool);

@@ -116,7 +116,7 @@ fn main() {
     );
     let per_shard = router.shard_stats();
     let agg = router.stats();
-    let fleet_metrics = pl_metrics::render_prometheus(&router.metrics_snapshot());
+    let fleet_metrics = pl_serve::render_prometheus(&router.metrics_snapshot());
     router.shutdown();
 
     println!("\n=== per-shard / aggregated stats ===");

@@ -38,10 +38,10 @@
 //! dumped to `trace_serve_llm.json` in Chrome `trace_event` format —
 //! open it in `chrome://tracing` or `ui.perfetto.dev`.
 //!
-//! With `--metrics` the server's pl-metrics
-//! plane is exercised: the labeled snapshot is rendered to Prometheus
+//! With `--metrics` the server's metrics
+//! registry is exercised: the labeled snapshot is rendered to Prometheus
 //! text exposition, validated in process by the in-repo conformance
-//! parser (`pl_metrics::parse_prometheus`), and dumped to
+//! parser (`pl_serve::parse_prometheus`), and dumped to
 //! `metrics_serve_llm.prom`.
 //!
 //! Run: `cargo run --release --example serve_llm [-- --trace] [-- --metrics]
@@ -226,9 +226,9 @@ fn main() {
         .collect();
     let shared_snap = server.stats().snapshot();
     // Snapshot the metrics plane while the server is live — the gauges
-    // (`pl_sessions_live`, `pl_pending`, `pl_shard_health`) are sampled
-    // at snapshot time, and the health view needs a running watchdog.
-    let metrics_snap = metrics.then(|| (server.metrics_snapshot(), server.health()));
+    // (`pl_sessions_live`, `pl_pending`, `pl_in_flight`) are sampled at
+    // snapshot time.
+    let metrics_snap = metrics.then(|| server.metrics_snapshot());
     server.shutdown();
     // Sampled here, before the baselines: the cross-precision replay
     // constructs a fresh f32 model, and model construction is *supposed*
@@ -406,10 +406,10 @@ fn main() {
     }
 
     // --- Metrics plane: conformance-check and dump the exposition. -------
-    if let Some((msnap, health)) = metrics_snap {
-        println!("\n=== pl-metrics exposition ===");
-        let text = pl_metrics::render_prometheus(&msnap);
-        let report = pl_metrics::parse_prometheus(&text)
+    if let Some(msnap) = metrics_snap {
+        println!("\n=== metrics exposition ===");
+        let text = pl_serve::render_prometheus(&msnap);
+        let report = pl_serve::parse_prometheus(&text)
             .expect("rendered exposition must pass the conformance parser");
         for (family, kind) in [
             ("pl_steps_total", "counter"),
@@ -422,9 +422,8 @@ fn main() {
             ("pl_step_latency_us", "histogram"),
             ("pl_queue_wait_us", "histogram"),
             ("pl_execute_us", "histogram"),
-            ("pl_slo_burn_rate", "gauge"),
             ("pl_sessions_live", "gauge"),
-            ("pl_shard_health", "gauge"),
+            ("pl_in_flight", "gauge"),
         ] {
             assert_eq!(
                 report.families.get(family).map(String::as_str),
@@ -437,7 +436,6 @@ fn main() {
         println!("families declared    {:>10}", report.families.len());
         println!("sample lines         {:>10}", report.samples);
         println!("histogram series     {:>10}", report.histogram_series);
-        println!("shard health         {:>10}", health);
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("metrics_serve_llm.prom");
         match std::fs::write(&path, &text) {
             Ok(()) => println!("wrote {}", path.display()),

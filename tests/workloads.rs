@@ -33,7 +33,7 @@ fn sparse_bert_at_zero_sparsity_equals_dense() {
     let (dense, sparse) = random_sparse_layer(cfg, 8, 0.0, 23);
     let mut x = vec![0.0f32; cfg.hidden * 8];
     fill_uniform(&mut x, &mut Xorshift::new(24), -0.5, 0.5);
-    let (yd, _) = dense.forward(&x, 8, &pool);
+    let yd = dense.forward(&x, 8, &pool);
     let ys = sparse.forward(&x, 8, &pool);
     // Both layers run each projection element as one ascending-k FMA chain
     // in the one GEMM nest; unpruned, the sparse tile skips no block.
