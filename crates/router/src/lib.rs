@@ -13,8 +13,8 @@
 //!   to a single-server run of the same stream;
 //! * **least-loaded placement** ([`placement`]): new sessions go to the
 //!   shard with the smallest live-session + queue-depth load;
-//! * **graceful close** ([`Router::close_session`]): a session's own
-//!   queued work completes before its KV cache is freed;
+//! * **close in program order** ([`Router::close_session`]): a session's
+//!   own queued work completes before its KV cache is freed;
 //! * **aggregated observability** ([`Router::metrics_snapshot`]): the
 //!   shards' registries merge into one `shard`-labelled fleet snapshot —
 //!   counters add, latency quantiles recompute from summed histogram

@@ -8,7 +8,7 @@ use pl_serve::{
     MetricsSnapshot, ServeError, ServerConfig, SessionId, StatsSnapshot, StepResult, TenantId,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 /// Router-assigned session identifier — a distinct namespace from the
@@ -51,14 +51,13 @@ impl Default for RouterConfig {
 ///
 /// Lifecycle: [`Router::new`] → either [`Router::start`] (every shard's
 /// background batcher) or manual drive ([`Router::pump_all`], or the
-/// blocking [`Router::step`] / [`Router::prefill`], which pump the
-/// session's shard on the calling thread) → [`Router::shutdown`].
+/// blocking calls, which pump the session's shard on the calling thread)
+/// → [`Router::shutdown`] (or drop: each shard's server shuts down).
 pub struct Router {
     shards: Vec<Shard>,
     cfg: RouterConfig,
     sessions: Mutex<HashMap<RouterSessionId, Placement>>,
     next_session: AtomicU64,
-    started: AtomicBool,
 }
 
 impl Router {
@@ -80,7 +79,6 @@ impl Router {
             cfg,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            started: AtomicBool::new(false),
         })
     }
 
@@ -188,8 +186,8 @@ impl Router {
     /// on the shard the session was placed on). The full `hidden x
     /// tokens` output arrives on the returned channel after the final
     /// chunk; every chunk counts toward the shard's
-    /// [`pl_serve::Server::in_flight`], which [`Router::close_session`]
-    /// waits on.
+    /// [`pl_serve::Server::in_flight`], and [`Router::close_session`]
+    /// returns after the last one.
     pub fn submit_prefill(
         &self,
         id: RouterSessionId,
@@ -217,32 +215,14 @@ impl Router {
         Ok(self.shards[p.shard].server().step(p.local, x)?)
     }
 
-    /// Gracefully ends a session: its **own** accepted work is allowed to
-    /// finish first (a step still queued on the shard completes
-    /// instead of erroring `UnknownSession`), then the session is closed
-    /// and its KV cache freed. Only this session's own queued work is
-    /// waited on ([`pl_serve::Server::session_idle`]) — peers' queued
-    /// work on the same shard is neither awaited nor, for an idle session,
-    /// pumped — and a session checked out by an executing batch is
-    /// handled by the shard itself (the close parks on the checked-out
-    /// slot). In manual-drive mode the wait pumps the shard on the
-    /// calling thread. Returns tokens decoded.
+    /// Ends a session on its shard ([`pl_serve::Server::close_session`]:
+    /// its own queued work completes first) and forgets its placement,
+    /// whatever the shard answers. Returns tokens decoded.
     pub fn close_session(&self, id: RouterSessionId) -> Result<u64, RouterError> {
         let p = self.lookup(id)?;
-        let server = self.shards[p.shard].server();
-        let started = self.started.load(Ordering::Acquire);
-        // `in_flight() == 0` ends the wait when the session's queued work
-        // was bounced (shutdown) rather than executed.
-        while !server.session_idle(p.local)? && server.in_flight() > 0 {
-            if started {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            } else if server.pump() == 0 {
-                break;
-            }
-        }
-        let generated = server.close_session(p.local)?;
+        let closed = self.shards[p.shard].server().close_session(p.local);
         self.sessions.lock().expect("placement table poisoned").remove(&id);
-        Ok(generated)
+        Ok(closed?)
     }
 
     /// Pumps every shard once on the calling thread; returns the total
@@ -258,7 +238,6 @@ impl Router {
         for shard in &mut self.shards {
             shard.server_mut().start();
         }
-        self.started.store(true, Ordering::Release);
     }
 
     /// Stops admissions, drains every shard's queues, joins the batchers.
@@ -266,7 +245,6 @@ impl Router {
         for shard in &mut self.shards {
             shard.server_mut().shutdown();
         }
-        self.started.store(false, Ordering::Release);
     }
 
     /// Per-shard stats snapshots, indexed by shard.
@@ -278,14 +256,6 @@ impl Router {
     /// [`Router::metrics_snapshot`], summed over shards.
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot::from_metrics(&self.metrics_snapshot())
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        if self.started.load(Ordering::Acquire) {
-            self.shutdown();
-        }
     }
 }
 

@@ -17,19 +17,22 @@
 //!
 //! A chunk's successor goes back to the **front** of its session's FIFO
 //! when the chunk checks in ([`SessionTable::check_in`]), so work queued
-//! behind a prefill runs only after the prompt's last chunk. Closing,
-//! exporting or failing a session, and shutdown, hand the slot's queued
-//! work back as [`Refused`] items for the server to answer.
+//! behind a prefill runs only after the prompt's last chunk. Removing a
+//! session is one more FIFO item ([`SessionTable::remove`]), performed by
+//! the collect that finds it at the head. Work queued behind a removal or
+//! on a session whose batch failed, and every step and chunk at shutdown,
+//! comes back as [`Refused`] items for the server to answer.
 //!
 //! Backpressure is per tenant: a submit is refused once the tenant's
-//! queued items reach `queue_capacity`.
+//! queued items reach `queue_capacity`. A removal counts as queued but is
+//! never refused.
 
 use crate::prefill::PrefillJob;
 use crate::session::{Session, SessionId, TenantId};
 use crate::{ServeError, StepResult};
 use pl_dnn::DecoderState;
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,25 +57,20 @@ pub(crate) struct ChunkItem {
     pub enqueued: Instant,
 }
 
-/// A unit of admitted work: one decode step or one prefill chunk. Both
-/// wait in the same session FIFOs and ride the same batches, which is
-/// what lets a long prompt interleave with live decode traffic instead of
-/// monopolizing the pool.
+/// What a removal resolves to: the session, out of the table.
+pub(crate) type Removed = Result<Session, ServeError>;
+
+/// A unit of admitted work. Steps and chunks wait in the same session
+/// FIFOs and ride the same batches, which is what lets a long prompt
+/// interleave with live decode traffic instead of monopolizing the pool;
+/// a removal takes no batch lane.
 pub(crate) enum WorkItem {
     /// One next-token decode step.
     Decode(StepRequest),
     /// One bounded chunk of a prefill.
     PrefillChunk(ChunkItem),
-}
-
-impl WorkItem {
-    /// The reply channel the item's result (or error) is delivered on.
-    pub fn reply(&self) -> &Sender<StepResult> {
-        match self {
-            WorkItem::Decode(r) => &r.reply,
-            WorkItem::PrefillChunk(c) => c.job.reply(),
-        }
-    }
+    /// Close or export: the session is handed over on this channel.
+    Remove(Sender<Removed>),
 }
 
 /// Queued work handed back unexecuted, to be answered with `err`.
@@ -89,12 +87,13 @@ pub(crate) struct Refused {
 #[derive(Default)]
 pub(crate) struct Batch {
     /// Items to execute, each with its checked-out session; at most one
-    /// is a prefill chunk.
+    /// is a prefill chunk, and none a removal.
     pub ready: Vec<(WorkItem, Session)>,
     /// Prefill jobs every token of which the session adopted from the
     /// prefix cache: answered without a forward, the session resident.
     pub cached: Vec<(TenantId, Arc<PrefillJob>)>,
-    /// Items whose session's KV cannot hold them, refused at checkout.
+    /// Items refused at checkout: those their session's KV cannot hold,
+    /// and those queued behind a removal this collect performed.
     pub refused: Vec<Refused>,
 }
 
@@ -102,10 +101,8 @@ pub(crate) struct Batch {
 enum Residence {
     /// In the table, claimable by a collect.
     Live(Session),
-    /// Checked out by an executing batch. A concurrent `close` parks a
-    /// channel here: at check-in the session is freed instead and its
-    /// generated-token count is sent on it.
-    CheckedOut { closer: Option<Sender<u64>> },
+    /// Checked out by an executing batch.
+    CheckedOut,
 }
 
 /// One session's entry: its tenant, its queued work, and the session.
@@ -113,15 +110,6 @@ struct Slot {
     tenant: TenantId,
     queue: VecDeque<WorkItem>,
     residence: Residence,
-}
-
-/// How a close proceeds.
-pub(crate) enum Close {
-    /// The session was resident and is gone: its generated-token count,
-    /// and its queued work to answer.
-    Now(u64, Vec<Refused>),
-    /// A batch holds the session: the count arrives here at check-in.
-    AtCheckIn(mpsc::Receiver<u64>),
 }
 
 /// Every live session of a server, with its queued work.
@@ -205,7 +193,7 @@ impl SessionTable {
                 return Err(ServeError::KvExhausted { context: sess.context_len(), capacity });
             }
             Residence::Live(_) => true,
-            Residence::CheckedOut { .. } => false,
+            Residence::CheckedOut => false,
         };
         if self.queued[t] >= self.queue_capacity {
             return Err(ServeError::Backpressure { tenant: t });
@@ -221,8 +209,8 @@ impl SessionTable {
     /// Forms the next batch: up to `max_batch` items, one per session,
     /// round-robin over the tenants from a start that rotates per
     /// collect. Every item taken checks its session out; items the
-    /// session cannot hold are refused and fully cached prefills answered
-    /// on the way.
+    /// session cannot hold are refused, fully cached prefills answered and
+    /// removals at the head of their session performed on the way.
     pub fn collect(&mut self, max_batch: usize) -> Batch {
         let mut batch = Batch::default();
         if self.pending() == 0 {
@@ -249,31 +237,38 @@ impl SessionTable {
     }
 
     /// Walks tenant `t`'s runnable sessions from index `i` and checks out
-    /// the first whose head item can join `batch`. Returns the index to
-    /// resume from, or `None` when no session of `t` could give one.
+    /// the first whose head item can join `batch`, performing the
+    /// removals it finds at a head on the way. Returns the index to resume
+    /// from, or `None` when no session of `t` could give one.
     fn take_one(&mut self, t: TenantId, mut i: usize, batch: &mut Batch) -> Option<usize> {
         let has_chunk =
             batch.ready.iter().any(|(item, _)| matches!(item, WorkItem::PrefillChunk(_)));
         while let Some(&id) = self.runnable[t].get(i) {
             let slot = self.slots.get_mut(&id).expect("a runnable session has a slot");
-            let checked_out = Residence::CheckedOut { closer: None };
-            let Residence::Live(mut sess) = std::mem::replace(&mut slot.residence, checked_out)
+            let Residence::Live(mut sess) =
+                std::mem::replace(&mut slot.residence, Residence::CheckedOut)
             else {
                 unreachable!("a runnable session is resident")
             };
+            let mut answered = false;
             let taken = loop {
                 match slot.queue.front() {
                     Some(WorkItem::PrefillChunk(_)) if has_chunk => break None,
+                    // Left to the next collect, which starts after the
+                    // server answered this one's refusals and cached hits.
+                    Some(WorkItem::Remove(_)) if answered => break None,
                     None => break None,
                     Some(_) => {}
                 }
                 let item = slot.queue.pop_front().expect("the head was just seen");
                 self.queued[t] -= 1;
+                answered = true;
                 // A decode step needs one token; a chunk needs the job's
                 // whole remaining prompt, so an oversized prefill (admitted
                 // while the session was checked out) fails at its first
                 // chunk, before any token appends.
                 let need = match &item {
+                    WorkItem::Remove(_) => break Some(item),
                     WorkItem::Decode(_) => 1,
                     WorkItem::PrefillChunk(c) => c.job.remaining_tokens(c.chunk),
                 };
@@ -296,6 +291,12 @@ impl SessionTable {
                 break Some(item);
             };
             match taken {
+                Some(WorkItem::Remove(reply)) => {
+                    // The walk resumes at `i`, where the unlink moved the
+                    // next runnable session.
+                    let _ = reply.send(Ok(sess));
+                    batch.refused.extend(self.discard(id));
+                }
                 Some(item) => {
                     batch.ready.push((item, sess));
                     self.runnable[t].remove(i);
@@ -315,112 +316,73 @@ impl SessionTable {
     }
 
     /// Checks `sess` back in after its batch, with `next` (a prefill's
-    /// next chunk) at the front of its FIFO. Returns `None` when the
-    /// session is resident again. If a close parked on the slot meanwhile
-    /// the session is freed instead, the closer receives its
-    /// generated-token count, and the slot's queued work comes back to be
-    /// answered (`UnknownSession`).
-    pub fn check_in(&mut self, sess: Session, next: Option<WorkItem>) -> Option<Vec<Refused>> {
-        let id = sess.id;
-        let slot = self.slots.get_mut(&id).expect("a checked-out session keeps its slot");
+    /// next chunk) at the front of its FIFO.
+    pub fn check_in(&mut self, sess: Session, next: Option<WorkItem>) {
+        let slot = self.slots.get_mut(&sess.id).expect("a checked-out session keeps its slot");
         if let Some(next) = next {
             slot.queue.push_front(next);
             self.queued[slot.tenant] += 1;
         }
-        if let Residence::CheckedOut { closer: Some(done) } = &slot.residence {
-            let _ = done.send(sess.generated);
-            return Some(self.unlink(id).1);
-        }
         if !slot.queue.is_empty() {
-            self.runnable[slot.tenant].push_back(id);
+            self.runnable[slot.tenant].push_back(sess.id);
         }
         slot.residence = Residence::Live(sess);
-        None
     }
 
-    /// Drops checked-out `sess`, whose batch failed with its KV
-    /// half-appended: a parked closer receives its count, and its queued
-    /// work comes back to be answered (`UnknownSession`).
-    pub fn discard(&mut self, sess: &Session) -> Vec<Refused> {
-        let (residence, refused) = self.unlink(sess.id);
-        if let Residence::CheckedOut { closer: Some(done) } = residence {
-            let _ = done.send(sess.generated);
+    /// Removes session `id` in program order: a resident session with
+    /// nothing queued is sent on `reply` at once; otherwise the removal
+    /// waits at the back of the session's FIFO for a collect to perform.
+    /// Neither the tenant's queue bound nor shutdown refuses it.
+    pub fn remove(&mut self, id: SessionId, reply: Sender<Removed>) -> Result<(), ServeError> {
+        let slot = self.slots.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
+        if !slot.queue.is_empty() || matches!(slot.residence, Residence::CheckedOut) {
+            slot.queue.push_back(WorkItem::Remove(reply));
+            self.queued[slot.tenant] += 1;
+        } else if let Some(Slot { residence: Residence::Live(sess), .. }) = self.slots.remove(&id) {
+            let _ = reply.send(Ok(sess));
         }
-        refused
+        Ok(())
     }
 
-    /// Removes resident session `id`; its queued work comes back to be
-    /// answered (`UnknownSession`). `SessionBusy` while a batch holds it.
-    pub fn take(&mut self, id: SessionId) -> Result<(Session, Vec<Refused>), ServeError> {
-        match self.slots.get(&id).map(|slot| &slot.residence) {
-            None => Err(ServeError::UnknownSession(id)),
-            Some(Residence::CheckedOut { .. }) => Err(ServeError::SessionBusy { session: id }),
-            Some(Residence::Live(_)) => match self.unlink(id) {
-                (Residence::Live(sess), refused) => Ok((sess, refused)),
-                _ => unreachable!("the slot was just seen resident"),
-            },
-        }
-    }
-
-    /// Closes session `id`: at once when resident, else at its batch's
-    /// check-in. A second close of a checked-out session (or any close of
-    /// an unknown one) is `UnknownSession`.
-    pub fn close(&mut self, id: SessionId) -> Result<Close, ServeError> {
-        match self.slots.get_mut(&id).map(|slot| &mut slot.residence) {
-            Some(Residence::CheckedOut { closer }) => {
-                if closer.is_some() {
-                    return Err(ServeError::UnknownSession(id));
-                }
-                let (tx, rx) = mpsc::channel();
-                *closer = Some(tx);
-                Ok(Close::AtCheckIn(rx))
-            }
-            _ => self.take(id).map(|(sess, refused)| Close::Now(sess.generated, refused)),
-        }
-    }
-
-    /// Empties every FIFO; the work comes back to be answered
-    /// (`ShuttingDown`).
+    /// Answers every queued step and chunk `ShuttingDown`. Removals stay
+    /// queued, in order, for the next collect to perform.
     pub fn drain(&mut self) -> Vec<Refused> {
-        self.runnable.iter_mut().for_each(VecDeque::clear);
-        self.queued.iter_mut().for_each(|q| *q = 0);
         let mut refused = Vec::new();
         for slot in self.slots.values_mut() {
             let tenant = slot.tenant;
-            refused.extend(slot.queue.drain(..).map(|item| Refused {
-                tenant,
-                item,
-                err: ServeError::ShuttingDown,
-            }));
+            for item in std::mem::take(&mut slot.queue) {
+                match item {
+                    WorkItem::Remove(_) => slot.queue.push_back(item),
+                    item => {
+                        self.queued[tenant] -= 1;
+                        refused.push(Refused { tenant, item, err: ServeError::ShuttingDown });
+                    }
+                }
+            }
+        }
+        let slots = &self.slots;
+        for runnable in &mut self.runnable {
+            runnable.retain(|id| !slots[id].queue.is_empty());
         }
         refused
-    }
-
-    /// Whether session `id` is resident with nothing queued.
-    pub fn idle(&self, id: SessionId) -> Result<bool, ServeError> {
-        let slot = self.slots.get(&id).ok_or(ServeError::UnknownSession(id))?;
-        Ok(slot.queue.is_empty() && matches!(slot.residence, Residence::Live(_)))
     }
 
     /// Whether a batch holds session `id` checked out.
     #[cfg(test)]
     pub(crate) fn checked_out(&self, id: SessionId) -> bool {
-        matches!(self.slots.get(&id), Some(Slot { residence: Residence::CheckedOut { .. }, .. }))
+        matches!(self.slots.get(&id), Some(Slot { residence: Residence::CheckedOut, .. }))
     }
 
-    /// Removes slot `id` and hands back its residence and its queued work.
-    fn unlink(&mut self, id: SessionId) -> (Residence, Vec<Refused>) {
-        let slot = self.slots.remove(&id).expect("unlinking a known session");
+    /// Drops session `id` from the table — removed, or checked out by a
+    /// batch that failed with its KV half-appended — and hands back its
+    /// queued work to be answered (`UnknownSession`).
+    pub fn discard(&mut self, id: SessionId) -> Vec<Refused> {
+        let slot = self.slots.remove(&id).expect("discarding a known session");
         let t = slot.tenant;
         self.runnable[t].retain(|&s| s != id);
         self.queued[t] -= slot.queue.len();
         let err = ServeError::UnknownSession(id);
-        let refused = slot
-            .queue
-            .into_iter()
-            .map(|item| Refused { tenant: t, item, err: err.clone() })
-            .collect();
-        (slot.residence, refused)
+        slot.queue.into_iter().map(|item| Refused { tenant: t, item, err: err.clone() }).collect()
     }
 }
 
@@ -428,7 +390,7 @@ impl SessionTable {
 mod tests {
     use super::*;
     use pl_dnn::{DecoderConfig, DecoderModel};
-    use std::sync::Mutex;
+    use std::sync::{mpsc, Mutex};
 
     fn model() -> DecoderModel {
         DecoderModel::new(DecoderConfig::scaled_for_tests(), 5)
@@ -517,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn deferred_side_queue_is_drained_ahead_of_the_rings_in_fifo_order() {
+    fn a_sessions_work_runs_in_fifo_order_with_a_prefills_chunks_first() {
         // A session's work drains in submission order, one item per
         // collect, and a prefill's next chunk, checked in at the front of
         // its FIFO, runs ahead of the steps queued behind the prefill.
@@ -547,10 +509,90 @@ mod tests {
                         })
                     })
                 }
+                WorkItem::Remove(_) => unreachable!("nothing is removed"),
             };
-            assert!(table.check_in(sess, next).is_none());
+            table.check_in(sess, next);
         }
         assert_eq!(order, ["chunk 0", "chunk 1", "step 1", "step 2"]);
+    }
+
+    #[test]
+    fn a_removal_runs_in_program_order_and_refuses_what_queued_behind_it() {
+        // A resident session with nothing queued leaves at once. Otherwise
+        // the removal waits at the back of the FIFO — accepted past the
+        // tenant's queue bound, and while a batch holds the session — and
+        // the collect that finds it at the head takes no lane, hands the
+        // session over and refuses what was queued behind it.
+        let model = model();
+        let mut table = SessionTable::new(1, 2, 8);
+        let idle = table.insert(0, model.new_state(16), 0).unwrap();
+        let (tx, rx) = mpsc::channel();
+        table.remove(idle, tx).unwrap();
+        assert_eq!(rx.try_recv().unwrap().unwrap().id, idle, "an idle session leaves at once");
+        let id = queued(&mut table, &model, 0, 1, || step(1.0))[0];
+        table.submit(id, 0, step(2.0)).unwrap_or_else(|e| panic!("{e}"));
+        let (item, sess) = table.collect(8).ready.pop().unwrap();
+        assert!(matches!(item, WorkItem::Decode(_)));
+        let (first, done) = mpsc::channel();
+        table.remove(id, first).unwrap();
+        let (second, refused) = mpsc::channel();
+        table.remove(id, second).unwrap();
+        assert!(matches!(table.submit(id, 0, step(3.0)), Err(ServeError::Backpressure { .. })));
+        assert_eq!(table.pending(), 3, "step 2 and both removals");
+        table.check_in(sess, None);
+        let (item, sess) = table.collect(8).ready.pop().unwrap();
+        let WorkItem::Decode(req) = item else { panic!("step 2 runs before the removal") };
+        assert_eq!(req.x, [2.0]);
+        assert!(done.try_recv().is_err());
+        table.check_in(sess, None);
+        let batch = table.collect(8);
+        assert!(batch.ready.is_empty(), "a removal takes no lane");
+        assert_eq!(done.try_recv().unwrap().unwrap().id, id);
+        match &batch.refused[..] {
+            [Refused { item: WorkItem::Remove(_), err: ServeError::UnknownSession(s), .. }] => {
+                assert_eq!(*s, id)
+            }
+            _ => panic!("the second removal is refused"),
+        }
+        assert!(refused.try_recv().is_err(), "the server answers refused items");
+        assert_eq!((table.len(), table.pending()), (0, 0));
+
+        // A removal behind an item a collect answers (here refused: no KV
+        // room) is left to the next collect, which starts after the server
+        // answered it; behind a failed batch, the removal is refused.
+        let id = table.insert(0, model.new_state(0), 0).unwrap();
+        table.submit(id, 0, step(5.0)).unwrap_or_else(|e| panic!("{e}"));
+        let (tx, rx) = mpsc::channel();
+        table.remove(id, tx).unwrap();
+        let batch = table.collect(8);
+        assert!(matches!(
+            &batch.refused[..],
+            [Refused { err: ServeError::KvExhausted { .. }, .. }]
+        ));
+        assert!(rx.try_recv().is_err());
+        assert!(table.collect(8).refused.is_empty());
+        assert_eq!(rx.try_recv().unwrap().unwrap().id, id);
+        let id = queued(&mut table, &model, 0, 1, || step(6.0))[0];
+        let (_, sess) = table.collect(8).ready.pop().unwrap();
+        let (tx, _rx) = mpsc::channel();
+        table.remove(id, tx).unwrap();
+        match &table.discard(sess.id)[..] {
+            [Refused { item: WorkItem::Remove(_), err: ServeError::UnknownSession(_), .. }] => {}
+            _ => panic!("a removal behind a failed batch is refused"),
+        }
+        assert_eq!((table.len(), table.pending()), (0, 0));
+
+        // Shutdown refuses queued steps, not a removal: it stays queued for
+        // the next collect.
+        let id = queued(&mut table, &model, 0, 1, || step(4.0))[0];
+        let (tx, rx) = mpsc::channel();
+        table.remove(id, tx).unwrap();
+        let drained = table.drain();
+        assert!(matches!(&drained[..], [Refused { err: ServeError::ShuttingDown, .. }]));
+        assert_eq!(table.pending(), 1);
+        assert!(table.collect(8).ready.is_empty());
+        assert_eq!(rx.try_recv().unwrap().unwrap().id, id);
+        assert_eq!((table.len(), table.pending()), (0, 0));
     }
 
     #[test]
@@ -585,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn side_queue_yields_at_most_one_chunk_per_collect_so_decode_cannot_starve() {
+    fn a_collect_takes_at_most_one_chunk_so_decode_cannot_starve() {
         // Regression: with `max_batch` (or more) concurrent prefill jobs, a
         // collect that filled the whole batch with their chunks — of which
         // one executes — left queued decode steps waiting until every
@@ -608,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_rejects_when_ring_full() {
+    fn backpressure_rejects_past_the_tenants_queue_capacity() {
         // The tenant's queued items are bounded by `queue_capacity`,
         // whichever of its sessions they are queued on.
         let model = model();
@@ -628,7 +670,7 @@ mod tests {
         let (item, sess) = batch.ready.into_iter().next().unwrap();
         let WorkItem::PrefillChunk(c) = item else { panic!("the chunk") };
         let next = ChunkItem { job: c.job, chunk: 1, enqueued: Instant::now() };
-        assert!(table.check_in(sess, Some(WorkItem::PrefillChunk(next))).is_none());
+        table.check_in(sess, Some(WorkItem::PrefillChunk(next)));
         assert_eq!(table.pending(), 3);
     }
 

@@ -13,8 +13,9 @@
 //! * `SessionTable` (`batcher.rs`) — every live session with its queued
 //!   work in its own slot, under one mutex: admission (session cap,
 //!   per-tenant queue bound = backpressure), program order (one FIFO per
-//!   session, one item of a session per batch) and round-robin batch
-//!   formation with checkout, all one module's decision.
+//!   session, one item of a session per batch, a session's removal one
+//!   more item of its FIFO) and round-robin batch formation with checkout,
+//!   all one module's decision.
 //! * [`Server`] — execution (one parallel region per batch), reply
 //!   delivery, and the blocking client API.
 //! * [`ServerStats`] — the one telemetry plane: every serving fact is
@@ -101,14 +102,6 @@ pub enum ServeError {
         /// The panic message.
         reason: String,
     },
-    /// The session is momentarily checked out by an executing batch —
-    /// retry shortly ([`crate::Server::export_session`]; batches re-insert their
-    /// sessions before delivering replies, so the window is microseconds
-    /// wide).
-    SessionBusy {
-        /// The session that was checked out.
-        session: SessionId,
-    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -130,9 +123,6 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::BatchFailed { reason } => write!(f, "batch failed: {reason}"),
-            ServeError::SessionBusy { session } => {
-                write!(f, "session {session} is checked out by an executing batch — retry")
-            }
         }
     }
 }

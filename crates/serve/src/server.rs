@@ -14,33 +14,33 @@
 //! 2048-token prompt therefore interleaves with live decode traffic —
 //! decode steps complete between (and alongside) its chunks — instead of
 //! monopolizing the pool for the whole forward, and every chunk is visible
-//! to [`Server::in_flight`], so a graceful close and shutdown observe
-//! prefill work exactly like decode work.
+//! to [`Server::in_flight`] like a decode step.
 //! The blocking [`Server::prefill`] is a wrapper over this path; a prompt
 //! that fits in one chunk executes as a single forward and stays
 //! **bit-identical** to the pre-chunking inline prefill.
 //!
-//! ## The checked-out-session interlock
+//! ## Removal in program order
 //!
 //! Executing a batch *checks sessions out* of the table so the parallel
-//! region holds no lock while computing. A checked-out session keeps its
-//! slot: concurrent submitters still queue work for it, and — the part
-//! that closes a real race — a concurrent [`Server::close_session`] does
-//! not get `UnknownSession` for a live session. The close instead parks a
-//! completion channel in the slot and waits; when the executing batch
-//! checks the session back in it sees the parked closer, frees the session
-//! (KV cache and all) and hands over the generated-token count. Without
-//! this interlock, a close racing the execution window failed spuriously and
-//! the batch then re-inserted the session as an untracked zombie.
+//! region holds no lock while computing; a checked-out session keeps its
+//! slot, and concurrent submitters still queue work for it. Removing a
+//! session — [`Server::close_session`] or [`Server::export_session`] — is
+//! one more item of its FIFO: a resident session with nothing queued
+//! leaves at once; otherwise the removal waits behind the work queued
+//! before it (a checked-out session's batch included), every item of which
+//! runs and is answered first. The collect that finds the removal at the
+//! head unlinks the slot and hands the session to the caller; work queued
+//! behind it is answered `UnknownSession`. The caller blocks through the
+//! same wait as [`Server::step`].
 
-use crate::batcher::{Batch, ChunkItem, Close, Refused, SessionTable, StepRequest, WorkItem};
+use crate::batcher::{Batch, ChunkItem, Refused, SessionTable, StepRequest, WorkItem};
 use crate::prefill::PrefillJob;
 use crate::registry::{MetricsRegistry, MetricsSnapshot};
 use crate::session::{Session, SessionId, TenantId};
 use crate::stats::ServerStats;
 use crate::{ServeError, StepResult};
 use pl_dnn::{
-    DecoderModel, DecoderState, KvPagePool, KvSnapshot, PrefixCache, PrefixHit, DEFAULT_PAGE_TOKENS,
+    DecoderModel, DecoderState, KvPagePool, KvSnapshot, PrefixCache, DEFAULT_PAGE_TOKENS,
 };
 use pl_runtime::ThreadPool;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,14 +88,6 @@ pub struct ServerConfig {
     /// worst case with no sharing; prefix sharing reduces the real
     /// demand).
     pub kv_pool_pages: usize,
-    /// Keep completed prompts' pages in the shard's [`PrefixCache`] and
-    /// look every new prompt up in it **before** its prefill is planned:
-    /// a session opening with pages some earlier prompt already computed
-    /// adopts their KV by reference, takes their cached outputs, and
-    /// forwards only the tokens after them. On by default — a hit never
-    /// changes outputs (position `t` depends on tokens `0..=t` only).
-    /// `false` disables lookup and registration together.
-    pub share_prefix: bool,
 }
 
 impl Default for ServerConfig {
@@ -111,7 +103,6 @@ impl Default for ServerConfig {
             watchdog_deadline: Duration::from_secs(1),
             kv_page_tokens: DEFAULT_PAGE_TOKENS,
             kv_pool_pages: 0,
-            share_prefix: true,
         }
     }
 }
@@ -160,8 +151,7 @@ struct ServerInner {
     /// non-final prefill chunk's unit is **carried over** to its
     /// successor (nothing is delivered for it), so accepted work is
     /// counted even while its batch holds the session checked out of the
-    /// table and across chunk boundaries of one prefill. This is the
-    /// quiescence signal a graceful close relies on.
+    /// table and across chunk boundaries of one prefill.
     in_flight: AtomicU64,
     /// The shard's shared KV page pool: every session's cache is a page
     /// table over this ([`DecoderModel::new_state_in`]), so free and
@@ -195,10 +185,14 @@ impl ServerInner {
     /// answered is a failed step (`pl_steps_failed_total`).
     fn refuse(&self, refused: Vec<Refused>) {
         for Refused { tenant, item, err } in refused {
-            if let WorkItem::Decode(_) = item {
-                self.stats.tenants[tenant].failed.inc();
+            match item {
+                WorkItem::Decode(req) => {
+                    self.stats.tenants[tenant].failed.inc();
+                    self.deliver(&req.reply, Err(err));
+                }
+                WorkItem::PrefillChunk(c) => self.deliver(c.job.reply(), Err(err)),
+                WorkItem::Remove(reply) => drop(reply.send(Err(err))),
             }
-            self.deliver(item.reply(), Err(err));
         }
     }
 
@@ -219,9 +213,11 @@ impl ServerInner {
 /// Lifecycle: [`Server::new`] → either [`Server::start`] (background
 /// batcher thread; clients call the blocking [`Server::step`] /
 /// [`Server::prefill`]) or manual [`Server::pump`] (tests,
-/// single-threaded drivers). Any number of threads may submit to one
-/// session, and pipeline several items on it: its work runs one item at
-/// a time, in the order the submits were accepted.
+/// single-threaded drivers) → [`Server::close_session`] or
+/// [`Server::export_session`] per session. Any number of threads may
+/// submit to one session, and pipeline several items on it: its work —
+/// its removal included — runs one item at a time, in the order the
+/// submits were accepted.
 pub struct Server {
     inner: Arc<ServerInner>,
     batcher_thread: Option<JoinHandle<()>>,
@@ -302,9 +298,9 @@ impl Server {
         &self.inner.cfg
     }
 
-    /// Work items queued but not yet executed — decode steps and prefill
-    /// chunks, across every session. This is the queue-depth signal a
-    /// fronting router uses for least-loaded placement.
+    /// Work items queued but not yet executed — decode steps, prefill
+    /// chunks and removals, across every session. This is the queue-depth
+    /// signal a fronting router uses for least-loaded placement.
     pub fn pending(&self) -> usize {
         self.inner.table().pending()
     }
@@ -314,9 +310,9 @@ impl Server {
     /// batch (where [`Server::pending`] no longer sees it). The counter
     /// moves at submit, at reply delivery, and across prefill chunk
     /// hand-offs (successor queued before the completed chunk retires),
-    /// so there is no window where accepted work is invisible: this is the
-    /// quiescence signal for a graceful close (`pending() == 0` alone
-    /// races the batch-execution window).
+    /// so there is no window where accepted work is invisible: a manual
+    /// driver pumps until it reads 0 (`pending() == 0` alone races the
+    /// batch-execution window).
     pub fn in_flight(&self) -> usize {
         self.inner.in_flight.load(Ordering::Acquire) as usize
     }
@@ -367,15 +363,11 @@ impl Server {
     }
 
     /// Removes a live session and serializes it for re-admission
-    /// elsewhere ([`Server::import_session`]). Fails with
-    /// [`ServeError::SessionBusy`] while an executing batch holds the
-    /// session checked out (retry — the window is one batch execution);
-    /// callers should quiesce the shard first: work still queued for the
-    /// session errors `UnknownSession`, exactly like work queued at a
-    /// close.
+    /// elsewhere ([`Server::import_session`]). The removal runs in program
+    /// order, like [`Server::close_session`]: work queued for the session
+    /// before it runs first.
     pub fn export_session(&self, id: SessionId) -> Result<SessionExport, ServeError> {
-        let (sess, refused) = self.inner.table().take(id)?;
-        self.inner.refuse(refused);
+        let sess = self.remove(id)?;
         Ok(SessionExport {
             tenant: sess.tenant,
             generated: sess.generated,
@@ -412,33 +404,22 @@ impl Server {
         Ok(id)
     }
 
-    /// Whether session `id` has no accepted work outstanding: it is
-    /// resident (not checked out by an executing batch) with nothing
-    /// queued. What a graceful close waits on — this session's own work,
-    /// not the shard's.
-    pub fn session_idle(&self, id: SessionId) -> Result<bool, ServeError> {
-        self.inner.table().idle(id)
+    /// Ends a session, freeing its KV cache, and returns how many tokens it
+    /// decoded. The close runs in program order (module docs): work
+    /// submitted before it — a prefill's every chunk included — runs and is
+    /// answered first, work submitted after it is answered `UnknownSession`.
+    /// It blocks like [`Server::step`]; neither shutdown nor the tenant's
+    /// queue bound refuses it.
+    pub fn close_session(&self, id: SessionId) -> Result<u64, ServeError> {
+        self.remove(id).map(|sess| sess.generated)
     }
 
-    /// Ends a session, freeing its KV cache. Returns how many tokens it
-    /// decoded.
-    ///
-    /// If the session is momentarily **checked out** by an executing batch
-    /// or prefill chunk, the close interlocks with that window instead of
-    /// failing: it parks a completion channel in the slot and waits for
-    /// the batch to check the session back in (microseconds — one batch
-    /// execution), at which point the session is freed on the batcher's
-    /// side and the token count handed over. Work still queued for the
-    /// session is answered `UnknownSession` through its reply channel.
-    pub fn close_session(&self, id: SessionId) -> Result<u64, ServeError> {
-        let close = self.inner.table().close(id)?;
-        match close {
-            Close::Now(generated, refused) => {
-                self.inner.refuse(refused);
-                Ok(generated)
-            }
-            Close::AtCheckIn(done) => done.recv().map_err(|_| ServeError::UnknownSession(id)),
-        }
+    /// Takes session `id` out of the table in program order (see
+    /// `batcher.rs`) and waits for it.
+    fn remove(&self, id: SessionId) -> Result<Session, ServeError> {
+        let (reply, rx) = mpsc::channel();
+        self.inner.table().remove(id, reply)?;
+        self.wait(rx)
     }
 
     /// Submits a prefill without blocking: the prompt (`hidden x tokens`,
@@ -446,12 +427,12 @@ impl Server {
     /// [`ServerConfig::prefill_chunk`] tokens and admitted one chunk at a
     /// time, interleaving with decode traffic. The full `hidden x tokens`
     /// output arrives on the returned channel once the final chunk
-    /// executes (or the error that aborted the prefill — e.g. the session
-    /// was closed mid-prefill). Every chunk counts toward
-    /// [`Server::in_flight`] from submission to completion.
+    /// executes (or the error that aborted the prefill — e.g. its batch
+    /// failed). Every chunk counts toward [`Server::in_flight`] from
+    /// submission to completion.
     ///
-    /// With [`ServerConfig::share_prefix`] the prompt is first looked up
-    /// in the shard's [`PrefixCache`]: if its leading pages are cached and
+    /// The prompt is first looked up in the shard's [`PrefixCache`]: if
+    /// its leading pages are cached and
     /// the session is still empty when chunk 0 checks out, the session
     /// adopts them and only the remaining tokens are chunked and
     /// forwarded — none at all for a fully cached prompt. The output is
@@ -471,11 +452,7 @@ impl Server {
         // carries the result to chunk-0 checkout (adoption) and to
         // completion (registration). A prompt shorter than a page costs
         // neither a hash nor a lookup.
-        let hit = if self.inner.cfg.share_prefix {
-            self.inner.prefix.lookup(x)
-        } else {
-            PrefixHit::default()
-        };
+        let hit = self.inner.prefix.lookup(x);
         let (job, rx) = PrefillJob::new(x.to_vec(), tokens, self.inner.cfg.prefill_chunk, hit);
         let item = WorkItem::PrefillChunk(ChunkItem { job, chunk: 0, enqueued: Instant::now() });
         self.enqueue(id, tokens, item)?;
@@ -549,7 +526,7 @@ impl Server {
     /// ([`Server::start`]) the call simply blocks; in manual-drive mode it
     /// pumps on the calling thread until the reply arrives (its own work
     /// and whatever shares its batches executes here).
-    fn wait(&self, rx: mpsc::Receiver<StepResult>) -> StepResult {
+    fn wait<T>(&self, rx: mpsc::Receiver<Result<T, ServeError>>) -> Result<T, ServeError> {
         loop {
             if self.inner.running.load(Ordering::Acquire) {
                 return rx.recv().unwrap_or(Err(ServeError::ShuttingDown));
@@ -577,7 +554,8 @@ impl Server {
     pub fn pump(&self) -> usize {
         let inner = &self.inner;
         let checkout_ns = pl_trace::now_ns();
-        let Batch { mut ready, cached, refused } = inner.table().collect(inner.cfg.max_batch);
+        let mut table = inner.table();
+        let Batch { mut ready, cached, refused } = table.collect(inner.cfg.max_batch);
         // The collect boundary for the queue-wait/execute latency split:
         // submit→here is queue wait, here→reply is execute.
         let collected = Instant::now();
@@ -585,6 +563,8 @@ impl Server {
             let dur = pl_trace::now_ns().saturating_sub(checkout_ns);
             pl_trace::complete("batch.checkout", checkout_ns, dur, [ready.len() as u64, 0, 0]);
         }
+        // Answered before the lock drops, so a removal the next collect
+        // performs cannot overtake them.
         inner.refuse(refused);
         let from_cache = cached.len();
         for (tenant, job) in cached {
@@ -593,6 +573,7 @@ impl Server {
             tm.prefills.inc();
             inner.deliver(job.reply(), Ok(job.take_output()));
         }
+        drop(table);
         if ready.is_empty() {
             return from_cache;
         }
@@ -614,6 +595,7 @@ impl Server {
                     }
                     c.job.chunk_tokens(c.chunk)
                 }
+                WorkItem::Remove(_) => unreachable!("a removal takes no lane"),
             };
         }
         let execute_span =
@@ -626,6 +608,7 @@ impl Server {
                     WorkItem::PrefillChunk(c) => {
                         (&mut sess.state, c.job.chunk_input(c.chunk), c.job.chunk_tokens(c.chunk))
                     }
+                    WorkItem::Remove(_) => unreachable!("a removal takes no lane"),
                 })
                 .collect();
             inner.model.forward_batch(items, &inner.pool)
@@ -666,7 +649,6 @@ impl Server {
                 }
             }
         }
-        let mut orphans = Vec::new();
         let mut table = inner.table();
         for ((item, mut sess), y) in ready.into_iter().zip(outputs) {
             let tm = &stats.tenants[sess.tenant];
@@ -674,7 +656,7 @@ impl Server {
             match item {
                 WorkItem::Decode(req) => {
                     sess.generated += 1;
-                    orphans.extend(table.check_in(sess, None).into_iter().flatten());
+                    table.check_in(sess, None);
                     // Combined latency plus its split at the collect
                     // boundary: queue wait vs batch compute.
                     let us = req.enqueued.elapsed().as_micros() as u64;
@@ -710,9 +692,8 @@ impl Server {
                     // The successor goes to the front of the session's
                     // FIFO, ahead of anything queued behind the prefill;
                     // the completed chunk's in-flight unit transfers to it
-                    // (nothing is delivered for a non-final chunk), so a
-                    // close polling `in_flight` never sees a mid-prefill
-                    // gap.
+                    // (nothing is delivered for a non-final chunk), so
+                    // `in_flight` never reads a mid-prefill gap.
                     let next = c.chunk + 1;
                     let successor = (next < c.job.chunks()).then(|| {
                         let job = Arc::clone(&c.job);
@@ -723,25 +704,25 @@ impl Server {
                         })
                     });
                     let last = successor.is_none();
-                    orphans.extend(table.check_in(sess, successor).into_iter().flatten());
+                    table.check_in(sess, successor);
                     if last {
                         tm.prefills.inc();
                         inner.deliver(c.job.reply(), Ok(c.job.take_output()));
                     }
                 }
+                WorkItem::Remove(_) => unreachable!("a removal takes no lane"),
             }
         }
         drop(table);
-        inner.refuse(orphans);
         size + from_cache
     }
 
     /// A region member panicked mid-forward (e.g. the bounded KV page
     /// pool ran dry inside attention): the batch's sessions hold partially
-    /// appended KV and cannot continue, so they are closed — parked closers
-    /// are answered, queued work refused — and every request of the batch
-    /// is failed with [`ServeError::BatchFailed`]. The pump itself carries
-    /// on.
+    /// appended KV and cannot continue, so they are dropped: every request
+    /// of the batch is failed with [`ServeError::BatchFailed`], then their
+    /// queued work (removals included) is refused `UnknownSession`. The
+    /// pump itself carries on.
     fn fail_batch(&self, ready: Vec<(WorkItem, Session)>, panic: &(dyn std::any::Any + Send)) {
         let inner = &self.inner;
         let reason = panic
@@ -753,9 +734,9 @@ impl Server {
         let mut orphans = Vec::new();
         let mut table = inner.table();
         for (item, sess) in ready {
-            orphans.extend(table.discard(&sess));
             let err = ServeError::BatchFailed { reason: reason.clone() };
             orphans.push(Refused { tenant: sess.tenant, item, err });
+            orphans.extend(table.discard(sess.id));
         }
         drop(table);
         inner.refuse(orphans);
@@ -800,7 +781,8 @@ impl Server {
     }
 
     /// Stops admitting work, drains the queues, and joins the batcher;
-    /// without one, whatever is still queued is answered `ShuttingDown`.
+    /// without one, every step and chunk still queued is answered
+    /// `ShuttingDown`. Closes and exports keep working.
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.wake_batcher();
@@ -1098,7 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn deferred_steps_execute_in_submission_order_ahead_of_ring_queued_ones() {
+    fn pipelined_steps_execute_in_submission_order_one_per_batch() {
         // Regression: three pipelined steps of one session, batch window
         // of two. Re-queueing a step that could not run in its batch
         // behind the session's later steps once let step 3 execute before
@@ -1266,7 +1248,7 @@ mod tests {
         let WorkItem::Decode(req) = item else { panic!("a decode step") };
         let y0 = server.model().forward(&mut sess.state, &req.x, 1, &server.inner.pool);
         sess.generated += 1;
-        assert!(server.inner.table().check_in(sess, None).is_none());
+        server.inner.table().check_in(sess, None);
         server.inner.deliver(&req.reply, Ok(y0));
         assert_eq!(server.pump(), 1);
         let y0 = rx0.recv().unwrap().unwrap();
@@ -1440,11 +1422,11 @@ mod tests {
 
     #[test]
     fn close_session_interlocks_with_the_checked_out_window() {
-        // Satellite regression: a close racing the batch-execution window
-        // used to get UnknownSession for a live session, and the window
-        // then re-inserted the session as an untracked zombie. The
-        // CheckedOut marker makes the close wait for the window and free
-        // the session at check-in.
+        // Regression: a close racing the batch-execution window used to
+        // get UnknownSession for a live session, and the window then
+        // re-inserted the session as an untracked zombie. The close queues
+        // behind the checked-out item and frees the session after its
+        // check-in.
         let server = Arc::new(tiny_server(ServerConfig {
             prefill_chunk: 64,
             kv_capacity: 64,
@@ -1465,8 +1447,9 @@ mod tests {
             while !server.inner.table().checked_out(id) {
                 std::hint::spin_loop();
             }
-            // Close mid-window: must succeed (waiting for the window),
-            // never report a live session as unknown.
+            // Close mid-window: must succeed (waiting for the window, and
+            // pumping here once it is over), never report a live session as
+            // unknown.
             let generated = server.close_session(id).unwrap();
             assert_eq!(generated, 0, "prefill decodes no tokens");
             assert_eq!(pumper.join().unwrap(), 1);
@@ -1481,23 +1464,29 @@ mod tests {
     }
 
     #[test]
-    fn close_session_mid_multi_chunk_prefill_frees_the_session_and_aborts_the_job() {
-        // Closing between chunks of a longer prefill: the close wins, the
-        // session's KV cache is freed, and the orphaned continuation chunk
-        // errors through the prefill's completion channel instead of
-        // resurrecting the session.
+    fn close_behind_a_multi_chunk_prefill_returns_after_its_last_chunk() {
+        // A close issued between a prefill's chunks queues behind the
+        // prefill: the continuation chunks run, the prompt's output is
+        // delivered before the close returns, and nothing stays in flight.
         let server =
             tiny_server(ServerConfig { prefill_chunk: 2, kv_capacity: 16, ..Default::default() });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
-        let rx = server.submit_prefill(id, &token(95, hidden * 6), 6).unwrap();
+        let prompt = token(95, hidden * 6);
+        let rx = server.submit_prefill(id, &prompt, 6).unwrap();
         assert_eq!(server.pump(), 1, "first chunk executes");
-        assert_eq!(server.close_session(id).unwrap(), 0, "close between chunks succeeds");
-        assert_eq!(server.session_count(), 0);
-        // The continuation chunk finds the session gone and aborts the job.
+        assert_eq!(server.close_session(id).unwrap(), 0, "the close waits for the prefill");
+        assert_eq!(server.stats().snapshot().prefill_chunks, 3);
+        let y = rx.try_recv().expect("the prefill is answered before the close returns");
+        let whole = server.model().forward(
+            &mut server.model().new_state(16),
+            &prompt,
+            6,
+            &server.inner.pool,
+        );
+        assert_eq!(y.unwrap(), whole);
+        assert_eq!((server.session_count(), server.in_flight(), server.pending()), (0, 0, 0));
         assert_eq!(server.pump(), 0);
-        assert!(matches!(rx.recv().unwrap(), Err(ServeError::UnknownSession(_))));
-        assert_eq!(server.in_flight(), 0, "aborted chunk retired its in-flight count");
     }
 
     #[test]
@@ -1754,12 +1743,14 @@ mod tests {
             kv_page_tokens: 2,
             kv_pool_pages: 2 * DecoderConfig::scaled_for_tests().layers,
             kv_capacity: 16,
-            share_prefix: false,
             ..Default::default()
         });
         let hidden = server.model().config().hidden;
         let id = server.create_session(0).unwrap();
         let y = server.prefill(id, &token(4, hidden * 4), 4).unwrap();
+        // The prompt's pages leave the prefix cache: the session alone
+        // holds every page of the pool.
+        server.prefix_cache().clear();
         let rx = server.submit_step(id, &y[3 * hidden..]).unwrap();
         assert_eq!(server.pump(), 0, "the failed batch executed nothing");
         match rx.recv().unwrap() {
@@ -1977,20 +1968,21 @@ mod tests {
         // step appends into such a tail in place (nothing to COW-split) or
         // opens a fresh private page. The last case is the same traffic in
         // the pre-paging layout: one capacity-sized page per layer per
-        // session, sharing off. The 64-token cases hold 24 x 4 KiB = 98304
-        // bytes paged+shared vs 16 x 32 KiB = 524288 bytes contiguous.
-        for (sessions, tokens, page_tokens, kv_capacity, share_prefix) in
-            [(2, 6, 4, 32, true), (8, 64, DEFAULT_PAGE_TOKENS, 128, true), (8, 64, 128, 128, false)]
+        // session, which no prompt fills, so nothing is shared. The
+        // 64-token cases hold 24 x 4 KiB = 98304 bytes paged+shared vs
+        // 16 x 32 KiB = 524288 bytes contiguous.
+        for (sessions, tokens, page_tokens, kv_capacity) in
+            [(2, 6, 4, 32), (8, 64, DEFAULT_PAGE_TOKENS, 128), (8, 64, 128, 128)]
         {
             let server = tiny_server(ServerConfig {
                 kv_page_tokens: page_tokens,
                 kv_capacity,
-                share_prefix,
                 ..Default::default()
             });
             let hidden = server.model().config().hidden;
             let layers = server.model().config().layers;
             let full = tokens / page_tokens;
+            let shared = full > 0;
             let prompt = token(91, hidden * tokens);
             let mut ids = Vec::new();
             let mut first = None;
@@ -2000,11 +1992,7 @@ mod tests {
                 let ya = first.get_or_insert_with(|| y.clone());
                 assert_eq!(*ya, y, "identical prompts must produce identical outputs");
                 // Every session after the first adds only its tail pages.
-                let held = if share_prefix {
-                    full + (s + 1) * (tokens.div_ceil(page_tokens) - full)
-                } else {
-                    (s + 1) * tokens.div_ceil(page_tokens)
-                };
+                let held = full + (s + 1) * (tokens.div_ceil(page_tokens) - full);
                 assert_eq!(
                     server.kv_pool().allocated_pages(),
                     layers * held,
@@ -2012,7 +2000,7 @@ mod tests {
                 );
                 ids.push(id);
             }
-            assert_eq!(server.prefix_cache().shared_pages() > 0, share_prefix);
+            assert_eq!(server.prefix_cache().shared_pages() > 0, shared);
             let pool = ThreadPool::new(2);
             for (s, &id) in ids.iter().enumerate() {
                 let x = token(92 + s as u64, hidden);
@@ -2025,12 +2013,11 @@ mod tests {
                 assert_eq!(got, want, "decode after sharing must stay bit-identical");
             }
             let private = (tokens + 1).div_ceil(page_tokens);
-            let pages =
-                if share_prefix { full + sessions * (private - full) } else { sessions * private };
+            let pages = full + sessions * (private - full);
             assert_eq!(server.kv_pool().allocated_pages(), layers * pages);
             assert_eq!(server.kv_pool().cow_splits(), 0, "private tail pages never need a split");
             let snap = server.metrics_snapshot();
-            assert_eq!(snap.gauge_value("pl_kv_pages_shared", &[]).unwrap() > 0.0, share_prefix);
+            assert_eq!(snap.gauge_value("pl_kv_pages_shared", &[]).unwrap() > 0.0, shared);
         }
     }
 

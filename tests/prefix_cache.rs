@@ -1,8 +1,8 @@
 //! Prefix-cache hits through the serving stack: a prompt that opens with
 //! pages an earlier prompt computed adopts them *before* its forward and
 //! prefills only the rest. Every output position — cached or computed —
-//! and every decode step after it must carry the bits a server without
-//! the cache produces, and the token accounting must add up.
+//! and every decode step after it must carry the bits a server that never
+//! saw the earlier prompt produces, and the token accounting must add up.
 
 use pl_dnn::{DecoderConfig, DecoderModel, Precision};
 use pl_router::{Router, RouterConfig};
@@ -17,12 +17,11 @@ fn model(precision: Precision) -> Arc<DecoderModel> {
     Arc::new(DecoderModel::new_with_precision(DecoderConfig::scaled_for_tests(), 4242, precision))
 }
 
-fn config(page: usize, chunk: usize, share_prefix: bool) -> ServerConfig {
+fn config(page: usize, chunk: usize) -> ServerConfig {
     ServerConfig {
         kv_capacity: KV,
         kv_page_tokens: page,
         prefill_chunk: chunk,
-        share_prefix,
         ..Default::default()
     }
 }
@@ -83,11 +82,12 @@ fn a_hit_is_bit_identical_to_no_cache_and_every_prompt_token_is_accounted_for() 
                         format!("{precision:?} page {page} chunk {chunk} hit {cached_pages}");
                     let tokens = b.len() / hidden;
                     let cached = cached_pages * page;
-                    let with = server(&model, config(page, chunk, true));
+                    let with = server(&model, config(page, chunk));
                     run(&with, a, 0);
                     let before = with.stats().snapshot();
                     let (_, got) = run(&with, b, 8);
-                    let without = server(&model, config(page, chunk, false));
+                    // A server that never saw the first prompt.
+                    let without = server(&model, config(page, chunk));
                     let (_, want) = run(&without, b, 8);
                     assert_eq!(got, want, "{what}");
 
@@ -107,7 +107,11 @@ fn a_hit_is_bit_identical_to_no_cache_and_every_prompt_token_is_accounted_for() 
                     assert_eq!(with.kv_pool().cow_splits(), 0, "{what}");
                     let none = without.stats().snapshot();
                     assert_eq!((none.prefix_hit_tokens, none.prefill_tokens), (0, tokens as u64));
-                    assert_eq!(without.prefix_cache().entries(), 0, "off means no registration");
+                    assert_eq!(
+                        without.prefix_cache().entries(),
+                        tokens / page,
+                        "{what}: a miss registers"
+                    );
                 }
             }
         }
@@ -120,9 +124,12 @@ fn a_hit_rides_a_mixed_batch_next_to_other_sessions_decode_lanes() {
     let hidden = model.config().hidden;
     let a = random(20, hidden * 14);
     let b = diverge(&a, hidden, 8, 21); // two cached pages, six tokens to go
-    let serve = |share_prefix: bool| {
-        let srv = server(&model, config(4, 4, share_prefix));
-        run(&srv, &a, 0);
+    let serve = |warm: bool| {
+        // A warm server prefilled `a` first, so `b` hits.
+        let srv = server(&model, config(4, 4));
+        if warm {
+            run(&srv, &a, 0);
+        }
         // Two decoding sessions whose next steps are queued together with
         // the second prompt: its chunks share their batches with them.
         let lanes: Vec<(SessionId, Vec<f32>)> = (0..2)
@@ -144,8 +151,8 @@ fn a_hit_rides_a_mixed_batch_next_to_other_sessions_decode_lanes() {
         (outs, snap.prefix_hit_tokens)
     };
     let (got, hit_tokens) = serve(true);
-    let (want, _) = serve(false);
-    assert_eq!(hit_tokens, 8);
+    let (want, cold_hit_tokens) = serve(false);
+    assert_eq!((hit_tokens, cold_hit_tokens), (8, 0));
     assert_eq!(got, want, "the hit and the lanes beside it");
 }
 
@@ -155,7 +162,7 @@ fn each_router_shard_hits_its_own_cache() {
     let hidden = model.config().hidden;
     let router = Router::new(
         Arc::clone(&model),
-        RouterConfig { shards: 2, total_threads: 2, server: config(4, 4, true) },
+        RouterConfig { shards: 2, total_threads: 2, server: config(4, 4) },
     )
     .unwrap();
     let a = random(40, hidden * 10);
@@ -187,8 +194,10 @@ fn each_router_shard_hits_its_own_cache() {
 fn nothing_is_adopted_into_a_session_with_context() {
     let model = model(Precision::F32);
     let hidden = model.config().hidden;
-    let with = server(&model, config(4, 16, true));
-    let without = server(&model, config(4, 16, false));
+    let with = server(&model, config(4, 16));
+    // The no-cache oracle: it runs `a` after context (which registers
+    // nothing) before it runs `a` alone, so that run misses.
+    let without = server(&model, config(4, 16));
     let a = random(50, hidden * 9);
     run(&with, &a, 0);
     assert_eq!(with.prefix_cache().entries(), 2);
@@ -210,6 +219,7 @@ fn nothing_is_adopted_into_a_session_with_context() {
     // and owns them, so clearing the cache before its chunk 0 checks out
     // changes nothing.
     let (_, want) = run(&without, &a, 0);
+    assert_eq!(without.stats().snapshot().prefix_hit_tokens, 0, "the oracle forwards `a`");
     let id = with.create_session(0).unwrap();
     let rx = with.submit_prefill(id, &a, 9).unwrap();
     with.prefix_cache().clear();
@@ -224,7 +234,7 @@ fn pool_exhaustion_in_the_suffix_fails_the_job_and_leaves_the_cache_exact() {
     let model = model(Precision::F32);
     let (hidden, layers) = (model.config().hidden, model.config().layers);
     // Room for the first prompt (3 pages + tail, per layer) and no more.
-    let bounded = ServerConfig { kv_pool_pages: 4 * layers, ..config(4, 4, true) };
+    let bounded = ServerConfig { kv_pool_pages: 4 * layers, ..config(4, 4) };
     let with = server(&model, bounded);
     let a = random(60, hidden * 14);
     let (first, _) = run(&with, &a, 0);
@@ -267,7 +277,7 @@ fn pool_exhaustion_in_the_suffix_fails_the_job_and_leaves_the_cache_exact() {
 fn a_system_prompt_that_keeps_being_hit_outlives_any_number_of_one_off_prompts() {
     let model = model(Precision::F32);
     let hidden = model.config().hidden;
-    let with = server(&model, config(4, 16, true));
+    let with = server(&model, config(4, 16));
     let system = random(70, hidden * 8);
     let ask = |prompt: &[f32]| {
         let (id, outs) = run(&with, prompt, 0);

@@ -396,10 +396,12 @@ fn kv_page_pool_refcount_discipline() {
 /// Batches are whatever is queued when a pump collects, so partial and
 /// deferred batches are the common case — and must not be visible: every
 /// reply arrives exactly once, in ticket order, bit-identical to an
-/// unbatched `Decoder` over the same inputs.
-fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize) {
+/// unbatched `Decoder` over the same inputs. With `close_behind`, each
+/// session is closed right after its last submit, while steps of it are
+/// still queued: the close returns after every one of them is answered.
+fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize, close_behind: bool) {
     use pl_dnn::{Decoder, DecoderConfig, DecoderModel};
-    use pl_serve::{Server, ServerConfig, StepResult};
+    use pl_serve::{ServeError, Server, ServerConfig, StepResult};
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::{Receiver, TryRecvError};
@@ -450,6 +452,14 @@ fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize) {
         assert!(ran <= max_batch, "{case}: a batch of {ran}");
         ran
     };
+    /// Ends the pumpers' loop however the submitting thread leaves the
+    /// scope, so a failed assertion reports instead of hanging the scope.
+    struct Submitting<'a>(&'a AtomicBool);
+    impl Drop for Submitting<'_> {
+        fn drop(&mut self) {
+            self.0.store(false, Ordering::Release);
+        }
+    }
     let submitting = AtomicBool::new(true);
     let mut answered: Vec<Receiver<StepResult>> = Vec::new();
     std::thread::scope(|scope| {
@@ -462,6 +472,7 @@ fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize) {
                 }
             });
         }
+        let _submitting = Submitting(&submitting);
         let mut submitted = vec![0usize; sessions];
         let mut waiting: Vec<VecDeque<(usize, Receiver<StepResult>)>> =
             (0..sessions).map(|_| VecDeque::new()).collect();
@@ -471,6 +482,17 @@ fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize) {
                 let t = submitted[s];
                 waiting[s].push_back((t, server.submit_step(ids[s], &inputs[s][t]).unwrap()));
                 submitted[s] += 1;
+                if close_behind && submitted[s] == steps {
+                    let closed = server.close_session(ids[s]);
+                    assert_eq!(closed, Ok(steps as u64), "{case}: session {s} closed short");
+                    for (t, rx) in waiting[s].drain(..) {
+                        let y = rx.try_recv().unwrap_or_else(|e| {
+                            panic!("{case}: session {s} step {t} unanswered at its close: {e}")
+                        });
+                        assert_eq!(y.unwrap(), oracle[s][t], "{case}: session {s} step {t}");
+                        answered.push(rx);
+                    }
+                }
             } else if pumpers == 0 {
                 pump();
             } else {
@@ -496,7 +518,6 @@ fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize) {
                 }
             }
         }
-        submitting.store(false, Ordering::Release);
     });
     assert_eq!((server.in_flight(), server.pending()), (0, 0), "{case}");
     assert_eq!(pump(), 0, "{case}");
@@ -507,16 +528,30 @@ fn pipelined_steps_keep_program_order(seed: u64, pumpers: usize) {
     assert_eq!((snap.completed, snap.failed), ((sessions * steps) as u64, 0), "{case}");
     assert!(snap.gemm_shapes.iter().all(|&((_, n, _), _)| n <= max_batch), "{case}");
     for &id in &ids {
-        assert_eq!(server.close_session(id).unwrap(), steps as u64, "{case}");
+        let closed = server.close_session(id);
+        let want =
+            if close_behind { Err(ServeError::UnknownSession(id)) } else { Ok(steps as u64) };
+        assert_eq!(closed, want, "{case}");
     }
+    assert_eq!(server.session_count(), 0, "{case}");
 }
 
 #[test]
 fn pipelined_steps_keep_program_order_under_partial_batches() {
     for seed in 0..12u64 {
-        pipelined_steps_keep_program_order(0x5e55_1000 + seed, 0);
+        pipelined_steps_keep_program_order(0x5e55_1000 + seed, 0, false);
     }
     for seed in 0..8u64 {
-        pipelined_steps_keep_program_order(0x5e55_2000 + seed, 2);
+        pipelined_steps_keep_program_order(0x5e55_2000 + seed, 2, false);
+    }
+}
+
+#[test]
+fn pipelined_steps_keep_program_order_through_a_close_behind_them() {
+    for seed in 0..12u64 {
+        pipelined_steps_keep_program_order(0x5e55_3000 + seed, 0, true);
+    }
+    for seed in 0..8u64 {
+        pipelined_steps_keep_program_order(0x5e55_4000 + seed, 2, true);
     }
 }
